@@ -2,7 +2,9 @@
 
 import pytest
 
-from lteadv_sim.kernel import MessageKind, SimTime, Simulator
+from lteadv_sim.kernel import (MAX_TIME_NS, HandlerError, MessageKind,
+                               SchedulingInPast, SimTime, SimTimeRangeError,
+                               Simulator)
 from lteadv_sim.model import (ChannelSpec, CompoundModule, DetachedModule,
                               Direction, DirectionMismatch, DuplicateName,
                               GateAlreadyConnected, SimpleModule, UnconnectedGate,
@@ -83,6 +85,79 @@ def test_send_on_unknown_and_unconnected_gates():
         send(a, msg, "nope")
     with pytest.raises(UnconnectedGate):
         send(a, msg, "wired_not")
+
+
+def one_ns_channel_net():
+    root, a, b = two_module_net()
+    connect(a.add_gate("o", Direction.OUT), b.add_gate("i", Direction.IN),
+            ChannelSpec(SimTime(1)))
+    return root, a, b
+
+
+def test_send_past_max_time_overflows():
+    root, a, b = one_ns_channel_net()
+    sim = Simulator(root)
+    with pytest.raises(SimTimeRangeError):
+        send(a, sim.new_message("m", MessageKind.CONTROL_MESSAGE), "o",
+             now=SimTime(MAX_TIME_NS))
+    assert len(sim.fes) == 0
+
+
+class LastMinuteSender(SimpleModule):
+    """Forwards every arrival out of gate "o" at once."""
+
+    def handle_message(self, msg, arrival_gate):
+        self.send(msg, "o")
+
+
+def test_overflow_inside_run_is_a_handler_error():
+    root = CompoundModule("Network")
+    a = root.add_child(LastMinuteSender("a"))
+    b = root.add_child(Sink("b"))
+    a.add_gate("in", Direction.IN)
+    connect(a.add_gate("o", Direction.OUT), b.add_gate("i", Direction.IN),
+            ChannelSpec(SimTime(2)))
+    sim = Simulator(root)
+    sim.schedule_arrival(a, "in", sim.new_message("m", MessageKind.CONTROL_MESSAGE),
+                         SimTime(MAX_TIME_NS - 1))
+    with pytest.raises(HandlerError) as exc_info:
+        sim.run(until=SimTime(MAX_TIME_NS))
+    assert isinstance(exc_info.value.__cause__, SimTimeRangeError)
+
+
+class Rewinder(SimpleModule):
+    """Tries to schedule a self-event one nanosecond in the past."""
+
+    def handle_message(self, msg, arrival_gate):
+        self.schedule_self(msg, SimTime(self.sim.now.ns - 1))
+
+
+def test_schedule_self_in_the_past_rejected():
+    root = CompoundModule("Network")
+    r = root.add_child(Rewinder("r"))
+    sim = Simulator(root)
+    sim.schedule_arrival(r, "in", sim.new_message("m", MessageKind.CONTROL_MESSAGE),
+                         SimTime(10))
+    with pytest.raises(HandlerError) as exc_info:
+        sim.run(until=SimTime(20))
+    assert isinstance(exc_info.value.__cause__, SchedulingInPast)
+
+
+def test_returned_events_equal_the_popped_ones():
+    root, a, b = two_module_net()
+    connect(a.add_gate("o", Direction.OUT), b.add_gate("i", Direction.IN),
+            ChannelSpec(SimTime(4)))
+    b.add_gate("radioIn", Direction.IN)
+    sim = Simulator(root)
+    sent = [send(a, sim.new_message("m", MessageKind.CONTROL_MESSAGE), "o"),
+            send_direct(a, sim.new_message("d", MessageKind.PACKET, 10), b,
+                        "radioIn", delay=SimTime(2))]
+    popped = [sim.fes.pop_next(), sim.fes.pop_next()]
+    assert popped[::-1] == sent
+    for got, want in zip(popped[::-1], sent):
+        assert (got.target, got.arrival_gate, got.fire_time, got.insertion_seq) == \
+            (want.target, want.arrival_gate, want.fire_time, want.insertion_seq)
+        assert got.payload is want.payload
 
 
 # -- send_direct ---------------------------------------------------------------
