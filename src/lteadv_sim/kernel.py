@@ -9,10 +9,10 @@ runs of the same network produce byte-identical traces.
 from __future__ import annotations
 
 import enum
-import heapq
 import time as _wallclock
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from heapq import heappop, heappush
+from typing import Iterator, Optional, Sequence
 
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
@@ -139,10 +139,12 @@ class SimMessage:
     """
 
     __slots__ = ("_msg_id", "name", "_kind", "kind_label", "_byte_length",
-                 "_creation_time", "_route")
+                 "_created_ns", "_route")
 
     def __init__(self, msg_id: int, name: str, kind: MessageKind,
-                 byte_length: int, creation_time: SimTime):
+                 byte_length: int, creation_time: SimTime | int):
+        """`creation_time` is a SimTime or, from the simulator, its
+        integer-nanosecond clock."""
         if byte_length < 0:
             raise ValueError("byte length must be non-negative")
         if kind is MessageKind.CONTROL_MESSAGE and byte_length != 0:
@@ -152,7 +154,8 @@ class SimMessage:
         self._kind = kind
         self.kind_label = kind.value
         self._byte_length = byte_length
-        self._creation_time = creation_time
+        self._created_ns = (creation_time if isinstance(creation_time, int)
+                            else creation_time.ns)
         self._route: list = []
 
     @property
@@ -169,7 +172,7 @@ class SimMessage:
 
     @property
     def creation_time(self) -> SimTime:
-        return self._creation_time
+        return SimTime(self._created_ns)
 
     def push_route(self, waypoint) -> None:
         self._route.append(waypoint)
@@ -186,7 +189,11 @@ class SimMessage:
 
 @dataclass(slots=True)
 class ScheduledEvent:
-    """One pending event: arrival of a payload at a module gate."""
+    """One pending event: arrival of a payload at a module gate.
+
+    The future event set holds plain tuples; this view of one of them is
+    built only for the public scheduling calls that return it.
+    """
 
     fire_time: SimTime
     target: object
@@ -233,7 +240,7 @@ class FutureEventSet:
 
     Pop order is nondecreasing in fire time; events with equal fire time
     come out strictly FIFO, so simultaneous events never reorder between
-    runs.
+    runs. Entries are plain `(t_ns, seq, target, gate_label, msg)` tuples.
     """
 
     def __init__(self) -> None:
@@ -246,24 +253,41 @@ class FutureEventSet:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def schedule(self, ev: ScheduledEvent, now: SimTime) -> ScheduledEvent:
-        if ev.fire_time < now:
+    def push(self, t_ns: int, now_ns: int, target, gate_label: str,
+             msg: SimMessage) -> int:
+        """Schedule `msg` to arrive at `target` on `gate_label` at `t_ns`.
+
+        The one scheduling path of the package: every send, direct
+        delivery and self-event ends here. Returns the insertion sequence
+        number that breaks ties between equal fire times.
+        """
+        if t_ns < now_ns:
             raise SchedulingInPast(
-                f"cannot schedule at {ev.fire_time!r} when now is {now!r}")
-        ev.insertion_seq = self._next_seq
-        self._next_seq += 1
-        heapq.heappush(self._heap, (ev.fire_time.ns, ev.insertion_seq, ev))
+                f"cannot schedule at {t_ns} ns when now is {now_ns} ns")
+        if t_ns > MAX_TIME_NS:
+            raise SimTimeRangeError(f"simulation time overflows 64 bits: {t_ns} ns")
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heappush(self._heap, (t_ns, seq, target, gate_label, msg))
+        return seq
+
+    def schedule(self, ev: ScheduledEvent, now: SimTime) -> ScheduledEvent:
+        ev.insertion_seq = self.push(ev.fire_time.ns, now.ns, ev.target,
+                                     ev.arrival_gate, ev.payload)
         return ev
 
     def pop_next(self) -> Optional[ScheduledEvent]:
         if not self._heap:
             return None
-        return heapq.heappop(self._heap)[2]
+        t_ns, seq, target, gate_label, msg = heappop(self._heap)
+        return ScheduledEvent(SimTime(t_ns), target, gate_label, msg, seq)
 
-    def peek_time_ns(self) -> Optional[int]:
-        if not self._heap:
-            return None
-        return self._heap[0][0]
+    def pop_before(self, until_ns: int) -> Iterator[tuple]:
+        """Pop entries in order while the earliest fires before `until_ns`,
+        including those pushed while iterating."""
+        heap = self._heap
+        while heap and heap[0][0] < until_ns:
+            yield heappop(heap)
 
 
 class Simulator:
@@ -278,7 +302,7 @@ class Simulator:
         self.root = root
         self.seed = seed
         self.fes = FutureEventSet()
-        self._now_ns = 0
+        self.now_ns = 0  # the clock; read it, never set it
         self._next_msg_id = 1
         self._ran = False
         self._modules = list(root.iter_tree())
@@ -292,32 +316,20 @@ class Simulator:
 
     @property
     def now(self) -> SimTime:
-        return SimTime(self._now_ns)
+        return SimTime(self.now_ns)
 
     def new_message(self, name: str, kind: MessageKind, byte_length: int = 0,
                     at: Optional[SimTime] = None) -> SimMessage:
         """Allocate a message with the next msgId; ids strictly increase."""
-        created = self.now if at is None else at
+        created = self.now_ns if at is None else at
         msg = SimMessage(self._next_msg_id, name, kind, byte_length, created)
         self._next_msg_id += 1
         return msg
 
     def schedule_arrival(self, target, arrival_gate: str, payload: SimMessage,
                          fire_time: SimTime) -> ScheduledEvent:
-        return self._schedule_ns(target, arrival_gate, payload, fire_time.ns)
-
-    def _schedule_ns(self, target, arrival_gate: str, payload: SimMessage,
-                     fire_ns: int) -> ScheduledEvent:
-        # hot path: one SimTime per event, int comparisons everywhere else
-        if fire_ns < self._now_ns:
-            raise SchedulingInPast(
-                f"cannot schedule at {fire_ns} ns when now is {self._now_ns} ns")
-        ev = ScheduledEvent(SimTime(fire_ns), target, arrival_gate, payload)
-        fes = self.fes
-        ev.insertion_seq = seq = fes._next_seq
-        fes._next_seq = seq + 1
-        heapq.heappush(fes._heap, (fire_ns, seq, ev))
-        return ev
+        seq = self.fes.push(fire_time.ns, self.now_ns, target, arrival_gate, payload)
+        return ScheduledEvent(fire_time, target, arrival_gate, payload, seq)
 
     def run(self, until: SimTime, event_limit: Optional[int] = None,
             sinks: Sequence = ()) -> RunSummary:
@@ -338,35 +350,29 @@ class Simulator:
             mod.on_start(self)
 
         fes = self.fes
-        heap = fes._heap
-        until_ns = until.ns
+        # -1 never equals the count of executed events: no limit
+        limit = -1 if event_limit is None else max(event_limit, 0)
         executed = 0
+        reason = StopReason.EVENT_LIMIT
         t_start = _wallclock.perf_counter()
-        while True:
-            if event_limit is not None and executed >= event_limit:
-                reason = StopReason.EVENT_LIMIT
-                break
-            if not heap:
-                reason = StopReason.FES_EMPTY
-                break
-            if heap[0][0] >= until_ns:
-                reason = StopReason.TIME_LIMIT
-                break
-            ev = heapq.heappop(heap)[2]
-            self._now_ns = ev.fire_time.ns
-            executed += 1
-            target = ev.target
-            if sinks:
-                msg = ev.payload
-                rec = EventRecord(executed, self._now_ns, target.full_path,
-                                  target.type_name, target.module_id,
-                                  msg.name, msg.kind_label, msg.msg_id)
-                for sink in sinks:
-                    sink.record(rec)
-            try:
-                target.handle_message(ev.payload, ev.arrival_gate)
-            except Exception as exc:
-                raise HandlerError(target.full_path, executed, exc) from exc
+        if limit:
+            for t_ns, _, target, gate_label, msg in fes.pop_before(until.ns):
+                self.now_ns = t_ns
+                executed += 1
+                if sinks:
+                    rec = EventRecord(executed, t_ns, target.full_path,
+                                      target.type_name, target.module_id,
+                                      msg.name, msg.kind_label, msg.msg_id)
+                    for sink in sinks:
+                        sink.record(rec)
+                try:
+                    target.handle_message(msg, gate_label)
+                except Exception as exc:
+                    raise HandlerError(target.full_path, executed, exc) from exc
+                if executed == limit:
+                    break
+            else:
+                reason = StopReason.TIME_LIMIT if fes else StopReason.FES_EMPTY
         wall = _wallclock.perf_counter() - t_start
         return RunSummary(events_executed=executed, final_time=self.now,
                           stop_reason=reason, wall_clock_seconds=wall,

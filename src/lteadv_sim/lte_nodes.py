@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 
 from .kernel import MessageKind, SimMessage, SimTime, SimulationError
 from .model import (IN_FROM_LOWER, IN_FROM_UPPER, OUT_TO_LOWER, OUT_TO_UPPER,
-                    RADIO_IN, ChannelSpec, CompoundModule, Direction,
+                    RADIO_IN, ChannelSpec, CompoundModule, Direction, Gate,
                     ModuleNode, SimpleModule, UnknownArrivalGate, connect,
-                    gate_base, gate_index)
-from .traffic import Generator, GeneratorConfig
+                    gate_base, gate_index, transmit)
+from .traffic import GENERATOR_TAG, Generator, GeneratorConfig
 
 
 class NoRadioPeer(SimulationError):
@@ -42,8 +42,6 @@ class LayerSpec:
 
     tag: str
     module_name: str
-    upper_neighbor_tag: Optional[str] = None
-    lower_neighbor_tag: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ PDN_GW_STACK = (
     LayerSpec("S5", "lte_s5"),
 )
 
-GENERATOR_TAG = "Gen"
+_PACKET = MessageKind.PACKET
 
 
 def relabel(msg: SimMessage, destination_tag: str) -> SimMessage:
@@ -94,8 +92,12 @@ def relabel(msg: SimMessage, destination_tag: str) -> SimMessage:
     return msg
 
 
-def _tag_names(tag: str) -> dict[MessageKind, str]:
-    return {kind: tag + kind.name_suffix for kind in MessageKind}
+def relay(gate: Gate, msg: SimMessage) -> None:
+    """Rename a message for the module at the far end of an Out gate and
+    send it there now."""
+    target = gate.peer.owner
+    msg.name = target.packet_name if msg._kind is _PACKET else target.control_name
+    transmit(gate, msg)
 
 
 class PassThroughLayer(SimpleModule):
@@ -112,43 +114,40 @@ class PassThroughLayer(SimpleModule):
         super().__init__(name, type_name=name)
         self.tag = tag
         self.lower_is_vector = lower_is_vector
-        self._up_names: Optional[dict] = None
-        self._down_names: Optional[dict] = None
-
-    def set_upper_tag(self, tag: str) -> None:
-        self._up_names = _tag_names(tag)
-
-    def set_lower_tag(self, tag: str) -> None:
-        self._down_names = _tag_names(tag)
+        # the names a message takes on arriving here, per kind
+        self.control_name = tag + MessageKind.CONTROL_MESSAGE.name_suffix
+        self.packet_name = tag + MessageKind.PACKET.name_suffix
+        # Out gates toward the neighbors, set when wired; a fan-in layer
+        # picks its lower gate per message instead
+        self.up_gate: Optional[Gate] = None
+        self.down_gate: Optional[Gate] = None
 
     def handle_message(self, msg: SimMessage, arrival_gate: str) -> None:
-        # exact matches first; only vectored gates carry an [index] suffix
+        # exact labels; only a fan-in layer's lower gates carry an [index]
         if arrival_gate == IN_FROM_UPPER:
             self.forward_down(msg)
-        elif arrival_gate == IN_FROM_LOWER or arrival_gate.startswith(IN_FROM_LOWER):
+        elif arrival_gate == IN_FROM_LOWER or (
+                self.lower_is_vector and gate_base(arrival_gate) == IN_FROM_LOWER
+                and arrival_gate in self._gates):
             self.forward_up(msg, arrival_gate)
-        elif arrival_gate.startswith(IN_FROM_UPPER):
-            self.forward_down(msg)
         else:
             raise UnknownArrivalGate(
                 f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
 
     def forward_down(self, msg: SimMessage) -> None:
-        msg.name = self._down_names[msg.kind]
         if self.lower_is_vector:
             idx = msg.pop_route()
             if not isinstance(idx, int):
                 raise NoRadioPeer(
                     f"{self.full_path_or_name()}: no return route on {msg!r}")
-            self.send(msg, OUT_TO_LOWER, index=idx)
+            relay(self.gate(OUT_TO_LOWER, idx), msg)
         else:
-            self.send(msg, OUT_TO_LOWER)
+            relay(self.down_gate, msg)
 
     def forward_up(self, msg: SimMessage, arrival_gate: str) -> None:
         if self.lower_is_vector:
             msg.push_route(gate_index(arrival_gate))
-        msg.name = self._up_names[msg.kind]
-        self.send(msg, OUT_TO_UPPER)
+        relay(self.up_gate, msg)
 
 
 class NasLayer(PassThroughLayer):
@@ -164,9 +163,8 @@ class NasLayer(PassThroughLayer):
         self.drop_count = 0
 
     def forward_up(self, msg: SimMessage, arrival_gate: str) -> None:
-        if self.has_gate(OUT_TO_UPPER) and self.gate(OUT_TO_UPPER).peer is not None:
-            msg.name = self._up_names[msg.kind]
-            self.send(msg, OUT_TO_UPPER)
+        if self.up_gate is not None:
+            relay(self.up_gate, msg)
         else:
             self.drop_count += 1
 
@@ -184,7 +182,7 @@ class PhyLayer(PassThroughLayer):
         super().__init__(name, tag)
         self.peer_radio: Optional[ModuleNode] = None
         self.home_radio: Optional[ModuleNode] = None
-        self.air_delay = SimTime(0)
+        self.air_delay_ns = 0
 
     def forward_down(self, msg: SimMessage) -> None:
         if self.peer_radio is not None:
@@ -195,8 +193,11 @@ class PhyLayer(PassThroughLayer):
             if not isinstance(target, RadioInterface):
                 raise NoRadioPeer(
                     f"{self.full_path_or_name()}: no radio peer for downward send")
-        relabel(msg, target.parent.phy.tag)
-        self.send_direct(msg, target, RADIO_IN, delay=self.air_delay)
+        phy = target.parent.phy
+        msg.name = phy.packet_name if msg._kind is _PACKET else phy.control_name
+        sim = self._sim
+        now = sim.now_ns
+        sim.fes.push(now + self.air_delay_ns, now, target, RADIO_IN, msg)
 
 
 class RadioInterface(SimpleModule):
@@ -204,19 +205,20 @@ class RadioInterface(SimpleModule):
 
     def __init__(self, name: str = "lte_radio"):
         super().__init__(name, type_name=name)
+        self.up_gate: Optional[Gate] = None  # toward the PHY, set when wired
 
     def handle_message(self, msg: SimMessage, arrival_gate: str) -> None:
-        if gate_base(arrival_gate) != RADIO_IN:
+        if arrival_gate != RADIO_IN:
             raise UnknownArrivalGate(
                 f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
-        self.send(msg, OUT_TO_UPPER)
+        transmit(self.up_gate, msg)
 
 
 class ReflectorLayer(PassThroughLayer):
     """Top of the PDN-GW: turns traffic around in the same event."""
 
     def handle_message(self, msg: SimMessage, arrival_gate: str) -> None:
-        if gate_base(arrival_gate) != IN_FROM_LOWER:
+        if arrival_gate != IN_FROM_LOWER:
             raise UnknownArrivalGate(
                 f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
         self.forward_down(msg)
@@ -232,13 +234,20 @@ def wire_vertical(upper: ModuleNode, lower: ModuleNode,
     else:
         u_out = upper.add_gate(OUT_TO_LOWER, Direction.OUT)
         u_in = upper.add_gate(IN_FROM_LOWER, Direction.IN)
+        upper.down_gate = u_out
     l_in = lower.add_gate(IN_FROM_UPPER, Direction.IN)
     l_out = lower.add_gate(OUT_TO_UPPER, Direction.OUT)
     connect(u_out, l_in, channel)
     connect(l_out, u_in, channel)
-    if isinstance(upper, PassThroughLayer) and isinstance(lower, PassThroughLayer):
-        upper.set_lower_tag(lower.tag)
-        lower.set_upper_tag(upper.tag)
+    lower.up_gate = l_out
+
+
+def _wire_radio(radio: RadioInterface, phy: PhyLayer) -> None:
+    """The radio's one-way hand-off to its PHY, plus its air input."""
+    radio.up_gate = radio.add_gate(OUT_TO_UPPER, Direction.OUT)
+    connect(radio.up_gate, phy.add_gate(IN_FROM_LOWER, Direction.IN))
+    radio.add_gate(RADIO_IN, Direction.IN)
+    phy.home_radio = radio
 
 
 def _build_stack(chain: Sequence[LayerSpec], top_cls, bottom_cls) -> list:
@@ -270,23 +279,11 @@ def build_ue(name: str, attached_enb: Optional[CompoundModule] = None,
     node.add_child(radio)
 
     if generator is not None:
-        generator.add_gate(OUT_TO_LOWER, Direction.OUT)
-        generator.add_gate(IN_FROM_LOWER, Direction.IN)
-        top = layers[0]
-        connect(generator.gate(OUT_TO_LOWER),
-                top.add_gate(IN_FROM_UPPER, Direction.IN))
-        connect(top.add_gate(OUT_TO_UPPER, Direction.OUT),
-                generator.gate(IN_FROM_LOWER))
-        generator.dest_tag = top.tag
-        top.set_upper_tag(GENERATOR_TAG)
+        wire_vertical(generator, layers[0])
     for upper, lower in zip(layers, layers[1:]):
         wire_vertical(upper, lower)
     phy = layers[-1]
-    connect(radio.add_gate(OUT_TO_UPPER, Direction.OUT),
-            phy.add_gate(IN_FROM_LOWER, Direction.IN))
-    phy.set_upper_tag(layers[-2].tag if len(layers) > 1 else GENERATOR_TAG)
-    radio.add_gate(RADIO_IN, Direction.IN)
-    phy.home_radio = radio
+    _wire_radio(radio, phy)
 
     node.phy = phy
     node.radio = radio
@@ -313,11 +310,7 @@ def build_enb(name: str,
     for upper, lower in zip(layers, layers[1:]):
         wire_vertical(upper, lower)
     phy = layers[-1]
-    connect(radio.add_gate(OUT_TO_UPPER, Direction.OUT),
-            phy.add_gate(IN_FROM_LOWER, Direction.IN))
-    phy.set_upper_tag(layers[-2].tag if len(layers) > 1 else chain[0].tag)
-    radio.add_gate(RADIO_IN, Direction.IN)
-    phy.home_radio = radio
+    _wire_radio(radio, phy)
 
     node.phy = phy
     node.radio = radio
@@ -366,7 +359,7 @@ def attach_ue(ue: CompoundModule, enb: CompoundModule,
     if getattr(enb, "kind", None) is not NodeType.ENB:
         raise SimulationError(f"cannot attach {ue.name!r} to non-eNB {enb.name!r}")
     ue.phy.peer_radio = enb.radio
-    ue.phy.air_delay = air_delay
+    ue.phy.air_delay_ns = air_delay.ns
     ue.radio_peer = enb
 
 

@@ -3,6 +3,8 @@
 Named modules with directional gates, compound modules, wired channels
 with delay, and direct delivery for the over-the-air hop. Wiring is fixed
 before the event loop starts; the connection graph never changes mid-run.
+A gate is connected at most once, so each Out gate's route (peer module,
+peer gate label, delay in ns) is final when it is connected.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class ChannelSpec:
 class Gate:
     """One directional endpoint on a module, optionally vector-indexed."""
 
-    __slots__ = ("owner", "name", "index", "direction", "peer", "delay", "label")
+    __slots__ = ("owner", "name", "index", "direction", "peer", "delay_ns", "label")
 
     def __init__(self, owner: "ModuleNode", name: str, direction: Direction,
                  index: Optional[int] = None):
@@ -84,7 +86,7 @@ class Gate:
         self.index = index
         self.direction = direction
         self.peer: Optional[Gate] = None
-        self.delay: Optional[SimTime] = None  # set on the Out side at connect time
+        self.delay_ns: Optional[int] = None  # set on the Out side at connect time
         self.label = name if index is None else f"{name}[{index}]"
 
     def __repr__(self) -> str:
@@ -286,7 +288,7 @@ def connect(out_gate: Gate, in_gate: Gate,
         raise GateAlreadyConnected(f"{in_gate!r} is already connected")
     out_gate.peer = in_gate
     in_gate.peer = out_gate
-    out_gate.delay = channel.delay
+    out_gate.delay_ns = channel.delay.ns
 
 
 def connect_pair(a_out: Gate, b_in: Gate, b_out: Gate, a_in: Gate,
@@ -294,6 +296,20 @@ def connect_pair(a_out: Gate, b_in: Gate, b_out: Gate, a_in: Gate,
     """Two-way channel: a pair of opposed one-way connections, equal delay."""
     connect(a_out, b_in, channel)
     connect(b_out, a_in, channel)
+
+
+def transmit(gate: Gate, msg: SimMessage, at_ns: Optional[int] = None) -> int:
+    """Send out a connected Out gate at `at_ns`, or now when it is None.
+
+    The per-event path of the built-in modules: the route was resolved
+    when the gate was connected, so nothing is looked up by name and no
+    ScheduledEvent is built. Returns the event's insertion sequence.
+    """
+    sim = gate.owner._sim
+    now = sim.now_ns
+    peer = gate.peer
+    return sim.fes.push((now if at_ns is None else at_ns) + gate.delay_ns, now,
+                        peer.owner, peer.label, msg)
 
 
 def send(from_module: ModuleNode, msg: SimMessage, out_gate_name: str,
@@ -312,8 +328,9 @@ def send(from_module: ModuleNode, msg: SimMessage, out_gate_name: str,
     if peer is None:
         raise UnconnectedGate(
             f"{from_module.full_path_or_name()}.{label} is not connected")
-    fire_ns = (sim._now_ns if now is None else now.ns) + g.delay.ns
-    return sim._schedule_ns(peer.owner, peer.label, msg, fire_ns)
+    at_ns = sim.now_ns if now is None else now.ns
+    seq = transmit(g, msg, at_ns)
+    return ScheduledEvent(SimTime(at_ns + g.delay_ns), peer.owner, peer.label, msg, seq)
 
 
 def send_direct(from_module: ModuleNode, msg: SimMessage, target: ModuleNode,
@@ -325,8 +342,9 @@ def send_direct(from_module: ModuleNode, msg: SimMessage, target: ModuleNode,
     if g is None or g.direction is not Direction.IN:
         raise UnknownTargetGate(
             f"{target.full_path_or_name()} has no In gate {in_gate_name!r}")
-    fire_ns = (sim._now_ns if now is None else now.ns) + delay.ns
-    return sim._schedule_ns(target, g.label, msg, fire_ns)
+    fire_ns = (sim.now_ns if now is None else now.ns) + delay.ns
+    seq = sim.fes.push(fire_ns, sim.now_ns, target, g.label, msg)
+    return ScheduledEvent(SimTime(fire_ns), target, g.label, msg, seq)
 
 
 def assign_ids(root: ModuleNode) -> dict[str, int]:

@@ -12,11 +12,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .kernel import MessageKind, SimTime
-from .model import (IN_FROM_LOWER, OUT_TO_LOWER, SELF_GATE, SimpleModule,
-                    UnknownArrivalGate, gate_base)
+from .model import (IN_FROM_LOWER, SELF_GATE, Gate, SimpleModule,
+                    UnknownArrivalGate, transmit)
 
 DEFAULT_PERIOD = SimTime.from_millis(10)
 
+# Returning messages arrive named GenMsg / GenPck.
+GENERATOR_TAG = "Gen"
 # Self-event payload name; shows up in traces as an event at the generator.
 TIMER_NAME = "GenTimer"
 
@@ -56,7 +58,9 @@ class Generator(SimpleModule):
         super().__init__(name, type_name="generator")
         self.config = config
         self.stats = GeneratorStats()
-        self.dest_tag: Optional[str] = None  # tag of the stack layer below, set at wiring
+        self.control_name = GENERATOR_TAG + MessageKind.CONTROL_MESSAGE.name_suffix
+        self.packet_name = GENERATOR_TAG + MessageKind.PACKET.name_suffix
+        self.down_gate: Optional[Gate] = None  # toward the stack, set when wired
 
     @property
     def enabled(self) -> bool:
@@ -67,25 +71,28 @@ class Generator(SimpleModule):
             self.emit(at=self.config.start_time)
 
     def emit(self, at: Optional[SimTime] = None) -> None:
-        """Create a fresh message and send it down into the stack."""
+        """Create a fresh message and send it down into the stack, named
+        for the layer below."""
         cfg = self.config
-        now = self.sim.now if at is None else at
-        name = self.dest_tag + cfg.payload_kind.name_suffix
-        msg = self.sim.new_message(name, cfg.payload_kind, cfg.payload_bytes, at=now)
-        self.send(msg, OUT_TO_LOWER, at=now)
+        top = self.down_gate.peer.owner
+        name = top.packet_name if cfg.payload_kind is MessageKind.PACKET else top.control_name
+        msg = self.sim.new_message(name, cfg.payload_kind, cfg.payload_bytes, at=at)
+        transmit(self.down_gate, msg, None if at is None else at.ns)
         self.stats.emitted += 1
 
     def handle_message(self, msg, arrival_gate: str) -> None:
         if arrival_gate == SELF_GATE:
             self.emit()
             return
-        if gate_base(arrival_gate) == IN_FROM_LOWER:
+        if arrival_gate == IN_FROM_LOWER:
             # The round trip ends here: drop the message, arm the next one.
             self.stats.returned += 1
             self.stats.discarded += 1
             if self.enabled:
-                timer = self.sim.new_message(TIMER_NAME, MessageKind.CONTROL_MESSAGE)
-                self.schedule_self(timer, self.sim.now + self.config.period)
+                sim = self.sim
+                timer = sim.new_message(TIMER_NAME, MessageKind.CONTROL_MESSAGE)
+                sim.fes.push(sim.now_ns + self.config.period.ns, sim.now_ns,
+                             self, SELF_GATE, timer)
             return
         raise UnknownArrivalGate(
             f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
