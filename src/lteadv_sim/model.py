@@ -147,10 +147,6 @@ class ModuleNode:
         except KeyError:
             raise UnknownGate(f"{self.full_path_or_name()} has no gate {label!r}") from None
 
-    def has_gate(self, name: str, index: Optional[int] = None) -> bool:
-        label = name if index is None else f"{name}[{index}]"
-        return label in self._gates
-
     @property
     def gates(self) -> tuple[Gate, ...]:
         return tuple(self._gates.values())
@@ -228,11 +224,6 @@ class SimpleModule(ModuleNode):
     def send(self, msg: SimMessage, out_gate: str, index: Optional[int] = None,
              at: Optional[SimTime] = None) -> ScheduledEvent:
         return send(self, msg, out_gate, index=index, now=at)
-
-    def send_direct(self, msg: SimMessage, target: ModuleNode, in_gate: str,
-                    delay: SimTime = SimTime(0),
-                    at: Optional[SimTime] = None) -> ScheduledEvent:
-        return send_direct(self, msg, target, in_gate, delay, now=at)
 
     def schedule_self(self, msg: SimMessage, fire_at: SimTime) -> ScheduledEvent:
         """Schedule a self-event; it arrives on the pseudo-gate "self"."""
