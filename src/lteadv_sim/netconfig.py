@@ -217,9 +217,10 @@ def _lex(source: str, diags: list[ParseDiagnostic]) -> list[_Token]:
                 i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        # ASCII digits only: str.isdigit() also accepts "²", which int() rejects
+        if "0" <= ch <= "9":
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
             toks.append(_Token("int", source[i:j], line, start_col))
             col += j - i
@@ -319,7 +320,12 @@ class _Parser:
         if self.cur.kind != "int":
             self.fail(f"expected {what}, found {self.cur.text!r}"
                       if self.cur.kind != "eof" else f"expected {what}, found end of input")
-        return int(self.advance().text)
+        tok = self.advance()
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            self.error(f"{what} has too many digits", tok)
+            raise _StmtError from None
 
     def parse_duration(self) -> SimTime:
         value = self.expect_int("a duration")

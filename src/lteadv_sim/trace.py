@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Optional, Sequence, TextIO
 
-from .kernel import EventRecord, MessageKind, RunSummary, SimTime, SimulationError
+from .kernel import (EventRecord, MessageKind, RunSummary, SimTime,
+                     SimulationError, format_seconds)
 from .lte_nodes import NodeType
 from .netconfig import NetworkSpec, resolve_selector
 from .traffic import GeneratorConfig
@@ -35,7 +38,23 @@ class MalformedTrace(SimulationError):
 
 
 # --------------------------------------------------------------------------
-# paper-style console format
+# line formats
+#
+# A module's path, type and id never change during a run, so the part of
+# each line they fill is built once per module and cached. The key holds
+# all three fields: one process may trace several networks whose modules
+# share a path or an id. The bound holds every module of a 1000-UE network
+# (about 10,000) and caps what a process tracing many networks keeps.
+
+@lru_cache(maxsize=16384)
+def _module_fragments(path: str, type_name: str, module_id: int) -> tuple[str, str]:
+    """(console fragment, structured fragment) of one module: everything
+    between the time and the message name of its lines."""
+    console = f" {path} ({type_name}, id={module_id}), on `"
+    structured = (f', "path": {_json_str(path)}, "type": {_json_str(type_name)}, '
+                  f'"module_id": {module_id}, "msg_name": ')
+    return console, structured
+
 
 def format_event_line(rec: EventRecord) -> str:
     """Render one event in the console log format.
@@ -43,32 +62,21 @@ def format_event_line(rec: EventRecord) -> str:
     The time prints as decimal seconds with no trailing zeros and no
     exponent; the message name sits between a backtick and an apostrophe.
     """
-    t = SimTime(rec.t_ns).seconds_str()
-    return (f"** Event #{rec.event_no} T={t} {rec.path} "
-            f"({rec.type_name}, id={rec.module_id}), "
-            f"on `{rec.msg_name}' ({rec.msg_kind}, id={rec.msg_id})")
-
-
-# --------------------------------------------------------------------------
-# structured format
-
-_STRUCTURED_FIELDS = ("event_no", "t_ns", "path", "type", "module_id",
-                      "msg_name", "msg_kind", "msg_id")
+    console = _module_fragments(rec.path, rec.type_name, rec.module_id)[0]
+    return (f"** Event #{rec.event_no} T={format_seconds(rec.t_ns)}{console}"
+            f"{rec.msg_name}' ({rec.msg_kind}, id={rec.msg_id})")
 
 
 def structured_line(rec: EventRecord) -> str:
-    """One JSON record with fixed field order; output is byte-deterministic."""
-    payload = {
-        "event_no": rec.event_no,
-        "t_ns": rec.t_ns,
-        "path": rec.path,
-        "type": rec.type_name,
-        "module_id": rec.module_id,
-        "msg_name": rec.msg_name,
-        "msg_kind": rec.msg_kind,
-        "msg_id": rec.msg_id,
-    }
-    return json.dumps(payload, separators=(", ", ": "))
+    """One JSON record with fixed field order; output is byte-deterministic.
+
+    Byte-identical to json.dumps of the fields in that order with
+    separators (", ", ": "): strings go through the same ASCII escaper.
+    """
+    structured = _module_fragments(rec.path, rec.type_name, rec.module_id)[1]
+    return (f'{{"event_no": {rec.event_no}, "t_ns": {rec.t_ns}{structured}'
+            f'{_json_str(rec.msg_name)}, "msg_kind": {_json_str(rec.msg_kind)}, '
+            f'"msg_id": {rec.msg_id}}}')
 
 
 def parse_structured_line(line: str, line_no: int = 1) -> EventRecord:
@@ -326,6 +334,7 @@ def summarize(records: Sequence[EventRecord], spec: NetworkSpec,
         by_msg.setdefault(rec.msg_id, []).append(rec)
 
     walks: dict[str, list[tuple[str, str]]] = {}
+    has_generator: dict[str, bool] = {}
     first_hop_to_ue: dict[tuple[str, str], str] = {}
     timer_hops: dict[tuple[str, str], str] = {}
     for ue in ue_instances(spec):
@@ -334,6 +343,7 @@ def summarize(records: Sequence[EventRecord], spec: NetworkSpec,
         except ValueError:
             continue
         walks[ue] = walk
+        has_generator[ue] = generator_on(spec, ue) is not None
         first_hop_to_ue[walk[0]] = ue
         timer_hops[timer_hop(spec, ue)] = ue
 
@@ -349,7 +359,7 @@ def summarize(records: Sequence[EventRecord], spec: NetworkSpec,
             continue
         walk = walks[ue]
         if seq == walk:
-            if generator_on(spec, ue) is not None:
+            if has_generator[ue]:
                 metrics.round_trips += 1
                 metrics.per_message_rtt[msg_id] = SimTime(recs[-1].t_ns - recs[0].t_ns)
             else:

@@ -1,6 +1,9 @@
 """Topology language tests: parsing, diagnostics, validation, building."""
 
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lteadv_sim.kernel import SimTime
 from lteadv_sim.lte_nodes import LayerSpec, NodeType
@@ -278,6 +281,78 @@ def test_print_then_parse_round_trips(source):
     assert reparsed.spec == spec
     # and printing is a fixed point
     assert format_spec(reparsed.spec) == printed
+
+
+# -- parser fuzz ----------------------------------------------------------------------
+
+FIXTURE_SOURCES = [path.read_text(encoding="utf-8")
+                   for path in sorted((Path(__file__).parent / "fixtures").glob("*.net"))]
+
+# the language's own words and symbols, so random text often gets past
+# the lexer and exercises the parser's recovery
+_TOKENS = ("network", "N", "ue", "enb", "sgw_mme", "pdn_gw", "u", "e", "attach",
+           "link", "delay", "generator", "on", "period", "start", "payload",
+           "packet", "message", "run", "until", "seed", "ns", "us", "ms", "s",
+           "{", "}", "[", "]", ";", "->", "..", "*", "#", "0", "1", "42",
+           "9" * 25, " ", "\n", "\t", "\r")
+_fragments = st.one_of(st.sampled_from(_TOKENS), st.text(max_size=4))
+_random_source = st.lists(_fragments, max_size=60).map("".join)
+
+
+@st.composite
+def _mutated_fixture(draw):
+    """A fixture with a few slices deleted, replaced, duplicated or swapped."""
+    text = draw(st.sampled_from(FIXTURE_SOURCES))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=len(text)))
+        j = draw(st.integers(min_value=i, max_value=min(len(text), i + 12)))
+        op = draw(st.sampled_from(("delete", "replace", "insert", "duplicate")))
+        if op == "delete":
+            text = text[:i] + text[j:]
+        elif op == "replace":
+            text = text[:i] + draw(_fragments) + text[j:]
+        elif op == "insert":
+            text = text[:i] + draw(_fragments) + text[i:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+def _check_parse(source):
+    result = parse(source)  # must not raise
+    lines = source.split("\n")
+    for diag in result.diagnostics:
+        assert 1 <= diag.line <= len(lines), (diag, source)
+        # a column may sit one past the end of its line (end of input)
+        assert 1 <= diag.col <= len(lines[diag.line - 1]) + 1, (diag, source)
+    if result.ok:
+        printed = format_spec(result.spec)
+        again = parse(printed)
+        assert again.ok, (again.diagnostics, printed)
+        assert format_spec(again.spec) == printed
+
+
+@settings(max_examples=300)
+@given(_random_source)
+def test_parse_fuzz_random_text(source):
+    _check_parse(source)
+
+
+@settings(max_examples=300)
+@given(_mutated_fixture())
+def test_parse_fuzz_mutated_fixtures(source):
+    _check_parse(source)
+
+
+@pytest.mark.parametrize("source", [
+    "network N { seed \u00b2; }",          # str.isdigit() but not int()
+    "network N { ue u[\u0663]; }",         # a non-ASCII decimal digit
+    "network N { seed " + "1" * 5000 + "; }",  # past int()'s digit limit
+])
+def test_parse_reports_unreadable_integers(source):
+    result = parse(source)
+    assert not result.ok
+    assert [(d.line, d.col) for d in result.diagnostics][0] == (1, 18)
 
 
 # -- defaults and building -----------------------------------------------------------

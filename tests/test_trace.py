@@ -1,12 +1,14 @@
 """Trace tests: log-line format, structured round-trip, metrics, oracle."""
 
 import io
+import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lteadv_sim import build, parse
-from lteadv_sim.kernel import EventRecord, SimTime
+from lteadv_sim.kernel import (MAX_TIME_NS, NS_PER_S, EventRecord, SimTime,
+                               SimTimeRangeError)
 from lteadv_sim.netconfig import NetworkSpec
 from lteadv_sim.trace import (CollectingSink, MalformedTrace, PaperTraceSink,
                               StructuredTraceSink, data_walk,
@@ -16,6 +18,35 @@ from lteadv_sim.trace import (CollectingSink, MalformedTrace, PaperTraceSink,
                               write_structured, zero_delay_emissions)
 
 from conftest import MINIMAL_SOURCE, run_spec
+
+
+# Reference renderers: the formats as first written, json.dumps of a field
+# dict and the seconds as SimTime.seconds_str first rendered them, kept
+# here to check the cached formatters against.
+
+def reference_seconds(t_ns):
+    secs, rem = divmod(t_ns, NS_PER_S)
+    return str(secs) if rem == 0 else f"{secs}.{rem:09d}".rstrip("0")
+
+
+def reference_event_line(rec):
+    return (f"** Event #{rec.event_no} T={reference_seconds(rec.t_ns)} {rec.path} "
+            f"({rec.type_name}, id={rec.module_id}), "
+            f"on `{rec.msg_name}' ({rec.msg_kind}, id={rec.msg_id})")
+
+
+def reference_structured_line(rec):
+    payload = {
+        "event_no": rec.event_no,
+        "t_ns": rec.t_ns,
+        "path": rec.path,
+        "type": rec.type_name,
+        "module_id": rec.module_id,
+        "msg_name": rec.msg_name,
+        "msg_kind": rec.msg_kind,
+        "msg_id": rec.msg_id,
+    }
+    return json.dumps(payload, separators=(", ", ": "))
 
 
 # -- console format -------------------------------------------------------------
@@ -85,7 +116,74 @@ def test_structured_round_trip_property(no, t_ns, name):
     assert parse_structured_line(structured_line(rec)) == rec
 
 
+# quotes, backslashes, the format's own delimiters, control characters,
+# non-ASCII and astral text, plus anything else
+_awkward_text = st.text(
+    st.one_of(st.sampled_from('"\\\'`(),= \x00\x1f\x7f\n\t\u00e9\u2028\U0001f4e1'),
+              st.characters()),
+    max_size=24)
+_ids = st.integers(min_value=0, max_value=2**63 - 1)
+_t_ns = st.one_of(st.sampled_from([0, 1, NS_PER_S, MAX_TIME_NS]),
+                  st.integers(min_value=0, max_value=MAX_TIME_NS))
+
+
+@given(st.builds(EventRecord, _ids, _t_ns, _awkward_text, _awkward_text, _ids,
+                 _awkward_text, _awkward_text, _ids))
+def test_formatters_match_reference_renderers(rec):
+    assert SimTime(rec.t_ns).seconds_str() == reference_seconds(rec.t_ns)
+    assert format_event_line(rec) == reference_event_line(rec)
+    assert structured_line(rec) == reference_structured_line(rec)
+    assert parse_structured_line(structured_line(rec)) == rec
+
+
+@pytest.mark.parametrize("t_ns", [-1, MAX_TIME_NS + 1])
+def test_format_rejects_time_out_of_range(t_ns):
+    rec = EventRecord(1, t_ns, "Network.x", "x", 1, "m", "cMessage", 1)
+    with pytest.raises(SimTimeRangeError):
+        format_event_line(rec)
+
+
 # -- sinks ---------------------------------------------------------------------------
+
+def _write_both(records, paper, structured):
+    for rec in records:
+        paper.record(rec)
+        structured.record(rec)
+
+
+def test_sinks_render_each_module_by_path_type_and_id():
+    # one path under three (type, id) pairs, and one id under two paths
+    records = [
+        EventRecord(1, 0, "Network.ue.lte_rrc", "lte_rrc", 5, "RRCMsg", "cMessage", 1),
+        EventRecord(2, 10, "Network.ue.lte_rrc", "lte_pdcp", 6, "RRCMsg", "cMessage", 1),
+        EventRecord(3, 20, "Network.ue.lte_rrc", "lte_rrc", 6, "RRCPck", "cPacket", 2),
+        EventRecord(4, 30, "Other.ue.lte_rrc", "lte_rrc", 5, "RRCMsg", "cMessage", 1),
+        EventRecord(5, 40, "Network.ue.lte_rrc", "lte_rrc", 5, "RRCMsg", "cMessage", 3),
+    ]
+    paper_buf, struct_buf = io.StringIO(), io.StringIO()
+    _write_both(records, PaperTraceSink(paper_buf), StructuredTraceSink(struct_buf))
+    assert paper_buf.getvalue().splitlines() == [reference_event_line(r) for r in records]
+    assert struct_buf.getvalue().splitlines() == [reference_structured_line(r)
+                                                  for r in records]
+
+
+def test_sinks_shared_by_runs_of_two_topologies(minimal_spec, multi_ue_spec):
+    paper_buf, struct_buf = io.StringIO(), io.StringIO()
+    sinks = [PaperTraceSink(paper_buf), StructuredTraceSink(struct_buf)]
+    records = []
+    for spec in (minimal_spec, multi_ue_spec):
+        collector = CollectingSink()
+        build(spec).simulator().run(until=SimTime.from_millis(15),
+                                    sinks=sinks + [collector])
+        records.append(collector.records)
+    # the core modules keep their paths but not their ids across the two
+    ids = [{r.path: r.module_id for r in recs} for recs in records]
+    assert any(ids[1].get(path) not in (None, mid) for path, mid in ids[0].items())
+    records = records[0] + records[1]
+    assert paper_buf.getvalue().splitlines() == [reference_event_line(r) for r in records]
+    assert struct_buf.getvalue().splitlines() == [reference_structured_line(r)
+                                                  for r in records]
+
 
 def test_sinks_write_one_line_per_event(minimal_spec):
     paper_buf, struct_buf = io.StringIO(), io.StringIO()
