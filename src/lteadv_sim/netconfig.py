@@ -196,6 +196,8 @@ class _Token:
 
 
 _SYMBOLS = {"{", "}", "[", "]", ";", "*"}
+# ASCII only: str.isdigit() also accepts "²", which int() rejects
+_DIGITS = "0123456789"
 
 
 def _lex(source: str, diags: list[ParseDiagnostic]) -> list[_Token]:
@@ -217,10 +219,9 @@ def _lex(source: str, diags: list[ParseDiagnostic]) -> list[_Token]:
                 i += 1
             continue
         start_col = col
-        # ASCII digits only: str.isdigit() also accepts "²", which int() rejects
-        if "0" <= ch <= "9":
+        if ch in _DIGITS:
             j = i
-            while j < n and "0" <= source[j] <= "9":
+            while j < n and source[j] in _DIGITS:
                 j += 1
             toks.append(_Token("int", source[i:j], line, start_col))
             col += j - i
