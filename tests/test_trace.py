@@ -145,12 +145,6 @@ def test_format_rejects_time_out_of_range(t_ns):
 
 # -- sinks ---------------------------------------------------------------------------
 
-def _write_both(records, paper, structured):
-    for rec in records:
-        paper.record(rec)
-        structured.record(rec)
-
-
 def test_sinks_render_each_module_by_path_type_and_id():
     # one path under three (type, id) pairs, and one id under two paths
     records = [
@@ -161,7 +155,10 @@ def test_sinks_render_each_module_by_path_type_and_id():
         EventRecord(5, 40, "Network.ue.lte_rrc", "lte_rrc", 5, "RRCMsg", "cMessage", 3),
     ]
     paper_buf, struct_buf = io.StringIO(), io.StringIO()
-    _write_both(records, PaperTraceSink(paper_buf), StructuredTraceSink(struct_buf))
+    paper, structured = PaperTraceSink(paper_buf), StructuredTraceSink(struct_buf)
+    for rec in records:
+        paper.record(rec)
+        structured.record(rec)
     assert paper_buf.getvalue().splitlines() == [reference_event_line(r) for r in records]
     assert struct_buf.getvalue().splitlines() == [reference_structured_line(r)
                                                   for r in records]
