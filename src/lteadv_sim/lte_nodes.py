@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .kernel import MessageKind, SimMessage, SimTime, SimulationError
+from .kernel import MessageKind, SimMessage, SimulationError
 from .model import (IN_FROM_LOWER, IN_FROM_UPPER, OUT_TO_LOWER, OUT_TO_UPPER,
                     RADIO_IN, ChannelSpec, CompoundModule, Direction, Gate,
                     ModuleNode, SimpleModule, UnknownArrivalGate, connect,
@@ -105,48 +105,62 @@ class PassThroughLayer(SimpleModule):
 
     Arrival on inFromUpperLayer forwards down; arrival on inFromLowerLayer
     forwards up. Either way the message is relabeled with the destination
-    layer's tag before it leaves. A layer whose lower side fans in over a
-    gate vector (the S-GW's S1) remembers the ingress index on the message
-    itself so the reply can leave through the same gate.
+    layer's tag before it leaves.
     """
 
-    def __init__(self, name: str, tag: str, lower_is_vector: bool = False):
+    def __init__(self, name: str, tag: str):
         super().__init__(name, type_name=name)
         self.tag = tag
-        self.lower_is_vector = lower_is_vector
         # the names a message takes on arriving here, per kind
         self.control_name = tag + MessageKind.CONTROL_MESSAGE.name_suffix
         self.packet_name = tag + MessageKind.PACKET.name_suffix
-        # Out gates toward the neighbors, set when wired; a fan-in layer
-        # picks its lower gate per message instead
+        # Out gates toward the neighbors, set when wired
         self.up_gate: Optional[Gate] = None
         self.down_gate: Optional[Gate] = None
 
     def handle_message(self, msg: SimMessage, arrival_gate: str) -> None:
-        # exact labels; only a fan-in layer's lower gates carry an [index]
         if arrival_gate == IN_FROM_UPPER:
             self.forward_down(msg)
-        elif arrival_gate == IN_FROM_LOWER or (
-                self.lower_is_vector and gate_base(arrival_gate) == IN_FROM_LOWER
-                and arrival_gate in self._gates):
+        elif arrival_gate == IN_FROM_LOWER:
             self.forward_up(msg, arrival_gate)
         else:
             raise UnknownArrivalGate(
                 f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
 
     def forward_down(self, msg: SimMessage) -> None:
-        if self.lower_is_vector:
-            idx = msg.pop_route()
-            if not isinstance(idx, int):
-                raise NoRadioPeer(
-                    f"{self.full_path_or_name()}: no return route on {msg!r}")
-            relay(self.gate(OUT_TO_LOWER, idx), msg)
-        else:
-            relay(self.down_gate, msg)
+        relay(self.down_gate, msg)
 
     def forward_up(self, msg: SimMessage, arrival_gate: str) -> None:
-        if self.lower_is_vector:
-            msg.push_route(gate_index(arrival_gate))
+        relay(self.up_gate, msg)
+
+
+class FanInLayer(PassThroughLayer):
+    """Bottom of the S-GW/MME (S1): one lower gate pair per linked eNB.
+
+    A message coming up remembers its ingress index on itself, so the
+    reply leaves through the same gate.
+    """
+
+    def handle_message(self, msg: SimMessage, arrival_gate: str) -> None:
+        # no super() call: one event is one handle_message call, which is
+        # what per-type handler counts rely on
+        if arrival_gate == IN_FROM_UPPER:
+            self.forward_down(msg)
+        elif gate_base(arrival_gate) == IN_FROM_LOWER and arrival_gate in self._gates:
+            # only the lower gates this layer really has carry an [index]
+            self.forward_up(msg, arrival_gate)
+        else:
+            raise UnknownArrivalGate(
+                f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
+
+    def forward_down(self, msg: SimMessage) -> None:
+        idx = msg.pop_route()
+        if not isinstance(idx, int):
+            raise NoRadioPeer(f"{self.full_path_or_name()}: no return route on {msg!r}")
+        relay(self.gate(OUT_TO_LOWER, idx), msg)
+
+    def forward_up(self, msg: SimMessage, arrival_gate: str) -> None:
+        msg.push_route(gate_index(arrival_gate))
         relay(self.up_gate, msg)
 
 
@@ -182,7 +196,6 @@ class PhyLayer(PassThroughLayer):
         super().__init__(name, tag)
         self.peer_radio: Optional[ModuleNode] = None
         self.home_radio: Optional[ModuleNode] = None
-        self.air_delay_ns = 0
 
     def forward_down(self, msg: SimMessage) -> None:
         if self.peer_radio is not None:
@@ -197,7 +210,7 @@ class PhyLayer(PassThroughLayer):
         msg.name = phy.packet_name if msg._kind is _PACKET else phy.control_name
         sim = self._sim
         now = sim.now_ns
-        sim.fes.push(now + self.air_delay_ns, now, target, RADIO_IN, msg)
+        sim.fes.push(now, now, target, RADIO_IN, msg)
 
 
 class RadioInterface(SimpleModule):
@@ -325,8 +338,9 @@ def build_sgw_mme(name: str,
     chain = tuple(stack) if stack is not None else SGW_MME_STACK
     node = CompoundModule(name, type_name="sgw_mme")
     node.kind = NodeType.SGW_MME
-    layers = [PassThroughLayer(s.module_name, s.tag) for s in chain]
-    layers[-1].lower_is_vector = True  # one gate pair per linked eNB
+    # the bottom layer fans in, even when it is the only one
+    layers = [PassThroughLayer(s.module_name, s.tag) for s in chain[:-1]]
+    layers.append(FanInLayer(chain[-1].module_name, chain[-1].tag))
     for layer in reversed(layers):
         node.add_child(layer)
     for upper, lower in zip(layers, layers[1:]):
@@ -353,13 +367,11 @@ def build_pdn_gw(name: str,
     return node
 
 
-def attach_ue(ue: CompoundModule, enb: CompoundModule,
-              air_delay: SimTime = SimTime(0)) -> None:
+def attach_ue(ue: CompoundModule, enb: CompoundModule) -> None:
     """Point the UE's PHY at its serving eNB's radio interface."""
     if getattr(enb, "kind", None) is not NodeType.ENB:
         raise SimulationError(f"cannot attach {ue.name!r} to non-eNB {enb.name!r}")
     ue.phy.peer_radio = enb.radio
-    ue.phy.air_delay_ns = air_delay.ns
     ue.radio_peer = enb
 
 

@@ -22,7 +22,9 @@ instance of that declaration.
 parse() reports syntax problems as located diagnostics and keeps going
 where it safely can; validate() checks the topology rules (exactly one
 PDN-GW and one S-GW/MME, every UE attached, selectors resolve, and so
-on); build() turns a validated spec into a runnable module tree.
+on); build() turns a validated spec into a runnable module tree. Both,
+and the chain-walk oracle in trace, read the instance_table() that
+checks the rules and resolves every selector in one pass.
 """
 
 from __future__ import annotations
@@ -523,21 +525,9 @@ def parse(source: str) -> ParseResult:
 # --------------------------------------------------------------------------
 # validation
 
-def _declared(spec: NetworkSpec) -> dict[str, NodeDecl]:
-    decls: dict[str, NodeDecl] = {}
-    for decl in spec.node_decls:
-        decls.setdefault(decl.name, decl)
-    return decls
-
-
-def _resolve(sel: Selector, decls: dict[str, NodeDecl],
-             expect_kind: Optional[NodeType] = None) -> Optional[list[str]]:
-    """Instance names a selector denotes, or None if it dangles."""
-    decl = decls.get(sel.name)
-    if decl is None:
-        return None
-    if expect_kind is not None and decl.kind is not expect_kind:
-        return None
+def _resolve(sel: Selector, decl: NodeDecl) -> Optional[list[str]]:
+    """Instance names a selector denotes in its declaration, or None if
+    it dangles."""
     count = decl.count
     if sel.kind is SelectorKind.BARE or sel.kind is SelectorKind.STAR:
         return decl.instances()
@@ -552,28 +542,52 @@ def _resolve(sel: Selector, decls: dict[str, NodeDecl],
     return [f"{sel.name}[{i}]" for i in range(sel.lo, sel.hi + 1)]
 
 
-def resolve_selector(spec: NetworkSpec, sel: Selector,
-                     expect_kind: Optional[NodeType] = None) -> Optional[list[str]]:
-    """Public selector resolution against a spec's declarations."""
-    return _resolve(sel, _declared(spec), expect_kind)
+@dataclass
+class InstanceTable:
+    """A spec's selectors resolved to instances, once.
+
+    On an invalid spec a dangling selector names nothing and the first
+    statement naming a UE sets its eNB and its generator.
+    """
+
+    diagnostics: list[ParseDiagnostic]
+    ues: list[str]                             # declaration order
+    enb_of: dict[str, str]                     # ue -> serving eNB
+    generator_of: dict[str, GeneratorConfig]   # ue -> its generator's config
+    links: list[tuple[str, str, SimTime]]      # build order, defaults included
+    sgw: Optional[str]
+    pdn: Optional[str]
 
 
-def validate(spec: NetworkSpec) -> list[ParseDiagnostic]:
-    """Topology rules; returns one located diagnostic per violation."""
+def instance_table(spec: NetworkSpec) -> InstanceTable:
+    """Check the topology rules and resolve every selector, in one pass.
+
+    The diagnostics are validate()'s; the rest is what build() wires and
+    what the chain-walk oracle walks.
+    """
     diags: list[ParseDiagnostic] = []
 
     def err(line: int, col: int, msg: str) -> None:
         diags.append(ParseDiagnostic(Severity.ERROR, line, col, msg))
 
-    seen: dict[str, NodeDecl] = {}
+    decls: dict[str, NodeDecl] = {}  # the first declaration of each name
     for decl in spec.node_decls:
-        if decl.name in seen:
+        if decl.name in decls:
             err(decl.line, decl.col, f"duplicate node name {decl.name!r}")
         else:
-            seen[decl.name] = decl
+            decls[decl.name] = decl
         if decl.count is not None and decl.count < 1:
             err(decl.line, decl.col, f"node vector {decl.name!r} must have size >= 1")
-    decls = _declared(spec)
+    resolved: dict[tuple, Optional[list[str]]] = {}
+
+    def resolve(sel: Selector, kind: NodeType) -> Optional[list[str]]:
+        decl = decls.get(sel.name)
+        if decl is None or decl.kind is not kind:
+            return None
+        key = (sel.name, sel.lo, sel.hi)  # a bare name and name[*] agree
+        if key not in resolved:
+            resolved[key] = _resolve(sel, decl)
+        return resolved[key]
 
     per_kind: dict[NodeType, int] = {kind: 0 for kind in NodeType}
     kind_decls: dict[NodeType, list[NodeDecl]] = {kind: [] for kind in NodeType}
@@ -593,29 +607,32 @@ def validate(spec: NetworkSpec) -> list[ParseDiagnostic]:
         err(1, 1, "network needs at least one enb")
 
     attached: dict[str, int] = {}
+    enb_of: dict[str, str] = {}
     for att in spec.attachments:
-        ues = _resolve(att.ue, decls, NodeType.UE)
+        ues = resolve(att.ue, NodeType.UE)
         if ues is None:
             err(att.line, att.col, f"attach: dangling ue selector {att.ue}")
-        enbs = _resolve(att.enb, decls, NodeType.ENB)
+        enbs = resolve(att.enb, NodeType.ENB)
         if enbs is None:
             err(att.line, att.col, f"attach: dangling enb selector {att.enb}")
         elif len(enbs) != 1:
             err(att.line, att.col,
                 f"attach: {att.enb} names {len(enbs)} enbs, need exactly one")
-        if ues:
-            for inst in ues:
-                attached[inst] = attached.get(inst, 0) + 1
-    for decl in decls.values():
-        if decl.kind is not NodeType.UE:
-            continue
+        for inst in ues or ():
+            attached[inst] = attached.get(inst, 0) + 1
+            if enbs is not None and len(enbs) == 1:
+                enb_of.setdefault(inst, enbs[0])
+    ue_list: list[str] = []
+    for decl in kind_decls[NodeType.UE]:
         for inst in decl.instances():
+            ue_list.append(inst)
             n = attached.get(inst, 0)
             if n == 0:
                 err(decl.line, decl.col, f"unattached ue {inst!r}")
             elif n > 1:
                 err(decl.line, decl.col, f"ue {inst!r} attached more than once")
 
+    links: list[tuple[str, str, SimTime]] = []
     seen_links: set[tuple[str, str]] = set()
     for link in spec.links:
         src_decl = decls.get(link.src.name)
@@ -630,30 +647,45 @@ def validate(spec: NetworkSpec) -> list[ParseDiagnostic]:
             err(link.line, link.col,
                 "link: only enb -> sgw_mme and sgw_mme -> pdn_gw links exist")
             continue
-        srcs = _resolve(link.src, decls)
-        dsts = _resolve(link.dst, decls)
+        srcs = resolve(link.src, src_decl.kind)
+        dsts = resolve(link.dst, dst_decl.kind)
         if srcs is None or dsts is None:
             err(link.line, link.col, f"link: dangling selector in {link.src} -> {link.dst}")
             continue
         if len(dsts) != 1:
             err(link.line, link.col, f"link: {link.dst} must name exactly one node")
             continue
+        delay = link.delay if link.delay is not None else SimTime(0)
         for s in srcs:
             key = (s, dsts[0])
             if key in seen_links:
                 err(link.line, link.col, f"duplicate link {s} -> {dsts[0]}")
             seen_links.add(key)
+            links.append((s, dsts[0], delay))
+    # default backhaul: every unlinked eNB to the S-GW/MME, and the
+    # S-GW/MME to the PDN-GW unless declared, all with zero delay
+    sgw, pdn = (next((inst for decl in kind_decls[kind] for inst in decl.instances()), None)
+                for kind in (NodeType.SGW_MME, NodeType.PDN_GW))
+    if sgw is not None:
+        linked_src = {src for src, _, _ in links}
+        for decl in kind_decls[NodeType.ENB]:
+            for inst in decl.instances():
+                if inst not in linked_src:
+                    links.append((inst, sgw, SimTime(0)))
+        if pdn is not None and sgw not in linked_src:
+            links.append((sgw, pdn, SimTime(0)))
 
-    gen_targets: set[str] = set()
+    generator_of: dict[str, GeneratorConfig] = {}
     for gen in spec.generators:
-        ues = _resolve(gen.target, decls, NodeType.UE)
+        ues = resolve(gen.target, NodeType.UE)
         if ues is None:
             err(gen.line, gen.col, f"generator: no such ue {gen.target}")
             continue
         for inst in ues:
-            if inst in gen_targets:
+            if inst in generator_of:
                 err(gen.line, gen.col, f"duplicate generator on ue {inst!r}")
-            gen_targets.add(inst)
+            else:
+                generator_of[inst] = gen.config
 
     if spec.until is None:
         err(1, 1, "missing 'run until' statement")
@@ -673,44 +705,17 @@ def validate(spec: NetworkSpec) -> list[ParseDiagnostic]:
             err(1, 1, f"chain override for {kind.value} uses reserved module "
                       f"names: {sorted(reserved)}")
 
-    return diags
+    return InstanceTable(diags, ue_list, enb_of, generator_of, links, sgw, pdn)
+
+
+def validate(spec: NetworkSpec) -> list[ParseDiagnostic]:
+    """Topology rules; returns one located diagnostic per violation."""
+    return instance_table(spec).diagnostics
 
 
 def effective_links(spec: NetworkSpec) -> list[tuple[str, str, SimTime]]:
-    """Declared links plus the default backhaul wiring, in build order.
-
-    Every eNB without a declared link gets a 0-delay link to the single
-    S-GW/MME, and the S-GW/MME gets a 0-delay link to the PDN-GW unless
-    one was declared.
-    """
-    decls = _declared(spec)
-    zero = SimTime(0)
-    out: list[tuple[str, str, SimTime]] = []
-    linked_src: set[str] = set()
-    sgw_pdn_present = False
-    for link in spec.links:
-        srcs = _resolve(link.src, decls) or []
-        dsts = _resolve(link.dst, decls) or []
-        if not dsts:
-            continue
-        delay = link.delay if link.delay is not None else zero
-        for s in srcs:
-            out.append((s, dsts[0], delay))
-            linked_src.add(s)
-            if decls[link.src.name].kind is NodeType.SGW_MME:
-                sgw_pdn_present = True
-    sgw = next(d for d in decls.values() if d.kind is NodeType.SGW_MME)
-    pdn = next(d for d in decls.values() if d.kind is NodeType.PDN_GW)
-    sgw_inst = sgw.instances()[0]
-    for decl in spec.node_decls:
-        if decl.kind is not NodeType.ENB:
-            continue
-        for inst in decl.instances():
-            if inst not in linked_src:
-                out.append((inst, sgw_inst, zero))
-    if not sgw_pdn_present:
-        out.append((sgw_inst, pdn.instances()[0], zero))
-    return out
+    """Declared links plus the default backhaul wiring, in build order."""
+    return instance_table(spec).links
 
 
 # --------------------------------------------------------------------------
@@ -729,15 +734,10 @@ class BuiltNetwork:
 
 def build(spec: NetworkSpec) -> BuiltNetwork:
     """Instantiate and wire a validated spec; deterministic and total."""
-    problems = [d for d in validate(spec) if d.is_error]
+    table = instance_table(spec)
+    problems = [d for d in table.diagnostics if d.is_error]
     if problems:
         raise InvalidNetworkSpec(problems)
-
-    decls = _declared(spec)
-    gen_config: dict[str, GeneratorConfig] = {}
-    for gen in spec.generators:
-        for inst in _resolve(gen.target, decls, NodeType.UE):
-            gen_config[inst] = gen.config
 
     root = CompoundModule(spec.network_name, type_name=spec.network_name)
     nodes: dict[str, CompoundModule] = {}
@@ -745,7 +745,7 @@ def build(spec: NetworkSpec) -> BuiltNetwork:
     for decl in spec.node_decls:
         for inst in decl.instances():
             if decl.kind is NodeType.UE:
-                node = build_ue(inst, generator_config=gen_config.get(inst),
+                node = build_ue(inst, generator_config=table.generator_of.get(inst),
                                 stack=overrides.get(NodeType.UE))
             elif decl.kind is NodeType.ENB:
                 node = build_enb(inst, stack=overrides.get(NodeType.ENB))
@@ -756,12 +756,10 @@ def build(spec: NetworkSpec) -> BuiltNetwork:
             root.add_child(node)
             nodes[inst] = node
 
-    for att in spec.attachments:
-        enb_inst = _resolve(att.enb, decls, NodeType.ENB)[0]
-        for ue_inst in _resolve(att.ue, decls, NodeType.UE):
-            attach_ue(nodes[ue_inst], nodes[enb_inst])
+    for ue_inst, enb_inst in table.enb_of.items():
+        attach_ue(nodes[ue_inst], nodes[enb_inst])
 
-    for src, dst, delay in effective_links(spec):
+    for src, dst, delay in table.links:
         channel = ChannelSpec(delay)
         if nodes[src].kind is NodeType.ENB:
             link_enb_to_sgw(nodes[src], nodes[dst], channel)

@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence, TextIO
 from .kernel import (EventRecord, MessageKind, RunSummary, SimTime,
                      SimulationError, format_seconds)
 from .lte_nodes import NodeType
-from .netconfig import NetworkSpec, resolve_selector
+from .netconfig import InstanceTable, NetworkSpec, instance_table
 from .traffic import GeneratorConfig
 
 
@@ -169,36 +169,11 @@ def _oracle_chain(spec: NetworkSpec, kind: NodeType) -> tuple:
 
 
 def ue_instances(spec: NetworkSpec) -> list[str]:
-    out = []
-    for decl in spec.node_decls:
-        if decl.kind is NodeType.UE:
-            out.extend(decl.instances())
-    return out
+    return instance_table(spec).ues
 
 
 def generator_on(spec: NetworkSpec, ue_instance: str) -> Optional[GeneratorConfig]:
-    for gen in spec.generators:
-        instances = resolve_selector(spec, gen.target, NodeType.UE) or []
-        if ue_instance in instances:
-            return gen.config
-    return None
-
-
-def attached_enb(spec: NetworkSpec, ue_instance: str) -> Optional[str]:
-    for att in spec.attachments:
-        ues = resolve_selector(spec, att.ue, NodeType.UE) or []
-        if ue_instance in ues:
-            enbs = resolve_selector(spec, att.enb, NodeType.ENB) or []
-            if len(enbs) == 1:
-                return enbs[0]
-    return None
-
-
-def _single_instance(spec: NetworkSpec, kind: NodeType) -> str:
-    for decl in spec.node_decls:
-        if decl.kind is kind:
-            return decl.instances()[0]
-    raise ValueError(f"spec has no {kind.value} declaration")
+    return instance_table(spec).generator_of.get(ue_instance)
 
 
 def data_walk(spec: NetworkSpec, ue_instance: str) -> list[tuple[str, str]]:
@@ -209,14 +184,20 @@ def data_walk(spec: NetworkSpec, ue_instance: str) -> list[tuple[str, str]]:
     around the reflector, and back down the exact reverse, ending at the
     generator when the UE has one.
     """
+    return _walk(spec, instance_table(spec), ue_instance)
+
+
+def _walk(spec: NetworkSpec, table: InstanceTable,
+          ue_instance: str) -> list[tuple[str, str]]:
     root = spec.network_name
-    cfg = generator_on(spec, ue_instance)
+    cfg = table.generator_of.get(ue_instance)
     sfx = _SUFFIX[cfg.payload_kind] if cfg is not None else _SUFFIX[MessageKind.CONTROL_MESSAGE]
-    enb_instance = attached_enb(spec, ue_instance)
+    enb_instance = table.enb_of.get(ue_instance)
     if enb_instance is None:
         raise ValueError(f"{ue_instance!r} is not attached to an enb")
-    sgw = _single_instance(spec, NodeType.SGW_MME)
-    pdn = _single_instance(spec, NodeType.PDN_GW)
+    sgw, pdn = table.sgw, table.pdn
+    if sgw is None or pdn is None:
+        raise ValueError("spec has no sgw_mme or no pdn_gw instance")
     ue_chain = _oracle_chain(spec, NodeType.UE)
     enb_chain = _oracle_chain(spec, NodeType.ENB)
     sgw_chain = _oracle_chain(spec, NodeType.SGW_MME)
@@ -281,14 +262,15 @@ def expected_event_total(spec: NetworkSpec) -> int:
     """
     if spec.until is None:
         raise ValueError("spec has no run-until time")
+    table = instance_table(spec)
     total = 0
-    for ue in ue_instances(spec):
-        cfg = generator_on(spec, ue)
+    for ue in table.ues:
+        cfg = table.generator_of.get(ue)
         if cfg is None:
             continue
         trips = zero_delay_emissions(spec.until, cfg.period, cfg.start_time)
         if trips:
-            total += trips * len(data_walk(spec, ue)) + (trips - 1)
+            total += trips * len(_walk(spec, table, ue)) + (trips - 1)
     return total
 
 
@@ -333,17 +315,16 @@ def summarize(records: Sequence[EventRecord], spec: NetworkSpec,
     for rec in records:
         by_msg.setdefault(rec.msg_id, []).append(rec)
 
+    table = instance_table(spec)
     walks: dict[str, list[tuple[str, str]]] = {}
-    has_generator: dict[str, bool] = {}
     first_hop_to_ue: dict[tuple[str, str], str] = {}
     timer_hops: dict[tuple[str, str], str] = {}
-    for ue in ue_instances(spec):
+    for ue in table.ues:
         try:
-            walk = data_walk(spec, ue)
+            walk = _walk(spec, table, ue)
         except ValueError:
             continue
         walks[ue] = walk
-        has_generator[ue] = generator_on(spec, ue) is not None
         first_hop_to_ue[walk[0]] = ue
         timer_hops[timer_hop(spec, ue)] = ue
 
@@ -359,7 +340,7 @@ def summarize(records: Sequence[EventRecord], spec: NetworkSpec,
             continue
         walk = walks[ue]
         if seq == walk:
-            if has_generator[ue]:
+            if ue in table.generator_of:
                 metrics.round_trips += 1
                 metrics.per_message_rtt[msg_id] = SimTime(recs[-1].t_ns - recs[0].t_ns)
             else:

@@ -12,9 +12,9 @@ import pytest
 from lteadv_sim import build, parse
 from lteadv_sim.kernel import MessageKind, SimTime, Simulator, HandlerError
 from lteadv_sim.lte_nodes import (NoRadioPeer, NodeType, PassThroughLayer,
-                                  attach_ue, blueprint_for, build_enb,
-                                  build_pdn_gw, build_sgw_mme, build_ue,
-                                  link_enb_to_sgw, link_sgw_to_pdn, relabel)
+                                  blueprint_for, build_enb, build_pdn_gw,
+                                  build_sgw_mme, build_ue, link_enb_to_sgw,
+                                  link_sgw_to_pdn, relabel)
 from lteadv_sim.model import (CompoundModule, DuplicateName, SELF_GATE,
                               UnknownArrivalGate)
 from lteadv_sim.traffic import GeneratorConfig
@@ -309,19 +309,3 @@ def test_no_loss_no_duplication_per_round_trip(minimal_spec):
     for path, _ in HAND_WALK:
         expected[path] = expected.get(path, 0) + 1
     assert visits == expected
-
-
-def test_attach_with_air_delay_shifts_arrival():
-    root = CompoundModule("Network")
-    enb = build_enb("enb")
-    ue = build_ue("ue", generator_config=GeneratorConfig())
-    root.add_child(ue)
-    root.add_child(enb)
-    attach_ue(ue, enb, air_delay=SimTime.from_millis(3))
-    sim = Simulator(root)
-    phy = ue.child("lte_phy")
-    phy.handle_message(sim.new_message("PHYMsg", MessageKind.CONTROL_MESSAGE),
-                       "inFromUpperLayer")
-    ev = sim.fes.pop_next()
-    assert ev.target is enb.child("lte_radio")
-    assert ev.fire_time == SimTime.from_millis(3)

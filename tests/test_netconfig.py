@@ -257,6 +257,94 @@ def test_valid_specs_have_no_diagnostics(minimal_spec, multi_ue_spec):
     assert validate(multi_ue_spec) == []
 
 
+# One spec that breaks every node, attach, link and generator rule.
+EVERY_RULE_BROKEN = """network N {
+    ue u[4]; ue x; enb e[3]; enb x; enb z[0]; sgw_mme s; pdn_gw p[2];
+    attach u[0] -> e[0];
+    attach u[0..1] -> e[*];
+    attach u[9] -> e[1];
+    attach nope -> zz;
+    attach e[0] -> u[2];
+    attach x -> e[2];
+    attach u[3..2] -> e[1];
+    link zz -> s;
+    link u[0] -> s;
+    link e[7] -> s;
+    link e[0] -> p;
+    link e[0] -> s delay 1ms;
+    link e[0..1] -> s;
+    link s -> p[0];
+    link s -> x;
+    link s -> p[*];
+    generator on u[0] { }
+    generator on u[0..2] { period 5ms; }
+    generator on e[0] { }
+    generator on u[4] { }
+    generator on ghost { }
+    generator on u[3] { }
+    generator on u[*] { }
+    run until 1s;
+}
+"""
+
+
+def test_validate_reports_every_rule_in_order():
+    spec = parse_ok(EVERY_RULE_BROKEN)
+    assert [(d.line, d.col, d.message) for d in validate(spec)] == [
+        (2, 30, "duplicate node name 'x'"),
+        (2, 37, "node vector 'z' must have size >= 1"),
+        (2, 58, "network needs exactly one pdn_gw, found 2"),
+        (4, 5, "attach: e[*] names 3 enbs, need exactly one"),
+        (5, 5, "attach: dangling ue selector u[9]"),
+        (6, 5, "attach: dangling ue selector nope"),
+        (6, 5, "attach: dangling enb selector zz"),
+        (7, 5, "attach: dangling ue selector e[0]"),
+        (7, 5, "attach: dangling enb selector u[2]"),
+        (9, 5, "attach: dangling ue selector u[3..2]"),
+        (2, 5, "ue 'u[0]' attached more than once"),
+        (2, 5, "unattached ue 'u[2]'"),
+        (2, 5, "unattached ue 'u[3]'"),
+        (10, 5, "link: unknown node in zz -> s"),
+        (11, 5, "link: only enb -> sgw_mme and sgw_mme -> pdn_gw links exist"),
+        (12, 5, "link: dangling selector in e[7] -> s"),
+        (13, 5, "link: only enb -> sgw_mme and sgw_mme -> pdn_gw links exist"),
+        (15, 5, "duplicate link e[0] -> s"),
+        (17, 5, "link: only enb -> sgw_mme and sgw_mme -> pdn_gw links exist"),
+        (18, 5, "link: p[*] must name exactly one node"),
+        (20, 5, "duplicate generator on ue 'u[0]'"),
+        (21, 5, "generator: no such ue e[0]"),
+        (22, 5, "generator: no such ue u[4]"),
+        (23, 5, "generator: no such ue ghost"),
+        (25, 5, "duplicate generator on ue 'u[0]'"),
+        (25, 5, "duplicate generator on ue 'u[1]'"),
+        (25, 5, "duplicate generator on ue 'u[2]'"),
+        (25, 5, "duplicate generator on ue 'u[3]'"),
+    ]
+    assert all(d.is_error for d in validate(spec))
+
+
+def test_oracle_on_invalid_spec_takes_first_statement():
+    """A dangling selector names nothing; the first statement naming a UE
+    sets its eNB and its generator."""
+    from lteadv_sim.trace import data_walk, generator_on
+    spec = parse_ok(EVERY_RULE_BROKEN)
+    assert generator_on(spec, "u[0]").period == SimTime.from_millis(10)
+    assert generator_on(spec, "u[1]").period == SimTime.from_millis(5)
+    assert generator_on(spec, "x") is None
+    assert data_walk(spec, "u[0]")[6][0] == "N.e[0].lte_radio"
+    assert data_walk(spec, "u[0]")[16][0] == "N.p[0].lte_s5"
+    for unattached in ("u[1]", "u[2]", "u[3]"):
+        with pytest.raises(ValueError):
+            data_walk(spec, unattached)
+    twice = parse_ok("""network N {
+    ue u; enb e[2]; sgw_mme s; pdn_gw p;
+    attach u -> e[1];
+    attach u -> e[0];
+    run until 1s;
+}""")
+    assert data_walk(twice, "u")[6][0] == "N.e[1].lte_radio"
+
+
 # -- round-trip printing ----------------------------------------------------------
 
 @pytest.mark.parametrize("source", [
@@ -443,3 +531,22 @@ def test_chain_override_round_trip_run(minimal_spec):
     assert metrics.path_mismatches == []
     paths = [r.path for r in records]
     assert "Network.ue.lte_rrc" not in " ".join(paths)
+
+
+def test_one_layer_sgw_override_still_fans_in(multi_ue_spec):
+    """The only S-GW/MME layer is also its S1 side: both eNBs link to it
+    and each reply goes back through the gate its request came in on."""
+    from lteadv_sim.trace import expected_event_total, summarize
+    from conftest import run_spec
+    multi_ue_spec.chain_overrides[NodeType.SGW_MME] = (LayerSpec("S1", "lte_s1"),)
+    multi_ue_spec.until = SimTime.from_millis(25)
+    assert validate(multi_ue_spec) == []
+    records, summary, built = run_spec(multi_ue_spec)
+    s1 = built.nodes["sgw_mme"].child("lte_s1")
+    assert sorted(s1._gates) == ["inFromLowerLayer[0]", "inFromLowerLayer[1]",
+                                 "inFromUpperLayer", "outToLowerLayer[0]",
+                                 "outToLowerLayer[1]", "outToUpperLayer"]
+    metrics = summarize(records, multi_ue_spec, summary)
+    assert metrics.path_mismatches == []
+    assert metrics.round_trips == 4 * 3
+    assert summary.events_executed == expected_event_total(multi_ue_spec)

@@ -230,6 +230,44 @@ def test_timer_hop_path(minimal_spec):
     assert timer_hop(minimal_spec, "ue") == ("Network.ue.generator", "GenTimer")
 
 
+def per_ue_source(ues, enbs):
+    """One attach and one generator statement per UE, short horizon."""
+    lines = [f"network Net {{ ue u[{ues}]; enb e[{enbs}]; sgw_mme s; pdn_gw p;"]
+    for i in range(ues):
+        lines.append(f"attach u[{i}] -> e[{i % enbs}];")
+        lines.append(f"generator on u[{i}] {{ period {1 + i % 2}ms; "
+                     f"start {i % 3}ms; }}")
+    lines.append("run until 3ms; }")
+    return "\n".join(lines)
+
+
+def test_each_statement_resolved_once_by_build_and_oracle(monkeypatch):
+    from lteadv_sim import netconfig
+    spec = parse(per_ue_source(1000, 10)).spec
+    statements = len(spec.node_decls) + len(spec.attachments) + len(spec.generators) + 1
+    resolutions = 0
+    resolve = netconfig._resolve
+
+    def counting_resolve(*args, **kwargs):
+        nonlocal resolutions
+        resolutions += 1
+        return resolve(*args, **kwargs)
+
+    monkeypatch.setattr(netconfig, "_resolve", counting_resolve)
+    counts = {}
+    results = {}
+    for name, call in (("build", lambda: build(spec)),
+                       ("summarize", lambda: summarize([], spec)),
+                       ("expected_event_total", lambda: expected_event_total(spec))):
+        resolutions = 0
+        results[name] = call()
+        counts[name] = resolutions
+    assert all(n <= statements for n in counts.values()), (counts, statements)
+
+    summary = results["build"].simulator().run(until=spec.until)
+    assert summary.events_executed == results["expected_event_total"] > 0
+
+
 # -- summarize -----------------------------------------------------------------------
 
 def test_summarize_minimal_run(minimal_spec):
