@@ -123,12 +123,11 @@ def main(argv: Optional[list] = None) -> int:
         spec.until = opts.until
     if opts.seed is not None:
         spec.seed = opts.seed
-    problems = netconfig.validate(spec)
-    if problems:
-        _print_diagnostics(opts.config, problems)
+    try:
+        built = netconfig.build(spec)
+    except netconfig.InvalidNetworkSpec as exc:
+        _print_diagnostics(opts.config, exc.diagnostics)
         return EXIT_CONFIG
-
-    built = netconfig.build(spec)
     sim = built.simulator()
 
     sinks = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import time as _wallclock
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterator, Optional, Sequence
@@ -251,17 +252,24 @@ class FutureEventSet:
     Pop order is nondecreasing in fire time; events with equal fire time
     come out strictly FIFO, so simultaneous events never reorder between
     runs. Entries are plain `(t_ns, seq, target, gate_label, msg)` tuples.
+
+    Almost every event fires at the time it is pushed (layers add no
+    delay), so those entries skip the binary heap: they wait in a FIFO
+    lane that only ever holds one fire time, in increasing `seq`. Each pop
+    takes whichever of the lane head and the heap top is smaller by
+    `(t_ns, seq)`, so the order is the same as with the heap alone.
     """
 
     def __init__(self) -> None:
         self._heap: list = []
+        self._lane: deque = deque()
         self._next_seq = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._lane)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self._heap or self._lane)
 
     def push(self, t_ns: int, now_ns: int, target, gate_label: str,
              msg: SimMessage) -> int:
@@ -278,7 +286,12 @@ class FutureEventSet:
             raise SimTimeRangeError(f"simulation time overflows 64 bits: {t_ns} ns")
         seq = self._next_seq
         self._next_seq = seq + 1
-        heappush(self._heap, (t_ns, seq, target, gate_label, msg))
+        lane = self._lane
+        # the lane stays sorted while it holds a single fire time
+        if t_ns == now_ns and (not lane or lane[0][0] == t_ns):
+            lane.append((t_ns, seq, target, gate_label, msg))
+        else:
+            heappush(self._heap, (t_ns, seq, target, gate_label, msg))
         return seq
 
     def schedule(self, ev: ScheduledEvent, now: SimTime) -> ScheduledEvent:
@@ -287,17 +300,27 @@ class FutureEventSet:
         return ev
 
     def pop_next(self) -> Optional[ScheduledEvent]:
-        if not self._heap:
+        entry = next(self.pop_before(MAX_TIME_NS + 1), None)
+        if entry is None:
             return None
-        t_ns, seq, target, gate_label, msg = heappop(self._heap)
+        t_ns, seq, target, gate_label, msg = entry
         return ScheduledEvent(SimTime(t_ns), target, gate_label, msg, seq)
 
     def pop_before(self, until_ns: int) -> Iterator[tuple]:
         """Pop entries in order while the earliest fires before `until_ns`,
         including those pushed while iterating."""
         heap = self._heap
-        while heap and heap[0][0] < until_ns:
-            yield heappop(heap)
+        lane = self._lane
+        while True:
+            # seqs are unique, so the compare never reaches `target`
+            if lane and not (heap and heap[0] < lane[0]):
+                if lane[0][0] >= until_ns:
+                    return
+                yield lane.popleft()
+            elif heap and heap[0][0] < until_ns:
+                yield heappop(heap)
+            else:
+                return
 
 
 class Simulator:

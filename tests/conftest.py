@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from lteadv_sim import CollectingSink, build, parse
+
+# A deeper search for CI (`--hypothesis-profile=ci`); tests that set their
+# own max_examples keep it. The default profile is left as it is.
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 # The smallest interesting network: one of each node, generator on the UE,
 # zero delays everywhere.

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from lteadv_sim import netconfig
 from lteadv_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_USAGE, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -57,6 +58,40 @@ def test_dangling_selector_config_rejected(capsys):
     code = main(["--config", str(FIXTURES / "bad_dangling.net")])
     assert code == EXIT_CONFIG
     assert "dangling" in capsys.readouterr().err
+
+
+def test_config_breaking_two_rules_prints_both_diagnostics(tmp_path, capsys):
+    config = tmp_path / "two_rules.net"
+    config.write_text(
+        "network N {\n"
+        "    ue u[2];\n"
+        "    enb e;\n"
+        "    sgw_mme s;\n"
+        "    pdn_gw p;\n"
+        "    pdn_gw q;\n"
+        "    attach u[0..1] -> e;\n"
+        "    attach u[7] -> e;\n"
+        "    run until 1s;\n"
+        "}\n")
+    assert main(["--config", str(config)]) == EXIT_CONFIG == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{config}:6:5: error: network needs exactly one pdn_gw, found 2\n"
+        f"{config}:8:5: error: attach: dangling ue selector u[7]\n")
+
+
+def test_rules_pass_runs_once_per_invocation(monkeypatch, capsys):
+    calls = []
+    real = netconfig.instance_table
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(netconfig, "instance_table", counting)
+    assert main(["--config", MINIMAL, "--until", "1ns", "--quiet"]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_console_trace_by_default(capsys):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lteadv_sim.kernel import (MAX_TIME_NS, FutureEventSet, HandlerError,
                                MessageKind, RunSummary, ScheduledEvent,
@@ -11,6 +11,7 @@ from lteadv_sim.kernel import (MAX_TIME_NS, FutureEventSet, HandlerError,
                                SimTimeRangeError, SimulationError, Simulator,
                                StopReason)
 from lteadv_sim.model import CompoundModule, SimpleModule
+from lteadv_sim.netconfig import build
 
 
 class Recorder(SimpleModule):
@@ -157,6 +158,81 @@ def test_pop_order_property(times):
                             key=lambda p: p[0])
 
 
+def _tag(fes, t_ns, now_ns):
+    """Push an event whose message name is its insertion sequence."""
+    msg = SimMessage(0, "", MessageKind.CONTROL_MESSAGE, 0, SimTime(0))
+    msg.name = str(fes.push(t_ns, now_ns, None, "g", msg))
+    return msg.name
+
+
+def test_delayed_entries_pop_before_zero_delay_ones_at_the_same_time():
+    fes = FutureEventSet()
+    # pushed at 0 with a delay: these fire at 10 and were inserted first
+    early = [_tag(fes, 10, 0), _tag(fes, 10, 0)]
+    first = fes.pop_next()  # nothing earlier, so the clock moves to 10
+    assert first.fire_time.ns == 10 and first.payload.name == early[0]
+    # zero-delay pushes at 10, as a handler running at 10 makes them
+    late = [_tag(fes, 10, 10), _tag(fes, 10, 10)]
+    assert len(fes) == 3
+    assert [fes.pop_next().payload.name for _ in range(3)] == early[1:] + late
+    assert not fes and fes.pop_next() is None
+
+
+_FES_OPS = st.lists(st.one_of(
+    # push as the simulator does: now is the last popped time
+    st.tuples(st.just("push_at_clock"), st.sampled_from([0, 0, 0, 1, 3])),
+    # push with any now, at that now plus a delay
+    st.tuples(st.just("push_free"), st.integers(0, 12), st.sampled_from([0, 0, 0, 1, 3])),
+    st.tuples(st.just("pop_next")),
+    # start a pop_before over the live FES, then step it
+    st.tuples(st.just("pop_before"), st.integers(0, 15)),
+    st.tuples(st.just("step")),
+), max_size=80)
+
+
+@given(_FES_OPS)
+# a zero-delay push at 0 after one at 1: the lane holds time 1 at that point
+@example([("push_free", 1, 0), ("push_at_clock", 0), ("pop_next",)])
+def test_interleaved_push_and_pop_follow_time_then_seq(ops):
+    fes = FutureEventSet()
+    ref = []  # (t_ns, seq) of every pending entry
+    clock = 0
+    gen, until = None, None
+
+    def check_pop(entry):
+        nonlocal clock
+        head = min(ref)
+        assert entry == head
+        ref.remove(head)
+        clock = head[0]
+
+    for op in ops:
+        if op[0] == "push_at_clock":
+            t_ns, now_ns = clock + op[1], clock
+        elif op[0] == "push_free":
+            t_ns, now_ns = op[1] + op[2], op[1]
+        if op[0].startswith("push"):
+            ref.append((t_ns, fes.push(t_ns, now_ns, None, "g", None)))
+        elif op[0] == "pop_next":
+            popped = fes.pop_next()
+            if ref:
+                check_pop((popped.fire_time.ns, popped.insertion_seq))
+            else:
+                assert popped is None
+        elif op[0] == "pop_before":
+            gen, until = fes.pop_before(op[1]), op[1]
+        elif gen is not None:
+            entry = next(gen, None)
+            if entry is None:
+                assert not ref or min(ref)[0] >= until
+                gen = None
+            else:
+                assert entry[0] < until
+                check_pop(entry[:2])
+        assert len(fes) == len(ref)
+        assert bool(fes) is bool(ref)
+
+
 # -- message identity --------------------------------------------------------
 
 def test_new_message_fields_and_ids():
@@ -244,6 +320,35 @@ def test_event_limit_stops_the_run():
     summary = sim.run(until=SimTime.from_seconds(1), event_limit=17)
     assert summary.events_executed == 17
     assert summary.stop_reason is StopReason.EVENT_LIMIT
+
+
+def test_stop_counts_entries_still_waiting_at_the_current_time(minimal_spec):
+    # event 10 is mid-way down the UE stack: the message is in flight, to
+    # fire at the current time, and no generator timer is armed yet
+    sim = build(minimal_spec).simulator()
+    summary = sim.run(until=minimal_spec.until, event_limit=10)
+    assert summary.stop_reason is StopReason.EVENT_LIMIT
+    assert summary.final_time == SimTime(0)
+    assert len(sim.fes) == 1 and sim.fes
+
+
+def test_time_and_empty_stop_reasons_are_unchanged(minimal_spec):
+    # the first trip ends at 0; only the next timer, at 10 ms, is pending
+    sim = build(minimal_spec).simulator()
+    summary = sim.run(until=SimTime.from_millis(5))
+    assert summary.stop_reason is StopReason.TIME_LIMIT
+    assert summary.events_executed == 38
+    assert len(sim.fes) == 1 and sim.fes
+
+    rec = Recorder()
+    sim = Simulator(make_net(rec))
+    for _ in range(3):
+        sim.schedule_arrival(rec, "g", sim.new_message("m", MessageKind.CONTROL_MESSAGE),
+                             SimTime(0))
+    summary = sim.run(until=SimTime(10))
+    assert summary.stop_reason is StopReason.FES_EMPTY
+    assert summary.events_executed == 3
+    assert len(sim.fes) == 0 and not sim.fes
 
 
 def test_clock_is_monotone_and_events_counted():
