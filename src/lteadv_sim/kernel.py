@@ -258,18 +258,22 @@ class FutureEventSet:
     lane that only ever holds one fire time, in increasing `seq`. Each pop
     takes whichever of the lane head and the heap top is smaller by
     `(t_ns, seq)`, so the order is the same as with the heap alone.
+
+    `heap` and `lane` are read-only views for the run loop, which checks
+    that neither holds an entry due now before it dispatches a returned
+    hop at once; only `push` and the pops change them.
     """
 
     def __init__(self) -> None:
-        self._heap: list = []
-        self._lane: deque = deque()
+        self.heap: list = []
+        self.lane: deque = deque()
         self._next_seq = 0
 
     def __len__(self) -> int:
-        return len(self._heap) + len(self._lane)
+        return len(self.heap) + len(self.lane)
 
     def __bool__(self) -> bool:
-        return bool(self._heap or self._lane)
+        return bool(self.heap or self.lane)
 
     def push(self, t_ns: int, now_ns: int, target, gate_label: str,
              msg: SimMessage) -> int:
@@ -286,12 +290,12 @@ class FutureEventSet:
             raise SimTimeRangeError(f"simulation time overflows 64 bits: {t_ns} ns")
         seq = self._next_seq
         self._next_seq = seq + 1
-        lane = self._lane
+        lane = self.lane
         # the lane stays sorted while it holds a single fire time
         if t_ns == now_ns and (not lane or lane[0][0] == t_ns):
             lane.append((t_ns, seq, target, gate_label, msg))
         else:
-            heappush(self._heap, (t_ns, seq, target, gate_label, msg))
+            heappush(self.heap, (t_ns, seq, target, gate_label, msg))
         return seq
 
     def schedule(self, ev: ScheduledEvent, now: SimTime) -> ScheduledEvent:
@@ -309,8 +313,8 @@ class FutureEventSet:
     def pop_before(self, until_ns: int) -> Iterator[tuple]:
         """Pop entries in order while the earliest fires before `until_ns`,
         including those pushed while iterating."""
-        heap = self._heap
-        lane = self._lane
+        heap = self.heap
+        lane = self.lane
         while True:
             # seqs are unique, so the compare never reaches `target`
             if lane and not (heap and heap[0] < lane[0]):
@@ -372,6 +376,13 @@ class Simulator:
         every sink before the target handler runs, so records show each
         message as it arrived. Stops when the FES drains, the next event
         would fire at or past `until`, or `event_limit` events have run.
+
+        A handler may return the zero-delay hop it would otherwise push,
+        as `(target, arrival_label, msg)`. When nothing else is due now,
+        that hop is the entry the FES would pop next, so it is dispatched
+        at once as the next event; otherwise, or at the event limit, it
+        is pushed and queues behind the entries due now. The order of
+        events is the same either way.
         """
         if self._ran:
             raise SimulationError("this simulator instance has already run")
@@ -383,6 +394,7 @@ class Simulator:
             mod.on_start(self)
 
         fes = self.fes
+        push, lane, heap = fes.push, fes.lane, fes.heap
         # -1 never equals the count of executed events: no limit
         limit = -1 if event_limit is None else max(event_limit, 0)
         executed = 0
@@ -391,17 +403,24 @@ class Simulator:
         if limit:
             for t_ns, _, target, gate_label, msg in fes.pop_before(until.ns):
                 self.now_ns = t_ns
-                executed += 1
-                if sinks:
-                    rec = EventRecord(executed, t_ns, target.full_path,
-                                      target.type_name, target.module_id,
-                                      msg.name, msg.kind_label, msg.msg_id)
-                    for sink in sinks:
-                        sink.record(rec)
-                try:
-                    target.handle_message(msg, gate_label)
-                except Exception as exc:
-                    raise HandlerError(target.full_path, executed, exc) from exc
+                while True:
+                    executed += 1
+                    if sinks:
+                        rec = EventRecord(executed, t_ns, target.full_path,
+                                          target.type_name, target.module_id,
+                                          msg.name, msg.kind_label, msg.msg_id)
+                        for sink in sinks:
+                            sink.record(rec)
+                    try:
+                        hop = target.handle_message(msg, gate_label)
+                    except Exception as exc:
+                        raise HandlerError(target.full_path, executed, exc) from exc
+                    if hop is None:
+                        break
+                    target, gate_label, msg = hop
+                    if lane or executed == limit or (heap and heap[0][0] == t_ns):
+                        push(t_ns, t_ns, target, gate_label, msg)
+                        break
                 if executed == limit:
                     break
             else:

@@ -9,6 +9,11 @@ their own.
 The bottom of the UE and eNB stacks is a PHY that crosses the air gap with
 a direct delivery to the peer node's radio interface; the top of the
 PDN-GW turns messages around and sends them back the way they came.
+
+A relaying handler returns its zero-delay hop as `(target, arrival_label,
+msg)` instead of pushing it, and the run loop dispatches or queues it
+(see `Simulator.run`); a hop over a delayed channel is transmitted and
+the handler returns None.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ from .model import (IN_FROM_LOWER, IN_FROM_UPPER, OUT_TO_LOWER, OUT_TO_UPPER,
                     ModuleNode, SimpleModule, UnknownArrivalGate, connect,
                     gate_base, gate_index, transmit)
 from .traffic import GENERATOR_TAG, Generator, GeneratorConfig
+
+
+# a handler's zero-delay hop, (target, arrival_label, msg), or None
+Hop = Optional[tuple]
 
 
 class NoRadioPeer(SimulationError):
@@ -92,12 +101,17 @@ def relabel(msg: SimMessage, destination_tag: str) -> SimMessage:
     return msg
 
 
-def relay(gate: Gate, msg: SimMessage) -> None:
+def relay(gate: Gate, msg: SimMessage) -> Hop:
     """Rename a message for the module at the far end of an Out gate and
-    send it there now."""
-    target = gate.peer.owner
+    send it there now: return the hop when the channel adds no delay,
+    else transmit it."""
+    peer = gate.peer
+    target = peer.owner
     msg.name = target.packet_name if msg._kind is _PACKET else target.control_name
-    transmit(gate, msg)
+    if gate.delay_ns:
+        transmit(gate, msg)
+        return None
+    return target, peer.label, msg
 
 
 class PassThroughLayer(SimpleModule):
@@ -118,20 +132,19 @@ class PassThroughLayer(SimpleModule):
         self.up_gate: Optional[Gate] = None
         self.down_gate: Optional[Gate] = None
 
-    def handle_message(self, msg: SimMessage, arrival_gate: str) -> None:
+    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
         if arrival_gate == IN_FROM_UPPER:
-            self.forward_down(msg)
-        elif arrival_gate == IN_FROM_LOWER:
-            self.forward_up(msg, arrival_gate)
-        else:
-            raise UnknownArrivalGate(
-                f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
+            return self.forward_down(msg)
+        if arrival_gate == IN_FROM_LOWER:
+            return self.forward_up(msg, arrival_gate)
+        raise UnknownArrivalGate(
+            f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
 
-    def forward_down(self, msg: SimMessage) -> None:
-        relay(self.down_gate, msg)
+    def forward_down(self, msg: SimMessage) -> Hop:
+        return relay(self.down_gate, msg)
 
-    def forward_up(self, msg: SimMessage, arrival_gate: str) -> None:
-        relay(self.up_gate, msg)
+    def forward_up(self, msg: SimMessage, arrival_gate: str) -> Hop:
+        return relay(self.up_gate, msg)
 
 
 class FanInLayer(PassThroughLayer):
@@ -141,27 +154,26 @@ class FanInLayer(PassThroughLayer):
     reply leaves through the same gate.
     """
 
-    def handle_message(self, msg: SimMessage, arrival_gate: str) -> None:
+    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
         # no super() call: one event is one handle_message call, which is
         # what per-type handler counts rely on
         if arrival_gate == IN_FROM_UPPER:
-            self.forward_down(msg)
-        elif gate_base(arrival_gate) == IN_FROM_LOWER and arrival_gate in self._gates:
+            return self.forward_down(msg)
+        if gate_base(arrival_gate) == IN_FROM_LOWER and arrival_gate in self._gates:
             # only the lower gates this layer really has carry an [index]
-            self.forward_up(msg, arrival_gate)
-        else:
-            raise UnknownArrivalGate(
-                f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
+            return self.forward_up(msg, arrival_gate)
+        raise UnknownArrivalGate(
+            f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
 
-    def forward_down(self, msg: SimMessage) -> None:
+    def forward_down(self, msg: SimMessage) -> Hop:
         idx = msg.pop_route()
         if not isinstance(idx, int):
             raise NoRadioPeer(f"{self.full_path_or_name()}: no return route on {msg!r}")
-        relay(self.gate(OUT_TO_LOWER, idx), msg)
+        return relay(self.gate(OUT_TO_LOWER, idx), msg)
 
-    def forward_up(self, msg: SimMessage, arrival_gate: str) -> None:
+    def forward_up(self, msg: SimMessage, arrival_gate: str) -> Hop:
         msg.push_route(gate_index(arrival_gate))
-        relay(self.up_gate, msg)
+        return relay(self.up_gate, msg)
 
 
 class NasLayer(PassThroughLayer):
@@ -176,11 +188,11 @@ class NasLayer(PassThroughLayer):
         super().__init__(name, tag)
         self.drop_count = 0
 
-    def forward_up(self, msg: SimMessage, arrival_gate: str) -> None:
+    def forward_up(self, msg: SimMessage, arrival_gate: str) -> Hop:
         if self.up_gate is not None:
-            relay(self.up_gate, msg)
-        else:
-            self.drop_count += 1
+            return relay(self.up_gate, msg)
+        self.drop_count += 1
+        return None
 
 
 class PhyLayer(PassThroughLayer):
@@ -197,7 +209,7 @@ class PhyLayer(PassThroughLayer):
         self.peer_radio: Optional[ModuleNode] = None
         self.home_radio: Optional[ModuleNode] = None
 
-    def forward_down(self, msg: SimMessage) -> None:
+    def forward_down(self, msg: SimMessage) -> Hop:
         if self.peer_radio is not None:
             target = self.peer_radio
             msg.push_route(self.home_radio)
@@ -208,9 +220,7 @@ class PhyLayer(PassThroughLayer):
                     f"{self.full_path_or_name()}: no radio peer for downward send")
         phy = target.parent.phy
         msg.name = phy.packet_name if msg._kind is _PACKET else phy.control_name
-        sim = self._sim
-        now = sim.now_ns
-        sim.fes.push(now, now, target, RADIO_IN, msg)
+        return target, RADIO_IN, msg
 
 
 class RadioInterface(SimpleModule):
@@ -220,21 +230,23 @@ class RadioInterface(SimpleModule):
         super().__init__(name, type_name=name)
         self.up_gate: Optional[Gate] = None  # toward the PHY, set when wired
 
-    def handle_message(self, msg: SimMessage, arrival_gate: str) -> None:
+    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
         if arrival_gate != RADIO_IN:
             raise UnknownArrivalGate(
                 f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
-        transmit(self.up_gate, msg)
+        # _wire_radio connects the radio to its PHY with no delay
+        peer = self.up_gate.peer
+        return peer.owner, peer.label, msg
 
 
 class ReflectorLayer(PassThroughLayer):
     """Top of the PDN-GW: turns traffic around in the same event."""
 
-    def handle_message(self, msg: SimMessage, arrival_gate: str) -> None:
+    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
         if arrival_gate != IN_FROM_LOWER:
             raise UnknownArrivalGate(
                 f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
-        self.forward_down(msg)
+        return self.forward_down(msg)
 
 
 def wire_vertical(upper: ModuleNode, lower: ModuleNode,

@@ -292,9 +292,11 @@ def connect_pair(a_out: Gate, b_in: Gate, b_out: Gate, a_in: Gate,
 def transmit(gate: Gate, msg: SimMessage, at_ns: Optional[int] = None) -> int:
     """Send out a connected Out gate at `at_ns`, or now when it is None.
 
-    The per-event path of the built-in modules: the route was resolved
-    when the gate was connected, so nothing is looked up by name and no
-    ScheduledEvent is built. Returns the event's insertion sequence.
+    The built-in modules send through it when a hop has a delay or starts
+    a new message (their zero-delay hops go back to the run loop): the
+    route was resolved when the gate was connected, so nothing is looked
+    up by name and no ScheduledEvent is built. Returns the event's
+    insertion sequence.
     """
     sim = gate.owner._sim
     now = sim.now_ns

@@ -52,6 +52,37 @@ def test_traces_match_golden_digests(fixture):
     assert traces(fixture) == GOLDEN[fixture]
 
 
+# delayed.net stopped by an event limit -> (events, stop reason, entries
+# left in the FES, clock in ns, structured trace sha256). 4673 stops one
+# event short of the horizon's 4674; 4674 runs every event but still stops
+# on the limit.
+STOPS = {
+    1: (1, "EventLimit", 6, 0,
+        "f03346229e15751e77d63f869cc71631148dcf323406fdfe238dabf31ba80426"),
+    7: (7, "EventLimit", 6, 0,
+        "8d72f6912493b9402e122ecadbe6305acf2151bdaa9686ddfbe0aa36937008f8"),
+    100: (100, "EventLimit", 6, 1050000,
+          "b69dea770b4a0a814721f8e009cf47e120a5bd9464436455ac443b006f983491"),
+    4673: (4673, "EventLimit", 6, 199650000,
+           "58fb7dae9c7b6800524c3d284b747601eda4c87abcfc1747bbd35ff585667cbe"),
+    4674: (4674, "EventLimit", 6, 199650000,
+           "99a9b59a6ea165f8d20c2ae68c5a20c595fbffd9b4290a8c0aaeb8c2ab7f59a6"),
+}
+
+
+@pytest.mark.parametrize("event_limit", sorted(STOPS))
+def test_event_limit_stops_match_golden(event_limit):
+    spec = parse((FIXTURES / "delayed.net").read_text()).spec
+    structured = io.StringIO()
+    sim = build(spec).simulator()
+    summary = sim.run(until=spec.until, event_limit=event_limit,
+                      sinks=[StructuredTraceSink(structured)])
+    assert (summary.events_executed, summary.stop_reason.value, len(sim.fes),
+            sim.now_ns,
+            hashlib.sha256(structured.getvalue().encode("utf-8")).hexdigest()
+            ) == STOPS[event_limit]
+
+
 if __name__ == "__main__":
     for name in ("minimal.net", "multi_ue.net", "delayed.net", "desk_50ms.net"):
         print(f"    {name!r}: {traces(name)!r},")

@@ -12,6 +12,7 @@ from lteadv_sim.kernel import (MAX_TIME_NS, FutureEventSet, HandlerError,
                                StopReason)
 from lteadv_sim.model import CompoundModule, SimpleModule
 from lteadv_sim.netconfig import build
+from lteadv_sim.trace import CollectingSink
 
 
 class Recorder(SimpleModule):
@@ -28,6 +29,17 @@ class Recorder(SimpleModule):
 class Exploder(SimpleModule):
     def handle_message(self, msg, arrival_gate):
         raise RuntimeError("boom")
+
+
+class Relayer(SimpleModule):
+    """Test module that hands every arrival on to `target` with no delay."""
+
+    def __init__(self, name, target):
+        super().__init__(name)
+        self.target = target
+
+    def handle_message(self, msg, arrival_gate):
+        return self.target, "g", msg
 
 
 def make_net(*modules):
@@ -374,6 +386,28 @@ def test_handler_failure_carries_path_and_event_number():
         sim.run(until=SimTime(10))
     assert exc_info.value.module_path == "Net.bad"
     assert exc_info.value.event_no == 1
+
+
+@pytest.mark.parametrize("others_due_now", [0, 2])
+def test_handler_failure_on_a_returned_hop_carries_its_event_number(others_due_now):
+    # alone at t=0 the hop is dispatched at once; behind two other entries
+    # due now it is queued after them
+    bad = Exploder("bad")
+    relayer = Relayer("relayer", bad)
+    rec = Recorder()
+    sim = Simulator(make_net(relayer, bad, rec))
+    sim.schedule_arrival(relayer, "g", sim.new_message("m", MessageKind.CONTROL_MESSAGE),
+                         SimTime(0))
+    for _ in range(others_due_now):
+        sim.schedule_arrival(rec, "g", sim.new_message("o", MessageKind.CONTROL_MESSAGE),
+                             SimTime(0))
+    sink = CollectingSink()
+    with pytest.raises(HandlerError) as exc_info:
+        sim.run(until=SimTime(10), sinks=[sink])
+    last = sink.records[-1]
+    assert exc_info.value.module_path == last.path == "Net.bad"
+    assert exc_info.value.event_no == last.event_no == 2 + others_due_now
+    assert len(rec.seen) == others_due_now
 
 
 def test_simulator_runs_once():

@@ -15,8 +15,8 @@ from lteadv_sim.lte_nodes import (NoRadioPeer, NodeType, PassThroughLayer,
                                   blueprint_for, build_enb, build_pdn_gw,
                                   build_sgw_mme, build_ue, link_enb_to_sgw,
                                   link_sgw_to_pdn, relabel)
-from lteadv_sim.model import (CompoundModule, DuplicateName, SELF_GATE,
-                              UnknownArrivalGate)
+from lteadv_sim.model import (ChannelSpec, CompoundModule, DuplicateName,
+                              SELF_GATE, UnknownArrivalGate)
 from lteadv_sim.traffic import GeneratorConfig
 from lteadv_sim.trace import CollectingSink, data_walk
 
@@ -92,6 +92,15 @@ def test_relabel_requires_tag():
 
 # -- single-layer handlers ------------------------------------------------------
 
+def deliver(module, msg, label):
+    """Call one handler outside the run loop and queue the zero-delay hop
+    it returns, if any, as the loop would when other events are due now."""
+    hop = module.handle_message(msg, label)
+    if hop is not None:
+        now = module.sim.now_ns
+        module.sim.fes.push(now, now, *hop)
+
+
 def wired_ue():
     """A UE with generator, inside a rooted network, bound to a simulator."""
     root = CompoundModule("Network")
@@ -105,7 +114,7 @@ def test_nas_passes_generator_traffic_down_as_rrc():
     root, ue, sim = wired_ue()
     nas = ue.child("lte_nas")
     msg = sim.new_message("NASMsg", MessageKind.CONTROL_MESSAGE)
-    nas.handle_message(msg, "inFromUpperLayer")
+    deliver(nas, msg, "inFromUpperLayer")
     ev = sim.fes.pop_next()
     assert ev.target.name == "lte_rrc"
     assert ev.payload.name == "RRCMsg"
@@ -115,7 +124,7 @@ def test_mac_sends_packets_up_as_rlc_pck():
     root, ue, sim = wired_ue()
     mac = ue.child("lte_mac")
     pck = sim.new_message("MACPck", MessageKind.PACKET, 64)
-    mac.handle_message(pck, "inFromLowerLayer")
+    deliver(mac, pck, "inFromLowerLayer")
     ev = sim.fes.pop_next()
     assert ev.target.name == "lte_rlc"
     assert ev.payload.name == "RLCPck"
@@ -132,7 +141,7 @@ def test_layers_add_no_delay():
     root, ue, sim = wired_ue()
     pdcp = ue.child("lte_pdcp")
     msg = sim.new_message("PDCPMsg", MessageKind.CONTROL_MESSAGE)
-    ev_down = pdcp.handle_message(msg, "inFromUpperLayer")
+    deliver(pdcp, msg, "inFromUpperLayer")
     ev = sim.fes.pop_next()
     assert ev.fire_time == sim.now
 
@@ -141,7 +150,7 @@ def test_nas_delivers_returns_to_generator():
     root, ue, sim = wired_ue()
     nas = ue.child("lte_nas")
     msg = sim.new_message("NASMsg", MessageKind.CONTROL_MESSAGE)
-    nas.handle_message(msg, "inFromLowerLayer")
+    deliver(nas, msg, "inFromLowerLayer")
     ev = sim.fes.pop_next()
     assert ev.target.name == "generator"
     assert ev.payload.name == "GenMsg"
@@ -169,7 +178,7 @@ def test_phy_air_hop_reaches_attached_enb_radio():
     sim = Simulator(root)
     phy = ue.child("lte_phy")
     msg = sim.new_message("PHYMsg", MessageKind.CONTROL_MESSAGE)
-    phy.handle_message(msg, "inFromUpperLayer")
+    deliver(phy, msg, "inFromUpperLayer")
     ev = sim.fes.pop_next()
     assert ev.target is enb.child("lte_radio")
     assert ev.arrival_gate == "radioIn"
@@ -193,9 +202,9 @@ def test_enb_phy_returns_to_originating_ue():
         root.add_child(node)
     sim = Simulator(root)
     msg = sim.new_message("PHYMsg", MessageKind.CONTROL_MESSAGE)
-    ue_b.child("lte_phy").handle_message(msg, "inFromUpperLayer")  # stamps ue_b
+    deliver(ue_b.child("lte_phy"), msg, "inFromUpperLayer")  # stamps ue_b
     sim.fes.pop_next()
-    enb.child("lte_phy").handle_message(msg, "inFromUpperLayer")
+    deliver(enb.child("lte_phy"), msg, "inFromUpperLayer")
     ev = sim.fes.pop_next()
     assert ev.target is ue_b.child("lte_radio")
 
@@ -204,7 +213,7 @@ def test_radio_forwards_unrenamed_preserving_id():
     root, ue, sim = wired_ue()
     radio = ue.child("lte_radio")
     msg = sim.new_message("PHYMsg", MessageKind.CONTROL_MESSAGE)
-    radio.handle_message(msg, "radioIn")
+    deliver(radio, msg, "radioIn")
     ev = sim.fes.pop_next()
     assert ev.target.name == "lte_phy"
     assert ev.payload.name == "PHYMsg" and ev.payload.msg_id == msg.msg_id
@@ -215,8 +224,8 @@ def test_two_simultaneous_air_messages_delivered_fifo():
     radio = ue.child("lte_radio")
     first = sim.new_message("PHYMsg", MessageKind.CONTROL_MESSAGE)
     second = sim.new_message("PHYMsg", MessageKind.CONTROL_MESSAGE)
-    radio.handle_message(first, "radioIn")
-    radio.handle_message(second, "radioIn")
+    deliver(radio, first, "radioIn")
+    deliver(radio, second, "radioIn")
     assert sim.fes.pop_next().payload.msg_id == first.msg_id
     assert sim.fes.pop_next().payload.msg_id == second.msg_id
 
@@ -229,12 +238,30 @@ def test_reflector_turns_ip_msg_around_same_timestamp():
     ip = pdn.child("lte_ip")
     msg = sim.new_message("IPMsg", MessageKind.CONTROL_MESSAGE)
     mid = msg.msg_id
-    ip.handle_message(msg, "inFromLowerLayer")
+    deliver(ip, msg, "inFromLowerLayer")
     ev = sim.fes.pop_next()
     assert ev.target.name == "lte_gtp"
     assert ev.arrival_gate == "inFromUpperLayer"
     assert ev.payload.name == "GTPMsg" and ev.payload.msg_id == mid
     assert ev.fire_time == sim.now
+
+
+def test_enb_gtp_queues_a_delayed_hop_instead_of_returning_it():
+    root = CompoundModule("Network")
+    enb = build_enb("enb")
+    sgw = build_sgw_mme("sgw_mme")
+    root.add_child(enb)
+    root.add_child(sgw)
+    link_enb_to_sgw(enb, sgw, ChannelSpec(SimTime.from_millis(1)))
+    sim = Simulator(root)
+    msg = sim.new_message("GTPMsg", MessageKind.CONTROL_MESSAGE)
+    assert enb.child("lte_gtp").handle_message(msg, "inFromLowerLayer") is None
+    ev = sim.fes.pop_next()
+    assert ev.target is sgw.child("lte_s1")
+    assert ev.arrival_gate == "inFromLowerLayer[0]"
+    assert ev.payload.name == "S1Msg"
+    assert ev.fire_time == sim.now + SimTime.from_millis(1)
+    assert sim.fes.pop_next() is None
 
 
 # -- builders ----------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Cross-module properties over generated topologies.
 
-Two invariants that should hold for any wellformed network description:
-the canonical printing round-trips through the parser unchanged, and a
+Three invariants that should hold for any wellformed network description:
+the canonical printing round-trips through the parser unchanged, a
 zero-delay run conserves messages with every visited path matching the
-chain-walk oracle.
+chain-walk oracle, and dispatching returned hops at once changes nothing
+against queueing every one of them.
 """
+
+import io
 
 from hypothesis import given, settings, strategies as st
 
-from lteadv_sim import CollectingSink, build, parse
+from lteadv_sim import CollectingSink, StructuredTraceSink, build, parse
 from lteadv_sim.kernel import MessageKind, SimTime
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
@@ -51,6 +54,13 @@ def network_specs(draw):
             _selector_for("e", n_enb if enb_vector else None, enb_idx, want_all=False)))
 
     links = []
+    for i in range(n_enb):
+        delay_ms = draw(st.sampled_from((None, 0, 1, 2)))
+        if delay_ms is not None:
+            links.append(LinkDecl(
+                _selector_for("e", n_enb if enb_vector else None, i, want_all=False),
+                Selector("core"),
+                SimTime.from_millis(delay_ms) if delay_ms else None))
     if draw(st.booleans()):
         delay_ms = draw(st.sampled_from((0, 1, 2)))
         links.append(LinkDecl(
@@ -127,3 +137,32 @@ def test_generated_specs_run_conserved_and_oracle_clean(spec):
     if zero_delay:
         assert in_flight == 0
         assert all(rtt.ns == 0 for rtt in metrics.per_message_rtt.values())
+
+
+def _queue_every_hop(sim):
+    """Make every handler push the hop it returns and return None, so the
+    run loop queues each event, as it did before returned hops existed."""
+    for module in sim.root.iter_tree():
+        def handle_message(msg, arrival_gate, handle=module.handle_message):
+            hop = handle(msg, arrival_gate)
+            if hop is not None:
+                sim.fes.push(sim.now_ns, sim.now_ns, *hop)
+        module.handle_message = handle_message
+
+
+def _run_traced(spec, event_limit, queue_every_hop):
+    sim = build(spec).simulator()
+    if queue_every_hop:
+        _queue_every_hop(sim)
+    out = io.StringIO()
+    summary = sim.run(until=spec.until, event_limit=event_limit,
+                      sinks=[StructuredTraceSink(out)])
+    return (out.getvalue(), summary.events_executed, summary.stop_reason,
+            sim.now_ns, len(sim.fes))
+
+
+@given(network_specs(), st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
+@settings(deadline=None)
+def test_returned_hops_dispatch_in_queue_order(spec, event_limit):
+    assert (_run_traced(spec, event_limit, queue_every_hop=False)
+            == _run_traced(spec, event_limit, queue_every_hop=True))
