@@ -2,14 +2,19 @@
 write trace/metrics outputs.
 
 Exit codes: 0 success, 1 runtime failure, 2 config problems (printed with
-file:line:col locations), 64 usage errors. With no output flags the
-console log goes to stdout; LTEADV_SIM_TRACE=paper|structured|both picks
-its format. --quiet silences the console trace but never file outputs.
+file:line:col locations), 64 usage errors. An output file that cannot be
+opened is a usage error: every requested output is opened, and so created
+or truncated, after the config parses and before the network is built,
+so a bad path fails before the run, not after it. With no output flags
+the console log goes to stdout; LTEADV_SIM_TRACE=paper|structured|both
+picks its format. --quiet silences the console trace but never file
+outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -123,31 +128,36 @@ def main(argv: Optional[list] = None) -> int:
         spec.until = opts.until
     if opts.seed is not None:
         spec.seed = opts.seed
-    try:
-        built = netconfig.build(spec)
-    except netconfig.InvalidNetworkSpec as exc:
-        _print_diagnostics(opts.config, exc.diagnostics)
-        return EXIT_CONFIG
-    sim = built.simulator()
 
-    sinks = []
-    open_files = []
-    collector = None
-    try:
-        if opts.trace_out:
-            fh = open(opts.trace_out, "w", encoding="utf-8", newline="\n")
-            open_files.append(fh)
-            sinks.append(trace.PaperTraceSink(fh))
-        if opts.structured_out:
-            fh = open(opts.structured_out, "w", encoding="utf-8", newline="\n")
-            open_files.append(fh)
-            sinks.append(trace.StructuredTraceSink(fh))
-        if opts.metrics_out:
+    with contextlib.ExitStack() as outputs:  # closes every file it opened
+        files = []
+        for path in (opts.trace_out, opts.structured_out, opts.metrics_out):
+            try:
+                files.append(outputs.enter_context(
+                    open(path, "w", encoding="utf-8", newline="\n")) if path else None)
+            except OSError as exc:
+                print(f"{parser.prog}: error: cannot open output {path}: "
+                      f"{exc.strerror or exc}", file=sys.stderr)
+                return EXIT_USAGE
+        trace_fh, structured_fh, metrics_fh = files
+
+        try:
+            built = netconfig.build(spec)
+        except netconfig.InvalidNetworkSpec as exc:
+            _print_diagnostics(opts.config, exc.diagnostics)
+            return EXIT_CONFIG
+        sim = built.simulator()
+
+        sinks = []
+        collector = None
+        if trace_fh:
+            sinks.append(trace.PaperTraceSink(trace_fh))
+        if structured_fh:
+            sinks.append(trace.StructuredTraceSink(structured_fh))
+        if metrics_fh:
             collector = trace.CollectingSink()
             sinks.append(collector)
-        file_output_requested = bool(opts.trace_out or opts.structured_out
-                                     or opts.metrics_out)
-        if not file_output_requested and not opts.quiet:
+        if not any(files) and not opts.quiet:
             if console_format in ("paper", "both"):
                 sinks.append(trace.PaperTraceSink(sys.stdout))
             if console_format in ("structured", "both"):
@@ -160,14 +170,10 @@ def main(argv: Optional[list] = None) -> int:
             print(f"{parser.prog}: error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
 
-        if opts.metrics_out:
+        if metrics_fh:
             metrics = trace.summarize(collector.records, spec, summary)
-            with open(opts.metrics_out, "w", encoding="utf-8") as fh:
-                json.dump(metrics.to_json_dict(), fh, indent=2, sort_keys=False)
-                fh.write("\n")
-    finally:
-        for fh in open_files:
-            fh.close()
+            json.dump(metrics.to_json_dict(), metrics_fh, indent=2, sort_keys=False)
+            metrics_fh.write("\n")
 
     _print_summary(summary)
     return EXIT_OK

@@ -388,8 +388,7 @@ class Simulator:
             raise SimulationError("this simulator instance has already run")
         self._ran = True
 
-        self.root.lock_wiring()
-        self.root.assign_ids()
+        self.root.lock_and_number()
         for mod in self._modules:
             mod.on_start(self)
 

@@ -91,6 +91,9 @@ PDN_GW_STACK = (
 )
 
 _PACKET = MessageKind.PACKET
+# a layer's message names are its tag plus these, read once for all layers
+_CONTROL_SUFFIX = MessageKind.CONTROL_MESSAGE.name_suffix
+_PACKET_SUFFIX = _PACKET.name_suffix
 
 
 def relabel(msg: SimMessage, destination_tag: str) -> SimMessage:
@@ -126,8 +129,8 @@ class PassThroughLayer(SimpleModule):
         super().__init__(name, type_name=name)
         self.tag = tag
         # the names a message takes on arriving here, per kind
-        self.control_name = tag + MessageKind.CONTROL_MESSAGE.name_suffix
-        self.packet_name = tag + MessageKind.PACKET.name_suffix
+        self.control_name = tag + _CONTROL_SUFFIX
+        self.packet_name = tag + _PACKET_SUFFIX
         # Out gates toward the neighbors, set when wired
         self.up_gate: Optional[Gate] = None
         self.down_gate: Optional[Gate] = None

@@ -111,13 +111,15 @@ def gate_index(label: str) -> Optional[int]:
 class ModuleNode:
     """A node in the module tree; see SimpleModule and CompoundModule."""
 
+    children: tuple = ()  # a leaf has none; CompoundModule keeps a list
+
     def __init__(self, name: str, type_name: Optional[str] = None):
         self.name = name
         self.type_name = type_name if type_name is not None else name
         self.parent: Optional[ModuleNode] = None
         self.module_id: Optional[int] = None
         self._gates: dict[str, Gate] = {}
-        self._vector_next: dict[str, int] = {}
+        self._vector_next: Optional[dict[str, int]] = None  # made on first use
         self._locked = False
         self._path: Optional[str] = None
         self._sim = None
@@ -136,6 +138,8 @@ class ModuleNode:
 
     def add_vector_gate(self, name: str, direction: Direction) -> Gate:
         """Append one gate to the named vector and return it."""
+        if self._vector_next is None:
+            self._vector_next = {}
         idx = self._vector_next.get(name, 0)
         self._vector_next[name] = idx + 1
         return self.add_gate(name, direction, index=idx)
@@ -154,7 +158,22 @@ class ModuleNode:
     # -- tree ----------------------------------------------------------
 
     def iter_tree(self) -> Iterator["ModuleNode"]:
-        yield self
+        """This module and every module below it, depth-first pre-order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
+    def _walk(self) -> Iterator[tuple["ModuleNode", str]]:
+        """iter_tree() with each module's path, made top-down: its
+        parent's path, a dot and its own name."""
+        stack = [(self, self.full_path)]
+        while stack:
+            node, path = stack.pop()
+            yield node, path
+            stack.extend((child, f"{path}.{child.name}")
+                         for child in reversed(node.children))
 
     @property
     def full_path(self) -> str:
@@ -180,20 +199,22 @@ class ModuleNode:
         """Number this subtree depth-first pre-order starting at 1.
 
         Pure function of tree shape and names: the same tree always gets
-        the same ids. Returns the path -> id map.
+        the same ids. Returns the path -> id map. Simulator.run numbers
+        the tree the same way; build() leaves it unnumbered.
         """
         ids: dict[str, int] = {}
-        next_id = 1
-        for node in self.iter_tree():
-            node.module_id = next_id
-            ids[node.full_path] = next_id
-            next_id += 1
+        for module_id, (node, path) in enumerate(self._walk(), 1):
+            node.module_id = module_id
+            ids[path] = module_id
         return ids
 
-    def lock_wiring(self) -> None:
-        for node in self.iter_tree():
+    def lock_and_number(self) -> None:
+        """Lock this subtree's wiring, cache each module's path and
+        number it as assign_ids() does, in one top-down pass."""
+        for module_id, (node, path) in enumerate(self._walk(), 1):
             node._locked = True
-            node._path = node.full_path
+            node._path = path
+            node.module_id = module_id
 
     # -- simulation hooks ------------------------------------------------
 
@@ -258,11 +279,6 @@ class CompoundModule(ModuleNode):
         except KeyError:
             raise UnknownGate(
                 f"{self.full_path_or_name()} has no child named {name!r}") from None
-
-    def iter_tree(self) -> Iterator[ModuleNode]:
-        yield self
-        for c in self.children:
-            yield from c.iter_tree()
 
 
 def connect(out_gate: Gate, in_gate: Gate,

@@ -19,6 +19,14 @@ A small declarative format for wiring up networks:
 vector nodes as name[2], name[0..3] or name[*]; a bare name means every
 instance of that declaration.
 
+Lexical rules: a name starts with "_" or a character for which
+str.isalpha() holds and continues on str.isalnum() characters and "_";
+an integer is a run of ASCII digits 0-9; the symbols are { } [ ] ; *
+-> and ..; only space, tab, CR and LF are whitespace, and LF alone ends
+a line. Any other character is reported as unexpected, so "²", "½" and
+"Ⅷ" start neither a name nor an integer (they may continue a name).
+Columns count characters from 1.
+
 parse() reports syntax problems as located diagnostics and keeps going
 where it safely can; validate() checks the topology rules (exactly one
 PDN-GW and one S-GW/MME, every UE attached, selectors resolve, and so
@@ -30,6 +38,7 @@ checks the rules and resolves every selector in one pass.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -188,75 +197,62 @@ def format_duration(t: SimTime) -> str:
 
 # --------------------------------------------------------------------------
 # lexer
+#
+# A token is a plain tuple (kind, text, line, col), kind being "name",
+# "int", "sym" or "eof". The text settles the kind: only the eof token
+# is empty, ints are ASCII digits, symbols are punctuation and names
+# are words, so the parser tests a token by its text alone.
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # "name" | "int" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-_SYMBOLS = {"{", "}", "[", "]", ";", "*"}
-# ASCII only: str.isdigit() also accepts "²", which int() rejects
+_TOKEN = re.compile(r"""
+    [ \t\r]+ | \#.*                 # whitespace and comments: no group
+  | (?P<int>[0-9]+)
+  | (?P<name>[A-Za-z_]\w*)
+  | (?P<sym>->|\.\.|[{}\[\];*])
+  | (?P<other>\w+|.)                # a non-ASCII word or a stray character
+""", re.VERBOSE)
 _DIGITS = "0123456789"
 
 
-def _lex(source: str, diags: list[ParseDiagnostic]) -> list[_Token]:
-    toks: list[_Token] = []
-    line, col, i, n = 1, 1, 0, len(source)
+def _lex_other(text: str, line: int, col: int, toks: list[tuple],
+               diags: list[ParseDiagnostic]) -> None:
+    """Tokens of a word that starts outside ASCII, or of one stray
+    character. A name starts on an isalpha() character or "_" and runs
+    to the end of the word; ASCII digits make an int; any other
+    character ("²", "½", "Ⅷ", "٣", "-") is reported and skipped."""
+    i, n = 0, len(text)
     while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch in _DIGITS:
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            toks.append(_Token("int", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
+        ch = text[i]
         if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
+            toks.append(("name", text[i:], line, col + i))
+            return
+        if ch in _DIGITS:
+            j = i + 1
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            toks.append(_Token("name", source[i:j], line, start_col))
-            col += j - i
+            toks.append(("int", text[i:j], line, col + i))
             i = j
-            continue
-        if ch in _SYMBOLS:
-            toks.append(_Token("sym", ch, line, start_col))
+        else:
+            diags.append(ParseDiagnostic(Severity.ERROR, line, col + i,
+                                         f"unexpected character {ch!r}"))
             i += 1
-            col += 1
-            continue
-        if ch == "-" and i + 1 < n and source[i + 1] == ">":
-            toks.append(_Token("sym", "->", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch == "." and i + 1 < n and source[i + 1] == ".":
-            toks.append(_Token("sym", "..", line, start_col))
-            i += 2
-            col += 2
-            continue
-        diags.append(ParseDiagnostic(Severity.ERROR, line, start_col,
-                                     f"unexpected character {ch!r}"))
-        i += 1
-        col += 1
-    toks.append(_Token("eof", "", line, col))
+
+
+def _lex(source: str, diags: list[ParseDiagnostic]) -> list[tuple]:
+    toks: list[tuple] = []
+    append = toks.append
+    line = 0
+    for text in source.split("\n"):
+        line += 1
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "other":
+                _lex_other(m.group(), line, m.start() + 1, toks, diags)
+            elif kind is not None:
+                append((kind, m.group(), line, m.start() + 1))
+    # the last line's first "#" starts a comment, and the end of input
+    # sits where that comment starts
+    comment = text.find("#")
+    append(("eof", "", line, (len(text) if comment < 0 else comment) + 1))
     return toks
 
 
@@ -268,91 +264,90 @@ class _StmtError(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], diags: list[ParseDiagnostic]):
-        self.toks = tokens
-        self.pos = 0
+    """Recursive descent over the tokens; `tok` is the current one."""
+
+    def __init__(self, tokens: list[tuple], diags: list[ParseDiagnostic]):
+        self.next_tok = iter(tokens).__next__
+        self.tok = self.next_tok()
         self.diags = diags
 
-    @property
-    def cur(self) -> _Token:
-        return self.toks[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+    def advance(self) -> tuple:
+        tok = self.tok
+        if tok[0] != "eof":
+            self.tok = self.next_tok()
         return tok
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.cur
-        return tok.kind == kind and (text is None or tok.text == text)
+    def at(self, text: str) -> bool:
+        return self.tok[1] == text
 
-    def error(self, message: str, tok: Optional[_Token] = None) -> None:
-        tok = tok or self.cur
-        self.diags.append(ParseDiagnostic(Severity.ERROR, tok.line, tok.col, message))
+    def error(self, message: str, tok: Optional[tuple] = None) -> None:
+        _, _, line, col = tok or self.tok
+        self.diags.append(ParseDiagnostic(Severity.ERROR, line, col, message))
 
     def fail(self, message: str) -> None:
         self.error(message)
         raise _StmtError
 
-    def expect_sym(self, sym: str) -> _Token:
-        if not self.at("sym", sym):
-            self.fail(f"expected {sym!r}, found {self.cur.text!r}" if self.cur.kind != "eof"
-                      else f"expected {sym!r}, found end of input")
+    def fail_expected(self, what: str) -> None:
+        kind, text, _, _ = self.tok
+        self.fail(f"expected {what}, found {text!r}" if kind != "eof"
+                  else f"expected {what}, found end of input")
+
+    def expect_sym(self, sym: str) -> tuple:
+        if self.tok[1] != sym:
+            self.fail_expected(repr(sym))
         return self.advance()
 
-    def expect_close_bracket(self, open_tok: _Token) -> _Token:
+    def expect_close_bracket(self, open_tok: tuple) -> tuple:
         """Like expect_sym("]") but blames the unclosed '[' itself."""
-        if not self.at("sym", "]"):
+        if self.tok[1] != "]":
             self.error("unclosed '[' (expected ']')", open_tok)
             raise _StmtError
         return self.advance()
 
-    def expect_name(self, what: str) -> _Token:
-        if self.cur.kind != "name":
-            self.fail(f"expected {what}, found {self.cur.text!r}"
-                      if self.cur.kind != "eof" else f"expected {what}, found end of input")
-        return self.advance()
+    def expect_name(self, what: str) -> str:
+        if self.tok[0] != "name":
+            self.fail_expected(what)
+        return self.advance()[1]
 
-    def expect_keyword(self, word: str) -> _Token:
-        if not self.at("name", word):
-            self.fail(f"expected {word!r}, found {self.cur.text!r}")
+    def expect_keyword(self, word: str) -> tuple:
+        if self.tok[1] != word:
+            self.fail(f"expected {word!r}, found {self.tok[1]!r}")
         return self.advance()
 
     def expect_int(self, what: str) -> int:
-        if self.cur.kind != "int":
-            self.fail(f"expected {what}, found {self.cur.text!r}"
-                      if self.cur.kind != "eof" else f"expected {what}, found end of input")
+        if self.tok[0] != "int":
+            self.fail_expected(what)
         tok = self.advance()
         try:
-            return int(tok.text)
+            return int(tok[1])
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             self.error(f"{what} has too many digits", tok)
             raise _StmtError from None
 
     def parse_duration(self) -> SimTime:
         value = self.expect_int("a duration")
-        unit_tok = self.cur
-        if unit_tok.kind != "name" or unit_tok.text not in DURATION_UNITS:
+        unit_tok = self.tok
+        if unit_tok[1] not in DURATION_UNITS:
             self.fail("expected a duration unit (ns/us/ms/s)")
         self.advance()
         try:
-            return SimTime(value * DURATION_UNITS[unit_tok.text])
+            return SimTime(value * DURATION_UNITS[unit_tok[1]])
         except SimulationError as exc:
             self.error(str(exc), unit_tok)
             raise _StmtError from None
 
     def parse_selector(self) -> Selector:
-        name = self.expect_name("a node name").text
-        if not self.at("sym", "["):
+        name = self.expect_name("a node name")
+        if not self.at("["):
             return Selector(name)
         open_tok = self.advance()
-        if self.at("sym", "*"):
+        if self.at("*"):
             self.advance()
             self.expect_close_bracket(open_tok)
             return Selector(name, SelectorKind.STAR)
         lo = self.expect_int("an index")
-        if self.at("sym", ".."):
+        if self.at(".."):
             self.advance()
             hi = self.expect_int("an index")
             self.expect_close_bracket(open_tok)
@@ -363,63 +358,62 @@ class _Parser:
     def sync(self) -> None:
         """Skip to just past the next ';' (or stop before '}' / eof)."""
         while True:
-            if self.cur.kind == "eof" or self.at("sym", "}"):
+            if self.tok[0] == "eof" or self.at("}"):
                 return
-            tok = self.advance()
-            if tok.kind == "sym" and tok.text == ";":
+            if self.advance()[1] == ";":
                 return
 
     def parse_network(self) -> Optional[NetworkSpec]:
         try:
             self.expect_keyword("network")
-            name = self.expect_name("a network name").text
+            name = self.expect_name("a network name")
             self.expect_sym("{")
         except _StmtError:
             return None
         spec = NetworkSpec(network_name=name)
-        while not self.at("sym", "}") and self.cur.kind != "eof":
+        while not self.at("}") and self.tok[0] != "eof":
             try:
                 self.parse_statement(spec)
             except _StmtError:
                 self.sync()
-        if self.cur.kind == "eof":
+        if self.tok[0] == "eof":
             self.error("expected '}' to close the network block")
         else:
             self.advance()
-            if self.cur.kind != "eof":
+            if self.tok[0] != "eof":
                 self.error("trailing input after the network block")
         return spec
 
     def parse_statement(self, spec: NetworkSpec) -> None:
-        tok = self.cur
-        if tok.kind != "name":
-            self.fail(f"expected a statement, found {tok.text!r}")
-        if tok.text in NODE_KEYWORDS:
+        kind, text, _, _ = self.tok
+        if kind != "name":
+            self.fail(f"expected a statement, found {text!r}")
+        if text in NODE_KEYWORDS:
             self.parse_node_decl(spec)
-        elif tok.text == "attach":
+        elif text == "attach":
             self.parse_attach(spec)
-        elif tok.text == "link":
+        elif text == "link":
             self.parse_link(spec)
-        elif tok.text == "generator":
+        elif text == "generator":
             self.parse_generator(spec)
-        elif tok.text == "run":
+        elif text == "run":
             self.parse_run(spec)
-        elif tok.text == "seed":
+        elif text == "seed":
             self.parse_seed(spec)
         else:
-            self.fail(f"unknown statement keyword {tok.text!r}")
+            self.fail(f"unknown statement keyword {text!r}")
 
     def parse_node_decl(self, spec: NetworkSpec) -> None:
         kw = self.advance()
-        name = self.expect_name("a node name").text
+        name = self.expect_name("a node name")
         count = None
-        if self.at("sym", "["):
+        if self.at("["):
             open_tok = self.advance()
             count = self.expect_int("a node count")
             self.expect_close_bracket(open_tok)
         self.expect_sym(";")
-        spec.node_decls.append(NodeDecl(NODE_KEYWORDS[kw.text], name, count,
-                                        line=kw.line, col=kw.col))
+        spec.node_decls.append(NodeDecl(NODE_KEYWORDS[kw[1]], name, count,
+                                        line=kw[2], col=kw[3]))
 
     def parse_attach(self, spec: NetworkSpec) -> None:
         kw = self.advance()
@@ -427,7 +421,7 @@ class _Parser:
         self.expect_sym("->")
         enb = self.parse_selector()
         self.expect_sym(";")
-        spec.attachments.append(AttachDecl(ue, enb, line=kw.line, col=kw.col))
+        spec.attachments.append(AttachDecl(ue, enb, line=kw[2], col=kw[3]))
 
     def parse_link(self, spec: NetworkSpec) -> None:
         kw = self.advance()
@@ -435,11 +429,11 @@ class _Parser:
         self.expect_sym("->")
         dst = self.parse_selector()
         delay = None
-        if self.at("name", "delay"):
+        if self.at("delay"):
             self.advance()
             delay = self.parse_duration()
         self.expect_sym(";")
-        spec.links.append(LinkDecl(src, dst, delay, line=kw.line, col=kw.col))
+        spec.links.append(LinkDecl(src, dst, delay, line=kw[2], col=kw[3]))
 
     def parse_generator(self, spec: NetworkSpec) -> None:
         kw = self.advance()
@@ -447,10 +441,10 @@ class _Parser:
         target = self.parse_selector()
         self.expect_sym("{")
         options: dict = {}
-        while not self.at("sym", "}"):
-            if self.cur.kind == "eof":
+        while not self.at("}"):
+            if self.tok[0] == "eof":
                 self.fail("expected '}' to close the generator block")
-            opt = self.expect_name("a generator option").text
+            opt = self.expect_name("a generator option")
             if opt in options:
                 self.fail(f"duplicate generator option {opt!r}")
             if opt == "period":
@@ -458,10 +452,10 @@ class _Parser:
             elif opt == "start":
                 options["start_time"] = self.parse_duration()
             elif opt == "payload":
-                if self.at("name", "message"):
+                if self.at("message"):
                     self.advance()
                     options["payload"] = ("message", 0)
-                elif self.at("name", "packet"):
+                elif self.at("packet"):
                     self.advance()
                     options["payload"] = ("packet", self.expect_int("a byte count"))
                 else:
@@ -485,7 +479,7 @@ class _Parser:
         except ValueError as exc:
             self.error(str(exc), kw)
             raise _StmtError from None
-        spec.generators.append(GeneratorDecl(target, config, line=kw.line, col=kw.col))
+        spec.generators.append(GeneratorDecl(target, config, line=kw[2], col=kw[3]))
 
     def parse_run(self, spec: NetworkSpec) -> None:
         kw = self.advance()
@@ -766,7 +760,6 @@ def build(spec: NetworkSpec) -> BuiltNetwork:
         else:
             link_sgw_to_pdn(nodes[src], nodes[dst], channel)
 
-    root.assign_ids()
     return BuiltNetwork(root, nodes, spec)
 
 

@@ -19,6 +19,8 @@ DEFAULT_PERIOD = SimTime.from_millis(10)
 
 # Returning messages arrive named GenMsg / GenPck.
 GENERATOR_TAG = "Gen"
+_CONTROL_NAME = GENERATOR_TAG + MessageKind.CONTROL_MESSAGE.name_suffix
+_PACKET_NAME = GENERATOR_TAG + MessageKind.PACKET.name_suffix
 # Self-event payload name; shows up in traces as an event at the generator.
 TIMER_NAME = "GenTimer"
 
@@ -58,8 +60,8 @@ class Generator(SimpleModule):
         super().__init__(name, type_name="generator")
         self.config = config
         self.stats = GeneratorStats()
-        self.control_name = GENERATOR_TAG + MessageKind.CONTROL_MESSAGE.name_suffix
-        self.packet_name = GENERATOR_TAG + MessageKind.PACKET.name_suffix
+        self.control_name = _CONTROL_NAME
+        self.packet_name = _PACKET_NAME
         self.down_gate: Optional[Gate] = None  # toward the stack, set when wired
 
     @property

@@ -1,8 +1,10 @@
 """CLI tests: flags, exit codes, output files, env-selected console format."""
 
+import gc
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -143,6 +145,28 @@ def test_metrics_out(tmp_path):
     assert blob["round_trips"] == 100
     assert blob["total_events"] == 3899
     assert blob["path_mismatches"] == []
+
+
+OUTPUT_FLAGS = ("--trace-out", "--structured-out", "--metrics-out")
+
+
+@pytest.mark.parametrize("bad_flag", OUTPUT_FLAGS)
+def test_unopenable_output_is_usage_error_before_the_run(bad_flag, tmp_path, capsys):
+    bad = tmp_path / "no" / "such" / "dir" / "out.txt"
+    argv = ["--config", MINIMAL]
+    for flag in OUTPUT_FLAGS:
+        argv += [flag, str(bad if flag == bad_flag else tmp_path / flag.strip("-"))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code = main(argv)
+        gc.collect()
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"lteadv-sim: error: cannot open output {bad}: No such file or directory\n"
+    # the outputs opened before the bad one were closed, and none was written
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    for flag in OUTPUT_FLAGS[:OUTPUT_FLAGS.index(bad_flag)]:
+        assert (tmp_path / flag.strip("-")).read_text() == ""
 
 
 def test_seed_override_lands_in_summary(capsys):

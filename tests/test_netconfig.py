@@ -1,17 +1,20 @@
 """Topology language tests: parsing, diagnostics, validation, building."""
 
+import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lteadv_sim.kernel import SimTime
 from lteadv_sim.lte_nodes import LayerSpec, NodeType
+from lteadv_sim.model import SimpleModule
 from lteadv_sim.netconfig import (InvalidNetworkSpec, Selector, SelectorKind,
-                                  Severity, build, effective_links, format_spec,
-                                  parse, parse_duration, validate)
+                                  Severity, _lex, build, effective_links,
+                                  format_spec, parse, parse_duration, validate)
 
 from conftest import MULTI_UE_SOURCE, MINIMAL_SOURCE
+from reference_lexer import reference_lex
 
 
 def parse_ok(source):
@@ -373,8 +376,9 @@ def test_print_then_parse_round_trips(source):
 
 # -- parser fuzz ----------------------------------------------------------------------
 
+FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_SOURCES = [path.read_text(encoding="utf-8")
-                   for path in sorted((Path(__file__).parent / "fixtures").glob("*.net"))]
+                   for path in sorted(FIXTURES.glob("*.net"))]
 
 # the language's own words and symbols, so random text often gets past
 # the lexer and exercises the parser's recovery
@@ -432,6 +436,57 @@ def test_parse_fuzz_mutated_fixtures(source):
     _check_parse(source)
 
 
+# -- lexer against the character-loop reference ---------------------------------------
+
+# Characters on which Unicode's categories and the lexer's rules part:
+# "²" and "½" are isdigit()/isnumeric() but no letter, "Ⅷ" a letter
+# number, "٣" a non-ASCII decimal digit, "ǅ" a titlecase letter, "é" a
+# letter outside ASCII, U+0301 a combining mark, and the rest whitespace
+# the lexer does not skip.
+_UNICODE_EDGES = ("\u00b2", "\u00bd", "\u2167", "\u0663", "\u01c5", "\u00e9", "\u0301",
+                  "\u00a0", "\x0b", "\x0c", "\u2028")
+_edge_text = st.text(alphabet=st.sampled_from(_UNICODE_EDGES + tuple("ax_09 \t\r\n#-.>[];{}*")),
+                     max_size=40)
+
+
+def _lex_with_diagnostics(source):
+    diags = []
+    return _lex(source, diags), diags
+
+
+@given(st.one_of(_random_source, _mutated_fixture(), _edge_text))
+@example("network N { seed \u00b2; }")
+@example("\u00bd")
+@example("\u2167x")
+def test_lexer_matches_reference(source):
+    assert _lex_with_diagnostics(source) == reference_lex(source)
+
+
+@pytest.mark.parametrize("source, tokens, diagnostics", [
+    ("network N { seed \u00b2; }",
+     [("name", "network", 1, 1), ("name", "N", 1, 9), ("sym", "{", 1, 11),
+      ("name", "seed", 1, 13), ("sym", ";", 1, 19), ("sym", "}", 1, 21),
+      ("eof", "", 1, 22)],
+     [(1, 18, "unexpected character '\u00b2'")]),
+    ("\u00bd", [("eof", "", 1, 2)], [(1, 1, "unexpected character '\u00bd'")]),
+    ("\u2167x", [("name", "x", 1, 2), ("eof", "", 1, 3)],
+     [(1, 1, "unexpected character '\u2167'")]),
+    ("x\u00b2 \u00e9\u0663 # note", [("name", "x\u00b2", 1, 1), ("name", "\u00e9\u0663", 1, 4),
+                                  ("eof", "", 1, 7)], []),
+])
+def test_numeric_characters_continue_but_never_start_names(source, tokens, diagnostics):
+    toks, diags = _lex_with_diagnostics(source)
+    assert toks == tokens
+    assert [(d.line, d.col, d.message) for d in diags] == diagnostics
+
+
+def test_word_pattern_is_isalnum_or_underscore():
+    # the scanner's \w must continue a name exactly where the character
+    # loop did: on isalnum() or "_"
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\w", every) == [c for c in every if c.isalnum() or c == "_"]
+
+
 @pytest.mark.parametrize("source", [
     "network N { seed \u00b2; }",          # str.isdigit() but not int()
     "network N { ue u[\u0663]; }",         # a non-ASCII decimal digit
@@ -485,6 +540,44 @@ def test_build_twice_identical_ids(multi_ue_spec):
     second = build(multi_ue_spec).root.assign_ids()
     assert first == second
     assert len(set(first.values())) == len(first)  # ids unique
+
+
+def _reference_preorder(node, names=()):
+    """(module, path) pairs, depth-first pre-order, by plain recursion."""
+    names = names + (node.name,)
+    yield node, ".".join(names)
+    for child in node.children:
+        yield from _reference_preorder(child, names)
+
+
+def test_run_numbers_every_module_in_preorder_with_its_path():
+    spec = parse_ok((FIXTURES / "desk_50ms.net").read_text(encoding="utf-8"))
+    built = build(spec)
+    built.simulator().run(until=spec.until)
+    expected = list(_reference_preorder(built.root))
+    assert len(expected) == 989  # 100 UEs, 10 eNBs and the core
+    assert [(m.module_id, m.full_path) for m, _ in expected] == [
+        (module_id, path) for module_id, (_, path) in enumerate(expected, 1)]
+
+
+def test_build_leaves_ids_to_assign_ids_and_run(minimal_spec):
+    built = build(minimal_spec)
+    assert {m.module_id for m in built.root.iter_tree()} == {None}
+    ids = built.root.assign_ids()
+    assert ids == {path: module_id for module_id, (_, path)
+                   in enumerate(_reference_preorder(built.root), 1)}
+    built = build(minimal_spec)
+    built.simulator().run(until=minimal_spec.until)
+    assert {m.full_path: m.module_id for m in built.root.iter_tree()} == ids
+
+
+def test_node_attached_after_build_gets_its_path_and_id(minimal_spec):
+    built = build(minimal_spec)
+    probe = built.nodes["ue"].add_child(SimpleModule("probe"))
+    built.simulator().run(until=minimal_spec.until)
+    preorder = [m for m, _ in _reference_preorder(built.root)]
+    assert probe.full_path == "Network.ue.probe"
+    assert probe.module_id == preorder.index(probe) + 1
 
 
 def test_build_refuses_invalid_spec():
