@@ -43,9 +43,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _duration(text: str):
     try:
-        return netconfig.parse_duration(text)
-    except (ValueError, SimulationError) as exc:
+        value = netconfig.parse_duration(text)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    if value.ns <= 0:
+        raise argparse.ArgumentTypeError("must be positive")
+    return value
 
 
 def _positive_int(text: str) -> int:

@@ -80,14 +80,6 @@ class SimTime:
             raise SimTimeRangeError(f"simulation time overflows 64 bits: {self.ns} ns")
 
     @classmethod
-    def zero(cls) -> "SimTime":
-        return cls(0)
-
-    @classmethod
-    def from_micros(cls, us: int) -> "SimTime":
-        return cls(us * NS_PER_US)
-
-    @classmethod
     def from_millis(cls, ms: int) -> "SimTime":
         return cls(ms * NS_PER_MS)
 
@@ -129,10 +121,6 @@ class MessageKind(enum.Enum):
 
     CONTROL_MESSAGE = "cMessage"
     PACKET = "cPacket"
-
-    @property
-    def trace_label(self) -> str:
-        return self.value
 
     @property
     def name_suffix(self) -> str:
@@ -195,7 +183,7 @@ class SimMessage:
 
     def __repr__(self) -> str:
         return (f"SimMessage(id={self._msg_id}, name={self.name!r}, "
-                f"kind={self._kind.trace_label})")
+                f"kind={self.kind_label})")
 
 
 @dataclass(slots=True)
@@ -225,10 +213,6 @@ class EventRecord:
     msg_name: str
     msg_kind: str
     msg_id: int
-
-    @property
-    def time(self) -> SimTime:
-        return SimTime(self.t_ns)
 
 
 class StopReason(enum.Enum):

@@ -26,8 +26,8 @@ from .kernel import MessageKind, SimMessage, SimulationError
 from .model import (IN_FROM_LOWER, IN_FROM_UPPER, OUT_TO_LOWER, OUT_TO_UPPER,
                     RADIO_IN, ChannelSpec, CompoundModule, Direction, Gate,
                     ModuleNode, SimpleModule, UnknownArrivalGate, connect,
-                    gate_base, gate_index, transmit)
-from .traffic import GENERATOR_TAG, Generator, GeneratorConfig
+                    transmit)
+from .traffic import Generator, GeneratorConfig
 
 
 # a handler's zero-delay hop, (target, arrival_label, msg), or None
@@ -139,44 +139,46 @@ class PassThroughLayer(SimpleModule):
         if arrival_gate == IN_FROM_UPPER:
             return self.forward_down(msg)
         if arrival_gate == IN_FROM_LOWER:
-            return self.forward_up(msg, arrival_gate)
+            return self.forward_up(msg)
         raise UnknownArrivalGate(
             f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
 
     def forward_down(self, msg: SimMessage) -> Hop:
         return relay(self.down_gate, msg)
 
-    def forward_up(self, msg: SimMessage, arrival_gate: str) -> Hop:
+    def forward_up(self, msg: SimMessage) -> Hop:
         return relay(self.up_gate, msg)
 
 
 class FanInLayer(PassThroughLayer):
     """Bottom of the S-GW/MME (S1): one lower gate pair per linked eNB.
 
-    A message coming up remembers its ingress index on itself, so the
-    reply leaves through the same gate.
+    `reply_gates` maps the label of each pair's In gate to its Out gate,
+    recorded when the eNB is linked. A message coming up carries that
+    Out gate on its route, so the reply leaves through it.
     """
+
+    def __init__(self, name: str, tag: str):
+        super().__init__(name, tag)
+        self.reply_gates: dict[str, Gate] = {}
 
     def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
         # no super() call: one event is one handle_message call, which is
         # what per-type handler counts rely on
         if arrival_gate == IN_FROM_UPPER:
             return self.forward_down(msg)
-        if gate_base(arrival_gate) == IN_FROM_LOWER and arrival_gate in self._gates:
-            # only the lower gates this layer really has carry an [index]
-            return self.forward_up(msg, arrival_gate)
-        raise UnknownArrivalGate(
-            f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
+        reply_gate = self.reply_gates.get(arrival_gate)
+        if reply_gate is None:
+            raise UnknownArrivalGate(
+                f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
+        msg.push_route(reply_gate)
+        return relay(self.up_gate, msg)
 
     def forward_down(self, msg: SimMessage) -> Hop:
-        idx = msg.pop_route()
-        if not isinstance(idx, int):
+        reply_gate = msg.pop_route()
+        if not isinstance(reply_gate, Gate):
             raise NoRadioPeer(f"{self.full_path_or_name()}: no return route on {msg!r}")
-        return relay(self.gate(OUT_TO_LOWER, idx), msg)
-
-    def forward_up(self, msg: SimMessage, arrival_gate: str) -> Hop:
-        msg.push_route(gate_index(arrival_gate))
-        return relay(self.up_gate, msg)
+        return relay(reply_gate, msg)
 
 
 class NasLayer(PassThroughLayer):
@@ -191,7 +193,7 @@ class NasLayer(PassThroughLayer):
         super().__init__(name, tag)
         self.drop_count = 0
 
-    def forward_up(self, msg: SimMessage, arrival_gate: str) -> Hop:
+    def forward_up(self, msg: SimMessage) -> Hop:
         if self.up_gate is not None:
             return relay(self.up_gate, msg)
         self.drop_count += 1
@@ -255,10 +257,13 @@ class ReflectorLayer(PassThroughLayer):
 def wire_vertical(upper: ModuleNode, lower: ModuleNode,
                   channel: ChannelSpec = ChannelSpec(),
                   vector_on_upper: bool = False) -> None:
-    """Join two stack neighbors with an opposed pair of one-way channels."""
+    """Join two stack neighbors with an opposed pair of one-way channels;
+    `vector_on_upper` gives a FanInLayer its next pair and reply gate."""
     if vector_on_upper:
-        u_out = upper.add_vector_gate(OUT_TO_LOWER, Direction.OUT)
-        u_in = upper.add_vector_gate(IN_FROM_LOWER, Direction.IN)
+        index = len(upper.reply_gates)
+        u_out = upper.add_gate(OUT_TO_LOWER, Direction.OUT, index)
+        u_in = upper.add_gate(IN_FROM_LOWER, Direction.IN, index)
+        upper.reply_gates[u_in.label] = u_out
     else:
         u_out = upper.add_gate(OUT_TO_LOWER, Direction.OUT)
         u_in = upper.add_gate(IN_FROM_LOWER, Direction.IN)

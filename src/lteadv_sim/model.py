@@ -94,20 +94,6 @@ class Gate:
         return f"Gate({owner}.{self.label}, {self.direction.value})"
 
 
-def gate_base(label: str) -> str:
-    """Strip a vector index from a gate label: "inFromLowerLayer[2]" -> base."""
-    cut = label.find("[")
-    return label if cut < 0 else label[:cut]
-
-
-def gate_index(label: str) -> Optional[int]:
-    """Vector index of a gate label, or None for a scalar gate."""
-    cut = label.find("[")
-    if cut < 0:
-        return None
-    return int(label[cut + 1:-1])
-
-
 class ModuleNode:
     """A node in the module tree; see SimpleModule and CompoundModule."""
 
@@ -119,7 +105,6 @@ class ModuleNode:
         self.parent: Optional[ModuleNode] = None
         self.module_id: Optional[int] = None
         self._gates: dict[str, Gate] = {}
-        self._vector_next: Optional[dict[str, int]] = None  # made on first use
         self._locked = False
         self._path: Optional[str] = None
         self._sim = None
@@ -136,24 +121,12 @@ class ModuleNode:
         self._gates[g.label] = g
         return g
 
-    def add_vector_gate(self, name: str, direction: Direction) -> Gate:
-        """Append one gate to the named vector and return it."""
-        if self._vector_next is None:
-            self._vector_next = {}
-        idx = self._vector_next.get(name, 0)
-        self._vector_next[name] = idx + 1
-        return self.add_gate(name, direction, index=idx)
-
     def gate(self, name: str, index: Optional[int] = None) -> Gate:
         label = name if index is None else f"{name}[{index}]"
         try:
             return self._gates[label]
         except KeyError:
             raise UnknownGate(f"{self.full_path_or_name()} has no gate {label!r}") from None
-
-    @property
-    def gates(self) -> tuple[Gate, ...]:
-        return tuple(self._gates.values())
 
     # -- tree ----------------------------------------------------------
 

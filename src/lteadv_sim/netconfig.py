@@ -180,12 +180,20 @@ class ParseResult:
 
 
 def parse_duration(text: str) -> SimTime:
-    """Parse "10ms"-style duration text (used by the CLI for overrides)."""
-    body = text.strip()
-    for unit in ("ns", "us", "ms", "s"):  # "s" last: "ms" ends with it
-        if body.endswith(unit) and body[:-len(unit)].isdigit():
-            return SimTime(int(body[:-len(unit)]) * DURATION_UNITS[unit])
-    raise ValueError(f"bad duration {text!r}: expected INT followed by ns/us/ms/s")
+    """Parse "10ms"-style duration text with the config grammar (used by
+    the CLI for overrides); raises ValueError with the first diagnostic."""
+    diags: list[ParseDiagnostic] = []
+    parser = _Parser(_lex(text, diags), diags)
+    try:
+        value = parser.parse_duration()
+        if parser.tok[0] != "eof":
+            parser.fail_expected("end of input")
+    except _StmtError:
+        pass
+    if diags:
+        first = diags[0]
+        raise ValueError(f"bad duration {text!r}: {first.line}:{first.col}: {first.message}")
+    return value
 
 
 def format_duration(t: SimTime) -> str:
@@ -440,45 +448,43 @@ class _Parser:
         self.expect_keyword("on")
         target = self.parse_selector()
         self.expect_sym("{")
-        options: dict = {}
-        while not self.at("}"):
-            if self.tok[0] == "eof":
-                self.fail("expected '}' to close the generator block")
-            opt = self.expect_name("a generator option")
-            if opt in options:
-                self.fail(f"duplicate generator option {opt!r}")
-            if opt == "period":
-                options["period"] = self.parse_duration()
-            elif opt == "start":
-                options["start_time"] = self.parse_duration()
-            elif opt == "payload":
-                if self.at("message"):
-                    self.advance()
-                    options["payload"] = ("message", 0)
-                elif self.at("packet"):
-                    self.advance()
-                    options["payload"] = ("packet", self.expect_int("a byte count"))
+        seen: set[str] = set()  # option words
+        kwargs: dict = {}       # GeneratorConfig's
+        try:
+            while not self.at("}"):
+                if self.tok[0] == "eof":
+                    self.fail("expected '}' to close the generator block")
+                opt = self.expect_name("a generator option")
+                if opt in seen:
+                    self.fail(f"duplicate generator option {opt!r}")
+                seen.add(opt)
+                if opt == "period":
+                    kwargs["period"] = self.parse_duration()
+                elif opt == "start":
+                    kwargs["start_time"] = self.parse_duration()
+                elif opt == "payload":
+                    if self.at("message"):
+                        self.advance()
+                    elif self.at("packet"):
+                        self.advance()
+                        kwargs["payload_kind"] = MessageKind.PACKET
+                        kwargs["payload_bytes"] = self.expect_int("a byte count")
+                    else:
+                        self.fail("expected 'message' or 'packet' after 'payload'")
                 else:
-                    self.fail("expected 'message' or 'packet' after 'payload'")
-            else:
-                self.fail(f"unknown generator option {opt!r}")
-            self.expect_sym(";")
+                    self.fail(f"unknown generator option {opt!r}")
+                self.expect_sym(";")
+        except _StmtError:
+            # one diagnostic per block: resume after the block's '}'
+            while self.tok[0] != "eof" and self.advance()[1] != "}":
+                pass
+            return
         self.advance()
-        kwargs = {}
-        if "period" in options:
-            kwargs["period"] = options["period"]
-        if "start_time" in options:
-            kwargs["start_time"] = options["start_time"]
-        if "payload" in options:
-            which, size = options["payload"]
-            kwargs["payload_kind"] = (MessageKind.PACKET if which == "packet"
-                                      else MessageKind.CONTROL_MESSAGE)
-            kwargs["payload_bytes"] = size
         try:
             config = GeneratorConfig(**kwargs)
         except ValueError as exc:
             self.error(str(exc), kw)
-            raise _StmtError from None
+            return
         spec.generators.append(GeneratorDecl(target, config, line=kw[2], col=kw[3]))
 
     def parse_run(self, spec: NetworkSpec) -> None:
@@ -488,8 +494,8 @@ class _Parser:
         self.expect_sym(";")
         if spec.until is not None:
             self.error("duplicate 'run until' statement", kw)
-            raise _StmtError
-        spec.until = until
+        else:
+            spec.until = until
 
     def parse_seed(self, spec: NetworkSpec) -> None:
         kw = self.advance()
@@ -497,8 +503,8 @@ class _Parser:
         self.expect_sym(";")
         if spec.seed is not None:
             self.error("duplicate 'seed' statement", kw)
-            raise _StmtError
-        spec.seed = value
+        else:
+            spec.seed = value
 
 
 def parse(source: str) -> ParseResult:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from lteadv_sim import netconfig
-from lteadv_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_USAGE, main
+from lteadv_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MINIMAL = str(FIXTURES / "minimal.net")
@@ -35,6 +35,31 @@ def test_missing_config_is_usage_error(capsys):
 
 def test_bad_duration_is_usage_error(capsys):
     assert main(["--config", MINIMAL, "--until", "fast"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("until, reason", [
+    ("\u0661\u0660ms", "bad duration '\u0661\u0660ms': 1:1: unexpected character '\u0661'"),
+    ("0s", "must be positive"),
+])
+def test_until_takes_the_config_grammar_and_must_be_positive(until, reason, capsys):
+    assert main(["--config", MINIMAL, "--until", until]) == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(
+        f"lteadv-sim: error: argument --until: {reason}\n")
+
+
+def test_time_overflow_in_a_handler_is_a_runtime_error(tmp_path, capsys):
+    config = tmp_path / "overflow.net"
+    config.write_text(
+        "network N {\n"
+        "    ue u; enb e; sgw_mme s; pdn_gw p;\n"
+        "    attach u -> e;\n"
+        "    generator on u { period 9223372036854775807ns; start 1ns; }\n"
+        "    run until 9223372036854775807ns;\n"
+        "}\n")
+    assert main(["--config", str(config), "--quiet"]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        "lteadv-sim: error: event #38 at N.u.generator: "
+        "simulation time overflows 64 bits: 9223372036854775808 ns\n")
 
 
 def test_unreadable_config_is_config_error(tmp_path, capsys):

@@ -137,6 +137,38 @@ def test_unknown_arrival_gate_rejected():
         rrc.handle_message(sim.new_message("m", MessageKind.CONTROL_MESSAGE), "bogus")
 
 
+def wired_sgw():
+    """An S-GW/MME with one eNB linked, inside a rooted network, bound to
+    a simulator; returns its S1 layer and the simulator."""
+    root = CompoundModule("Network")
+    enb = build_enb("enb")
+    sgw = build_sgw_mme("sgw_mme")
+    root.add_child(enb)
+    root.add_child(sgw)
+    link_enb_to_sgw(enb, sgw)
+    sim = Simulator(root)
+    return sgw.child("lte_s1"), sim
+
+
+def test_s1_going_down_without_a_route_has_no_return_route():
+    s1, sim = wired_sgw()
+    msg = sim.new_message("m", MessageKind.CONTROL_MESSAGE)
+    with pytest.raises(NoRadioPeer) as err:
+        s1.handle_message(msg, "inFromUpperLayer")
+    assert str(err.value) == ("Network.sgw_mme.lte_s1: no return route on "
+                              "SimMessage(id=1, name='m', kind=cMessage)")
+
+
+@pytest.mark.parametrize("label", ["inFromLowerLayer", "inFromLowerLayer[1]",
+                                   "outToLowerLayer[0]", "bogus"])
+def test_s1_rejects_a_lower_label_it_does_not_have(label):
+    s1, sim = wired_sgw()
+    msg = sim.new_message("m", MessageKind.CONTROL_MESSAGE)
+    with pytest.raises(UnknownArrivalGate) as err:
+        s1.handle_message(msg, label)
+    assert str(err.value) == f"Network.sgw_mme.lte_s1: unexpected arrival on {label!r}"
+
+
 def test_layers_add_no_delay():
     root, ue, sim = wired_ue()
     pdcp = ue.child("lte_pdcp")

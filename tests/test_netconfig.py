@@ -115,6 +115,18 @@ def test_parse_duration_helper():
         parse_duration("1.5s")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("\u0661\u0660ms", "1:1: unexpected character '\u0661'"),  # Arabic-Indic 10
+    ("10ms 5", "1:6: expected end of input, found '5'"),
+    ("99999999999999999999s",
+     "1:21: simulation time overflows 64 bits: 99999999999999999999000000000 ns"),
+])
+def test_parse_duration_uses_the_config_grammar(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_duration(text)
+    assert str(err.value) == f"bad duration {text!r}: {message}"
+
+
 def test_seed_and_duplicate_seed():
     spec = parse_ok("""network N {
     ue u; enb e; sgw_mme s; pdn_gw p;
@@ -138,6 +150,45 @@ def test_generator_options():
     assert cfg.period == SimTime.from_millis(20)
     assert cfg.start_time == SimTime.from_millis(5)
     assert cfg.payload_bytes == 1500
+
+
+@pytest.mark.parametrize("options, where, word", [
+    ("period 1ms; period 2ms;", 49, "period"),
+    ("start 1ms; start 2ms;", 47, "start"),
+    ("payload message; payload packet 3;", 55, "payload"),
+])
+def test_each_generator_option_at_most_once(options, where, word):
+    result = parse(f"network N {{ generator on u {{ {options} }} }}")
+    assert [str(d) for d in result.diagnostics] == [
+        f"1:{where}: error: duplicate generator option {word!r}"]
+
+
+def test_generator_option_mistake_resumes_after_the_block():
+    # the block's '}' closes the block, not the network
+    result = parse("network N { ue u; generator on u { period 1ms; bogus 2; }"
+                   " enb e; seed 1; }")
+    assert [str(d) for d in result.diagnostics] == [
+        "1:54: error: unknown generator option 'bogus'"]
+    # a mistake in a block with no '}' runs to the end of input
+    result = parse("network N { generator on u { period 1ms; bogus 2;")
+    assert [str(d) for d in result.diagnostics] == [
+        "1:48: error: unknown generator option 'bogus'",
+        "1:50: error: expected '}' to close the network block"]
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("network N { run until 1s; run until 2s; seed x; }",
+     ["1:27: error: duplicate 'run until' statement",
+      "1:46: error: expected a seed value, found 'x'"]),
+    ("network N { seed 1; seed 2; seed x; }",
+     ["1:21: error: duplicate 'seed' statement",
+      "1:34: error: expected a seed value, found 'x'"]),
+    ("network N { generator on u { period 0ms; } enb e[; }",
+     ["1:13: error: generator period must be positive",
+      "1:50: error: expected a node count, found ';'"]),
+])
+def test_complete_statement_error_keeps_the_next_statement(source, expected):
+    assert [str(d) for d in parse(source).diagnostics] == expected
 
 
 def test_zero_period_is_a_located_diagnostic():

@@ -1,13 +1,15 @@
 """Cross-module properties over generated topologies.
 
-Three invariants that should hold for any wellformed network description:
-the canonical printing round-trips through the parser unchanged, a
-zero-delay run conserves messages with every visited path matching the
-chain-walk oracle, and dispatching returned hops at once changes nothing
-against queueing every one of them.
+Invariants that should hold for any wellformed network description: the
+canonical printing round-trips through the parser unchanged, one mistake
+in its generator block is one diagnostic, a zero-delay run conserves
+messages with every visited path matching the chain-walk oracle, and
+dispatching returned hops at once changes nothing against queueing
+every one of them.
 """
 
 import io
+import re
 
 from hypothesis import given, settings, strategies as st
 
@@ -137,6 +139,30 @@ def test_generated_specs_run_conserved_and_oracle_clean(spec):
     if zero_delay:
         assert in_flight == 0
         assert all(rtt.ns == 0 for rtt in metrics.per_message_rtt.values())
+
+
+_GENERATOR_OPTIONS = ("period", "start", "payload")
+_unknown_options = st.builds(
+    "{} {};".format,
+    st.from_regex(r"[a-z_][a-z0-9_]{0,7}", fullmatch=True).filter(
+        lambda word: word not in _GENERATOR_OPTIONS),
+    st.sampled_from(("1", "1ms", "packet 3", "message")))
+
+
+@given(network_specs(), st.data())
+def test_generator_option_mistake_reported_once_on_its_line(spec, data):
+    """An unknown or repeated option in a generator block is one
+    diagnostic on the block's line; parsing resumes after the block."""
+    lines = format_spec(spec).split("\n")
+    row = next(i for i, line in enumerate(lines) if "generator on" in line)
+    head, _, body = lines[row].partition("{ ")
+    options = re.findall(r"[^ ;][^;]*;", body)
+    mistake = data.draw(st.one_of(st.sampled_from(options), _unknown_options))
+    options.insert(data.draw(st.integers(0, len(options))), mistake)
+    lines[row] = head + "{ " + " ".join(options) + " }"
+    result = parse("\n".join(lines))
+    assert result.spec is None
+    assert [d.line for d in result.diagnostics] == [row + 1], result.diagnostics
 
 
 def _queue_every_hop(sim):

@@ -326,6 +326,24 @@ def test_summarize_counts_drops_for_generatorless_ue():
     assert metrics.path_mismatches == []
 
 
+def test_summarize_mismatch_wordings(minimal_spec):
+    """The two mismatch wordings no run produces, pinned byte for byte: a
+    first hop that starts no walk, and a full walk that runs on."""
+    def records(msg_id, hops):
+        return [EventRecord(i + 1, 0, path, path.rsplit(".", 1)[1], i + 1, name,
+                            "cMessage", msg_id)
+                for i, (path, name) in enumerate(hops)]
+    walk = data_walk(minimal_spec, "ue")
+    stray = records(5, [("Network.enb.lte_phy", "PHYMsg")])
+    overlong = records(7, walk + [("Network.ue.lte_nas", "NASMsg")])
+    metrics = summarize(stray + overlong, minimal_spec)
+    assert metrics.path_mismatches == [
+        "msg 5: unexpected first hop ('Network.enb.lte_phy', 'PHYMsg')",
+        "msg 7: 39 hops, expected 38",
+    ]
+    assert metrics.round_trips == 0
+
+
 def test_summarize_repeated_runs_identical(minimal_spec):
     firsts = []
     for _ in range(2):
