@@ -10,7 +10,7 @@ against the chain-walk oracle's closed-form prediction.
 
 import time
 
-from lteadv_sim import CollectingSink, build, parse, summarize
+from lteadv_sim import MetricsSink, build, parse
 from lteadv_sim.trace import expected_event_total
 
 N_UE, N_ENB = 100, 10
@@ -27,9 +27,9 @@ spec = parse("\n".join(lines)).spec
 start = time.perf_counter()
 network = build(spec)
 sim = network.simulator()
-sink = CollectingSink()
+sink = MetricsSink(spec)  # folds each event as it arrives, keeps no record
 summary = sim.run(until=spec.until, sinks=[sink])
-metrics = summarize(sink.records, spec, summary)
+metrics = sink.finish(summary)
 elapsed = time.perf_counter() - start
 
 print(f"network         : {N_UE} UEs on {N_ENB} eNBs, shared core")

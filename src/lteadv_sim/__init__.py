@@ -17,9 +17,10 @@ from .traffic import Generator, GeneratorConfig, GeneratorStats
 from .netconfig import (BuiltNetwork, InvalidNetworkSpec, NetworkSpec,
                         ParseDiagnostic, ParseResult, Selector, Severity,
                         build, format_spec, parse, parse_duration, validate)
-from .trace import (CollectingSink, MalformedTrace, Metrics, PaperTraceSink,
-                    StructuredTraceSink, data_walk, expected_event_total,
-                    format_event_line, read_structured, structured_line,
-                    summarize, write_structured, zero_delay_emissions)
+from .trace import (CollectingSink, MalformedTrace, Metrics, MetricsSink,
+                    PaperTraceSink, StructuredTraceSink, data_walk,
+                    expected_event_total, format_event_line, read_structured,
+                    structured_line, summarize, write_structured,
+                    zero_delay_emissions)
 
 __version__ = "0.1.0"

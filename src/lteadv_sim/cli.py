@@ -152,14 +152,14 @@ def main(argv: Optional[list] = None) -> int:
         sim = built.simulator()
 
         sinks = []
-        collector = None
+        metrics_sink = None
         if trace_fh:
             sinks.append(trace.PaperTraceSink(trace_fh))
         if structured_fh:
             sinks.append(trace.StructuredTraceSink(structured_fh))
         if metrics_fh:
-            collector = trace.CollectingSink()
-            sinks.append(collector)
+            metrics_sink = trace.MetricsSink(spec)
+            sinks.append(metrics_sink)
         if not any(files) and not opts.quiet:
             if console_format in ("paper", "both"):
                 sinks.append(trace.PaperTraceSink(sys.stdout))
@@ -174,7 +174,7 @@ def main(argv: Optional[list] = None) -> int:
             return EXIT_RUNTIME
 
         if metrics_fh:
-            metrics = trace.summarize(collector.records, spec, summary)
+            metrics = metrics_sink.finish(summary)
             json.dump(metrics.to_json_dict(), metrics_fh, indent=2, sort_keys=False)
             metrics_fh.write("\n")
 

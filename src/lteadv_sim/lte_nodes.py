@@ -258,7 +258,12 @@ def wire_vertical(upper: ModuleNode, lower: ModuleNode,
                   channel: ChannelSpec = ChannelSpec(),
                   vector_on_upper: bool = False) -> None:
     """Join two stack neighbors with an opposed pair of one-way channels;
-    `vector_on_upper` gives a FanInLayer its next pair and reply gate."""
+    `vector_on_upper` gives a FanInLayer its next pair and reply gate.
+
+    The lower side's gates are added first: a lower module already wired
+    raises DuplicateName before the upper one gains a gate."""
+    l_in = lower.add_gate(IN_FROM_UPPER, Direction.IN)
+    l_out = lower.add_gate(OUT_TO_UPPER, Direction.OUT)
     if vector_on_upper:
         index = len(upper.reply_gates)
         u_out = upper.add_gate(OUT_TO_LOWER, Direction.OUT, index)
@@ -268,8 +273,6 @@ def wire_vertical(upper: ModuleNode, lower: ModuleNode,
         u_out = upper.add_gate(OUT_TO_LOWER, Direction.OUT)
         u_in = upper.add_gate(IN_FROM_LOWER, Direction.IN)
         upper.down_gate = u_out
-    l_in = lower.add_gate(IN_FROM_UPPER, Direction.IN)
-    l_out = lower.add_gate(OUT_TO_UPPER, Direction.OUT)
     connect(u_out, l_in, channel)
     connect(l_out, u_in, channel)
     lower.up_gate = l_out

@@ -292,8 +292,8 @@ class _Parser:
         _, _, line, col = tok or self.tok
         self.diags.append(ParseDiagnostic(Severity.ERROR, line, col, message))
 
-    def fail(self, message: str) -> None:
-        self.error(message)
+    def fail(self, message: str, tok: Optional[tuple] = None) -> None:
+        self.error(message, tok)
         raise _StmtError
 
     def fail_expected(self, what: str) -> None:
@@ -454,9 +454,10 @@ class _Parser:
             while not self.at("}"):
                 if self.tok[0] == "eof":
                     self.fail("expected '}' to close the generator block")
+                opt_tok = self.tok
                 opt = self.expect_name("a generator option")
                 if opt in seen:
-                    self.fail(f"duplicate generator option {opt!r}")
+                    self.fail(f"duplicate generator option {opt!r}", opt_tok)
                 seen.add(opt)
                 if opt == "period":
                     kwargs["period"] = self.parse_duration()
@@ -472,7 +473,7 @@ class _Parser:
                     else:
                         self.fail("expected 'message' or 'packet' after 'payload'")
                 else:
-                    self.fail(f"unknown generator option {opt!r}")
+                    self.fail(f"unknown generator option {opt!r}", opt_tok)
                 self.expect_sym(";")
         except _StmtError:
             # one diagnostic per block: resume after the block's '}'

@@ -9,11 +9,12 @@ Three pieces:
 * a structured trace: one self-delimiting JSON record per line with a
   fixed field order, byte-identical across runs and parseable back into
   equal EventRecords;
-* post-run metrics driven by a chain-walk oracle that predicts, from the
-  NetworkSpec alone, the exact module path and message name sequence of
-  every round trip. The oracle deliberately re-declares the default layer
-  tables instead of importing the builder's, so a slip on either side
-  surfaces as a mismatch instead of agreeing silently.
+* metrics folded from the events as they arrive, checked by a chain-walk
+  oracle that predicts, from the NetworkSpec alone, the exact module path
+  and message name sequence of every round trip. The oracle deliberately
+  re-declares the default layer tables instead of importing the
+  builder's, so a slip on either side surfaces as a mismatch instead of
+  agreeing silently.
 """
 
 from __future__ import annotations
@@ -56,14 +57,25 @@ def _module_fragments(path: str, type_name: str, module_id: int) -> tuple[str, s
     return console, structured
 
 
+# The last time rendered, as (t_ns, format_seconds(t_ns)): consecutive
+# events of one trip share a fire time, so most lines reuse the string. The
+# string depends on t_ns alone and the pair is swapped whole, so callers
+# and threads that share it still get exactly format_seconds' output.
+_last_time: tuple = (None, "")
+
+
 def format_event_line(rec: EventRecord) -> str:
     """Render one event in the console log format.
 
     The time prints as decimal seconds with no trailing zeros and no
     exponent; the message name sits between a backtick and an apostrophe.
     """
+    global _last_time
+    last = _last_time
+    if last[0] != rec.t_ns:
+        last = _last_time = (rec.t_ns, format_seconds(rec.t_ns))
     console = _module_fragments(rec.path, rec.type_name, rec.module_id)[0]
-    return (f"** Event #{rec.event_no} T={format_seconds(rec.t_ns)}{console}"
+    return (f"** Event #{rec.event_no} T={last[1]}{console}"
             f"{rec.msg_name}' ({rec.msg_kind}, id={rec.msg_id})")
 
 
@@ -132,7 +144,8 @@ class StructuredTraceSink:
 
 
 class CollectingSink:
-    """Keeps EventRecords in memory, mostly for tests and metrics."""
+    """Keeps every EventRecord in memory, for tests and callers that need
+    the records themselves; metrics stream through MetricsSink instead."""
 
     def __init__(self):
         self.records: list[EventRecord] = []
@@ -299,66 +312,90 @@ class Metrics:
         }
 
 
+class MetricsSink:
+    """Folds events into Metrics as they arrive, holding no EventRecord.
+
+    Each message keeps one entry, `[walk, hops, mismatch, t_first,
+    t_last]`: the oracle walk its first hop starts (None when none does),
+    the hops seen so far, which is also the cursor into the walk, the first
+    hop that left the walk as `(index, (path, name))` (for a message no
+    walk starts, its first hop), and its first and last event times.
+
+    `finish` reads each message's outcome off its entry, in first-seen
+    `msg_id` order: the full walk is a round trip, or a drop at the top of
+    the stack on a UE with no generator; a prefix of it is in flight; a
+    lone generator re-arm timer hop is not checked; anything else is a path
+    mismatch.
+    """
+
+    def __init__(self, spec: NetworkSpec):
+        table = instance_table(spec)
+        self._walks: dict[tuple[str, str], tuple] = {}  # by first hop
+        self._drop_paths: dict[tuple[str, str], Optional[str]] = {}
+        self._timer_hops: set[tuple[str, str]] = set()
+        for ue in table.ues:
+            try:
+                walk = tuple(_walk(spec, table, ue))
+            except ValueError:
+                continue
+            # on a first hop two walks share, the later UE's walk wins
+            self._walks[walk[0]] = walk
+            self._drop_paths[walk[0]] = (
+                None if ue in table.generator_of else walk[-1][0])
+            self._timer_hops.add(timer_hop(spec, ue))
+        self._messages: dict[int, list] = {}
+
+    def record(self, rec: EventRecord) -> None:
+        entry = self._messages.get(rec.msg_id)
+        if entry is None:
+            hop = (rec.path, rec.msg_name)
+            walk = self._walks.get(hop)
+            self._messages[rec.msg_id] = [walk, 1, hop if walk is None else None,
+                                          rec.t_ns, rec.t_ns]
+            return
+        hops = entry[1]
+        entry[1] = hops + 1
+        entry[4] = rec.t_ns
+        if entry[2] is None:
+            walk = entry[0]
+            if hops < len(walk) and walk[hops] != (rec.path, rec.msg_name):
+                entry[2] = (hops, (rec.path, rec.msg_name))
+
+    def finish(self, run_summary: Optional[RunSummary] = None) -> Metrics:
+        metrics = Metrics()
+        mismatches = metrics.path_mismatches
+        for msg_id, (walk, hops, mismatch, t_first, t_last) in self._messages.items():
+            metrics.total_events += hops
+            metrics.per_message_hops[msg_id] = hops
+            if walk is None:
+                # a lone timer hop lands here: walk names end in Msg or Pck
+                if hops != 1 or mismatch not in self._timer_hops:
+                    mismatches.append(f"msg {msg_id}: unexpected first hop {mismatch!r}")
+            elif mismatch is not None:
+                i, got = mismatch
+                mismatches.append(f"msg {msg_id}: hop {i} is {got!r}, expected {walk[i]!r}")
+            elif hops > len(walk):
+                mismatches.append(f"msg {msg_id}: {hops} hops, expected {len(walk)}")
+            elif hops == len(walk):
+                drop_path = self._drop_paths[walk[0]]
+                if drop_path is None:
+                    metrics.round_trips += 1
+                    metrics.per_message_rtt[msg_id] = SimTime(t_last - t_first)
+                else:
+                    metrics.drops[drop_path] = metrics.drops.get(drop_path, 0) + 1
+            # else: in flight when the run stopped
+
+        if run_summary is not None and run_summary.wall_clock_seconds > 0:
+            metrics.events_per_wall_second = (
+                metrics.total_events / run_summary.wall_clock_seconds)
+        return metrics
+
+
 def summarize(records: Sequence[EventRecord], spec: NetworkSpec,
               run_summary: Optional[RunSummary] = None) -> Metrics:
-    """Reduce a trace to metrics and check every message against the oracle.
-
-    Each message's visited (path, name) sequence must be the full oracle
-    walk (a completed round trip), a prefix of it (in flight when the run
-    stopped), or a generator re-arm timer. A walk that runs to completion
-    on a UE with no generator ends at the top of the stack and counts as a
-    drop there. Anything else is reported in path_mismatches.
-    """
-    metrics = Metrics(total_events=len(records))
-
-    by_msg: dict[int, list[EventRecord]] = {}
+    """Reduce a trace to metrics and check every message against the oracle:
+    the MetricsSink fold, run over records already collected."""
+    sink = MetricsSink(spec)
     for rec in records:
-        by_msg.setdefault(rec.msg_id, []).append(rec)
-
-    table = instance_table(spec)
-    walks: dict[str, list[tuple[str, str]]] = {}
-    first_hop_to_ue: dict[tuple[str, str], str] = {}
-    timer_hops: dict[tuple[str, str], str] = {}
-    for ue in table.ues:
-        try:
-            walk = _walk(spec, table, ue)
-        except ValueError:
-            continue
-        walks[ue] = walk
-        first_hop_to_ue[walk[0]] = ue
-        timer_hops[timer_hop(spec, ue)] = ue
-
-    for msg_id, recs in by_msg.items():
-        seq = [(r.path, r.msg_name) for r in recs]
-        metrics.per_message_hops[msg_id] = len(seq)
-        if len(seq) == 1 and seq[0] in timer_hops:
-            continue
-        ue = first_hop_to_ue.get(seq[0])
-        if ue is None:
-            metrics.path_mismatches.append(
-                f"msg {msg_id}: unexpected first hop {seq[0]!r}")
-            continue
-        walk = walks[ue]
-        if seq == walk:
-            if ue in table.generator_of:
-                metrics.round_trips += 1
-                metrics.per_message_rtt[msg_id] = SimTime(recs[-1].t_ns - recs[0].t_ns)
-            else:
-                top_path = walk[-1][0]
-                metrics.drops[top_path] = metrics.drops.get(top_path, 0) + 1
-        elif seq == walk[:len(seq)]:
-            pass  # in flight when the run stopped
-        else:
-            for i, (got, want) in enumerate(zip(seq, walk)):
-                if got != want:
-                    metrics.path_mismatches.append(
-                        f"msg {msg_id}: hop {i} is {got!r}, expected {want!r}")
-                    break
-            else:
-                metrics.path_mismatches.append(
-                    f"msg {msg_id}: {len(seq)} hops, expected {len(walk)}")
-
-    if run_summary is not None and run_summary.wall_clock_seconds > 0:
-        metrics.events_per_wall_second = (
-            metrics.total_events / run_summary.wall_clock_seconds)
-    return metrics
+        sink.record(rec)
+    return sink.finish(run_summary)

@@ -258,17 +258,49 @@ def test_until_flag_supplies_missing_config_horizon(tmp_path, capsys):
     assert "events executed: 38" in capsys.readouterr().err
 
 
-def test_structured_file_round_trips_into_metrics(tmp_path):
-    from lteadv_sim import parse, read_structured, summarize
+def _metrics_file_matches_reference(tmp_path, config, *flags):
+    """Run with structured and metrics outputs; compare every metrics key
+    but the wall-clock rate with the reference summarize of the trace read
+    back. Returns the metrics file's contents."""
+    from lteadv_sim import parse, read_structured
+    from reference_summarize import summarize as reference_summarize
     structured = tmp_path / "s.ndjson"
     metrics_path = tmp_path / "m.json"
-    assert main(["--config", MINIMAL, "--structured-out", str(structured),
-                 "--metrics-out", str(metrics_path)]) == EXIT_OK
+    assert main(["--config", str(config), "--structured-out", str(structured),
+                 "--metrics-out", str(metrics_path), *flags]) == EXIT_OK
     records = read_structured(structured.read_text().splitlines())
-    spec = parse(Path(MINIMAL).read_text()).spec
-    recomputed = summarize(records, spec)
+    spec = parse(Path(config).read_text()).spec
     blob = json.loads(metrics_path.read_text())
-    assert recomputed.round_trips == blob["round_trips"] == 100
-    assert recomputed.total_events == blob["total_events"]
-    assert [str(k) for k in sorted(recomputed.per_message_hops)] \
-        == sorted(blob["per_message_hops"], key=int)
+    recomputed = reference_summarize(records, spec).to_json_dict()
+    assert blob.pop("events_per_wall_second") > 0
+    assert recomputed.pop("events_per_wall_second") is None
+    assert json.dumps(blob) == json.dumps(recomputed)  # key order included
+    return blob
+
+
+def test_structured_file_round_trips_into_metrics(tmp_path):
+    blob = _metrics_file_matches_reference(tmp_path, MINIMAL)
+    assert blob["round_trips"] == 100
+    assert blob["total_events"] == 3899
+
+
+def test_metrics_file_of_a_run_stopped_mid_trip(tmp_path):
+    # delayed.net stopped after 1,000 of its 4,674 events: messages are in
+    # flight, so prefixes must not count as trips or mismatches
+    blob = _metrics_file_matches_reference(tmp_path, FIXTURES / "delayed.net",
+                                           "--event-limit", "1000")
+    assert blob["total_events"] == 1000
+    assert blob["path_mismatches"] == []
+    assert 0 < blob["round_trips"] < len(blob["per_message_hops"])
+
+
+def test_metrics_out_streams_without_collecting_records(tmp_path, monkeypatch):
+    from lteadv_sim import trace
+
+    def no_collector():
+        raise AssertionError("cli.main built a CollectingSink")
+
+    monkeypatch.setattr(trace, "CollectingSink", no_collector)
+    metrics_path = tmp_path / "m.json"
+    assert main(["--config", MINIMAL, "--quiet", "--metrics-out", str(metrics_path)]) == EXIT_OK
+    assert json.loads(metrics_path.read_text())["round_trips"] == 100

@@ -169,6 +169,15 @@ def test_s1_rejects_a_lower_label_it_does_not_have(label):
     assert str(err.value) == f"Network.sgw_mme.lte_s1: unexpected arrival on {label!r}"
 
 
+def test_linking_an_enb_twice_leaves_the_s1_fully_wired():
+    s1, sim = wired_sgw()
+    enb, sgw = sim.root.child("enb"), sim.root.child("sgw_mme")
+    with pytest.raises(DuplicateName):
+        link_enb_to_sgw(enb, sgw)
+    assert list(s1.reply_gates) == ["inFromLowerLayer[0]"]
+    assert all(gate.peer is not None for gate in s1._gates.values())
+
+
 def test_layers_add_no_delay():
     root, ue, sim = wired_ue()
     pdcp = ue.child("lte_pdcp")

@@ -153,9 +153,9 @@ def test_generator_options():
 
 
 @pytest.mark.parametrize("options, where, word", [
-    ("period 1ms; period 2ms;", 49, "period"),
-    ("start 1ms; start 2ms;", 47, "start"),
-    ("payload message; payload packet 3;", 55, "payload"),
+    ("period 1ms; period 2ms;", 42, "period"),
+    ("start 1ms; start 2ms;", 41, "start"),
+    ("payload message; payload packet 3;", 47, "payload"),
 ])
 def test_each_generator_option_at_most_once(options, where, word):
     result = parse(f"network N {{ generator on u {{ {options} }} }}")
@@ -168,11 +168,11 @@ def test_generator_option_mistake_resumes_after_the_block():
     result = parse("network N { ue u; generator on u { period 1ms; bogus 2; }"
                    " enb e; seed 1; }")
     assert [str(d) for d in result.diagnostics] == [
-        "1:54: error: unknown generator option 'bogus'"]
+        "1:48: error: unknown generator option 'bogus'"]
     # a mistake in a block with no '}' runs to the end of input
     result = parse("network N { generator on u { period 1ms; bogus 2;")
     assert [str(d) for d in result.diagnostics] == [
-        "1:48: error: unknown generator option 'bogus'",
+        "1:42: error: unknown generator option 'bogus'",
         "1:50: error: expected '}' to close the network block"]
 
 

@@ -3,24 +3,29 @@
 Invariants that should hold for any wellformed network description: the
 canonical printing round-trips through the parser unchanged, one mistake
 in its generator block is one diagnostic, a zero-delay run conserves
-messages with every visited path matching the chain-walk oracle, and
+messages with every visited path matching the chain-walk oracle,
 dispatching returned hops at once changes nothing against queueing
-every one of them.
+every one of them, and the streaming metrics fold gives the reference
+summarize's metrics on any trace, cut short or corrupted.
 """
 
+import dataclasses
 import io
+import json
 import re
 
 from hypothesis import given, settings, strategies as st
 
 from lteadv_sim import CollectingSink, StructuredTraceSink, build, parse
-from lteadv_sim.kernel import MessageKind, SimTime
+from lteadv_sim.kernel import EventRecord, MessageKind, SimTime
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
                                   validate)
 from lteadv_sim.lte_nodes import NodeType
 from lteadv_sim.traffic import GeneratorConfig
 from lteadv_sim.trace import summarize, zero_delay_emissions
+
+from reference_summarize import summarize as reference_summarize
 
 PERIODS_MS = (5, 10, 20)
 
@@ -192,3 +197,78 @@ def _run_traced(spec, event_limit, queue_every_hop):
 def test_returned_hops_dispatch_in_queue_order(spec, event_limit):
     assert (_run_traced(spec, event_limit, queue_every_hop=False)
             == _run_traced(spec, event_limit, queue_every_hop=True))
+
+
+def _collect(spec, event_limit):
+    sink = CollectingSink()
+    summary = build(spec).simulator().run(until=spec.until, event_limit=event_limit,
+                                         sinks=[sink])
+    return sink.records, summary
+
+
+def _assert_fold_matches_reference(records, spec, summary):
+    # json.dumps keeps key order, so first-seen msg_id order is compared too
+    assert (json.dumps(summarize(records, spec, summary).to_json_dict())
+            == json.dumps(reference_summarize(records, spec, summary).to_json_dict()))
+
+
+@given(network_specs(), st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
+@settings(deadline=None)
+def test_metrics_fold_matches_reference_summarize(spec, event_limit):
+    """A run stopped anywhere leaves messages in flight: their prefixes
+    must be told apart from mismatches exactly as before."""
+    records, summary = _collect(spec, event_limit)
+    _assert_fold_matches_reference(records, spec, summary)
+
+
+def _hop_of(records, data):
+    if not records:
+        return "Network.nowhere", "NoMsg"
+    rec = data.draw(st.sampled_from(records))
+    return rec.path, rec.msg_name
+
+
+def _corrupt(records, kind, data):
+    """Return records with one corruption of the given kind applied."""
+    records = list(records)
+    at = data.draw(st.integers(0, max(len(records) - 1, 0)))
+    if kind == "drop" and records:
+        del records[at]
+    elif kind == "duplicate" and records:
+        records.insert(at, records[at])
+    elif kind == "rename" and records:
+        path, name = _hop_of(records, data)
+        field = data.draw(st.sampled_from(("path", "msg_name", "both")))
+        records[at] = dataclasses.replace(
+            records[at],
+            path=path if field != "msg_name" else records[at].path,
+            msg_name=name if field != "path" else records[at].msg_name)
+    elif kind == "stray":
+        path, name = _hop_of(records, data)
+        msg_id = max((r.msg_id for r in records), default=0) + 1
+        records.insert(at, EventRecord(0, 0, path, "stray", 0, name, "cMessage", msg_id))
+    elif kind == "timer_twice":
+        timers = [i for i, r in enumerate(records) if r.msg_name == "GenTimer"]
+        if timers:
+            i = data.draw(st.sampled_from(timers))
+            records.insert(data.draw(st.integers(i + 1, len(records))), records[i])
+    elif kind == "overlong" and records:
+        path, name = _hop_of(records, data)
+        records.append(dataclasses.replace(records[at], path=path, msg_name=name))
+    return records
+
+
+_CORRUPTIONS = ("drop", "duplicate", "rename", "stray", "timer_twice", "overlong")
+
+
+@given(network_specs(), st.one_of(st.none(), st.integers(min_value=0, max_value=600)),
+       st.lists(st.sampled_from(_CORRUPTIONS), min_size=1, max_size=3), st.data())
+@settings(deadline=None)
+def test_metrics_fold_matches_reference_summarize_on_corrupted_traces(
+        spec, event_limit, corruptions, data):
+    """Dropped, duplicated, renamed and stray records, a timer seen twice
+    and a walk that runs on: every mismatch wording and its order match."""
+    records, summary = _collect(spec, event_limit)
+    for kind in corruptions:
+        records = _corrupt(records, kind, data)
+    _assert_fold_matches_reference(records, spec, summary)

@@ -1,5 +1,6 @@
 """Trace tests: log-line format, structured round-trip, metrics, oracle."""
 
+import gc
 import io
 import json
 
@@ -10,8 +11,8 @@ from lteadv_sim import build, parse
 from lteadv_sim.kernel import (MAX_TIME_NS, NS_PER_S, EventRecord, SimTime,
                                SimTimeRangeError)
 from lteadv_sim.netconfig import NetworkSpec
-from lteadv_sim.trace import (CollectingSink, MalformedTrace, PaperTraceSink,
-                              StructuredTraceSink, data_walk,
+from lteadv_sim.trace import (CollectingSink, MalformedTrace, MetricsSink,
+                              PaperTraceSink, StructuredTraceSink, data_walk,
                               expected_event_total, format_event_line,
                               parse_structured_line, read_structured,
                               structured_line, summarize, timer_hop,
@@ -141,6 +142,18 @@ def test_format_rejects_time_out_of_range(t_ns):
     rec = EventRecord(1, t_ns, "Network.x", "x", 1, "m", "cMessage", 1)
     with pytest.raises(SimTimeRangeError):
         format_event_line(rec)
+
+
+def test_format_reuses_a_repeated_time_and_still_rejects_out_of_range():
+    times = [0, 0, 10_000_000, 10_000_000, 0, 1_500_000_000, MAX_TIME_NS, MAX_TIME_NS, 0]
+    records = [EventRecord(i + 1, t, "Network.x", "x", 1, "m", "cMessage", 1)
+               for i, t in enumerate(times)]
+    assert [format_event_line(r) for r in records] == [reference_event_line(r)
+                                                       for r in records]
+    bad = EventRecord(1, MAX_TIME_NS + 1, "Network.x", "x", 1, "m", "cMessage", 1)
+    for _ in range(2):  # a time that failed is not remembered
+        with pytest.raises(SimTimeRangeError):
+            format_event_line(bad)
 
 
 # -- sinks ---------------------------------------------------------------------------
@@ -283,6 +296,23 @@ def test_summarize_minimal_run(minimal_spec):
     assert metrics.drops == {}
     # round trips equal the generator's discard count
     assert metrics.round_trips == built.nodes["ue"].generator.stats.discarded
+
+
+def test_metrics_sink_holds_no_event_record(minimal_spec):
+    metrics_sink = MetricsSink(minimal_spec)
+    build(minimal_spec).simulator().run(until=SimTime.from_millis(35),
+                                        event_limit=100, sinks=[metrics_sink])
+    # everything the sink's state reaches, short of classes and the modules
+    # their methods reach
+    seen, todo = set(), list(vars(metrics_sink).values())
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen and not isinstance(obj, type):
+            seen.add(id(obj))
+            assert not isinstance(obj, EventRecord)
+            todo.extend(gc.get_referents(obj))
+    assert len(seen) > 100
+    assert metrics_sink.finish().total_events == 100
 
 
 def test_summarize_empty_trace(minimal_spec):
