@@ -2,7 +2,10 @@
 write trace/metrics outputs.
 
 Exit codes: 0 success, 1 runtime failure, 2 config problems (printed with
-file:line:col locations), 64 usage errors. An output file that cannot be
+file:line:col locations), 64 usage errors. A runtime failure is a simulation
+error or an output that fails while it is written, flushed or closed (a
+full disk, a closed stdout pipe); the latter prints one "cannot write
+output" line and no traceback. An output file that cannot be
 opened is a usage error: every requested output is opened, and so created
 or truncated, after the config parses and before the network is built,
 so a bad path fails before the run, not after it. With no output flags
@@ -100,6 +103,20 @@ def _print_summary(summary) -> None:
         print(f"events/s:        {rate:.0f}", file=out)
 
 
+def _output_failed(prog: str, exc: OSError) -> int:
+    print(f"{prog}: error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+    if isinstance(exc, BrokenPipeError):
+        # Python flushes stdout again at exit, and a broken pipe would fail
+        # that flush too: point stdout at devnull so the exit stays quiet
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except (OSError, ValueError):  # stdout has no file descriptor
+            pass
+    return EXIT_RUNTIME
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = build_arg_parser()
     try:
@@ -132,51 +149,58 @@ def main(argv: Optional[list] = None) -> int:
     if opts.seed is not None:
         spec.seed = opts.seed
 
-    with contextlib.ExitStack() as outputs:  # closes every file it opened
-        files = []
-        for path in (opts.trace_out, opts.structured_out, opts.metrics_out):
+    try:
+        # closes, and so flushes, every file it opened, also on a return
+        with contextlib.ExitStack() as outputs:
+            files = []
+            for path in (opts.trace_out, opts.structured_out, opts.metrics_out):
+                try:
+                    files.append(outputs.enter_context(
+                        open(path, "w", encoding="utf-8", newline="\n")) if path else None)
+                except OSError as exc:
+                    print(f"{parser.prog}: error: cannot open output {path}: "
+                          f"{exc.strerror or exc}", file=sys.stderr)
+                    return EXIT_USAGE
+            trace_fh, structured_fh, metrics_fh = files
+
             try:
-                files.append(outputs.enter_context(
-                    open(path, "w", encoding="utf-8", newline="\n")) if path else None)
-            except OSError as exc:
-                print(f"{parser.prog}: error: cannot open output {path}: "
-                      f"{exc.strerror or exc}", file=sys.stderr)
-                return EXIT_USAGE
-        trace_fh, structured_fh, metrics_fh = files
+                built = netconfig.build(spec)
+            except netconfig.InvalidNetworkSpec as exc:
+                _print_diagnostics(opts.config, exc.diagnostics)
+                return EXIT_CONFIG
+            sim = built.simulator()
 
-        try:
-            built = netconfig.build(spec)
-        except netconfig.InvalidNetworkSpec as exc:
-            _print_diagnostics(opts.config, exc.diagnostics)
-            return EXIT_CONFIG
-        sim = built.simulator()
+            sinks = []
+            metrics_sink = None
+            if trace_fh:
+                sinks.append(trace.PaperTraceSink(trace_fh))
+            if structured_fh:
+                sinks.append(trace.StructuredTraceSink(structured_fh))
+            if metrics_fh:
+                metrics_sink = trace.MetricsSink(spec)
+                sinks.append(metrics_sink)
+            console = not any(files) and not opts.quiet
+            if console:
+                if console_format in ("paper", "both"):
+                    sinks.append(trace.PaperTraceSink(sys.stdout))
+                if console_format in ("structured", "both"):
+                    sinks.append(trace.StructuredTraceSink(sys.stdout))
 
-        sinks = []
-        metrics_sink = None
-        if trace_fh:
-            sinks.append(trace.PaperTraceSink(trace_fh))
-        if structured_fh:
-            sinks.append(trace.StructuredTraceSink(structured_fh))
-        if metrics_fh:
-            metrics_sink = trace.MetricsSink(spec)
-            sinks.append(metrics_sink)
-        if not any(files) and not opts.quiet:
-            if console_format in ("paper", "both"):
-                sinks.append(trace.PaperTraceSink(sys.stdout))
-            if console_format in ("structured", "both"):
-                sinks.append(trace.StructuredTraceSink(sys.stdout))
+            try:
+                summary = sim.run(until=spec.until, event_limit=opts.event_limit,
+                                  sinks=sinks)
+            except SimulationError as exc:
+                print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+                return EXIT_RUNTIME
 
-        try:
-            summary = sim.run(until=spec.until, event_limit=opts.event_limit,
-                              sinks=sinks)
-        except SimulationError as exc:
-            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-
-        if metrics_fh:
-            metrics = metrics_sink.finish(summary)
-            json.dump(metrics.to_json_dict(), metrics_fh, indent=2, sort_keys=False)
-            metrics_fh.write("\n")
+            if metrics_fh:
+                metrics = metrics_sink.finish(summary)
+                json.dump(metrics.to_json_dict(), metrics_fh, indent=2, sort_keys=False)
+                metrics_fh.write("\n")
+            if console:
+                sys.stdout.flush()  # a write that fails fails here, not at exit
+    except OSError as exc:  # writing, flushing or closing an output
+        return _output_failed(parser.prog, exc)
 
     _print_summary(summary)
     return EXIT_OK

@@ -358,7 +358,8 @@ class Simulator:
 
         Emits one EventRecord per dispatched event, numbered from 1, to
         every sink before the target handler runs, so records show each
-        message as it arrived. Stops when the FES drains, the next event
+        message as it arrived. Each sink's `record` is looked up once,
+        when the run starts. Stops when the FES drains, the next event
         would fire at or past `until`, or `event_limit` events have run.
 
         A handler may return the zero-delay hop it would otherwise push,
@@ -378,6 +379,7 @@ class Simulator:
 
         fes = self.fes
         push, lane, heap = fes.push, fes.lane, fes.heap
+        records = [sink.record for sink in sinks]
         # -1 never equals the count of executed events: no limit
         limit = -1 if event_limit is None else max(event_limit, 0)
         executed = 0
@@ -388,12 +390,15 @@ class Simulator:
                 self.now_ns = t_ns
                 while True:
                     executed += 1
-                    if sinks:
-                        rec = EventRecord(executed, t_ns, target.full_path,
+                    if records:
+                        # lock_and_number cached the path of every module
+                        # in the tree; a module outside it computes its own
+                        rec = EventRecord(executed, t_ns,
+                                          target._path or target.full_path,
                                           target.type_name, target.module_id,
-                                          msg.name, msg.kind_label, msg.msg_id)
-                        for sink in sinks:
-                            sink.record(rec)
+                                          msg.name, msg.kind_label, msg._msg_id)
+                        for record in records:
+                            record(rec)
                     try:
                         hop = target.handle_message(msg, gate_label)
                     except Exception as exc:

@@ -41,19 +41,24 @@ class MalformedTrace(SimulationError):
 # --------------------------------------------------------------------------
 # line formats
 #
-# A module's path, type and id never change during a run, so the part of
-# each line they fill is built once per module and cached. The key holds
-# all three fields: one process may trace several networks whose modules
-# share a path or an id. The bound holds every module of a 1000-UE network
-# (about 10,000) and caps what a process tracing many networks keeps.
+# The part of a line filled by a record's path, type, module id, message
+# name and message kind is built, escaped, once per site (those five
+# fields) and cached, so a line adds only the event number, the time and
+# the message id. A module sees a message under the name tagged for its
+# layer, so it has about one site. The key holds all five fields: one
+# process may trace several networks whose modules share a path or an id.
+# The bound holds every site of a 1000-UE network (about 10,000) and caps
+# what a process tracing many networks keeps.
 
 @lru_cache(maxsize=16384)
-def _module_fragments(path: str, type_name: str, module_id: int) -> tuple[str, str]:
-    """(console fragment, structured fragment) of one module: everything
-    between the time and the message name of its lines."""
-    console = f" {path} ({type_name}, id={module_id}), on `"
+def _site(path: str, type_name: str, module_id: int, msg_name: str,
+          msg_kind: str) -> tuple[str, str]:
+    """(console middle, structured middle) of one site: everything between
+    the time and the message id of its lines."""
+    console = f" {path} ({type_name}, id={module_id}), on `{msg_name}' ({msg_kind}, id="
     structured = (f', "path": {_json_str(path)}, "type": {_json_str(type_name)}, '
-                  f'"module_id": {module_id}, "msg_name": ')
+                  f'"module_id": {module_id}, "msg_name": {_json_str(msg_name)}, '
+                  f'"msg_kind": {_json_str(msg_kind)}, "msg_id": ')
     return console, structured
 
 
@@ -64,31 +69,37 @@ def _module_fragments(path: str, type_name: str, module_id: int) -> tuple[str, s
 _last_time: tuple = (None, "")
 
 
-def format_event_line(rec: EventRecord) -> str:
-    """Render one event in the console log format.
-
-    The time prints as decimal seconds with no trailing zeros and no
-    exponent; the message name sits between a backtick and an apostrophe.
-    """
+def _event_line(rec: EventRecord) -> str:
     global _last_time
     last = _last_time
     if last[0] != rec.t_ns:
         last = _last_time = (rec.t_ns, format_seconds(rec.t_ns))
-    console = _module_fragments(rec.path, rec.type_name, rec.module_id)[0]
-    return (f"** Event #{rec.event_no} T={last[1]}{console}"
-            f"{rec.msg_name}' ({rec.msg_kind}, id={rec.msg_id})")
+    console = _site(rec.path, rec.type_name, rec.module_id, rec.msg_name, rec.msg_kind)[0]
+    return f"** Event #{rec.event_no} T={last[1]}{console}{rec.msg_id})\n"
+
+
+def _structured_line(rec: EventRecord) -> str:
+    structured = _site(rec.path, rec.type_name, rec.module_id, rec.msg_name, rec.msg_kind)[1]
+    return f'{{"event_no": {rec.event_no}, "t_ns": {rec.t_ns}{structured}{rec.msg_id}}}\n'
+
+
+def format_event_line(rec: EventRecord) -> str:
+    """Render one event in the console log format, without a newline.
+
+    The time prints as decimal seconds with no trailing zeros and no
+    exponent; the message name sits between a backtick and an apostrophe.
+    """
+    return _event_line(rec)[:-1]
 
 
 def structured_line(rec: EventRecord) -> str:
-    """One JSON record with fixed field order; output is byte-deterministic.
+    """One JSON record with fixed field order, without a newline; output
+    is byte-deterministic.
 
     Byte-identical to json.dumps of the fields in that order with
     separators (", ", ": "): strings go through the same ASCII escaper.
     """
-    structured = _module_fragments(rec.path, rec.type_name, rec.module_id)[1]
-    return (f'{{"event_no": {rec.event_no}, "t_ns": {rec.t_ns}{structured}'
-            f'{_json_str(rec.msg_name)}, "msg_kind": {_json_str(rec.msg_kind)}, '
-            f'"msg_id": {rec.msg_id}}}')
+    return _structured_line(rec)[:-1]
 
 
 def parse_structured_line(line: str, line_no: int = 1) -> EventRecord:
@@ -119,7 +130,7 @@ def read_structured(lines: Iterable[str]) -> list[EventRecord]:
 
 def write_structured(records: Iterable[EventRecord], stream: TextIO) -> None:
     for rec in records:
-        stream.write(structured_line(rec) + "\n")
+        stream.write(_structured_line(rec))
 
 
 # --------------------------------------------------------------------------
@@ -132,7 +143,7 @@ class PaperTraceSink:
         self.stream = stream
 
     def record(self, rec: EventRecord) -> None:
-        self.stream.write(format_event_line(rec) + "\n")
+        self.stream.write(_event_line(rec))
 
 
 class StructuredTraceSink:
@@ -140,7 +151,7 @@ class StructuredTraceSink:
         self.stream = stream
 
     def record(self, rec: EventRecord) -> None:
-        self.stream.write(structured_line(rec) + "\n")
+        self.stream.write(_structured_line(rec))
 
 
 class CollectingSink:

@@ -1,7 +1,10 @@
 """CLI tests: flags, exit codes, output files, env-selected console format."""
 
+import errno
 import gc
+import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -9,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lteadv_sim import netconfig
+from lteadv_sim import cli, netconfig
 from lteadv_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -192,6 +195,89 @@ def test_unopenable_output_is_usage_error_before_the_run(bad_flag, tmp_path, cap
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     for flag in OUTPUT_FLAGS[:OUTPUT_FLAGS.index(bad_flag)]:
         assert (tmp_path / flag.strip("-")).read_text() == ""
+
+
+NO_SPACE = "lteadv-sim: error: cannot write output: No space left on device\n"
+
+
+class _FullDisk(io.StringIO):
+    """An output on a full disk: it fails on every write, or, when it
+    buffers, only when it is closed and flushes."""
+
+    def __init__(self, fails_on):
+        super().__init__()
+        self.fails_on = fails_on
+
+    def _fail(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        if self.fails_on == "write":
+            self._fail()
+        return super().write(text)
+
+    def close(self):
+        if self.fails_on == "close":
+            self._fail()
+        super().close()
+
+
+def _open_full_disk(monkeypatch, path, fails_on):
+    def fake_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            return _FullDisk(fails_on)
+        return open(file, *args, **kwargs)
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+
+
+@pytest.mark.parametrize("flag", ["--trace-out", "--structured-out"])
+def test_failed_sink_write_is_a_runtime_error(flag, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    _open_full_disk(monkeypatch, out, "write")
+    assert main(["--config", MINIMAL, flag, str(out)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == NO_SPACE
+
+
+def test_failed_close_time_flush_is_a_runtime_error(tmp_path, monkeypatch, capsys):
+    trace_path, metrics_path = tmp_path / "t.log", tmp_path / "m.json"
+    _open_full_disk(monkeypatch, metrics_path, "close")
+    assert main(["--config", MINIMAL, "--trace-out", str(trace_path),
+                 "--metrics-out", str(metrics_path)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == NO_SPACE
+    # the outputs beside the failed one are still closed, whole
+    assert len(trace_path.read_text().splitlines()) == 3899
+
+
+def test_broken_stdout_stream_is_a_runtime_error(monkeypatch, capsys):
+    class BrokenPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    assert main(["--config", MINIMAL]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "lteadv-sim: error: cannot write output: Broken pipe\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("flag", OUTPUT_FLAGS)
+def test_full_device_output_is_a_runtime_error(flag, capsys):
+    # the traces fail mid-run, the metrics only when the file is closed
+    assert main(["--config", MINIMAL, flag, "/dev/full"]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == NO_SPACE
+
+
+def test_closed_stdout_pipe_exits_without_a_traceback(tmp_path):
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "lteadv_sim", "--config", MINIMAL],
+                                stdout=subprocess.PIPE, stderr=err)
+        # the trace (about 330 kB) outgrows the pipe, so the run is still
+        # writing when the reader goes away
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == EXIT_RUNTIME
+    assert first.startswith(b"** Event #1 T=0 ")
+    assert err_path.read_text() == "lteadv-sim: error: cannot write output: Broken pipe\n"
 
 
 def test_seed_override_lands_in_summary(capsys):

@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -167,6 +168,18 @@ def test_sinks_render_each_module_by_path_type_and_id():
         EventRecord(4, 30, "Other.ue.lte_rrc", "lte_rrc", 5, "RRCMsg", "cMessage", 1),
         EventRecord(5, 40, "Network.ue.lte_rrc", "lte_rrc", 5, "RRCMsg", "cMessage", 3),
     ]
+    # one module seen under message names and kinds that differ alone,
+    # interleaved, with each site repeated so later lines hit the cache
+    site = ("Network.ue.lte_pdcp", "lte_pdcp", 7)
+    for name, kind in [("PDCPMsg", "cMessage"), ("PDCPMsg", "cPacket"),
+                       ("PDCPPck", "cMessage"), ("PDCPMsg", "cMessage"),
+                       ("PDCPPck", "cMessage"), ("PDCPMsg", "cPacket"),
+                       ("RRCMsg", "cMessage"), ("PDCPMsg", "cMessage")]:
+        no = len(records) + 1
+        records.append(EventRecord(no, 50, *site, name, kind, no))
+    # and the first sites again, at a later time with new message ids
+    records += [replace(rec, event_no=len(records) + i, t_ns=60, msg_id=100 + i)
+                for i, rec in enumerate(records[:5], 1)]
     paper_buf, struct_buf = io.StringIO(), io.StringIO()
     paper, structured = PaperTraceSink(paper_buf), StructuredTraceSink(struct_buf)
     for rec in records:
@@ -176,6 +189,30 @@ def test_sinks_render_each_module_by_path_type_and_id():
     assert struct_buf.getvalue().splitlines() == [reference_structured_line(r)
                                                   for r in records]
 
+
+# a site is the five fields a module's lines share: path, type, module id,
+# message name and message kind
+_sites = st.lists(st.tuples(_awkward_text, _awkward_text, _ids, _awkward_text,
+                            _awkward_text), min_size=1, max_size=4)
+
+
+@given(_sites.flatmap(lambda sites: st.lists(
+    st.builds(lambda site, no, t_ns, msg_id: EventRecord(no, t_ns, *site, msg_id),
+              st.sampled_from(sites), _ids, _t_ns, _ids),
+    min_size=1, max_size=20)))
+def test_sinks_match_reference_renderers_over_a_few_sites(records):
+    paper_buf, struct_buf, written = io.StringIO(), io.StringIO(), io.StringIO()
+    paper, structured = PaperTraceSink(paper_buf), StructuredTraceSink(struct_buf)
+    for rec in records:
+        paper.record(rec)
+        structured.record(rec)
+    write_structured(records, written)
+    # awkward paths and names may hold line breaks: compare whole texts
+    assert paper_buf.getvalue() == "".join(reference_event_line(r) + "\n"
+                                           for r in records)
+    want = "".join(reference_structured_line(r) + "\n" for r in records)
+    assert struct_buf.getvalue() == written.getvalue() == want
+    assert read_structured(want.splitlines()) == records
 
 def test_sinks_shared_by_runs_of_two_topologies(minimal_spec, multi_ue_spec):
     paper_buf, struct_buf = io.StringIO(), io.StringIO()
