@@ -1,6 +1,6 @@
 """Deterministic discrete-event simulator for an LTE-Advanced
 protocol-stack skeleton: composable UE / eNB / S-GW-MME / PDN-GW nodes
-whose layers relay and relabel messages, a periodic traffic generator, a
+whose layers relay and rename messages, a periodic traffic generator, a
 topology description language, and exact event tracing."""
 
 from .kernel import (EventRecord, FutureEventSet, HandlerError, MessageKind,
@@ -10,9 +10,9 @@ from .kernel import (EventRecord, FutureEventSet, HandlerError, MessageKind,
 from .model import (ChannelSpec, CompoundModule, Direction, Gate, ModuleNode,
                     SimpleModule, UnknownArrivalGate, assign_ids, connect,
                     connect_pair, send, send_direct)
-from .lte_nodes import (LayerSpec, NodeBlueprint, NodeType, NoRadioPeer,
-                        attach_ue, build_enb, build_pdn_gw, build_sgw_mme,
-                        build_ue, link_enb_to_sgw, link_sgw_to_pdn, relabel)
+from .lte_nodes import (LayerSpec, NodeType, NoRadioPeer, attach_ue, build_enb,
+                        build_pdn_gw, build_sgw_mme, build_ue, link_enb_to_sgw,
+                        link_sgw_to_pdn)
 from .traffic import Generator, GeneratorConfig, GeneratorStats
 from .netconfig import (BuiltNetwork, InvalidNetworkSpec, NetworkSpec,
                         ParseDiagnostic, ParseResult, Selector, Severity,

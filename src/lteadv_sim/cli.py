@@ -61,6 +61,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     p = _ArgumentParser(
         prog="lteadv-sim",
@@ -70,7 +77,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="topology config file")
     p.add_argument("--until", type=_duration, metavar="DURATION",
                    help="override the config's run-until time (e.g. 1s, 10ms)")
-    p.add_argument("--seed", type=int, metavar="N",
+    p.add_argument("--seed", type=_non_negative_int, metavar="N",
                    help="override the config's seed")
     p.add_argument("--trace-out", metavar="FILE",
                    help="write the console-format event log here")

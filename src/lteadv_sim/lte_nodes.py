@@ -1,7 +1,7 @@
 """LTE-Advanced node skeletons.
 
 Four node types (UE, eNB, S-GW/MME, PDN-GW) built from pass-through layer
-modules that relay messages up or down and relabel them with the tag of
+modules that relay messages up or down and rename them with the tag of
 the layer they are headed to: a control message entering lte_rrc is named
 "RRCMsg", a packet handed to lte_mac is "MACPck". Layers add no delay of
 their own.
@@ -25,8 +25,7 @@ from typing import Optional, Sequence
 from .kernel import MessageKind, SimMessage, SimulationError
 from .model import (IN_FROM_LOWER, IN_FROM_UPPER, OUT_TO_LOWER, OUT_TO_UPPER,
                     RADIO_IN, ChannelSpec, CompoundModule, Direction, Gate,
-                    ModuleNode, SimpleModule, UnknownArrivalGate, connect,
-                    transmit)
+                    ModuleNode, SimpleModule, connect, transmit)
 from .traffic import Generator, GeneratorConfig
 
 
@@ -47,17 +46,11 @@ class NodeType(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class LayerSpec:
-    """One stack layer: relabel tag plus the module name it instantiates."""
+    """One stack layer: the tag a message arriving there is renamed with,
+    plus the module name it instantiates."""
 
     tag: str
     module_name: str
-
-
-@dataclass(frozen=True)
-class NodeBlueprint:
-    node_type: NodeType
-    layer_chain: tuple[LayerSpec, ...]
-    radio_peer: Optional[str] = None
 
 
 # Default stacks, top to bottom. The UE's six layers follow the standard
@@ -96,14 +89,6 @@ _CONTROL_SUFFIX = MessageKind.CONTROL_MESSAGE.name_suffix
 _PACKET_SUFFIX = _PACKET.name_suffix
 
 
-def relabel(msg: SimMessage, destination_tag: str) -> SimMessage:
-    """Rename a message for the layer it is being sent to; id is untouched."""
-    if not destination_tag:
-        raise ValueError("destination tag must be nonempty")
-    msg.name = destination_tag + msg.kind.name_suffix
-    return msg
-
-
 def relay(gate: Gate, msg: SimMessage) -> Hop:
     """Rename a message for the module at the far end of an Out gate and
     send it there now: return the hop when the channel adds no delay,
@@ -120,33 +105,33 @@ def relay(gate: Gate, msg: SimMessage) -> Hop:
 class PassThroughLayer(SimpleModule):
     """Relays messages between its upper and lower neighbors.
 
-    Arrival on inFromUpperLayer forwards down; arrival on inFromLowerLayer
-    forwards up. Either way the message is relabeled with the destination
-    layer's tag before it leaves.
+    Arrival on inFromUpperLayer goes down; arrival on inFromLowerLayer goes
+    up. Either way the message is renamed with the destination layer's tag
+    before it leaves. Upward traffic with nothing wired above (a UE's top
+    layer without a generator) is dropped and counted in `drop_count`.
+
+    Each subclass overrides `handle_message` whole, without calling this
+    one, so that one event is one `handle_message` call.
     """
 
     def __init__(self, name: str, tag: str):
         super().__init__(name, type_name=name)
-        self.tag = tag
         # the names a message takes on arriving here, per kind
         self.control_name = tag + _CONTROL_SUFFIX
         self.packet_name = tag + _PACKET_SUFFIX
         # Out gates toward the neighbors, set when wired
         self.up_gate: Optional[Gate] = None
         self.down_gate: Optional[Gate] = None
+        self.drop_count = 0
 
     def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
         if arrival_gate == IN_FROM_UPPER:
-            return self.forward_down(msg)
-        if arrival_gate == IN_FROM_LOWER:
-            return self.forward_up(msg)
-        raise UnknownArrivalGate(
-            f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
-
-    def forward_down(self, msg: SimMessage) -> Hop:
-        return relay(self.down_gate, msg)
-
-    def forward_up(self, msg: SimMessage) -> Hop:
+            return relay(self.down_gate, msg)
+        if arrival_gate != IN_FROM_LOWER:
+            raise self.unknown_arrival(arrival_gate)
+        if self.up_gate is None:
+            self.drop_count += 1
+            return None
         return relay(self.up_gate, msg)
 
 
@@ -163,41 +148,16 @@ class FanInLayer(PassThroughLayer):
         self.reply_gates: dict[str, Gate] = {}
 
     def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
-        # no super() call: one event is one handle_message call, which is
-        # what per-type handler counts rely on
         if arrival_gate == IN_FROM_UPPER:
-            return self.forward_down(msg)
+            reply_gate = msg.pop_route()
+            if not isinstance(reply_gate, Gate):
+                raise NoRadioPeer(f"{self.full_path_or_name()}: no return route on {msg!r}")
+            return relay(reply_gate, msg)
         reply_gate = self.reply_gates.get(arrival_gate)
         if reply_gate is None:
-            raise UnknownArrivalGate(
-                f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
+            raise self.unknown_arrival(arrival_gate)
         msg.push_route(reply_gate)
         return relay(self.up_gate, msg)
-
-    def forward_down(self, msg: SimMessage) -> Hop:
-        reply_gate = msg.pop_route()
-        if not isinstance(reply_gate, Gate):
-            raise NoRadioPeer(f"{self.full_path_or_name()}: no return route on {msg!r}")
-        return relay(reply_gate, msg)
-
-
-class NasLayer(PassThroughLayer):
-    """Top of the UE stack.
-
-    Downward traffic (from the generator) passes through normally. Upward
-    traffic is handed to the generator when one is wired above, otherwise
-    it is dropped and counted; nothing above the NAS consumes it.
-    """
-
-    def __init__(self, name: str, tag: str):
-        super().__init__(name, tag)
-        self.drop_count = 0
-
-    def forward_up(self, msg: SimMessage) -> Hop:
-        if self.up_gate is not None:
-            return relay(self.up_gate, msg)
-        self.drop_count += 1
-        return None
 
 
 class PhyLayer(PassThroughLayer):
@@ -214,7 +174,11 @@ class PhyLayer(PassThroughLayer):
         self.peer_radio: Optional[ModuleNode] = None
         self.home_radio: Optional[ModuleNode] = None
 
-    def forward_down(self, msg: SimMessage) -> Hop:
+    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
+        if arrival_gate == IN_FROM_LOWER:
+            return relay(self.up_gate, msg)
+        if arrival_gate != IN_FROM_UPPER:
+            raise self.unknown_arrival(arrival_gate)
         if self.peer_radio is not None:
             target = self.peer_radio
             msg.push_route(self.home_radio)
@@ -237,8 +201,7 @@ class RadioInterface(SimpleModule):
 
     def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
         if arrival_gate != RADIO_IN:
-            raise UnknownArrivalGate(
-                f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
+            raise self.unknown_arrival(arrival_gate)
         # _wire_radio connects the radio to its PHY with no delay
         peer = self.up_gate.peer
         return peer.owner, peer.label, msg
@@ -249,22 +212,22 @@ class ReflectorLayer(PassThroughLayer):
 
     def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
         if arrival_gate != IN_FROM_LOWER:
-            raise UnknownArrivalGate(
-                f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
-        return self.forward_down(msg)
+            raise self.unknown_arrival(arrival_gate)
+        # the down gate of a one-layer PDN-GW is wired by link_sgw_to_pdn,
+        # after the layer is built, so it is read here, per event
+        return relay(self.down_gate, msg)
 
 
 def wire_vertical(upper: ModuleNode, lower: ModuleNode,
-                  channel: ChannelSpec = ChannelSpec(),
-                  vector_on_upper: bool = False) -> None:
+                  channel: ChannelSpec = ChannelSpec()) -> None:
     """Join two stack neighbors with an opposed pair of one-way channels;
-    `vector_on_upper` gives a FanInLayer its next pair and reply gate.
+    a FanInLayer above gets its next pair and reply gate.
 
     The lower side's gates are added first: a lower module already wired
     raises DuplicateName before the upper one gains a gate."""
     l_in = lower.add_gate(IN_FROM_UPPER, Direction.IN)
     l_out = lower.add_gate(OUT_TO_UPPER, Direction.OUT)
-    if vector_on_upper:
+    if isinstance(upper, FanInLayer):
         index = len(upper.reply_gates)
         u_out = upper.add_gate(OUT_TO_LOWER, Direction.OUT, index)
         u_in = upper.add_gate(IN_FROM_LOWER, Direction.IN, index)
@@ -305,7 +268,7 @@ def build_ue(name: str, attached_enb: Optional[CompoundModule] = None,
         raise ValueError("a ue stack needs at least a top layer and a PHY")
     node = CompoundModule(name, type_name="ue")
     node.kind = NodeType.UE
-    layers = _build_stack(chain, NasLayer, PhyLayer)
+    layers = _build_stack(chain, PassThroughLayer, PhyLayer)
     generator = Generator("generator", config=generator_config) if with_generator else None
     if generator is not None:
         node.add_child(generator)
@@ -401,16 +364,9 @@ def attach_ue(ue: CompoundModule, enb: CompoundModule) -> None:
 def link_enb_to_sgw(enb: CompoundModule, sgw: CompoundModule,
                     channel: ChannelSpec = ChannelSpec()) -> None:
     """Backhaul link: the eNB's top layer to a fresh S1 gate pair."""
-    wire_vertical(sgw.access_port, enb.core_port, channel, vector_on_upper=True)
+    wire_vertical(sgw.access_port, enb.core_port, channel)
 
 
 def link_sgw_to_pdn(sgw: CompoundModule, pdn: CompoundModule,
                     channel: ChannelSpec = ChannelSpec()) -> None:
     wire_vertical(pdn.access_port, sgw.core_port, channel)
-
-
-def blueprint_for(node: CompoundModule) -> NodeBlueprint:
-    """Describe a built node; handy for inspection and tests."""
-    chain = tuple(LayerSpec(layer.tag, layer.name) for layer in node.stack)
-    peer = getattr(node, "radio_peer", None)
-    return NodeBlueprint(node.kind, chain, peer.name if peer is not None else None)

@@ -121,13 +121,6 @@ class ModuleNode:
         self._gates[g.label] = g
         return g
 
-    def gate(self, name: str, index: Optional[int] = None) -> Gate:
-        label = name if index is None else f"{name}[{index}]"
-        try:
-            return self._gates[label]
-        except KeyError:
-            raise UnknownGate(f"{self.full_path_or_name()} has no gate {label!r}") from None
-
     # -- tree ----------------------------------------------------------
 
     def iter_tree(self) -> Iterator["ModuleNode"]:
@@ -212,6 +205,11 @@ class SimpleModule(ModuleNode):
 
     def handle_message(self, msg: SimMessage, arrival_gate: str) -> None:
         raise NotImplementedError
+
+    def unknown_arrival(self, arrival_gate: str) -> UnknownArrivalGate:
+        """The error a handler raises for a gate it has no rule for."""
+        return UnknownArrivalGate(
+            f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
 
     # convenience wrappers so handlers read like the operations they perform
 

@@ -692,6 +692,8 @@ def instance_table(spec: NetworkSpec) -> InstanceTable:
         err(1, 1, "missing 'run until' statement")
     elif spec.until.ns <= 0:
         err(1, 1, "'run until' must be positive")
+    if spec.seed is not None and spec.seed < 0:
+        err(1, 1, "'seed' must be non-negative")
 
     min_chain = {NodeType.UE: 2, NodeType.ENB: 2}  # air hop needs top + PHY
     for kind, chain in spec.chain_overrides.items():
@@ -712,11 +714,6 @@ def instance_table(spec: NetworkSpec) -> InstanceTable:
 def validate(spec: NetworkSpec) -> list[ParseDiagnostic]:
     """Topology rules; returns one located diagnostic per violation."""
     return instance_table(spec).diagnostics
-
-
-def effective_links(spec: NetworkSpec) -> list[tuple[str, str, SimTime]]:
-    """Declared links plus the default backhaul wiring, in build order."""
-    return instance_table(spec).links
 
 
 # --------------------------------------------------------------------------

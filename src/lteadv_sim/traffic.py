@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .kernel import MessageKind, SimTime
-from .model import (IN_FROM_LOWER, SELF_GATE, Gate, SimpleModule,
-                    UnknownArrivalGate, transmit)
+from .model import IN_FROM_LOWER, SELF_GATE, Gate, SimpleModule, transmit
 
 DEFAULT_PERIOD = SimTime.from_millis(10)
 
@@ -96,5 +95,4 @@ class Generator(SimpleModule):
                 sim.fes.push(sim.now_ns + self.config.period.ns, sim.now_ns,
                              self, SELF_GATE, timer)
             return
-        raise UnknownArrivalGate(
-            f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
+        raise self.unknown_arrival(arrival_gate)

@@ -286,6 +286,13 @@ def test_seed_override_lands_in_summary(capsys):
     assert "seed:            99" in capsys.readouterr().err
 
 
+def test_negative_seed_is_usage_error(capsys):
+    assert main(["--config", MINIMAL, "--seed", "-3", "--quiet"]) == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(
+        "lteadv-sim: error: argument --seed: must be a non-negative integer\n")
+    assert main(["--config", MINIMAL, "--until", "1ns", "--seed", "0", "--quiet"]) == EXIT_OK
+
+
 def test_until_override_wins_over_config(tmp_path, capsys):
     out = tmp_path / "t.log"
     code = main(["--config", MINIMAL, "--until", "20ms", "--trace-out", str(out)])

@@ -7,14 +7,15 @@ reflected, and back in exact reverse. It is kept as a literal so neither
 the builders nor the computed oracle can drift without this test noticing.
 """
 
+import os
+
 import pytest
 
 from lteadv_sim import build, parse
 from lteadv_sim.kernel import MessageKind, SimTime, Simulator, HandlerError
 from lteadv_sim.lte_nodes import (NoRadioPeer, NodeType, PassThroughLayer,
-                                  blueprint_for, build_enb, build_pdn_gw,
-                                  build_sgw_mme, build_ue, link_enb_to_sgw,
-                                  link_sgw_to_pdn, relabel)
+                                  build_enb, build_pdn_gw, build_sgw_mme,
+                                  build_ue, link_enb_to_sgw, link_sgw_to_pdn)
 from lteadv_sim.model import (ChannelSpec, CompoundModule, DuplicateName,
                               SELF_GATE, UnknownArrivalGate)
 from lteadv_sim.traffic import GeneratorConfig
@@ -65,31 +66,6 @@ HAND_WALK = [
 ]
 
 
-# -- relabel ------------------------------------------------------------------
-
-def test_relabel_control_and_packet():
-    sim = Simulator(CompoundModule("Net"))
-    msg = sim.new_message("x", MessageKind.CONTROL_MESSAGE)
-    assert relabel(msg, "RRC").name == "RRCMsg"
-    pck = sim.new_message("y", MessageKind.PACKET, 100)
-    assert relabel(pck, "MAC").name == "MACPck"
-
-
-def test_relabel_idempotent_and_preserves_id():
-    sim = Simulator(CompoundModule("Net"))
-    msg = sim.new_message("x", MessageKind.CONTROL_MESSAGE)
-    mid = msg.msg_id
-    relabel(msg, "RLC")
-    relabel(msg, "RLC")
-    assert msg.name == "RLCMsg" and msg.msg_id == mid
-
-
-def test_relabel_requires_tag():
-    sim = Simulator(CompoundModule("Net"))
-    with pytest.raises(ValueError):
-        relabel(sim.new_message("x", MessageKind.CONTROL_MESSAGE), "")
-
-
 # -- single-layer handlers ------------------------------------------------------
 
 def deliver(module, msg, label):
@@ -135,6 +111,41 @@ def test_unknown_arrival_gate_rejected():
     rrc = ue.child("lte_rrc")
     with pytest.raises(UnknownArrivalGate):
         rrc.handle_message(sim.new_message("m", MessageKind.CONTROL_MESSAGE), "bogus")
+
+
+MINIMAL_NET = os.path.join(os.path.dirname(__file__), "fixtures", "minimal.net")
+
+
+@pytest.mark.parametrize("path", [
+    "ue.lte_nas", "ue.lte_rrc", "ue.lte_phy",
+    "enb.lte_radio", "enb.lte_phy", "enb.lte_gtp",
+    "sgw_mme.lte_s5", "sgw_mme.lte_gtp",
+    "pdn_gw.lte_ip", "pdn_gw.lte_s5",
+    "ue.generator",
+])
+def test_every_module_type_rejects_an_unknown_arrival(path):
+    with open(MINIMAL_NET, encoding="utf-8") as fh:
+        built = build(parse(fh.read()).spec)
+    sim = built.simulator()
+    node, module = path.split(".")
+    with pytest.raises(UnknownArrivalGate) as err:
+        built.nodes[node].child(module).handle_message(
+            sim.new_message("m", MessageKind.CONTROL_MESSAGE), "bogus")
+    assert str(err.value) == f"Network.{path}: unexpected arrival on 'bogus'"
+
+
+def test_enb_top_with_nothing_linked_above_drops_and_counts():
+    root = CompoundModule("Network")
+    enb = build_enb("enb")
+    ue = build_ue("ue", attached_enb=enb, generator_config=GeneratorConfig())
+    root.add_child(ue)
+    root.add_child(enb)
+    sim = Simulator(root)
+    summary = sim.run(until=SimTime.from_millis(1))
+    assert enb.child("lte_gtp").drop_count == 1
+    assert ue.generator.stats.emitted == 1 and ue.generator.stats.returned == 0
+    assert summary.events_executed == 13  # UE NAS down to the eNB GTP
+    assert len(sim.fes) == 0
 
 
 def wired_sgw():
@@ -337,15 +348,6 @@ def test_duplicate_node_names_rejected():
     root.add_child(build_ue("ue"))
     with pytest.raises(DuplicateName):
         root.add_child(build_ue("ue"))
-
-
-def test_blueprint_reports_default_ue_chain():
-    enb = build_enb("enb")
-    ue = build_ue("ue", attached_enb=enb)
-    bp = blueprint_for(ue)
-    assert bp.node_type is NodeType.UE
-    assert [layer.tag for layer in bp.layer_chain] == ["NAS", "RRC", "PDCP", "RLC", "MAC", "PHY"]
-    assert bp.radio_peer == "enb"
 
 
 # -- the full walk -------------------------------------------------------------------

@@ -10,8 +10,8 @@ from lteadv_sim.kernel import SimTime
 from lteadv_sim.lte_nodes import LayerSpec, NodeType
 from lteadv_sim.model import SimpleModule
 from lteadv_sim.netconfig import (InvalidNetworkSpec, Selector, SelectorKind,
-                                  Severity, _lex, build, effective_links,
-                                  format_spec, parse, parse_duration, validate)
+                                  Severity, _lex, build, format_spec,
+                                  instance_table, parse, parse_duration, validate)
 
 from conftest import MULTI_UE_SOURCE, MINIMAL_SOURCE
 from reference_lexer import reference_lex
@@ -137,6 +137,17 @@ def test_seed_and_duplicate_seed():
     assert spec.seed == 42
     bad = parse("network N { seed 1; seed 2; }")
     assert any("duplicate 'seed'" in d.message for d in bad.diagnostics)
+
+
+def test_validate_reports_a_negative_seed(minimal_spec):
+    """The grammar has no negative seed, so printing one would not parse back."""
+    minimal_spec.seed = 0
+    assert validate(minimal_spec) == []
+    minimal_spec.seed = -3
+    assert [(d.line, d.col, d.message) for d in validate(minimal_spec)] == [
+        (1, 1, "'seed' must be non-negative")]
+    with pytest.raises(InvalidNetworkSpec):
+        build(minimal_spec)
 
 
 def test_generator_options():
@@ -552,7 +563,7 @@ def test_parse_reports_unreadable_integers(source):
 # -- defaults and building -----------------------------------------------------------
 
 def test_default_links_inserted(minimal_spec):
-    links = effective_links(minimal_spec)
+    links = instance_table(minimal_spec).links
     assert links == [("enb", "sgw_mme", SimTime(0)), ("sgw_mme", "pdn_gw", SimTime(0))]
 
 
@@ -563,7 +574,7 @@ def test_declared_links_respected():
     link e[1] -> s delay 2ms;
     run until 1s;
 }""")
-    links = effective_links(spec)
+    links = instance_table(spec).links
     assert links[0] == ("e[1]", "s", SimTime.from_millis(2))
     assert ("e[0]", "s", SimTime(0)) in links
     assert links[-1] == ("s", "p", SimTime(0))

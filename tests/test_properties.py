@@ -5,14 +5,17 @@ canonical printing round-trips through the parser unchanged, one mistake
 in its generator block is one diagnostic, a zero-delay run conserves
 messages with every visited path matching the chain-walk oracle,
 dispatching returned hops at once changes nothing against queueing
-every one of them, and the streaming metrics fold gives the reference
-summarize's metrics on any trace, cut short or corrupted.
+every one of them, each event is one handle_message call, and the
+streaming metrics fold gives the reference summarize's metrics on any
+trace, cut short or corrupted.
 """
 
+import contextlib
 import dataclasses
 import io
 import json
 import re
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,8 +25,9 @@ from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSp
                                   NodeDecl, Selector, SelectorKind, format_spec,
                                   validate)
 from lteadv_sim.lte_nodes import NodeType
+from lteadv_sim.model import ModuleNode
 from lteadv_sim.traffic import GeneratorConfig
-from lteadv_sim.trace import summarize, zero_delay_emissions
+from lteadv_sim.trace import read_structured, summarize, zero_delay_emissions
 
 from reference_summarize import summarize as reference_summarize
 
@@ -197,6 +201,51 @@ def _run_traced(spec, event_limit, queue_every_hop):
 def test_returned_hops_dispatch_in_queue_order(spec, event_limit):
     assert (_run_traced(spec, event_limit, queue_every_hop=False)
             == _run_traced(spec, event_limit, queue_every_hop=True))
+
+
+def _module_classes(cls):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _module_classes(sub)
+
+
+@contextlib.contextmanager
+def _counting_handler_calls(calls):
+    """Count handle_message calls per type_name by wrapping the
+    handle_message each ModuleNode class defines itself, as the bench's
+    per-layer tracing does; restore them all on exit."""
+    originals = [(cls, vars(cls)["handle_message"])
+                 for cls in dict.fromkeys(_module_classes(ModuleNode))
+                 if "handle_message" in vars(cls)]
+
+    def counting(handle):
+        def handle_message(module, msg, arrival_gate):
+            calls[module.type_name] += 1
+            return handle(module, msg, arrival_gate)
+        return handle_message
+
+    try:
+        for cls, handle in originals:
+            cls.handle_message = counting(handle)
+        yield
+    finally:
+        for cls, handle in originals:
+            cls.handle_message = handle
+
+
+@given(network_specs(), st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
+@settings(deadline=None)
+def test_each_event_is_one_handler_call(spec, event_limit):
+    """No handler calls another class's handle_message for the same
+    event, so per-type handler counts are per-type event counts."""
+    calls = Counter()
+    out = io.StringIO()
+    with _counting_handler_calls(calls):
+        summary = build(spec).simulator().run(until=spec.until, event_limit=event_limit,
+                                             sinks=[StructuredTraceSink(out)])
+    traced = Counter(rec.type_name for rec in read_structured(out.getvalue().splitlines()))
+    assert calls == traced
+    assert sum(calls.values()) == summary.events_executed
 
 
 def _collect(spec, event_limit):
