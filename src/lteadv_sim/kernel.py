@@ -237,20 +237,31 @@ class FutureEventSet:
     come out strictly FIFO, so simultaneous events never reorder between
     runs. Entries are plain `(t_ns, seq, target, gate_label, msg)` tuples.
 
-    Almost every event fires at the time it is pushed (layers add no
-    delay), so those entries skip the binary heap: they wait in a FIFO
-    lane that only ever holds one fire time, in increasing `seq`. Each pop
-    takes whichever of the lane head and the heap top is smaller by
-    `(t_ns, seq)`, so the order is the same as with the heap alone.
+    The FES is a FIFO lane that holds one time bucket, every entry due at
+    `lane_ns`, in increasing `seq`, and a binary heap of the entries due
+    later. When the lane is empty, `refill` moves every heap entry due at
+    the heap's earliest time into it, in seq order, and makes that time
+    `lane_ns`. `push` appends to the lane whenever `t_ns == lane_ns`, and
+    otherwise pushes onto the heap, so the heap never holds an entry due
+    at `lane_ns`.
 
-    `heap` and `lane` are read-only views for the run loop, which checks
-    that neither holds an entry due now before it dispatches a returned
-    hop at once; only `push` and the pops change them.
+    The lane alone is the head of the order. Heap entries due at t were
+    all pushed while now < t, so each has a smaller seq than anything
+    pushed at now == t; refill moves them in first, and since seq only
+    grows, appends made at now == t come after them. A caller outside a
+    run may push with a `now` earlier than `lane_ns`; such a push, due
+    before `lane_ns`, first moves the lane back onto the heap, so every
+    heap entry is always due after `lane_ns`.
+
+    `lane` is public for the run loop, which pops it directly after
+    `refill`; only `push`, `refill` and the pops change `lane` and
+    `heap`.
     """
 
     def __init__(self) -> None:
         self.heap: list = []
         self.lane: deque = deque()
+        self.lane_ns = -1  # the fire time of every lane entry; -1: none
         self._next_seq = 0
 
     def __len__(self) -> int:
@@ -274,18 +285,39 @@ class FutureEventSet:
             raise SimTimeRangeError(f"simulation time overflows 64 bits: {t_ns} ns")
         seq = self._next_seq
         self._next_seq = seq + 1
-        lane = self.lane
-        # the lane stays sorted while it holds a single fire time
-        if t_ns == now_ns and (not lane or lane[0][0] == t_ns):
-            lane.append((t_ns, seq, target, gate_label, msg))
-        else:
-            heappush(self.heap, (t_ns, seq, target, gate_label, msg))
+        lane_ns = self.lane_ns
+        if t_ns == lane_ns:
+            self.lane.append((t_ns, seq, target, gate_label, msg))
+            return seq
+        heap = self.heap
+        if t_ns < lane_ns:
+            # only a push with a `now` before the lane's time gets here
+            for entry in self.lane:
+                heappush(heap, entry)
+            self.lane.clear()
+            self.lane_ns = -1
+        heappush(heap, (t_ns, seq, target, gate_label, msg))
         return seq
 
     def schedule(self, ev: ScheduledEvent, now: SimTime) -> ScheduledEvent:
         ev.insertion_seq = self.push(ev.fire_time.ns, now.ns, ev.target,
                                      ev.arrival_gate, ev.payload)
         return ev
+
+    def refill(self, until_ns: int) -> Optional[int]:
+        """Return `lane_ns` if the lane holds entries due before
+        `until_ns`, first moving the heap's earliest bucket into an empty
+        lane; return None when nothing is due before `until_ns`."""
+        lane = self.lane
+        if lane:
+            return self.lane_ns if self.lane_ns < until_ns else None
+        heap = self.heap
+        if not heap or heap[0][0] >= until_ns:
+            return None
+        t_ns = self.lane_ns = heap[0][0]
+        while heap and heap[0][0] == t_ns:
+            lane.append(heappop(heap))
+        return t_ns
 
     def pop_next(self) -> Optional[ScheduledEvent]:
         entry = next(self.pop_before(MAX_TIME_NS + 1), None)
@@ -297,18 +329,9 @@ class FutureEventSet:
     def pop_before(self, until_ns: int) -> Iterator[tuple]:
         """Pop entries in order while the earliest fires before `until_ns`,
         including those pushed while iterating."""
-        heap = self.heap
         lane = self.lane
-        while True:
-            # seqs are unique, so the compare never reaches `target`
-            if lane and not (heap and heap[0] < lane[0]):
-                if lane[0][0] >= until_ns:
-                    return
-                yield lane.popleft()
-            elif heap and heap[0][0] < until_ns:
-                yield heappop(heap)
-            else:
-                return
+        while self.refill(until_ns) is not None:
+            yield lane.popleft()
 
 
 class Simulator:
@@ -362,12 +385,17 @@ class Simulator:
         when the run starts. Stops when the FES drains, the next event
         would fire at or past `until`, or `event_limit` events have run.
 
+        The loop runs one time bucket at a time: it refills the FES lane
+        with every entry due at the earliest time, sets the clock to that
+        time, and pops the lane in FIFO order with no compare, since the
+        heap holds only later entries.
+
         A handler may return the zero-delay hop it would otherwise push,
-        as `(target, arrival_label, msg)`. When nothing else is due now,
-        that hop is the entry the FES would pop next, so it is dispatched
-        at once as the next event; otherwise, or at the event limit, it
-        is pushed and queues behind the entries due now. The order of
-        events is the same either way.
+        as `(target, arrival_label, msg)`. When the lane is empty, nothing
+        else is due now, so that hop is the entry the FES would pop next
+        and is dispatched at once as the next event; otherwise, or at the
+        event limit, it is pushed onto the lane behind the entries due
+        now. The order of events is the same either way.
         """
         if self._ran:
             raise SimulationError("this simulator instance has already run")
@@ -378,39 +406,47 @@ class Simulator:
             mod.on_start(self)
 
         fes = self.fes
-        push, lane, heap = fes.push, fes.lane, fes.heap
+        push, refill, lane = fes.push, fes.refill, fes.lane
+        popleft = lane.popleft
         records = [sink.record for sink in sinks]
+        until_ns = until.ns
         # -1 never equals the count of executed events: no limit
         limit = -1 if event_limit is None else max(event_limit, 0)
         executed = 0
         reason = StopReason.EVENT_LIMIT
         t_start = _wallclock.perf_counter()
         if limit:
-            for t_ns, _, target, gate_label, msg in fes.pop_before(until.ns):
+            t_ns = refill(until_ns)
+            while t_ns is not None:
                 self.now_ns = t_ns
-                while True:
-                    executed += 1
-                    if records:
-                        # lock_and_number cached the path of every module
-                        # in the tree; a module outside it computes its own
-                        rec = EventRecord(executed, t_ns,
-                                          target._path or target.full_path,
-                                          target.type_name, target.module_id,
-                                          msg.name, msg.kind_label, msg._msg_id)
-                        for record in records:
-                            record(rec)
-                    try:
-                        hop = target.handle_message(msg, gate_label)
-                    except Exception as exc:
-                        raise HandlerError(target.full_path, executed, exc) from exc
-                    if hop is None:
-                        break
-                    target, gate_label, msg = hop
-                    if lane or executed == limit or (heap and heap[0][0] == t_ns):
-                        push(t_ns, t_ns, target, gate_label, msg)
-                        break
+                # every entry in the lane is due at t_ns, and nothing
+                # earlier or equal waits in the heap: pop with no compare
+                while lane and executed != limit:
+                    _, _, target, gate_label, msg = popleft()
+                    while True:
+                        executed += 1
+                        if records:
+                            # lock_and_number cached the path of every module
+                            # in the tree; a module outside it computes its own
+                            rec = EventRecord(executed, t_ns,
+                                              target._path or target.full_path,
+                                              target.type_name, target.module_id,
+                                              msg.name, msg.kind_label, msg._msg_id)
+                            for record in records:
+                                record(rec)
+                        try:
+                            hop = target.handle_message(msg, gate_label)
+                        except Exception as exc:
+                            raise HandlerError(target.full_path, executed, exc) from exc
+                        if hop is None:
+                            break
+                        target, gate_label, msg = hop
+                        if lane or executed == limit:
+                            push(t_ns, t_ns, target, gate_label, msg)
+                            break
                 if executed == limit:
                     break
+                t_ns = refill(until_ns)
             else:
                 reason = StopReason.TIME_LIMIT if fes else StopReason.FES_EMPTY
         wall = _wallclock.perf_counter() - t_start

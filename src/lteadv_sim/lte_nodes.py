@@ -140,7 +140,8 @@ class FanInLayer(PassThroughLayer):
 
     `reply_gates` maps the label of each pair's In gate to its Out gate,
     recorded when the eNB is linked. A message coming up carries that
-    Out gate on its route, so the reply leaves through it.
+    Out gate on its route, so the reply leaves through it. With nothing
+    wired above, it drops upward traffic as the base layer does.
     """
 
     def __init__(self, name: str, tag: str):
@@ -156,6 +157,9 @@ class FanInLayer(PassThroughLayer):
         reply_gate = self.reply_gates.get(arrival_gate)
         if reply_gate is None:
             raise self.unknown_arrival(arrival_gate)
+        if self.up_gate is None:
+            self.drop_count += 1
+            return None
         msg.push_route(reply_gate)
         return relay(self.up_gate, msg)
 

@@ -202,7 +202,8 @@ NO_SPACE = "lteadv-sim: error: cannot write output: No space left on device\n"
 
 class _FullDisk(io.StringIO):
     """An output on a full disk: it fails on every write, or, when it
-    buffers, only when it is closed and flushes."""
+    buffers, when it is closed and flushes. Like a real file, a close
+    that fails still closes it, so a second close does nothing."""
 
     def __init__(self, fails_on):
         super().__init__()
@@ -217,9 +218,11 @@ class _FullDisk(io.StringIO):
         return super().write(text)
 
     def close(self):
+        if self.closed:
+            return
+        super().close()
         if self.fails_on == "close":
             self._fail()
-        super().close()
 
 
 def _open_full_disk(monkeypatch, path, fails_on):

@@ -1,6 +1,7 @@
 """Kernel tests: SimTime arithmetic, FES ordering, message identity, run loop."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -11,7 +12,7 @@ from lteadv_sim.kernel import (MAX_TIME_NS, FutureEventSet, HandlerError,
                                SimTimeRangeError, SimulationError, Simulator,
                                StopReason)
 from lteadv_sim.model import CompoundModule, SimpleModule
-from lteadv_sim.netconfig import build
+from lteadv_sim.netconfig import build, parse
 from lteadv_sim.trace import CollectingSink
 
 
@@ -205,6 +206,12 @@ _FES_OPS = st.lists(st.one_of(
 @given(_FES_OPS)
 # a zero-delay push at 0 after one at 1: the lane holds time 1 at that point
 @example([("push_free", 1, 0), ("push_at_clock", 0), ("pop_next",)])
+# the lane drains at 10; then a push at 10, with an earlier entry pushed
+# before it and after it
+@example([("push_free", 9, 1), ("pop_next",), ("push_free", 2, 1),
+          ("push_free", 10, 0), ("pop_next",), ("pop_next",)])
+@example([("push_free", 9, 1), ("pop_next",), ("push_free", 10, 0),
+          ("push_free", 2, 1), ("pop_next",), ("pop_next",)])
 def test_interleaved_push_and_pop_follow_time_then_seq(ops):
     fes = FutureEventSet()
     ref = []  # (t_ns, seq) of every pending entry
@@ -342,6 +349,33 @@ def test_stop_counts_entries_still_waiting_at_the_current_time(minimal_spec):
     assert summary.stop_reason is StopReason.EVENT_LIMIT
     assert summary.final_time == SimTime(0)
     assert len(sim.fes) == 1 and sim.fes
+
+
+def test_entries_pushed_around_a_pop_before_the_run_keep_their_order():
+    # a pop before the run moves the FES to 10 ns; the push at 10 ns after
+    # it must still wait behind the generator's first message, due at 0
+    spec = parse((Path(__file__).parent / "fixtures" / "minimal.net").read_text()).spec
+    sim = build(spec).simulator()
+    nas = sim.root.child("ue").child("lte_nas")
+
+    def push_at_10():
+        sim.fes.push(10, 0, nas, "inFromUpperLayer",
+                     sim.new_message("Early", MessageKind.CONTROL_MESSAGE))
+
+    push_at_10()
+    assert sim.fes.pop_next().fire_time == SimTime(10)
+    push_at_10()
+    sink = CollectingSink()
+    summary = sim.run(until=spec.until, event_limit=4, sinks=[sink])
+    assert [(r.t_ns, r.path, r.msg_name) for r in sink.records] == [
+        (0, "Network.ue.lte_nas", "NASMsg"),
+        (0, "Network.ue.lte_rrc", "RRCMsg"),
+        (0, "Network.ue.lte_pdcp", "PDCPMsg"),
+        (0, "Network.ue.lte_rlc", "RLCMsg"),
+    ]
+    assert summary.final_time == SimTime(0)
+    # the message in flight down the UE stack and the second push
+    assert len(sim.fes) == 2
 
 
 def test_time_and_empty_stop_reasons_are_unchanged(minimal_spec):

@@ -13,9 +13,10 @@ import pytest
 
 from lteadv_sim import build, parse
 from lteadv_sim.kernel import MessageKind, SimTime, Simulator, HandlerError
-from lteadv_sim.lte_nodes import (NoRadioPeer, NodeType, PassThroughLayer,
-                                  build_enb, build_pdn_gw, build_sgw_mme,
-                                  build_ue, link_enb_to_sgw, link_sgw_to_pdn)
+from lteadv_sim.lte_nodes import (LayerSpec, NoRadioPeer, NodeType,
+                                  PassThroughLayer, build_enb, build_pdn_gw,
+                                  build_sgw_mme, build_ue, link_enb_to_sgw,
+                                  link_sgw_to_pdn)
 from lteadv_sim.model import (ChannelSpec, CompoundModule, DuplicateName,
                               SELF_GATE, UnknownArrivalGate)
 from lteadv_sim.traffic import GeneratorConfig
@@ -145,6 +146,22 @@ def test_enb_top_with_nothing_linked_above_drops_and_counts():
     assert enb.child("lte_gtp").drop_count == 1
     assert ue.generator.stats.emitted == 1 and ue.generator.stats.returned == 0
     assert summary.events_executed == 13  # UE NAS down to the eNB GTP
+    assert len(sim.fes) == 0
+
+
+def test_one_layer_sgw_with_nothing_linked_above_drops_and_counts():
+    root = CompoundModule("Network")
+    enb = build_enb("enb")
+    ue = build_ue("ue", attached_enb=enb, generator_config=GeneratorConfig())
+    sgw = build_sgw_mme("sgw_mme", stack=[LayerSpec("S1", "lte_s1")])
+    for node in (ue, enb, sgw):
+        root.add_child(node)
+    link_enb_to_sgw(enb, sgw)
+    sim = Simulator(root)
+    summary = sim.run(until=SimTime.from_millis(1))
+    assert sgw.child("lte_s1").drop_count == 1
+    assert ue.generator.stats.emitted == 1 and ue.generator.stats.returned == 0
+    assert summary.events_executed == 14  # UE NAS up to the S-GW's S1
     assert len(sim.fes) == 0
 
 

@@ -5,14 +5,17 @@ canonical printing round-trips through the parser unchanged, one mistake
 in its generator block is one diagnostic, a zero-delay run conserves
 messages with every visited path matching the chain-walk oracle,
 dispatching returned hops at once changes nothing against queueing
-every one of them, each event is one handle_message call, and the
-streaming metrics fold gives the reference summarize's metrics on any
-trace, cut short or corrupted.
+every one of them, the run loop matches a plain-heap reference loop,
+each event is one handle_message call, and the streaming metrics fold
+gives the reference summarize's metrics on any trace, cut short or
+corrupted.
 """
 
 import contextlib
 import dataclasses
+import heapq
 import io
+import itertools
 import json
 import re
 from collections import Counter
@@ -20,7 +23,7 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from lteadv_sim import CollectingSink, StructuredTraceSink, build, parse
-from lteadv_sim.kernel import EventRecord, MessageKind, SimTime
+from lteadv_sim.kernel import EventRecord, MessageKind, SimTime, StopReason
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
                                   validate)
@@ -201,6 +204,59 @@ def _run_traced(spec, event_limit, queue_every_hop):
 def test_returned_hops_dispatch_in_queue_order(spec, event_limit):
     assert (_run_traced(spec, event_limit, queue_every_hop=False)
             == _run_traced(spec, event_limit, queue_every_hop=True))
+
+
+class _HeapFES:
+    """A future event set that is one plain heapq ordered by (t_ns, seq)."""
+
+    def __init__(self):
+        self.heap = []
+        self._seq = itertools.count()
+
+    def push(self, t_ns, now_ns, target, gate_label, msg):
+        assert t_ns >= now_ns
+        heapq.heappush(self.heap, (t_ns, next(self._seq), target, gate_label, msg))
+
+    def __len__(self):
+        return len(self.heap)
+
+
+def _reference_run(spec, event_limit):
+    """Run `spec` as Simulator.run does, but pop one event at a time from
+    a `_HeapFES` and push every returned hop."""
+    sim = build(spec).simulator()
+    sim.fes = fes = _HeapFES()
+    sim.root.lock_and_number()
+    for module in sim.root.iter_tree():
+        module.on_start(sim)
+    out = io.StringIO()
+    sink = StructuredTraceSink(out)
+    executed = 0
+    while True:
+        if event_limit is not None and executed >= event_limit:
+            reason = StopReason.EVENT_LIMIT
+            break
+        if not fes.heap or fes.heap[0][0] >= spec.until.ns:
+            reason = StopReason.TIME_LIMIT if fes.heap else StopReason.FES_EMPTY
+            break
+        t_ns, _, target, gate_label, msg = heapq.heappop(fes.heap)
+        sim.now_ns = t_ns
+        executed += 1
+        sink.record(EventRecord(executed, t_ns, target._path, target.type_name,
+                                target.module_id, msg.name, msg.kind_label, msg.msg_id))
+        hop = target.handle_message(msg, gate_label)
+        if hop is not None:
+            fes.push(t_ns, t_ns, *hop)
+    return out.getvalue(), executed, reason, sim.now_ns, len(fes)
+
+
+@given(network_specs(), st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
+@settings(deadline=None)
+def test_run_matches_a_plain_heap_reference_loop(spec, event_limit):
+    """The time-bucket lane and returned-hop dispatch, against a loop
+    that shares neither."""
+    assert (_run_traced(spec, event_limit, queue_every_hop=False)
+            == _reference_run(spec, event_limit))
 
 
 def _module_classes(cls):
