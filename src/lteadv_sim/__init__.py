@@ -10,12 +10,11 @@ from .kernel import (EventRecord, FutureEventSet, HandlerError, MessageKind,
 from .model import (ChannelSpec, CompoundModule, Direction, Gate, ModuleNode,
                     SimpleModule, UnknownArrivalGate, assign_ids, connect,
                     connect_pair, send, send_direct)
-from .lte_nodes import (LayerSpec, NodeType, NoRadioPeer, attach_ue, build_enb,
-                        build_pdn_gw, build_sgw_mme, build_ue, link_enb_to_sgw,
-                        link_sgw_to_pdn)
+from .lte_nodes import (LayerSpec, NodeType, NoRadioPeer, attach_ue, build_node,
+                        link_enb_to_sgw, link_sgw_to_pdn)
 from .traffic import Generator, GeneratorConfig, GeneratorStats
 from .netconfig import (BuiltNetwork, InvalidNetworkSpec, NetworkSpec,
-                        ParseDiagnostic, ParseResult, Selector, Severity,
+                        ParseDiagnostic, ParseResult, Selector,
                         build, format_spec, parse, parse_duration, validate)
 from .trace import (CollectingSink, MalformedTrace, Metrics, MetricsSink,
                     PaperTraceSink, StructuredTraceSink, data_walk,

@@ -6,9 +6,13 @@ the layer they are headed to: a control message entering lte_rrc is named
 "RRCMsg", a packet handed to lte_mac is "MACPck". Layers add no delay of
 their own.
 
-The bottom of the UE and eNB stacks is a PHY that crosses the air gap with
-a direct delivery to the peer node's radio interface; the top of the
-PDN-GW turns messages around and sends them back the way they came.
+`build_node` builds every kind from one per-kind table: a stack of
+pass-through layers with one special layer. The bottom of the UE and eNB
+stacks is a PHY that crosses the air gap with a direct delivery to the
+peer node's radio interface, the bottom of the S-GW/MME fans in from
+every eNB, and the top of the PDN-GW turns messages around and sends
+them back the way they came. A node keeps its `kind`, its `stack` and
+its `generator`; the cross-node links read the ends of the stack.
 
 A relaying handler returns its zero-delay hop as `(target, arrival_label,
 msg)` instead of pushing it, and the run loop dispatches or queues it
@@ -26,7 +30,6 @@ from .kernel import MessageKind, SimMessage, SimulationError
 from .model import (IN_FROM_LOWER, IN_FROM_UPPER, OUT_TO_LOWER, OUT_TO_UPPER,
                     RADIO_IN, ChannelSpec, CompoundModule, Direction, Gate,
                     ModuleNode, SimpleModule, connect, transmit)
-from .traffic import Generator, GeneratorConfig
 
 
 # a handler's zero-delay hop, (target, arrival_label, msg), or None
@@ -191,7 +194,7 @@ class PhyLayer(PassThroughLayer):
             if not isinstance(target, RadioInterface):
                 raise NoRadioPeer(
                     f"{self.full_path_or_name()}: no radio peer for downward send")
-        phy = target.parent.phy
+        phy = target.up_gate.peer.owner
         msg.name = phy.packet_name if msg._kind is _PACKET else phy.control_name
         return target, RADIO_IN, msg
 
@@ -206,7 +209,7 @@ class RadioInterface(SimpleModule):
     def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
         if arrival_gate != RADIO_IN:
             raise self.unknown_arrival(arrival_gate)
-        # _wire_radio connects the radio to its PHY with no delay
+        # build_node connects the radio to its PHY with no delay
         peer = self.up_gate.peer
         return peer.owner, peer.label, msg
 
@@ -245,132 +248,76 @@ def wire_vertical(upper: ModuleNode, lower: ModuleNode,
     lower.up_gate = l_out
 
 
-def _wire_radio(radio: RadioInterface, phy: PhyLayer) -> None:
-    """The radio's one-way hand-off to its PHY, plus its air input."""
-    radio.up_gate = radio.add_gate(OUT_TO_UPPER, Direction.OUT)
-    connect(radio.up_gate, phy.add_gate(IN_FROM_LOWER, Direction.IN))
-    radio.add_gate(RADIO_IN, Direction.IN)
-    phy.home_radio = radio
+# Per kind: the default stack, the position in the stack of the one
+# layer that is not a PassThroughLayer, and that layer's class.
+_NODE_LAYOUT = {
+    NodeType.UE: (UE_STACK, -1, PhyLayer),
+    NodeType.ENB: (ENB_STACK, -1, PhyLayer),
+    NodeType.SGW_MME: (SGW_MME_STACK, -1, FanInLayer),
+    NodeType.PDN_GW: (PDN_GW_STACK, 0, ReflectorLayer),
+}
 
 
-def _build_stack(chain: Sequence[LayerSpec], top_cls, bottom_cls) -> list:
-    layers = []
-    last = len(chain) - 1
-    for i, spec in enumerate(chain):
-        cls = top_cls if i == 0 else bottom_cls if i == last else PassThroughLayer
-        layers.append(cls(spec.module_name, spec.tag))
-    return layers
-
-
-def build_ue(name: str, attached_enb: Optional[CompoundModule] = None,
-             generator_config: Optional[GeneratorConfig] = None,
-             with_generator: bool = True,
-             stack: Optional[Sequence[LayerSpec]] = None) -> CompoundModule:
-    """UE compound: generator, six-layer stack, radio interface."""
-    chain = tuple(stack) if stack is not None else UE_STACK
-    if len(chain) < 2:
-        raise ValueError("a ue stack needs at least a top layer and a PHY")
-    node = CompoundModule(name, type_name="ue")
-    node.kind = NodeType.UE
-    layers = _build_stack(chain, PassThroughLayer, PhyLayer)
-    generator = Generator("generator", config=generator_config) if with_generator else None
-    if generator is not None:
-        node.add_child(generator)
-    for layer in layers:
-        node.add_child(layer)
-    radio = RadioInterface()
-    node.add_child(radio)
-
-    if generator is not None:
-        wire_vertical(generator, layers[0])
-    for upper, lower in zip(layers, layers[1:]):
+def build_node(kind: NodeType, name: str,
+               stack: Optional[Sequence[LayerSpec]] = None,
+               generator: Optional[ModuleNode] = None) -> CompoundModule:
+    """One node: `stack` (top to bottom, the kind's default when None)
+    wired in a column, a radio under a PHY, and for a UE `generator` on
+    top. A UE's children are added top-down, every other node's
+    bottom-up."""
+    default, special, special_cls = _NODE_LAYOUT[kind]
+    chain = default if stack is None else tuple(stack)
+    if generator is not None and kind is not NodeType.UE:
+        raise ValueError(f"a {kind.value} takes no generator")
+    least = 2 if special_cls is PhyLayer else 1  # the air hop needs a top and a PHY
+    if len(chain) < least:
+        raise ValueError(f"a {kind.value} stack needs at least {least} layers")
+    special %= len(chain)
+    layers = [(special_cls if i == special else PassThroughLayer)(s.module_name, s.tag)
+              for i, s in enumerate(chain)]
+    column = layers if generator is None else [generator, *layers]
+    for upper, lower in zip(column, column[1:]):
         wire_vertical(upper, lower)
-    phy = layers[-1]
-    _wire_radio(radio, phy)
-
-    node.phy = phy
-    node.radio = radio
+    if special_cls is PhyLayer:  # a radio: its hand-off to the PHY, and its air input
+        radio = layers[-1].home_radio = RadioInterface()
+        radio.up_gate = radio.add_gate(OUT_TO_UPPER, Direction.OUT)
+        connect(radio.up_gate, layers[-1].add_gate(IN_FROM_LOWER, Direction.IN))
+        radio.add_gate(RADIO_IN, Direction.IN)
+        column = [*column, radio]
+    node = CompoundModule(name, type_name=kind.value)
+    for child in column if kind is NodeType.UE else reversed(column):
+        node.add_child(child)
+    node.kind = kind
     node.stack = layers
     node.generator = generator
-    if attached_enb is not None:
-        attach_ue(node, attached_enb)
-    return node
-
-
-def build_enb(name: str,
-              stack: Optional[Sequence[LayerSpec]] = None) -> CompoundModule:
-    """eNB compound: radio interface plus a stack from PHY up to GTP."""
-    chain = tuple(stack) if stack is not None else ENB_STACK
-    if len(chain) < 2:
-        raise ValueError("an enb stack needs at least a core layer and a PHY")
-    node = CompoundModule(name, type_name="enb")
-    node.kind = NodeType.ENB
-    layers = _build_stack(chain, PassThroughLayer, PhyLayer)
-    radio = RadioInterface()
-    node.add_child(radio)
-    for layer in reversed(layers):
-        node.add_child(layer)
-    for upper, lower in zip(layers, layers[1:]):
-        wire_vertical(upper, lower)
-    phy = layers[-1]
-    _wire_radio(radio, phy)
-
-    node.phy = phy
-    node.radio = radio
-    node.stack = layers
-    node.core_port = layers[0]  # wired toward the S-GW by link_enb_to_sgw
-    return node
-
-
-def build_sgw_mme(name: str,
-                  stack: Optional[Sequence[LayerSpec]] = None) -> CompoundModule:
-    """S-GW and MME merged into one node: S1 toward eNBs, S5 toward PDN-GW."""
-    chain = tuple(stack) if stack is not None else SGW_MME_STACK
-    node = CompoundModule(name, type_name="sgw_mme")
-    node.kind = NodeType.SGW_MME
-    # the bottom layer fans in, even when it is the only one
-    layers = [PassThroughLayer(s.module_name, s.tag) for s in chain[:-1]]
-    layers.append(FanInLayer(chain[-1].module_name, chain[-1].tag))
-    for layer in reversed(layers):
-        node.add_child(layer)
-    for upper, lower in zip(layers, layers[1:]):
-        wire_vertical(upper, lower)
-    node.stack = layers
-    node.core_port = layers[0]   # toward the PDN-GW
-    node.access_port = layers[-1]  # toward the eNBs
-    return node
-
-
-def build_pdn_gw(name: str,
-                 stack: Optional[Sequence[LayerSpec]] = None) -> CompoundModule:
-    """PDN-GW compound; its top layer reflects traffic back downward."""
-    chain = tuple(stack) if stack is not None else PDN_GW_STACK
-    node = CompoundModule(name, type_name="pdn_gw")
-    node.kind = NodeType.PDN_GW
-    layers = _build_stack(chain, ReflectorLayer, PassThroughLayer)
-    for layer in reversed(layers):
-        node.add_child(layer)
-    for upper, lower in zip(layers, layers[1:]):
-        wire_vertical(upper, lower)
-    node.stack = layers
-    node.access_port = layers[-1]  # wired toward the S-GW
     return node
 
 
 def attach_ue(ue: CompoundModule, enb: CompoundModule) -> None:
     """Point the UE's PHY at its serving eNB's radio interface."""
-    if getattr(enb, "kind", None) is not NodeType.ENB:
-        raise SimulationError(f"cannot attach {ue.name!r} to non-eNB {enb.name!r}")
-    ue.phy.peer_radio = enb.radio
-    ue.radio_peer = enb
+    if (getattr(ue, "kind", None), getattr(enb, "kind", None)) != (NodeType.UE, NodeType.ENB):
+        raise SimulationError(f"cannot attach {ue.name!r} to {enb.name!r}: "
+                              f"a ue attaches to an enb")
+    ue.stack[-1].peer_radio = enb.stack[-1].home_radio
+
+
+def _link(lower: CompoundModule, upper: CompoundModule, kinds: tuple,
+          channel: ChannelSpec) -> None:
+    """Wire the top of `lower` to the bottom of `upper`; refuse other
+    kinds than `kinds`, whose stack ends would wire without complaint."""
+    if (getattr(lower, "kind", None), getattr(upper, "kind", None)) != kinds:
+        raise SimulationError(f"cannot link {lower.name!r} to {upper.name!r}: a link runs "
+                              f"from a {kinds[0].value} to a {kinds[1].value}")
+    wire_vertical(upper.stack[-1], lower.stack[0], channel)
 
 
 def link_enb_to_sgw(enb: CompoundModule, sgw: CompoundModule,
                     channel: ChannelSpec = ChannelSpec()) -> None:
     """Backhaul link: the eNB's top layer to a fresh S1 gate pair."""
-    wire_vertical(sgw.access_port, enb.core_port, channel)
+    _link(enb, sgw, (NodeType.ENB, NodeType.SGW_MME), channel)
 
 
 def link_sgw_to_pdn(sgw: CompoundModule, pdn: CompoundModule,
                     channel: ChannelSpec = ChannelSpec()) -> None:
-    wire_vertical(pdn.access_port, sgw.core_port, channel)
+    """Core link: the S-GW/MME's top layer to the PDN-GW's bottom one."""
+    _link(sgw, pdn, (NodeType.SGW_MME, NodeType.PDN_GW), channel)

@@ -45,9 +45,8 @@ from typing import Optional
 from .kernel import (MessageKind, NS_PER_MS, NS_PER_S, NS_PER_US, SimTime,
                      SimulationError)
 from .model import ChannelSpec, CompoundModule
-from .lte_nodes import (NodeType, attach_ue, build_enb, build_pdn_gw,
-                        build_sgw_mme, build_ue, link_enb_to_sgw, link_sgw_to_pdn)
-from .traffic import GeneratorConfig
+from .lte_nodes import NodeType, attach_ue, build_node, link_enb_to_sgw, link_sgw_to_pdn
+from .traffic import Generator, GeneratorConfig
 
 DURATION_UNITS = {"ns": 1, "us": NS_PER_US, "ms": NS_PER_MS, "s": NS_PER_S}
 
@@ -59,24 +58,16 @@ NODE_KEYWORDS = {
 }
 
 
-class Severity(enum.Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-
 @dataclass(frozen=True, slots=True)
 class ParseDiagnostic:
-    severity: Severity
+    """A located error; every diagnostic is one."""
+
     line: int
     col: int
     message: str
 
-    @property
-    def is_error(self) -> bool:
-        return self.severity is Severity.ERROR
-
     def __str__(self) -> str:
-        return f"{self.line}:{self.col}: {self.severity.value}: {self.message}"
+        return f"{self.line}:{self.col}: error: {self.message}"
 
 
 class InvalidNetworkSpec(SimulationError):
@@ -176,7 +167,7 @@ class ParseResult:
 
     @property
     def ok(self) -> bool:
-        return self.spec is not None and not any(d.is_error for d in self.diagnostics)
+        return self.spec is not None and not self.diagnostics
 
 
 def parse_duration(text: str) -> SimTime:
@@ -240,8 +231,7 @@ def _lex_other(text: str, line: int, col: int, toks: list[tuple],
             toks.append(("int", text[i:j], line, col + i))
             i = j
         else:
-            diags.append(ParseDiagnostic(Severity.ERROR, line, col + i,
-                                         f"unexpected character {ch!r}"))
+            diags.append(ParseDiagnostic(line, col + i, f"unexpected character {ch!r}"))
             i += 1
 
 
@@ -290,7 +280,7 @@ class _Parser:
 
     def error(self, message: str, tok: Optional[tuple] = None) -> None:
         _, _, line, col = tok or self.tok
-        self.diags.append(ParseDiagnostic(Severity.ERROR, line, col, message))
+        self.diags.append(ParseDiagnostic(line, col, message))
 
     def fail(self, message: str, tok: Optional[tuple] = None) -> None:
         self.error(message, tok)
@@ -518,7 +508,7 @@ def parse(source: str) -> ParseResult:
     diags: list[ParseDiagnostic] = []
     tokens = _lex(source, diags)
     spec = _Parser(tokens, diags).parse_network()
-    if any(d.is_error for d in diags):
+    if diags:
         spec = None
     return ParseResult(spec, diags)
 
@@ -569,7 +559,7 @@ def instance_table(spec: NetworkSpec) -> InstanceTable:
     diags: list[ParseDiagnostic] = []
 
     def err(line: int, col: int, msg: str) -> None:
-        diags.append(ParseDiagnostic(Severity.ERROR, line, col, msg))
+        diags.append(ParseDiagnostic(line, col, msg))
 
     decls: dict[str, NodeDecl] = {}  # the first declaration of each name
     for decl in spec.node_decls:
@@ -733,24 +723,18 @@ class BuiltNetwork:
 def build(spec: NetworkSpec) -> BuiltNetwork:
     """Instantiate and wire a validated spec; deterministic and total."""
     table = instance_table(spec)
-    problems = [d for d in table.diagnostics if d.is_error]
-    if problems:
-        raise InvalidNetworkSpec(problems)
+    if table.diagnostics:
+        raise InvalidNetworkSpec(table.diagnostics)
 
     root = CompoundModule(spec.network_name, type_name=spec.network_name)
     nodes: dict[str, CompoundModule] = {}
     overrides = spec.chain_overrides
     for decl in spec.node_decls:
+        is_ue = decl.kind is NodeType.UE
         for inst in decl.instances():
-            if decl.kind is NodeType.UE:
-                node = build_ue(inst, generator_config=table.generator_of.get(inst),
-                                stack=overrides.get(NodeType.UE))
-            elif decl.kind is NodeType.ENB:
-                node = build_enb(inst, stack=overrides.get(NodeType.ENB))
-            elif decl.kind is NodeType.SGW_MME:
-                node = build_sgw_mme(inst, stack=overrides.get(NodeType.SGW_MME))
-            else:
-                node = build_pdn_gw(inst, stack=overrides.get(NodeType.PDN_GW))
+            generator = (Generator("generator", config=table.generator_of.get(inst))
+                         if is_ue else None)
+            node = build_node(decl.kind, inst, overrides.get(decl.kind), generator)
             root.add_child(node)
             nodes[inst] = node
 

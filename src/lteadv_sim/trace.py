@@ -102,6 +102,13 @@ def structured_line(rec: EventRecord) -> str:
     return _structured_line(rec)[:-1]
 
 
+# a structured record's keys in EventRecord's field order, with the
+# JSON type each must hold
+_RECORD_FIELDS = (("event_no", int), ("t_ns", int), ("path", str), ("type", str),
+                  ("module_id", int), ("msg_name", str), ("msg_kind", str),
+                  ("msg_id", int))
+
+
 def parse_structured_line(line: str, line_no: int = 1) -> EventRecord:
     try:
         obj = json.loads(line)
@@ -109,14 +116,16 @@ def parse_structured_line(line: str, line_no: int = 1) -> EventRecord:
         raise MalformedTrace(line_no, f"not a JSON record ({exc})") from None
     if not isinstance(obj, dict):
         raise MalformedTrace(line_no, "record is not an object")
-    try:
-        return EventRecord(
-            event_no=int(obj["event_no"]), t_ns=int(obj["t_ns"]),
-            path=str(obj["path"]), type_name=str(obj["type"]),
-            module_id=int(obj["module_id"]), msg_name=str(obj["msg_name"]),
-            msg_kind=str(obj["msg_kind"]), msg_id=int(obj["msg_id"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedTrace(line_no, f"bad or missing field ({exc})") from None
+    values = []
+    for key, kind in _RECORD_FIELDS:
+        if key not in obj:
+            raise MalformedTrace(line_no, f"missing field {key!r}")
+        value = obj[key]
+        if type(value) is not kind:  # a bool is an int to isinstance
+            raise MalformedTrace(line_no, f"field {key!r} is not a JSON "
+                                          f"{'integer' if kind is int else 'string'}")
+        values.append(value)
+    return EventRecord(*values)
 
 
 def read_structured(lines: Iterable[str]) -> list[EventRecord]:

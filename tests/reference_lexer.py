@@ -5,7 +5,7 @@ tokens as (kind, text, line, col) and the same diagnostics, on any text.
 
 from dataclasses import dataclass
 
-from lteadv_sim.netconfig import ParseDiagnostic, Severity
+from lteadv_sim.netconfig import ParseDiagnostic
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,8 +71,7 @@ def _lex(source: str, diags: list[ParseDiagnostic]) -> list[_Token]:
             i += 2
             col += 2
             continue
-        diags.append(ParseDiagnostic(Severity.ERROR, line, start_col,
-                                     f"unexpected character {ch!r}"))
+        diags.append(ParseDiagnostic(line, start_col, f"unexpected character {ch!r}"))
         i += 1
         col += 1
     toks.append(_Token("eof", "", line, col))

@@ -1,5 +1,6 @@
 """Golden traces: sha256 digests of the paper and structured traces of
-four fixed runs.
+four fixed runs, two runs with non-default stacks, and five runs stopped
+by an event limit.
 
 Any change to the kernel, the model or the layers must leave these traces
 byte for byte identical. After a deliberate change to the trace format,
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from lteadv_sim import PaperTraceSink, StructuredTraceSink, build, parse
+from lteadv_sim import (LayerSpec, NodeType, PaperTraceSink, StructuredTraceSink,
+                        build, parse)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -33,23 +35,73 @@ GOLDEN = {
 }
 
 
-def traces(fixture):
-    """Run a fixture to its configured horizon; return (events, paper
-    trace sha256, structured trace sha256)."""
+def run_traced(fixture, chain_overrides=None):
+    """Run a fixture, with its stacks replaced by `chain_overrides`, to
+    its configured horizon; return (summary, simulator, paper trace
+    sha256, structured trace sha256)."""
     result = parse((FIXTURES / fixture).read_text())
     assert result.ok, result.diagnostics
     spec = result.spec
+    spec.chain_overrides.update(chain_overrides or {})
     paper, structured = io.StringIO(), io.StringIO()
-    summary = build(spec).simulator().run(
+    sim = build(spec).simulator()
+    summary = sim.run(
         until=spec.until, sinks=[PaperTraceSink(paper), StructuredTraceSink(structured)])
-    return (summary.events_executed,
+    return (summary, sim,
             hashlib.sha256(paper.getvalue().encode("utf-8")).hexdigest(),
             hashlib.sha256(structured.getvalue().encode("utf-8")).hexdigest())
+
+
+def traces(fixture):
+    """(events, paper trace sha256, structured trace sha256) of a fixture."""
+    summary, _, paper, structured = run_traced(fixture)
+    return summary.events_executed, paper, structured
 
 
 @pytest.mark.parametrize("fixture", sorted(GOLDEN))
 def test_traces_match_golden_digests(fixture):
     assert traces(fixture) == GOLDEN[fixture]
+
+
+# Module ids and paths appear in every trace line, so these pin how the
+# builders lay out a stack that is not the default one.
+STACKS = {
+    "minimal.net": {
+        NodeType.UE: (LayerSpec("NAS", "lte_nas"), LayerSpec("MAC", "lte_mac"),
+                      LayerSpec("PHY", "lte_phy")),
+        NodeType.ENB: (LayerSpec("GTP", "lte_gtp"), LayerSpec("PHY", "lte_phy")),
+        NodeType.SGW_MME: (LayerSpec("S1", "lte_s1"),),
+        NodeType.PDN_GW: (LayerSpec("IP", "lte_ip"),),
+    },
+    "multi_ue.net": {
+        NodeType.SGW_MME: (LayerSpec("S5", "lte_s5"), LayerSpec("MME", "lte_mme"),
+                           LayerSpec("GTP", "lte_gtp"), LayerSpec("S1", "lte_s1")),
+    },
+}
+
+
+def stack_traces(fixture):
+    """(events, entries left in the FES, paper trace sha256, structured
+    trace sha256) of a fixture run with the stacks in STACKS."""
+    summary, sim, paper, structured = run_traced(fixture, STACKS[fixture])
+    return summary.events_executed, len(sim.fes), paper, structured
+
+
+# fixture -> stack_traces(fixture), recorded with the per-kind builders
+# that build_node replaced
+STACK_GOLDEN = {
+    "minimal.net": (1699, 1,
+        "f54f1a1c06487aa4979b658cc547c7ee5d9212f338a5849a7e49ca488c4708ea",
+        "66d4ae348fd87d8d0214c72fafdae233e898644e276ed5d748663900e57a93db"),
+    "multi_ue.net": (16396, 4,
+        "7a324d8633c0e0f6707f97dec95165390faaf70b0932158b53fcbc516655dc34",
+        "379b44e393796e590b7f5401039f1205c75081221e547f44c2ea70d1b0338b28"),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(STACKS))
+def test_stack_override_traces_match_golden_digests(fixture):
+    assert stack_traces(fixture) == STACK_GOLDEN[fixture]
 
 
 # delayed.net stopped by an event limit -> (events, stop reason, entries
@@ -86,3 +138,5 @@ def test_event_limit_stops_match_golden(event_limit):
 if __name__ == "__main__":
     for name in ("minimal.net", "multi_ue.net", "delayed.net", "desk_50ms.net"):
         print(f"    {name!r}: {traces(name)!r},")
+    for name in STACKS:
+        print(f"    {name!r}: {stack_traces(name)!r},")

@@ -12,14 +12,14 @@ import os
 import pytest
 
 from lteadv_sim import build, parse
-from lteadv_sim.kernel import MessageKind, SimTime, Simulator, HandlerError
+from lteadv_sim.kernel import (MessageKind, SimTime, Simulator, HandlerError,
+                               SimulationError)
 from lteadv_sim.lte_nodes import (LayerSpec, NoRadioPeer, NodeType,
-                                  PassThroughLayer, build_enb, build_pdn_gw,
-                                  build_sgw_mme, build_ue, link_enb_to_sgw,
-                                  link_sgw_to_pdn)
+                                  PassThroughLayer, attach_ue, build_node,
+                                  link_enb_to_sgw, link_sgw_to_pdn)
 from lteadv_sim.model import (ChannelSpec, CompoundModule, DuplicateName,
                               SELF_GATE, UnknownArrivalGate)
-from lteadv_sim.traffic import GeneratorConfig
+from lteadv_sim.traffic import Generator, GeneratorConfig
 from lteadv_sim.trace import CollectingSink, data_walk
 
 from conftest import MINIMAL_SOURCE, run_spec
@@ -67,6 +67,18 @@ HAND_WALK = [
 ]
 
 
+def ue_with_generator(name):
+    """A UE with a generator on the default config."""
+    return build_node(NodeType.UE, name,
+                      generator=Generator("generator", config=GeneratorConfig()))
+
+
+def attached_ue(name, enb):
+    ue = ue_with_generator(name)
+    attach_ue(ue, enb)
+    return ue
+
+
 # -- single-layer handlers ------------------------------------------------------
 
 def deliver(module, msg, label):
@@ -81,7 +93,7 @@ def deliver(module, msg, label):
 def wired_ue():
     """A UE with generator, inside a rooted network, bound to a simulator."""
     root = CompoundModule("Network")
-    ue = build_ue("ue", generator_config=GeneratorConfig())
+    ue = ue_with_generator("ue")
     root.add_child(ue)
     sim = Simulator(root)
     return root, ue, sim
@@ -137,8 +149,8 @@ def test_every_module_type_rejects_an_unknown_arrival(path):
 
 def test_enb_top_with_nothing_linked_above_drops_and_counts():
     root = CompoundModule("Network")
-    enb = build_enb("enb")
-    ue = build_ue("ue", attached_enb=enb, generator_config=GeneratorConfig())
+    enb = build_node(NodeType.ENB, "enb")
+    ue = attached_ue("ue", enb)
     root.add_child(ue)
     root.add_child(enb)
     sim = Simulator(root)
@@ -151,9 +163,9 @@ def test_enb_top_with_nothing_linked_above_drops_and_counts():
 
 def test_one_layer_sgw_with_nothing_linked_above_drops_and_counts():
     root = CompoundModule("Network")
-    enb = build_enb("enb")
-    ue = build_ue("ue", attached_enb=enb, generator_config=GeneratorConfig())
-    sgw = build_sgw_mme("sgw_mme", stack=[LayerSpec("S1", "lte_s1")])
+    enb = build_node(NodeType.ENB, "enb")
+    ue = attached_ue("ue", enb)
+    sgw = build_node(NodeType.SGW_MME, "sgw_mme", stack=[LayerSpec("S1", "lte_s1")])
     for node in (ue, enb, sgw):
         root.add_child(node)
     link_enb_to_sgw(enb, sgw)
@@ -169,8 +181,8 @@ def wired_sgw():
     """An S-GW/MME with one eNB linked, inside a rooted network, bound to
     a simulator; returns its S1 layer and the simulator."""
     root = CompoundModule("Network")
-    enb = build_enb("enb")
-    sgw = build_sgw_mme("sgw_mme")
+    enb = build_node(NodeType.ENB, "enb")
+    sgw = build_node(NodeType.SGW_MME, "sgw_mme")
     root.add_child(enb)
     root.add_child(sgw)
     link_enb_to_sgw(enb, sgw)
@@ -206,6 +218,31 @@ def test_linking_an_enb_twice_leaves_the_s1_fully_wired():
     assert all(gate.peer is not None for gate in s1._gates.values())
 
 
+@pytest.mark.parametrize("link, lower, upper", [
+    (link_enb_to_sgw, NodeType.SGW_MME, NodeType.ENB),
+    (link_enb_to_sgw, NodeType.ENB, NodeType.PDN_GW),
+    (link_sgw_to_pdn, NodeType.PDN_GW, NodeType.SGW_MME),
+    (link_sgw_to_pdn, NodeType.ENB, NodeType.SGW_MME),
+])
+def test_a_link_between_the_wrong_kinds_is_refused_before_any_wiring(link, lower, upper):
+    a, b = build_node(lower, "a"), build_node(upper, "b")
+    gates_before = [sorted(layer._gates) for layer in a.stack + b.stack]
+    with pytest.raises(SimulationError) as err:
+        link(a, b)
+    assert str(err.value).startswith("cannot link 'a' to 'b': a link runs from a ")
+    assert [sorted(layer._gates) for layer in a.stack + b.stack] == gates_before
+
+
+@pytest.mark.parametrize("ue, enb", [(NodeType.ENB, NodeType.ENB), (NodeType.UE, NodeType.UE),
+                                     (NodeType.SGW_MME, NodeType.ENB)])
+def test_an_attachment_between_the_wrong_kinds_is_refused(ue, enb):
+    a, b = build_node(ue, "a"), build_node(enb, "b")
+    with pytest.raises(SimulationError) as err:
+        attach_ue(a, b)
+    assert str(err.value) == "cannot attach 'a' to 'b': a ue attaches to an enb"
+    assert getattr(a.stack[-1], "peer_radio", None) is None
+
+
 def test_layers_add_no_delay():
     root, ue, sim = wired_ue()
     pdcp = ue.child("lte_pdcp")
@@ -228,7 +265,7 @@ def test_nas_delivers_returns_to_generator():
 
 def test_nas_without_generator_drops_and_counts():
     root = CompoundModule("Network")
-    ue = build_ue("ue", with_generator=False)
+    ue = build_node(NodeType.UE, "ue")
     root.add_child(ue)
     sim = Simulator(root)
     nas = ue.child("lte_nas")
@@ -240,8 +277,8 @@ def test_nas_without_generator_drops_and_counts():
 
 def test_phy_air_hop_reaches_attached_enb_radio():
     root = CompoundModule("Network")
-    enb = build_enb("enb")
-    ue = build_ue("ue", attached_enb=enb, generator_config=GeneratorConfig())
+    enb = build_node(NodeType.ENB, "enb")
+    ue = attached_ue("ue", enb)
     root.add_child(ue)
     root.add_child(enb)
     sim = Simulator(root)
@@ -264,9 +301,9 @@ def test_unattached_ue_phy_raises_no_radio_peer():
 
 def test_enb_phy_returns_to_originating_ue():
     root = CompoundModule("Network")
-    enb = build_enb("enb")
-    ue_a = build_ue("ue_a", attached_enb=enb, generator_config=GeneratorConfig())
-    ue_b = build_ue("ue_b", attached_enb=enb, generator_config=GeneratorConfig())
+    enb = build_node(NodeType.ENB, "enb")
+    ue_a = attached_ue("ue_a", enb)
+    ue_b = attached_ue("ue_b", enb)
     for node in (ue_a, ue_b, enb):
         root.add_child(node)
     sim = Simulator(root)
@@ -301,7 +338,7 @@ def test_two_simultaneous_air_messages_delivered_fifo():
 
 def test_reflector_turns_ip_msg_around_same_timestamp():
     root = CompoundModule("Network")
-    pdn = build_pdn_gw("pdn_gw")
+    pdn = build_node(NodeType.PDN_GW, "pdn_gw")
     root.add_child(pdn)
     sim = Simulator(root)
     ip = pdn.child("lte_ip")
@@ -317,8 +354,8 @@ def test_reflector_turns_ip_msg_around_same_timestamp():
 
 def test_enb_gtp_queues_a_delayed_hop_instead_of_returning_it():
     root = CompoundModule("Network")
-    enb = build_enb("enb")
-    sgw = build_sgw_mme("sgw_mme")
+    enb = build_node(NodeType.ENB, "enb")
+    sgw = build_node(NodeType.SGW_MME, "sgw_mme")
     root.add_child(enb)
     root.add_child(sgw)
     link_enb_to_sgw(enb, sgw, ChannelSpec(SimTime.from_millis(1)))
@@ -336,35 +373,61 @@ def test_enb_gtp_queues_a_delayed_hop_instead_of_returning_it():
 # -- builders ----------------------------------------------------------------------
 
 def test_ue_children_order():
-    ue = build_ue("ue", generator_config=GeneratorConfig())
+    ue = ue_with_generator("ue")
     assert [c.name for c in ue.children] == [
         "generator", "lte_nas", "lte_rrc", "lte_pdcp", "lte_rlc",
         "lte_mac", "lte_phy", "lte_radio"]
 
 
 def test_enb_children_order():
-    enb = build_enb("enb")
+    enb = build_node(NodeType.ENB, "enb")
     assert [c.name for c in enb.children] == [
         "lte_radio", "lte_phy", "lte_mac", "lte_rlc", "lte_pdcp",
         "lte_rrc", "lte_gtp"]
 
 
 def test_core_node_children():
-    assert [c.name for c in build_sgw_mme("s").children] == ["lte_s1", "lte_gtp", "lte_s5"]
-    assert [c.name for c in build_pdn_gw("p").children] == ["lte_s5", "lte_gtp", "lte_ip"]
+    sgw, pdn = build_node(NodeType.SGW_MME, "s"), build_node(NodeType.PDN_GW, "p")
+    assert [c.name for c in sgw.children] == ["lte_s1", "lte_gtp", "lte_s5"]
+    assert [c.name for c in pdn.children] == ["lte_s5", "lte_gtp", "lte_ip"]
 
 
 def test_sgw_mme_is_one_node():
-    sgw = build_sgw_mme("sgw_mme")
+    sgw = build_node(NodeType.SGW_MME, "sgw_mme")
     assert sgw.kind is NodeType.SGW_MME
     assert isinstance(sgw, CompoundModule)
 
 
 def test_duplicate_node_names_rejected():
     root = CompoundModule("Network")
-    root.add_child(build_ue("ue"))
+    root.add_child(ue_with_generator("ue"))
     with pytest.raises(DuplicateName):
-        root.add_child(build_ue("ue"))
+        root.add_child(ue_with_generator("ue"))
+
+
+@pytest.mark.parametrize("kind", [NodeType.ENB, NodeType.SGW_MME, NodeType.PDN_GW])
+def test_only_a_ue_takes_a_generator(kind):
+    with pytest.raises(ValueError) as err:
+        build_node(kind, "n", generator=Generator("generator"))
+    assert str(err.value) == f"a {kind.value} takes no generator"
+
+
+@pytest.mark.parametrize("kind, layers", [
+    (NodeType.UE, 1), (NodeType.ENB, 1), (NodeType.SGW_MME, 0), (NodeType.PDN_GW, 0)])
+def test_a_stack_too_short_for_its_kind_is_rejected(kind, layers):
+    with pytest.raises(ValueError) as err:
+        build_node(kind, "n", stack=[LayerSpec("PHY", "lte_phy")][:layers])
+    assert str(err.value) == f"a {kind.value} stack needs at least {layers + 1} layers"
+
+
+@pytest.mark.parametrize("kind", list(NodeType))
+def test_a_node_keeps_its_kind_stack_and_generator(kind):
+    generator = Generator("generator") if kind is NodeType.UE else None
+    node = build_node(kind, "n", generator=generator)
+    assert node.kind is kind and node.type_name == kind.value
+    assert node.generator is generator
+    layers = [c for c in node.children if isinstance(c, PassThroughLayer)]
+    assert node.stack == (layers if kind is NodeType.UE else layers[::-1])
 
 
 # -- the full walk -------------------------------------------------------------------

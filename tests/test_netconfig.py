@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from lteadv_sim.kernel import SimTime
 from lteadv_sim.lte_nodes import LayerSpec, NodeType
 from lteadv_sim.model import SimpleModule
-from lteadv_sim.netconfig import (InvalidNetworkSpec, Selector, SelectorKind,
-                                  Severity, _lex, build, format_spec,
-                                  instance_table, parse, parse_duration, validate)
+from lteadv_sim.netconfig import (InvalidNetworkSpec, Selector, SelectorKind, _lex,
+                                  build, format_spec, instance_table, parse,
+                                  parse_duration, validate)
 
 from conftest import MULTI_UE_SOURCE, MINIMAL_SOURCE
 from reference_lexer import reference_lex
@@ -21,10 +21,6 @@ def parse_ok(source):
     result = parse(source)
     assert result.ok, result.diagnostics
     return result.spec
-
-
-def errors_of(diags):
-    return [d for d in diags if d.is_error]
 
 
 # -- parsing ------------------------------------------------------------------
@@ -52,13 +48,13 @@ def test_multi_ue_parses_with_vectors_and_ranges():
 def test_empty_network_body_parses_then_fails_validation():
     spec = parse_ok("network N { }")
     assert spec.node_decls == []
-    assert errors_of(validate(spec))
+    assert validate(spec)
 
 
 def test_unclosed_bracket_reports_position():
     result = parse("network N {\n    ue u[2\n}\n")
     assert result.spec is None
-    errs = errors_of(result.diagnostics)
+    errs = result.diagnostics
     assert errs, "expected a diagnostic"
     assert errs[0].line == 2
     assert errs[0].col >= 9  # at or after the un-terminated vector size
@@ -72,7 +68,7 @@ def test_multiple_errors_reported_in_one_pass():
 }
 """
     result = parse(source)
-    errs = errors_of(result.diagnostics)
+    errs = result.diagnostics
     assert len(errs) >= 2
     assert {e.line for e in errs} >= {2, 3}
 
@@ -210,7 +206,7 @@ def test_zero_period_is_a_located_diagnostic():
     run until 1s;
 }""")
     assert result.spec is None
-    assert any("period" in d.message for d in errors_of(result.diagnostics))
+    assert any("period" in d.message for d in result.diagnostics)
 
 
 # -- validation ----------------------------------------------------------------
@@ -230,7 +226,7 @@ def test_two_pdn_gw_rejected():
     attach u -> e;
     run until 1s;
 }""")
-    errs = errors_of(validate(spec))
+    errs = validate(spec)
     assert any("exactly one pdn_gw" in e.message for e in errs)
     assert all(e.line > 0 for e in errs)
 
@@ -242,7 +238,7 @@ def test_dangling_attach_selector():
     attach u[3] -> e;
     run until 1s;
 }""")
-    errs = errors_of(validate(spec))
+    errs = validate(spec)
     assert any("dangling ue selector u[3]" in e.message for e in errs)
 
 
@@ -251,7 +247,7 @@ def test_unattached_ue():
     ue u; enb e; sgw_mme s; pdn_gw p;
     run until 1s;
 }""")
-    errs = errors_of(validate(spec))
+    errs = validate(spec)
     assert any("unattached ue 'u'" in e.message for e in errs)
 
 
@@ -262,7 +258,7 @@ def test_doubly_attached_ue():
     attach u -> e[1];
     run until 1s;
 }""")
-    errs = errors_of(validate(spec))
+    errs = validate(spec)
     assert any("attached more than once" in e.message for e in errs)
 
 
@@ -272,7 +268,7 @@ def test_attach_needs_a_single_enb():
     attach u -> e[*];
     run until 1s;
 }""")
-    errs = errors_of(validate(spec))
+    errs = validate(spec)
     assert any("exactly one" in e.message for e in errs)
 
 
@@ -283,7 +279,7 @@ def test_generator_on_non_ue():
     generator on e { }
     run until 1s;
 }""")
-    errs = errors_of(validate(spec))
+    errs = validate(spec)
     assert any("generator: no such ue" in e.message for e in errs)
 
 
@@ -294,7 +290,7 @@ def test_link_kind_restrictions():
     link u -> s;
     run until 1s;
 }""")
-    errs = errors_of(validate(spec))
+    errs = validate(spec)
     assert any("only enb -> sgw_mme" in e.message for e in errs)
 
 
@@ -303,7 +299,7 @@ def test_missing_run_until():
     ue u; enb e; sgw_mme s; pdn_gw p;
     attach u -> e;
 }""")
-    errs = errors_of(validate(spec))
+    errs = validate(spec)
     assert any("run until" in e.message for e in errs)
 
 
@@ -313,7 +309,7 @@ def test_duplicate_node_name_diagnosed():
     attach x -> x;
     run until 1s;
 }""")
-    errs = errors_of(validate(spec))
+    errs = validate(spec)
     assert any("duplicate node name" in e.message for e in errs)
 
 
@@ -385,7 +381,6 @@ def test_validate_reports_every_rule_in_order():
         (25, 5, "duplicate generator on ue 'u[2]'"),
         (25, 5, "duplicate generator on ue 'u[3]'"),
     ]
-    assert all(d.is_error for d in validate(spec))
 
 
 def test_oracle_on_invalid_spec_takes_first_statement():
@@ -663,12 +658,12 @@ def test_chain_override_changes_built_stack(minimal_spec):
 
 def test_chain_override_validation_rules(minimal_spec):
     minimal_spec.chain_overrides[NodeType.UE] = (LayerSpec("NAS", "lte_nas"),)
-    errs = errors_of(validate(minimal_spec))
+    errs = validate(minimal_spec)
     assert any("at least 2 layers" in e.message for e in errs)
 
     minimal_spec.chain_overrides[NodeType.UE] = (
         LayerSpec("NAS", "lte_nas"), LayerSpec("PHY", "generator"))
-    errs = errors_of(validate(minimal_spec))
+    errs = validate(minimal_spec)
     assert any("reserved module names" in e.message for e in errs)
 
 

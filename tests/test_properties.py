@@ -4,6 +4,7 @@ Invariants that should hold for any wellformed network description: the
 canonical printing round-trips through the parser unchanged, one mistake
 in its generator block is one diagnostic, a zero-delay run conserves
 messages with every visited path matching the chain-walk oracle,
+drawn layer stacks leave every round trip on the oracle's walk,
 dispatching returned hops at once changes nothing against queueing
 every one of them, the run loop matches a plain-heap reference loop,
 each event is one handle_message call, and the streaming metrics fold
@@ -27,7 +28,7 @@ from lteadv_sim.kernel import EventRecord, MessageKind, SimTime, StopReason
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
                                   validate)
-from lteadv_sim.lte_nodes import NodeType
+from lteadv_sim.lte_nodes import LayerSpec, NodeType
 from lteadv_sim.model import ModuleNode
 from lteadv_sim.traffic import GeneratorConfig
 from lteadv_sim.trace import read_structured, summarize, zero_delay_emissions
@@ -151,6 +152,43 @@ def test_generated_specs_run_conserved_and_oracle_clean(spec):
     if zero_delay:
         assert in_flight == 0
         assert all(rtt.ns == 0 for rtt in metrics.per_message_rtt.values())
+
+
+# drawn stacks: module names never include the reserved "generator" and
+# "lte_radio"; the (fewest, most) layers per kind, where the air hop
+# needs a top layer and a PHY
+_LAYER_NAMES = ("lte_nas", "lte_rrc", "lte_pdcp", "lte_rlc", "lte_mac", "lte_phy",
+                "lte_gtp", "lte_s1", "lte_s5", "lte_ip", "lte_x2", "relay")
+_LAYER_TAGS = ("NAS", "RRC", "MAC", "PHY", "GTP", "S1", "IP", "X2")
+_STACK_SIZES = {NodeType.UE: (2, 4), NodeType.ENB: (2, 4),
+                NodeType.SGW_MME: (1, 3), NodeType.PDN_GW: (1, 3)}
+
+
+@st.composite
+def specs_with_stacks(draw):
+    """network_specs() with a drawn chain override for some node kinds."""
+    spec = draw(network_specs())
+    for kind, (fewest, most) in _STACK_SIZES.items():
+        if draw(st.booleans()):
+            names = draw(st.lists(st.sampled_from(_LAYER_NAMES), min_size=fewest,
+                                  max_size=most, unique=True))
+            spec.chain_overrides[kind] = tuple(
+                LayerSpec(draw(st.sampled_from(_LAYER_TAGS)), name) for name in names)
+    return spec
+
+
+@given(specs_with_stacks())
+@settings(deadline=None)
+def test_drawn_stacks_run_oracle_clean(spec):
+    assert validate(spec) == []
+    built = build(spec)
+    sink = CollectingSink()
+    summary = built.simulator().run(until=spec.until, sinks=[sink])
+    metrics = summarize(sink.records, spec, summary)
+    assert metrics.path_mismatches == []
+    returned = sum(node.generator.stats.returned for node in built.nodes.values()
+                   if node.generator is not None)
+    assert metrics.round_trips == returned > 0  # u[0]'s first trip is back by 8 ms
 
 
 _GENERATOR_OPTIONS = ("period", "start", "payload")

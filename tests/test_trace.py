@@ -106,8 +106,31 @@ def test_malformed_trace_reports_line_number():
     with pytest.raises(MalformedTrace) as exc_info:
         read_structured(lines)
     assert exc_info.value.line_no == 2
-    with pytest.raises(MalformedTrace):
+    with pytest.raises(MalformedTrace) as exc_info:
         parse_structured_line('{"event_no": 1}', 5)
+    assert str(exc_info.value) == "line 5: missing field 't_ns'"
+
+
+_GOOD_RECORD = {"event_no": 1, "t_ns": 2, "path": "Network.x", "type": "x",
+                "module_id": 3, "msg_name": "m", "msg_kind": "cMessage", "msg_id": 4}
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value)
+    for key in ("event_no", "t_ns", "module_id", "msg_id")
+    for value in (1.9, 2.0, "5", True, None, [])
+] + [
+    (key, value)
+    for key in ("path", "type", "msg_name", "msg_kind")
+    for value in (3, 2.5, True, None, [], {})
+])
+def test_a_field_of_the_wrong_json_type_is_malformed(key, value):
+    line = json.dumps({**_GOOD_RECORD, key: value})
+    with pytest.raises(MalformedTrace) as err:
+        read_structured([json.dumps(_GOOD_RECORD), "", line])
+    assert err.value.line_no == 3
+    kind = "integer" if isinstance(_GOOD_RECORD[key], int) else "string"
+    assert str(err.value) == f"line 3: field {key!r} is not a JSON {kind}"
 
 
 @given(st.integers(min_value=1, max_value=10**6),
