@@ -334,6 +334,26 @@ class FutureEventSet:
             yield lane.popleft()
 
 
+def _event_entry(sink):
+    """The per-event call `Simulator.run` makes on `sink`, as
+    `entry(event_no, t_ns, module, msg)`: the sink's own `on_event` when it
+    has one, otherwise an adapter that builds the event's EventRecord and
+    passes it to the sink's `record`."""
+    on_event = getattr(sink, "on_event", None)
+    if on_event is not None:
+        return on_event
+    record = sink.record
+
+    def record_event(event_no: int, t_ns: int, module, msg: SimMessage) -> None:
+        # lock_and_number cached the path of every module in the tree; a
+        # module outside it computes its own
+        record(EventRecord(event_no, t_ns, module._path or module.full_path,
+                           module.type_name, module.module_id, msg.name,
+                           msg.kind_label, msg._msg_id))
+
+    return record_event
+
+
 class Simulator:
     """One sequential event loop over a built module tree.
 
@@ -379,11 +399,14 @@ class Simulator:
             sinks: Sequence = ()) -> RunSummary:
         """Dispatch events with fire time strictly below `until`.
 
-        Emits one EventRecord per dispatched event, numbered from 1, to
-        every sink before the target handler runs, so records show each
-        message as it arrived. Each sink's `record` is looked up once,
-        when the run starts. Stops when the FES drains, the next event
-        would fire at or past `until`, or `event_limit` events have run.
+        Shows every dispatched event, numbered from 1, to every sink
+        before the target handler runs, so sinks see each message as it
+        arrived. Each sink's entry is bound once, when the run starts (see
+        `_event_entry`): a sink with `on_event(event_no, t_ns, module, msg)`
+        is called with the event's fields, and any other sink's
+        `record(rec)` gets an EventRecord. Stops when the FES drains, the
+        next event would fire at or past `until`, or `event_limit` events
+        have run.
 
         The loop runs one time bucket at a time: it refills the FES lane
         with every entry due at the earliest time, sets the clock to that
@@ -408,7 +431,7 @@ class Simulator:
         fes = self.fes
         push, refill, lane = fes.push, fes.refill, fes.lane
         popleft = lane.popleft
-        records = [sink.record for sink in sinks]
+        entries = [_event_entry(sink) for sink in sinks]
         until_ns = until.ns
         # -1 never equals the count of executed events: no limit
         limit = -1 if event_limit is None else max(event_limit, 0)
@@ -425,15 +448,9 @@ class Simulator:
                     _, _, target, gate_label, msg = popleft()
                     while True:
                         executed += 1
-                        if records:
-                            # lock_and_number cached the path of every module
-                            # in the tree; a module outside it computes its own
-                            rec = EventRecord(executed, t_ns,
-                                              target._path or target.full_path,
-                                              target.type_name, target.module_id,
-                                              msg.name, msg.kind_label, msg._msg_id)
-                            for record in records:
-                                record(rec)
+                        if entries:
+                            for on_event in entries:
+                                on_event(executed, t_ns, target, msg)
                         try:
                             hop = target.handle_message(msg, gate_label)
                         except Exception as exc:

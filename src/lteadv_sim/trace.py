@@ -25,7 +25,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Optional, Sequence, TextIO
 
-from .kernel import (EventRecord, MessageKind, RunSummary, SimTime,
+from .kernel import (MAX_TIME_NS, EventRecord, MessageKind, RunSummary, SimTime,
                      SimulationError, format_seconds)
 from .lte_nodes import NodeType
 from .netconfig import InstanceTable, NetworkSpec, instance_table
@@ -41,25 +41,40 @@ class MalformedTrace(SimulationError):
 # --------------------------------------------------------------------------
 # line formats
 #
-# The part of a line filled by a record's path, type, module id, message
-# name and message kind is built, escaped, once per site (those five
-# fields) and cached, so a line adds only the event number, the time and
-# the message id. A module sees a message under the name tagged for its
-# layer, so it has about one site. The key holds all five fields: one
-# process may trace several networks whose modules share a path or an id.
-# The bound holds every site of a 1000-UE network (about 10,000) and caps
+# A site is the part of a line filled by a module's path, type and id and
+# by the message's name and kind: everything between the time and the
+# message id. It is built, escaped, once and cached, so a line adds only
+# the event number, the time and the message id. A module sees a message
+# under the name tagged for its layer, so it has about one site.
+#
+# The record-based renderers below key their cache on all five fields:
+# one process may trace several networks whose modules share a path or an
+# id. The trace sinks' `on_event` keeps its own dict per sink, keyed on
+# (module, message name, message kind), so a line costs one dict lookup.
+# Both bounds hold every site of a 1000-UE network (about 10,000) and cap
 # what a process tracing many networks keeps.
 
-@lru_cache(maxsize=16384)
+_MAX_SITES = 16384
+
+
+def _console_site(path: str, type_name: str, module_id: int, msg_name: str,
+                  msg_kind: str) -> str:
+    return f" {path} ({type_name}, id={module_id}), on `{msg_name}' ({msg_kind}, id="
+
+
+def _structured_site(path: str, type_name: str, module_id: int, msg_name: str,
+                     msg_kind: str) -> str:
+    return (f', "path": {_json_str(path)}, "type": {_json_str(type_name)}, '
+            f'"module_id": {module_id}, "msg_name": {_json_str(msg_name)}, '
+            f'"msg_kind": {_json_str(msg_kind)}, "msg_id": ')
+
+
+@lru_cache(maxsize=_MAX_SITES)
 def _site(path: str, type_name: str, module_id: int, msg_name: str,
           msg_kind: str) -> tuple[str, str]:
-    """(console middle, structured middle) of one site: everything between
-    the time and the message id of its lines."""
-    console = f" {path} ({type_name}, id={module_id}), on `{msg_name}' ({msg_kind}, id="
-    structured = (f', "path": {_json_str(path)}, "type": {_json_str(type_name)}, '
-                  f'"module_id": {module_id}, "msg_name": {_json_str(msg_name)}, '
-                  f'"msg_kind": {_json_str(msg_kind)}, "msg_id": ')
-    return console, structured
+    """(console site, structured site) of a record's five fields."""
+    return (_console_site(path, type_name, module_id, msg_name, msg_kind),
+            _structured_site(path, type_name, module_id, msg_name, msg_kind))
 
 
 # The last time rendered, as (t_ns, format_seconds(t_ns)): consecutive
@@ -69,18 +84,22 @@ def _site(path: str, type_name: str, module_id: int, msg_name: str,
 _last_time: tuple = (None, "")
 
 
+# The two line templates. PaperTraceSink.on_event and
+# StructuredTraceSink.on_event inline the same f-strings, since a call per
+# line costs more than the rest of the line.
+
 def _event_line(rec: EventRecord) -> str:
     global _last_time
     last = _last_time
     if last[0] != rec.t_ns:
         last = _last_time = (rec.t_ns, format_seconds(rec.t_ns))
-    console = _site(rec.path, rec.type_name, rec.module_id, rec.msg_name, rec.msg_kind)[0]
-    return f"** Event #{rec.event_no} T={last[1]}{console}{rec.msg_id})\n"
+    site = _site(rec.path, rec.type_name, rec.module_id, rec.msg_name, rec.msg_kind)[0]
+    return f"** Event #{rec.event_no} T={last[1]}{site}{rec.msg_id})\n"
 
 
 def _structured_line(rec: EventRecord) -> str:
-    structured = _site(rec.path, rec.type_name, rec.module_id, rec.msg_name, rec.msg_kind)[1]
-    return f'{{"event_no": {rec.event_no}, "t_ns": {rec.t_ns}{structured}{rec.msg_id}}}\n'
+    site = _site(rec.path, rec.type_name, rec.module_id, rec.msg_name, rec.msg_kind)[1]
+    return f'{{"event_no": {rec.event_no}, "t_ns": {rec.t_ns}{site}{rec.msg_id}}}\n'
 
 
 def format_event_line(rec: EventRecord) -> str:
@@ -102,14 +121,26 @@ def structured_line(rec: EventRecord) -> str:
     return _structured_line(rec)[:-1]
 
 
-# a structured record's keys in EventRecord's field order, with the
-# JSON type each must hold
-_RECORD_FIELDS = (("event_no", int), ("t_ns", int), ("path", str), ("type", str),
-                  ("module_id", int), ("msg_name", str), ("msg_kind", str),
-                  ("msg_id", int))
+# a structured record's keys in EventRecord's field order, with the JSON
+# type each must hold and, where that type allows values no run writes,
+# a test of the value and what the test asks for
+_MSG_KINDS = frozenset(kind.value for kind in MessageKind)
+_AT_LEAST_1 = (lambda value: value >= 1, "at least 1")
+_RECORD_FIELDS = (
+    ("event_no", int, _AT_LEAST_1),
+    ("t_ns", int, (lambda value: 0 <= value <= MAX_TIME_NS, f"in 0..{MAX_TIME_NS}")),
+    ("path", str, None),
+    ("type", str, None),
+    ("module_id", int, _AT_LEAST_1),
+    ("msg_name", str, None),
+    ("msg_kind", str, (lambda value: value in _MSG_KINDS, "cMessage or cPacket")),
+    ("msg_id", int, _AT_LEAST_1),
+)
 
 
 def parse_structured_line(line: str, line_no: int = 1) -> EventRecord:
+    """Read one structured record back; raise MalformedTrace, with
+    `line_no`, for anything a run cannot have written."""
     try:
         obj = json.loads(line)
     except ValueError as exc:
@@ -117,13 +148,15 @@ def parse_structured_line(line: str, line_no: int = 1) -> EventRecord:
     if not isinstance(obj, dict):
         raise MalformedTrace(line_no, "record is not an object")
     values = []
-    for key, kind in _RECORD_FIELDS:
+    for key, kind, rule in _RECORD_FIELDS:
         if key not in obj:
             raise MalformedTrace(line_no, f"missing field {key!r}")
         value = obj[key]
         if type(value) is not kind:  # a bool is an int to isinstance
             raise MalformedTrace(line_no, f"field {key!r} is not a JSON "
                                           f"{'integer' if kind is int else 'string'}")
+        if rule is not None and not rule[0](value):
+            raise MalformedTrace(line_no, f"field {key!r} is {value!r}, not {rule[1]}")
         values.append(value)
     return EventRecord(*values)
 
@@ -145,22 +178,65 @@ def write_structured(records: Iterable[EventRecord], stream: TextIO) -> None:
 # --------------------------------------------------------------------------
 # sinks
 
-class PaperTraceSink:
-    """Writes the console log format, one LF-terminated line per event."""
+class _LineSink:
+    """A trace sink that writes one LF-terminated line per event to
+    `stream`.
+
+    `record(rec)` renders an EventRecord through the cached record-based
+    formatter; `on_event(event_no, t_ns, module, msg)`, which
+    `Simulator.run` calls in its place, renders the same line from the
+    event's fields. `on_event` keys its sites on the module object, whose
+    path, type and id are fixed once its simulator starts, and builds a
+    missing one from the module's cached path, type and id.
+    """
+
+    _render_site = None  # (path, type_name, module_id, msg_name, msg_kind) -> site
 
     def __init__(self, stream: TextIO):
         self.stream = stream
+        self._sites: dict[tuple, str] = {}
+
+    def _new_site(self, key: tuple) -> str:
+        module, msg_name, msg_kind = key
+        sites = self._sites
+        if len(sites) >= _MAX_SITES:
+            sites.clear()
+        site = sites[key] = self._render_site(
+            module._path or module.full_path, module.type_name, module.module_id,
+            msg_name, msg_kind)
+        return site
+
+
+class PaperTraceSink(_LineSink):
+    """Writes the console log format, one LF-terminated line per event."""
+
+    _render_site = staticmethod(_console_site)
 
     def record(self, rec: EventRecord) -> None:
         self.stream.write(_event_line(rec))
 
+    def on_event(self, event_no: int, t_ns: int, module, msg) -> None:
+        global _last_time
+        key = (module, msg.name, msg.kind_label)
+        site = self._sites.get(key) or self._new_site(key)
+        last = _last_time
+        if last[0] != t_ns:
+            last = _last_time = (t_ns, format_seconds(t_ns))
+        self.stream.write(f"** Event #{event_no} T={last[1]}{site}{msg._msg_id})\n")
 
-class StructuredTraceSink:
-    def __init__(self, stream: TextIO):
-        self.stream = stream
+
+class StructuredTraceSink(_LineSink):
+    """Writes the structured trace, one JSON record per line."""
+
+    _render_site = staticmethod(_structured_site)
 
     def record(self, rec: EventRecord) -> None:
         self.stream.write(_structured_line(rec))
+
+    def on_event(self, event_no: int, t_ns: int, module, msg) -> None:
+        key = (module, msg.name, msg.kind_label)
+        site = self._sites.get(key) or self._new_site(key)
+        self.stream.write(f'{{"event_no": {event_no}, "t_ns": {t_ns}{site}{msg._msg_id}}}\n')
 
 
 class CollectingSink:
@@ -366,20 +442,26 @@ class MetricsSink:
         self._messages: dict[int, list] = {}
 
     def record(self, rec: EventRecord) -> None:
-        entry = self._messages.get(rec.msg_id)
+        self._fold(rec.msg_id, rec.t_ns, rec.path, rec.msg_name)
+
+    def on_event(self, event_no: int, t_ns: int, module, msg) -> None:
+        self._fold(msg._msg_id, t_ns, module._path or module.full_path, msg.name)
+
+    def _fold(self, msg_id: int, t_ns: int, path: str, msg_name: str) -> None:
+        entry = self._messages.get(msg_id)
         if entry is None:
-            hop = (rec.path, rec.msg_name)
+            hop = (path, msg_name)
             walk = self._walks.get(hop)
-            self._messages[rec.msg_id] = [walk, 1, hop if walk is None else None,
-                                          rec.t_ns, rec.t_ns]
+            self._messages[msg_id] = [walk, 1, hop if walk is None else None,
+                                      t_ns, t_ns]
             return
         hops = entry[1]
         entry[1] = hops + 1
-        entry[4] = rec.t_ns
+        entry[4] = t_ns
         if entry[2] is None:
             walk = entry[0]
-            if hops < len(walk) and walk[hops] != (rec.path, rec.msg_name):
-                entry[2] = (hops, (rec.path, rec.msg_name))
+            if hops < len(walk) and walk[hops] != (path, msg_name):
+                entry[2] = (hops, (path, msg_name))
 
     def finish(self, run_summary: Optional[RunSummary] = None) -> Metrics:
         metrics = Metrics()

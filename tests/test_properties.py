@@ -7,9 +7,10 @@ messages with every visited path matching the chain-walk oracle,
 drawn layer stacks leave every round trip on the oracle's walk,
 dispatching returned hops at once changes nothing against queueing
 every one of them, the run loop matches a plain-heap reference loop,
-each event is one handle_message call, and the streaming metrics fold
+each event is one handle_message call, the streaming metrics fold
 gives the reference summarize's metrics on any trace, cut short or
-corrupted.
+corrupted, and the built-in sinks' `on_event` entry gives what their
+`record` entry would.
 """
 
 import contextlib
@@ -23,7 +24,8 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from lteadv_sim import CollectingSink, StructuredTraceSink, build, parse
+from lteadv_sim import (CollectingSink, MetricsSink, PaperTraceSink, StructuredTraceSink,
+                        build, parse)
 from lteadv_sim.kernel import EventRecord, MessageKind, SimTime, StopReason
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
@@ -31,7 +33,8 @@ from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSp
 from lteadv_sim.lte_nodes import LayerSpec, NodeType
 from lteadv_sim.model import ModuleNode
 from lteadv_sim.traffic import GeneratorConfig
-from lteadv_sim.trace import read_structured, summarize, zero_delay_emissions
+from lteadv_sim.trace import (format_event_line, read_structured, summarize,
+                              write_structured, zero_delay_emissions)
 
 from reference_summarize import summarize as reference_summarize
 
@@ -415,3 +418,53 @@ def test_metrics_fold_matches_reference_summarize_on_corrupted_traces(
     for kind in corruptions:
         records = _corrupt(records, kind, data)
     _assert_fold_matches_reference(records, spec, summary)
+
+
+class _RecordOnlySink:
+    """A sink with only `record`: the run hands it an EventRecord."""
+
+    def __init__(self):
+        self.records = []
+
+    def record(self, rec):
+        self.records.append(rec)
+
+
+class _BothEntriesSink:
+    """A sink with `on_event` and `record`: the run must call `on_event`
+    alone, once per event."""
+
+    def __init__(self):
+        self.event_nos = []
+
+    def on_event(self, event_no, t_ns, module, msg):
+        self.event_nos.append(event_no)
+
+    def record(self, rec):
+        raise AssertionError("record called on a sink that has on_event")
+
+
+@given(network_specs(), st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
+@settings(deadline=None)
+def test_on_event_sinks_match_the_record_path(spec, event_limit):
+    """In one run, the built-in sinks' `on_event` entry writes the same
+    traces and folds the same metrics as rendering and summarizing the
+    records a CollectingSink kept, and a record-only sink gets those same
+    records."""
+    paper_out, structured_out = io.StringIO(), io.StringIO()
+    metrics, collector = MetricsSink(spec), CollectingSink()
+    record_only, both = _RecordOnlySink(), _BothEntriesSink()
+    summary = build(spec).simulator().run(
+        until=spec.until, event_limit=event_limit,
+        sinks=[PaperTraceSink(paper_out), StructuredTraceSink(structured_out), metrics,
+               collector, record_only, both])
+    records = collector.records
+    assert len(records) == summary.events_executed
+    assert paper_out.getvalue() == "".join(format_event_line(rec) + "\n" for rec in records)
+    written = io.StringIO()
+    write_structured(records, written)
+    assert structured_out.getvalue() == written.getvalue()
+    assert (json.dumps(metrics.finish(summary).to_json_dict())
+            == json.dumps(summarize(records, spec, summary).to_json_dict()))
+    assert record_only.records == records
+    assert both.event_nos == list(range(1, summary.events_executed + 1))

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lteadv_sim import build, parse
-from lteadv_sim.kernel import (MAX_TIME_NS, NS_PER_S, EventRecord, SimTime,
-                               SimTimeRangeError)
+from lteadv_sim.kernel import (MAX_TIME_NS, NS_PER_S, EventRecord, MessageKind,
+                               SimMessage, SimTime, SimTimeRangeError)
+from lteadv_sim.model import SimpleModule
 from lteadv_sim.netconfig import NetworkSpec
 from lteadv_sim.trace import (CollectingSink, MalformedTrace, MetricsSink,
                               PaperTraceSink, StructuredTraceSink, data_walk,
@@ -51,6 +52,55 @@ def reference_structured_line(rec):
     return json.dumps(payload, separators=(", ", ": "))
 
 
+_MSG_KINDS = ("cMessage", "cPacket")
+
+
+def run_could_write(rec):
+    """Whether a run can write `rec`: ids and event numbers from 1, a time
+    in range and a real message kind."""
+    return (min(rec.event_no, rec.module_id, rec.msg_id) >= 1
+            and 0 <= rec.t_ns <= MAX_TIME_NS and rec.msg_kind in _MSG_KINDS)
+
+
+def as_a_run_writes(rec):
+    """`rec` with each field a run cannot write moved to one it can."""
+    return replace(rec, event_no=max(rec.event_no, 1), module_id=max(rec.module_id, 1),
+                   msg_id=max(rec.msg_id, 1),
+                   msg_kind=rec.msg_kind if rec.msg_kind in _MSG_KINDS else "cPacket")
+
+
+def assert_reads_back(records):
+    """Each record's structured line reads back as the record when a run
+    could have written it and is malformed, on its line, when not; moved
+    to what a run writes, every record reads back from the reference
+    renderer's text."""
+    lines = [structured_line(rec) for rec in records]
+    for line_no, (line, rec) in enumerate(zip(lines, records), start=1):
+        if run_could_write(rec):
+            assert parse_structured_line(line, line_no) == rec
+        else:
+            with pytest.raises(MalformedTrace) as err:
+                parse_structured_line(line, line_no)
+            assert err.value.line_no == line_no
+    written = [as_a_run_writes(rec) for rec in records]
+    assert read_structured([reference_structured_line(rec) for rec in written]) == written
+
+
+def show_to_on_event(sink, records):
+    """Call `sink.on_event` once per record, as Simulator.run does: one
+    module per (path, type, module id) and one message per record."""
+    modules = {}
+    for rec in records:
+        module = modules.get((rec.path, rec.type_name, rec.module_id))
+        if module is None:
+            module = modules[rec.path, rec.type_name, rec.module_id] = SimpleModule(
+                "m", rec.type_name)
+            module._path, module.module_id = rec.path, rec.module_id
+        msg = SimMessage(rec.msg_id, rec.msg_name, MessageKind.CONTROL_MESSAGE, 0, 0)
+        msg.kind_label = rec.msg_kind
+        sink.on_event(rec.event_no, rec.t_ns, module, msg)
+
+
 # -- console format -------------------------------------------------------------
 
 def test_format_golden_line_one():
@@ -89,8 +139,8 @@ def test_structured_line_carries_all_fields():
 
 
 def test_structured_round_trip_1000_records():
-    records = [EventRecord(i + 1, i * 10, f"Network.m{i % 7}", "t", i % 5,
-                           f"name{i}", "cMessage" if i % 2 else "cPacket", i)
+    records = [EventRecord(i + 1, i * 10, f"Network.m{i % 7}", "t", i % 5 + 1,
+                           f"name{i}", "cMessage" if i % 2 else "cPacket", i + 1)
                for i in range(1000)]
     buf = io.StringIO()
     write_structured(records, buf)
@@ -133,6 +183,66 @@ def test_a_field_of_the_wrong_json_type_is_malformed(key, value):
     assert str(err.value) == f"line 3: field {key!r} is not a JSON {kind}"
 
 
+# one test per rule on the values a run writes: each reads back at its
+# bounds and is malformed, on its line, just past them
+def _read_with(key, value):
+    return parse_structured_line(json.dumps({**_GOOD_RECORD, key: value}))
+
+
+def _rejected_at_line_3(key, value):
+    line = json.dumps({**_GOOD_RECORD, key: value})
+    with pytest.raises(MalformedTrace) as err:
+        read_structured([json.dumps(_GOOD_RECORD), "", line])
+    assert err.value.line_no == 3
+    return str(err.value)
+
+
+@pytest.mark.parametrize("t_ns", [-1, -(2**70), MAX_TIME_NS + 1])
+def test_a_time_out_of_range_is_malformed(t_ns):
+    for good in (0, MAX_TIME_NS):
+        assert _read_with("t_ns", good).t_ns == good
+    assert _rejected_at_line_3("t_ns", t_ns) == (
+        f"line 3: field 't_ns' is {t_ns}, not in 0..{MAX_TIME_NS}")
+
+
+@pytest.mark.parametrize("value", [0, -1, -3])
+def test_an_event_number_below_1_is_malformed(value):
+    assert _read_with("event_no", 1).event_no == 1
+    assert _rejected_at_line_3("event_no", value) == (
+        f"line 3: field 'event_no' is {value}, not at least 1")
+
+
+@pytest.mark.parametrize("value", [0, -1, -3])
+def test_a_module_id_below_1_is_malformed(value):
+    assert _read_with("module_id", 1).module_id == 1
+    assert _rejected_at_line_3("module_id", value) == (
+        f"line 3: field 'module_id' is {value}, not at least 1")
+
+
+@pytest.mark.parametrize("value", [0, -1, -3])
+def test_a_message_id_below_1_is_malformed(value):
+    assert _read_with("msg_id", 1).msg_id == 1
+    assert _rejected_at_line_3("msg_id", value) == (
+        f"line 3: field 'msg_id' is {value}, not at least 1")
+
+
+@pytest.mark.parametrize("kind", ["bogus", "", "cmessage", "CONTROL_MESSAGE", " cPacket"])
+def test_a_message_kind_no_run_writes_is_malformed(kind):
+    for good in ("cMessage", "cPacket"):
+        assert _read_with("msg_kind", good).msg_kind == good
+    assert _rejected_at_line_3("msg_kind", kind) == (
+        f"line 3: field 'msg_kind' is {kind!r}, not cMessage or cPacket")
+
+
+def test_a_record_wrong_in_every_ranged_field_is_malformed_not_a_render_error():
+    line = json.dumps({"event_no": 0, "t_ns": -1, "path": "Network.x", "type": "x",
+                       "module_id": -3, "msg_name": "m", "msg_kind": "bogus", "msg_id": -1})
+    with pytest.raises(MalformedTrace) as err:
+        read_structured([line])
+    # fields are checked in record order: event_no comes first
+    assert str(err.value) == "line 1: field 'event_no' is 0, not at least 1"
+
+
 @given(st.integers(min_value=1, max_value=10**6),
        st.integers(min_value=0, max_value=10**15),
        st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=20))
@@ -158,7 +268,7 @@ def test_formatters_match_reference_renderers(rec):
     assert SimTime(rec.t_ns).seconds_str() == reference_seconds(rec.t_ns)
     assert format_event_line(rec) == reference_event_line(rec)
     assert structured_line(rec) == reference_structured_line(rec)
-    assert parse_structured_line(structured_line(rec)) == rec
+    assert_reads_back([rec])
 
 
 @pytest.mark.parametrize("t_ns", [-1, MAX_TIME_NS + 1])
@@ -203,15 +313,23 @@ def test_sinks_render_each_module_by_path_type_and_id():
     # and the first sites again, at a later time with new message ids
     records += [replace(rec, event_no=len(records) + i, t_ns=60, msg_id=100 + i)
                 for i, rec in enumerate(records[:5], 1)]
-    paper_buf, struct_buf = io.StringIO(), io.StringIO()
-    paper, structured = PaperTraceSink(paper_buf), StructuredTraceSink(struct_buf)
-    for rec in records:
-        paper.record(rec)
-        structured.record(rec)
-    assert paper_buf.getvalue().splitlines() == [reference_event_line(r) for r in records]
-    assert struct_buf.getvalue().splitlines() == [reference_structured_line(r)
-                                                  for r in records]
+    for entry in ("record", "on_event"):
+        paper_buf, struct_buf = io.StringIO(), io.StringIO()
+        paper, structured = PaperTraceSink(paper_buf), StructuredTraceSink(struct_buf)
+        if entry == "record":
+            for rec in records:
+                paper.record(rec)
+                structured.record(rec)
+        else:
+            show_to_on_event(paper, records)
+            show_to_on_event(structured, records)
+        assert paper_buf.getvalue().splitlines() == [reference_event_line(r)
+                                                     for r in records]
+        assert struct_buf.getvalue().splitlines() == [reference_structured_line(r)
+                                                      for r in records]
 
+
+_MINIMAL = parse(MINIMAL_SOURCE).spec
 
 # a site is the five fields a module's lines share: path, type, module id,
 # message name and message kind
@@ -224,18 +342,30 @@ _sites = st.lists(st.tuples(_awkward_text, _awkward_text, _ids, _awkward_text,
               st.sampled_from(sites), _ids, _t_ns, _ids),
     min_size=1, max_size=20)))
 def test_sinks_match_reference_renderers_over_a_few_sites(records):
+    """Both entries of each trace sink, `record` and the `on_event` that
+    Simulator.run calls, render every line as the reference renderers do,
+    and MetricsSink folds the same metrics through either."""
     paper_buf, struct_buf, written = io.StringIO(), io.StringIO(), io.StringIO()
     paper, structured = PaperTraceSink(paper_buf), StructuredTraceSink(struct_buf)
+    fast_paper_buf, fast_struct_buf = io.StringIO(), io.StringIO()
+    fast_paper = PaperTraceSink(fast_paper_buf)
+    fast_structured = StructuredTraceSink(fast_struct_buf)
+    metrics, fast_metrics = MetricsSink(_MINIMAL), MetricsSink(_MINIMAL)
     for rec in records:
         paper.record(rec)
         structured.record(rec)
+        metrics.record(rec)
+    for sink in (fast_paper, fast_structured, fast_metrics):
+        show_to_on_event(sink, records)
     write_structured(records, written)
     # awkward paths and names may hold line breaks: compare whole texts
-    assert paper_buf.getvalue() == "".join(reference_event_line(r) + "\n"
-                                           for r in records)
+    want = "".join(reference_event_line(r) + "\n" for r in records)
+    assert paper_buf.getvalue() == fast_paper_buf.getvalue() == want
     want = "".join(reference_structured_line(r) + "\n" for r in records)
-    assert struct_buf.getvalue() == written.getvalue() == want
-    assert read_structured(want.splitlines()) == records
+    assert struct_buf.getvalue() == fast_struct_buf.getvalue() == written.getvalue() == want
+    assert (json.dumps(fast_metrics.finish().to_json_dict())
+            == json.dumps(metrics.finish().to_json_dict()))
+    assert_reads_back(records)
 
 def test_sinks_shared_by_runs_of_two_topologies(minimal_spec, multi_ue_spec):
     paper_buf, struct_buf = io.StringIO(), io.StringIO()
