@@ -9,6 +9,7 @@ runs of the same network produce byte-identical traces.
 from __future__ import annotations
 
 import enum
+import itertools
 import time as _wallclock
 from collections import deque
 from dataclasses import dataclass
@@ -125,6 +126,9 @@ class MessageKind(enum.Enum):
     @property
     def name_suffix(self) -> str:
         return "Msg" if self is MessageKind.CONTROL_MESSAGE else "Pck"
+
+
+_PACKET = MessageKind.PACKET
 
 
 class SimMessage:
@@ -253,16 +257,19 @@ class FutureEventSet:
     before `lane_ns`, first moves the lane back onto the heap, so every
     heap entry is always due after `lane_ns`.
 
-    `lane` is public for the run loop, which pops it directly after
-    `refill`; only `push`, `refill` and the pops change `lane` and
-    `heap`.
+    `lane` and `seq_counter` are public for the run loop, which pops the
+    lane directly after `refill`, and appends a hop due now while the lane
+    still holds entries, numbered by `next(seq_counter)`: `push` would
+    append it the same way, since the lane's entries are due at now.
+    Apart from that append, only `push`, `refill` and the pops change
+    `lane` and `heap`.
     """
 
     def __init__(self) -> None:
         self.heap: list = []
         self.lane: deque = deque()
         self.lane_ns = -1  # the fire time of every lane entry; -1: none
-        self._next_seq = 0
+        self.seq_counter = itertools.count()  # the one source of insertion seqs
 
     def __len__(self) -> int:
         return len(self.heap) + len(self.lane)
@@ -275,7 +282,8 @@ class FutureEventSet:
         """Schedule `msg` to arrive at `target` on `gate_label` at `t_ns`.
 
         The one scheduling path of the package: every send, direct
-        delivery and self-event ends here. Returns the insertion sequence
+        delivery and self-event ends here, and only the run loop appends
+        to the current bucket's lane itself. Returns the insertion sequence
         number that breaks ties between equal fire times.
         """
         if t_ns < now_ns:
@@ -283,8 +291,7 @@ class FutureEventSet:
                 f"cannot schedule at {t_ns} ns when now is {now_ns} ns")
         if t_ns > MAX_TIME_NS:
             raise SimTimeRangeError(f"simulation time overflows 64 bits: {t_ns} ns")
-        seq = self._next_seq
-        self._next_seq = seq + 1
+        seq = next(self.seq_counter)
         lane_ns = self.lane_ns
         if t_ns == lane_ns:
             self.lane.append((t_ns, seq, target, gate_label, msg))
@@ -414,11 +421,16 @@ class Simulator:
         heap holds only later entries.
 
         A handler may return the zero-delay hop it would otherwise push,
-        as `(target, arrival_label, msg)`. When the lane is empty, nothing
-        else is due now, so that hop is the entry the FES would pop next
-        and is dispatched at once as the next event; otherwise, or at the
-        event limit, it is pushed onto the lane behind the entries due
-        now. The order of events is the same either way.
+        as `(target, arrival_label, msg)`. An arrival on a gate with a
+        relay link (`Gate.relay_to`, set by a stock pass-through layer when
+        the run starts) makes the same hop with no handler call: the loop
+        renames the message for the linked gate's module, by the kind of
+        the message, and moves on to that gate. Either way, when the lane
+        is empty, nothing else is due now, so the hop is the entry the FES
+        would pop next and is dispatched at once as the next event. When
+        the lane still holds entries, the hop is appended behind them with
+        the next insertion seq, as `push` would do; at the event limit it
+        is pushed. The order of events is the same either way.
         """
         if self._ran:
             raise SimulationError("this simulator instance has already run")
@@ -429,8 +441,8 @@ class Simulator:
             mod.on_start(self)
 
         fes = self.fes
-        push, refill, lane = fes.push, fes.refill, fes.lane
-        popleft = lane.popleft
+        push, refill, lane, seq_counter = fes.push, fes.refill, fes.lane, fes.seq_counter
+        popleft, append = lane.popleft, lane.append
         entries = [_event_entry(sink) for sink in sinks]
         until_ns = until.ns
         # -1 never equals the count of executed events: no limit
@@ -446,21 +458,32 @@ class Simulator:
                 # earlier or equal waits in the heap: pop with no compare
                 while lane and executed != limit:
                     _, _, target, gate_label, msg = popleft()
+                    gate = target._gates.get(gate_label)
                     while True:
                         executed += 1
                         if entries:
                             for on_event in entries:
                                 on_event(executed, t_ns, target, msg)
-                        try:
-                            hop = target.handle_message(msg, gate_label)
-                        except Exception as exc:
-                            raise HandlerError(target.full_path, executed, exc) from exc
-                        if hop is None:
+                        link = None if gate is None else gate.relay_to
+                        if link is None:
+                            try:
+                                hop = target.handle_message(msg, gate_label)
+                            except Exception as exc:
+                                raise HandlerError(target.full_path, executed, exc) from exc
+                            if hop is None:
+                                break
+                            target, gate_label, msg = hop
+                        else:
+                            target, gate_label = link.owner, link.label
+                            msg.name = (target.packet_name if msg._kind is _PACKET
+                                        else target.control_name)
+                        if lane:
+                            append((t_ns, next(seq_counter), target, gate_label, msg))
                             break
-                        target, gate_label, msg = hop
-                        if lane or executed == limit:
+                        if executed == limit:
                             push(t_ns, t_ns, target, gate_label, msg)
                             break
+                        gate = target._gates.get(gate_label) if link is None else link
                 if executed == limit:
                     break
                 t_ns = refill(until_ns)

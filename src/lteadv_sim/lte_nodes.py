@@ -115,6 +115,16 @@ class PassThroughLayer(SimpleModule):
 
     Each subclass overrides `handle_message` whole, without calling this
     one, so that one event is one `handle_message` call.
+
+    A layer whose handler is this stock one relays with no handler call:
+    when the run starts, `on_start` gives each In gate a relay link to
+    the In gate its arrivals go on to (see `Gate.relay_to`), and the run
+    loop makes the hop itself. A gate gets no link, and its arrivals
+    reach `handle_message`, when the handler is overridden in a subclass,
+    replaced on the class or set on the instance, when its Out gate is
+    missing, unconnected or delayed, or when the next module lacks
+    `control_name` or `packet_name`; an arrival that is dropped has no
+    Out gate to link.
     """
 
     def __init__(self, name: str, tag: str):
@@ -136,6 +146,25 @@ class PassThroughLayer(SimpleModule):
             self.drop_count += 1
             return None
         return relay(self.up_gate, msg)
+
+    def on_start(self, sim) -> None:
+        # the stock handler bound to this layer, unless a subclass, the
+        # class or the instance replaced it; read through the bound method,
+        # as vars(self) would build a dict for every layer (0.3 MiB on metro)
+        handle = self.handle_message
+        if getattr(handle, "__func__", None) is not _STOCK_HANDLER or handle.__self__ is not self:
+            return
+        for label, out in ((IN_FROM_UPPER, self.down_gate), (IN_FROM_LOWER, self.up_gate)):
+            gate = self._gates.get(label)
+            peer = None if out is None else out.peer
+            if (gate is not None and peer is not None and out.delay_ns == 0
+                    and hasattr(peer.owner, "control_name")
+                    and hasattr(peer.owner, "packet_name")):
+                gate.relay_to = peer
+
+
+# the handler relay links stand for; a replacement on the class is not it
+_STOCK_HANDLER = PassThroughLayer.handle_message
 
 
 class FanInLayer(PassThroughLayer):

@@ -75,9 +75,17 @@ class ChannelSpec:
 
 
 class Gate:
-    """One directional endpoint on a module, optionally vector-indexed."""
+    """One directional endpoint on a module, optionally vector-indexed.
 
-    __slots__ = ("owner", "name", "index", "direction", "peer", "delay_ns", "label")
+    `relay_to` is an In gate's relay link, set only when a run starts:
+    the In gate that an arrival here goes on to, now and renamed with the
+    `control_name` or `packet_name` of that gate's owner, by the kind of
+    the message. The run loop makes that hop itself, with no handler call
+    (see `Simulator.run`).
+    """
+
+    __slots__ = ("owner", "name", "index", "direction", "peer", "delay_ns", "label",
+                 "relay_to")
 
     def __init__(self, owner: "ModuleNode", name: str, direction: Direction,
                  index: Optional[int] = None):
@@ -88,6 +96,7 @@ class Gate:
         self.peer: Optional[Gate] = None
         self.delay_ns: Optional[int] = None  # set on the Out side at connect time
         self.label = name if index is None else f"{name}[{index}]"
+        self.relay_to: Optional[Gate] = None
 
     def __repr__(self) -> str:
         owner = getattr(self.owner, "name", "?")

@@ -8,19 +8,21 @@ the builders nor the computed oracle can drift without this test noticing.
 """
 
 import os
+from collections import Counter
 
 import pytest
 
-from lteadv_sim import build, parse
+from lteadv_sim import build, lte_nodes, parse
 from lteadv_sim.kernel import (MessageKind, SimTime, Simulator, HandlerError,
                                SimulationError)
 from lteadv_sim.lte_nodes import (LayerSpec, NoRadioPeer, NodeType,
-                                  PassThroughLayer, attach_ue, build_node,
-                                  link_enb_to_sgw, link_sgw_to_pdn)
-from lteadv_sim.model import (ChannelSpec, CompoundModule, DuplicateName,
-                              SELF_GATE, UnknownArrivalGate)
+                                  PassThroughLayer, RadioInterface, attach_ue,
+                                  build_node, link_enb_to_sgw, link_sgw_to_pdn,
+                                  wire_vertical)
+from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, ChannelSpec, CompoundModule,
+                              DuplicateName, SELF_GATE, UnknownArrivalGate)
 from lteadv_sim.traffic import Generator, GeneratorConfig
-from lteadv_sim.trace import CollectingSink, data_walk
+from lteadv_sim.trace import CollectingSink, data_walk, ue_instances
 
 from conftest import MINIMAL_SOURCE, run_spec
 
@@ -459,3 +461,183 @@ def test_no_loss_no_duplication_per_round_trip(minimal_spec):
     for path, _ in HAND_WALK:
         expected[path] = expected.get(path, 0) + 1
     assert visits == expected
+
+
+# -- relay links -----------------------------------------------------------------------
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def metro_shaped_source(n_ue=12, n_enb=4):
+    """The metro workload's shape at a small size: one attach and one
+    generator statement per UE, offset starts, both payload kinds."""
+    lines = ["network Network {", f"    ue ue[{n_ue}];", f"    enb enb[{n_enb}];",
+             "    sgw_mme sgw_mme;", "    pdn_gw pdn_gw;"]
+    lines += [f"    attach ue[{i}] -> enb[{i * 3 % n_enb}];" for i in range(n_ue)]
+    lines += [f"    generator on ue[{i}] {{ period {5 + i}ms; start {300 * i}us; "
+              f"payload {'packet 200' if i % 2 else 'message'}; }}" for i in range(n_ue)]
+    return "\n".join(lines + ["    run until 100ms;", "}"]) + "\n"
+
+
+def _follow_links(gate, kind):
+    """(path, name) of the module of `gate` and of each module a message
+    arriving there goes on to by relay links alone."""
+    hops = []
+    while gate is not None:
+        module = gate.owner
+        hops.append((module.full_path, module.packet_name if kind is MessageKind.PACKET
+                     else module.control_name))
+        gate = gate.relay_to
+    return hops
+
+
+def _fixture_source(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("source", [
+    *map(_fixture_source, ("minimal.net", "multi_ue.net", "delayed.net", "desk_50ms.net")),
+    metro_shaped_source(),
+], ids=["minimal", "multi_ue", "delayed", "desk_50ms", "metro_shaped"])
+def test_relay_chains_follow_the_oracle_walk(source):
+    """Down each UE's stack from its top layer to its PHY, and up its
+    eNB's stack from the PHY to the top layer (and on to the S1 when the
+    backhaul has no delay), the relay links visit the modules, under the
+    names, of the matching segments of the oracle's walk."""
+    spec = parse(source).spec
+    built = build(spec)
+    built.simulator().run(until=SimTime(0))  # sets the links, runs no event
+    for inst in ue_instances(spec):
+        walk = data_walk(spec, inst)
+        ue = built.nodes[inst]
+        kind = ue.generator.config.payload_kind if ue.generator.enabled else None
+        down = _follow_links(ue.stack[0]._gates[IN_FROM_UPPER], kind)
+        assert down == walk[:len(ue.stack)]
+        enb = ue.stack[-1].peer_radio.parent
+        phy, top = enb.stack[-1], enb.stack[0]
+        up = [(phy.full_path, phy.packet_name if kind is MessageKind.PACKET
+               else phy.control_name), *_follow_links(phy.up_gate.peer, kind)]
+        at = len(ue.stack) + 1  # past the UE's stack and the eNB's radio
+        assert up == walk[at:at + len(up)]
+        assert len(up) == len(enb.stack) + (top.up_gate.delay_ns == 0)
+
+
+def _records(spec, built=None):
+    sink = CollectingSink()
+    (built or build(spec)).simulator().run(until=spec.until, sinks=[sink])
+    return sink.records
+
+
+def _assert_seen_at_their_modules(seen, modules, records, plain):
+    """`seen` counts every event of `modules`, and the run traced what
+    the plain run traced."""
+    paths = {module.full_path for module in modules}
+    assert paths
+    assert seen == Counter(rec.path for rec in records if rec.path in paths)
+    assert records == plain
+
+
+def _short(spec):
+    spec.until = SimTime.from_millis(30)
+    return spec
+
+
+def test_a_layer_subclass_overriding_the_handler_sees_every_event(monkeypatch, multi_ue_spec):
+    spec = _short(multi_ue_spec)
+    plain = _records(spec)
+    seen = Counter()
+
+    class Counted(PassThroughLayer):
+        def handle_message(self, msg, arrival_gate):
+            seen[self.full_path] += 1
+            return super().handle_message(msg, arrival_gate)
+
+    monkeypatch.setattr(lte_nodes, "PassThroughLayer", Counted)  # build_node's plain layer
+    built = build(spec)
+    records = _records(spec, built)
+    counted = [module for module in built.root.iter_tree() if type(module) is Counted]
+    assert all(gate.relay_to is None for module in counted for gate in module._gates.values())
+    _assert_seen_at_their_modules(seen, counted, records, plain)
+
+
+def test_a_handler_replaced_on_the_class_sees_every_event(monkeypatch, multi_ue_spec):
+    spec = _short(multi_ue_spec)
+    plain = _records(spec)
+    seen = Counter()
+    stock = PassThroughLayer.handle_message
+
+    def handle_message(module, msg, arrival_gate):
+        seen[module.full_path] += 1
+        return stock(module, msg, arrival_gate)
+
+    monkeypatch.setattr(PassThroughLayer, "handle_message", handle_message)
+    built = build(spec)
+    records = _records(spec, built)
+    stock_layers = [module for module in built.root.iter_tree()
+                    if type(module) is PassThroughLayer]
+    _assert_seen_at_their_modules(seen, stock_layers, records, plain)
+
+
+def test_a_handler_set_on_the_instance_sees_every_event(multi_ue_spec):
+    spec = _short(multi_ue_spec)
+    plain = _records(spec)
+    seen = Counter()
+    built = build(spec)
+    rlc = built.nodes["ue[1]"].child("lte_rlc")
+
+    def handle_message(msg, arrival_gate, stock=rlc.handle_message):
+        seen[rlc.full_path] += 1
+        return stock(msg, arrival_gate)
+
+    rlc.handle_message = handle_message
+    records = _records(spec, built)
+    assert rlc._gates[IN_FROM_UPPER].relay_to is None
+    assert rlc._gates[IN_FROM_LOWER].relay_to is None
+    assert built.nodes["ue[1]"].child("lte_mac")._gates[IN_FROM_UPPER].relay_to is not None
+    _assert_seen_at_their_modules(seen, [rlc], records, plain)
+
+
+def test_an_unknown_label_at_a_linked_layer_fails_at_its_event(monkeypatch, multi_ue_spec):
+    def failure():
+        built = build(multi_ue_spec)
+        sim = built.simulator()
+        rrc = built.nodes["ue[1]"].child("lte_rrc")
+        sim.fes.push(SimTime.from_millis(25).ns, 0, rrc, "bogus",
+                     sim.new_message("m", MessageKind.CONTROL_MESSAGE))
+        with pytest.raises(HandlerError) as err:
+            sim.run(until=multi_ue_spec.until)
+        assert isinstance(err.value.__cause__, UnknownArrivalGate)
+        return err.value.event_no, err.value.module_path, str(err.value)
+
+    linked = failure()
+    assert linked == (465, "Network.ue[1].lte_rrc",
+                      "event #465 at Network.ue[1].lte_rrc: Network.ue[1].lte_rrc: "
+                      "unexpected arrival on 'bogus'")
+    stock = PassThroughLayer.handle_message
+    monkeypatch.setattr(PassThroughLayer, "handle_message",
+                        lambda module, msg, arrival_gate: stock(module, msg, arrival_gate))
+    assert failure() == linked
+
+
+@pytest.mark.parametrize("label", [IN_FROM_UPPER, IN_FROM_LOWER])
+def test_a_layer_next_to_a_module_without_tag_names_gets_no_link(label):
+    """lte_x lies between lte_y and a radio, below it on the way up and
+    above it on the way down: a message reaches lte_x by lte_y's link,
+    and lte_x's handler fails to name it for the radio."""
+    root = CompoundModule("Network")
+    radio, layer, mid, end = (
+        root.add_child(RadioInterface()), root.add_child(PassThroughLayer("lte_x", "X")),
+        root.add_child(PassThroughLayer("lte_y", "Y")),
+        root.add_child(PassThroughLayer("lte_z", "Z")))
+    column = [radio, layer, mid, end] if label == IN_FROM_LOWER else [end, mid, layer, radio]
+    for upper, lower in zip(column, column[1:]):
+        wire_vertical(upper, lower)
+    sim = Simulator(root)
+    sim.fes.push(0, 0, mid, label, sim.new_message("m", MessageKind.CONTROL_MESSAGE))
+    with pytest.raises(HandlerError) as err:
+        sim.run(until=SimTime(1))
+    assert mid._gates[label].relay_to is layer._gates[label]
+    assert layer._gates[label].relay_to is None
+    assert (err.value.event_no, err.value.module_path) == (2, "Network.lte_x")
+    assert isinstance(err.value.__cause__, AttributeError)

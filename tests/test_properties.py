@@ -7,10 +7,12 @@ messages with every visited path matching the chain-walk oracle,
 drawn layer stacks leave every round trip on the oracle's walk,
 dispatching returned hops at once changes nothing against queueing
 every one of them, the run loop matches a plain-heap reference loop,
-each event is one handle_message call, the streaming metrics fold
-gives the reference summarize's metrics on any trace, cut short or
-corrupted, and the built-in sinks' `on_event` entry gives what their
-`record` entry would.
+hopping over relay links changes nothing against calling every stock
+handler, each event is one handle_message call whenever handlers are
+wrapped (a wrapped handler turns the relay links off), the streaming
+metrics fold gives the reference summarize's metrics on any trace, cut
+short or corrupted, and the built-in sinks' `on_event` entry gives what
+their `record` entry would.
 """
 
 import contextlib
@@ -30,7 +32,7 @@ from lteadv_sim.kernel import EventRecord, MessageKind, SimTime, StopReason
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
                                   validate)
-from lteadv_sim.lte_nodes import LayerSpec, NodeType
+from lteadv_sim.lte_nodes import LayerSpec, NodeType, PassThroughLayer
 from lteadv_sim.model import ModuleNode
 from lteadv_sim.traffic import GeneratorConfig
 from lteadv_sim.trace import (format_event_line, read_structured, summarize,
@@ -220,22 +222,38 @@ def test_generator_option_mistake_reported_once_on_its_line(spec, data):
 
 def _queue_every_hop(sim):
     """Make every handler push the hop it returns and return None, so the
-    run loop queues each event, as it did before returned hops existed."""
+    run loop queues each event, as it did before returned hops existed.
+    Returns the list of the modules the handlers were called at, one entry
+    per call."""
+    calls = []
     for module in sim.root.iter_tree():
-        def handle_message(msg, arrival_gate, handle=module.handle_message):
+        def handle_message(msg, arrival_gate, handle=module.handle_message,
+                           module=module):
+            calls.append(module)
             hop = handle(msg, arrival_gate)
             if hop is not None:
                 sim.fes.push(sim.now_ns, sim.now_ns, *hop)
         module.handle_message = handle_message
+    return calls
+
+
+def _relay_links(root):
+    """Every gate in the tree that has a relay link."""
+    return [gate for module in root.iter_tree() for gate in module._gates.values()
+            if gate.relay_to is not None]
 
 
 def _run_traced(spec, event_limit, queue_every_hop):
     sim = build(spec).simulator()
-    if queue_every_hop:
-        _queue_every_hop(sim)
+    calls = _queue_every_hop(sim) if queue_every_hop else None
     out = io.StringIO()
     summary = sim.run(until=spec.until, event_limit=event_limit,
                       sinks=[StructuredTraceSink(out)])
+    if queue_every_hop:
+        # an instance handler turns a stock layer's relay links off, so
+        # every event was a wrapped call and every returned hop was pushed
+        assert _relay_links(sim.root) == []
+        assert len(calls) == summary.events_executed
     return (out.getvalue(), summary.events_executed, summary.stop_reason,
             sim.now_ns, len(sim.fes))
 
@@ -291,6 +309,39 @@ def _reference_run(spec, event_limit):
     return out.getvalue(), executed, reason, sim.now_ns, len(fes)
 
 
+@given(st.one_of(network_specs(), specs_with_stacks()),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
+@settings(deadline=None)
+def test_relay_links_change_nothing(spec, event_limit):
+    """Hopping over relay links, against the same run with every stock
+    handler called: replacing `PassThroughLayer.handle_message` on the
+    class with a wrapper that only calls it turns every link off."""
+    def run():
+        built = build(spec)
+        sim = built.simulator()
+        out = io.StringIO()
+        summary = sim.run(until=spec.until, event_limit=event_limit,
+                          sinks=[StructuredTraceSink(out)])
+        drops = [(module.full_path, module.drop_count) for module in built.root.iter_tree()
+                 if isinstance(module, PassThroughLayer)]
+        return (out.getvalue(), summary.events_executed, summary.stop_reason,
+                sim.now_ns, len(sim.fes), drops), _relay_links(built.root)
+
+    linked, links = run()
+    stock = vars(PassThroughLayer)["handle_message"]
+
+    def handle_message(module, msg, arrival_gate):
+        return stock(module, msg, arrival_gate)
+
+    PassThroughLayer.handle_message = handle_message
+    try:
+        unlinked, no_links = run()
+    finally:
+        PassThroughLayer.handle_message = stock
+    assert links and not no_links  # every UE's top layer links down
+    assert linked == unlinked
+
+
 @given(network_specs(), st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
 @settings(deadline=None)
 def test_run_matches_a_plain_heap_reference_loop(spec, event_limit):
@@ -333,13 +384,17 @@ def _counting_handler_calls(calls):
 @given(network_specs(), st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
 @settings(deadline=None)
 def test_each_event_is_one_handler_call(spec, event_limit):
-    """No handler calls another class's handle_message for the same
+    """While every class's handler is wrapped, as the bench's traced run
+    wraps them, no relay link is set, so every event reaches a handler;
+    and no handler calls another class's handle_message for the same
     event, so per-type handler counts are per-type event counts."""
     calls = Counter()
     out = io.StringIO()
     with _counting_handler_calls(calls):
-        summary = build(spec).simulator().run(until=spec.until, event_limit=event_limit,
-                                             sinks=[StructuredTraceSink(out)])
+        built = build(spec)
+        summary = built.simulator().run(until=spec.until, event_limit=event_limit,
+                                        sinks=[StructuredTraceSink(out)])
+        assert _relay_links(built.root) == []
     traced = Counter(rec.type_name for rec in read_structured(out.getvalue().splitlines()))
     assert calls == traced
     assert sum(calls.values()) == summary.events_executed
