@@ -4,12 +4,10 @@ whose layers relay and rename messages, a periodic traffic generator, a
 topology description language, and exact event tracing."""
 
 from .kernel import (EventRecord, FutureEventSet, HandlerError, MessageKind,
-                     RunSummary, ScheduledEvent, SchedulingInPast, SimMessage,
-                     SimTime, SimTimeRangeError, SimulationError, Simulator,
-                     StopReason)
+                     RunSummary, SchedulingInPast, SimMessage, SimTime,
+                     SimTimeRangeError, SimulationError, Simulator, StopReason)
 from .model import (ChannelSpec, CompoundModule, Direction, Gate, ModuleNode,
-                    SimpleModule, UnknownArrivalGate, assign_ids, connect,
-                    connect_pair, send, send_direct)
+                    SimpleModule, UnknownArrivalGate, connect, send, send_direct)
 from .lte_nodes import (LayerSpec, NodeType, NoRadioPeer, attach_ue, build_node,
                         link_enb_to_sgw, link_sgw_to_pdn)
 from .traffic import Generator, GeneratorConfig, GeneratorStats

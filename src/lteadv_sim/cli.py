@@ -142,7 +142,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         with open(opts.config, "r", encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"{parser.prog}: error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -191,21 +191,6 @@ class SimMessage:
 
 
 @dataclass(slots=True)
-class ScheduledEvent:
-    """One pending event: arrival of a payload at a module gate.
-
-    The future event set holds plain tuples; this view of one of them is
-    built only for the public scheduling calls that return it.
-    """
-
-    fire_time: SimTime
-    target: object
-    arrival_gate: str
-    payload: SimMessage
-    insertion_seq: Optional[int] = None
-
-
-@dataclass(slots=True)
 class EventRecord:
     """One executed event, the unit of tracing and metrics."""
 
@@ -306,11 +291,6 @@ class FutureEventSet:
         heappush(heap, (t_ns, seq, target, gate_label, msg))
         return seq
 
-    def schedule(self, ev: ScheduledEvent, now: SimTime) -> ScheduledEvent:
-        ev.insertion_seq = self.push(ev.fire_time.ns, now.ns, ev.target,
-                                     ev.arrival_gate, ev.payload)
-        return ev
-
     def refill(self, until_ns: int) -> Optional[int]:
         """Return `lane_ns` if the lane holds entries due before
         `until_ns`, first moving the heap's earliest bucket into an empty
@@ -326,16 +306,11 @@ class FutureEventSet:
             lane.append(heappop(heap))
         return t_ns
 
-    def pop_next(self) -> Optional[ScheduledEvent]:
-        entry = next(self.pop_before(MAX_TIME_NS + 1), None)
-        if entry is None:
-            return None
-        t_ns, seq, target, gate_label, msg = entry
-        return ScheduledEvent(SimTime(t_ns), target, gate_label, msg, seq)
-
     def pop_before(self, until_ns: int) -> Iterator[tuple]:
         """Pop entries in order while the earliest fires before `until_ns`,
-        including those pushed while iterating."""
+        including those pushed while iterating. The one way to pop outside
+        a run: `next(fes.pop_before(MAX_TIME_NS + 1), None)` pops the
+        earliest entry, or gives None when the set is empty."""
         lane = self.lane
         while self.refill(until_ns) is not None:
             yield lane.popleft()
@@ -383,7 +358,7 @@ class Simulator:
                     f"{mod.name}: module tree is already bound to a simulator; "
                     "build a fresh network per simulator instance")
         for mod in self._modules:
-            mod.bind_simulator(self)
+            mod._sim = self
 
     @property
     def now(self) -> SimTime:
@@ -396,11 +371,6 @@ class Simulator:
         msg = SimMessage(self._next_msg_id, name, kind, byte_length, created)
         self._next_msg_id += 1
         return msg
-
-    def schedule_arrival(self, target, arrival_gate: str, payload: SimMessage,
-                         fire_time: SimTime) -> ScheduledEvent:
-        seq = self.fes.push(fire_time.ns, self.now_ns, target, arrival_gate, payload)
-        return ScheduledEvent(fire_time, target, arrival_gate, payload, seq)
 
     def run(self, until: SimTime, event_limit: Optional[int] = None,
             sinks: Sequence = ()) -> RunSummary:

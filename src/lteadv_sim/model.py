@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .kernel import ScheduledEvent, SimMessage, SimTime, SimulationError
+from .kernel import SimMessage, SimTime, SimulationError
 
 
 class GateAlreadyConnected(SimulationError):
@@ -193,9 +193,6 @@ class ModuleNode:
 
     # -- simulation hooks ------------------------------------------------
 
-    def bind_simulator(self, sim) -> None:
-        self._sim = sim
-
     @property
     def sim(self):
         if self._sim is None:
@@ -212,23 +209,16 @@ class ModuleNode:
 class SimpleModule(ModuleNode):
     """Leaf module with behavior; subclasses implement handle_message."""
 
-    def handle_message(self, msg: SimMessage, arrival_gate: str) -> None:
-        raise NotImplementedError
-
     def unknown_arrival(self, arrival_gate: str) -> UnknownArrivalGate:
         """The error a handler raises for a gate it has no rule for."""
         return UnknownArrivalGate(
             f"{self.full_path_or_name()}: unexpected arrival on {arrival_gate!r}")
 
-    # convenience wrappers so handlers read like the operations they perform
-
-    def send(self, msg: SimMessage, out_gate: str, index: Optional[int] = None,
-             at: Optional[SimTime] = None) -> ScheduledEvent:
-        return send(self, msg, out_gate, index=index, now=at)
-
-    def schedule_self(self, msg: SimMessage, fire_at: SimTime) -> ScheduledEvent:
-        """Schedule a self-event; it arrives on the pseudo-gate "self"."""
-        return self.sim.schedule_arrival(self, SELF_GATE, msg, fire_at)
+    def schedule_self(self, msg: SimMessage, fire_at: SimTime) -> int:
+        """Schedule a self-event; it arrives on the pseudo-gate "self".
+        Returns the event's insertion sequence."""
+        sim = self.sim
+        return sim.fes.push(fire_at.ns, sim.now_ns, self, SELF_GATE, msg)
 
 
 SELF_GATE = "self"
@@ -278,20 +268,13 @@ def connect(out_gate: Gate, in_gate: Gate,
     out_gate.delay_ns = channel.delay.ns
 
 
-def connect_pair(a_out: Gate, b_in: Gate, b_out: Gate, a_in: Gate,
-                 channel: ChannelSpec = ChannelSpec()) -> None:
-    """Two-way channel: a pair of opposed one-way connections, equal delay."""
-    connect(a_out, b_in, channel)
-    connect(b_out, a_in, channel)
-
-
 def transmit(gate: Gate, msg: SimMessage, at_ns: Optional[int] = None) -> int:
     """Send out a connected Out gate at `at_ns`, or now when it is None.
 
-    The built-in modules send through it when a hop has a delay or starts
-    a new message (their zero-delay hops go back to the run loop): the
-    route was resolved when the gate was connected, so nothing is looked
-    up by name and no ScheduledEvent is built. Returns the event's
+    `send` and the built-in modules send through it; the built-in ones
+    only when a hop has a delay or starts a new message (their zero-delay
+    hops go back to the run loop). The route was resolved when the gate
+    was connected, so nothing is looked up by name. Returns the event's
     insertion sequence.
     """
     sim = gate.owner._sim
@@ -302,39 +285,31 @@ def transmit(gate: Gate, msg: SimMessage, at_ns: Optional[int] = None) -> int:
 
 
 def send(from_module: ModuleNode, msg: SimMessage, out_gate_name: str,
-         index: Optional[int] = None, now: Optional[SimTime] = None) -> ScheduledEvent:
-    """Send out a named gate; the peer sees the message after the channel delay."""
-    sim = from_module._sim
-    if sim is None:
-        raise SimulationError(
-            f"{from_module.name}: module is not bound to a simulator")
+         index: Optional[int] = None, now: Optional[SimTime] = None) -> int:
+    """Send out a named gate; the peer sees the message after the channel
+    delay. Returns the event's insertion sequence."""
+    from_module.sim  # raises when the module is not bound to a simulator
     label = out_gate_name if index is None else f"{out_gate_name}[{index}]"
     g = from_module._gates.get(label)
     if g is None or g.direction is not Direction.OUT:
         raise UnknownGate(
             f"{from_module.full_path_or_name()} has no Out gate {label!r}")
-    peer = g.peer
-    if peer is None:
+    if g.peer is None:
         raise UnconnectedGate(
             f"{from_module.full_path_or_name()}.{label} is not connected")
-    at_ns = sim.now_ns if now is None else now.ns
-    seq = transmit(g, msg, at_ns)
-    return ScheduledEvent(SimTime(at_ns + g.delay_ns), peer.owner, peer.label, msg, seq)
+    return transmit(g, msg, None if now is None else now.ns)
 
 
 def send_direct(from_module: ModuleNode, msg: SimMessage, target: ModuleNode,
                 in_gate_name: str, delay: SimTime = SimTime(0),
-                now: Optional[SimTime] = None) -> ScheduledEvent:
-    """Deliver straight to a target module's In gate, no wiring required."""
+                now: Optional[SimTime] = None) -> int:
+    """Deliver straight to a target module's In gate, no wiring required.
+    Returns the event's insertion sequence."""
     sim = from_module.sim
     g = target._gates.get(in_gate_name)
     if g is None or g.direction is not Direction.IN:
         raise UnknownTargetGate(
             f"{target.full_path_or_name()} has no In gate {in_gate_name!r}")
-    fire_ns = (sim.now_ns if now is None else now.ns) + delay.ns
-    seq = sim.fes.push(fire_ns, sim.now_ns, target, g.label, msg)
-    return ScheduledEvent(SimTime(fire_ns), target, g.label, msg, seq)
-
-
-def assign_ids(root: ModuleNode) -> dict[str, int]:
-    return root.assign_ids()
+    now_ns = sim.now_ns
+    return sim.fes.push((now_ns if now is None else now.ns) + delay.ns, now_ns,
+                        target, g.label, msg)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import settings
 
 from lteadv_sim import CollectingSink, build, parse
+from lteadv_sim.kernel import MAX_TIME_NS
 
 # A deeper search for CI (`--hypothesis-profile=ci`); tests that set their
 # own max_examples keep it. The default profile is left as it is.
@@ -58,3 +59,9 @@ def run_spec(spec, until=None, event_limit=None, seed=None):
     summary = sim.run(until=until if until is not None else spec.until,
                       event_limit=event_limit, sinks=[sink])
     return sink.records, summary, built
+
+
+def pop_entry(fes):
+    """Pop the earliest `(t_ns, seq, target, gate_label, msg)` entry of a
+    FutureEventSet, or return None when it is empty."""
+    return next(fes.pop_before(MAX_TIME_NS + 1), None)

@@ -19,10 +19,11 @@ from pathlib import Path
 
 from lteadv_sim import CollectingSink, PaperTraceSink, StructuredTraceSink, build, parse
 from lteadv_sim.cli import main
-from lteadv_sim.kernel import (FutureEventSet, MessageKind, ScheduledEvent,
-                               SimMessage, SimTime)
+from lteadv_sim.kernel import FutureEventSet, MessageKind, SimMessage, SimTime
 from lteadv_sim.netconfig import format_spec, validate
 from lteadv_sim.trace import expected_event_total, summarize
+
+from conftest import pop_entry
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -124,11 +125,11 @@ def test_criterion_5_kernel_ordering():
     fes = FutureEventSet()
     for i, t in enumerate(times):
         msg = SimMessage(i, str(i), MessageKind.CONTROL_MESSAGE, 0, SimTime(0))
-        fes.schedule(ScheduledEvent(SimTime(t), None, "g", msg), SimTime(0))
+        fes.push(t, 0, None, "g", msg)
     popped = []
     while fes:
-        ev = fes.pop_next()
-        popped.append((ev.fire_time.ns, int(ev.payload.name)))
+        t_ns, _, _, _, msg = pop_entry(fes)
+        popped.append((t_ns, int(msg.name)))
     oracle = sorted(((t, i) for i, t in enumerate(times)), key=lambda p: p[0])
     assert popped == oracle
     print("\nACCEPTANCE 5 kernel ordering: PASS (10,000 events, stable-sort exact)")

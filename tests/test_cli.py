@@ -69,6 +69,15 @@ def test_unreadable_config_is_config_error(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "nope.net")]) == EXIT_CONFIG
 
 
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    config = tmp_path / "bad.net"
+    config.write_bytes(b"network N {\n  ue u; \xff\xfe\n}\n")
+    assert main(["--config", str(config)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "lteadv-sim: error: cannot read config: 'utf-8' codec can't decode "
+        "byte 0xff in position 20: invalid start byte\n")
+
+
 def test_two_pdn_gw_config_rejected_with_location(capsys):
     code = main(["--config", str(FIXTURES / "bad_two_pdn.net")])
     assert code == EXIT_CONFIG

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lteadv_sim.kernel import (MAX_TIME_NS, FutureEventSet, HandlerError,
-                               MessageKind, RunSummary, ScheduledEvent,
-                               SchedulingInPast, SimMessage, SimTime,
+                               MessageKind, RunSummary, SchedulingInPast, SimMessage, SimTime,
                                SimTimeRangeError, SimulationError, Simulator,
                                StopReason)
 from lteadv_sim.model import CompoundModule, SimpleModule
 from lteadv_sim.netconfig import build, parse
 from lteadv_sim.trace import CollectingSink
+
+from conftest import pop_entry
 
 
 class Recorder(SimpleModule):
@@ -94,44 +95,45 @@ def test_seconds_str_never_uses_exponent_or_trailing_zeros(ns):
 
 # -- FutureEventSet ---------------------------------------------------------
 
-def ev(t_ns, tag=""):
+def push_named(fes, t_ns, tag="", now_ns=0):
+    """Push a control message named `tag` to fire at `t_ns`."""
     msg = SimMessage(0, tag, MessageKind.CONTROL_MESSAGE, 0, SimTime(0))
-    return ScheduledEvent(SimTime(t_ns), None, "g", msg)
+    return fes.push(t_ns, now_ns, None, "g", msg)
 
 
 def test_schedule_at_now_pops_before_later_events():
     fes = FutureEventSet()
-    fes.schedule(ev(5, "later"), now=SimTime(0))
-    fes.schedule(ev(0, "now"), now=SimTime(0))
-    assert fes.pop_next().payload.name == "now"
-    assert fes.pop_next().payload.name == "later"
+    push_named(fes, 5, "later")
+    push_named(fes, 0, "now")
+    assert pop_entry(fes)[4].name == "now"
+    assert pop_entry(fes)[4].name == "later"
 
 
 def test_equal_times_pop_fifo():
     fes = FutureEventSet()
     t = SimTime.from_millis(10)
-    fes.schedule(ScheduledEvent(t, None, "g", SimMessage(1, "A", MessageKind.CONTROL_MESSAGE, 0, t)), SimTime(0))
-    fes.schedule(ScheduledEvent(t, None, "g", SimMessage(2, "B", MessageKind.CONTROL_MESSAGE, 0, t)), SimTime(0))
-    assert fes.pop_next().payload.name == "A"
-    assert fes.pop_next().payload.name == "B"
+    fes.push(t.ns, 0, None, "g", SimMessage(1, "A", MessageKind.CONTROL_MESSAGE, 0, t))
+    fes.push(t.ns, 0, None, "g", SimMessage(2, "B", MessageKind.CONTROL_MESSAGE, 0, t))
+    assert pop_entry(fes)[4].name == "A"
+    assert pop_entry(fes)[4].name == "B"
 
 
 def test_scheduling_in_past_rejected():
     fes = FutureEventSet()
     with pytest.raises(SchedulingInPast):
-        fes.schedule(ev(9_999_999), now=SimTime(10_000_000))
+        push_named(fes, 9_999_999, now_ns=10_000_000)
 
 
 def test_pop_min_time_first():
     fes = FutureEventSet()
-    fes.schedule(ev(5_000_000, "a"), SimTime(0))
-    fes.schedule(ev(3_000_000, "b"), SimTime(0))
-    popped = fes.pop_next()
-    assert popped.fire_time.ns == 3_000_000 and popped.payload.name == "b"
+    push_named(fes, 5_000_000, "a")
+    push_named(fes, 3_000_000, "b")
+    popped = pop_entry(fes)
+    assert popped[0] == 3_000_000 and popped[4].name == "b"
 
 
 def test_pop_from_empty_returns_none():
-    assert FutureEventSet().pop_next() is None
+    assert pop_entry(FutureEventSet()) is None
 
 
 def _stable_sort_oracle(times):
@@ -146,13 +148,13 @@ def test_pop_order_matches_stable_sort_oracle_1000_random():
     fes = FutureEventSet()
     for i, t in enumerate(times):
         msg = SimMessage(i, str(i), MessageKind.CONTROL_MESSAGE, 0, SimTime(0))
-        fes.schedule(ScheduledEvent(SimTime(t), None, "g", msg), SimTime(0))
+        fes.push(t, 0, None, "g", msg)
     popped = []
     while True:
-        nxt = fes.pop_next()
+        nxt = pop_entry(fes)
         if nxt is None:
             break
-        popped.append((nxt.fire_time.ns, int(nxt.payload.name)))
+        popped.append((nxt[0], int(nxt[4].name)))
     expected = sorted(((t, i) for i, t in enumerate(times)), key=lambda p: p[0])
     assert popped == expected
 
@@ -162,11 +164,11 @@ def test_pop_order_property(times):
     fes = FutureEventSet()
     for i, t in enumerate(times):
         msg = SimMessage(i, str(i), MessageKind.CONTROL_MESSAGE, 0, SimTime(0))
-        fes.schedule(ScheduledEvent(SimTime(t), None, "g", msg), SimTime(0))
+        fes.push(t, 0, None, "g", msg)
     popped = []
     while fes:
-        nxt = fes.pop_next()
-        popped.append((nxt.fire_time.ns, int(nxt.payload.name)))
+        nxt = pop_entry(fes)
+        popped.append((nxt[0], int(nxt[4].name)))
     assert popped == sorted(((t, i) for i, t in enumerate(times)),
                             key=lambda p: p[0])
 
@@ -182,13 +184,13 @@ def test_delayed_entries_pop_before_zero_delay_ones_at_the_same_time():
     fes = FutureEventSet()
     # pushed at 0 with a delay: these fire at 10 and were inserted first
     early = [_tag(fes, 10, 0), _tag(fes, 10, 0)]
-    first = fes.pop_next()  # nothing earlier, so the clock moves to 10
-    assert first.fire_time.ns == 10 and first.payload.name == early[0]
+    first = pop_entry(fes)  # nothing earlier, so the clock moves to 10
+    assert first[0] == 10 and first[4].name == early[0]
     # zero-delay pushes at 10, as a handler running at 10 makes them
     late = [_tag(fes, 10, 10), _tag(fes, 10, 10)]
     assert len(fes) == 3
-    assert [fes.pop_next().payload.name for _ in range(3)] == early[1:] + late
-    assert not fes and fes.pop_next() is None
+    assert [pop_entry(fes)[4].name for _ in range(3)] == early[1:] + late
+    assert not fes and pop_entry(fes) is None
 
 
 _FES_OPS = st.lists(st.one_of(
@@ -196,7 +198,7 @@ _FES_OPS = st.lists(st.one_of(
     st.tuples(st.just("push_at_clock"), st.sampled_from([0, 0, 0, 1, 3])),
     # push with any now, at that now plus a delay
     st.tuples(st.just("push_free"), st.integers(0, 12), st.sampled_from([0, 0, 0, 1, 3])),
-    st.tuples(st.just("pop_next")),
+    st.tuples(st.just("pop_entry")),
     # start a pop_before over the live FES, then step it
     st.tuples(st.just("pop_before"), st.integers(0, 15)),
     st.tuples(st.just("step")),
@@ -205,13 +207,13 @@ _FES_OPS = st.lists(st.one_of(
 
 @given(_FES_OPS)
 # a zero-delay push at 0 after one at 1: the lane holds time 1 at that point
-@example([("push_free", 1, 0), ("push_at_clock", 0), ("pop_next",)])
+@example([("push_free", 1, 0), ("push_at_clock", 0), ("pop_entry",)])
 # the lane drains at 10; then a push at 10, with an earlier entry pushed
 # before it and after it
-@example([("push_free", 9, 1), ("pop_next",), ("push_free", 2, 1),
-          ("push_free", 10, 0), ("pop_next",), ("pop_next",)])
-@example([("push_free", 9, 1), ("pop_next",), ("push_free", 10, 0),
-          ("push_free", 2, 1), ("pop_next",), ("pop_next",)])
+@example([("push_free", 9, 1), ("pop_entry",), ("push_free", 2, 1),
+          ("push_free", 10, 0), ("pop_entry",), ("pop_entry",)])
+@example([("push_free", 9, 1), ("pop_entry",), ("push_free", 10, 0),
+          ("push_free", 2, 1), ("pop_entry",), ("pop_entry",)])
 def test_interleaved_push_and_pop_follow_time_then_seq(ops):
     fes = FutureEventSet()
     ref = []  # (t_ns, seq) of every pending entry
@@ -232,10 +234,10 @@ def test_interleaved_push_and_pop_follow_time_then_seq(ops):
             t_ns, now_ns = op[1] + op[2], op[1]
         if op[0].startswith("push"):
             ref.append((t_ns, fes.push(t_ns, now_ns, None, "g", None)))
-        elif op[0] == "pop_next":
-            popped = fes.pop_next()
+        elif op[0] == "pop_entry":
+            popped = pop_entry(fes)
             if ref:
-                check_pop((popped.fire_time.ns, popped.insertion_seq))
+                check_pop(popped[:2])
             else:
                 assert popped is None
         elif op[0] == "pop_before":
@@ -294,7 +296,7 @@ def test_run_until_is_exclusive():
     sim = Simulator(root)
     for t in (0, 5, 10):
         msg = sim.new_message(f"m{t}", MessageKind.CONTROL_MESSAGE)
-        sim.schedule_arrival(rec, "g", msg, SimTime(t))
+        sim.fes.push(t, sim.now_ns, rec, "g", msg)
     summary = sim.run(until=SimTime(10))
     assert [name for _, name, _ in rec.seen] == ["m0", "m5"]
     assert summary.stop_reason is StopReason.TIME_LIMIT
@@ -311,7 +313,7 @@ class PeriodicSource(SimpleModule):
 
     def on_start(self, sim):
         msg = sim.new_message("tick", MessageKind.CONTROL_MESSAGE)
-        sim.schedule_arrival(self, "self", msg, SimTime(0))
+        sim.fes.push(0, sim.now_ns, self, "self", msg)
 
     def handle_message(self, msg, arrival_gate):
         self.fired += 1
@@ -363,7 +365,7 @@ def test_entries_pushed_around_a_pop_before_the_run_keep_their_order():
                      sim.new_message("Early", MessageKind.CONTROL_MESSAGE))
 
     push_at_10()
-    assert sim.fes.pop_next().fire_time == SimTime(10)
+    assert pop_entry(sim.fes)[0] == 10
     push_at_10()
     sink = CollectingSink()
     summary = sim.run(until=spec.until, event_limit=4, sinks=[sink])
@@ -389,8 +391,8 @@ def test_time_and_empty_stop_reasons_are_unchanged(minimal_spec):
     rec = Recorder()
     sim = Simulator(make_net(rec))
     for _ in range(3):
-        sim.schedule_arrival(rec, "g", sim.new_message("m", MessageKind.CONTROL_MESSAGE),
-                             SimTime(0))
+        sim.fes.push(0, sim.now_ns, rec, "g",
+                     sim.new_message("m", MessageKind.CONTROL_MESSAGE))
     summary = sim.run(until=SimTime(10))
     assert summary.stop_reason is StopReason.FES_EMPTY
     assert summary.events_executed == 3
@@ -404,7 +406,7 @@ def test_clock_is_monotone_and_events_counted():
     rng = random.Random(7)
     times = [rng.randrange(0, 1000) for _ in range(300)]
     for t in times:
-        sim.schedule_arrival(rec, "g", sim.new_message("m", MessageKind.CONTROL_MESSAGE), SimTime(t))
+        sim.fes.push(t, sim.now_ns, rec, "g", sim.new_message("m", MessageKind.CONTROL_MESSAGE))
     summary = sim.run(until=SimTime(2000))
     stamps = [t for t, _, _ in rec.seen]
     assert stamps == sorted(stamps)
@@ -415,7 +417,7 @@ def test_handler_failure_carries_path_and_event_number():
     bad = Exploder("bad")
     root = make_net(bad)
     sim = Simulator(root)
-    sim.schedule_arrival(bad, "g", sim.new_message("m", MessageKind.CONTROL_MESSAGE), SimTime(0))
+    sim.fes.push(0, sim.now_ns, bad, "g", sim.new_message("m", MessageKind.CONTROL_MESSAGE))
     with pytest.raises(HandlerError) as exc_info:
         sim.run(until=SimTime(10))
     assert exc_info.value.module_path == "Net.bad"
@@ -430,11 +432,11 @@ def test_handler_failure_on_a_returned_hop_carries_its_event_number(others_due_n
     relayer = Relayer("relayer", bad)
     rec = Recorder()
     sim = Simulator(make_net(relayer, bad, rec))
-    sim.schedule_arrival(relayer, "g", sim.new_message("m", MessageKind.CONTROL_MESSAGE),
-                         SimTime(0))
+    sim.fes.push(0, sim.now_ns, relayer, "g",
+                 sim.new_message("m", MessageKind.CONTROL_MESSAGE))
     for _ in range(others_due_now):
-        sim.schedule_arrival(rec, "g", sim.new_message("o", MessageKind.CONTROL_MESSAGE),
-                             SimTime(0))
+        sim.fes.push(0, sim.now_ns, rec, "g",
+                     sim.new_message("o", MessageKind.CONTROL_MESSAGE))
     sink = CollectingSink()
     with pytest.raises(HandlerError) as exc_info:
         sim.run(until=SimTime(10), sinks=[sink])

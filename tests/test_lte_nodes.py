@@ -24,7 +24,7 @@ from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, ChannelSpec, Compoun
 from lteadv_sim.traffic import Generator, GeneratorConfig
 from lteadv_sim.trace import CollectingSink, data_walk, ue_instances
 
-from conftest import MINIMAL_SOURCE, run_spec
+from conftest import MINIMAL_SOURCE, pop_entry, run_spec
 
 # One complete round trip on the default single-UE network, by hand.
 HAND_WALK = [
@@ -106,9 +106,9 @@ def test_nas_passes_generator_traffic_down_as_rrc():
     nas = ue.child("lte_nas")
     msg = sim.new_message("NASMsg", MessageKind.CONTROL_MESSAGE)
     deliver(nas, msg, "inFromUpperLayer")
-    ev = sim.fes.pop_next()
-    assert ev.target.name == "lte_rrc"
-    assert ev.payload.name == "RRCMsg"
+    _, _, target, _, payload = pop_entry(sim.fes)
+    assert target.name == "lte_rrc"
+    assert payload.name == "RRCMsg"
 
 
 def test_mac_sends_packets_up_as_rlc_pck():
@@ -116,9 +116,9 @@ def test_mac_sends_packets_up_as_rlc_pck():
     mac = ue.child("lte_mac")
     pck = sim.new_message("MACPck", MessageKind.PACKET, 64)
     deliver(mac, pck, "inFromLowerLayer")
-    ev = sim.fes.pop_next()
-    assert ev.target.name == "lte_rlc"
-    assert ev.payload.name == "RLCPck"
+    _, _, target, _, payload = pop_entry(sim.fes)
+    assert target.name == "lte_rlc"
+    assert payload.name == "RLCPck"
 
 
 def test_unknown_arrival_gate_rejected():
@@ -250,8 +250,7 @@ def test_layers_add_no_delay():
     pdcp = ue.child("lte_pdcp")
     msg = sim.new_message("PDCPMsg", MessageKind.CONTROL_MESSAGE)
     deliver(pdcp, msg, "inFromUpperLayer")
-    ev = sim.fes.pop_next()
-    assert ev.fire_time == sim.now
+    assert pop_entry(sim.fes)[0] == sim.now_ns
 
 
 def test_nas_delivers_returns_to_generator():
@@ -259,9 +258,9 @@ def test_nas_delivers_returns_to_generator():
     nas = ue.child("lte_nas")
     msg = sim.new_message("NASMsg", MessageKind.CONTROL_MESSAGE)
     deliver(nas, msg, "inFromLowerLayer")
-    ev = sim.fes.pop_next()
-    assert ev.target.name == "generator"
-    assert ev.payload.name == "GenMsg"
+    _, _, target, _, payload = pop_entry(sim.fes)
+    assert target.name == "generator"
+    assert payload.name == "GenMsg"
     assert nas.drop_count == 0
 
 
@@ -274,7 +273,7 @@ def test_nas_without_generator_drops_and_counts():
     nas.handle_message(sim.new_message("NASMsg", MessageKind.CONTROL_MESSAGE),
                        "inFromLowerLayer")
     assert nas.drop_count == 1
-    assert sim.fes.pop_next() is None  # nothing forwarded
+    assert pop_entry(sim.fes) is None  # nothing forwarded
 
 
 def test_phy_air_hop_reaches_attached_enb_radio():
@@ -287,10 +286,10 @@ def test_phy_air_hop_reaches_attached_enb_radio():
     phy = ue.child("lte_phy")
     msg = sim.new_message("PHYMsg", MessageKind.CONTROL_MESSAGE)
     deliver(phy, msg, "inFromUpperLayer")
-    ev = sim.fes.pop_next()
-    assert ev.target is enb.child("lte_radio")
-    assert ev.arrival_gate == "radioIn"
-    assert ev.fire_time == sim.now
+    t_ns, _, target, arrival_gate, _ = pop_entry(sim.fes)
+    assert target is enb.child("lte_radio")
+    assert arrival_gate == "radioIn"
+    assert t_ns == sim.now_ns
 
 
 def test_unattached_ue_phy_raises_no_radio_peer():
@@ -311,10 +310,9 @@ def test_enb_phy_returns_to_originating_ue():
     sim = Simulator(root)
     msg = sim.new_message("PHYMsg", MessageKind.CONTROL_MESSAGE)
     deliver(ue_b.child("lte_phy"), msg, "inFromUpperLayer")  # stamps ue_b
-    sim.fes.pop_next()
+    pop_entry(sim.fes)
     deliver(enb.child("lte_phy"), msg, "inFromUpperLayer")
-    ev = sim.fes.pop_next()
-    assert ev.target is ue_b.child("lte_radio")
+    assert pop_entry(sim.fes)[2] is ue_b.child("lte_radio")
 
 
 def test_radio_forwards_unrenamed_preserving_id():
@@ -322,9 +320,9 @@ def test_radio_forwards_unrenamed_preserving_id():
     radio = ue.child("lte_radio")
     msg = sim.new_message("PHYMsg", MessageKind.CONTROL_MESSAGE)
     deliver(radio, msg, "radioIn")
-    ev = sim.fes.pop_next()
-    assert ev.target.name == "lte_phy"
-    assert ev.payload.name == "PHYMsg" and ev.payload.msg_id == msg.msg_id
+    _, _, target, _, payload = pop_entry(sim.fes)
+    assert target.name == "lte_phy"
+    assert payload.name == "PHYMsg" and payload.msg_id == msg.msg_id
 
 
 def test_two_simultaneous_air_messages_delivered_fifo():
@@ -334,8 +332,8 @@ def test_two_simultaneous_air_messages_delivered_fifo():
     second = sim.new_message("PHYMsg", MessageKind.CONTROL_MESSAGE)
     deliver(radio, first, "radioIn")
     deliver(radio, second, "radioIn")
-    assert sim.fes.pop_next().payload.msg_id == first.msg_id
-    assert sim.fes.pop_next().payload.msg_id == second.msg_id
+    assert pop_entry(sim.fes)[4].msg_id == first.msg_id
+    assert pop_entry(sim.fes)[4].msg_id == second.msg_id
 
 
 def test_reflector_turns_ip_msg_around_same_timestamp():
@@ -347,11 +345,11 @@ def test_reflector_turns_ip_msg_around_same_timestamp():
     msg = sim.new_message("IPMsg", MessageKind.CONTROL_MESSAGE)
     mid = msg.msg_id
     deliver(ip, msg, "inFromLowerLayer")
-    ev = sim.fes.pop_next()
-    assert ev.target.name == "lte_gtp"
-    assert ev.arrival_gate == "inFromUpperLayer"
-    assert ev.payload.name == "GTPMsg" and ev.payload.msg_id == mid
-    assert ev.fire_time == sim.now
+    t_ns, _, target, arrival_gate, payload = pop_entry(sim.fes)
+    assert target.name == "lte_gtp"
+    assert arrival_gate == "inFromUpperLayer"
+    assert payload.name == "GTPMsg" and payload.msg_id == mid
+    assert t_ns == sim.now_ns
 
 
 def test_enb_gtp_queues_a_delayed_hop_instead_of_returning_it():
@@ -364,12 +362,12 @@ def test_enb_gtp_queues_a_delayed_hop_instead_of_returning_it():
     sim = Simulator(root)
     msg = sim.new_message("GTPMsg", MessageKind.CONTROL_MESSAGE)
     assert enb.child("lte_gtp").handle_message(msg, "inFromLowerLayer") is None
-    ev = sim.fes.pop_next()
-    assert ev.target is sgw.child("lte_s1")
-    assert ev.arrival_gate == "inFromLowerLayer[0]"
-    assert ev.payload.name == "S1Msg"
-    assert ev.fire_time == sim.now + SimTime.from_millis(1)
-    assert sim.fes.pop_next() is None
+    t_ns, _, target, arrival_gate, payload = pop_entry(sim.fes)
+    assert target is sgw.child("lte_s1")
+    assert arrival_gate == "inFromLowerLayer[0]"
+    assert payload.name == "S1Msg"
+    assert t_ns == (sim.now + SimTime.from_millis(1)).ns
+    assert pop_entry(sim.fes) is None
 
 
 # -- builders ----------------------------------------------------------------------

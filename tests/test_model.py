@@ -3,13 +3,15 @@
 import pytest
 
 from lteadv_sim.kernel import (MAX_TIME_NS, HandlerError, MessageKind,
-                               SchedulingInPast, SimTime, SimTimeRangeError,
-                               Simulator)
+                               SchedulingInPast, SimMessage, SimTime,
+                               SimTimeRangeError, SimulationError, Simulator)
 from lteadv_sim.model import (ChannelSpec, CompoundModule, DetachedModule,
                               Direction, DirectionMismatch, DuplicateName,
                               GateAlreadyConnected, SimpleModule, UnconnectedGate,
                               UnknownGate, UnknownTargetGate, WiringLocked,
-                              assign_ids, connect, send, send_direct)
+                              connect, send, send_direct)
+
+from conftest import pop_entry
 
 
 class Sink(SimpleModule):
@@ -39,10 +41,12 @@ def test_connect_and_zero_delay_arrival():
     connect(out, inn, ChannelSpec(SimTime(0)))
     sim = Simulator(root)
     msg = sim.new_message("m", MessageKind.CONTROL_MESSAGE)
-    ev = send(a, msg, "outToLowerLayer")
-    assert ev.target is b
-    assert ev.arrival_gate == "inFromUpperLayer"
-    assert ev.fire_time == SimTime(0)  # arrival time equals send time
+    seq = send(a, msg, "outToLowerLayer")
+    t_ns, popped_seq, target, arrival_gate, payload = pop_entry(sim.fes)
+    assert popped_seq == seq and payload is msg
+    assert target is b
+    assert arrival_gate == "inFromUpperLayer"
+    assert t_ns == 0  # arrival time equals send time
 
 
 def test_direction_mismatch():
@@ -71,9 +75,9 @@ def test_send_adds_channel_delay():
     connect(a.add_gate("o", Direction.OUT), b.add_gate("i", Direction.IN),
             ChannelSpec(SimTime.from_millis(5)))
     sim = Simulator(root)
-    ev = send(a, sim.new_message("m", MessageKind.CONTROL_MESSAGE),
-              "o", now=SimTime.from_millis(10))
-    assert ev.fire_time == SimTime.from_millis(15)
+    seq = send(a, sim.new_message("m", MessageKind.CONTROL_MESSAGE),
+               "o", now=SimTime.from_millis(10))
+    assert pop_entry(sim.fes)[:2] == (SimTime.from_millis(15).ns, seq)
 
 
 def test_send_on_unknown_and_unconnected_gates():
@@ -85,6 +89,19 @@ def test_send_on_unknown_and_unconnected_gates():
         send(a, msg, "nope")
     with pytest.raises(UnconnectedGate):
         send(a, msg, "wired_not")
+
+
+def test_scheduling_calls_need_a_bound_module():
+    root, a, b = two_module_net()
+    connect(a.add_gate("o", Direction.OUT), b.add_gate("i", Direction.IN))
+    b.add_gate("radioIn", Direction.IN)
+    msg = SimMessage(1, "m", MessageKind.CONTROL_MESSAGE, 0, SimTime(0))
+    for call in (lambda: send(a, msg, "o"),
+                 lambda: send_direct(a, msg, b, "radioIn"),
+                 lambda: a.schedule_self(msg, SimTime(0))):
+        with pytest.raises(SimulationError,
+                           match="^a: module is not bound to a simulator$"):
+            call()
 
 
 def one_ns_channel_net():
@@ -107,7 +124,7 @@ class LastMinuteSender(SimpleModule):
     """Forwards every arrival out of gate "o" at once."""
 
     def handle_message(self, msg, arrival_gate):
-        self.send(msg, "o")
+        send(self, msg, "o")
 
 
 def test_overflow_inside_run_is_a_handler_error():
@@ -118,8 +135,8 @@ def test_overflow_inside_run_is_a_handler_error():
     connect(a.add_gate("o", Direction.OUT), b.add_gate("i", Direction.IN),
             ChannelSpec(SimTime(2)))
     sim = Simulator(root)
-    sim.schedule_arrival(a, "in", sim.new_message("m", MessageKind.CONTROL_MESSAGE),
-                         SimTime(MAX_TIME_NS - 1))
+    sim.fes.push(MAX_TIME_NS - 1, sim.now_ns, a, "in",
+                 sim.new_message("m", MessageKind.CONTROL_MESSAGE))
     with pytest.raises(HandlerError) as exc_info:
         sim.run(until=SimTime(MAX_TIME_NS))
     assert isinstance(exc_info.value.__cause__, SimTimeRangeError)
@@ -136,11 +153,25 @@ def test_schedule_self_in_the_past_rejected():
     root = CompoundModule("Network")
     r = root.add_child(Rewinder("r"))
     sim = Simulator(root)
-    sim.schedule_arrival(r, "in", sim.new_message("m", MessageKind.CONTROL_MESSAGE),
-                         SimTime(10))
+    sim.fes.push(10, sim.now_ns, r, "in",
+                 sim.new_message("m", MessageKind.CONTROL_MESSAGE))
     with pytest.raises(HandlerError) as exc_info:
         sim.run(until=SimTime(20))
     assert isinstance(exc_info.value.__cause__, SchedulingInPast)
+
+
+def test_a_leaf_with_no_handler_fails_as_a_handler_error():
+    root = CompoundModule("Network")
+    mute = root.add_child(SimpleModule("mute"))
+    sim = Simulator(root)
+    sim.fes.push(0, sim.now_ns, mute, "in",
+                 sim.new_message("m", MessageKind.CONTROL_MESSAGE))
+    with pytest.raises(HandlerError) as exc_info:
+        sim.run(until=SimTime(10))
+    assert (exc_info.value.module_path, exc_info.value.event_no) == ("Network.mute", 1)
+    cause = exc_info.value.__cause__
+    assert type(cause) is SimulationError
+    assert str(cause) == "Network.mute does not handle messages"
 
 
 def test_returned_events_equal_the_popped_ones():
@@ -149,15 +180,17 @@ def test_returned_events_equal_the_popped_ones():
             ChannelSpec(SimTime(4)))
     b.add_gate("radioIn", Direction.IN)
     sim = Simulator(root)
-    sent = [send(a, sim.new_message("m", MessageKind.CONTROL_MESSAGE), "o"),
-            send_direct(a, sim.new_message("d", MessageKind.PACKET, 10), b,
-                        "radioIn", delay=SimTime(2))]
-    popped = [sim.fes.pop_next(), sim.fes.pop_next()]
-    assert popped[::-1] == sent
-    for got, want in zip(popped[::-1], sent):
-        assert (got.target, got.arrival_gate, got.fire_time, got.insertion_seq) == \
-            (want.target, want.arrival_gate, want.fire_time, want.insertion_seq)
-        assert got.payload is want.payload
+    msgs = [sim.new_message("m", MessageKind.CONTROL_MESSAGE),
+            sim.new_message("d", MessageKind.PACKET, 10)]
+    sent = [send(a, msgs[0], "o"),
+            send_direct(a, msgs[1], b, "radioIn", delay=SimTime(2))]
+    popped = [pop_entry(sim.fes), pop_entry(sim.fes)]
+    assert pop_entry(sim.fes) is None
+    want = [(b, "i", 4, msgs[0]), (b, "radioIn", 2, msgs[1])]
+    for got, seq, (target, arrival_gate, t_ns, payload) in zip(popped[::-1], sent, want):
+        assert got[1] == seq
+        assert (got[2], got[3], got[0]) == (target, arrival_gate, t_ns)
+        assert got[4] is payload
 
 
 # -- send_direct ---------------------------------------------------------------
@@ -166,10 +199,12 @@ def test_send_direct_delay_and_target():
     root, a, b = two_module_net()
     b.add_gate("radioIn", Direction.IN)
     sim = Simulator(root)
-    ev = send_direct(a, sim.new_message("m", MessageKind.CONTROL_MESSAGE),
-                     b, "radioIn", delay=SimTime.from_millis(3))
-    assert ev.target is b and ev.fire_time == SimTime.from_millis(3)
-    assert ev.arrival_gate == "radioIn"
+    seq = send_direct(a, sim.new_message("m", MessageKind.CONTROL_MESSAGE),
+                      b, "radioIn", delay=SimTime.from_millis(3))
+    t_ns, popped_seq, target, arrival_gate, _ = pop_entry(sim.fes)
+    assert popped_seq == seq
+    assert target is b and t_ns == SimTime.from_millis(3).ns
+    assert arrival_gate == "radioIn"
 
 
 def test_send_direct_unknown_target_gate():
@@ -193,16 +228,17 @@ def test_delivery_correctness_one_event_per_send():
     connect(a.add_gate("o", Direction.OUT), b.add_gate("i", Direction.IN),
             ChannelSpec(SimTime(7)))
     sim = Simulator(root)
-    ids = []
+    ids, seqs = [], []
     for _ in range(5):
         msg = sim.new_message("m", MessageKind.CONTROL_MESSAGE)
         ids.append(msg.msg_id)
-        send(a, msg, "o")
+        seqs.append(send(a, msg, "o"))
     events = []
     while sim.fes:
-        events.append(sim.fes.pop_next())
-    assert [e.payload.msg_id for e in events] == ids
-    assert all(e.target is b and e.fire_time == SimTime(7) for e in events)
+        events.append(pop_entry(sim.fes))
+    assert [e[4].msg_id for e in events] == ids
+    assert [e[1] for e in events] == seqs
+    assert all(e[2] is b and e[0] == 7 for e in events)
 
 
 # -- paths and ids ---------------------------------------------------------------
@@ -238,7 +274,7 @@ def test_assign_ids_single_module_network():
     root = CompoundModule("Network")
     m = Sink("m")
     root.add_child(m)
-    ids = assign_ids(root)
+    ids = root.assign_ids()
     assert ids == {"Network": 1, "Network.m": 2}
 
 
@@ -252,7 +288,7 @@ def test_assign_ids_deterministic_and_unique():
                 node.add_child(Sink(sub))
         return root
 
-    first, second = assign_ids(make()), assign_ids(make())
+    first, second = make().assign_ids(), make().assign_ids()
     assert first == second
     assert len(set(first.values())) == len(first)
 
@@ -296,16 +332,17 @@ def test_no_new_gates_after_run_starts():
         a.add_gate("late", Direction.OUT)
 
 
-def test_connect_pair_wires_both_directions():
-    from lteadv_sim.model import connect_pair
+def test_two_connects_wire_both_directions():
     root, a, b = two_module_net()
-    connect_pair(a.add_gate("outToLowerLayer", Direction.OUT),
-                 b.add_gate("inFromUpperLayer", Direction.IN),
-                 b.add_gate("outToUpperLayer", Direction.OUT),
-                 a.add_gate("inFromLowerLayer", Direction.IN),
-                 ChannelSpec(SimTime.from_millis(2)))
+    channel = ChannelSpec(SimTime.from_millis(2))
+    connect(a.add_gate("outToLowerLayer", Direction.OUT),
+            b.add_gate("inFromUpperLayer", Direction.IN), channel)
+    connect(b.add_gate("outToUpperLayer", Direction.OUT),
+            a.add_gate("inFromLowerLayer", Direction.IN), channel)
     sim = Simulator(root)
-    down = send(a, sim.new_message("d", MessageKind.CONTROL_MESSAGE), "outToLowerLayer")
-    up = send(b, sim.new_message("u", MessageKind.CONTROL_MESSAGE), "outToUpperLayer")
-    assert down.target is b and up.target is a
-    assert down.fire_time == up.fire_time == SimTime.from_millis(2)
+    down_seq = send(a, sim.new_message("d", MessageKind.CONTROL_MESSAGE), "outToLowerLayer")
+    up_seq = send(b, sim.new_message("u", MessageKind.CONTROL_MESSAGE), "outToUpperLayer")
+    down, up = pop_entry(sim.fes), pop_entry(sim.fes)
+    assert (down[1], up[1]) == (down_seq, up_seq)
+    assert down[2] is b and up[2] is a
+    assert down[0] == up[0] == SimTime.from_millis(2).ns
