@@ -392,15 +392,16 @@ class Simulator:
 
         A handler may return the zero-delay hop it would otherwise push,
         as `(target, arrival_label, msg)`. An arrival on a gate with a
-        relay link (`Gate.relay_to`, set by a stock pass-through layer when
-        the run starts) makes the same hop with no handler call: the loop
-        renames the message for the linked gate's module, by the kind of
-        the message, and moves on to that gate. Either way, when the lane
-        is empty, nothing else is due now, so the hop is the entry the FES
-        would pop next and is dispatched at once as the next event. When
-        the lane still holds entries, the hop is appended behind them with
-        the next insertion seq, as `push` would do; at the event limit it
-        is pushed. The order of events is the same either way.
+        relay link (`Gate.relay_to`, set from the forwarding table of the
+        gate's module when the run starts) makes the same hop with no
+        handler call: the loop renames the message for the linked gate's
+        module, by the kind of the message, and moves on to that gate.
+        Either way, when the lane is empty, nothing else is due now, so
+        the hop is the entry the FES would pop next and is dispatched at
+        once as the next event. When the lane still holds entries, the
+        hop is appended behind them with the next insertion seq, as
+        `push` would do; at the event limit it is pushed. The order of
+        events is the same either way.
         """
         if self._ran:
             raise SimulationError("this simulator instance has already run")

@@ -1,10 +1,11 @@
 """LTE-Advanced node skeletons.
 
-Four node types (UE, eNB, S-GW/MME, PDN-GW) built from pass-through layer
-modules that relay messages up or down and rename them with the tag of
-the layer they are headed to: a control message entering lte_rrc is named
+Four node types (UE, eNB, S-GW/MME, PDN-GW) built from layer modules that
+forward messages up or down and rename them with the tag of the module
+they are headed to: a control message entering lte_rrc is named
 "RRCMsg", a packet handed to lte_mac is "MACPck". Layers add no delay of
-their own.
+their own. Each class declares where its arrivals go in one table (see
+`Forwarder`); only the PHY's air hop and the S1 fan-in carry a route.
 
 `build_node` builds every kind from one per-kind table: a stack of
 pass-through layers with one special layer. The bottom of the UE and eNB
@@ -14,15 +15,16 @@ every eNB, and the top of the PDN-GW turns messages around and sends
 them back the way they came. A node keeps its `kind`, its `stack` and
 its `generator`; the cross-node links read the ends of the stack.
 
-A relaying handler returns its zero-delay hop as `(target, arrival_label,
-msg)` instead of pushing it, and the run loop dispatches or queues it
-(see `Simulator.run`); a hop over a delayed channel is transmitted and
-the handler returns None.
+A handler returns its zero-delay hop as `(target, arrival_label, msg)`
+instead of pushing it, and the run loop dispatches or queues it (see
+`Simulator.run`); a hop over a delayed channel is transmitted and the
+handler returns None.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -105,57 +107,52 @@ def relay(gate: Gate, msg: SimMessage) -> Hop:
     return target, peer.label, msg
 
 
-class PassThroughLayer(SimpleModule):
-    """Relays messages between its upper and lower neighbors.
+class Forwarder(SimpleModule):
+    """A module that forwards each arrival by its class's table,
+    `forward_to`: arrival label -> the attribute holding the Out gate the
+    arrival leaves by, renamed for the next module. An arrival with no
+    Out gate wired (a UE's top layer without a generator) is dropped and
+    counted in `drop_count`; a label the table lacks is an error.
 
-    Arrival on inFromUpperLayer goes down; arrival on inFromLowerLayer goes
-    up. Either way the message is renamed with the destination layer's tag
-    before it leaves. Upward traffic with nothing wired above (a UE's top
-    layer without a generator) is dropped and counted in `drop_count`.
-
-    Each subclass overrides `handle_message` whole, without calling this
-    one, so that one event is one `handle_message` call.
-
-    A layer whose handler is this stock one relays with no handler call:
-    when the run starts, `on_start` gives each In gate a relay link to
+    When the run starts, each In gate in the table gets a relay link to
     the In gate its arrivals go on to (see `Gate.relay_to`), and the run
-    loop makes the hop itself. A gate gets no link, and its arrivals
-    reach `handle_message`, when the handler is overridden in a subclass,
-    replaced on the class or set on the instance, when its Out gate is
-    missing, unconnected or delayed, or when the next module lacks
-    `control_name` or `packet_name`; an arrival that is dropped has no
-    Out gate to link.
+    loop makes that hop with no handler call. No link is set for a gate
+    whose Out gate is missing, unconnected or delayed, or leads to a
+    module without `control_name` and `packet_name`; nor for any gate
+    while the module's handler is not the one of the class that declared
+    its table: overridden in a subclass, replaced on the class or set on
+    the instance. A handler of its own calls `forward`, never another
+    class's `handle_message`, so one event is one `handle_message` call.
     """
 
-    def __init__(self, name: str, tag: str):
+    def __init__(self, name: str):
         super().__init__(name, type_name=name)
-        # the names a message takes on arriving here, per kind
-        self.control_name = tag + _CONTROL_SUFFIX
-        self.packet_name = tag + _PACKET_SUFFIX
-        # Out gates toward the neighbors, set when wired
-        self.up_gate: Optional[Gate] = None
-        self.down_gate: Optional[Gate] = None
+        self.up_gate: Optional[Gate] = None  # the Out gate upward, set when wired
         self.drop_count = 0
 
-    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
-        if arrival_gate == IN_FROM_UPPER:
-            return relay(self.down_gate, msg)
-        if arrival_gate != IN_FROM_LOWER:
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "forward_to" in vars(cls):  # the handler the table's links stand for
+            cls._table_handler = cls.handle_message
+
+    def forward(self, msg: SimMessage, arrival_gate: str) -> Hop:
+        attr = self.forward_to.get(arrival_gate)
+        if attr is None:
             raise self.unknown_arrival(arrival_gate)
-        if self.up_gate is None:
+        gate = getattr(self, attr)
+        if gate is None:
             self.drop_count += 1
             return None
-        return relay(self.up_gate, msg)
+        return relay(gate, msg)
+
+    handle_message = forward
 
     def on_start(self, sim) -> None:
-        # the stock handler bound to this layer, unless a subclass, the
-        # class or the instance replaced it; read through the bound method,
-        # as vars(self) would build a dict for every layer (0.3 MiB on metro)
-        handle = self.handle_message
-        if getattr(handle, "__func__", None) is not _STOCK_HANDLER or handle.__self__ is not self:
+        # equal only when both bind this module to the same function
+        if self.handle_message != self._table_handler:
             return
-        for label, out in ((IN_FROM_UPPER, self.down_gate), (IN_FROM_LOWER, self.up_gate)):
-            gate = self._gates.get(label)
+        for label, attr in self.forward_to.items():
+            gate, out = self._gates.get(label), getattr(self, attr)
             peer = None if out is None else out.peer
             if (gate is not None and peer is not None and out.delay_ns == 0
                     and hasattr(peer.owner, "control_name")
@@ -163,8 +160,19 @@ class PassThroughLayer(SimpleModule):
                 gate.relay_to = peer
 
 
-# the handler relay links stand for; a replacement on the class is not it
-_STOCK_HANDLER = PassThroughLayer.handle_message
+class PassThroughLayer(Forwarder):
+    """A stack layer: arrivals from above go down, arrivals from below go
+    up, each renamed with the tag of the layer it is headed to."""
+
+    forward_to = {IN_FROM_UPPER: "down_gate", IN_FROM_LOWER: "up_gate"}
+
+    def __init__(self, name: str, tag: str):
+        super().__init__(name)
+        # the names a message takes on arriving here, per kind; interned,
+        # so every layer with one tag shares them
+        self.control_name = sys.intern(tag + _CONTROL_SUFFIX)
+        self.packet_name = sys.intern(tag + _PACKET_SUFFIX)
+        self.down_gate: Optional[Gate] = None  # the Out gate downward, set when wired
 
 
 class FanInLayer(PassThroughLayer):
@@ -172,8 +180,8 @@ class FanInLayer(PassThroughLayer):
 
     `reply_gates` maps the label of each pair's In gate to its Out gate,
     recorded when the eNB is linked. A message coming up carries that
-    Out gate on its route, so the reply leaves through it. With nothing
-    wired above, it drops upward traffic as the base layer does.
+    Out gate on its route, so the reply leaves through it; then it goes
+    up by the table, or is dropped with nothing wired above.
     """
 
     def __init__(self, name: str, tag: str):
@@ -189,11 +197,8 @@ class FanInLayer(PassThroughLayer):
         reply_gate = self.reply_gates.get(arrival_gate)
         if reply_gate is None:
             raise self.unknown_arrival(arrival_gate)
-        if self.up_gate is None:
-            self.drop_count += 1
-            return None
         msg.push_route(reply_gate)
-        return relay(self.up_gate, msg)
+        return self.forward(msg, IN_FROM_LOWER)  # every lower pair goes up alike
 
 
 class PhyLayer(PassThroughLayer):
@@ -202,8 +207,11 @@ class PhyLayer(PassThroughLayer):
     A UE's PHY has a statically attached peer (its eNB): it stamps its own
     radio onto the message as the return address and delivers direct to
     the peer's radio input. An eNB's PHY has no static peer; it pops the
-    return address the originating UE stamped on the way up.
+    return address the originating UE stamped on the way up. Upward
+    traffic is forwarded by the table.
     """
+
+    forward_to = {IN_FROM_LOWER: "up_gate"}
 
     def __init__(self, name: str, tag: str):
         super().__init__(name, tag)
@@ -211,10 +219,8 @@ class PhyLayer(PassThroughLayer):
         self.home_radio: Optional[ModuleNode] = None
 
     def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
-        if arrival_gate == IN_FROM_LOWER:
-            return relay(self.up_gate, msg)
         if arrival_gate != IN_FROM_UPPER:
-            raise self.unknown_arrival(arrival_gate)
+            return self.forward(msg, arrival_gate)
         if self.peer_radio is not None:
             target = self.peer_radio
             msg.push_route(self.home_radio)
@@ -228,30 +234,21 @@ class PhyLayer(PassThroughLayer):
         return target, RADIO_IN, msg
 
 
-class RadioInterface(SimpleModule):
-    """Receives direct air deliveries and hands them to the PHY, unrenamed."""
+class RadioInterface(Forwarder):
+    """Receives direct air deliveries and hands them to its PHY, renamed
+    with the PHY's names: the air hop has already given the message
+    those names, so the rename changes nothing for a built-in sender."""
+
+    forward_to = {RADIO_IN: "up_gate"}
 
     def __init__(self, name: str = "lte_radio"):
-        super().__init__(name, type_name=name)
-        self.up_gate: Optional[Gate] = None  # toward the PHY, set when wired
-
-    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
-        if arrival_gate != RADIO_IN:
-            raise self.unknown_arrival(arrival_gate)
-        # build_node connects the radio to its PHY with no delay
-        peer = self.up_gate.peer
-        return peer.owner, peer.label, msg
+        super().__init__(name)
 
 
 class ReflectorLayer(PassThroughLayer):
     """Top of the PDN-GW: turns traffic around in the same event."""
 
-    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
-        if arrival_gate != IN_FROM_LOWER:
-            raise self.unknown_arrival(arrival_gate)
-        # the down gate of a one-layer PDN-GW is wired by link_sgw_to_pdn,
-        # after the layer is built, so it is read here, per event
-        return relay(self.down_gate, msg)
+    forward_to = {IN_FROM_LOWER: "down_gate"}
 
 
 def wire_vertical(upper: ModuleNode, lower: ModuleNode,

@@ -77,11 +77,11 @@ class ChannelSpec:
 class Gate:
     """One directional endpoint on a module, optionally vector-indexed.
 
-    `relay_to` is an In gate's relay link, set only when a run starts:
-    the In gate that an arrival here goes on to, now and renamed with the
-    `control_name` or `packet_name` of that gate's owner, by the kind of
-    the message. The run loop makes that hop itself, with no handler call
-    (see `Simulator.run`).
+    `relay_to` is an In gate's relay link, set when a run starts from
+    its owner's forwarding table (see `lte_nodes.Forwarder`): the In
+    gate an arrival here goes on to, now and renamed for that gate's
+    owner, by the kind of the message. The run loop makes that hop
+    itself, with no handler call (see `Simulator.run`).
     """
 
     __slots__ = ("owner", "name", "index", "direction", "peer", "delay_ns", "label",

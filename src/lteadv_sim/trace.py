@@ -320,8 +320,8 @@ def _walk(spec: NetworkSpec, table: InstanceTable,
     # uplink: down the UE stack, each layer entered under its own tag
     for tag, module in ue_chain:
         hop(ue_instance, module, tag)
-    # air hop: the eNB radio forwards unrenamed, so radio and PHY both see
-    # the name stamped for the eNB's PHY
+    # air hop: named for the eNB's PHY before it reaches the radio, which
+    # hands it on under the same name, so radio and PHY both see that name
     enb_phy_tag, enb_phy_module = enb_chain[-1]
     hop(enb_instance, _RADIO_MODULE, enb_phy_tag)
     hop(enb_instance, enb_phy_module, enb_phy_tag)

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import settings
+from hypothesis.internal.conjecture import engine
 
 from lteadv_sim import CollectingSink, build, parse
 from lteadv_sim.kernel import MAX_TIME_NS
@@ -7,6 +8,12 @@ from lteadv_sim.kernel import MAX_TIME_NS
 # A deeper search for CI (`--hypothesis-profile=ci`); tests that set their
 # own max_examples keep it. The default profile is left as it is.
 settings.register_profile("ci", max_examples=2000, deadline=None)
+
+# Stop shrinking a failing example after 60 s (hypothesis allows 300 s
+# and documents this constant as the one to patch), so a failing
+# network_specs() property reports within about two minutes. The number
+# of examples and what they draw are unchanged.
+engine.MAX_SHRINKING_SECONDS = 60
 
 # The smallest interesting network: one of each node, generator on the UE,
 # zero delays everywhere.

@@ -15,14 +15,14 @@ import pytest
 from lteadv_sim import build, lte_nodes, parse
 from lteadv_sim.kernel import (MessageKind, SimTime, Simulator, HandlerError,
                                SimulationError)
-from lteadv_sim.lte_nodes import (LayerSpec, NoRadioPeer, NodeType,
-                                  PassThroughLayer, RadioInterface, attach_ue,
-                                  build_node, link_enb_to_sgw, link_sgw_to_pdn,
-                                  wire_vertical)
-from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, ChannelSpec, CompoundModule,
-                              DuplicateName, SELF_GATE, UnknownArrivalGate)
+from lteadv_sim.lte_nodes import (FanInLayer, Forwarder, LayerSpec, NoRadioPeer, NodeType,
+                                  PassThroughLayer, PhyLayer, RadioInterface,
+                                  ReflectorLayer, attach_ue, build_node, link_enb_to_sgw,
+                                  link_sgw_to_pdn, wire_vertical)
+from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, RADIO_IN, ChannelSpec,
+                              CompoundModule, DuplicateName, SELF_GATE, UnknownArrivalGate)
 from lteadv_sim.traffic import Generator, GeneratorConfig
-from lteadv_sim.trace import CollectingSink, data_walk, ue_instances
+from lteadv_sim.trace import CollectingSink, data_walk, summarize, ue_instances
 
 from conftest import MINIMAL_SOURCE, pop_entry, run_spec
 
@@ -477,14 +477,17 @@ def metro_shaped_source(n_ue=12, n_enb=4):
     return "\n".join(lines + ["    run until 100ms;", "}"]) + "\n"
 
 
+def _name(module, kind):
+    return module.packet_name if kind is MessageKind.PACKET else module.control_name
+
+
 def _follow_links(gate, kind):
     """(path, name) of the module of `gate` and of each module a message
     arriving there goes on to by relay links alone."""
     hops = []
     while gate is not None:
         module = gate.owner
-        hops.append((module.full_path, module.packet_name if kind is MessageKind.PACKET
-                     else module.control_name))
+        hops.append((module.full_path, _name(module, kind)))
         gate = gate.relay_to
     return hops
 
@@ -494,16 +497,30 @@ def _fixture_source(name):
         return fh.read()
 
 
-@pytest.mark.parametrize("source", [
-    *map(_fixture_source, ("minimal.net", "multi_ue.net", "delayed.net", "desk_50ms.net")),
-    metro_shaped_source(),
-], ids=["minimal", "multi_ue", "delayed", "desk_50ms", "metro_shaped"])
-def test_relay_chains_follow_the_oracle_walk(source):
-    """Down each UE's stack from its top layer to its PHY, and up its
-    eNB's stack from the PHY to the top layer (and on to the S1 when the
-    backhaul has no delay), the relay links visit the modules, under the
-    names, of the matching segments of the oracle's walk."""
+# a one-layer PDN-GW behind a delayed core link: its reflector is also its
+# bottom layer, and its down gate is that delayed link
+DELAYED_ONE_LAYER_PDN = (
+    MINIMAL_SOURCE.replace("    run until", "    link sgw_mme -> pdn_gw delay 1ms;\n    run until"),
+    (LayerSpec("IP", "lte_ip"),))
+
+
+@pytest.mark.parametrize("source, pdn_stack", [
+    *((_fixture_source(name), None)
+      for name in ("minimal.net", "multi_ue.net", "delayed.net", "desk_50ms.net")),
+    (metro_shaped_source(), None),
+    DELAYED_ONE_LAYER_PDN,
+], ids=["minimal", "multi_ue", "delayed", "desk_50ms", "metro_shaped", "delayed_one_layer_pdn"])
+def test_relay_chains_follow_the_oracle_walk(source, pdn_stack):
+    """Down each UE's stack from its top layer to its PHY; from its eNB's
+    radio up the eNB's stack to the top layer (and on to the S1 when the
+    backhaul has no delay); and from the PDN-GW's bottom layer up to the
+    reflector and back down (and on down the S-GW/MME to its S1 when the
+    core link has no delay): the relay links visit the modules, under
+    the names, of the matching segments of the oracle's walk. A run then
+    follows the walk, over links and handlers alike."""
     spec = parse(source).spec
+    if pdn_stack is not None:
+        spec.chain_overrides[NodeType.PDN_GW] = pdn_stack
     built = build(spec)
     built.simulator().run(until=SimTime(0))  # sets the links, runs no event
     for inst in ue_instances(spec):
@@ -514,11 +531,24 @@ def test_relay_chains_follow_the_oracle_walk(source):
         assert down == walk[:len(ue.stack)]
         enb = ue.stack[-1].peer_radio.parent
         phy, top = enb.stack[-1], enb.stack[0]
-        up = [(phy.full_path, phy.packet_name if kind is MessageKind.PACKET
-               else phy.control_name), *_follow_links(phy.up_gate.peer, kind)]
-        at = len(ue.stack) + 1  # past the UE's stack and the eNB's radio
+        # the radio has no names of its own: it is entered under its PHY's
+        radio = phy.home_radio
+        up = [(radio.full_path, _name(phy, kind)),
+              *_follow_links(radio._gates[RADIO_IN].relay_to, kind)]
+        at = len(ue.stack)
         assert up == walk[at:at + len(up)]
-        assert len(up) == len(enb.stack) + (top.up_gate.delay_ns == 0)
+        assert len(up) == 1 + len(enb.stack) + (top.up_gate.delay_ns == 0)
+        sgw = top.up_gate.peer.owner.parent
+        pdn = sgw.stack[0].up_gate.peer.owner.parent
+        turn = _follow_links(pdn.stack[-1]._gates[IN_FROM_LOWER], kind)
+        at += 1 + len(enb.stack) + len(sgw.stack)
+        assert turn == walk[at:at + len(turn)]
+        core_delay = pdn.stack[-1].down_gate.delay_ns
+        assert len(turn) == 2 * len(pdn.stack) - 1 + (core_delay == 0) * len(sgw.stack)
+    records, summary, _ = run_spec(spec)
+    metrics = summarize(records, spec, summary)
+    assert metrics.path_mismatches == []
+    assert metrics.round_trips > 0
 
 
 def _records(spec, built=None):
@@ -559,22 +589,39 @@ def test_a_layer_subclass_overriding_the_handler_sees_every_event(monkeypatch, m
     _assert_seen_at_their_modules(seen, counted, records, plain)
 
 
-def test_a_handler_replaced_on_the_class_sees_every_event(monkeypatch, multi_ue_spec):
+def _link_sites(built):
+    return {(module.full_path, gate.label) for module in built.root.iter_tree()
+            for gate in module._gates.values() if gate.relay_to is not None}
+
+
+@pytest.mark.parametrize("cls", [Forwarder, PassThroughLayer, PhyLayer, FanInLayer,
+                                 RadioInterface, ReflectorLayer], ids=lambda cls: cls.__name__)
+def test_a_handler_replaced_on_the_class_sees_every_event(monkeypatch, multi_ue_spec, cls):
+    """Replacing a class's handler, its own or one it inherits, turns off
+    the links of every module that then calls the replacement, and no
+    other module's: the radio and the reflector inherit theirs."""
     spec = _short(multi_ue_spec)
-    plain = _records(spec)
+    plain_built = build(spec)
+    plain = _records(spec, plain_built)
     seen = Counter()
-    stock = PassThroughLayer.handle_message
+    stock = cls.handle_message
 
     def handle_message(module, msg, arrival_gate):
         seen[module.full_path] += 1
         return stock(module, msg, arrival_gate)
 
-    monkeypatch.setattr(PassThroughLayer, "handle_message", handle_message)
+    monkeypatch.setattr(cls, "handle_message", handle_message)
     built = build(spec)
     records = _records(spec, built)
-    stock_layers = [module for module in built.root.iter_tree()
-                    if type(module) is PassThroughLayer]
-    _assert_seen_at_their_modules(seen, stock_layers, records, plain)
+    replaced = [module for module in built.root.iter_tree()
+                if getattr(module.handle_message, "__func__", None) is handle_message]
+    assert all(isinstance(module, cls) for module in replaced)
+    _assert_seen_at_their_modules(seen, replaced, records, plain)
+    paths = {module.full_path for module in replaced}
+    plain_links = _link_sites(plain_built)
+    assert _link_sites(built) == {site for site in plain_links if site[0] not in paths}
+    # the S1 carries a route both ways, so it has no link to turn off
+    assert any(site[0] in paths for site in plain_links) == (cls is not FanInLayer)
 
 
 def test_a_handler_set_on_the_instance_sees_every_event(multi_ue_spec):

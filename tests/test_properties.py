@@ -7,7 +7,7 @@ messages with every visited path matching the chain-walk oracle,
 drawn layer stacks leave every round trip on the oracle's walk,
 dispatching returned hops at once changes nothing against queueing
 every one of them, the run loop matches a plain-heap reference loop,
-hopping over relay links changes nothing against calling every stock
+hopping over relay links changes nothing against calling every
 handler, each event is one handle_message call whenever handlers are
 wrapped (a wrapped handler turns the relay links off), the streaming
 metrics fold gives the reference summarize's metrics on any trace, cut
@@ -32,8 +32,9 @@ from lteadv_sim.kernel import EventRecord, MessageKind, SimTime, StopReason
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
                                   validate)
-from lteadv_sim.lte_nodes import LayerSpec, NodeType, PassThroughLayer
-from lteadv_sim.model import ModuleNode
+from lteadv_sim.lte_nodes import (Forwarder, LayerSpec, NodeType, PhyLayer, RadioInterface,
+                                  ReflectorLayer)
+from lteadv_sim.model import IN_FROM_LOWER, RADIO_IN, ModuleNode
 from lteadv_sim.traffic import GeneratorConfig
 from lteadv_sim.trace import (format_event_line, read_structured, summarize,
                               write_structured, zero_delay_emissions)
@@ -313,9 +314,11 @@ def _reference_run(spec, event_limit):
        st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
 @settings(deadline=None)
 def test_relay_links_change_nothing(spec, event_limit):
-    """Hopping over relay links, against the same run with every stock
-    handler called: replacing `PassThroughLayer.handle_message` on the
-    class with a wrapper that only calls it turns every link off."""
+    """Hopping over relay links, against the same run with every handler
+    called: wrapping the handler every class defines itself, as
+    `_counting_handler_calls` does, turns every link off. The linked run
+    links every radio to its PHY, every PHY up, and the reflector down
+    unless its down gate is delayed."""
     def run():
         built = build(spec)
         sim = built.simulator()
@@ -323,23 +326,27 @@ def test_relay_links_change_nothing(spec, event_limit):
         summary = sim.run(until=spec.until, event_limit=event_limit,
                           sinks=[StructuredTraceSink(out)])
         drops = [(module.full_path, module.drop_count) for module in built.root.iter_tree()
-                 if isinstance(module, PassThroughLayer)]
+                 if isinstance(module, Forwarder)]
         return (out.getvalue(), summary.events_executed, summary.stop_reason,
-                sim.now_ns, len(sim.fes), drops), _relay_links(built.root)
+                sim.now_ns, len(sim.fes), drops), built
 
-    linked, links = run()
-    stock = vars(PassThroughLayer)["handle_message"]
-
-    def handle_message(module, msg, arrival_gate):
-        return stock(module, msg, arrival_gate)
-
-    PassThroughLayer.handle_message = handle_message
-    try:
-        unlinked, no_links = run()
-    finally:
-        PassThroughLayer.handle_message = stock
-    assert links and not no_links  # every UE's top layer links down
+    linked, built = run()
+    with _counting_handler_calls(Counter()):
+        unlinked, unlinked_built = run()
+    assert _relay_links(unlinked_built.root) == []
     assert linked == unlinked
+    modules = list(built.root.iter_tree())
+    radios = [module for module in modules if isinstance(module, RadioInterface)]
+    phys = [module for module in modules if isinstance(module, PhyLayer)]
+    reflector, = [module for module in modules if isinstance(module, ReflectorLayer)]
+    assert radios and all(radio._gates[RADIO_IN].relay_to is radio.up_gate.peer
+                          for radio in radios)
+    assert phys and all(phy._gates[IN_FROM_LOWER].relay_to is phy.up_gate.peer
+                        for phy in phys)
+    down = reflector.down_gate
+    assert reflector._gates[IN_FROM_LOWER].relay_to is (None if down.delay_ns else down.peer)
+    # and more: every UE's top layer links down
+    assert {gate.owner for gate in _relay_links(built.root)} > {*radios, *phys}
 
 
 @given(network_specs(), st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
