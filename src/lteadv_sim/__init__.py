@@ -15,7 +15,7 @@ from .netconfig import (BuiltNetwork, InvalidNetworkSpec, NetworkSpec,
                         ParseDiagnostic, ParseResult, Selector,
                         build, format_spec, parse, parse_duration, validate)
 from .trace import (CollectingSink, MalformedTrace, Metrics, MetricsSink,
-                    PaperTraceSink, StructuredTraceSink, data_walk,
+                    PaperTraceSink, StructuredTraceSink, TraceSink, data_walk,
                     expected_event_total, format_event_line, read_structured,
                     structured_line, summarize, write_structured,
                     zero_delay_emissions)

@@ -179,19 +179,16 @@ def main(argv: Optional[list] = None) -> int:
 
             sinks = []
             metrics_sink = None
-            if trace_fh:
-                sinks.append(trace.PaperTraceSink(trace_fh))
-            if structured_fh:
-                sinks.append(trace.StructuredTraceSink(structured_fh))
+            if trace_fh or structured_fh:
+                sinks.append(trace.TraceSink(trace_fh, structured_fh))
             if metrics_fh:
                 metrics_sink = trace.MetricsSink(spec)
                 sinks.append(metrics_sink)
             console = not any(files) and not opts.quiet
             if console:
-                if console_format in ("paper", "both"):
-                    sinks.append(trace.PaperTraceSink(sys.stdout))
-                if console_format in ("structured", "both"):
-                    sinks.append(trace.StructuredTraceSink(sys.stdout))
+                sinks.append(trace.TraceSink(
+                    sys.stdout if console_format != "structured" else None,
+                    sys.stdout if console_format != "paper" else None))
 
             try:
                 summary = sim.run(until=spec.until, event_limit=opts.event_limit,

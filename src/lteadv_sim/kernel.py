@@ -316,14 +316,18 @@ class FutureEventSet:
             yield lane.popleft()
 
 
+# The rows `Simulator.run` holds for the batch sinks before it hands them
+# over: it hands them over at the first bucket boundary after this many
+# are held, at every stop, and before an exception leaves the run, so the
+# buffer holds at most this many rows plus one time bucket's.
+CHUNK_ROWS = 512
+
+
 def _event_entry(sink):
-    """The per-event call `Simulator.run` makes on `sink`, as
-    `entry(event_no, t_ns, module, msg)`: the sink's own `on_event` when it
-    has one, otherwise an adapter that builds the event's EventRecord and
-    passes it to the sink's `record`."""
-    on_event = getattr(sink, "on_event", None)
-    if on_event is not None:
-        return on_event
+    """The per-event call `Simulator.run` makes on a sink with no
+    `on_events`, as `entry(event_no, t_ns, module, msg)`: an adapter that
+    builds the event's EventRecord and passes it to the sink's `record`,
+    before the target handler runs."""
     record = sink.record
 
     def record_event(event_no: int, t_ns: int, module, msg: SimMessage) -> None:
@@ -334,6 +338,18 @@ def _event_entry(sink):
                            msg.kind_label, msg._msg_id))
 
     return record_event
+
+
+def _hand_over(batch: list, executed: int, rows: list) -> None:
+    """Pass the held rows, the events up to number `executed`, to every
+    batch sink's `on_events`, then empty the list, also when a sink
+    raises, so no sink sees a row twice."""
+    first_no = executed - len(rows) + 1
+    try:
+        for on_events in batch:
+            on_events(first_no, rows)
+    finally:
+        rows.clear()
 
 
 class Simulator:
@@ -376,14 +392,21 @@ class Simulator:
             sinks: Sequence = ()) -> RunSummary:
         """Dispatch events with fire time strictly below `until`.
 
-        Shows every dispatched event, numbered from 1, to every sink
-        before the target handler runs, so sinks see each message as it
-        arrived. Each sink's entry is bound once, when the run starts (see
-        `_event_entry`): a sink with `on_event(event_no, t_ns, module, msg)`
-        is called with the event's fields, and any other sink's
-        `record(rec)` gets an EventRecord. Stops when the FES drains, the
-        next event would fire at or past `until`, or `event_limit` events
-        have run.
+        Shows every dispatched event, numbered from 1, to every sink, as
+        the message arrived. A sink with `on_events(first_no, rows)` gets
+        the events in chunks: one row per event, `(t_ns, module, msg_name,
+        msg_kind, msg_id)`, numbered from `first_no`, with the name taken
+        when the event is dispatched. The run holds the rows in one list
+        and hands it over at a bucket boundary once `CHUNK_ROWS` rows are
+        held, at every stop and before any exception leaves the run, such
+        as the HandlerError of event k after rows 1..k; the list is
+        emptied and reused afterwards. A batch sink sees its rows after
+        their handlers ran, so it must read nothing but the rows: not the
+        clock, the FES or a message. Any other sink's `record(rec)` is
+        called at each event, before the target handler runs, with the
+        event's EventRecord (see `_event_entry`). Stops when the FES
+        drains, the next event would fire at or past `until`, or
+        `event_limit` events have run.
 
         The loop runs one time bucket at a time: it refills the FES lane
         with every entry due at the earliest time, sets the clock to that
@@ -414,52 +437,65 @@ class Simulator:
         fes = self.fes
         push, refill, lane, seq_counter = fes.push, fes.refill, fes.lane, fes.seq_counter
         popleft, append = lane.popleft, lane.append
-        entries = [_event_entry(sink) for sink in sinks]
+        batch = [sink.on_events for sink in sinks if hasattr(sink, "on_events")]
+        entries = [_event_entry(sink) for sink in sinks if not hasattr(sink, "on_events")]
+        traced = bool(sinks)
+        rows: list = []
+        add_row = rows.append
         until_ns = until.ns
         # -1 never equals the count of executed events: no limit
         limit = -1 if event_limit is None else max(event_limit, 0)
         executed = 0
         reason = StopReason.EVENT_LIMIT
         t_start = _wallclock.perf_counter()
-        if limit:
-            t_ns = refill(until_ns)
-            while t_ns is not None:
-                self.now_ns = t_ns
-                # every entry in the lane is due at t_ns, and nothing
-                # earlier or equal waits in the heap: pop with no compare
-                while lane and executed != limit:
-                    _, _, target, gate_label, msg = popleft()
-                    gate = target._gates.get(gate_label)
-                    while True:
-                        executed += 1
-                        if entries:
-                            for on_event in entries:
-                                on_event(executed, t_ns, target, msg)
-                        link = None if gate is None else gate.relay_to
-                        if link is None:
-                            try:
-                                hop = target.handle_message(msg, gate_label)
-                            except Exception as exc:
-                                raise HandlerError(target.full_path, executed, exc) from exc
-                            if hop is None:
-                                break
-                            target, gate_label, msg = hop
-                        else:
-                            target, gate_label = link.owner, link.label
-                            msg.name = (target.packet_name if msg._kind is _PACKET
-                                        else target.control_name)
-                        if lane:
-                            append((t_ns, next(seq_counter), target, gate_label, msg))
-                            break
-                        if executed == limit:
-                            push(t_ns, t_ns, target, gate_label, msg)
-                            break
-                        gate = target._gates.get(gate_label) if link is None else link
-                if executed == limit:
-                    break
+        try:
+            if limit:
                 t_ns = refill(until_ns)
-            else:
-                reason = StopReason.TIME_LIMIT if fes else StopReason.FES_EMPTY
+                while t_ns is not None:
+                    self.now_ns = t_ns
+                    # every entry in the lane is due at t_ns, and nothing
+                    # earlier or equal waits in the heap: pop with no compare
+                    while lane and executed != limit:
+                        _, _, target, gate_label, msg = popleft()
+                        gate = target._gates.get(gate_label)
+                        while True:
+                            executed += 1
+                            if traced:
+                                if batch:
+                                    add_row((t_ns, target, msg.name, msg.kind_label,
+                                             msg._msg_id))
+                                for record_event in entries:
+                                    record_event(executed, t_ns, target, msg)
+                            link = None if gate is None else gate.relay_to
+                            if link is None:
+                                try:
+                                    hop = target.handle_message(msg, gate_label)
+                                except Exception as exc:
+                                    raise HandlerError(target.full_path, executed, exc) from exc
+                                if hop is None:
+                                    break
+                                target, gate_label, msg = hop
+                            else:
+                                target, gate_label = link.owner, link.label
+                                msg.name = (target.packet_name if msg._kind is _PACKET
+                                            else target.control_name)
+                            if lane:
+                                append((t_ns, next(seq_counter), target, gate_label, msg))
+                                break
+                            if executed == limit:
+                                push(t_ns, t_ns, target, gate_label, msg)
+                                break
+                            gate = target._gates.get(gate_label) if link is None else link
+                    if executed == limit:
+                        break
+                    if traced and len(rows) >= CHUNK_ROWS:
+                        _hand_over(batch, executed, rows)
+                    t_ns = refill(until_ns)
+                else:
+                    reason = StopReason.TIME_LIMIT if fes else StopReason.FES_EMPTY
+        finally:
+            if rows:
+                _hand_over(batch, executed, rows)
         wall = _wallclock.perf_counter() - t_start
         return RunSummary(events_executed=executed, final_time=self.now,
                           stop_reason=reason, wall_clock_seconds=wall,

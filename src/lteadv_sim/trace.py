@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
 from .kernel import (MAX_TIME_NS, EventRecord, MessageKind, RunSummary, SimTime,
                      SimulationError, format_seconds)
@@ -41,65 +40,102 @@ class MalformedTrace(SimulationError):
 # --------------------------------------------------------------------------
 # line formats
 #
+# A trace sink gets a run's events as rows, `(t_ns, module, msg_name,
+# msg_kind, msg_id)`, numbered on from the first row's event number (see
+# `Simulator.run`). One formatter, `_render`, turns a chunk of rows into
+# lines of either format or both, so each format's line template is
+# written once. A sink's `record` and the record-based functions below
+# pass an EventRecord through it as a one-row chunk, whose module is a
+# `_RecordModule` holding the record's path, type and id.
+#
 # A site is the part of a line filled by a module's path, type and id and
 # by the message's name and kind: everything between the time and the
-# message id. It is built, escaped, once and cached, so a line adds only
-# the event number, the time and the message id. A module sees a message
-# under the name tagged for its layer, so it has about one site.
-#
-# The record-based renderers below key their cache on all five fields:
-# one process may trace several networks whose modules share a path or an
-# id. The trace sinks' `on_event` keeps its own dict per sink, keyed on
-# (module, message name, message kind), so a line costs one dict lookup.
-# Both bounds hold every site of a 1000-UE network (about 10,000) and cap
-# what a process tracing many networks keeps.
+# message id. Both formats' sites are built, escaped, once and kept as a
+# pair in a `_Sites` dict keyed on (module, message name, message kind),
+# so a line adds only the event number, the time and the message id, and
+# one dict lookup serves both lines of a row. A module's path, type and
+# id are fixed once its simulator starts, and records with equal fields
+# make equal keys. A module sees a message under the name tagged for its
+# layer, so it has about one site. Each trace sink keeps its own dict, and
+# the record-based functions share one: one process may trace several
+# networks whose modules share a path or an id. Each dict is emptied when
+# it reaches _MAX_SITES, which holds every site of a 1000-UE network
+# (about 10,000) and caps what a process tracing many networks keeps.
 
 _MAX_SITES = 16384
 
 
-def _console_site(path: str, type_name: str, module_id: int, msg_name: str,
-                  msg_kind: str) -> str:
-    return f" {path} ({type_name}, id={module_id}), on `{msg_name}' ({msg_kind}, id="
+class _Sites(dict):
+    """(console site, structured site) by (module, message name, message
+    kind); a missing pair is built from the module's path, type and id."""
 
-
-def _structured_site(path: str, type_name: str, module_id: int, msg_name: str,
-                     msg_kind: str) -> str:
-    return (f', "path": {_json_str(path)}, "type": {_json_str(type_name)}, '
+    def __missing__(self, key: tuple) -> tuple[str, str]:
+        module, msg_name, msg_kind = key
+        if len(self) >= _MAX_SITES:
+            self.clear()
+        path, type_name, module_id = (module._path or module.full_path,
+                                      module.type_name, module.module_id)
+        pair = self[key] = (
+            f" {path} ({type_name}, id={module_id}), on `{msg_name}' ({msg_kind}, id=",
+            f', "path": {_json_str(path)}, "type": {_json_str(type_name)}, '
             f'"module_id": {module_id}, "msg_name": {_json_str(msg_name)}, '
             f'"msg_kind": {_json_str(msg_kind)}, "msg_id": ')
+        return pair
 
 
-@lru_cache(maxsize=_MAX_SITES)
-def _site(path: str, type_name: str, module_id: int, msg_name: str,
-          msg_kind: str) -> tuple[str, str]:
-    """(console site, structured site) of a record's five fields."""
-    return (_console_site(path, type_name, module_id, msg_name, msg_kind),
-            _structured_site(path, type_name, module_id, msg_name, msg_kind))
+class _RecordModule(NamedTuple):
+    """The module of a row made from an EventRecord."""
+
+    full_path: str
+    type_name: str
+    module_id: int
+    _path = None  # as on a module with no cached path
 
 
-# The last time rendered, as (t_ns, format_seconds(t_ns)): consecutive
-# events of one trip share a fire time, so most lines reuse the string. The
-# string depends on t_ns alone and the pair is swapped whole, so callers
-# and threads that share it still get exactly format_seconds' output.
-_last_time: tuple = (None, "")
+def _record_row(rec: EventRecord) -> tuple:
+    return (rec.t_ns, _RecordModule(rec.path, rec.type_name, rec.module_id),
+            rec.msg_name, rec.msg_kind, rec.msg_id)
 
 
-# The two line templates. PaperTraceSink.on_event and
-# StructuredTraceSink.on_event inline the same f-strings, since a call per
-# line costs more than the rest of the line.
+# The last time rendered, as (t_ns, format_seconds(t_ns), str(t_ns)):
+# consecutive events of one trip share a fire time, so most lines reuse
+# the strings. They depend on t_ns alone and the triple is swapped whole,
+# so callers and threads that share it still get exactly format_seconds'
+# output.
+_last_time: tuple = (None, "", "")
 
-def _event_line(rec: EventRecord) -> str:
+
+def _render(first_no: int, rows, sites: _Sites, paper: Optional[list],
+            structured: Optional[list]) -> None:
+    """Append the console log line of each row, numbered from `first_no`,
+    to `paper` and its structured record to `structured`. Either list may
+    be None, which skips its format; one list for both gets each row's two
+    lines together. Each number is turned into a string once, for both."""
     global _last_time
-    last = _last_time
-    if last[0] != rec.t_ns:
-        last = _last_time = (rec.t_ns, format_seconds(rec.t_ns))
-    site = _site(rec.path, rec.type_name, rec.module_id, rec.msg_name, rec.msg_kind)[0]
-    return f"** Event #{rec.event_no} T={last[1]}{site}{rec.msg_id})\n"
+    last_t, secs, t_str = _last_time
+    last_id = id_str = None
+    for no, (t_ns, module, msg_name, msg_kind, msg_id) in enumerate(rows, first_no):
+        console_site, structured_site = sites[module, msg_name, msg_kind]
+        if t_ns != last_t:
+            last_t, secs, t_str = t_ns, format_seconds(t_ns), str(t_ns)
+        if msg_id != last_id:
+            last_id, id_str = msg_id, str(msg_id)
+        no = str(no)
+        if paper is not None:
+            paper.append(f"** Event #{no} T={secs}{console_site}{id_str})\n")
+        if structured is not None:
+            structured.append(
+                f'{{"event_no": {no}, "t_ns": {t_str}{structured_site}{id_str}}}\n')
+    _last_time = (last_t, secs, t_str)
+
+
+_SITES = _Sites()
 
 
 def _structured_line(rec: EventRecord) -> str:
-    site = _site(rec.path, rec.type_name, rec.module_id, rec.msg_name, rec.msg_kind)[1]
-    return f'{{"event_no": {rec.event_no}, "t_ns": {rec.t_ns}{site}{rec.msg_id}}}\n'
+    lines: list[str] = []
+    _render(rec.event_no, (_record_row(rec),), _SITES, None, lines)
+    return lines[0]
 
 
 def format_event_line(rec: EventRecord) -> str:
@@ -108,7 +144,9 @@ def format_event_line(rec: EventRecord) -> str:
     The time prints as decimal seconds with no trailing zeros and no
     exponent; the message name sits between a backtick and an apostrophe.
     """
-    return _event_line(rec)[:-1]
+    lines: list[str] = []
+    _render(rec.event_no, (_record_row(rec),), _SITES, lines, None)
+    return lines[0][:-1]
 
 
 def structured_line(rec: EventRecord) -> str:
@@ -178,65 +216,54 @@ def write_structured(records: Iterable[EventRecord], stream: TextIO) -> None:
 # --------------------------------------------------------------------------
 # sinks
 
-class _LineSink:
-    """A trace sink that writes one LF-terminated line per event to
-    `stream`.
+class TraceSink:
+    """Writes the console log format to `paper` and the structured trace
+    to `structured`, one LF-terminated line per event each; either stream
+    may be None. Given one stream for both, it writes each event's console
+    line and then its structured record.
 
-    `record(rec)` renders an EventRecord through the cached record-based
-    formatter; `on_event(event_no, t_ns, module, msg)`, which
-    `Simulator.run` calls in its place, renders the same line from the
-    event's fields. `on_event` keys its sites on the module object, whose
-    path, type and id are fixed once its simulator starts, and builds a
-    missing one from the module's cached path, type and id.
-    """
+    `on_events(first_no, rows)`, which `Simulator.run` calls, renders a
+    chunk of rows with one site lookup per row and one write per stream;
+    `record(rec)` writes an EventRecord's lines through the same
+    formatter."""
 
-    _render_site = None  # (path, type_name, module_id, msg_name, msg_kind) -> site
+    def __init__(self, paper: Optional[TextIO] = None,
+                 structured: Optional[TextIO] = None):
+        self.paper, self.structured = paper, structured
+        self._sites = _Sites()
 
-    def __init__(self, stream: TextIO):
-        self.stream = stream
-        self._sites: dict[tuple, str] = {}
+    def on_events(self, first_no: int, rows) -> None:
+        paper, structured = self.paper, self.structured
+        paper_lines = None if paper is None else []
+        structured_lines = (paper_lines if structured is paper
+                            else None if structured is None else [])
+        _render(first_no, rows, self._sites, paper_lines, structured_lines)
+        if paper is not None:
+            paper.write("".join(paper_lines))
+        if structured is not None and structured is not paper:
+            structured.write("".join(structured_lines))
 
-    def _new_site(self, key: tuple) -> str:
-        module, msg_name, msg_kind = key
-        sites = self._sites
-        if len(sites) >= _MAX_SITES:
-            sites.clear()
-        site = sites[key] = self._render_site(
-            module._path or module.full_path, module.type_name, module.module_id,
-            msg_name, msg_kind)
-        return site
+    def record(self, rec: EventRecord) -> None:
+        self.on_events(rec.event_no, (_record_row(rec),))
 
 
-class PaperTraceSink(_LineSink):
+class PaperTraceSink(TraceSink):
     """Writes the console log format, one LF-terminated line per event."""
 
-    _render_site = staticmethod(_console_site)
+    def __init__(self, stream: TextIO):
+        super().__init__(paper=stream)
 
-    def record(self, rec: EventRecord) -> None:
-        self.stream.write(_event_line(rec))
-
-    def on_event(self, event_no: int, t_ns: int, module, msg) -> None:
-        global _last_time
-        key = (module, msg.name, msg.kind_label)
-        site = self._sites.get(key) or self._new_site(key)
-        last = _last_time
-        if last[0] != t_ns:
-            last = _last_time = (t_ns, format_seconds(t_ns))
-        self.stream.write(f"** Event #{event_no} T={last[1]}{site}{msg._msg_id})\n")
+    # an attribute of each sink class, which bench/layers.py times
+    record = TraceSink.record
 
 
-class StructuredTraceSink(_LineSink):
+class StructuredTraceSink(TraceSink):
     """Writes the structured trace, one JSON record per line."""
 
-    _render_site = staticmethod(_structured_site)
+    def __init__(self, stream: TextIO):
+        super().__init__(structured=stream)
 
-    def record(self, rec: EventRecord) -> None:
-        self.stream.write(_structured_line(rec))
-
-    def on_event(self, event_no: int, t_ns: int, module, msg) -> None:
-        key = (module, msg.name, msg.kind_label)
-        site = self._sites.get(key) or self._new_site(key)
-        self.stream.write(f'{{"event_no": {event_no}, "t_ns": {t_ns}{site}{msg._msg_id}}}\n')
+    record = TraceSink.record
 
 
 class CollectingSink:
@@ -409,7 +436,9 @@ class Metrics:
 
 
 class MetricsSink:
-    """Folds events into Metrics as they arrive, holding no EventRecord.
+    """Folds events into Metrics as they arrive, holding no EventRecord:
+    `on_events` folds a chunk of rows in one pass, and `record` folds one
+    record as a one-row chunk.
 
     Each message keeps one entry, `[walk, hops, mismatch, t_first,
     t_last]`: the oracle walk its first hop starts (None when none does),
@@ -441,27 +470,26 @@ class MetricsSink:
             self._timer_hops.add(timer_hop(spec, ue))
         self._messages: dict[int, list] = {}
 
+    def on_events(self, first_no: int, rows) -> None:
+        messages, walks = self._messages, self._walks
+        for t_ns, module, msg_name, _, msg_id in rows:
+            entry = messages.get(msg_id)
+            if entry is None:
+                hop = (module._path or module.full_path, msg_name)
+                walk = walks.get(hop)
+                messages[msg_id] = [walk, 1, hop if walk is None else None, t_ns, t_ns]
+                continue
+            hops = entry[1]
+            entry[1] = hops + 1
+            entry[4] = t_ns
+            # a message no walk starts has its first hop in entry[2]
+            if entry[2] is None and hops < len(entry[0]):
+                path, name = entry[0][hops]
+                if name != msg_name or path != (module._path or module.full_path):
+                    entry[2] = (hops, (module._path or module.full_path, msg_name))
+
     def record(self, rec: EventRecord) -> None:
-        self._fold(rec.msg_id, rec.t_ns, rec.path, rec.msg_name)
-
-    def on_event(self, event_no: int, t_ns: int, module, msg) -> None:
-        self._fold(msg._msg_id, t_ns, module._path or module.full_path, msg.name)
-
-    def _fold(self, msg_id: int, t_ns: int, path: str, msg_name: str) -> None:
-        entry = self._messages.get(msg_id)
-        if entry is None:
-            hop = (path, msg_name)
-            walk = self._walks.get(hop)
-            self._messages[msg_id] = [walk, 1, hop if walk is None else None,
-                                      t_ns, t_ns]
-            return
-        hops = entry[1]
-        entry[1] = hops + 1
-        entry[4] = t_ns
-        if entry[2] is None:
-            walk = entry[0]
-            if hops < len(walk) and walk[hops] != (path, msg_name):
-                entry[2] = (hops, (path, msg_name))
+        self.on_events(rec.event_no, (_record_row(rec),))
 
     def finish(self, run_summary: Optional[RunSummary] = None) -> Metrics:
         metrics = Metrics()
@@ -498,6 +526,5 @@ def summarize(records: Sequence[EventRecord], spec: NetworkSpec,
     """Reduce a trace to metrics and check every message against the oracle:
     the MetricsSink fold, run over records already collected."""
     sink = MetricsSink(spec)
-    for rec in records:
-        sink.record(rec)
+    sink.on_events(1, [_record_row(rec) for rec in records])
     return sink.finish(run_summary)

@@ -65,6 +65,31 @@ def test_time_overflow_in_a_handler_is_a_runtime_error(tmp_path, capsys):
         "simulation time overflows 64 bits: 9223372036854775808 ns\n")
 
 
+def test_handler_failure_in_a_traced_run_leaves_every_event_traced(tmp_path, capsys):
+    # the run holds its events for the trace sinks and hands them over
+    # before the handler's error leaves it: both traces end at event #38
+    config = tmp_path / "overflow.net"
+    config.write_text(
+        "network N {\n"
+        "    ue u; enb e; sgw_mme s; pdn_gw p;\n"
+        "    attach u -> e;\n"
+        "    generator on u { period 9223372036854775807ns; start 1ns; }\n"
+        "    run until 9223372036854775807ns;\n"
+        "}\n")
+    paper, structured = tmp_path / "t.log", tmp_path / "t.jsonl"
+    assert main(["--config", str(config), "--trace-out", str(paper),
+                 "--structured-out", str(structured)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        "lteadv-sim: error: event #38 at N.u.generator: "
+        "simulation time overflows 64 bits: 9223372036854775808 ns\n")
+    paper_lines = paper.read_text().splitlines()
+    assert len(paper_lines) == 38
+    assert paper_lines[-1].startswith("** Event #38 T=0.000000001 N.u.generator ")
+    structured_lines = structured.read_text().splitlines()
+    assert len(structured_lines) == 38
+    assert json.loads(structured_lines[-1])["event_no"] == 38
+
+
 def test_unreadable_config_is_config_error(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "nope.net")]) == EXIT_CONFIG
 
@@ -167,6 +192,18 @@ def test_env_both_emits_two_streams(capsys, monkeypatch):
     code = main(["--config", MINIMAL, "--until", "1ns"])
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 76
+
+
+def test_env_both_writes_each_events_two_lines_together(capsys, monkeypatch):
+    # over several chunks of the run's batches, each event's console line
+    # is followed by its structured record
+    monkeypatch.setenv("LTEADV_SIM_TRACE", "both")
+    assert main(["--config", MINIMAL, "--event-limit", "1100"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 * 1100
+    for no, (paper, structured) in enumerate(zip(lines[::2], lines[1::2]), start=1):
+        assert paper.startswith(f"** Event #{no} T=")
+        assert json.loads(structured)["event_no"] == no
 
 
 def test_env_invalid_value(capsys, monkeypatch):

@@ -11,8 +11,8 @@ hopping over relay links changes nothing against calling every
 handler, each event is one handle_message call whenever handlers are
 wrapped (a wrapped handler turns the relay links off), the streaming
 metrics fold gives the reference summarize's metrics on any trace, cut
-short or corrupted, and the built-in sinks' `on_event` entry gives what
-their `record` entry would.
+short or corrupted, and the built-in sinks' `on_events` entry, fed in
+chunks that tile the run, gives what their `record` entry would.
 """
 
 import contextlib
@@ -27,8 +27,8 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from lteadv_sim import (CollectingSink, MetricsSink, PaperTraceSink, StructuredTraceSink,
-                        build, parse)
-from lteadv_sim.kernel import EventRecord, MessageKind, SimTime, StopReason
+                        TraceSink, build, parse)
+from lteadv_sim.kernel import CHUNK_ROWS, EventRecord, MessageKind, SimTime, StopReason
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
                                   validate)
@@ -483,50 +483,89 @@ def test_metrics_fold_matches_reference_summarize_on_corrupted_traces(
 
 
 class _RecordOnlySink:
-    """A sink with only `record`: the run hands it an EventRecord."""
+    """A sink with only `record`: the run hands it an EventRecord at the
+    event, before the handler, so the clock reads the event's time."""
 
-    def __init__(self):
+    def __init__(self, sim):
+        self.sim = sim
         self.records = []
 
     def record(self, rec):
+        assert self.sim.now_ns == rec.t_ns
         self.records.append(rec)
 
 
-class _BothEntriesSink:
-    """A sink with `on_event` and `record`: the run must call `on_event`
-    alone, once per event."""
+class _ChunkSink:
+    """A sink with `on_events` and `record`: the run must call `on_events`
+    alone, with chunks that are never empty. Keeps each chunk's first
+    event number, its length and how many of its rows come before its
+    last time bucket."""
 
     def __init__(self):
-        self.event_nos = []
+        self.chunks = []
 
-    def on_event(self, event_no, t_ns, module, msg):
-        self.event_nos.append(event_no)
+    def on_events(self, first_no, rows):
+        assert rows
+        last_t = rows[-1][0]
+        self.chunks.append((first_no, len(rows), sum(row[0] < last_t for row in rows)))
 
     def record(self, rec):
-        raise AssertionError("record called on a sink that has on_event")
+        raise AssertionError("record called on a sink that has on_events")
 
 
-@given(network_specs(), st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
+_CHUNK_LIMITS = (CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS)
+
+
+@st.composite
+def _specs_and_limits(draw):
+    """A drawn spec and event limit; a limit at a chunk edge runs the spec
+    for 1 s, in which every drawn spec runs more than 2 * CHUNK_ROWS
+    events."""
+    spec = draw(network_specs())
+    limit = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=1500),
+                           st.sampled_from(_CHUNK_LIMITS)))
+    if limit in _CHUNK_LIMITS:
+        spec = dataclasses.replace(spec, until=SimTime.from_seconds(1))
+    return spec, limit
+
+
+@given(_specs_and_limits())
 @settings(deadline=None)
-def test_on_event_sinks_match_the_record_path(spec, event_limit):
-    """In one run, the built-in sinks' `on_event` entry writes the same
-    traces and folds the same metrics as rendering and summarizing the
-    records a CollectingSink kept, and a record-only sink gets those same
-    records."""
+def test_batch_sinks_match_the_record_path(spec_and_limit):
+    """In one run, the built-in sinks' `on_events` entry writes the same
+    traces, from one-format sinks and from a TraceSink writing both, and
+    folds the same metrics as rendering and summarizing the records a
+    CollectingSink kept, a record-only sink gets those same records at
+    their events, and the chunks tile the events 1..N: each
+    but the last holds at least CHUNK_ROWS rows, fewer than CHUNK_ROWS of
+    them before its last time bucket."""
+    spec, event_limit = spec_and_limit
     paper_out, structured_out = io.StringIO(), io.StringIO()
+    both_paper_out, both_structured_out = io.StringIO(), io.StringIO()
+    sim = build(spec).simulator()
     metrics, collector = MetricsSink(spec), CollectingSink()
-    record_only, both = _RecordOnlySink(), _BothEntriesSink()
-    summary = build(spec).simulator().run(
+    record_only, chunked = _RecordOnlySink(sim), _ChunkSink()
+    summary = sim.run(
         until=spec.until, event_limit=event_limit,
         sinks=[PaperTraceSink(paper_out), StructuredTraceSink(structured_out), metrics,
-               collector, record_only, both])
+               collector, record_only, chunked,
+               TraceSink(both_paper_out, both_structured_out)])
     records = collector.records
     assert len(records) == summary.events_executed
-    assert paper_out.getvalue() == "".join(format_event_line(rec) + "\n" for rec in records)
+    if event_limit in _CHUNK_LIMITS:
+        assert summary.events_executed == event_limit
+    assert (paper_out.getvalue() == both_paper_out.getvalue()
+            == "".join(format_event_line(rec) + "\n" for rec in records))
     written = io.StringIO()
     write_structured(records, written)
-    assert structured_out.getvalue() == written.getvalue()
+    assert structured_out.getvalue() == both_structured_out.getvalue() == written.getvalue()
     assert (json.dumps(metrics.finish(summary).to_json_dict())
             == json.dumps(summarize(records, spec, summary).to_json_dict()))
     assert record_only.records == records
-    assert both.event_nos == list(range(1, summary.events_executed + 1))
+    next_no = 1
+    for i, (first_no, n, before_last_bucket) in enumerate(chunked.chunks):
+        assert first_no == next_no
+        next_no += n
+        if i < len(chunked.chunks) - 1:
+            assert n >= CHUNK_ROWS > before_last_bucket
+    assert next_no == summary.events_executed + 1

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lteadv_sim import build, parse
-from lteadv_sim.kernel import (MAX_TIME_NS, NS_PER_S, EventRecord, MessageKind,
-                               SimMessage, SimTime, SimTimeRangeError)
+from lteadv_sim.kernel import (MAX_TIME_NS, NS_PER_S, EventRecord, SimTime,
+                               SimTimeRangeError)
 from lteadv_sim.model import SimpleModule
 from lteadv_sim.netconfig import NetworkSpec
 from lteadv_sim.trace import (CollectingSink, MalformedTrace, MetricsSink,
-                              PaperTraceSink, StructuredTraceSink, data_walk,
+                              PaperTraceSink, StructuredTraceSink, TraceSink, data_walk,
                               expected_event_total, format_event_line,
                               parse_structured_line, read_structured,
                               structured_line, summarize, timer_hop,
@@ -86,19 +86,24 @@ def assert_reads_back(records):
     assert read_structured([reference_structured_line(rec) for rec in written]) == written
 
 
-def show_to_on_event(sink, records):
-    """Call `sink.on_event` once per record, as Simulator.run does: one
-    module per (path, type, module id) and one message per record."""
+def show_in_chunks(sink, records, cuts=()):
+    """Pass consecutively numbered records to `sink.on_events` as rows,
+    as Simulator.run does, cut into chunks before each index in `cuts`:
+    one module per (path, type, module id)."""
     modules = {}
+    rows = []
     for rec in records:
         module = modules.get((rec.path, rec.type_name, rec.module_id))
         if module is None:
             module = modules[rec.path, rec.type_name, rec.module_id] = SimpleModule(
                 "m", rec.type_name)
             module._path, module.module_id = rec.path, rec.module_id
-        msg = SimMessage(rec.msg_id, rec.msg_name, MessageKind.CONTROL_MESSAGE, 0, 0)
-        msg.kind_label = rec.msg_kind
-        sink.on_event(rec.event_no, rec.t_ns, module, msg)
+        rows.append((rec.t_ns, module, rec.msg_name, rec.msg_kind, rec.msg_id))
+    edges = [0, *sorted(cuts), len(rows)]
+    for lo, hi in zip(edges, edges[1:]):
+        assert [rec.event_no for rec in records[lo:hi]] == list(range(
+            records[lo].event_no, records[lo].event_no + hi - lo))
+        sink.on_events(records[lo].event_no, rows[lo:hi])
 
 
 # -- console format -------------------------------------------------------------
@@ -313,7 +318,7 @@ def test_sinks_render_each_module_by_path_type_and_id():
     # and the first sites again, at a later time with new message ids
     records += [replace(rec, event_no=len(records) + i, t_ns=60, msg_id=100 + i)
                 for i, rec in enumerate(records[:5], 1)]
-    for entry in ("record", "on_event"):
+    for entry in ("record", "on_events"):
         paper_buf, struct_buf = io.StringIO(), io.StringIO()
         paper, structured = PaperTraceSink(paper_buf), StructuredTraceSink(struct_buf)
         if entry == "record":
@@ -321,8 +326,8 @@ def test_sinks_render_each_module_by_path_type_and_id():
                 paper.record(rec)
                 structured.record(rec)
         else:
-            show_to_on_event(paper, records)
-            show_to_on_event(structured, records)
+            show_in_chunks(paper, records, cuts=[3, 7, 8])
+            show_in_chunks(structured, records, cuts=[3, 7, 8])
         assert paper_buf.getvalue().splitlines() == [reference_event_line(r)
                                                      for r in records]
         assert struct_buf.getvalue().splitlines() == [reference_structured_line(r)
@@ -337,35 +342,67 @@ _sites = st.lists(st.tuples(_awkward_text, _awkward_text, _ids, _awkward_text,
                             _awkward_text), min_size=1, max_size=4)
 
 
-@given(_sites.flatmap(lambda sites: st.lists(
-    st.builds(lambda site, no, t_ns, msg_id: EventRecord(no, t_ns, *site, msg_id),
-              st.sampled_from(sites), _ids, _t_ns, _ids),
-    min_size=1, max_size=20)))
-def test_sinks_match_reference_renderers_over_a_few_sites(records):
-    """Both entries of each trace sink, `record` and the `on_event` that
+# a few fire times, so that consecutive lines often share one
+_times = st.lists(_t_ns, min_size=1, max_size=3)
+
+
+@st.composite
+def _chunked_records(draw):
+    """Consecutively numbered records over a few sites and times, and the
+    cut points of a chunking: every record alone, all at once, or drawn."""
+    sites, times = draw(_sites), draw(_times)
+    first_no = draw(_ids)
+    records = draw(st.lists(
+        st.builds(lambda site, t_ns, msg_id: EventRecord(0, t_ns, *site, msg_id),
+                  st.sampled_from(sites), st.sampled_from(times), _ids),
+        min_size=1, max_size=20))
+    records = [replace(rec, event_no=first_no + i) for i, rec in enumerate(records)]
+    inner = range(1, len(records))
+    cuts = draw(st.one_of(st.just(list(inner)), st.just([]),
+                          st.lists(st.sampled_from(inner), unique=True)
+                          if inner else st.just([])))
+    return records, cuts
+
+
+@given(_chunked_records())
+def test_sinks_match_reference_renderers_over_a_few_sites(chunked):
+    """Both entries of each trace sink, `record` and the `on_events` that
     Simulator.run calls, render every line as the reference renderers do,
-    and MetricsSink folds the same metrics through either."""
+    however the rows are cut into chunks, so sites and the last time
+    string carry across chunk edges; a TraceSink writing both formats to
+    one stream puts each event's two lines together; and MetricsSink folds
+    the same metrics through either entry."""
+    records, cuts = chunked
     paper_buf, struct_buf, written = io.StringIO(), io.StringIO(), io.StringIO()
     paper, structured = PaperTraceSink(paper_buf), StructuredTraceSink(struct_buf)
-    fast_paper_buf, fast_struct_buf = io.StringIO(), io.StringIO()
-    fast_paper = PaperTraceSink(fast_paper_buf)
-    fast_structured = StructuredTraceSink(fast_struct_buf)
-    metrics, fast_metrics = MetricsSink(_MINIMAL), MetricsSink(_MINIMAL)
+    batch_paper_buf, batch_struct_buf = io.StringIO(), io.StringIO()
+    batch_paper = PaperTraceSink(batch_paper_buf)
+    batch_structured = StructuredTraceSink(batch_struct_buf)
+    # both formats from one sink, to two streams and to one
+    two_paper_buf, two_struct_buf, one_buf = io.StringIO(), io.StringIO(), io.StringIO()
+    metrics, batch_metrics = MetricsSink(_MINIMAL), MetricsSink(_MINIMAL)
     for rec in records:
         paper.record(rec)
         structured.record(rec)
         metrics.record(rec)
-    for sink in (fast_paper, fast_structured, fast_metrics):
-        show_to_on_event(sink, records)
+    for sink in (batch_paper, batch_structured, batch_metrics,
+                 TraceSink(two_paper_buf, two_struct_buf), TraceSink(one_buf, one_buf)):
+        show_in_chunks(sink, records, cuts)
     write_structured(records, written)
     # awkward paths and names may hold line breaks: compare whole texts
-    want = "".join(reference_event_line(r) + "\n" for r in records)
-    assert paper_buf.getvalue() == fast_paper_buf.getvalue() == want
-    want = "".join(reference_structured_line(r) + "\n" for r in records)
-    assert struct_buf.getvalue() == fast_struct_buf.getvalue() == written.getvalue() == want
-    assert (json.dumps(fast_metrics.finish().to_json_dict())
+    want_paper = [reference_event_line(r) + "\n" for r in records]
+    want = "".join(want_paper)
+    assert (paper_buf.getvalue() == batch_paper_buf.getvalue() == two_paper_buf.getvalue()
+            == want)
+    want_structured = [reference_structured_line(r) + "\n" for r in records]
+    want = "".join(want_structured)
+    assert (struct_buf.getvalue() == batch_struct_buf.getvalue() == written.getvalue()
+            == two_struct_buf.getvalue() == want)
+    assert one_buf.getvalue() == "".join(p + s for p, s in zip(want_paper, want_structured))
+    assert (json.dumps(batch_metrics.finish().to_json_dict())
             == json.dumps(metrics.finish().to_json_dict()))
     assert_reads_back(records)
+
 
 def test_sinks_shared_by_runs_of_two_topologies(minimal_spec, multi_ue_spec):
     paper_buf, struct_buf = io.StringIO(), io.StringIO()
