@@ -155,7 +155,9 @@ class SimMessage:
         self._msg_id = msg_id
         self.name = name
         self._kind = kind
-        self.kind_label = kind.value
+        # the member's own attribute: `kind.value` is a Python-level
+        # property, and a dict keyed by kind a Python-level __hash__
+        self.kind_label = kind._value_
         self._byte_length = byte_length
         self._created_ns = (creation_time if isinstance(creation_time, int)
                             else creation_time.ns)

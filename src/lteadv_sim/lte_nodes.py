@@ -24,6 +24,7 @@ handler returns None.
 from __future__ import annotations
 
 import enum
+import functools
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -31,7 +32,7 @@ from typing import Optional, Sequence
 from .kernel import MessageKind, SimMessage, SimulationError
 from .model import (IN_FROM_LOWER, IN_FROM_UPPER, OUT_TO_LOWER, OUT_TO_UPPER,
                     RADIO_IN, ChannelSpec, CompoundModule, Direction, Gate,
-                    ModuleNode, SimpleModule, connect, transmit)
+                    ModuleNode, SimpleModule, transmit)
 
 
 # a handler's zero-delay hop, (target, arrival_label, msg), or None
@@ -92,6 +93,13 @@ _PACKET = MessageKind.PACKET
 # a layer's message names are its tag plus these, read once for all layers
 _CONTROL_SUFFIX = MessageKind.CONTROL_MESSAGE.name_suffix
 _PACKET_SUFFIX = _PACKET.name_suffix
+
+
+@functools.cache
+def _tag_names(tag: str) -> tuple[str, str]:
+    """A tag's (control, packet) message names, made and interned once,
+    so every layer with one tag shares them."""
+    return sys.intern(tag + _CONTROL_SUFFIX), sys.intern(tag + _PACKET_SUFFIX)
 
 
 def relay(gate: Gate, msg: SimMessage) -> Hop:
@@ -168,10 +176,8 @@ class PassThroughLayer(Forwarder):
 
     def __init__(self, name: str, tag: str):
         super().__init__(name)
-        # the names a message takes on arriving here, per kind; interned,
-        # so every layer with one tag shares them
-        self.control_name = sys.intern(tag + _CONTROL_SUFFIX)
-        self.packet_name = sys.intern(tag + _PACKET_SUFFIX)
+        # the names a message takes on arriving here, per kind
+        self.control_name, self.packet_name = _tag_names(tag)
         self.down_gate: Optional[Gate] = None  # the Out gate downward, set when wired
 
 
@@ -256,21 +262,31 @@ def wire_vertical(upper: ModuleNode, lower: ModuleNode,
     """Join two stack neighbors with an opposed pair of one-way channels;
     a FanInLayer above gets its next pair and reply gate.
 
-    The lower side's gates are added first: a lower module already wired
-    raises DuplicateName before the upper one gains a gate."""
-    l_in = lower.add_gate(IN_FROM_UPPER, Direction.IN)
-    l_out = lower.add_gate(OUT_TO_UPPER, Direction.OUT)
-    if isinstance(upper, FanInLayer):
-        index = len(upper.reply_gates)
-        u_out = upper.add_gate(OUT_TO_LOWER, Direction.OUT, index)
-        u_in = upper.add_gate(IN_FROM_LOWER, Direction.IN, index)
-        upper.reply_gates[u_in.label] = u_out
-    else:
-        u_out = upper.add_gate(OUT_TO_LOWER, Direction.OUT)
-        u_in = upper.add_gate(IN_FROM_LOWER, Direction.IN)
+    Both modules are checked before either gains a gate, in the order
+    `add_gate` would meet them: the lower one first. A refused join
+    raises WiringLocked or DuplicateName and leaves both modules as they
+    were. The four gates are then wired as `connect` leaves them: each
+    end's `peer` set, the channel's delay on each Out gate."""
+    index = len(upper.reply_gates) if isinstance(upper, FanInLayer) else None
+    u_out_label, u_in_label = ((OUT_TO_LOWER, IN_FROM_LOWER) if index is None else
+                               (f"{OUT_TO_LOWER}[{index}]", f"{IN_FROM_LOWER}[{index}]"))
+    lower._check_new_gates((IN_FROM_UPPER, OUT_TO_UPPER))
+    upper._check_new_gates((u_out_label, u_in_label))
+    l_in = Gate(lower, IN_FROM_UPPER, Direction.IN)
+    l_out = Gate(lower, OUT_TO_UPPER, Direction.OUT)
+    u_out = Gate(upper, OUT_TO_LOWER, Direction.OUT, index)
+    u_in = Gate(upper, IN_FROM_LOWER, Direction.IN, index)
+    lower._gates[IN_FROM_UPPER] = l_in
+    lower._gates[OUT_TO_UPPER] = l_out
+    upper._gates[u_out_label] = u_out
+    upper._gates[u_in_label] = u_in
+    u_out.peer, l_in.peer = l_in, u_out
+    l_out.peer, u_in.peer = u_in, l_out
+    u_out.delay_ns = l_out.delay_ns = channel.delay.ns
+    if index is None:
         upper.down_gate = u_out
-    connect(u_out, l_in, channel)
-    connect(l_out, u_in, channel)
+    else:
+        upper.reply_gates[u_in_label] = u_out
     lower.up_gate = l_out
 
 
@@ -305,10 +321,16 @@ def build_node(kind: NodeType, name: str,
     for upper, lower in zip(column, column[1:]):
         wire_vertical(upper, lower)
     if special_cls is PhyLayer:  # a radio: its hand-off to the PHY, and its air input
-        radio = layers[-1].home_radio = RadioInterface()
-        radio.up_gate = radio.add_gate(OUT_TO_UPPER, Direction.OUT)
-        connect(radio.up_gate, layers[-1].add_gate(IN_FROM_LOWER, Direction.IN))
-        radio.add_gate(RADIO_IN, Direction.IN)
+        phy = layers[-1]
+        radio = phy.home_radio = RadioInterface()
+        # both modules are new, so nothing is checked; wired as connect()
+        # leaves a zero-delay channel
+        out = Gate(radio, OUT_TO_UPPER, Direction.OUT)
+        into = Gate(phy, IN_FROM_LOWER, Direction.IN)
+        out.peer, into.peer, out.delay_ns = into, out, 0
+        radio._gates[OUT_TO_UPPER] = radio.up_gate = out
+        phy._gates[IN_FROM_LOWER] = into
+        radio._gates[RADIO_IN] = Gate(radio, RADIO_IN, Direction.IN)
         column = [*column, radio]
     node = CompoundModule(name, type_name=kind.value)
     for child in column if kind is NodeType.UE else reversed(column):

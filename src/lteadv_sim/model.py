@@ -75,7 +75,8 @@ class ChannelSpec:
 
 
 class Gate:
-    """One directional endpoint on a module, optionally vector-indexed.
+    """One directional endpoint on a module, optionally vector-indexed;
+    its `label` is the gate's name, with `[index]` for a vector gate.
 
     `relay_to` is an In gate's relay link, set when a run starts from
     its owner's forwarding table (see `lte_nodes.Forwarder`): the In
@@ -84,18 +85,15 @@ class Gate:
     itself, with no handler call (see `Simulator.run`).
     """
 
-    __slots__ = ("owner", "name", "index", "direction", "peer", "delay_ns", "label",
-                 "relay_to")
+    __slots__ = ("owner", "label", "direction", "peer", "delay_ns", "relay_to")
 
     def __init__(self, owner: "ModuleNode", name: str, direction: Direction,
                  index: Optional[int] = None):
         self.owner = owner
-        self.name = name
-        self.index = index
+        self.label = name if index is None else f"{name}[{index}]"
         self.direction = direction
         self.peer: Optional[Gate] = None
         self.delay_ns: Optional[int] = None  # set on the Out side at connect time
-        self.label = name if index is None else f"{name}[{index}]"
         self.relay_to: Optional[Gate] = None
 
     def __repr__(self) -> str:
@@ -122,13 +120,20 @@ class ModuleNode:
 
     def add_gate(self, name: str, direction: Direction,
                  index: Optional[int] = None) -> Gate:
-        if self._locked:
-            raise WiringLocked(f"{self.name}: cannot add gates after run() started")
         g = Gate(self, name, direction, index)
-        if g.label in self._gates:
-            raise DuplicateName(f"{self.name} already has a gate {g.label!r}")
+        self._check_new_gates((g.label,))
         self._gates[g.label] = g
         return g
+
+    def _check_new_gates(self, labels: tuple) -> None:
+        """Raise WiringLocked once this module is locked, else
+        DuplicateName for the first of `labels` it already has a gate
+        under."""
+        if self._locked:
+            raise WiringLocked(f"{self.name}: cannot add gates after run() started")
+        for label in labels:
+            if label in self._gates:
+                raise DuplicateName(f"{self.name} already has a gate {label!r}")
 
     # -- tree ----------------------------------------------------------
 

@@ -89,10 +89,11 @@ class Generator(SimpleModule):
             # The round trip ends here: drop the message, arm the next one.
             self.stats.returned += 1
             self.stats.discarded += 1
-            if self.enabled:
-                sim = self.sim
+            cfg = self.config
+            if cfg is not None:  # enabled; a run has bound the simulator
+                sim = self._sim
                 timer = sim.new_message(TIMER_NAME, MessageKind.CONTROL_MESSAGE)
-                sim.fes.push(sim.now_ns + self.config.period.ns, sim.now_ns,
+                sim.fes.push(sim.now_ns + cfg.period.ns, sim.now_ns,
                              self, SELF_GATE, timer)
             return
         raise self.unknown_arrival(arrival_gate)

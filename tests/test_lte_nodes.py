@@ -20,7 +20,8 @@ from lteadv_sim.lte_nodes import (FanInLayer, Forwarder, LayerSpec, NoRadioPeer,
                                   ReflectorLayer, attach_ue, build_node, link_enb_to_sgw,
                                   link_sgw_to_pdn, wire_vertical)
 from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, RADIO_IN, ChannelSpec,
-                              CompoundModule, DuplicateName, SELF_GATE, UnknownArrivalGate)
+                              CompoundModule, DuplicateName, SELF_GATE, UnknownArrivalGate,
+                              WiringLocked)
 from lteadv_sim.traffic import Generator, GeneratorConfig
 from lteadv_sim.trace import CollectingSink, data_walk, summarize, ue_instances
 
@@ -218,6 +219,98 @@ def test_linking_an_enb_twice_leaves_the_s1_fully_wired():
         link_enb_to_sgw(enb, sgw)
     assert list(s1.reply_gates) == ["inFromLowerLayer[0]"]
     assert all(gate.peer is not None for gate in s1._gates.values())
+
+
+def _locked(module):
+    root = CompoundModule("Network")
+    root.add_child(module)
+    root.lock_and_number()
+
+
+def _layers(*names):
+    return [PassThroughLayer(name, name.upper()) for name in names]
+
+
+# Each refused join: (the call, the modules it may touch, the error).
+def _upper_wired_below():
+    a, b, c = _layers("a", "b", "c")
+    wire_vertical(a, b)
+    return (lambda: wire_vertical(a, c), [a, b, c],
+            DuplicateName("a already has a gate 'outToLowerLayer'"))
+
+
+def _lower_wired_above():
+    a, b, c = _layers("a", "b", "c")
+    wire_vertical(a, b)
+    return (lambda: wire_vertical(c, b), [a, b, c],
+            DuplicateName("b already has a gate 'inFromUpperLayer'"))
+
+
+def _upper_locked():
+    a, b = _layers("a", "b")
+    _locked(a)
+    return lambda: wire_vertical(a, b), [a, b], WiringLocked(
+        "a: cannot add gates after run() started")
+
+
+def _lower_locked():
+    a, b = _layers("a", "b")
+    _locked(b)
+    return lambda: wire_vertical(a, b), [a, b], WiringLocked(
+        "b: cannot add gates after run() started")
+
+
+def _s1_locked():
+    enb, sgw = build_node(NodeType.ENB, "enb"), build_node(NodeType.SGW_MME, "sgw")
+    link_enb_to_sgw(build_node(NodeType.ENB, "enb0"), sgw)
+    _locked(sgw)
+    return lambda: link_enb_to_sgw(enb, sgw), [*enb.stack, *sgw.stack], WiringLocked(
+        "lte_s1: cannot add gates after run() started")
+
+
+def _pdn_linked_twice():
+    sgw, sgw2 = build_node(NodeType.SGW_MME, "sgw"), build_node(NodeType.SGW_MME, "sgw2")
+    pdn = build_node(NodeType.PDN_GW, "pdn")
+    link_sgw_to_pdn(sgw, pdn)
+    return (lambda: link_sgw_to_pdn(sgw2, pdn), [*sgw.stack, *sgw2.stack, *pdn.stack],
+            DuplicateName("lte_s5 already has a gate 'outToLowerLayer'"))
+
+
+def _wiring_state(module):
+    """All a join may change on a module: its gate table, with each gate's
+    peer and delay, its ends of the column and its reply gates."""
+    return ([(label, gate, gate.peer, gate.delay_ns) for label, gate in module._gates.items()],
+            getattr(module, "up_gate", None), getattr(module, "down_gate", None),
+            dict(getattr(module, "reply_gates", {})))
+
+
+@pytest.mark.parametrize("refused", [_upper_wired_below, _lower_wired_above, _upper_locked,
+                                     _lower_locked, _s1_locked, _pdn_linked_twice],
+                         ids=lambda case: case.__name__.strip("_"))
+def test_a_refused_join_leaves_both_modules_as_they_were(refused):
+    join, modules, error = refused()
+    before = [_wiring_state(module) for module in modules]
+    with pytest.raises(type(error)) as err:
+        join()
+    assert str(err.value) == str(error)
+    assert [_wiring_state(module) for module in modules] == before
+
+
+def test_a_ue_gate_tables_keep_their_order():
+    """A column pair adds the lower In and Out gates, then the upper Out
+    and In; the radio's hand-off to the PHY comes after the column."""
+    lower, upper = [IN_FROM_UPPER, "outToUpperLayer"], ["outToLowerLayer", IN_FROM_LOWER]
+    ue = ue_with_generator("ue")
+    assert [(child.name, list(child._gates)) for child in ue.children] == [
+        ("generator", upper),
+        ("lte_nas", lower + upper),
+        ("lte_rrc", lower + upper),
+        ("lte_pdcp", lower + upper),
+        ("lte_rlc", lower + upper),
+        ("lte_mac", lower + upper),
+        ("lte_phy", lower + [IN_FROM_LOWER]),
+        ("lte_radio", ["outToUpperLayer", RADIO_IN]),
+    ]
 
 
 @pytest.mark.parametrize("link, lower, upper", [

@@ -4,7 +4,8 @@ Invariants that should hold for any wellformed network description: the
 canonical printing round-trips through the parser unchanged, one mistake
 in its generator block is one diagnostic, a zero-delay run conserves
 messages with every visited path matching the chain-walk oracle,
-drawn layer stacks leave every round trip on the oracle's walk,
+drawn layer stacks are wired both ways with their channels' delays and
+leave every round trip on the oracle's walk,
 dispatching returned hops at once changes nothing against queueing
 every one of them, the run loop matches a plain-heap reference loop,
 hopping over relay links changes nothing against calling every
@@ -31,10 +32,10 @@ from lteadv_sim import (CollectingSink, MetricsSink, PaperTraceSink, StructuredT
 from lteadv_sim.kernel import CHUNK_ROWS, EventRecord, MessageKind, SimTime, StopReason
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
-                                  validate)
+                                  instance_table, validate)
 from lteadv_sim.lte_nodes import (Forwarder, LayerSpec, NodeType, PhyLayer, RadioInterface,
                                   ReflectorLayer)
-from lteadv_sim.model import IN_FROM_LOWER, RADIO_IN, ModuleNode
+from lteadv_sim.model import IN_FROM_LOWER, RADIO_IN, Direction, ModuleNode
 from lteadv_sim.traffic import GeneratorConfig
 from lteadv_sim.trace import (format_event_line, read_structured, summarize,
                               write_structured, zero_delay_emissions)
@@ -183,11 +184,34 @@ def specs_with_stacks(draw):
     return spec
 
 
+def _assert_wired_as_connect_leaves_it(built, spec):
+    """Every gate of the tree is joined both ways to a gate of the other
+    direction; an Out gate carries its channel's delay (its link's between
+    nodes, 0 inside one) and an In gate none. Only a radio's air input is
+    left unconnected."""
+    link_delay = {frozenset((src, dst)): delay.ns
+                  for src, dst, delay in instance_table(spec).links}
+    for module in built.root.iter_tree():
+        for label, gate in module._gates.items():
+            assert gate.owner is module and gate.label == label
+            if gate.peer is None:
+                assert label == RADIO_IN and gate.delay_ns is None
+                continue
+            assert gate.peer.peer is gate
+            assert gate.peer.direction is not gate.direction
+            if gate.direction is Direction.IN:
+                assert gate.delay_ns is None
+                continue
+            nodes = frozenset((module.parent.name, gate.peer.owner.parent.name))
+            assert gate.delay_ns == (0 if len(nodes) == 1 else link_delay[nodes])
+
+
 @given(specs_with_stacks())
 @settings(deadline=None)
 def test_drawn_stacks_run_oracle_clean(spec):
     assert validate(spec) == []
     built = build(spec)
+    _assert_wired_as_connect_leaves_it(built, spec)
     sink = CollectingSink()
     summary = built.simulator().run(until=spec.until, sinks=[sink])
     metrics = summarize(sink.records, spec, summary)
