@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import sys
 import time as _wallclock
 from collections import deque
 from dataclasses import dataclass
@@ -354,6 +355,26 @@ def _hand_over(batch: list, executed: int, rows: list) -> None:
         rows.clear()
 
 
+class _ChainEnds(dict):
+    """An arrival's gate -> `(end, hops)`, filled on first lookup: the
+    gate its chain of relay links ends at and the number of links on the
+    way. A gate with no link, or None for a label the target has no gate
+    under, maps to `(gate, 0)`. So does a chain that runs into a cycle,
+    since it never ends."""
+
+    def __missing__(self, gate):
+        end, hops, seen = gate, 0, {gate}
+        while getattr(end, "relay_to", None) is not None:
+            end = end.relay_to
+            if end in seen:
+                end, hops = gate, 0
+                break
+            seen.add(end)
+            hops += 1
+        self[gate] = chain = (end, hops)
+        return chain
+
+
 class Simulator:
     """One sequential event loop over a built module tree.
 
@@ -427,6 +448,18 @@ class Simulator:
         hop is appended behind them with the next insertion seq, as
         `push` would do; at the event limit it is pushed. The order of
         events is the same either way.
+
+        A run with no sink (`sinks` empty; a sink with only `record`
+        counts as one) goes further when a hop finds the lane empty: it
+        jumps the whole chain of relay links from the hop's gate in one
+        step. It counts each link on the way as an event, renames the
+        message once, for the module of the chain's last gate, and
+        dispatches that gate as the next event. Nothing else is due now
+        and a link pushes nothing, so each of those events would have run
+        at once, unseen, and every count, seq, message id, clock reading
+        and pending entry stays as it is hop by hop. A chain is jumped
+        only when the event at its last gate is within `event_limit`, and
+        never when it runs into a cycle of links.
         """
         if self._ran:
             raise SimulationError("this simulator instance has already run")
@@ -445,8 +478,9 @@ class Simulator:
         rows: list = []
         add_row = rows.append
         until_ns = until.ns
-        # -1 never equals the count of executed events: no limit
-        limit = -1 if event_limit is None else max(event_limit, 0)
+        # no run executes sys.maxsize events: no limit
+        limit = sys.maxsize if event_limit is None else max(event_limit, 0)
+        chain_ends = _ChainEnds()
         executed = 0
         reason = StopReason.EVENT_LIMIT
         t_start = _wallclock.perf_counter()
@@ -488,6 +522,17 @@ class Simulator:
                                 push(t_ns, t_ns, target, gate_label, msg)
                                 break
                             gate = target._gates.get(gate_label) if link is None else link
+                            if not traced:
+                                # nothing else is due now and no sink sees
+                                # the links ahead: jump them all if the
+                                # event after them is within the limit
+                                end, hops = chain_ends[gate]
+                                if hops and executed + hops < limit:
+                                    executed += hops
+                                    gate = end
+                                    target, gate_label = end.owner, end.label
+                                    msg.name = (target.packet_name if msg._kind is _PACKET
+                                                else target.control_name)
                     if executed == limit:
                         break
                     if traced and len(rows) >= CHUNK_ROWS:

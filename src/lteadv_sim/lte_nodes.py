@@ -43,6 +43,10 @@ class NoRadioPeer(SimulationError):
     pass
 
 
+class SelfJoin(SimulationError):
+    """`wire_vertical` was given one module as both neighbors."""
+
+
 class NodeType(enum.Enum):
     UE = "ue"
     ENB = "enb"
@@ -262,11 +266,15 @@ def wire_vertical(upper: ModuleNode, lower: ModuleNode,
     """Join two stack neighbors with an opposed pair of one-way channels;
     a FanInLayer above gets its next pair and reply gate.
 
-    Both modules are checked before either gains a gate, in the order
-    `add_gate` would meet them: the lower one first. A refused join
-    raises WiringLocked or DuplicateName and leaves both modules as they
-    were. The four gates are then wired as `connect` leaves them: each
-    end's `peer` set, the channel's delay on each Out gate."""
+    A module joined to itself would relay each arrival back to itself
+    forever with no time passing, so that raises SelfJoin. Both modules
+    are then checked before either gains a gate, in the order `add_gate`
+    would meet them: the lower one first. A refused join raises
+    SelfJoin, WiringLocked or DuplicateName and leaves both modules as
+    they were. The four gates are then wired as `connect` leaves them:
+    each end's `peer` set, the channel's delay on each Out gate."""
+    if upper is lower:
+        raise SelfJoin(f"cannot join {upper.name!r} to itself")
     index = len(upper.reply_gates) if isinstance(upper, FanInLayer) else None
     u_out_label, u_in_label = ((OUT_TO_LOWER, IN_FROM_LOWER) if index is None else
                                (f"{OUT_TO_LOWER}[{index}]", f"{IN_FROM_LOWER}[{index}]"))

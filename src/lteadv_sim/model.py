@@ -48,6 +48,10 @@ class WiringLocked(SimulationError):
     pass
 
 
+class AlreadyAttached(SimulationError):
+    """A module added as a child already has a parent."""
+
+
 class UnknownArrivalGate(SimulationError):
     pass
 
@@ -238,8 +242,13 @@ class CompoundModule(ModuleNode):
         self._by_name: dict[str, ModuleNode] = {}
 
     def add_child(self, child: ModuleNode) -> ModuleNode:
+        """Append `child`; a module has one parent, so one that already
+        has one raises AlreadyAttached and neither parent changes."""
         if self._locked:
             raise WiringLocked(f"{self.name}: cannot add children after run() started")
+        if child.parent is not None:
+            raise AlreadyAttached(
+                f"{child.name!r} is already a child of {child.parent.full_path_or_name()}")
         if child.name in self._by_name:
             raise DuplicateName(
                 f"{self.full_path_or_name()} already has a child named {child.name!r}")

@@ -10,7 +10,8 @@ from lteadv_sim.kernel import (MAX_TIME_NS, FutureEventSet, HandlerError,
                                MessageKind, RunSummary, SchedulingInPast, SimMessage, SimTime,
                                SimTimeRangeError, SimulationError, Simulator,
                                StopReason)
-from lteadv_sim.model import CompoundModule, SimpleModule
+from lteadv_sim.lte_nodes import PassThroughLayer, wire_vertical
+from lteadv_sim.model import IN_FROM_UPPER, CompoundModule, SimpleModule
 from lteadv_sim.netconfig import build, parse
 from lteadv_sim.trace import CollectingSink
 
@@ -343,6 +344,22 @@ def test_event_limit_stops_the_run():
     assert summary.stop_reason is StopReason.EVENT_LIMIT
 
 
+def test_a_ring_of_relay_links_runs_hop_by_hop_to_the_event_limit():
+    """Three layers wired in a ring pass one message around it forever at
+    t = 0. A run with no sink, which jumps chains of relay links, walks
+    this chain to its end, finds none and makes each hop."""
+    root = CompoundModule("Network")
+    a, b, c = (root.add_child(PassThroughLayer(name, name.upper())) for name in "abc")
+    wire_vertical(a, b)
+    wire_vertical(b, c)
+    wire_vertical(c, a)
+    sim = Simulator(root)
+    sim.fes.push(0, 0, a, IN_FROM_UPPER, sim.new_message("m", MessageKind.CONTROL_MESSAGE))
+    summary = sim.run(until=SimTime.from_seconds(1), event_limit=1000)
+    assert (summary.events_executed, summary.stop_reason, sim.now_ns, len(sim.fes)) == (
+        1000, StopReason.EVENT_LIMIT, 0, 1)
+
+
 def test_stop_counts_entries_still_waiting_at_the_current_time(minimal_spec):
     # event 10 is mid-way down the UE stack: the message is in flight, to
     # fire at the current time, and no generator timer is armed yet
@@ -444,6 +461,18 @@ def test_handler_failure_on_a_returned_hop_carries_its_event_number(others_due_n
     assert exc_info.value.module_path == last.path == "Net.bad"
     assert exc_info.value.event_no == last.event_no == 2 + others_due_now
     assert len(rec.seen) == others_due_now
+
+
+def test_a_hop_to_a_label_with_no_gate_reaches_its_handler_in_a_run_with_no_sink():
+    # nothing else is due, so the run looks for relay links to jump from
+    # the hop's gate; with no gate there is none, and the handler fails
+    bad = Exploder("bad")
+    relayer = Relayer("relayer", bad)
+    sim = Simulator(make_net(relayer, bad))
+    sim.fes.push(0, 0, relayer, "g", sim.new_message("m", MessageKind.CONTROL_MESSAGE))
+    with pytest.raises(HandlerError) as exc_info:
+        sim.run(until=SimTime(10))
+    assert (exc_info.value.module_path, exc_info.value.event_no) == ("Net.bad", 2)
 
 
 def test_simulator_runs_once():

@@ -17,8 +17,8 @@ from lteadv_sim.kernel import (MessageKind, SimTime, Simulator, HandlerError,
                                SimulationError)
 from lteadv_sim.lte_nodes import (FanInLayer, Forwarder, LayerSpec, NoRadioPeer, NodeType,
                                   PassThroughLayer, PhyLayer, RadioInterface,
-                                  ReflectorLayer, attach_ue, build_node, link_enb_to_sgw,
-                                  link_sgw_to_pdn, wire_vertical)
+                                  ReflectorLayer, SelfJoin, attach_ue, build_node,
+                                  link_enb_to_sgw, link_sgw_to_pdn, wire_vertical)
 from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, RADIO_IN, ChannelSpec,
                               CompoundModule, DuplicateName, SELF_GATE, UnknownArrivalGate,
                               WiringLocked)
@@ -246,6 +246,11 @@ def _lower_wired_above():
             DuplicateName("b already has a gate 'inFromUpperLayer'"))
 
 
+def _self_joined():
+    a, = _layers("a")
+    return lambda: wire_vertical(a, a), [a], SelfJoin("cannot join 'a' to itself")
+
+
 def _upper_locked():
     a, b = _layers("a", "b")
     _locked(a)
@@ -284,8 +289,9 @@ def _wiring_state(module):
             dict(getattr(module, "reply_gates", {})))
 
 
-@pytest.mark.parametrize("refused", [_upper_wired_below, _lower_wired_above, _upper_locked,
-                                     _lower_locked, _s1_locked, _pdn_linked_twice],
+@pytest.mark.parametrize("refused", [_upper_wired_below, _lower_wired_above, _self_joined,
+                                     _upper_locked, _lower_locked, _s1_locked,
+                                     _pdn_linked_twice],
                          ids=lambda case: case.__name__.strip("_"))
 def test_a_refused_join_leaves_both_modules_as_they_were(refused):
     join, modules, error = refused()

@@ -5,7 +5,7 @@ import pytest
 from lteadv_sim.kernel import (MAX_TIME_NS, HandlerError, MessageKind,
                                SchedulingInPast, SimMessage, SimTime,
                                SimTimeRangeError, SimulationError, Simulator)
-from lteadv_sim.model import (ChannelSpec, CompoundModule, DetachedModule,
+from lteadv_sim.model import (AlreadyAttached, ChannelSpec, CompoundModule, DetachedModule,
                               Direction, DirectionMismatch, DuplicateName,
                               GateAlreadyConnected, SimpleModule, UnconnectedGate,
                               UnknownGate, UnknownTargetGate, WiringLocked,
@@ -310,6 +310,15 @@ def test_duplicate_child_name_rejected():
     root.add_child(Sink("ue"))
     with pytest.raises(DuplicateName):
         root.add_child(Sink("ue"))
+
+
+def test_a_child_with_a_parent_is_refused():
+    a, b = CompoundModule("A"), CompoundModule("B")
+    x = a.add_child(Sink("lte_x"))
+    with pytest.raises(AlreadyAttached):
+        b.add_child(x)
+    assert (a.children, b.children, b._by_name, x.parent) == ([x], [], {}, a)
+    assert x.full_path == "A.lte_x"
 
 
 # -- wiring lockdown --------------------------------------------------------------

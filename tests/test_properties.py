@@ -9,11 +9,13 @@ leave every round trip on the oracle's walk,
 dispatching returned hops at once changes nothing against queueing
 every one of them, the run loop matches a plain-heap reference loop,
 hopping over relay links changes nothing against calling every
-handler, each event is one handle_message call whenever handlers are
-wrapped (a wrapped handler turns the relay links off), the streaming
-metrics fold gives the reference summarize's metrics on any trace, cut
-short or corrupted, and the built-in sinks' `on_events` entry, fed in
-chunks that tile the run, gives what their `record` entry would.
+handler, nor does jumping whole chains of them in a run with no sink
+against making every hop, each event is one handle_message call
+whenever handlers are wrapped (a wrapped handler turns the relay links
+off), the streaming metrics fold gives the reference summarize's
+metrics on any trace, cut short or corrupted, and the built-in sinks'
+`on_events` entry, fed in chunks that tile the run, gives what their
+`record` entry would.
 """
 
 import contextlib
@@ -29,7 +31,8 @@ from hypothesis import given, settings, strategies as st
 
 from lteadv_sim import (CollectingSink, MetricsSink, PaperTraceSink, StructuredTraceSink,
                         TraceSink, build, parse)
-from lteadv_sim.kernel import CHUNK_ROWS, EventRecord, MessageKind, SimTime, StopReason
+from lteadv_sim.kernel import (CHUNK_ROWS, MAX_TIME_NS, EventRecord, MessageKind, SimTime,
+                               StopReason)
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
                                   instance_table, validate)
@@ -371,6 +374,50 @@ def test_relay_links_change_nothing(spec, event_limit):
     assert reflector._gates[IN_FROM_LOWER].relay_to is (None if down.delay_ns else down.peer)
     # and more: every UE's top layer links down
     assert {gate.owner for gate in _relay_links(built.root)} > {*radios, *phys}
+
+
+class _NopBatchSink:
+    """A batch sink that keeps nothing; binding it keeps a run hop by hop."""
+
+    def on_events(self, first_no, rows):
+        pass
+
+
+def _end_state(spec, event_limit, sinks):
+    """What a run leaves behind: its event count, stop reason, clock and
+    next message id, every pending entry, drained in order, every
+    generator's stats and every forwarder's drops."""
+    built = build(spec)
+    sim = built.simulator()
+    summary = sim.run(until=spec.until, event_limit=event_limit, sinks=sinks)
+    pending = [(t_ns, seq, target.full_path, label, msg.msg_id, msg.name)
+               for t_ns, seq, target, label, msg in sim.fes.pop_before(MAX_TIME_NS + 1)]
+    stats = [(name, node.generator.stats) for name, node in built.nodes.items()
+             if node.generator is not None]
+    drops = [(module.full_path, module.drop_count) for module in built.root.iter_tree()
+             if isinstance(module, Forwarder)]
+    return (summary.events_executed, summary.stop_reason, sim.now_ns, sim._next_msg_id,
+            pending, stats, drops)
+
+
+@given(st.one_of(network_specs(), specs_with_stacks()),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
+@settings(deadline=None)
+def test_jumping_relay_chains_changes_nothing(spec, event_limit):
+    """A run with no sink jumps whole chains of relay links while the
+    lane is empty; the same run with a sink makes every hop. Both end in
+    the same state, also when the event limit falls inside a chain."""
+    assert (_end_state(spec, event_limit, [])
+            == _end_state(spec, event_limit, [_NopBatchSink()]))
+
+
+def test_jumping_relay_chains_stops_at_every_event_limit(minimal_spec):
+    """Every event limit over one UE's first two round trips, so that a
+    limit falls at every position of every chain the run jumps."""
+    spec = dataclasses.replace(minimal_spec, until=SimTime.from_millis(20))
+    events = _end_state(spec, None, [])[0]
+    for limit in range(events + 1):
+        assert _end_state(spec, limit, []) == _end_state(spec, limit, [_NopBatchSink()])
 
 
 @given(network_specs(), st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
