@@ -334,8 +334,8 @@ def _event_entry(sink):
     record = sink.record
 
     def record_event(event_no: int, t_ns: int, module, msg: SimMessage) -> None:
-        # lock_and_number cached the path of every module in the tree; a
-        # module outside it computes its own
+        # run() cached the path of every module in its tree; a module
+        # outside it computes its own
         record(EventRecord(event_no, t_ns, module._path or module.full_path,
                            module.type_name, module.module_id, msg.name,
                            msg.kind_label, msg._msg_id))
@@ -381,9 +381,13 @@ class Simulator:
     A simulator owns its clock, its future event set and its message-id
     counter; independent instances share nothing. All operations on a
     running instance happen from inside the loop (module handlers).
+
+    Binding the tree under `root` fixes its shape and wiring; a root outside
+    a network or a tree bound already is refused before anything is bound.
     """
 
     def __init__(self, root, seed: int = 0):
+        root.full_path  # raises DetachedModule when no network holds root
         self.root = root
         self.seed = seed
         self.fes = FutureEventSet()
@@ -465,7 +469,11 @@ class Simulator:
             raise SimulationError("this simulator instance has already run")
         self._ran = True
 
-        self.root.lock_and_number()
+        # number as assign_ids() does; cache each path top-down from the parent's
+        root = self.root
+        for module_id, mod in enumerate(self._modules, 1):
+            mod.module_id = module_id
+            mod._path = root.full_path if mod is root else f"{mod.parent._path}.{mod.name}"
         for mod in self._modules:
             mod.on_start(self)
 

@@ -1,10 +1,10 @@
 """Composition model.
 
 Named modules with directional gates, compound modules, wired channels
-with delay, and direct delivery for the over-the-air hop. Wiring is fixed
-before the event loop starts; the connection graph never changes mid-run.
-A gate is connected at most once, so each Out gate's route (peer module,
-peer gate label, delay in ns) is final when it is connected.
+with delay, and direct delivery for the over-the-air hop. `Simulator(root)`
+binds a tree and fixes its shape and wiring (see `WiringLocked`). A gate is
+connected at most once, so each Out gate's route (peer module, peer gate
+label, delay in ns) is final when it is connected.
 """
 
 from __future__ import annotations
@@ -45,11 +45,15 @@ class DuplicateName(SimulationError):
 
 
 class WiringLocked(SimulationError):
-    pass
+    """A child, parent, gate or connection for a module bound to a simulator."""
 
 
 class AlreadyAttached(SimulationError):
     """A module added as a child already has a parent."""
+
+
+class TreeCycle(SimulationError):
+    """A module added as a child is the parent or one of its ancestors."""
 
 
 class UnknownArrivalGate(SimulationError):
@@ -116,7 +120,6 @@ class ModuleNode:
         self.parent: Optional[ModuleNode] = None
         self.module_id: Optional[int] = None
         self._gates: dict[str, Gate] = {}
-        self._locked = False
         self._path: Optional[str] = None
         self._sim = None
 
@@ -130,11 +133,11 @@ class ModuleNode:
         return g
 
     def _check_new_gates(self, labels: tuple) -> None:
-        """Raise WiringLocked once this module is locked, else
-        DuplicateName for the first of `labels` it already has a gate
+        """Raise WiringLocked once this module is bound to a simulator,
+        else DuplicateName for the first of `labels` it already has a gate
         under."""
-        if self._locked:
-            raise WiringLocked(f"{self.name}: cannot add gates after run() started")
+        if self._sim is not None:
+            raise WiringLocked(f"{self.name}: cannot add gates to a bound module")
         for label in labels:
             if label in self._gates:
                 raise DuplicateName(f"{self.name} already has a gate {label!r}")
@@ -148,16 +151,6 @@ class ModuleNode:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
-
-    def _walk(self) -> Iterator[tuple["ModuleNode", str]]:
-        """iter_tree() with each module's path, made top-down: its
-        parent's path, a dot and its own name."""
-        stack = [(self, self.full_path)]
-        while stack:
-            node, path = stack.pop()
-            yield node, path
-            stack.extend((child, f"{path}.{child.name}")
-                         for child in reversed(node.children))
 
     @property
     def full_path(self) -> str:
@@ -187,18 +180,10 @@ class ModuleNode:
         the tree the same way; build() leaves it unnumbered.
         """
         ids: dict[str, int] = {}
-        for module_id, (node, path) in enumerate(self._walk(), 1):
+        for module_id, node in enumerate(self.iter_tree(), 1):
             node.module_id = module_id
-            ids[path] = module_id
+            ids[node.full_path] = module_id
         return ids
-
-    def lock_and_number(self) -> None:
-        """Lock this subtree's wiring, cache each module's path and
-        number it as assign_ids() does, in one top-down pass."""
-        for module_id, (node, path) in enumerate(self._walk(), 1):
-            node._locked = True
-            node._path = path
-            node.module_id = module_id
 
     # -- simulation hooks ------------------------------------------------
 
@@ -242,10 +227,15 @@ class CompoundModule(ModuleNode):
         self._by_name: dict[str, ModuleNode] = {}
 
     def add_child(self, child: ModuleNode) -> ModuleNode:
-        """Append `child`; a module has one parent, so one that already
-        has one raises AlreadyAttached and neither parent changes."""
-        if self._locked:
-            raise WiringLocked(f"{self.name}: cannot add children after run() started")
+        """Append `child`, or raise WiringLocked, TreeCycle, AlreadyAttached
+        or DuplicateName (see each) and change neither tree."""
+        if self._sim is not None or child._sim is not None:
+            raise WiringLocked(f"cannot add {child.name!r} to {self.name!r}: a tree is bound")
+        node: Optional[ModuleNode] = self
+        while node is not None:
+            if node is child:
+                raise TreeCycle(f"cannot add {child.name!r} below itself")
+            node = node.parent
         if child.parent is not None:
             raise AlreadyAttached(
                 f"{child.name!r} is already a child of {child.parent.full_path_or_name()}")
@@ -268,8 +258,8 @@ class CompoundModule(ModuleNode):
 def connect(out_gate: Gate, in_gate: Gate,
             channel: ChannelSpec = ChannelSpec()) -> None:
     """Wire an Out gate to an In gate through a delay-bearing channel."""
-    if out_gate.owner._locked or in_gate.owner._locked:
-        raise WiringLocked("cannot connect gates after run() started")
+    if out_gate.owner._sim is not None or in_gate.owner._sim is not None:
+        raise WiringLocked("cannot connect a gate of a bound module")
     if out_gate.direction is not Direction.OUT or in_gate.direction is not Direction.IN:
         raise DirectionMismatch(
             f"connect needs Out -> In, got {out_gate!r} -> {in_gate!r}")

@@ -213,8 +213,9 @@ def test_s1_rejects_a_lower_label_it_does_not_have(label):
 
 
 def test_linking_an_enb_twice_leaves_the_s1_fully_wired():
-    s1, sim = wired_sgw()
-    enb, sgw = sim.root.child("enb"), sim.root.child("sgw_mme")
+    enb, sgw = build_node(NodeType.ENB, "enb"), build_node(NodeType.SGW_MME, "sgw_mme")
+    link_enb_to_sgw(enb, sgw)
+    s1 = sgw.child("lte_s1")
     with pytest.raises(DuplicateName):
         link_enb_to_sgw(enb, sgw)
     assert list(s1.reply_gates) == ["inFromLowerLayer[0]"]
@@ -224,7 +225,7 @@ def test_linking_an_enb_twice_leaves_the_s1_fully_wired():
 def _locked(module):
     root = CompoundModule("Network")
     root.add_child(module)
-    root.lock_and_number()
+    Simulator(root)
 
 
 def _layers(*names):
@@ -255,14 +256,14 @@ def _upper_locked():
     a, b = _layers("a", "b")
     _locked(a)
     return lambda: wire_vertical(a, b), [a, b], WiringLocked(
-        "a: cannot add gates after run() started")
+        "a: cannot add gates to a bound module")
 
 
 def _lower_locked():
     a, b = _layers("a", "b")
     _locked(b)
     return lambda: wire_vertical(a, b), [a, b], WiringLocked(
-        "b: cannot add gates after run() started")
+        "b: cannot add gates to a bound module")
 
 
 def _s1_locked():
@@ -270,7 +271,7 @@ def _s1_locked():
     link_enb_to_sgw(build_node(NodeType.ENB, "enb0"), sgw)
     _locked(sgw)
     return lambda: link_enb_to_sgw(enb, sgw), [*enb.stack, *sgw.stack], WiringLocked(
-        "lte_s1: cannot add gates after run() started")
+        "lte_s1: cannot add gates to a bound module")
 
 
 def _pdn_linked_twice():

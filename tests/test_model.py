@@ -7,8 +7,8 @@ from lteadv_sim.kernel import (MAX_TIME_NS, HandlerError, MessageKind,
                                SimTimeRangeError, SimulationError, Simulator)
 from lteadv_sim.model import (AlreadyAttached, ChannelSpec, CompoundModule, DetachedModule,
                               Direction, DirectionMismatch, DuplicateName,
-                              GateAlreadyConnected, SimpleModule, UnconnectedGate,
-                              UnknownGate, UnknownTargetGate, WiringLocked,
+                              GateAlreadyConnected, SimpleModule, TreeCycle,
+                              UnconnectedGate, UnknownGate, UnknownTargetGate, WiringLocked,
                               connect, send, send_direct)
 
 from conftest import pop_entry
@@ -321,6 +321,29 @@ def test_a_child_with_a_parent_is_refused():
     assert x.full_path == "A.lte_x"
 
 
+def _tree_state(*roots):
+    """All add_child may change: each module's parent, children and
+    child names."""
+    return [(mod, mod.parent, list(mod.children), dict(getattr(mod, "_by_name", {})))
+            for root in roots for mod in root.iter_tree()]
+
+
+@pytest.mark.parametrize("case", ["itself", "its parent", "its grandparent", "a lone root"])
+def test_a_child_that_is_the_parent_or_an_ancestor_is_refused(case):
+    a = CompoundModule("A")
+    b = a.add_child(CompoundModule("B"))
+    c = b.add_child(CompoundModule("C"))
+    lone = CompoundModule("L")
+    parent, child = {"itself": (c, c), "its parent": (b, a), "its grandparent": (c, a),
+                     "a lone root": (lone, lone)}[case]
+    before = _tree_state(a, lone)
+    with pytest.raises(TreeCycle) as err:
+        parent.add_child(child)
+    assert str(err.value) == f"cannot add {child.name!r} below itself"
+    assert _tree_state(a, lone) == before
+    assert (c.full_path, lone.full_path) == ("A.B.C", "L")
+
+
 # -- wiring lockdown --------------------------------------------------------------
 
 def test_no_connect_after_run_starts():
@@ -339,6 +362,73 @@ def test_no_new_gates_after_run_starts():
     sim.run(until=SimTime(1))
     with pytest.raises(WiringLocked):
         a.add_gate("late", Direction.OUT)
+
+
+def test_a_bound_parent_takes_no_late_child():
+    root, a, b = two_module_net()
+    Simulator(root)
+    late = Sink("late")
+    before = _tree_state(root)
+    with pytest.raises(WiringLocked,
+                       match="^cannot add 'late' to 'Network': a tree is bound$"):
+        root.add_child(late)
+    assert _tree_state(root) == before
+    assert (late.parent, late._sim) == (None, None)
+
+
+@pytest.mark.parametrize("which", ["root", "leaf"])
+def test_a_bound_module_joins_no_other_tree(which):
+    root, a, b = two_module_net()
+    sim = Simulator(root)
+    moved = root if which == "root" else a
+    other = CompoundModule("Other")
+    before = _tree_state(root, other)
+    with pytest.raises(WiringLocked,
+                       match=f"^cannot add '{moved.name}' to 'Other': a tree is bound$"):
+        other.add_child(moved)
+    assert _tree_state(root, other) == before
+    assert (moved.sim, other._sim) == (sim, None)
+
+
+def _gate_state(*modules):
+    """All add_gate and connect may change: each gate table, with each
+    gate's peer and delay."""
+    return [(label, gate, gate.peer, gate.delay_ns)
+            for module in modules for label, gate in module._gates.items()]
+
+
+@pytest.mark.parametrize("change", ["add_gate", "connect_from_bound", "connect_to_bound"])
+def test_a_bound_module_gains_no_gate_and_no_wire(change):
+    root, a, b = two_module_net()
+    out, inn = a.add_gate("o", Direction.OUT), b.add_gate("i", Direction.IN)
+    free = Sink("free")
+    free_out, free_in = free.add_gate("o", Direction.OUT), free.add_gate("i", Direction.IN)
+    Simulator(root)
+    call, message = {
+        "add_gate": (lambda: a.add_gate("late", Direction.OUT),
+                     "a: cannot add gates to a bound module"),
+        "connect_from_bound": (lambda: connect(out, free_in),
+                               "cannot connect a gate of a bound module"),
+        "connect_to_bound": (lambda: connect(free_out, inn),
+                             "cannot connect a gate of a bound module"),
+    }[change]
+    before = _gate_state(a, b, free)
+    with pytest.raises(WiringLocked) as err:
+        call()
+    assert str(err.value) == message
+    assert _gate_state(a, b, free) == before
+
+
+def test_a_simulator_needs_a_root_in_a_network():
+    leaf = Sink("x")
+    with pytest.raises(DetachedModule, match="^module 'x' is not attached to a network$"):
+        Simulator(leaf)
+    assert leaf._sim is None
+    root = CompoundModule("Network")
+    root.add_child(leaf)
+    sim = Simulator(root)
+    sim.run(until=SimTime(1))
+    assert (leaf.sim, leaf.module_id, leaf.full_path) == (sim, 2, "Network.x")
 
 
 def test_two_connects_wire_both_directions():

@@ -2,8 +2,9 @@
 
 Invariants that should hold for any wellformed network description: the
 canonical printing round-trips through the parser unchanged, one mistake
-in its generator block is one diagnostic, a zero-delay run conserves
-messages with every visited path matching the chain-walk oracle,
+in its generator block is one diagnostic, a run binds every module and
+numbers it as assign_ids() does, a zero-delay run conserves messages
+with every visited path matching the chain-walk oracle,
 drawn layer stacks are wired both ways with their channels' delays and
 leave every round trip on the oracle's walk,
 dispatching returned hops at once changes nothing against queueing
@@ -140,6 +141,10 @@ def test_generated_specs_run_conserved_and_oracle_clean(spec):
     metrics = summarize(sink.records, spec, summary)
     assert metrics.path_mismatches == []
     assert metrics.total_events == summary.events_executed
+    modules = list(built.root.iter_tree())
+    assert ([(mod.full_path, mod.module_id) for mod in modules]
+            == list(build(spec).root.assign_ids().items()))
+    assert all(mod.sim is sim for mod in modules)
 
     zero_delay = not spec.links or all(
         link.delay is None or link.delay.ns == 0 for link in spec.links)
@@ -313,7 +318,7 @@ def _reference_run(spec, event_limit):
     a `_HeapFES` and push every returned hop."""
     sim = build(spec).simulator()
     sim.fes = fes = _HeapFES()
-    sim.root.lock_and_number()
+    sim.root.assign_ids()
     for module in sim.root.iter_tree():
         module.on_start(sim)
     out = io.StringIO()
@@ -329,7 +334,7 @@ def _reference_run(spec, event_limit):
         t_ns, _, target, gate_label, msg = heapq.heappop(fes.heap)
         sim.now_ns = t_ns
         executed += 1
-        sink.record(EventRecord(executed, t_ns, target._path, target.type_name,
+        sink.record(EventRecord(executed, t_ns, target.full_path, target.type_name,
                                 target.module_id, msg.name, msg.kind_label, msg.msg_id))
         hop = target.handle_message(msg, gate_label)
         if hop is not None:
