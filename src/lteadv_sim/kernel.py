@@ -137,9 +137,10 @@ class SimMessage:
 
     The name may be rewritten as layers relay the message; identity (msgId),
     kind, byte length and creation time are fixed at creation. Messages also
-    carry a private route stack used by fan-in points (air hops, the S-GW S1
-    module) to send replies back the way they came without any handler
-    keeping cross-event state.
+    carry a private route stack, `_route`, which the PHY's air hop and the
+    S-GW's S1 push waypoints onto and pop (see their `route_step`), to send
+    replies back the way they came without any handler keeping cross-event
+    state.
     """
 
     __slots__ = ("_msg_id", "name", "_kind", "kind_label", "_byte_length",
@@ -179,14 +180,6 @@ class SimMessage:
     @property
     def creation_time(self) -> SimTime:
         return SimTime(self._created_ns)
-
-    def push_route(self, waypoint) -> None:
-        self._route.append(waypoint)
-
-    def pop_route(self):
-        if not self._route:
-            return None
-        return self._route.pop()
 
     def __repr__(self) -> str:
         return (f"SimMessage(id={self._msg_id}, name={self.name!r}, "
@@ -355,24 +348,58 @@ def _hand_over(batch: list, executed: int, rows: list) -> None:
         rows.clear()
 
 
-class _ChainEnds(dict):
-    """An arrival's gate -> `(end, hops)`, filled on first lookup: the
-    gate its chain of relay links ends at and the number of links on the
-    way. A gate with no link, or None for a label the target has no gate
-    under, maps to `(gate, 0)`. So does a chain that runs into a cycle,
-    since it never ends."""
+class _Walks(dict):
+    """An arrival's gate -> `(end, steps, pushes, namer)`, filled on first
+    lookup: the walk over the events that a run with no sink makes unseen
+    from that gate on, which depends on the wiring alone. A step is a
+    relay link, or a module's step rule, `route_step` (see
+    `lte_nodes.Forwarder`), applied to a stand-in message whose route
+    holds only the waypoints the walk pushed, while the module's handler
+    is the one of the class that declared its table.
+
+    The walk stops wherever the handler would raise, drop or transmit: at
+    a module with no link and no rule it may apply; where the rule
+    raises, as it does for a pop that the walk's own waypoints cannot
+    resolve, or returns None; where the rule's gate is reached over a
+    delayed Out gate, or its namer lacks `control_name` or `packet_name`;
+    and at a gate it has visited. The event at `end` is then dispatched,
+    after `steps` events; `pushes` are the waypoints the walk leaves
+    pushed, and `namer` the module the last step renamed the message for.
+    None, for a label the target has no gate under, maps to
+    `(None, 0, [], None)`."""
 
     def __missing__(self, gate):
-        end, hops, seen = gate, 0, {gate}
-        while getattr(end, "relay_to", None) is not None:
-            end = end.relay_to
+        end, steps, route, namer, seen = gate, 0, [], None, {gate}
+        stand_in = SimMessage(0, "", MessageKind.CONTROL_MESSAGE, 0, 0)
+        while end is not None:
+            nxt = end.relay_to
+            if nxt is not None:
+                named = nxt.owner
+            else:
+                owner = end.owner
+                if (getattr(owner, "route_step", None) is None
+                        or owner.handle_message != getattr(owner, "_table_handler", None)):
+                    break
+                stand_in._route = route.copy()
+                try:
+                    step = owner.route_step(stand_in, end.label)
+                except Exception:  # the handler raises it at this event, as a HandlerError
+                    break
+                if step is None:
+                    break
+                nxt, named = step
+                out = nxt.peer  # the Out gate feeding it; None for a direct delivery
+                if ((out is not None and out.delay_ns)
+                        or not hasattr(named, "control_name")
+                        or not hasattr(named, "packet_name")):
+                    break
+                route = stand_in._route
+            end, steps, namer = nxt, steps + 1, named
             if end in seen:
-                end, hops = gate, 0
                 break
             seen.add(end)
-            hops += 1
-        self[gate] = chain = (end, hops)
-        return chain
+        self[gate] = walk = (end, steps, route, namer)
+        return walk
 
 
 class Simulator:
@@ -382,11 +409,16 @@ class Simulator:
     counter; independent instances share nothing. All operations on a
     running instance happen from inside the loop (module handlers).
 
-    Binding the tree under `root` fixes its shape and wiring; a root outside
-    a network or a tree bound already is refused before anything is bound.
+    Binding the tree under `root` fixes its shape and wiring. `root` must
+    be a network's root: a module with a parent could still be moved, and
+    the paths of its tree with it, so it is refused, as are a root outside
+    a network and a tree bound already, before anything is bound.
     """
 
     def __init__(self, root, seed: int = 0):
+        if root.parent is not None:
+            raise SimulationError(f"{root.full_path_or_name()}: a simulator binds a network's "
+                                  "root, not a module below it")
         root.full_path  # raises DetachedModule when no network holds root
         self.root = root
         self.seed = seed
@@ -455,15 +487,18 @@ class Simulator:
 
         A run with no sink (`sinks` empty; a sink with only `record`
         counts as one) goes further when a hop finds the lane empty: it
-        jumps the whole chain of relay links from the hop's gate in one
-        step. It counts each link on the way as an event, renames the
-        message once, for the module of the chain's last gate, and
-        dispatches that gate as the next event. Nothing else is due now
-        and a link pushes nothing, so each of those events would have run
-        at once, unseen, and every count, seq, message id, clock reading
-        and pending entry stays as it is hop by hop. A chain is jumped
-        only when the event at its last gate is within `event_limit`, and
-        never when it runs into a cycle of links.
+        jumps the whole walk from the hop's gate in one step (see
+        `_Walks`). A walk steps over relay links and over route steps,
+        the PHY's air hop and the S1 fan-in, whose step rule it applies to
+        the waypoints pushed earlier in the same walk. A jump counts each
+        step as an event, appends the walk's net pushes to the message's
+        route, renames the message once, as the last step named it, and
+        dispatches the gate the walk ends at as the next event. Nothing
+        else is due now and no step pushes an entry, so each of those
+        events would have run at once, unseen, and every count, seq,
+        message id, route, clock reading and pending entry stays as it is
+        hop by hop. A walk is jumped only when the event at its end is
+        within `event_limit`.
         """
         if self._ran:
             raise SimulationError("this simulator instance has already run")
@@ -488,7 +523,7 @@ class Simulator:
         until_ns = until.ns
         # no run executes sys.maxsize events: no limit
         limit = sys.maxsize if event_limit is None else max(event_limit, 0)
-        chain_ends = _ChainEnds()
+        walks = _Walks()
         executed = 0
         reason = StopReason.EVENT_LIMIT
         t_start = _wallclock.perf_counter()
@@ -532,15 +567,17 @@ class Simulator:
                             gate = target._gates.get(gate_label) if link is None else link
                             if not traced:
                                 # nothing else is due now and no sink sees
-                                # the links ahead: jump them all if the
+                                # the steps ahead: jump them all if the
                                 # event after them is within the limit
-                                end, hops = chain_ends[gate]
-                                if hops and executed + hops < limit:
-                                    executed += hops
+                                end, steps, pushes, namer = walks[gate]
+                                if steps and executed + steps < limit:
+                                    executed += steps
                                     gate = end
                                     target, gate_label = end.owner, end.label
-                                    msg.name = (target.packet_name if msg._kind is _PACKET
-                                                else target.control_name)
+                                    if pushes:
+                                        msg._route += pushes
+                                    msg.name = (namer.packet_name if msg._kind is _PACKET
+                                                else namer.control_name)
                     if executed == limit:
                         break
                     if traced and len(rows) >= CHUNK_ROWS:

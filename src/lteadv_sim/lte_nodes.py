@@ -5,7 +5,12 @@ forward messages up or down and rename them with the tag of the module
 they are headed to: a control message entering lte_rrc is named
 "RRCMsg", a packet handed to lte_mac is "MACPck". Layers add no delay of
 their own. Each class declares where its arrivals go in one table (see
-`Forwarder`); only the PHY's air hop and the S1 fan-in carry a route.
+`Forwarder`). Only the PHY's air hop and the S1 fan-in carry a route,
+each by one step rule, `route_step`, that its handler applies to the
+message and a run with no sink to the waypoints its walk pushed. The
+walk stops wherever the handler would raise, drop or transmit, so a
+round trip with no delay, from a UE's top layer to its generator, is one
+loop step.
 
 `build_node` builds every kind from one per-kind table: a stack of
 pass-through layers with one special layer. The bottom of the UE and eNB
@@ -135,6 +140,14 @@ class Forwarder(SimpleModule):
     its table: overridden in a subclass, replaced on the class or set on
     the instance. A handler of its own calls `forward`, never another
     class's `handle_message`, so one event is one `handle_message` call.
+
+    A class whose arrivals carry a route, the PHY's air hop and the S1
+    fan-in, also declares its step rule, `route_step(msg, arrival_gate)`:
+    it pushes or pops the message's waypoint and returns `(gate, namer)`,
+    the In gate the message goes on to and the module it is renamed for.
+    The handler applies it to the message, and a run with no sink to a
+    stand-in whose route holds the waypoints pushed earlier in the same
+    walk (see `kernel._Walks`), under the condition the links follow.
     """
 
     def __init__(self, name: str):
@@ -191,24 +204,42 @@ class FanInLayer(PassThroughLayer):
     `reply_gates` maps the label of each pair's In gate to its Out gate,
     recorded when the eNB is linked. A message coming up carries that
     Out gate on its route, so the reply leaves through it; then it goes
-    up by the table, or is dropped with nothing wired above.
+    up, or is dropped with nothing wired above.
     """
+
+    forward_to = {}  # every arrival takes a route step
 
     def __init__(self, name: str, tag: str):
         super().__init__(name, tag)
         self.reply_gates: dict[str, Gate] = {}
 
-    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
+    def route_step(self, msg: SimMessage, arrival_gate: str) -> Optional[tuple]:
+        """The step rule: `(gate, gate.owner)` for the In gate at the far
+        end of the Out gate the arrival leaves by, whose module it is
+        renamed for; None when it goes up with nothing wired above. Going
+        up it pushes its pair's reply gate, going down it pops one."""
+        route = msg._route
         if arrival_gate == IN_FROM_UPPER:
-            reply_gate = msg.pop_route()
-            if not isinstance(reply_gate, Gate):
+            out = route.pop() if route else None
+            if not isinstance(out, Gate):
                 raise NoRadioPeer(f"{self.full_path_or_name()}: no return route on {msg!r}")
-            return relay(reply_gate, msg)
-        reply_gate = self.reply_gates.get(arrival_gate)
-        if reply_gate is None:
-            raise self.unknown_arrival(arrival_gate)
-        msg.push_route(reply_gate)
-        return self.forward(msg, IN_FROM_LOWER)  # every lower pair goes up alike
+        else:
+            reply_gate = self.reply_gates.get(arrival_gate)
+            if reply_gate is None:
+                raise self.unknown_arrival(arrival_gate)
+            route.append(reply_gate)
+            out = self.up_gate
+            if out is None:
+                return None
+        gate = out.peer
+        return gate, gate.owner
+
+    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
+        step = self.route_step(msg, arrival_gate)
+        if step is None:
+            self.drop_count += 1
+            return None
+        return relay(step[0].peer, msg)  # out by the Out gate feeding the step's gate
 
 
 class PhyLayer(PassThroughLayer):
@@ -228,20 +259,31 @@ class PhyLayer(PassThroughLayer):
         self.peer_radio: Optional[ModuleNode] = None
         self.home_radio: Optional[ModuleNode] = None
 
-    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
+    def route_step(self, msg: SimMessage, arrival_gate: str) -> Optional[tuple]:
+        """The step rule: for an arrival from above, `(gate, phy)`, the air
+        input of the radio it crosses to and the PHY above that radio,
+        whose names it takes; None for any other arrival, which goes by
+        the table."""
         if arrival_gate != IN_FROM_UPPER:
-            return self.forward(msg, arrival_gate)
+            return None
+        route = msg._route
         if self.peer_radio is not None:
-            target = self.peer_radio
-            msg.push_route(self.home_radio)
+            radio = self.peer_radio
+            route.append(self.home_radio)
         else:
-            target = msg.pop_route()
-            if not isinstance(target, RadioInterface):
+            radio = route.pop() if route else None
+            if not isinstance(radio, RadioInterface):
                 raise NoRadioPeer(
                     f"{self.full_path_or_name()}: no radio peer for downward send")
-        phy = target.up_gate.peer.owner
+        return radio._gates[RADIO_IN], radio.up_gate.peer.owner
+
+    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
+        step = self.route_step(msg, arrival_gate)
+        if step is None:
+            return self.forward(msg, arrival_gate)
+        gate, phy = step
         msg.name = phy.packet_name if msg._kind is _PACKET else phy.control_name
-        return target, RADIO_IN, msg
+        return gate.owner, gate.label, msg
 
 
 class RadioInterface(Forwarder):

@@ -346,8 +346,9 @@ def test_event_limit_stops_the_run():
 
 def test_a_ring_of_relay_links_runs_hop_by_hop_to_the_event_limit():
     """Three layers wired in a ring pass one message around it forever at
-    t = 0. A run with no sink, which jumps chains of relay links, walks
-    this chain to its end, finds none and makes each hop."""
+    t = 0. A run with no sink, which jumps walks of relay links, stops
+    each walk at the first gate it visits again, so it jumps one lap at
+    a time, and makes each hop once a lap would pass the event limit."""
     root = CompoundModule("Network")
     a, b, c = (root.add_child(PassThroughLayer(name, name.upper())) for name in "abc")
     wire_vertical(a, b)

@@ -431,6 +431,20 @@ def test_a_simulator_needs_a_root_in_a_network():
     assert (leaf.sim, leaf.module_id, leaf.full_path) == (sim, 2, "Network.x")
 
 
+def test_a_simulator_refuses_a_root_with_a_parent():
+    """A bound subtree's ancestors would stay free to move, and the paths
+    a run cached with them: binding takes a network's root only."""
+    p = CompoundModule("P")
+    sub = p.add_child(CompoundModule("sub"))
+    x = sub.add_child(Sink("x"))
+    with pytest.raises(SimulationError) as err:
+        Simulator(sub)
+    assert str(err.value) == "P.sub: a simulator binds a network's root, not a module below it"
+    assert all(module._sim is None for module in p.iter_tree())
+    CompoundModule("Q").add_child(p)
+    assert x.full_path == "Q.P.sub.x"
+
+
 def test_two_connects_wire_both_directions():
     root, a, b = two_module_net()
     channel = ChannelSpec(SimTime.from_millis(2))

@@ -10,8 +10,9 @@ leave every round trip on the oracle's walk,
 dispatching returned hops at once changes nothing against queueing
 every one of them, the run loop matches a plain-heap reference loop,
 hopping over relay links changes nothing against calling every
-handler, nor does jumping whole chains of them in a run with no sink
-against making every hop, each event is one handle_message call
+handler, nor does jumping whole walks of links and route steps in a run
+with no sink against making every hop, also with a PHY or S1 handler
+set on the instance, each event is one handle_message call
 whenever handlers are wrapped (a wrapped handler turns the relay links
 off), the streaming metrics fold gives the reference summarize's
 metrics on any trace, cut short or corrupted, and the built-in sinks'
@@ -25,7 +26,9 @@ import heapq
 import io
 import itertools
 import json
+import pathlib
 import re
+import sys
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
@@ -37,9 +40,9 @@ from lteadv_sim.kernel import (CHUNK_ROWS, MAX_TIME_NS, EventRecord, MessageKind
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
                                   instance_table, validate)
-from lteadv_sim.lte_nodes import (Forwarder, LayerSpec, NodeType, PhyLayer, RadioInterface,
-                                  ReflectorLayer)
-from lteadv_sim.model import IN_FROM_LOWER, RADIO_IN, Direction, ModuleNode
+from lteadv_sim.lte_nodes import (FanInLayer, Forwarder, LayerSpec, NodeType, PhyLayer,
+                                  RadioInterface, ReflectorLayer)
+from lteadv_sim.model import IN_FROM_LOWER, IN_FROM_UPPER, RADIO_IN, Direction, Gate, ModuleNode
 from lteadv_sim.traffic import GeneratorConfig
 from lteadv_sim.trace import (format_event_line, read_structured, summarize,
                               write_structured, zero_delay_emissions)
@@ -388,14 +391,26 @@ class _NopBatchSink:
         pass
 
 
-def _end_state(spec, event_limit, sinks):
+def _waypoint(waypoint):
+    """A route entry by name: a radio's path, or a reply gate's module
+    path and label."""
+    if isinstance(waypoint, Gate):
+        return waypoint.owner.full_path, waypoint.label
+    return waypoint.full_path
+
+
+def _end_state(spec, event_limit, sinks, replace=None):
     """What a run leaves behind: its event count, stop reason, clock and
-    next message id, every pending entry, drained in order, every
-    generator's stats and every forwarder's drops."""
+    next message id, every pending entry, drained in order, with its
+    message's route, every generator's stats and every forwarder's drops.
+    `replace(built)`, when given, changes the network before it runs."""
     built = build(spec)
+    if replace is not None:
+        replace(built)
     sim = built.simulator()
     summary = sim.run(until=spec.until, event_limit=event_limit, sinks=sinks)
-    pending = [(t_ns, seq, target.full_path, label, msg.msg_id, msg.name)
+    pending = [(t_ns, seq, target.full_path, label, msg.msg_id, msg.name,
+                tuple(map(_waypoint, msg._route)))
                for t_ns, seq, target, label, msg in sim.fes.pop_before(MAX_TIME_NS + 1)]
     stats = [(name, node.generator.stats) for name, node in built.nodes.items()
              if node.generator is not None]
@@ -409,20 +424,186 @@ def _end_state(spec, event_limit, sinks):
        st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
 @settings(deadline=None)
 def test_jumping_relay_chains_changes_nothing(spec, event_limit):
-    """A run with no sink jumps whole chains of relay links while the
-    lane is empty; the same run with a sink makes every hop. Both end in
-    the same state, also when the event limit falls inside a chain."""
+    """A run with no sink jumps whole walks of relay links and route
+    steps while the lane is empty; the same run with a sink makes every
+    hop. Both end in the same state, also when the event limit falls
+    inside a walk."""
     assert (_end_state(spec, event_limit, [])
             == _end_state(spec, event_limit, [_NopBatchSink()]))
 
 
-def test_jumping_relay_chains_stops_at_every_event_limit(minimal_spec):
-    """Every event limit over one UE's first two round trips, so that a
-    limit falls at every position of every chain the run jumps."""
-    spec = dataclasses.replace(minimal_spec, until=SimTime.from_millis(20))
+# Two UEs with offset starts on two eNBs. enb[0]'s backhaul has no delay,
+# so ue[0]'s round trip is one walk from its top layer to its generator;
+# enb[1]'s is delayed, so ue[1]'s walks stop at its eNB's top layer, and
+# its reply's walks meet the S1's and the eNB PHY's pops of waypoints
+# pushed before they started.
+TWO_UES_ONE_DELAYED = """\
+network Network {
+    ue ue[2];
+    enb enb[2];
+    sgw_mme sgw_mme;
+    pdn_gw pdn_gw;
+    attach ue[0] -> enb[0];
+    attach ue[1] -> enb[1];
+    link enb[1] -> sgw_mme delay 1ms;
+    generator on ue[0] { period 10ms; }
+    generator on ue[1] { period 10ms; start 100us; payload packet 100; }
+    run until 4ms;
+}
+"""
+
+
+def _assert_no_sink_matches_hop_by_hop_at_every_limit(spec):
     events = _end_state(spec, None, [])[0]
-    for limit in range(events + 1):
+    for limit in (None, *range(events + 1)):
         assert _end_state(spec, limit, []) == _end_state(spec, limit, [_NopBatchSink()])
+
+
+def test_jumping_relay_chains_stops_at_every_event_limit(minimal_spec):
+    """Every event limit over one UE's first two round trips, and over the
+    first trips of two UEs behind a plain and a delayed backhaul, so that
+    a limit falls at every position of every chain and route walk the
+    run jumps."""
+    _assert_no_sink_matches_hop_by_hop_at_every_limit(
+        dataclasses.replace(minimal_spec, until=SimTime.from_millis(20)))
+    _assert_no_sink_matches_hop_by_hop_at_every_limit(parse(TWO_UES_ONE_DELAYED).spec)
+
+
+def _delayed_net_apart():
+    """The text of tests/fixtures/delayed.net with one generator per UE,
+    each started apart, so that no two trips share a time bucket and a
+    run with no sink walks wherever it can."""
+    text = (pathlib.Path(__file__).parent / "fixtures" / "delayed.net").read_text()
+    lines = [line for line in text.splitlines() if "generator on" not in line]
+    at = next(i for i, line in enumerate(lines) if "run until" in line)
+    lines[at:at] = [f"    generator on ue[{i}] {{ {config} start {start}us; }}"
+                    for i, (config, start) in enumerate(zip(
+                        ["period 7ms; payload packet 1500;"] * 3 + ["period 10ms;"] * 3,
+                        (250, 263, 389, 0, 37, 101)))]
+    return "\n".join(lines)
+
+
+def _pending_routes(spec):
+    return {entry[-1] for entry in _end_state(spec, None, [])[4]}
+
+
+def _assert_walks_stop_where_handlers_pop(spec):
+    """Every S1 arrival reaches its handler, and only some PHY arrivals."""
+    walked, _ = _route_handler_calls(lambda: _end_state(spec, None, []))
+    stepped, _ = _route_handler_calls(lambda: _end_state(spec, None, [_NopBatchSink()]))
+    assert walked["S1"] == stepped["S1"] > 0
+    assert 0 < walked["PHY"] < stepped["PHY"]
+
+
+def test_a_walk_stops_at_a_delayed_s1_hop():
+    """enb[0]'s backhaul undelayed and a one-layer S-GW/MME, whose S1
+    sends up over the delayed core link: a walk up from ue[0..2] stops
+    at the S1, which then pushes its reply gate onto the route the walk
+    extended, and transmits. Every event limit over the first trips."""
+    spec = parse(_delayed_net_apart().replace("sgw_mme delay 300us;", "sgw_mme;")).spec
+    spec.chain_overrides[NodeType.SGW_MME] = (LayerSpec("S1", "lte_s1"),)
+    spec.until = SimTime(700_000)  # ue[0..2]'s first messages are on the core link
+    assert {("Network.ue[2].lte_radio", ("Network.sgw_mme.lte_s1", "outToLowerLayer[0]")),
+            ("Network.ue[4].lte_radio",)} <= _pending_routes(spec)
+    spec.until = SimTime.from_millis(3)
+    _assert_walks_stop_where_handlers_pop(spec)
+    _assert_no_sink_matches_hop_by_hop_at_every_limit(spec)
+
+
+def test_a_walk_stops_at_a_pop_of_a_waypoint_pushed_before_it():
+    """Every backhaul delayed: a walk down from the core link meets the
+    S1's pop of the reply gate its trip pushed on the way up, and a walk
+    down an eNB meets its PHY's pop of the UE's radio; each walk stops
+    there and the handler pops the real route. Every event limit over
+    the first trips."""
+    spec = parse(_delayed_net_apart()).spec
+    spec.until = SimTime(1_000_000)  # ue[3..5]'s first messages are on the backhaul
+    assert {("Network.ue[4].lte_radio",)} <= _pending_routes(spec)
+    spec.until = SimTime.from_millis(3)
+    _assert_walks_stop_where_handlers_pop(spec)
+    _assert_no_sink_matches_hop_by_hop_at_every_limit(spec)
+
+
+_ROUTE_HANDLERS = {PhyLayer.handle_message.__code__: "PHY",
+                   FanInLayer.handle_message.__code__: "S1"}
+
+
+def _route_handler_calls(run):
+    """`run()`'s result and the calls it made of the PHY's and the S1's
+    own handle_message, counted by code object with a profile hook, so
+    that handlers and links stay as they are."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in _ROUTE_HANDLERS:
+            calls[_ROUTE_HANDLERS[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return calls, result
+
+
+def test_route_walks_make_no_phy_or_s1_handler_call(minimal_spec):
+    """A run with no sink walks each whole round trip, over the PHYs' air
+    hops and the S1 both ways, and calls neither handler; hop by hop,
+    each is called twice per trip. A handler set on the eNB's PHY stops
+    the walks there and sees every arrival at it."""
+    def run(sinks, replace=lambda built: None):
+        built = build(minimal_spec)
+        replace(built)
+        built.simulator().run(until=minimal_spec.until, sinks=sinks)
+        return built.nodes["ue"].generator.stats.returned
+
+    calls, trips = _route_handler_calls(lambda: run([]))
+    assert trips == 100 and calls == {}
+    calls, trips = _route_handler_calls(lambda: run([_NopBatchSink()]))
+    assert calls == {"PHY": 2 * trips, "S1": 2 * trips}
+    seen = []
+
+    def replace(built):
+        phy = built.nodes["enb"].stack[-1]
+
+        def handle_message(msg, arrival_gate, stock=phy.handle_message):
+            seen.append(arrival_gate)
+            return stock(msg, arrival_gate)
+
+        phy.handle_message = handle_message
+
+    calls, trips = _route_handler_calls(lambda: run([], replace))
+    assert seen == [IN_FROM_LOWER, IN_FROM_UPPER] * trips
+    assert calls == {"PHY": 2 * trips}
+
+
+@given(st.one_of(network_specs(), specs_with_stacks()),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=1500)),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=15)))
+@settings(deadline=None)
+def test_route_walks_change_nothing(spec, event_limit, replaced):
+    """No sink against hop by hop, over drawn delays and event limits,
+    with the handler of one drawn PHY or S1 set on the instance: the end
+    states match, and that handler sees the same arrivals."""
+    def end_state(sinks):
+        seen = []
+
+        def replace(built):
+            if replaced is None:
+                return
+            routed = [module for module in built.root.iter_tree()
+                      if isinstance(module, (PhyLayer, FanInLayer))]
+            module = routed[replaced % len(routed)]
+
+            def handle_message(msg, arrival_gate, stock=module.handle_message):
+                seen.append(arrival_gate)
+                return stock(msg, arrival_gate)
+
+            module.handle_message = handle_message
+
+        return _end_state(spec, event_limit, sinks, replace), seen
+
+    assert end_state([]) == end_state([_NopBatchSink()])
 
 
 @given(network_specs(), st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
