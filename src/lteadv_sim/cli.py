@@ -54,18 +54,23 @@ def _duration(text: str):
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+def _int_at_least(text: str, least: int, message: str) -> int:
+    # a ValueError would make argparse name this module's function instead
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if value < least:
+        raise argparse.ArgumentTypeError(message)
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "must be a positive integer")
 
 
 def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
+    return _int_at_least(text, 0, "must be a non-negative integer")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -355,7 +355,8 @@ class _Walks(dict):
     relay link, or a module's step rule, `route_step` (see
     `lte_nodes.Forwarder`), applied to a stand-in message whose route
     holds only the waypoints the walk pushed, while the module's handler
-    is the one of the class that declared its table.
+    is the stock one, `Forwarder.handle_message`, which the module's
+    `_table_handler` names.
 
     The walk stops wherever the handler would raise, drop or transmit: at
     a module with no link and no rule it may apply; where the rule
@@ -377,8 +378,7 @@ class _Walks(dict):
                 named = nxt.owner
             else:
                 owner = end.owner
-                if (getattr(owner, "route_step", None) is None
-                        or owner.handle_message != getattr(owner, "_table_handler", None)):
+                if owner.handle_message != getattr(owner, "_table_handler", None):
                     break
                 stand_in._route = route.copy()
                 try:
@@ -488,8 +488,8 @@ class Simulator:
         A run with no sink (`sinks` empty; a sink with only `record`
         counts as one) goes further when a hop finds the lane empty: it
         jumps the whole walk from the hop's gate in one step (see
-        `_Walks`). A walk steps over relay links and over route steps,
-        the PHY's air hop and the S1 fan-in, whose step rule it applies to
+        `_Walks`). A walk steps over relay links and over step rules,
+        such as the PHY's air hop and the S1 fan-in, which it applies to
         the waypoints pushed earlier in the same walk. A jump counts each
         step as an event, appends the walk's net pushes to the message's
         route, renames the message once, as the last step named it, and

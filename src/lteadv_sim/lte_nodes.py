@@ -4,13 +4,14 @@ Four node types (UE, eNB, S-GW/MME, PDN-GW) built from layer modules that
 forward messages up or down and rename them with the tag of the module
 they are headed to: a control message entering lte_rrc is named
 "RRCMsg", a packet handed to lte_mac is "MACPck". Layers add no delay of
-their own. Each class declares where its arrivals go in one table (see
-`Forwarder`). Only the PHY's air hop and the S1 fan-in carry a route,
-each by one step rule, `route_step`, that its handler applies to the
-message and a run with no sink to the waypoints its walk pushed. The
-walk stops wherever the handler would raise, drop or transmit, so a
-round trip with no delay, from a UE's top layer to its generator, is one
-loop step.
+their own. Each class routes by one step rule, `route_step`, and one
+handler applies every class's rule (see `Forwarder`). Most rules are a
+table of where arrivals go; only the PHY's air hop and the S1 fan-in
+carry a route, pushing or popping a waypoint. A run with no sink follows
+the relay links set from the tables, and applies the other rules to the
+waypoints its walk pushed. The walk stops wherever the handler would
+raise, drop or transmit, so a round trip with no delay, from a UE's top
+layer to its generator, is one loop step.
 
 `build_node` builds every kind from one per-kind table: a stack of
 pass-through layers with one special layer. The bottom of the UE and eNB
@@ -37,7 +38,7 @@ from typing import Optional, Sequence
 from .kernel import MessageKind, SimMessage, SimulationError
 from .model import (IN_FROM_LOWER, IN_FROM_UPPER, OUT_TO_LOWER, OUT_TO_UPPER,
                     RADIO_IN, ChannelSpec, CompoundModule, Direction, Gate,
-                    ModuleNode, SimpleModule, transmit)
+                    ModuleNode, SimpleModule, _channel, transmit)
 
 
 # a handler's zero-delay hop, (target, arrival_label, msg), or None
@@ -111,43 +112,32 @@ def _tag_names(tag: str) -> tuple[str, str]:
     return sys.intern(tag + _CONTROL_SUFFIX), sys.intern(tag + _PACKET_SUFFIX)
 
 
-def relay(gate: Gate, msg: SimMessage) -> Hop:
-    """Rename a message for the module at the far end of an Out gate and
-    send it there now: return the hop when the channel adds no delay,
-    else transmit it."""
-    peer = gate.peer
-    target = peer.owner
-    msg.name = target.packet_name if msg._kind is _PACKET else target.control_name
-    if gate.delay_ns:
-        transmit(gate, msg)
-        return None
-    return target, peer.label, msg
-
-
 class Forwarder(SimpleModule):
-    """A module that forwards each arrival by its class's table,
-    `forward_to`: arrival label -> the attribute holding the Out gate the
-    arrival leaves by, renamed for the next module. An arrival with no
-    Out gate wired (a UE's top layer without a generator) is dropped and
-    counted in `drop_count`; a label the table lacks is an error.
+    """A module that forwards each arrival by its class's step rule,
+    `route_step(msg, arrival_gate)`, which returns `(gate, namer)`: the
+    In gate the message goes on to and the module it is renamed for. The
+    rule of this class is a table, `forward_to`: arrival label -> the
+    attribute holding the Out gate the arrival leaves by. A class whose
+    arrivals carry a route, the PHY's air hop and the S1 fan-in,
+    overrides the rule to push or pop the message's waypoint.
+
+    The one handler, `handle_message`, applies the rule. A rule that
+    returns None (a UE's top layer without a generator) drops the
+    message, counted in `drop_count`; a label the rule lacks is an
+    error. Otherwise the message is renamed for the namer, and the hop
+    is returned, or transmitted over the delayed Out gate that feeds the
+    rule's gate.
 
     When the run starts, each In gate in the table gets a relay link to
     the In gate its arrivals go on to (see `Gate.relay_to`), and the run
     loop makes that hop with no handler call. No link is set for a gate
     whose Out gate is missing, unconnected or delayed, or leads to a
-    module without `control_name` and `packet_name`; nor for any gate
-    while the module's handler is not the one of the class that declared
-    its table: overridden in a subclass, replaced on the class or set on
-    the instance. A handler of its own calls `forward`, never another
-    class's `handle_message`, so one event is one `handle_message` call.
-
-    A class whose arrivals carry a route, the PHY's air hop and the S1
-    fan-in, also declares its step rule, `route_step(msg, arrival_gate)`:
-    it pushes or pops the message's waypoint and returns `(gate, namer)`,
-    the In gate the message goes on to and the module it is renamed for.
-    The handler applies it to the message, and a run with no sink to a
-    stand-in whose route holds the waypoints pushed earlier in the same
-    walk (see `kernel._Walks`), under the condition the links follow.
+    module without `control_name` and `packet_name`. Links, and the walks
+    of a run with no sink (see `kernel._Walks`), are on exactly while the
+    module's handler is `Forwarder.handle_message`: not overridden in a
+    subclass, replaced on a class or set on the instance. A handler of
+    its own calls the stock one at most once, so one event is one
+    `handle_message` call.
     """
 
     def __init__(self, name: str):
@@ -155,22 +145,33 @@ class Forwarder(SimpleModule):
         self.up_gate: Optional[Gate] = None  # the Out gate upward, set when wired
         self.drop_count = 0
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if "forward_to" in vars(cls):  # the handler the table's links stand for
-            cls._table_handler = cls.handle_message
-
-    def forward(self, msg: SimMessage, arrival_gate: str) -> Hop:
+    def route_step(self, msg: SimMessage, arrival_gate: str) -> Optional[tuple]:
+        """The table rule: `(gate, gate.owner)` for the In gate at the far
+        end of the Out gate `forward_to` names; None when no Out gate is
+        wired."""
         attr = self.forward_to.get(arrival_gate)
         if attr is None:
             raise self.unknown_arrival(arrival_gate)
-        gate = getattr(self, attr)
-        if gate is None:
+        out = getattr(self, attr)
+        if out is None:
+            return None
+        gate = out.peer
+        return gate, gate.owner
+
+    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
+        step = self.route_step(msg, arrival_gate)
+        if step is None:
             self.drop_count += 1
             return None
-        return relay(gate, msg)
+        gate, namer = step
+        msg.name = namer.packet_name if msg._kind is _PACKET else namer.control_name
+        out = gate.peer  # the Out gate feeding it; None for a direct delivery
+        if out is not None and out.delay_ns:
+            transmit(out, msg)
+            return None
+        return gate.owner, gate.label, msg
 
-    handle_message = forward
+    _table_handler = handle_message  # the handler that links and walks stand for
 
     def on_start(self, sim) -> None:
         # equal only when both bind this module to the same function
@@ -234,13 +235,6 @@ class FanInLayer(PassThroughLayer):
         gate = out.peer
         return gate, gate.owner
 
-    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
-        step = self.route_step(msg, arrival_gate)
-        if step is None:
-            self.drop_count += 1
-            return None
-        return relay(step[0].peer, msg)  # out by the Out gate feeding the step's gate
-
 
 class PhyLayer(PassThroughLayer):
     """Bottom of a radio-capable stack; downward traffic crosses the air.
@@ -262,10 +256,9 @@ class PhyLayer(PassThroughLayer):
     def route_step(self, msg: SimMessage, arrival_gate: str) -> Optional[tuple]:
         """The step rule: for an arrival from above, `(gate, phy)`, the air
         input of the radio it crosses to and the PHY above that radio,
-        whose names it takes; None for any other arrival, which goes by
-        the table."""
+        whose names it takes; any other arrival goes by the table."""
         if arrival_gate != IN_FROM_UPPER:
-            return None
+            return super().route_step(msg, arrival_gate)
         route = msg._route
         if self.peer_radio is not None:
             radio = self.peer_radio
@@ -276,14 +269,6 @@ class PhyLayer(PassThroughLayer):
                 raise NoRadioPeer(
                     f"{self.full_path_or_name()}: no radio peer for downward send")
         return radio._gates[RADIO_IN], radio.up_gate.peer.owner
-
-    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
-        step = self.route_step(msg, arrival_gate)
-        if step is None:
-            return self.forward(msg, arrival_gate)
-        gate, phy = step
-        msg.name = phy.packet_name if msg._kind is _PACKET else phy.control_name
-        return gate.owner, gate.label, msg
 
 
 class RadioInterface(Forwarder):
@@ -313,8 +298,8 @@ def wire_vertical(upper: ModuleNode, lower: ModuleNode,
     are then checked before either gains a gate, in the order `add_gate`
     would meet them: the lower one first. A refused join raises
     SelfJoin, WiringLocked or DuplicateName and leaves both modules as
-    they were. The four gates are then wired as `connect` leaves them:
-    each end's `peer` set, the channel's delay on each Out gate."""
+    they were. Only then are the two channels made, down and up, each
+    with the channel's delay (see `model._channel`)."""
     if upper is lower:
         raise SelfJoin(f"cannot join {upper.name!r} to itself")
     index = len(upper.reply_gates) if isinstance(upper, FanInLayer) else None
@@ -322,22 +307,13 @@ def wire_vertical(upper: ModuleNode, lower: ModuleNode,
                                (f"{OUT_TO_LOWER}[{index}]", f"{IN_FROM_LOWER}[{index}]"))
     lower._check_new_gates((IN_FROM_UPPER, OUT_TO_UPPER))
     upper._check_new_gates((u_out_label, u_in_label))
-    l_in = Gate(lower, IN_FROM_UPPER, Direction.IN)
-    l_out = Gate(lower, OUT_TO_UPPER, Direction.OUT)
-    u_out = Gate(upper, OUT_TO_LOWER, Direction.OUT, index)
-    u_in = Gate(upper, IN_FROM_LOWER, Direction.IN, index)
-    lower._gates[IN_FROM_UPPER] = l_in
-    lower._gates[OUT_TO_UPPER] = l_out
-    upper._gates[u_out_label] = u_out
-    upper._gates[u_in_label] = u_in
-    u_out.peer, l_in.peer = l_in, u_out
-    l_out.peer, u_in.peer = u_in, l_out
-    u_out.delay_ns = l_out.delay_ns = channel.delay.ns
+    delay_ns = channel.delay.ns
+    down = _channel(upper, u_out_label, lower, IN_FROM_UPPER, delay_ns)
+    lower.up_gate = _channel(lower, OUT_TO_UPPER, upper, u_in_label, delay_ns)
     if index is None:
-        upper.down_gate = u_out
+        upper.down_gate = down
     else:
-        upper.reply_gates[u_in_label] = u_out
-    lower.up_gate = l_out
+        upper.reply_gates[u_in_label] = down
 
 
 # Per kind: the default stack, the position in the stack of the one
@@ -373,14 +349,9 @@ def build_node(kind: NodeType, name: str,
     if special_cls is PhyLayer:  # a radio: its hand-off to the PHY, and its air input
         phy = layers[-1]
         radio = phy.home_radio = RadioInterface()
-        # both modules are new, so nothing is checked; wired as connect()
-        # leaves a zero-delay channel
-        out = Gate(radio, OUT_TO_UPPER, Direction.OUT)
-        into = Gate(phy, IN_FROM_LOWER, Direction.IN)
-        out.peer, into.peer, out.delay_ns = into, out, 0
-        radio._gates[OUT_TO_UPPER] = radio.up_gate = out
-        phy._gates[IN_FROM_LOWER] = into
-        radio._gates[RADIO_IN] = Gate(radio, RADIO_IN, Direction.IN)
+        # both modules are new, so nothing is checked
+        radio.up_gate = _channel(radio, OUT_TO_UPPER, phy, IN_FROM_LOWER)
+        radio.add_gate(RADIO_IN, Direction.IN)
         column = [*column, radio]
     node = CompoundModule(name, type_name=kind.value)
     for child in column if kind is NodeType.UE else reversed(column):

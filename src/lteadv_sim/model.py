@@ -272,6 +272,18 @@ def connect(out_gate: Gate, in_gate: Gate,
     out_gate.delay_ns = channel.delay.ns
 
 
+def _channel(src: ModuleNode, out_label: str, dst: ModuleNode, in_label: str,
+             delay_ns: int = 0) -> Gate:
+    """A one-way channel between two new gates, added to their modules
+    unchecked: an Out gate on `src` and an In gate on `dst`, each the
+    other's peer, with the delay on the Out gate, as `connect` leaves
+    them. Returns the Out gate."""
+    out = src._gates[out_label] = Gate(src, out_label, Direction.OUT)
+    into = dst._gates[in_label] = Gate(dst, in_label, Direction.IN)
+    out.peer, into.peer, out.delay_ns = into, out, delay_ns
+    return out
+
+
 def transmit(gate: Gate, msg: SimMessage, at_ns: Optional[int] = None) -> int:
     """Send out a connected Out gate at `at_ns`, or now when it is None.
 

@@ -97,23 +97,15 @@ def _record_row(rec: EventRecord) -> tuple:
             rec.msg_name, rec.msg_kind, rec.msg_id)
 
 
-# The last time rendered, as (t_ns, format_seconds(t_ns), str(t_ns)):
-# consecutive events of one trip share a fire time, so most lines reuse
-# the strings. They depend on t_ns alone and the triple is swapped whole,
-# so callers and threads that share it still get exactly format_seconds'
-# output.
-_last_time: tuple = (None, "", "")
-
-
 def _render(first_no: int, rows, sites: _Sites, paper: Optional[list],
             structured: Optional[list]) -> None:
     """Append the console log line of each row, numbered from `first_no`,
     to `paper` and its structured record to `structured`. Either list may
     be None, which skips its format; one list for both gets each row's two
     lines together. Each number is turned into a string once, for both."""
-    global _last_time
-    last_t, secs, t_str = _last_time
-    last_id = id_str = None
+    # consecutive rows of one trip share a time and a message id, so
+    # most lines reuse the strings of the row before
+    last_t = secs = t_str = last_id = id_str = None
     for no, (t_ns, module, msg_name, msg_kind, msg_id) in enumerate(rows, first_no):
         console_site, structured_site = sites[module, msg_name, msg_kind]
         if t_ns != last_t:
@@ -126,7 +118,6 @@ def _render(first_no: int, rows, sites: _Sites, paper: Optional[list],
         if structured is not None:
             structured.append(
                 f'{{"event_no": {no}, "t_ns": {t_str}{structured_site}{id_str}}}\n')
-    _last_time = (last_t, secs, t_str)
 
 
 _SITES = _Sites()

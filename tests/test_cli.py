@@ -342,6 +342,18 @@ def test_negative_seed_is_usage_error(capsys):
     assert main(["--config", MINIMAL, "--until", "1ns", "--seed", "0", "--quiet"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--event-limit", "abc", "must be a positive integer"),
+    ("--event-limit", "1.5", "must be a positive integer"),
+    ("--seed", "x1", "must be a non-negative integer"),
+])
+def test_non_integer_count_is_usage_error_naming_the_option(flag, value, reason, capsys):
+    assert main(["--config", MINIMAL, flag, value, "--quiet"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.endswith(f"lteadv-sim: error: argument {flag}: {reason}\n")
+    assert "_" not in err
+
+
 def test_until_override_wins_over_config(tmp_path, capsys):
     out = tmp_path / "t.log"
     code = main(["--config", MINIMAL, "--until", "20ms", "--trace-out", str(out)])

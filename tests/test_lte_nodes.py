@@ -689,6 +689,33 @@ def test_a_layer_subclass_overriding_the_handler_sees_every_event(monkeypatch, m
     _assert_seen_at_their_modules(seen, counted, records, plain)
 
 
+def test_a_layer_subclass_with_its_own_table_and_handler_sees_every_event(monkeypatch):
+    """A class that declares a table of its own and overrides the handler
+    gets no links, so its handler sees every arrival at its modules, in
+    a run with no sink as in a traced one."""
+    spec = _short(parse(_fixture_source("minimal.net")).spec)
+    plain = _records(spec)
+    seen = Counter()
+
+    class OwnTable(PassThroughLayer):
+        forward_to = {IN_FROM_UPPER: "down_gate", IN_FROM_LOWER: "up_gate"}
+
+        def handle_message(self, msg, arrival_gate):
+            seen[self.full_path] += 1
+            return super().handle_message(msg, arrival_gate)
+
+    monkeypatch.setattr(lte_nodes, "PassThroughLayer", OwnTable)  # build_node's plain layer
+    build(spec).simulator().run(until=spec.until)
+    unseen = seen.copy()
+    assert sum(unseen.values()) == 84
+    seen.clear()
+    built = build(spec)
+    records = _records(spec, built)
+    owned = [module for module in built.root.iter_tree() if type(module) is OwnTable]
+    _assert_seen_at_their_modules(seen, owned, records, plain)
+    assert seen == unseen
+
+
 def _link_sites(built):
     return {(module.full_path, gate.label) for module in built.root.iter_tree()
             for gate in module._gates.values() if gate.relay_to is not None}
@@ -697,9 +724,10 @@ def _link_sites(built):
 @pytest.mark.parametrize("cls", [Forwarder, PassThroughLayer, PhyLayer, FanInLayer,
                                  RadioInterface, ReflectorLayer], ids=lambda cls: cls.__name__)
 def test_a_handler_replaced_on_the_class_sees_every_event(monkeypatch, multi_ue_spec, cls):
-    """Replacing a class's handler, its own or one it inherits, turns off
-    the links of every module that then calls the replacement, and no
-    other module's: the radio and the reflector inherit theirs."""
+    """Replacing a class's handler turns off the links of every module
+    that then calls the replacement, and no other module's. Each class
+    but Forwarder inherits the handler it replaces: the one handler,
+    `Forwarder.handle_message`, which applies each class's step rule."""
     spec = _short(multi_ue_spec)
     plain_built = build(spec)
     plain = _records(spec, plain_built)

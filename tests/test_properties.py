@@ -524,19 +524,22 @@ def test_a_walk_stops_at_a_pop_of_a_waypoint_pushed_before_it():
     _assert_no_sink_matches_hop_by_hop_at_every_limit(spec)
 
 
-_ROUTE_HANDLERS = {PhyLayer.handle_message.__code__: "PHY",
-                   FanInLayer.handle_message.__code__: "S1"}
+_STOCK_HANDLER = Forwarder.handle_message.__code__
+_ROUTE_TYPES = {PhyLayer: "PHY", FanInLayer: "S1"}
 
 
 def _route_handler_calls(run):
-    """`run()`'s result and the calls it made of the PHY's and the S1's
-    own handle_message, counted by code object with a profile hook, so
-    that handlers and links stay as they are."""
+    """`run()`'s result and the calls it made of the stock handler,
+    `Forwarder.handle_message`, on a PHY and on an S1, counted by
+    `type(self)` with a profile hook, so that handlers and links stay
+    as they are."""
     calls = Counter()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in _ROUTE_HANDLERS:
-            calls[_ROUTE_HANDLERS[frame.f_code]] += 1
+        if event == "call" and frame.f_code is _STOCK_HANDLER:
+            name = _ROUTE_TYPES.get(type(frame.f_locals["self"]))
+            if name is not None:
+                calls[name] += 1
 
     sys.setprofile(profile)
     try:
