@@ -55,7 +55,12 @@ def _duration(text: str):
 
 
 def _int_at_least(text: str, least: int, message: str) -> int:
-    # a ValueError would make argparse name this module's function instead
+    # ASCII digits only, as the config grammar writes an integer: int()
+    # also takes signs, spaces, underscores and other scripts' digits
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(message)
+    # a ValueError, which int() raises past its digit limit, would make
+    # argparse name this module's function instead
     try:
         value = int(text)
     except ValueError:

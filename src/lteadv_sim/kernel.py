@@ -241,9 +241,13 @@ class FutureEventSet:
     `lane` and `seq_counter` are public for the run loop, which pops the
     lane directly after `refill`, and appends a hop due now while the lane
     still holds entries, numbered by `next(seq_counter)`: `push` would
-    append it the same way, since the lane's entries are due at now.
-    Apart from that append, only `push`, `refill` and the pops change
-    `lane` and `heap`.
+    append it the same way, since the lane's entries are due at now. A
+    run with no sink may also rewrite the whole lane in one step when
+    every entry in it walks alike (see `_walk_lane`): each entry becomes
+    its walk's end, in the same order and numbered as the appends of
+    those steps would number it, and `seq_counter` becomes a counter
+    that goes on exactly where those appends would leave it. Apart from
+    these, only `push`, `refill` and the pops change `lane` and `heap`.
     """
 
     def __init__(self) -> None:
@@ -365,9 +369,9 @@ class _Walks(dict):
     delayed Out gate, or its namer lacks `control_name` or `packet_name`;
     and at a gate it has visited. The event at `end` is then dispatched,
     after `steps` events; `pushes` are the waypoints the walk leaves
-    pushed, and `namer` the module the last step renamed the message for.
-    None, for a label the target has no gate under, maps to
-    `(None, 0, [], None)`."""
+    pushed, as a tuple, which is the one empty tuple for most walks, and
+    `namer` the module the last step renamed the message for. None, for
+    a label the target has no gate under, maps to `(None, 0, (), None)`."""
 
     def __missing__(self, gate):
         end, steps, route, namer, seen = gate, 0, [], None, {gate}
@@ -398,8 +402,74 @@ class _Walks(dict):
             if end in seen:
                 break
             seen.add(end)
-        self[gate] = walk = (end, steps, route, namer)
+        self[gate] = walk = (end, steps, tuple(route), namer)
         return walk
+
+
+def _walk_on(msg: SimMessage, walk: tuple):
+    """Leave `msg` as the steps of `walk` (a `_Walks` value) leave it:
+    the walk's net pushes appended to its route, and the name the last
+    step gave it. Returns the gate the walk ends at."""
+    end, _, pushes, namer = walk
+    if pushes:
+        msg._route += pushes
+    msg.name = namer.packet_name if msg._kind is _PACKET else namer.control_name
+    return end
+
+
+def _walk_lane(fes: FutureEventSet, walks: _Walks, t_ns: int,
+               room: int) -> tuple[int, int]:
+    """Walk every entry of the lane, due at `t_ns`, in one step when all of
+    them walk alike. Returns the number of events walked, 0 when the
+    lane is left as it is, and the number of lane entries the run loop
+    pops before it checks the lane again.
+
+    The n >= 2 entries walk alike when no two carry one message and each
+    starts a walk of the same s >= 1 steps. The next n*s events of a run
+    with no sink are then exactly those steps, taken round-robin: a step
+    pops an entry, follows a link or applies a step rule, pushes nothing
+    and appends its successor with the next seq behind the n - 1
+    entries still held. So, when those events end before `room` more,
+    the lane becomes the n walk ends, in the same order, entry i
+    numbered c + n*(s - 1) + i, where c is the counter's next value, and
+    the set gets a counter that goes on from c + n*s, where those
+    appends leave it; the next check comes once the ends are popped.
+
+    The entries are scanned from the head, and the scan stops at the
+    first that fails. A message in two entries would interleave its
+    pushes and pops hop by hop, and walks of unequal length end in
+    different rounds, so neither lane is walked, and the next check
+    normally comes once this lane is popped. But when the first k + 1
+    entries carry distinct messages and walks of at least m steps, not
+    all of one length, each of them still takes one step, one pop, in
+    each of the next m - 1 rounds, ahead of the rest of the lane, so the
+    next check waits for those pops too: checked every round, a lane of
+    two walks one step apart computes two fresh walks per round and
+    walks nothing."""
+    lane = fes.lane
+    n = len(lane)
+    steps, walked, held = 0, [], set()
+    for _, _, target, gate_label, msg in lane:
+        if msg in held:
+            return 0, n
+        walk = walks[target._gates.get(gate_label)]
+        if not walk[1]:
+            return 0, n
+        if walked and walk[1] != steps:
+            return 0, n + (min(steps, walk[1]) - 1) * (len(walked) + 1)
+        steps = walk[1]
+        held.add(msg)
+        walked.append((walk, msg))
+    if n * steps >= room:
+        return 0, n
+    seq = next(fes.seq_counter) + n * (steps - 1)
+    lane.clear()
+    for walk, msg in walked:
+        end = _walk_on(msg, walk)
+        lane.append((t_ns, seq, end.owner, end.label, msg))
+        seq += 1
+    fes.seq_counter = itertools.count(seq)
+    return n * steps, n
 
 
 class Simulator:
@@ -499,6 +569,19 @@ class Simulator:
         message id, route, clock reading and pending entry stays as it is
         hop by hop. A walk is jumped only when the event at its end is
         within `event_limit`.
+
+        Such a run also checks the lane once per round: at the start of
+        each bucket, and whenever the entries present at the last check
+        have all been popped, unless that check found the lane's head
+        stepping on for more rounds (see `_walk_lane`). When every
+        entry in it walks alike (n >= 2 entries, no message in two
+        entries, walks of one length s >= 1), the next n*s events are
+        those steps, taken round-robin, and the loop makes them all in
+        one step: it adds n*s to the event count, leaves each message as
+        its walk leaves it, and rewrites the lane to the n walk ends,
+        numbered and with the set's counter advanced as the appends
+        would. It does so only when those events end before
+        `event_limit`.
         """
         if self._ran:
             raise SimulationError("this simulator instance has already run")
@@ -524,6 +607,7 @@ class Simulator:
         # no run executes sys.maxsize events: no limit
         limit = sys.maxsize if event_limit is None else max(event_limit, 0)
         walks = _Walks()
+        due = 0  # the lane entries to pop before the lane is checked again
         executed = 0
         reason = StopReason.EVENT_LIMIT
         t_start = _wallclock.perf_counter()
@@ -535,6 +619,17 @@ class Simulator:
                     # every entry in the lane is due at t_ns, and nothing
                     # earlier or equal waits in the heap: pop with no compare
                     while lane and executed != limit:
+                        if not due:
+                            # the entries present at the last check are
+                            # popped: check the lane again
+                            due = len(lane)
+                            if due > 1 and not traced:
+                                walked, due = _walk_lane(fes, walks, t_ns, limit - executed)
+                                if walked:
+                                    executed += walked
+                                    seq_counter = fes.seq_counter
+                                    continue
+                        due -= 1
                         _, _, target, gate_label, msg = popleft()
                         gate = target._gates.get(gate_label)
                         while True:
@@ -569,15 +664,12 @@ class Simulator:
                                 # nothing else is due now and no sink sees
                                 # the steps ahead: jump them all if the
                                 # event after them is within the limit
-                                end, steps, pushes, namer = walks[gate]
+                                walk = walks[gate]
+                                steps = walk[1]
                                 if steps and executed + steps < limit:
                                     executed += steps
-                                    gate = end
-                                    target, gate_label = end.owner, end.label
-                                    if pushes:
-                                        msg._route += pushes
-                                    msg.name = (namer.packet_name if msg._kind is _PACKET
-                                                else namer.control_name)
+                                    gate = _walk_on(msg, walk)
+                                    target, gate_label = gate.owner, gate.label
                     if executed == limit:
                         break
                     if traced and len(rows) >= CHUNK_ROWS:

@@ -346,6 +346,19 @@ def test_negative_seed_is_usage_error(capsys):
     ("--event-limit", "abc", "must be a positive integer"),
     ("--event-limit", "1.5", "must be a positive integer"),
     ("--seed", "x1", "must be a non-negative integer"),
+    # an integer is ASCII digits only, as in the config grammar
+    ("--event-limit", "\u0663", "must be a positive integer"),  # ARABIC-INDIC DIGIT THREE
+    ("--event-limit", " 5", "must be a positive integer"),
+    ("--event-limit", "5 ", "must be a positive integer"),
+    ("--event-limit", "1_0", "must be a positive integer"),
+    ("--event-limit", "+5", "must be a positive integer"),
+    ("--event-limit", "", "must be a positive integer"),
+    ("--event-limit", "\u00b2", "must be a positive integer"),  # SUPERSCRIPT TWO
+    ("--seed", "\u0663", "must be a non-negative integer"),
+    ("--seed", "\uff17", "must be a non-negative integer"),  # FULLWIDTH DIGIT SEVEN
+    ("--seed", "1_0", "must be a non-negative integer"),
+    ("--seed", " 7", "must be a non-negative integer"),
+    ("--seed", "9" * 5000, "must be a non-negative integer"),  # past int()'s digit limit
 ])
 def test_non_integer_count_is_usage_error_naming_the_option(flag, value, reason, capsys):
     assert main(["--config", MINIMAL, flag, value, "--quiet"]) == EXIT_USAGE

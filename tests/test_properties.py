@@ -12,7 +12,10 @@ every one of them, the run loop matches a plain-heap reference loop,
 hopping over relay links changes nothing against calling every
 handler, nor does jumping whole walks of links and route steps in a run
 with no sink against making every hop, also with a PHY or S1 handler
-set on the instance, each event is one handle_message call
+set on the instance, nor does walking a whole lane of equal walks in one
+step, with shared starts, at every event limit and after a handler
+error (a lane that holds one message twice, or walks of unequal length,
+runs hop by hop), each event is one handle_message call
 whenever handlers are wrapped (a wrapped handler turns the relay links
 off), the streaming metrics fold gives the reference summarize's
 metrics on any trace, cut short or corrupted, and the built-in sinks'
@@ -29,20 +32,23 @@ import json
 import pathlib
 import re
 import sys
-from collections import Counter
+from collections import Counter, deque
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from lteadv_sim import (CollectingSink, MetricsSink, PaperTraceSink, StructuredTraceSink,
-                        TraceSink, build, parse)
-from lteadv_sim.kernel import (CHUNK_ROWS, MAX_TIME_NS, EventRecord, MessageKind, SimTime,
-                               StopReason)
+                        TraceSink, build, kernel, parse)
+from lteadv_sim.kernel import (CHUNK_ROWS, MAX_TIME_NS, EventRecord, HandlerError, MessageKind,
+                               SimTime, StopReason)
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
                                   instance_table, validate)
 from lteadv_sim.lte_nodes import (FanInLayer, Forwarder, LayerSpec, NodeType, PhyLayer,
                                   RadioInterface, ReflectorLayer)
-from lteadv_sim.model import IN_FROM_LOWER, IN_FROM_UPPER, RADIO_IN, Direction, Gate, ModuleNode
+from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, RADIO_IN, SELF_GATE, Direction, Gate,
+                              ModuleNode, send_direct, transmit)
 from lteadv_sim.traffic import GeneratorConfig
 from lteadv_sim.trace import (format_event_line, read_structured, summarize,
                               write_structured, zero_delay_emissions)
@@ -453,10 +459,11 @@ network Network {
 """
 
 
-def _assert_no_sink_matches_hop_by_hop_at_every_limit(spec):
-    events = _end_state(spec, None, [])[0]
+def _assert_no_sink_matches_hop_by_hop_at_every_limit(spec, replace=None):
+    events = _end_state(spec, None, [], replace)[0]
     for limit in (None, *range(events + 1)):
-        assert _end_state(spec, limit, []) == _end_state(spec, limit, [_NopBatchSink()])
+        assert (_end_state(spec, limit, [], replace)
+                == _end_state(spec, limit, [_NopBatchSink()], replace))
 
 
 def test_jumping_relay_chains_stops_at_every_event_limit(minimal_spec):
@@ -522,6 +529,171 @@ def test_a_walk_stops_at_a_pop_of_a_waypoint_pushed_before_it():
     spec.until = SimTime.from_millis(3)
     _assert_walks_stop_where_handlers_pop(spec)
     _assert_no_sink_matches_hop_by_hop_at_every_limit(spec)
+
+
+# Three UEs with one shared start, ue[0..1] on enb[0] and ue[2] on
+# enb[1], and no delay anywhere: each bucket's round trips start in one
+# lane whose entries all walk alike, over the first two buckets.
+LOCKSTEP = """\
+network Network {
+    ue ue[3];
+    enb enb[2];
+    sgw_mme sgw_mme;
+    pdn_gw pdn_gw;
+    attach ue[0..1] -> enb[0];
+    attach ue[2] -> enb[1];
+    generator on ue[*] { period 10ms; start 1ms; }
+    run until 12ms;
+}
+"""
+
+
+@pytest.fixture
+def lane_checks(monkeypatch):
+    """What each lane check of the runs in the test returned: the events
+    it walked, 0 for a lane left to run hop by hop, and the lane entries
+    popped before the next check."""
+    checks = []
+    walk_lane = kernel._walk_lane
+
+    def recording(*args):
+        checks.append(walk_lane(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(kernel, "_walk_lane", recording)
+    return checks
+
+
+def test_a_lockstep_lane_is_walked_at_every_event_limit(lane_checks):
+    """Three equal walks from one lane are walked in one step, which
+    leaves what the hop-by-hop round-robin leaves at every event limit."""
+    _assert_no_sink_matches_hop_by_hop_at_every_limit(parse(LOCKSTEP).spec)
+    assert (3 * 37, 3) in lane_checks
+
+
+# ue[0] and ue[1] on two eNBs, with one shared start and no delay.
+TWO_UES_IN_STEP = """\
+network Network {
+    ue ue[2];
+    enb enb[2];
+    sgw_mme sgw_mme;
+    pdn_gw pdn_gw;
+    attach ue[0] -> enb[0];
+    attach ue[1] -> enb[1];
+    generator on ue[*] { period 10ms; start 1ms; }
+    run until 12ms;
+}
+"""
+
+
+def _send_twice(built):
+    """On its timer, ue[0]'s generator sends one new message down its own
+    stack and, by send_direct, into ue[1]'s top layer, instead of
+    emitting: one message in two lane entries that walk alike."""
+    generator = built.nodes["ue[0]"].generator
+    top = built.nodes["ue[1]"].stack[0]
+
+    def handle_message(msg, arrival_gate, stock=generator.handle_message):
+        if arrival_gate != SELF_GATE:
+            return stock(msg, arrival_gate)
+        shared = generator.sim.new_message("NASMsg", MessageKind.CONTROL_MESSAGE)
+        transmit(generator.down_gate, shared)
+        send_direct(generator, shared, top, IN_FROM_UPPER)
+        return None
+
+    generator.handle_message = handle_message
+
+
+def test_a_lane_holding_one_message_twice_runs_hop_by_hop(lane_checks):
+    """Hop by hop, the two entries of one message push and pop its route
+    in turn, so they swap return routes at the S1: the lane that holds
+    them is left to run hop by hop, at every event limit."""
+    _assert_no_sink_matches_hop_by_hop_at_every_limit(parse(TWO_UES_IN_STEP).spec,
+                                                      replace=_send_twice)
+    assert (0, 3) in lane_checks
+
+
+def test_a_lane_of_unequal_walks_runs_hop_by_hop(lane_checks):
+    """One shared start, but enb[1]'s backhaul is delayed, so ue[2]'s walk
+    of 12 steps stops at its eNB's top layer: the first lane, of all
+    three trips, runs hop by hop until that walk stops, with no check in
+    between (3 + 11 * 3 pops), and the two equal walks left are walked,
+    at every event limit."""
+    spec = parse(LOCKSTEP.replace("    generator", "    link enb[1] -> sgw_mme delay 1ms;\n"
+                                                     "    generator")).spec
+    _assert_no_sink_matches_hop_by_hop_at_every_limit(spec)
+    assert lane_checks[:3] == [(0, 3 + 11 * 3), (0, 3), (2 * 16, 2)]
+
+
+def test_a_handler_error_after_a_lane_walk_keeps_its_event_number():
+    """ue[1]'s generator fails on its second return, the second event
+    after the second bucket's lane walk: event #230 either way, after
+    114 events in the first bucket and 3 timers, 111 walked steps and
+    ue[0]'s return in the second."""
+    spec = parse(LOCKSTEP).spec
+
+    def failure(sinks):
+        built = build(spec)
+        generator = built.nodes["ue[1]"].generator
+
+        def handle_message(msg, arrival_gate, stock=generator.handle_message):
+            if arrival_gate == IN_FROM_LOWER and generator.stats.returned:
+                raise RuntimeError("second return")
+            return stock(msg, arrival_gate)
+
+        generator.handle_message = handle_message
+        with pytest.raises(HandlerError) as info:
+            built.simulator().run(until=spec.until, sinks=sinks)
+        return info.value.event_no, info.value.module_path, str(info.value)
+
+    assert failure([]) == failure([_NopBatchSink()])
+    assert failure([])[:2] == (230, "Network.ue[1].generator")
+
+
+class _CountingLane(deque):
+    """A lane that counts its pops."""
+
+    pops = 0
+
+    def popleft(self):
+        self.pops += 1
+        return super().popleft()
+
+
+def test_a_lockstep_run_pops_only_timers_and_returns():
+    """With no sink, a lockstep lane's round trips are walked without a
+    pop: a run pops each trip's timer and its return, at most 2 entries
+    per trip. Hop by hop, every event of the three interleaved trips is a
+    pop."""
+    spec = dataclasses.replace(parse(LOCKSTEP).spec, until=SimTime.from_millis(100))
+
+    def pops_per_trip(sinks):
+        built = build(spec)
+        sim = built.simulator()
+        sim.fes.lane = lane = _CountingLane()
+        sim.run(until=spec.until, sinks=sinks)
+        trips = sum(node.generator.stats.returned for node in built.nodes.values()
+                    if node.generator is not None)
+        assert trips == 30
+        return lane.pops / trips
+
+    assert pops_per_trip([]) <= 2
+    assert pops_per_trip([_NopBatchSink()]) >= 38
+
+
+@given(st.one_of(network_specs(), specs_with_stacks()),
+       st.sampled_from((0, 1, 3)).map(SimTime.from_millis),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
+@settings(deadline=None)
+def test_lockstep_lanes_change_nothing(spec, start, event_limit):
+    """Every generator started at one drawn time, so the round trips of
+    a period share their first bucket and lanes of equal walks are
+    walked in one step: no sink against hop by hop, over drawn stacks,
+    delays and event limits."""
+    spec.generators = [dataclasses.replace(decl, config=dataclasses.replace(
+        decl.config, start_time=start)) for decl in spec.generators]
+    assert (_end_state(spec, event_limit, [])
+            == _end_state(spec, event_limit, [_NopBatchSink()]))
 
 
 _STOCK_HANDLER = Forwarder.handle_message.__code__
