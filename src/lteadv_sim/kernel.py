@@ -360,7 +360,8 @@ class _Walks(dict):
     `lte_nodes.Forwarder`), applied to a stand-in message whose route
     holds only the waypoints the walk pushed, while the module's handler
     is the stock one, `Forwarder.handle_message`, which the module's
-    `_table_handler` names.
+    `_table_handler` names. The first lookup of a gate fixes its walk for
+    the run.
 
     The walk stops wherever the handler would raise, drop or transmit: at
     a module with no link and no rule it may apply; where the rule
@@ -371,9 +372,30 @@ class _Walks(dict):
     after `steps` events; `pushes` are the waypoints the walk leaves
     pushed, as a tuple, which is the one empty tuple for most walks, and
     `namer` the module the last step renamed the message for. None, for
-    a label the target has no gate under, maps to `(None, 0, (), None)`."""
+    a label the target has no gate under, maps to `(None, 0, (), None)`.
+
+    A gate whose relay link leads to a gate with a cached walk reuses
+    that walk one step longer, so a trip looked up from a UE's top layer
+    and from the layer below is walked once. The reuse is exact unless
+    the cached walk passes through the gate itself, where the walk from
+    there stops; such a walk comes back over the link to its own start,
+    so a cached walk that ends at its start after a step or more (a
+    ring) is not reused, and the gate's walk is computed afresh."""
 
     def __missing__(self, gate):
+        link = None if gate is None else gate.relay_to
+        walk = None if link is None else self.get(link)
+        if walk is None or (walk[1] and walk[0] is link):
+            walk = self.fresh(gate)
+        else:
+            end, steps, pushes, namer = walk
+            walk = end, steps + 1, pushes, namer if steps else link.owner
+        self[gate] = walk
+        return walk
+
+    @staticmethod
+    def fresh(gate) -> tuple:
+        """The walk from `gate`, computed step by step with no cache."""
         end, steps, route, namer, seen = gate, 0, [], None, {gate}
         stand_in = SimMessage(0, "", MessageKind.CONTROL_MESSAGE, 0, 0)
         while end is not None:
@@ -402,8 +424,7 @@ class _Walks(dict):
             if end in seen:
                 break
             seen.add(end)
-        self[gate] = walk = (end, steps, tuple(route), namer)
-        return walk
+        return end, steps, tuple(route), namer
 
 
 def _walk_on(msg: SimMessage, walk: tuple):
@@ -543,10 +564,12 @@ class Simulator:
         heap holds only later entries.
 
         A handler may return the zero-delay hop it would otherwise push,
-        as `(target, arrival_label, msg)`. An arrival on a gate with a
-        relay link (`Gate.relay_to`, set from the forwarding table of the
-        gate's module when the run starts) makes the same hop with no
-        handler call: the loop renames the message for the linked gate's
+        as `(target, arrival_label, msg)`: every stack layer does, and so
+        does a generator's timer, with its emission to the top layer. An
+        arrival on a gate with a relay link (`Gate.relay_to`, set from
+        the forwarding table of the gate's module, and the handler in
+        place, when the run starts) makes the same hop with no handler
+        call: the loop renames the message for the linked gate's
         module, by the kind of the message, and moves on to that gate.
         Either way, when the lane is empty, nothing else is due now, so
         the hop is the entry the FES would pop next and is dispatched at
@@ -558,9 +581,11 @@ class Simulator:
         A run with no sink (`sinks` empty; a sink with only `record`
         counts as one) goes further when a hop finds the lane empty: it
         jumps the whole walk from the hop's gate in one step (see
-        `_Walks`). A walk steps over relay links and over step rules,
-        such as the PHY's air hop and the S1 fan-in, which it applies to
-        the waypoints pushed earlier in the same walk. A jump counts each
+        `_Walks`), fixed when the run first looks it up; a gate whose
+        relay link leads to a gate already walked reuses that walk. A
+        walk steps over relay links and over step rules, such as the
+        PHY's air hop and the S1 fan-in, which it applies to the
+        waypoints pushed earlier in the same walk. A jump counts each
         step as an event, appends the walk's net pushes to the message's
         route, renames the message once, as the last step named it, and
         dispatches the gate the walk ends at as the next event. Nothing

@@ -132,12 +132,16 @@ class Forwarder(SimpleModule):
     the In gate its arrivals go on to (see `Gate.relay_to`), and the run
     loop makes that hop with no handler call. No link is set for a gate
     whose Out gate is missing, unconnected or delayed, or leads to a
-    module without `control_name` and `packet_name`. Links, and the walks
-    of a run with no sink (see `kernel._Walks`), are on exactly while the
-    module's handler is `Forwarder.handle_message`: not overridden in a
-    subclass, replaced on a class or set on the instance. A handler of
-    its own calls the stock one at most once, so one event is one
-    `handle_message` call.
+    module without `control_name` and `packet_name`. Links are set, and
+    the walks of a run with no sink (see `kernel._Walks`) step through a
+    module, only while its handler is `Forwarder.handle_message`: not
+    overridden in a subclass, replaced on a class or set on the instance.
+    Links are set from the handlers in place when `run()` starts, and a
+    run with no sink fixes each walk when it first uses it, so a handler
+    replaced before the run is called at every arrival, but one replaced
+    during the run is not called for the arrivals those links or walks
+    cover. A handler of its own calls the stock one at most once, so one
+    event is one `handle_message` call.
     """
 
     def __init__(self, name: str):

@@ -4,6 +4,12 @@ The generator sits above the UE's top stack layer. It emits one message,
 waits for it to come back up the stack, discards it, and schedules the
 next emission one period later. Round trips therefore never overlap: the
 k+1-th emission is gated on the return of the k-th.
+
+The first emission is sent by `on_start`, through `emit`. Each later one
+starts at the timer: when the channel down to the stack has no delay,
+the handler returns the emission to the run loop as a zero-delay hop,
+`(top layer, inFromUpperLayer, msg)`, as every stack layer returns its
+own (see `Simulator.run`); over a delayed channel it is sent by `emit`.
 """
 
 from __future__ import annotations
@@ -52,6 +58,11 @@ class Generator(SimpleModule):
 
     A generator built without a config is inert: it never emits, but still
     counts and discards anything delivered to it.
+
+    `emit` sends a message down and needs a bound simulator; the timer's
+    handler builds its message as `emit` does, but returns it as a hop
+    when the down channel has no delay, so it calls `emit` only over a
+    delayed channel.
     """
 
     def __init__(self, name: str = "generator",
@@ -73,18 +84,30 @@ class Generator(SimpleModule):
 
     def emit(self, at: Optional[SimTime] = None) -> None:
         """Create a fresh message and send it down into the stack, named
-        for the layer below."""
-        cfg = self.config
-        top = self.down_gate.peer.owner
-        name = top.packet_name if cfg.payload_kind is MessageKind.PACKET else top.control_name
-        msg = self.sim.new_message(name, cfg.payload_kind, cfg.payload_bytes, at=at)
+        for the layer below, at `at` or now when it is None."""
+        msg = self._payload(self.sim, at)
         transmit(self.down_gate, msg, None if at is None else at.ns)
         self.stats.emitted += 1
 
-    def handle_message(self, msg, arrival_gate: str) -> None:
+    def _payload(self, sim, at: Optional[SimTime] = None):
+        """A fresh message of the configured kind and size from `sim`,
+        named for the layer below, created at `at` or now when None."""
+        cfg = self.config
+        top = self.down_gate.peer.owner
+        name = top.packet_name if cfg.payload_kind is MessageKind.PACKET else top.control_name
+        return sim.new_message(name, cfg.payload_kind, cfg.payload_bytes, at=at)
+
+    def handle_message(self, msg, arrival_gate: str) -> Optional[tuple]:
         if arrival_gate == SELF_GATE:
-            self.emit()
-            return
+            down = self.down_gate
+            if down.delay_ns:
+                self.emit()
+                return None
+            # the emission is a zero-delay hop: hand it to the run loop
+            gate = down.peer
+            hop = gate.owner, gate.label, self._payload(self._sim)
+            self.stats.emitted += 1
+            return hop
         if arrival_gate == IN_FROM_LOWER:
             # The round trip ends here: drop the message, arm the next one.
             self.stats.returned += 1
@@ -95,5 +118,5 @@ class Generator(SimpleModule):
                 timer = sim.new_message(TIMER_NAME, MessageKind.CONTROL_MESSAGE)
                 sim.fes.push(sim.now_ns + cfg.period.ns, sim.now_ns,
                              self, SELF_GATE, timer)
-            return
+            return None
         raise self.unknown_arrival(arrival_gate)

@@ -15,7 +15,11 @@ with no sink against making every hop, also with a PHY or S1 handler
 set on the instance, nor does walking a whole lane of equal walks in one
 step, with shared starts, at every event limit and after a handler
 error (a lane that holds one message twice, or walks of unequal length,
-runs hop by hop), each event is one handle_message call
+runs hop by hop), nor does a generator's timer returning its emission
+as a hop against pushing it, a walk reused past a relay link is the
+walk computed afresh (a ring of links reuses none), a handler set on
+the instance before the run sees every arrival at its module, each
+event is one handle_message call
 whenever handlers are wrapped (a wrapped handler turns the relay links
 off), the streaming metrics fold gives the reference summarize's
 metrics on any trace, cut short or corrupted, and the built-in sinks'
@@ -41,15 +45,16 @@ from hypothesis import given, settings, strategies as st
 from lteadv_sim import (CollectingSink, MetricsSink, PaperTraceSink, StructuredTraceSink,
                         TraceSink, build, kernel, parse)
 from lteadv_sim.kernel import (CHUNK_ROWS, MAX_TIME_NS, EventRecord, HandlerError, MessageKind,
-                               SimTime, StopReason)
+                               SimTime, SimulationError, Simulator, StopReason)
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
                                   instance_table, validate)
-from lteadv_sim.lte_nodes import (FanInLayer, Forwarder, LayerSpec, NodeType, PhyLayer,
-                                  RadioInterface, ReflectorLayer)
-from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, RADIO_IN, SELF_GATE, Direction, Gate,
-                              ModuleNode, send_direct, transmit)
-from lteadv_sim.traffic import GeneratorConfig
+from lteadv_sim.lte_nodes import (FanInLayer, Forwarder, LayerSpec, NodeType, PassThroughLayer,
+                                  PhyLayer, RadioInterface, ReflectorLayer, wire_vertical)
+from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, RADIO_IN, SELF_GATE, ChannelSpec,
+                              CompoundModule, Direction, Gate, ModuleNode, send_direct,
+                              transmit)
+from lteadv_sim.traffic import TIMER_NAME, Generator, GeneratorConfig
 from lteadv_sim.trace import (format_event_line, read_structured, summarize,
                               write_structured, zero_delay_emissions)
 
@@ -779,6 +784,228 @@ def test_route_walks_change_nothing(spec, event_limit, replaced):
         return _end_state(spec, event_limit, sinks, replace), seen
 
     assert end_state([]) == end_state([_NopBatchSink()])
+
+
+@pytest.mark.parametrize("path", ["ue.lte_nas", "ue.lte_rrc", "ue.lte_phy", "enb.lte_radio",
+                                  "enb.lte_phy", "enb.lte_gtp", "sgw_mme.lte_s1",
+                                  "pdn_gw.lte_ip"])
+def test_a_handler_set_on_the_instance_before_the_run_sees_every_arrival(minimal_spec, path):
+    """Relay links are set from the handlers in place when the run
+    starts, and a run with no sink fixes each walk when it first uses it,
+    so a handler set on a module before `run()` turns that module's links
+    off and stops every walk at it: it is called at every arrival there,
+    with no sink as hop by hop."""
+    spec = dataclasses.replace(minimal_spec, until=SimTime.from_millis(50))
+    sink = CollectingSink()
+    build(spec).simulator().run(until=spec.until, sinks=[sink])
+    arrivals = [rec.msg_name for rec in sink.records if rec.path == "Network." + path]
+    assert len(arrivals) >= 5  # once or twice in each of 5 round trips
+
+    def replace(built):
+        module = built.root
+        for name in path.split("."):
+            module = module.child(name)
+
+        def handle_message(msg, arrival_gate, stock=module.handle_message):
+            seen.append(msg.name)
+            return stock(msg, arrival_gate)
+
+        module.handle_message = handle_message
+
+    for sinks in ([], [_NopBatchSink()]):
+        seen = []
+        assert _end_state(spec, None, sinks, replace) == _end_state(spec, None, sinks)
+        assert seen == arrivals
+
+
+class _PushingGenerator(Generator):
+    """The generator as it was before its timer returned a hop: the timer
+    emits by `emit`, which pushes the emission, and returns None."""
+
+    def handle_message(self, msg, arrival_gate):
+        if arrival_gate == SELF_GATE:
+            self.emit()
+            return None
+        return super().handle_message(msg, arrival_gate)
+
+
+def _pushing_generators(built):
+    for node in built.nodes.values():
+        if node.generator is not None:
+            node.generator.__class__ = _PushingGenerator
+
+
+def _structured_trace(spec, event_limit, replace=None):
+    built = build(spec)
+    if replace is not None:
+        replace(built)
+    out = io.StringIO()
+    built.simulator().run(until=spec.until, event_limit=event_limit,
+                          sinks=[StructuredTraceSink(out)])
+    return out.getvalue()
+
+
+def _unnumbered(state):
+    """An `_end_state` with its pending entries, drained in order, stripped
+    of their seqs: a push draws a seq that a hop dispatched at once does
+    not, so only the order of the seqs is the same."""
+    events, reason, now_ns, next_id, pending, stats, drops = state
+    return (events, reason, now_ns, next_id, [entry[:1] + entry[2:] for entry in pending],
+            stats, drops)
+
+
+def _assert_generator_hops_match_pushes(spec, event_limit):
+    for sinks in ([], [_NopBatchSink()]):
+        assert (_unnumbered(_end_state(spec, event_limit, sinks))
+                == _unnumbered(_end_state(spec, event_limit, sinks, _pushing_generators)))
+    assert (_structured_trace(spec, event_limit)
+            == _structured_trace(spec, event_limit, _pushing_generators))
+
+
+@given(network_specs(), st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
+@settings(deadline=None)
+def test_generator_hops_change_nothing(spec, event_limit):
+    """A generator's timer returns its zero-delay emission as a hop; a
+    generator whose timer pushes it leaves the same end state, with no
+    sink and hop by hop, and the same structured trace."""
+    _assert_generator_hops_match_pushes(spec, event_limit)
+
+
+def test_generator_hops_change_nothing_at_every_event_limit():
+    """Every event limit over the first three trips of two UEs behind a
+    plain and a delayed backhaul: the timer first fires at 10 ms."""
+    spec = dataclasses.replace(parse(TWO_UES_ONE_DELAYED).spec, until=SimTime.from_millis(25))
+    events = _end_state(spec, None, [])[0]
+    for limit in (None, *range(events + 1)):
+        _assert_generator_hops_match_pushes(spec, limit)
+
+
+class _TurnUp(PassThroughLayer):
+    """A layer that sends every arrival from above back up."""
+
+    forward_to = {IN_FROM_UPPER: "up_gate"}
+
+
+def test_a_generator_over_a_delayed_channel_transmits_its_emission():
+    """A hand-built UE whose generator reaches its one layer over a
+    100 us channel: the timer transmits each emission and returns None,
+    and the layer sees it 100 us after the timer fired."""
+    root = CompoundModule("Network")
+    generator = root.add_child(Generator("generator", GeneratorConfig(
+        period=SimTime.from_millis(1))))
+    layer = root.add_child(_TurnUp("lte_nas", "NAS"))
+    wire_vertical(generator, layer, ChannelSpec(SimTime(100_000)))
+    returned = []
+
+    def handle_message(msg, arrival_gate, stock=generator.handle_message):
+        hop = stock(msg, arrival_gate)
+        if arrival_gate == SELF_GATE:
+            returned.append(hop)
+        return hop
+
+    generator.handle_message = handle_message
+    sink = CollectingSink()
+    Simulator(root).run(until=SimTime.from_millis(4), sinks=[sink])
+    assert returned == [None] * 3
+    timers = [rec.t_ns for rec in sink.records if rec.msg_name == TIMER_NAME]
+    arrivals = [rec.t_ns for rec in sink.records if rec.path == "Network.lte_nas"]
+    assert timers == [1_200_000, 2_400_000, 3_600_000]
+    assert arrivals == [100_000] + [t + 100_000 for t in timers]
+    assert generator.stats.emitted == 4
+
+
+def test_emit_on_an_unbound_generator_raises(minimal_spec):
+    generator = build(minimal_spec).nodes["ue"].generator
+    with pytest.raises(SimulationError, match="not bound to a simulator"):
+        generator.emit()
+    assert generator.stats.emitted == 0
+
+
+@contextlib.contextmanager
+def _recording_walks():
+    """Record every `_Walks` the runs inside make, each with the gates
+    it walked afresh, in `fresh_gates`."""
+    stock = kernel._Walks
+    caches = []
+
+    class Recording(stock):
+        def __init__(self):
+            super().__init__()
+            self.fresh_gates = []
+            caches.append(self)
+
+        def fresh(self, gate):
+            self.fresh_gates.append(gate)
+            return stock.fresh(gate)
+
+    kernel._Walks = Recording
+    try:
+        yield caches
+    finally:
+        kernel._Walks = stock
+
+
+def _assert_walks_exact(caches):
+    """Every cached walk, reused or not, is what an empty `_Walks`
+    computes for its gate on the same tree, which the run left as it
+    was."""
+    stock = kernel._Walks
+    assert caches
+    for walks in caches:
+        for gate, walk in walks.items():
+            assert walk == stock()[gate]
+
+
+@given(st.one_of(network_specs(), specs_with_stacks()),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
+@settings(deadline=None)
+def test_reused_walks_are_exact(spec, event_limit):
+    """A gate whose relay link leads to a gate with a cached walk takes
+    that walk one step longer; over drawn stacks, delays and event
+    limits, every walk a run with no sink caches equals the walk from
+    its gate computed afresh."""
+    with _recording_walks() as caches:
+        _end_state(spec, event_limit, [])
+    _assert_walks_exact(caches)
+
+
+def test_a_trip_started_from_the_top_layer_and_the_one_below_is_walked_once():
+    """ue[0]'s first emission is pushed, popped and relayed from its NAS
+    to its RRC, where the run looks up the walk; each later one returns
+    from the timer as a hop to the NAS, whose walk reuses the RRC's."""
+    spec = dataclasses.replace(parse(TWO_UES_ONE_DELAYED).spec, until=SimTime.from_millis(25))
+    with _recording_walks() as caches:
+        built = build(spec)
+        built.simulator().run(until=spec.until)
+    walks, = caches
+    nas, rrc = (layer._gates[IN_FROM_UPPER] for layer in built.nodes["ue[0]"].stack[:2])
+    assert nas.relay_to is rrc
+    assert walks.fresh_gates.count(rrc) == 1 and nas not in walks.fresh_gates
+    end, steps, pushes, namer = walks[rrc]
+    assert walks[nas] == (end, steps + 1, pushes, namer)
+    assert end.owner is built.nodes["ue[0]"].generator
+    _assert_walks_exact(caches)
+
+
+def test_a_ring_of_relay_links_reuses_no_walk():
+    """In a ring of links, the walk from each gate stops when it comes
+    back to that gate, so the cached walk past a link runs through the
+    gate before it and ends where it started: such a walk is not reused,
+    and each gate of the ring is walked afresh."""
+    root = CompoundModule("Network")
+    a, b, c = (root.add_child(PassThroughLayer(name, name.upper())) for name in "abc")
+    wire_vertical(a, b)
+    wire_vertical(b, c)
+    wire_vertical(c, a)
+    sim = Simulator(root)
+    sim.fes.push(0, 0, a, IN_FROM_UPPER, sim.new_message("m", MessageKind.CONTROL_MESSAGE))
+    with _recording_walks() as caches:
+        sim.run(until=SimTime.from_seconds(1), event_limit=100)
+    walks, = caches
+    gates = [layer._gates[IN_FROM_UPPER] for layer in (a, b, c)]
+    assert set(walks) == set(gates) and sorted(map(id, walks.fresh_gates)) == sorted(map(id, gates))
+    assert all(walks[gate][:2] == (gate, 3) for gate in gates)
+    _assert_walks_exact(caches)
 
 
 @given(network_specs(), st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
