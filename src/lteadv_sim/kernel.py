@@ -242,12 +242,10 @@ class FutureEventSet:
     lane directly after `refill`, and appends a hop due now while the lane
     still holds entries, numbered by `next(seq_counter)`: `push` would
     append it the same way, since the lane's entries are due at now. A
-    run with no sink may also rewrite the whole lane in one step when
-    every entry in it walks alike (see `_walk_lane`): each entry becomes
-    its walk's end, in the same order and numbered as the appends of
-    those steps would number it, and `seq_counter` becomes a counter
-    that goes on exactly where those appends would leave it. Apart from
-    these, only `push`, `refill` and the pops change `lane` and `heap`.
+    run with no sink may also rewrite the whole lane in one step, and
+    replace `seq_counter`, exactly as the appends of those steps would
+    (see `_walk_lane`). Apart from these, only `push`, `refill` and the
+    pops change `lane` and `heap`.
     """
 
     def __init__(self) -> None:
@@ -352,27 +350,62 @@ def _hand_over(batch: list, executed: int, rows: list) -> None:
         rows.clear()
 
 
+def _stock(module) -> bool:
+    """Whether `module`'s handler is the stock one, which its `_table_handler`
+    names: only then may a run step through it unseen."""
+    return module.handle_message == getattr(module, "_table_handler", None)
+
+
+def _step(stand_in: SimMessage, gate, route) -> Optional[tuple]:
+    """The stock handler's step from `gate`, made unseen: the step rule of
+    its module, `route_step`, applied to `stand_in` holding a copy of
+    `route`. Returns `(next gate, namer, route after)`, or None where the
+    handler would raise, drop or transmit: the rule raises or returns
+    None, the next gate is fed by a delayed Out gate, or the namer lacks
+    `control_name` or `packet_name`. The caller checks `_stock` first."""
+    stand_in._route = list(route)
+    try:  # a None from the rule, which the handler drops, fails to unpack
+        nxt, namer = gate.owner.route_step(stand_in, gate.label)
+    except Exception:  # the handler raises it at this event, as a HandlerError
+        return None
+    out = nxt.peer  # the Out gate feeding it; None for a direct delivery
+    if ((out is not None and out.delay_ns)
+            or not hasattr(namer, "control_name") or not hasattr(namer, "packet_name")):
+        return None
+    return nxt, namer, stand_in._route
+
+
+def _set_links(modules) -> None:
+    """Give each In gate of every stock-handled module in `modules` its
+    relay link, `Gate.relay_to`: the next gate of its `_step`, where that
+    step leaves the route empty and renames the message for the next
+    gate's owner."""
+    from .model import Direction  # model imports this module
+    inward, stand_in = Direction.IN, SimMessage(0, "", MessageKind.CONTROL_MESSAGE, 0, 0)
+    for mod in modules:
+        if _stock(mod):
+            for gate in mod._gates.values():
+                if gate.direction is inward:
+                    step = _step(stand_in, gate, ())
+                    if step is not None and not step[2] and step[1] is step[0].owner:
+                        gate.relay_to = step[0]
+
+
 class _Walks(dict):
     """An arrival's gate -> `(end, steps, pushes, namer)`, filled on first
     lookup: the walk over the events that a run with no sink makes unseen
     from that gate on, which depends on the wiring alone. A step is a
-    relay link, or a module's step rule, `route_step` (see
-    `lte_nodes.Forwarder`), applied to a stand-in message whose route
-    holds only the waypoints the walk pushed, while the module's handler
-    is the stock one, `Forwarder.handle_message`, which the module's
-    `_table_handler` names. The first lookup of a gate fixes its walk for
-    the run.
+    relay link, or else a `_step` of a stock-handled module, from the
+    waypoints the walk pushed. The first lookup of a gate fixes its walk
+    for the run.
 
-    The walk stops wherever the handler would raise, drop or transmit: at
-    a module with no link and no rule it may apply; where the rule
-    raises, as it does for a pop that the walk's own waypoints cannot
-    resolve, or returns None; where the rule's gate is reached over a
-    delayed Out gate, or its namer lacks `control_name` or `packet_name`;
-    and at a gate it has visited. The event at `end` is then dispatched,
-    after `steps` events; `pushes` are the waypoints the walk leaves
-    pushed, as a tuple, which is the one empty tuple for most walks, and
-    `namer` the module the last step renamed the message for. None, for
-    a label the target has no gate under, maps to `(None, 0, (), None)`.
+    The walk stops at a gate with no link whose module is not
+    stock-handled or gives no `_step`, and at a gate it has visited. The
+    event at `end` is then dispatched, after `steps` events; `pushes` are
+    the waypoints the walk leaves pushed, as a tuple, which is the one
+    empty tuple for most walks, and `namer` the module the last step
+    renamed the message for. None, for a label the target has no gate
+    under, maps to `(None, 0, (), None)`.
 
     A gate whose relay link leads to a gate with a cached walk reuses
     that walk one step longer, so a trip looked up from a UE's top layer
@@ -403,23 +436,10 @@ class _Walks(dict):
             if nxt is not None:
                 named = nxt.owner
             else:
-                owner = end.owner
-                if owner.handle_message != getattr(owner, "_table_handler", None):
-                    break
-                stand_in._route = route.copy()
-                try:
-                    step = owner.route_step(stand_in, end.label)
-                except Exception:  # the handler raises it at this event, as a HandlerError
-                    break
+                step = _step(stand_in, end, route) if _stock(end.owner) else None
                 if step is None:
                     break
-                nxt, named = step
-                out = nxt.peer  # the Out gate feeding it; None for a direct delivery
-                if ((out is not None and out.delay_ns)
-                        or not hasattr(named, "control_name")
-                        or not hasattr(named, "packet_name")):
-                    break
-                route = stand_in._route
+                nxt, named, route = step
             end, steps, namer = nxt, steps + 1, named
             if end in seen:
                 break
@@ -566,11 +586,11 @@ class Simulator:
         A handler may return the zero-delay hop it would otherwise push,
         as `(target, arrival_label, msg)`: every stack layer does, and so
         does a generator's timer, with its emission to the top layer. An
-        arrival on a gate with a relay link (`Gate.relay_to`, set from
-        the forwarding table of the gate's module, and the handler in
-        place, when the run starts) makes the same hop with no handler
-        call: the loop renames the message for the linked gate's
-        module, by the kind of the message, and moves on to that gate.
+        arrival on a gate with a relay link (`Gate.relay_to`, set by
+        `_set_links` from the step rule of the gate's module once every
+        `on_start` has run) makes the same hop with no handler call: the
+        loop renames the message for the linked gate's module, by the
+        kind of the message, and moves on to that gate.
         Either way, when the lane is empty, nothing else is due now, so
         the hop is the entry the FES would pop next and is dispatched at
         once as the next event. When the lane still holds entries, the
@@ -581,32 +601,21 @@ class Simulator:
         A run with no sink (`sinks` empty; a sink with only `record`
         counts as one) goes further when a hop finds the lane empty: it
         jumps the whole walk from the hop's gate in one step (see
-        `_Walks`), fixed when the run first looks it up; a gate whose
-        relay link leads to a gate already walked reuses that walk. A
-        walk steps over relay links and over step rules, such as the
-        PHY's air hop and the S1 fan-in, which it applies to the
-        waypoints pushed earlier in the same walk. A jump counts each
-        step as an event, appends the walk's net pushes to the message's
-        route, renames the message once, as the last step named it, and
-        dispatches the gate the walk ends at as the next event. Nothing
-        else is due now and no step pushes an entry, so each of those
-        events would have run at once, unseen, and every count, seq,
-        message id, route, clock reading and pending entry stays as it is
-        hop by hop. A walk is jumped only when the event at its end is
+        `_Walks`). A jump counts each step as an event, appends the walk's
+        net pushes to the message's route, renames the message once, as
+        the last step named it, and dispatches the gate the walk ends at
+        as the next event. Nothing else is due now and no step pushes an
+        entry, so each of those events would have run at once, unseen,
+        and every count, seq, message id, route, clock reading and
+        pending entry stays as it is hop by hop. A walk is jumped only when the event at its end is
         within `event_limit`.
 
         Such a run also checks the lane once per round: at the start of
         each bucket, and whenever the entries present at the last check
         have all been popped, unless that check found the lane's head
-        stepping on for more rounds (see `_walk_lane`). When every
-        entry in it walks alike (n >= 2 entries, no message in two
-        entries, walks of one length s >= 1), the next n*s events are
-        those steps, taken round-robin, and the loop makes them all in
-        one step: it adds n*s to the event count, leaves each message as
-        its walk leaves it, and rewrites the lane to the n walk ends,
-        numbered and with the set's counter advanced as the appends
-        would. It does so only when those events end before
-        `event_limit`.
+        stepping on for more rounds. When every entry in it walks alike,
+        the loop makes all their steps in one go (see `_walk_lane`), if
+        those events end before `event_limit`.
         """
         if self._ran:
             raise SimulationError("this simulator instance has already run")
@@ -619,6 +628,7 @@ class Simulator:
             mod._path = root.full_path if mod is root else f"{mod.parent._path}.{mod.name}"
         for mod in self._modules:
             mod.on_start(self)
+        _set_links(self._modules)
 
         fes = self.fes
         push, refill, lane, seq_counter = fes.push, fes.refill, fes.lane, fes.seq_counter

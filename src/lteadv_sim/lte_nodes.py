@@ -7,11 +7,11 @@ they are headed to: a control message entering lte_rrc is named
 their own. Each class routes by one step rule, `route_step`, and one
 handler applies every class's rule (see `Forwarder`). Most rules are a
 table of where arrivals go; only the PHY's air hop and the S1 fan-in
-carry a route, pushing or popping a waypoint. A run with no sink follows
-the relay links set from the tables, and applies the other rules to the
-waypoints its walk pushed. The walk stops wherever the handler would
-raise, drop or transmit, so a round trip with no delay, from a UE's top
-layer to its generator, is one loop step.
+carry a route, pushing or popping a waypoint. The kernel sets every relay
+link from the rules, and a run with no sink follows the links and applies
+the rules to the waypoints its walk pushed. The walk stops wherever the
+handler would raise, drop or transmit, so a round trip with no delay,
+from a UE's top layer to its generator, is one loop step.
 
 `build_node` builds every kind from one per-kind table: a stack of
 pass-through layers with one special layer. The bottom of the UE and eNB
@@ -128,20 +128,17 @@ class Forwarder(SimpleModule):
     is returned, or transmitted over the delayed Out gate that feeds the
     rule's gate.
 
-    When the run starts, each In gate in the table gets a relay link to
-    the In gate its arrivals go on to (see `Gate.relay_to`), and the run
-    loop makes that hop with no handler call. No link is set for a gate
-    whose Out gate is missing, unconnected or delayed, or leads to a
-    module without `control_name` and `packet_name`. Links are set, and
-    the walks of a run with no sink (see `kernel._Walks`) step through a
+    Once every `on_start` of a run has run, the kernel links each In gate
+    to the In gate its arrivals go on to, wherever the rule alone fixes
+    that step (see `kernel._set_links` and `Gate.relay_to`), and the run
+    loop makes a linked hop with no handler call. Links are set, and the
+    walks of a run with no sink (see `kernel._Walks`) step through a
     module, only while its handler is `Forwarder.handle_message`: not
-    overridden in a subclass, replaced on a class or set on the instance.
-    Links are set from the handlers in place when `run()` starts, and a
-    run with no sink fixes each walk when it first uses it, so a handler
-    replaced before the run is called at every arrival, but one replaced
-    during the run is not called for the arrivals those links or walks
-    cover. A handler of its own calls the stock one at most once, so one
-    event is one `handle_message` call.
+    overridden in a subclass, replaced on a class or set on the instance,
+    before the run or in any `on_start`. A handler replaced during the run
+    is not called for the arrivals those links or walks cover. A handler
+    of its own calls the stock one at most once, so one event is one
+    `handle_message` call.
     """
 
     def __init__(self, name: str):
@@ -176,18 +173,6 @@ class Forwarder(SimpleModule):
         return gate.owner, gate.label, msg
 
     _table_handler = handle_message  # the handler that links and walks stand for
-
-    def on_start(self, sim) -> None:
-        # equal only when both bind this module to the same function
-        if self.handle_message != self._table_handler:
-            return
-        for label, attr in self.forward_to.items():
-            gate, out = self._gates.get(label), getattr(self, attr)
-            peer = None if out is None else out.peer
-            if (gate is not None and peer is not None and out.delay_ns == 0
-                    and hasattr(peer.owner, "control_name")
-                    and hasattr(peer.owner, "packet_name")):
-                gate.relay_to = peer
 
 
 class PassThroughLayer(Forwarder):

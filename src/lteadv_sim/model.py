@@ -86,11 +86,11 @@ class Gate:
     """One directional endpoint on a module, optionally vector-indexed;
     its `label` is the gate's name, with `[index]` for a vector gate.
 
-    `relay_to` is an In gate's relay link, set when a run starts from
-    its owner's forwarding table (see `lte_nodes.Forwarder`): the In
-    gate an arrival here goes on to, now and renamed for that gate's
-    owner, by the kind of the message. The run loop makes that hop
-    itself, with no handler call (see `Simulator.run`).
+    `relay_to` is an In gate's relay link, set by the kernel from its
+    owner's step rule after every `on_start` (see `lte_nodes.Forwarder`):
+    the In gate an arrival here goes on to, now and renamed for that
+    gate's owner, by the kind of the message. The run loop makes that
+    hop itself, with no handler call (see `Simulator.run`).
     """
 
     __slots__ = ("owner", "label", "direction", "peer", "delay_ns", "relay_to")

@@ -45,15 +45,15 @@ from hypothesis import given, settings, strategies as st
 from lteadv_sim import (CollectingSink, MetricsSink, PaperTraceSink, StructuredTraceSink,
                         TraceSink, build, kernel, parse)
 from lteadv_sim.kernel import (CHUNK_ROWS, MAX_TIME_NS, EventRecord, HandlerError, MessageKind,
-                               SimTime, SimulationError, Simulator, StopReason)
+                               SimMessage, SimTime, SimulationError, Simulator, StopReason)
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
                                   instance_table, validate)
 from lteadv_sim.lte_nodes import (FanInLayer, Forwarder, LayerSpec, NodeType, PassThroughLayer,
                                   PhyLayer, RadioInterface, ReflectorLayer, wire_vertical)
 from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, RADIO_IN, SELF_GATE, ChannelSpec,
-                              CompoundModule, Direction, Gate, ModuleNode, send_direct,
-                              transmit)
+                              CompoundModule, Direction, Gate, ModuleNode, SimpleModule,
+                              send_direct, transmit)
 from lteadv_sim.traffic import TIMER_NAME, Generator, GeneratorConfig
 from lteadv_sim.trace import (format_event_line, read_structured, summarize,
                               write_structured, zero_delay_emissions)
@@ -356,15 +356,29 @@ def _reference_run(spec, event_limit):
     return out.getvalue(), executed, reason, sim.now_ns, len(fes)
 
 
+def _step_link(gate):
+    """The relay link the kernel's one step function fixes for `gate`: the
+    next gate of its step on an empty route, for an In gate of a
+    stock-handled module, where the step leaves the route empty and
+    renames the message for the next gate's owner; else None."""
+    if gate.direction is not Direction.IN or not kernel._stock(gate.owner):
+        return None
+    step = kernel._step(SimMessage(0, "", MessageKind.CONTROL_MESSAGE, 0, 0), gate, ())
+    if step is None or step[2] or step[1] is not step[0].owner:
+        return None
+    return step[0]
+
+
 @given(st.one_of(network_specs(), specs_with_stacks()),
        st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
 @settings(deadline=None)
 def test_relay_links_change_nothing(spec, event_limit):
     """Hopping over relay links, against the same run with every handler
     called: wrapping the handler every class defines itself, as
-    `_counting_handler_calls` does, turns every link off. The linked run
-    links every radio to its PHY, every PHY up, and the reflector down
-    unless its down gate is delayed."""
+    `_counting_handler_calls` does, turns every link off. Every gate of
+    the linked run's tree has the link that the kernel's step function
+    fixes for it; so every radio is linked to its PHY, every PHY up, and
+    the reflector down unless its down gate is delayed."""
     def run():
         built = build(spec)
         sim = built.simulator()
@@ -382,6 +396,8 @@ def test_relay_links_change_nothing(spec, event_limit):
     assert _relay_links(unlinked_built.root) == []
     assert linked == unlinked
     modules = list(built.root.iter_tree())
+    assert all(gate.relay_to is _step_link(gate)
+               for module in modules for gate in module._gates.values())
     radios = [module for module in modules if isinstance(module, RadioInterface)]
     phys = [module for module in modules if isinstance(module, PhyLayer)]
     reflector, = [module for module in modules if isinstance(module, ReflectorLayer)]
@@ -786,23 +802,22 @@ def test_route_walks_change_nothing(spec, event_limit, replaced):
     assert end_state([]) == end_state([_NopBatchSink()])
 
 
-@pytest.mark.parametrize("path", ["ue.lte_nas", "ue.lte_rrc", "ue.lte_phy", "enb.lte_radio",
-                                  "enb.lte_phy", "enb.lte_gtp", "sgw_mme.lte_s1",
-                                  "pdn_gw.lte_ip"])
-def test_a_handler_set_on_the_instance_before_the_run_sees_every_arrival(minimal_spec, path):
-    """Relay links are set from the handlers in place when the run
-    starts, and a run with no sink fixes each walk when it first uses it,
-    so a handler set on a module before `run()` turns that module's links
-    off and stops every walk at it: it is called at every arrival there,
-    with no sink as hop by hop."""
-    spec = dataclasses.replace(minimal_spec, until=SimTime.from_millis(50))
+_REPLACED_PATHS = ["ue.lte_nas", "ue.lte_rrc", "ue.lte_phy", "enb.lte_radio", "enb.lte_phy",
+                   "enb.lte_gtp", "sgw_mme.lte_s1", "pdn_gw.lte_ip"]
+
+
+def _assert_a_replaced_handler_sees_every_arrival(spec, path, install):
+    """`install(built, replace)` arranges for `replace(root)` to run before
+    the first event: it sets a handler on the module at `path` that
+    records each arrival. That handler is called at every arrival there,
+    with no sink as hop by hop, and the run ends as without it."""
     sink = CollectingSink()
     build(spec).simulator().run(until=spec.until, sinks=[sink])
     arrivals = [rec.msg_name for rec in sink.records if rec.path == "Network." + path]
     assert len(arrivals) >= 5  # once or twice in each of 5 round trips
 
-    def replace(built):
-        module = built.root
+    def replace(root):
+        module = root
         for name in path.split("."):
             module = module.child(name)
 
@@ -814,8 +829,42 @@ def test_a_handler_set_on_the_instance_before_the_run_sees_every_arrival(minimal
 
     for sinks in ([], [_NopBatchSink()]):
         seen = []
-        assert _end_state(spec, None, sinks, replace) == _end_state(spec, None, sinks)
+        assert (_end_state(spec, None, sinks, lambda built: install(built, replace))
+                == _end_state(spec, None, sinks))
         assert seen == arrivals
+
+
+@pytest.mark.parametrize("path", _REPLACED_PATHS)
+def test_a_handler_set_on_the_instance_before_the_run_sees_every_arrival(minimal_spec, path):
+    """Relay links are set from the handlers in place once every
+    `on_start` has run, and a run with no sink fixes each walk when it
+    first uses it, so a handler set on a module before `run()` turns that
+    module's links off and stops every walk at it: it is called at every
+    arrival there, with no sink as hop by hop."""
+    spec = dataclasses.replace(minimal_spec, until=SimTime.from_millis(50))
+    _assert_a_replaced_handler_sees_every_arrival(
+        spec, path, lambda built, replace: replace(built.root))
+
+
+class _Replacer(SimpleModule):
+    """A module whose `on_start` calls `replace(root)`."""
+
+    def __init__(self, replace):
+        super().__init__("replacer")
+        self.replace = replace
+
+    def on_start(self, sim):
+        self.replace(sim.root)
+
+
+@pytest.mark.parametrize("path", _REPLACED_PATHS)
+def test_a_handler_set_in_the_last_on_start_sees_every_arrival(minimal_spec, path):
+    """Links are set once every `on_start` has run, so a handler set in the
+    `on_start` of the module last in tree order, after the `on_start` of
+    the module it replaces, turns that module's links off as well."""
+    spec = dataclasses.replace(minimal_spec, until=SimTime.from_millis(50))
+    _assert_a_replaced_handler_sees_every_arrival(
+        spec, path, lambda built, replace: built.root.add_child(_Replacer(replace)))
 
 
 class _PushingGenerator(Generator):
@@ -1006,6 +1055,73 @@ def test_a_ring_of_relay_links_reuses_no_walk():
     assert set(walks) == set(gates) and sorted(map(id, walks.fresh_gates)) == sorted(map(id, gates))
     assert all(walks[gate][:2] == (gate, 3) for gate in gates)
     _assert_walks_exact(caches)
+
+
+class _TurnBack(PassThroughLayer):
+    """A layer with the stock handler whose step rule sends arrivals from
+    above back up, and keeps the id of each message it is applied to."""
+
+    waypoint = False  # whether an arrival from above pushes this layer
+    named_below = False  # whether it is renamed for the layer below, not above
+
+    def __init__(self, name, tag):
+        super().__init__(name, tag)
+        self.ruled = []
+
+    def route_step(self, msg, arrival_gate):
+        if arrival_gate != IN_FROM_UPPER:
+            return super().route_step(msg, arrival_gate)
+        self.ruled.append(msg.msg_id)
+        if self.waypoint:
+            msg._route.append(self)
+        gate = self.up_gate.peer
+        return gate, self.down_gate.peer.owner if self.named_below else gate.owner
+
+
+class _TurnBackOverAWaypoint(_TurnBack):
+    waypoint = True
+
+
+class _TurnBackNamedBelow(_TurnBack):
+    named_below = True
+
+
+@pytest.mark.parametrize("sink", [None, CollectingSink, _NopBatchSink],
+                         ids=["untraced", "traced", "nop_batch"])
+@pytest.mark.parametrize("cls", [_TurnBack, _TurnBackOverAWaypoint, _TurnBackNamedBelow],
+                         ids=lambda cls: cls.__name__)
+def test_a_relay_link_follows_the_step_rule_of_its_module(cls, sink):
+    """a -> b -> c, where b keeps the stock handler and its step rule
+    sends arrivals from above back up: each message goes a, b, a and is
+    dropped at a, which has nothing above it. b's gate from above is
+    linked to a, unless the rule pushes a waypoint or names the message
+    for c: then it has no link, and a run hop by hop applies the rule at
+    every arrival."""
+    root = CompoundModule("Network")
+    a, b, c = (root.add_child(layer(name, name.upper())) for layer, name in
+               ((PassThroughLayer, "a"), (cls, "b"), (PassThroughLayer, "c")))
+    wire_vertical(a, b)
+    wire_vertical(b, c)
+    sim = Simulator(root)
+    msgs = [sim.new_message("m", MessageKind.CONTROL_MESSAGE),
+            sim.new_message("p", MessageKind.PACKET, 100)]
+    for t_ns, msg in zip((0, 1000), msgs):
+        sim.fes.push(t_ns, 0, a, IN_FROM_UPPER, msg)
+    sinks = [] if sink is None else [sink()]
+    assert sim.run(until=SimTime.from_seconds(1), sinks=sinks).events_executed == 6
+    turned = "C" if cls.named_below else "A"
+    assert [msg.name for msg in msgs] == [turned + "Msg", turned + "Pck"]
+    assert [msg._route for msg in msgs] == [[b] if cls.waypoint else []] * 2
+    assert [layer.drop_count for layer in (a, b, c)] == [2, 0, 0]
+    linked = not (cls.waypoint or cls.named_below)
+    assert b._gates[IN_FROM_UPPER].relay_to is (a._gates[IN_FROM_LOWER] if linked else None)
+    if sink is CollectingSink:
+        assert [(rec.path, rec.msg_name) for rec in sinks[0].records] == [
+            ("Network.a", "m"), ("Network.b", "BMsg"), ("Network.a", turned + "Msg"),
+            ("Network.a", "p"), ("Network.b", "BPck"), ("Network.a", turned + "Pck")]
+    if sink is not None:  # the stand-in message of a link or walk has id 0
+        assert [msg_id for msg_id in b.ruled if msg_id] == (
+            [] if linked else [msg.msg_id for msg in msgs])
 
 
 @given(network_specs(), st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
