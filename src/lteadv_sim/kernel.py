@@ -361,16 +361,15 @@ def _step(stand_in: SimMessage, gate, route) -> Optional[tuple]:
     its module, `route_step`, applied to `stand_in` holding a copy of
     `route`. Returns `(next gate, namer, route after)`, or None where the
     handler would raise, drop or transmit: the rule raises or returns
-    None, the next gate is fed by a delayed Out gate, or the namer lacks
+    None, the next gate is a delayed channel, or the namer lacks
     `control_name` or `packet_name`. The caller checks `_stock` first."""
     stand_in._route = list(route)
     try:  # a None from the rule, which the handler drops, fails to unpack
         nxt, namer = gate.owner.route_step(stand_in, gate.label)
     except Exception:  # the handler raises it at this event, as a HandlerError
         return None
-    out = nxt.peer  # the Out gate feeding it; None for a direct delivery
-    if ((out is not None and out.delay_ns)
-            or not hasattr(namer, "control_name") or not hasattr(namer, "packet_name")):
+    if (nxt.delay_ns or not hasattr(namer, "control_name")
+            or not hasattr(namer, "packet_name")):
         return None
     return nxt, namer, stand_in._route
 
@@ -380,12 +379,11 @@ def _set_links(modules) -> None:
     relay link, `Gate.relay_to`: the next gate of its `_step`, where that
     step leaves the route empty and renames the message for the next
     gate's owner."""
-    from .model import Direction  # model imports this module
-    inward, stand_in = Direction.IN, SimMessage(0, "", MessageKind.CONTROL_MESSAGE, 0, 0)
+    stand_in = SimMessage(0, "", MessageKind.CONTROL_MESSAGE, 0, 0)
     for mod in modules:
         if _stock(mod):
             for gate in mod._gates.values():
-                if gate.direction is inward:
+                if gate.owner is mod:
                     step = _step(stand_in, gate, ())
                     if step is not None and not step[2] and step[1] is step[0].owner:
                         gate.relay_to = step[0]
@@ -404,7 +402,7 @@ class _Walks(dict):
     event at `end` is then dispatched, after `steps` events; `pushes` are
     the waypoints the walk leaves pushed, as a tuple, which is the one
     empty tuple for most walks, and `namer` the module the last step
-    renamed the message for. None, for a label the target has no gate
+    renamed the message for. None, for a label the target has no In gate
     under, maps to `(None, 0, (), None)`.
 
     A gate whose relay link leads to a gate with a cached walk reuses
@@ -493,7 +491,8 @@ def _walk_lane(fes: FutureEventSet, walks: _Walks, t_ns: int,
     for _, _, target, gate_label, msg in lane:
         if msg in held:
             return 0, n
-        walk = walks[target._gates.get(gate_label)]
+        gate = target._gates.get(gate_label)
+        walk = walks[None if gate is None or gate.source is target else gate]
         if not walk[1]:
             return 0, n
         if walked and walk[1] != steps:
@@ -586,11 +585,12 @@ class Simulator:
         A handler may return the zero-delay hop it would otherwise push,
         as `(target, arrival_label, msg)`: every stack layer does, and so
         does a generator's timer, with its emission to the top layer. An
-        arrival on a gate with a relay link (`Gate.relay_to`, set by
+        arrival on an In gate with a relay link (`Gate.relay_to`, set by
         `_set_links` from the step rule of the gate's module once every
         `on_start` has run) makes the same hop with no handler call: the
         loop renames the message for the linked gate's module, by the
-        kind of the message, and moves on to that gate.
+        kind of the message, and moves on to that gate. A gate whose source
+        is the target, as its Out gate is, gets no link and no walk.
         Either way, when the lane is empty, nothing else is due now, so
         the hop is the entry the FES would pop next and is dispatched at
         once as the next event. When the lane still holds entries, the
@@ -675,7 +675,8 @@ class Simulator:
                                              msg._msg_id))
                                 for record_event in entries:
                                     record_event(executed, t_ns, target, msg)
-                            link = None if gate is None else gate.relay_to
+                            # none where the target is the gate's source (an Out gate)
+                            link = None if gate is None or gate.source is target else gate.relay_to
                             if link is None:
                                 try:
                                     hop = target.handle_message(msg, gate_label)
@@ -699,7 +700,8 @@ class Simulator:
                                 # nothing else is due now and no sink sees
                                 # the steps ahead: jump them all if the
                                 # event after them is within the limit
-                                walk = walks[gate]
+                                walk = walks[None if gate is None or gate.source is target
+                                             else gate]
                                 steps = walk[1]
                                 if steps and executed + steps < limit:
                                     executed += steps

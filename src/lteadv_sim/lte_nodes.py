@@ -115,21 +115,22 @@ def _tag_names(tag: str) -> tuple[str, str]:
 class Forwarder(SimpleModule):
     """A module that forwards each arrival by its class's step rule,
     `route_step(msg, arrival_gate)`, which returns `(gate, namer)`: the
-    In gate the message goes on to and the module it is renamed for. The
-    rule of this class is a table, `forward_to`: arrival label -> the
-    attribute holding the Out gate the arrival leaves by. A class whose
-    arrivals carry a route, the PHY's air hop and the S1 fan-in,
-    overrides the rule to push or pop the message's waypoint.
+    gate the message goes on to, a channel or a radio's air input, and
+    the module it is renamed for. The rule of this class is a table,
+    `forward_to`: arrival label -> the attribute holding the channel the
+    arrival leaves by. A class whose arrivals carry a route, the PHY's
+    air hop and the S1 fan-in, overrides the rule to push or pop the
+    message's waypoint.
 
     The one handler, `handle_message`, applies the rule. A rule that
     returns None (a UE's top layer without a generator) drops the
     message, counted in `drop_count`; a label the rule lacks is an
     error. Otherwise the message is renamed for the namer, and the hop
-    is returned, or transmitted over the delayed Out gate that feeds the
-    rule's gate.
+    to the gate's owner is returned, or transmitted when the gate is a
+    delayed channel.
 
     Once every `on_start` of a run has run, the kernel links each In gate
-    to the In gate its arrivals go on to, wherever the rule alone fixes
+    to the gate its arrivals go on to, wherever the rule alone fixes
     that step (see `kernel._set_links` and `Gate.relay_to`), and the run
     loop makes a linked hop with no handler call. Links are set, and the
     walks of a run with no sink (see `kernel._Walks`) step through a
@@ -143,21 +144,17 @@ class Forwarder(SimpleModule):
 
     def __init__(self, name: str):
         super().__init__(name, type_name=name)
-        self.up_gate: Optional[Gate] = None  # the Out gate upward, set when wired
+        self.up_gate: Optional[Gate] = None  # the channel upward, set when wired
         self.drop_count = 0
 
     def route_step(self, msg: SimMessage, arrival_gate: str) -> Optional[tuple]:
-        """The table rule: `(gate, gate.owner)` for the In gate at the far
-        end of the Out gate `forward_to` names; None when no Out gate is
-        wired."""
+        """The table rule: `(gate, gate.owner)` for the channel
+        `forward_to` names; None when none is wired."""
         attr = self.forward_to.get(arrival_gate)
         if attr is None:
             raise self.unknown_arrival(arrival_gate)
-        out = getattr(self, attr)
-        if out is None:
-            return None
-        gate = out.peer
-        return gate, gate.owner
+        gate = getattr(self, attr)
+        return None if gate is None else (gate, gate.owner)
 
     def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
         step = self.route_step(msg, arrival_gate)
@@ -166,9 +163,8 @@ class Forwarder(SimpleModule):
             return None
         gate, namer = step
         msg.name = namer.packet_name if msg._kind is _PACKET else namer.control_name
-        out = gate.peer  # the Out gate feeding it; None for a direct delivery
-        if out is not None and out.delay_ns:
-            transmit(out, msg)
+        if gate.delay_ns:  # None for a direct delivery's one-ended In gate
+            transmit(gate, msg)
             return None
         return gate.owner, gate.label, msg
 
@@ -185,16 +181,16 @@ class PassThroughLayer(Forwarder):
         super().__init__(name)
         # the names a message takes on arriving here, per kind
         self.control_name, self.packet_name = _tag_names(tag)
-        self.down_gate: Optional[Gate] = None  # the Out gate downward, set when wired
+        self.down_gate: Optional[Gate] = None  # the channel downward, set when wired
 
 
 class FanInLayer(PassThroughLayer):
     """Bottom of the S-GW/MME (S1): one lower gate pair per linked eNB.
 
-    `reply_gates` maps the label of each pair's In gate to its Out gate,
-    recorded when the eNB is linked. A message coming up carries that
-    Out gate on its route, so the reply leaves through it; then it goes
-    up, or is dropped with nothing wired above.
+    `reply_gates` maps the label of each pair's In gate to the pair's
+    channel down, recorded when the eNB is linked. A message coming up
+    carries that channel on its route, so the reply leaves through it;
+    then it goes up, or is dropped with nothing wired above.
     """
 
     forward_to = {}  # every arrival takes a route step
@@ -204,24 +200,23 @@ class FanInLayer(PassThroughLayer):
         self.reply_gates: dict[str, Gate] = {}
 
     def route_step(self, msg: SimMessage, arrival_gate: str) -> Optional[tuple]:
-        """The step rule: `(gate, gate.owner)` for the In gate at the far
-        end of the Out gate the arrival leaves by, whose module it is
-        renamed for; None when it goes up with nothing wired above. Going
-        up it pushes its pair's reply gate, going down it pops one."""
+        """The step rule: `(gate, gate.owner)` for the channel the
+        arrival leaves by, whose target it is renamed for; None when it
+        goes up with nothing wired above. Going up it pushes its pair's
+        reply gate, going down it pops one."""
         route = msg._route
         if arrival_gate == IN_FROM_UPPER:
-            out = route.pop() if route else None
-            if not isinstance(out, Gate):
+            gate = route.pop() if route else None
+            if not isinstance(gate, Gate):
                 raise NoRadioPeer(f"{self.full_path_or_name()}: no return route on {msg!r}")
         else:
             reply_gate = self.reply_gates.get(arrival_gate)
             if reply_gate is None:
                 raise self.unknown_arrival(arrival_gate)
             route.append(reply_gate)
-            out = self.up_gate
-            if out is None:
+            gate = self.up_gate
+            if gate is None:
                 return None
-        gate = out.peer
         return gate, gate.owner
 
 
@@ -257,7 +252,7 @@ class PhyLayer(PassThroughLayer):
             if not isinstance(radio, RadioInterface):
                 raise NoRadioPeer(
                     f"{self.full_path_or_name()}: no radio peer for downward send")
-        return radio._gates[RADIO_IN], radio.up_gate.peer.owner
+        return radio._gates[RADIO_IN], radio.up_gate.owner
 
 
 class RadioInterface(Forwarder):

@@ -2,15 +2,15 @@
 
 Named modules with directional gates, compound modules, wired channels
 with delay, and direct delivery for the over-the-air hop. `Simulator(root)`
-binds a tree and fixes its shape and wiring (see `WiringLocked`). A gate is
-connected at most once, so each Out gate's route (peer module, peer gate
-label, delay in ns) is final when it is connected.
+binds a tree and fixes its shape and wiring (see `WiringLocked`). A wired
+one-way channel is one `Gate`, held in both its modules' gate tables, and
+is connected at most once, so its route and delay are final.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .kernel import SimMessage, SimTime, SimulationError
@@ -82,31 +82,29 @@ class ChannelSpec:
     delay: SimTime = SimTime(0)
 
 
+@dataclass(slots=True, eq=False)
 class Gate:
-    """One directional endpoint on a module, optionally vector-indexed;
-    its `label` is the gate's name, with `[index]` for a vector gate.
-
-    `relay_to` is an In gate's relay link, set by the kernel from its
-    owner's step rule after every `on_start` (see `lte_nodes.Forwarder`):
-    the In gate an arrival here goes on to, now and renamed for that
-    gate's owner, by the kind of the message. The run loop makes that
-    hop itself, with no handler call (see `Simulator.run`).
+    """A one-way channel, held in both its modules' gate tables, or, from
+    `add_gate` until `connect`, one end of one. `owner` and `label` name
+    its In end, the module a message arrives at and its arrival label
+    (with `[index]` for a vector gate); `source` and `source_label` its Out
+    end. So a module's entry under L is its In gate exactly when `owner`
+    and `label` are that module and L. `relay_to` is the In end's relay
+    link, set by `kernel._set_links` from its owner's step rule: the run
+    loop follows it with no handler call (see `Simulator.run`).
     """
 
-    __slots__ = ("owner", "label", "direction", "peer", "delay_ns", "relay_to")
-
-    def __init__(self, owner: "ModuleNode", name: str, direction: Direction,
-                 index: Optional[int] = None):
-        self.owner = owner
-        self.label = name if index is None else f"{name}[{index}]"
-        self.direction = direction
-        self.peer: Optional[Gate] = None
-        self.delay_ns: Optional[int] = None  # set on the Out side at connect time
-        self.relay_to: Optional[Gate] = None
+    owner: Optional[ModuleNode]
+    label: Optional[str]
+    source: Optional[ModuleNode] = None
+    source_label: Optional[str] = None
+    delay_ns: Optional[int] = None
+    relay_to: Optional[Gate] = field(default=None, init=False)
 
     def __repr__(self) -> str:
-        owner = getattr(self.owner, "name", "?")
-        return f"Gate({owner}.{self.label}, {self.direction.value})"
+        src = "" if self.source is None else f"{self.source.name}.{self.source_label} "
+        dst = "" if self.owner is None else f" {self.owner.name}.{self.label}"
+        return f"Gate({src}->{dst})"
 
 
 class ModuleNode:
@@ -127,9 +125,10 @@ class ModuleNode:
 
     def add_gate(self, name: str, direction: Direction,
                  index: Optional[int] = None) -> Gate:
-        g = Gate(self, name, direction, index)
-        self._check_new_gates((g.label,))
-        self._gates[g.label] = g
+        label = name if index is None else f"{name}[{index}]"
+        self._check_new_gates((label,))
+        g = self._gates[label] = (Gate(self, label) if direction is Direction.IN
+                                  else Gate(None, None, self, label))
         return g
 
     def _check_new_gates(self, labels: tuple) -> None:
@@ -257,35 +256,35 @@ class CompoundModule(ModuleNode):
 
 def connect(out_gate: Gate, in_gate: Gate,
             channel: ChannelSpec = ChannelSpec()) -> None:
-    """Wire an Out gate to an In gate through a delay-bearing channel."""
-    if out_gate.owner._sim is not None or in_gate.owner._sim is not None:
+    """Wire an Out gate to an In gate through a delay-bearing channel. The
+    Out gate becomes the channel; the In gate is retired, a copy in no table."""
+    if any(module is not None and module._sim is not None
+           for module in (out_gate.source, out_gate.owner, in_gate.source, in_gate.owner)):
         raise WiringLocked("cannot connect a gate of a bound module")
-    if out_gate.direction is not Direction.OUT or in_gate.direction is not Direction.IN:
+    if out_gate.source is None or in_gate.owner is None:
         raise DirectionMismatch(
             f"connect needs Out -> In, got {out_gate!r} -> {in_gate!r}")
-    if out_gate.peer is not None:
+    if out_gate.owner is not None:
         raise GateAlreadyConnected(f"{out_gate!r} is already connected")
-    if in_gate.peer is not None:
+    if in_gate.source is not None:
         raise GateAlreadyConnected(f"{in_gate!r} is already connected")
-    out_gate.peer = in_gate
-    in_gate.peer = out_gate
-    out_gate.delay_ns = channel.delay.ns
+    out_gate.owner, out_gate.label = in_gate.owner, in_gate.label
+    in_gate.source, in_gate.source_label = out_gate.source, out_gate.source_label
+    out_gate.delay_ns = in_gate.delay_ns = channel.delay.ns
+    in_gate.owner._gates[in_gate.label] = out_gate
 
 
 def _channel(src: ModuleNode, out_label: str, dst: ModuleNode, in_label: str,
              delay_ns: int = 0) -> Gate:
-    """A one-way channel between two new gates, added to their modules
-    unchecked: an Out gate on `src` and an In gate on `dst`, each the
-    other's peer, with the delay on the Out gate, as `connect` leaves
-    them. Returns the Out gate."""
-    out = src._gates[out_label] = Gate(src, out_label, Direction.OUT)
-    into = dst._gates[in_label] = Gate(dst, in_label, Direction.IN)
-    out.peer, into.peer, out.delay_ns = into, out, delay_ns
-    return out
+    """A new one-way channel from `src` to `dst`, entered unchecked in both
+    tables, as `connect` leaves it."""
+    gate = src._gates[out_label] = dst._gates[in_label] = Gate(
+        dst, in_label, src, out_label, delay_ns)
+    return gate
 
 
 def transmit(gate: Gate, msg: SimMessage, at_ns: Optional[int] = None) -> int:
-    """Send out a connected Out gate at `at_ns`, or now when it is None.
+    """Send through a connected gate at `at_ns`, or now when it is None.
 
     `send` and the built-in modules send through it; the built-in ones
     only when a hop has a delay or starts a new message (their zero-delay
@@ -293,24 +292,23 @@ def transmit(gate: Gate, msg: SimMessage, at_ns: Optional[int] = None) -> int:
     was connected, so nothing is looked up by name. Returns the event's
     insertion sequence.
     """
-    sim = gate.owner._sim
+    sim = gate.source._sim
     now = sim.now_ns
-    peer = gate.peer
     return sim.fes.push((now if at_ns is None else at_ns) + gate.delay_ns, now,
-                        peer.owner, peer.label, msg)
+                        gate.owner, gate.label, msg)
 
 
 def send(from_module: ModuleNode, msg: SimMessage, out_gate_name: str,
          index: Optional[int] = None, now: Optional[SimTime] = None) -> int:
-    """Send out a named gate; the peer sees the message after the channel
-    delay. Returns the event's insertion sequence."""
+    """Send out a named gate; the target sees the message after the
+    channel delay. Returns the event's insertion sequence."""
     from_module.sim  # raises when the module is not bound to a simulator
     label = out_gate_name if index is None else f"{out_gate_name}[{index}]"
     g = from_module._gates.get(label)
-    if g is None or g.direction is not Direction.OUT:
+    if g is None or g.source is not from_module or g.source_label != label:
         raise UnknownGate(
             f"{from_module.full_path_or_name()} has no Out gate {label!r}")
-    if g.peer is None:
+    if g.owner is None:
         raise UnconnectedGate(
             f"{from_module.full_path_or_name()}.{label} is not connected")
     return transmit(g, msg, None if now is None else now.ns)
@@ -323,7 +321,7 @@ def send_direct(from_module: ModuleNode, msg: SimMessage, target: ModuleNode,
     Returns the event's insertion sequence."""
     sim = from_module.sim
     g = target._gates.get(in_gate_name)
-    if g is None or g.direction is not Direction.IN:
+    if g is None or g.owner is not target or g.label != in_gate_name:
         raise UnknownTargetGate(
             f"{target.full_path_or_name()} has no In gate {in_gate_name!r}")
     now_ns = sim.now_ns

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .kernel import MessageKind, SimTime
-from .model import IN_FROM_LOWER, SELF_GATE, Gate, SimpleModule, transmit
+from .model import (IN_FROM_LOWER, OUT_TO_LOWER, SELF_GATE, Gate, SimpleModule,
+                    UnconnectedGate, transmit)
 
 DEFAULT_PERIOD = SimTime.from_millis(10)
 
@@ -83,8 +84,10 @@ class Generator(SimpleModule):
             self.emit(at=self.config.start_time)
 
     def emit(self, at: Optional[SimTime] = None) -> None:
-        """Create a fresh message and send it down into the stack, named
-        for the layer below, at `at` or now when it is None."""
+        """Send a fresh message, named for the layer below, down into the
+        stack at `at`, or now when it is None; unwired, UnconnectedGate."""
+        if self.down_gate is None:
+            raise UnconnectedGate(f"{self.full_path_or_name()}.{OUT_TO_LOWER} is not connected")
         msg = self._payload(self.sim, at)
         transmit(self.down_gate, msg, None if at is None else at.ns)
         self.stats.emitted += 1
@@ -93,19 +96,18 @@ class Generator(SimpleModule):
         """A fresh message of the configured kind and size from `sim`,
         named for the layer below, created at `at` or now when None."""
         cfg = self.config
-        top = self.down_gate.peer.owner
+        top = self.down_gate.owner
         name = top.packet_name if cfg.payload_kind is MessageKind.PACKET else top.control_name
         return sim.new_message(name, cfg.payload_kind, cfg.payload_bytes, at=at)
 
     def handle_message(self, msg, arrival_gate: str) -> Optional[tuple]:
         if arrival_gate == SELF_GATE:
             down = self.down_gate
-            if down.delay_ns:
+            if down is None or down.delay_ns:
                 self.emit()
                 return None
             # the emission is a zero-delay hop: hand it to the run loop
-            gate = down.peer
-            hop = gate.owner, gate.label, self._payload(self._sim)
+            hop = down.owner, down.label, self._payload(self._sim)
             self.stats.emitted += 1
             return hop
         if arrival_gate == IN_FROM_LOWER:

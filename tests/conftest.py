@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.internal.conjecture import engine
 
-from lteadv_sim import CollectingSink, build, parse
+from lteadv_sim import CollectingSink, Gate, build, parse
 from lteadv_sim.kernel import MAX_TIME_NS
 
 # A deeper search for CI (`--hypothesis-profile=ci`); tests that set their
@@ -72,3 +72,10 @@ def pop_entry(fes):
     """Pop the earliest `(t_ns, seq, target, gate_label, msg)` entry of a
     FutureEventSet, or return None when it is empty."""
     return next(fes.pop_before(MAX_TIME_NS + 1), None)
+
+
+def gate_state(*modules):
+    """Every gate table of `modules`, in order: each entry's label, the
+    gate itself and every field of the gate."""
+    return [(label, gate, *(getattr(gate, field) for field in Gate.__slots__))
+            for module in modules for label, gate in module._gates.items()]

@@ -25,7 +25,7 @@ from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, RADIO_IN, ChannelSpe
 from lteadv_sim.traffic import Generator, GeneratorConfig
 from lteadv_sim.trace import CollectingSink, data_walk, summarize, ue_instances
 
-from conftest import MINIMAL_SOURCE, pop_entry, run_spec
+from conftest import MINIMAL_SOURCE, gate_state, pop_entry, run_spec
 
 # One complete round trip on the default single-UE network, by hand.
 HAND_WALK = [
@@ -219,7 +219,8 @@ def test_linking_an_enb_twice_leaves_the_s1_fully_wired():
     with pytest.raises(DuplicateName):
         link_enb_to_sgw(enb, sgw)
     assert list(s1.reply_gates) == ["inFromLowerLayer[0]"]
-    assert all(gate.peer is not None for gate in s1._gates.values())
+    assert all(gate.source is not None and gate.owner is not None
+               for gate in s1._gates.values())
 
 
 def _locked(module):
@@ -283,9 +284,9 @@ def _pdn_linked_twice():
 
 
 def _wiring_state(module):
-    """All a join may change on a module: its gate table, with each gate's
-    peer and delay, its ends of the column and its reply gates."""
-    return ([(label, gate, gate.peer, gate.delay_ns) for label, gate in module._gates.items()],
+    """All a join may change on a module: its gate table, with every
+    field of each gate, its ends of the column and its reply gates."""
+    return (gate_state(module),
             getattr(module, "up_gate", None), getattr(module, "down_gate", None),
             dict(getattr(module, "reply_gates", {})))
 
@@ -301,6 +302,19 @@ def test_a_refused_join_leaves_both_modules_as_they_were(refused):
         join()
     assert str(err.value) == str(error)
     assert [_wiring_state(module) for module in modules] == before
+
+
+@pytest.mark.parametrize("fixture, gates", [("desk_50ms.net", 1550), ("delayed.net", 122),
+                                            ("minimal.net", 38)])
+def test_a_built_network_holds_one_gate_per_channel(fixture, gates):
+    """Every wired channel is one object, held in both its modules'
+    tables, and each radio's air input one more."""
+    built = build(parse(_fixture_source(fixture)).spec)
+    modules = list(built.root.iter_tree())
+    channels = {gate for module in modules for gate in module._gates.values()}
+    radios = [module for module in modules if isinstance(module, RadioInterface)]
+    assert len(channels) == gates
+    assert sum(map(len, (module._gates for module in modules))) == 2 * gates - len(radios)
 
 
 def test_a_ue_gate_tables_keep_their_order():
@@ -638,8 +652,8 @@ def test_relay_chains_follow_the_oracle_walk(source, pdn_stack):
         at = len(ue.stack)
         assert up == walk[at:at + len(up)]
         assert len(up) == 1 + len(enb.stack) + (top.up_gate.delay_ns == 0)
-        sgw = top.up_gate.peer.owner.parent
-        pdn = sgw.stack[0].up_gate.peer.owner.parent
+        sgw = top.up_gate.owner.parent
+        pdn = sgw.stack[0].up_gate.owner.parent
         turn = _follow_links(pdn.stack[-1]._gates[IN_FROM_LOWER], kind)
         at += 1 + len(enb.stack) + len(sgw.stack)
         assert turn == walk[at:at + len(turn)]
@@ -685,7 +699,8 @@ def test_a_layer_subclass_overriding_the_handler_sees_every_event(monkeypatch, m
     built = build(spec)
     records = _records(spec, built)
     counted = [module for module in built.root.iter_tree() if type(module) is Counted]
-    assert all(gate.relay_to is None for module in counted for gate in module._gates.values())
+    assert all(gate.relay_to is None for module in counted
+               for gate in module._gates.values() if gate.owner is module)
     _assert_seen_at_their_modules(seen, counted, records, plain)
 
 
@@ -717,7 +732,7 @@ def test_a_layer_subclass_with_its_own_table_and_handler_sees_every_event(monkey
 
 
 def _link_sites(built):
-    return {(module.full_path, gate.label) for module in built.root.iter_tree()
+    return {(gate.owner.full_path, gate.label) for module in built.root.iter_tree()
             for gate in module._gates.values() if gate.relay_to is not None}
 
 

@@ -11,7 +11,7 @@ from lteadv_sim.model import (AlreadyAttached, ChannelSpec, CompoundModule, Deta
                               UnconnectedGate, UnknownGate, UnknownTargetGate, WiringLocked,
                               connect, send, send_direct)
 
-from conftest import pop_entry
+from conftest import gate_state, pop_entry
 
 
 class Sink(SimpleModule):
@@ -47,6 +47,42 @@ def test_connect_and_zero_delay_arrival():
     assert target is b
     assert arrival_gate == "inFromUpperLayer"
     assert t_ns == 0  # arrival time equals send time
+
+
+def test_connect_enters_one_channel_in_both_tables():
+    """The Out gate becomes the channel, under its Out label at its source
+    and its In label at its target. The In gate is retired: it reads as
+    a copy of the channel but sits in no table."""
+    root, a, b = two_module_net()
+    out = a.add_gate("o", Direction.OUT)
+    inn = b.add_gate("i", Direction.IN, index=2)
+    assert (out.owner, out.label, out.source, out.source_label) == (None, None, a, "o")
+    assert (inn.owner, inn.label, inn.source, inn.source_label) == (b, "i[2]", None, None)
+    connect(out, inn, ChannelSpec(SimTime(3)))
+    assert a._gates == {"o": out} and b._gates == {"i[2]": out}
+    assert (out.owner, out.label, out.source, out.source_label, out.delay_ns) == (
+        b, "i[2]", a, "o", 3)
+    assert (inn.owner, inn.label, inn.source, inn.source_label, inn.delay_ns) == (
+        b, "i[2]", a, "o", 3)
+    assert repr(out) == "Gate(a.o -> b.i[2])"
+
+
+def test_a_module_connected_to_itself_sends_only_out_of_its_out_gate():
+    """Both ends of the channel are in one table: "o" is its Out gate and
+    "i" its In gate, and neither serves as the other."""
+    root = CompoundModule("Network")
+    a, b = root.add_child(Sink("a")), root.add_child(Sink("b"))
+    connect(a.add_gate("o", Direction.OUT), a.add_gate("i", Direction.IN))
+    assert list(a._gates) == ["o", "i"]
+    sim = Simulator(root)
+    msg = sim.new_message("m", MessageKind.CONTROL_MESSAGE)
+    seq = send(a, msg, "o")
+    assert pop_entry(sim.fes) == (0, seq, a, "i", msg)
+    with pytest.raises(UnknownGate, match="^Network.a has no Out gate 'i'$"):
+        send(a, msg, "i")
+    with pytest.raises(UnknownTargetGate, match="^Network.a has no In gate 'o'$"):
+        send_direct(b, msg, a, "o")
+    assert len(sim.fes) == 0
 
 
 def test_direction_mismatch():
@@ -390,13 +426,6 @@ def test_a_bound_module_joins_no_other_tree(which):
     assert (moved.sim, other._sim) == (sim, None)
 
 
-def _gate_state(*modules):
-    """All add_gate and connect may change: each gate table, with each
-    gate's peer and delay."""
-    return [(label, gate, gate.peer, gate.delay_ns)
-            for module in modules for label, gate in module._gates.items()]
-
-
 @pytest.mark.parametrize("change", ["add_gate", "connect_from_bound", "connect_to_bound"])
 def test_a_bound_module_gains_no_gate_and_no_wire(change):
     root, a, b = two_module_net()
@@ -412,11 +441,11 @@ def test_a_bound_module_gains_no_gate_and_no_wire(change):
         "connect_to_bound": (lambda: connect(free_out, inn),
                              "cannot connect a gate of a bound module"),
     }[change]
-    before = _gate_state(a, b, free)
+    before = gate_state(a, b, free)
     with pytest.raises(WiringLocked) as err:
         call()
     assert str(err.value) == message
-    assert _gate_state(a, b, free) == before
+    assert gate_state(a, b, free) == before
 
 
 def test_a_simulator_needs_a_root_in_a_network():

@@ -53,7 +53,7 @@ from lteadv_sim.lte_nodes import (FanInLayer, Forwarder, LayerSpec, NodeType, Pa
                                   PhyLayer, RadioInterface, ReflectorLayer, wire_vertical)
 from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, RADIO_IN, SELF_GATE, ChannelSpec,
                               CompoundModule, Direction, Gate, ModuleNode, SimpleModule,
-                              send_direct, transmit)
+                              connect, send_direct, transmit)
 from lteadv_sim.traffic import TIMER_NAME, Generator, GeneratorConfig
 from lteadv_sim.trace import (format_event_line, read_structured, summarize,
                               write_structured, zero_delay_emissions)
@@ -207,24 +207,25 @@ def specs_with_stacks(draw):
 
 
 def _assert_wired_as_connect_leaves_it(built, spec):
-    """Every gate of the tree is joined both ways to a gate of the other
-    direction; an Out gate carries its channel's delay (its link's between
-    nodes, 0 inside one) and an In gate none. Only a radio's air input is
-    left unconnected."""
+    """Every gate of the tree is a channel between two modules, found
+    under its Out label in its source's table and under its In label in
+    its owner's, and under no other label, and carries its channel's
+    delay: its link's between nodes, 0 inside one. Only a radio's air
+    input has one end."""
     link_delay = {frozenset((src, dst)): delay.ns
                   for src, dst, delay in instance_table(spec).links}
     for module in built.root.iter_tree():
         for label, gate in module._gates.items():
-            assert gate.owner is module and gate.label == label
-            if gate.peer is None:
-                assert label == RADIO_IN and gate.delay_ns is None
+            if gate.source is None:
+                assert (label, gate.owner, gate.label, gate.source_label, gate.delay_ns) == (
+                    RADIO_IN, module, RADIO_IN, None, None)
                 continue
-            assert gate.peer.peer is gate
-            assert gate.peer.direction is not gate.direction
-            if gate.direction is Direction.IN:
-                assert gate.delay_ns is None
-                continue
-            nodes = frozenset((module.parent.name, gate.peer.owner.parent.name))
+            assert (gate.owner, gate.label) == (module, label) or (
+                gate.source, gate.source_label) == (module, label)
+            assert gate.owner is not None and gate.source is not gate.owner
+            assert gate.source._gates[gate.source_label] is gate
+            assert gate.owner._gates[gate.label] is gate
+            nodes = frozenset((gate.source.parent.name, gate.owner.parent.name))
             assert gate.delay_ns == (0 if len(nodes) == 1 else link_delay[nodes])
 
 
@@ -285,9 +286,9 @@ def _queue_every_hop(sim):
 
 
 def _relay_links(root):
-    """Every gate in the tree that has a relay link."""
+    """Every gate in the tree that has a relay link, from its owner's table."""
     return [gate for module in root.iter_tree() for gate in module._gates.values()
-            if gate.relay_to is not None]
+            if gate.owner is module and gate.relay_to is not None]
 
 
 def _run_traced(spec, event_limit, queue_every_hop):
@@ -361,7 +362,7 @@ def _step_link(gate):
     next gate of its step on an empty route, for an In gate of a
     stock-handled module, where the step leaves the route empty and
     renames the message for the next gate's owner; else None."""
-    if gate.direction is not Direction.IN or not kernel._stock(gate.owner):
+    if gate.owner is None or not kernel._stock(gate.owner):
         return None
     step = kernel._step(SimMessage(0, "", MessageKind.CONTROL_MESSAGE, 0, 0), gate, ())
     if step is None or step[2] or step[1] is not step[0].owner:
@@ -401,12 +402,12 @@ def test_relay_links_change_nothing(spec, event_limit):
     radios = [module for module in modules if isinstance(module, RadioInterface)]
     phys = [module for module in modules if isinstance(module, PhyLayer)]
     reflector, = [module for module in modules if isinstance(module, ReflectorLayer)]
-    assert radios and all(radio._gates[RADIO_IN].relay_to is radio.up_gate.peer
+    assert radios and all(radio._gates[RADIO_IN].relay_to is radio.up_gate
                           for radio in radios)
-    assert phys and all(phy._gates[IN_FROM_LOWER].relay_to is phy.up_gate.peer
+    assert phys and all(phy._gates[IN_FROM_LOWER].relay_to is phy.up_gate
                         for phy in phys)
     down = reflector.down_gate
-    assert reflector._gates[IN_FROM_LOWER].relay_to is (None if down.delay_ns else down.peer)
+    assert reflector._gates[IN_FROM_LOWER].relay_to is (None if down.delay_ns else down)
     # and more: every UE's top layer links down
     assert {gate.owner for gate in _relay_links(built.root)} > {*radios, *phys}
 
@@ -419,10 +420,10 @@ class _NopBatchSink:
 
 
 def _waypoint(waypoint):
-    """A route entry by name: a radio's path, or a reply gate's module
-    path and label."""
+    """A route entry by name: a radio's path, or a reply gate's source
+    path and Out label."""
     if isinstance(waypoint, Gate):
-        return waypoint.owner.full_path, waypoint.label
+        return waypoint.source.full_path, waypoint.source_label
     return waypoint.full_path
 
 
@@ -1074,8 +1075,8 @@ class _TurnBack(PassThroughLayer):
         self.ruled.append(msg.msg_id)
         if self.waypoint:
             msg._route.append(self)
-        gate = self.up_gate.peer
-        return gate, self.down_gate.peer.owner if self.named_below else gate.owner
+        gate = self.up_gate
+        return gate, self.down_gate.owner if self.named_below else gate.owner
 
 
 class _TurnBackOverAWaypoint(_TurnBack):
@@ -1122,6 +1123,41 @@ def test_a_relay_link_follows_the_step_rule_of_its_module(cls, sink):
     if sink is not None:  # the stand-in message of a link or walk has id 0
         assert [msg_id for msg_id in b.ruled if msg_id] == (
             [] if linked else [msg.msg_id for msg in msgs])
+
+
+class _Echo(SimpleModule):
+    """Records each arrival's label; sends its self-event's message on to
+    its own Out gate's label, "o", as a hop."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.seen = []
+
+    def handle_message(self, msg, arrival_gate):
+        self.seen.append(arrival_gate)
+        return (self, "o", msg) if arrival_gate == SELF_GATE else None
+
+
+@pytest.mark.parametrize("sink", [None, CollectingSink, _NopBatchSink],
+                         ids=["untraced", "traced", "nop_batch"])
+def test_an_arrival_on_an_out_gate_label_reaches_the_handler(sink):
+    """x's Out gate "o" is the channel into b, whose gate there has a relay
+    link down to c. Arrivals at x on "o", popped from a lane of two and
+    returned as a hop, still reach x's handler: a link or walk belongs to
+    the In end of the channel only."""
+    root = CompoundModule("Network")
+    x, b, c = (root.add_child(module) for module in
+               (_Echo("x"), PassThroughLayer("b", "B"), PassThroughLayer("c", "C")))
+    connect(x.add_gate("o", Direction.OUT), b.add_gate(IN_FROM_UPPER, Direction.IN))
+    wire_vertical(b, c)
+    sim = Simulator(root)
+    for t_ns, label in ((0, "o"), (0, "o"), (5, SELF_GATE)):
+        sim.fes.push(t_ns, 0, x, label, sim.new_message("m", MessageKind.CONTROL_MESSAGE))
+    sinks = [] if sink is None else [sink()]
+    assert sim.run(until=SimTime(10), sinks=sinks).events_executed == 4
+    assert x.seen == ["o", "o", SELF_GATE, "o"]
+    assert b._gates[IN_FROM_UPPER].relay_to is c._gates[IN_FROM_UPPER]
+    assert (b.drop_count, c.drop_count) == (0, 0)
 
 
 @given(network_specs(), st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))

@@ -3,8 +3,9 @@
 import pytest
 
 from lteadv_sim import build, parse
-from lteadv_sim.kernel import MessageKind, SimTime
-from lteadv_sim.traffic import GeneratorConfig, GeneratorStats
+from lteadv_sim.kernel import MessageKind, SimTime, Simulator
+from lteadv_sim.model import CompoundModule, UnconnectedGate
+from lteadv_sim.traffic import Generator, GeneratorConfig, GeneratorStats
 
 from conftest import MINIMAL_SOURCE, run_spec
 
@@ -119,3 +120,17 @@ def test_emission_timestamps_are_multiples_of_period(minimal_spec):
 def test_generator_stats_dataclass():
     stats = GeneratorStats()
     assert (stats.emitted, stats.returned, stats.discarded) == (0, 0, 0)
+
+
+def test_an_enabled_generator_with_nothing_below_is_an_unconnected_gate():
+    """Its first emission fails at the run's start, and a direct `emit`
+    fails too, as `send` does on an unconnected Out gate; neither makes a
+    message."""
+    for start in (lambda sim, gen: sim.run(until=SimTime(1)), lambda sim, gen: gen.emit()):
+        root = CompoundModule("Network")
+        gen = root.add_child(Generator(config=GeneratorConfig()))
+        sim = Simulator(root)
+        with pytest.raises(UnconnectedGate,
+                           match=r"^Network\.generator\.outToLowerLayer is not connected$"):
+            start(sim, gen)
+        assert (gen.stats.emitted, sim._next_msg_id, len(sim.fes)) == (0, 1, 0)
