@@ -4,6 +4,65 @@ Simulation clock, future event set with stable FIFO tie-breaking, message
 identity allocation, and the run loop. Time is integer nanoseconds
 throughout; there is no floating point anywhere on the event path, so two
 runs of the same network produce byte-identical traces.
+
+The run loop, told once here; the docstrings below state contracts. Each
+shortcut leaves the events, their order and numbers, the clock, every seq,
+message id, name and route, and every pending entry as a loop that pushes
+every hop and calls every handler would leave them.
+
+*Lane and heap.* The future event set is a FIFO lane of the entries due at
+`lane_ns`, in seq order, and a binary heap of the later ones. `push`
+appends to the lane when `t_ns == lane_ns`, else pushes onto the heap;
+`refill` moves the heap's earliest bucket into an empty lane. Heap entries
+due at t were pushed while now < t, and seq only grows, so they precede
+anything pushed at t: the lane alone heads the `(t_ns, seq)` order, and
+the loop pops it with no compare. A push from outside a run due before
+`lane_ns` first moves the lane back onto the heap.
+
+*Returned hops.* A handler may return its zero-delay hop,
+`(target, arrival_label, msg)`, in place of pushing it. While the lane
+holds entries, the loop appends the hop with `next(seq_counter)`, as
+`push` would. With the lane empty, the hop is the next entry to pop: the
+loop dispatches it at once, drawing no seq, or pushes it at the event
+limit.
+
+*Relay links.* After every `on_start`, `_set_links` sets `Gate.relay_to`
+on each In gate of a stock-handled module (`_stock`) to the next gate of
+its `_step` (the module's `route_step`, applied to a stand-in message),
+where that step keeps an empty route empty and renames the message for the
+next gate's owner. An arrival on a linked gate makes that hop with no
+handler call: the loop renames the message for that owner, by its kind,
+and goes on as with a returned hop. An arrival on the target's own Out
+gate takes no link and no walk.
+
+*No-sink walks.* With no sink, a hop that finds the lane empty jumps the
+whole walk from its gate, if the event at its end is within the limit.
+`_Walks` computes a gate's walk once per run: it follows links and, where
+a gate has none, takes the `_step` of a stock-handled module on a stand-in
+route of the waypoints it pushed, and stops where no step is found or at a
+gate it visited. The jump counts the steps as events, appends the walk's
+net pushes to the route, renames the message as the last step did and
+dispatches the end gate next; no step pushes an entry and nothing else is
+due now, so nothing comes between the steps. A gate whose link leads to a
+gate with a cached walk reuses that walk one step longer, unless that walk
+ends at its own start after a step or more: such a ring passes through the
+gate, where the gate's own walk stops, so it is computed afresh.
+
+*Lane walks.* With no sink, the loop checks the lane once per round: at
+the start of each bucket and when the entries present at the last check
+have all been popped. If its n >= 2 entries carry distinct messages and
+each starts a walk of the same s >= 1 steps, the next n*s events are those
+steps round-robin, each popping an entry and appending its successor with
+the next seq. When they end before the event limit, `_walk_lane` makes
+them at once: with c the counter's next value, the lane becomes the n walk
+ends in the same order, entry i numbered `c + n*(s-1) + i`, and the
+counter is left at `c + n*s`. Otherwise the lane runs hop by hop: one
+message in two entries pushes and pops its route in turn, and unequal
+walks end in different rounds. If the first k + 1 entries carry distinct
+messages and walks of at least m steps, each of them steps once in each of
+the next m - 1 rounds, ahead of the rest, so the check skips those rounds;
+checked every round, such a lane would compute fresh walks and walk
+nothing.
 """
 
 from __future__ import annotations
@@ -133,14 +192,11 @@ _PACKET = MessageKind.PACKET
 
 
 class SimMessage:
-    """The unit flowing through layers.
-
-    The name may be rewritten as layers relay the message; identity (msgId),
-    kind, byte length and creation time are fixed at creation. Messages also
-    carry a private route stack, `_route`, which the PHY's air hop and the
-    S-GW's S1 push waypoints onto and pop (see their `route_step`), to send
-    replies back the way they came without any handler keeping cross-event
-    state.
+    """The unit flowing through layers. Layers may rename it; its msgId,
+    kind, byte length and creation time are fixed at creation. Its private
+    route stack, `_route`, holds the waypoints that the PHY's air hop and
+    the S1 fan-in push and pop (their `route_step`), so a reply goes back
+    the way it came with no handler keeping cross-event state.
     """
 
     __slots__ = ("_msg_id", "name", "_kind", "kind_label", "_byte_length",
@@ -216,36 +272,13 @@ class RunSummary:
 
 
 class FutureEventSet:
-    """Pending events ordered by (fire time, insertion sequence).
-
-    Pop order is nondecreasing in fire time; events with equal fire time
-    come out strictly FIFO, so simultaneous events never reorder between
-    runs. Entries are plain `(t_ns, seq, target, gate_label, msg)` tuples.
-
-    The FES is a FIFO lane that holds one time bucket, every entry due at
-    `lane_ns`, in increasing `seq`, and a binary heap of the entries due
-    later. When the lane is empty, `refill` moves every heap entry due at
-    the heap's earliest time into it, in seq order, and makes that time
-    `lane_ns`. `push` appends to the lane whenever `t_ns == lane_ns`, and
-    otherwise pushes onto the heap, so the heap never holds an entry due
-    at `lane_ns`.
-
-    The lane alone is the head of the order. Heap entries due at t were
-    all pushed while now < t, so each has a smaller seq than anything
-    pushed at now == t; refill moves them in first, and since seq only
-    grows, appends made at now == t come after them. A caller outside a
-    run may push with a `now` earlier than `lane_ns`; such a push, due
-    before `lane_ns`, first moves the lane back onto the heap, so every
-    heap entry is always due after `lane_ns`.
-
-    `lane` and `seq_counter` are public for the run loop, which pops the
-    lane directly after `refill`, and appends a hop due now while the lane
-    still holds entries, numbered by `next(seq_counter)`: `push` would
-    append it the same way, since the lane's entries are due at now. A
-    run with no sink may also rewrite the whole lane in one step, and
-    replace `seq_counter`, exactly as the appends of those steps would
-    (see `_walk_lane`). Apart from these, only `push`, `refill` and the
-    pops change `lane` and `heap`.
+    """Pending events in `(t_ns, seq)` order: nondecreasing fire time, and
+    strictly FIFO among equal fire times, so simultaneous events never
+    reorder between runs. Entries are plain `(t_ns, seq, target,
+    gate_label, msg)` tuples, kept in a FIFO `lane` of the entries due at
+    `lane_ns` and a `heap` of the later ones (the module note). `lane` and
+    `seq_counter` are public for the run loop; apart from it, only `push`,
+    `refill` and the pops change them.
     """
 
     def __init__(self) -> None:
@@ -257,18 +290,11 @@ class FutureEventSet:
     def __len__(self) -> int:
         return len(self.heap) + len(self.lane)
 
-    def __bool__(self) -> bool:
-        return bool(self.heap or self.lane)
-
     def push(self, t_ns: int, now_ns: int, target, gate_label: str,
              msg: SimMessage) -> int:
-        """Schedule `msg` to arrive at `target` on `gate_label` at `t_ns`.
-
-        The one scheduling path of the package: every send, direct
-        delivery and self-event ends here, and only the run loop appends
-        to the current bucket's lane itself. Returns the insertion sequence
-        number that breaks ties between equal fire times.
-        """
+        """Schedule `msg` to arrive at `target` on `gate_label` at `t_ns`,
+        and return the insertion seq that breaks ties between equal fire
+        times. Every send, direct delivery and self-event ends here."""
         if t_ns < now_ns:
             raise SchedulingInPast(
                 f"cannot schedule at {t_ns} ns when now is {now_ns} ns")
@@ -314,10 +340,8 @@ class FutureEventSet:
             yield lane.popleft()
 
 
-# The rows `Simulator.run` holds for the batch sinks before it hands them
-# over: it hands them over at the first bucket boundary after this many
-# are held, at every stop, and before an exception leaves the run, so the
-# buffer holds at most this many rows plus one time bucket's.
+# The rows `Simulator.run` holds for the batch sinks before a bucket
+# boundary hands them over: at most this many plus one bucket's.
 CHUNK_ROWS = 512
 
 
@@ -375,10 +399,8 @@ def _step(stand_in: SimMessage, gate, route) -> Optional[tuple]:
 
 
 def _set_links(modules) -> None:
-    """Give each In gate of every stock-handled module in `modules` its
-    relay link, `Gate.relay_to`: the next gate of its `_step`, where that
-    step leaves the route empty and renames the message for the next
-    gate's owner."""
+    """Set the relay link of every In gate of each `_stock` module in
+    `modules` that gets one (the module note, *Relay links*)."""
     stand_in = SimMessage(0, "", MessageKind.CONTROL_MESSAGE, 0, 0)
     for mod in modules:
         if _stock(mod):
@@ -390,28 +412,13 @@ def _set_links(modules) -> None:
 
 
 class _Walks(dict):
-    """An arrival's gate -> `(end, steps, pushes, namer)`, filled on first
-    lookup: the walk over the events that a run with no sink makes unseen
-    from that gate on, which depends on the wiring alone. A step is a
-    relay link, or else a `_step` of a stock-handled module, from the
-    waypoints the walk pushed. The first lookup of a gate fixes its walk
-    for the run.
-
-    The walk stops at a gate with no link whose module is not
-    stock-handled or gives no `_step`, and at a gate it has visited. The
-    event at `end` is then dispatched, after `steps` events; `pushes` are
-    the waypoints the walk leaves pushed, as a tuple, which is the one
-    empty tuple for most walks, and `namer` the module the last step
-    renamed the message for. None, for a label the target has no In gate
-    under, maps to `(None, 0, (), None)`.
-
-    A gate whose relay link leads to a gate with a cached walk reuses
-    that walk one step longer, so a trip looked up from a UE's top layer
-    and from the layer below is walked once. The reuse is exact unless
-    the cached walk passes through the gate itself, where the walk from
-    there stops; such a walk comes back over the link to its own start,
-    so a cached walk that ends at its start after a step or more (a
-    ring) is not reused, and the gate's walk is computed afresh."""
+    """An arrival's gate -> `(end, steps, pushes, namer)`, computed on
+    first lookup and fixed for the run: the no-sink walk from that gate
+    (the module note). `end` is the gate it stops at, `steps` the events
+    it covers, `pushes` the waypoints it leaves pushed, as a tuple, and
+    `namer` the module the last step renamed the message for. None, for a
+    label the target has no In gate under, maps to `(None, 0, (), None)`.
+    """
 
     def __missing__(self, gate):
         link = None if gate is None else gate.relay_to
@@ -458,33 +465,12 @@ def _walk_on(msg: SimMessage, walk: tuple):
 
 def _walk_lane(fes: FutureEventSet, walks: _Walks, t_ns: int,
                room: int) -> tuple[int, int]:
-    """Walk every entry of the lane, due at `t_ns`, in one step when all of
-    them walk alike. Returns the number of events walked, 0 when the
-    lane is left as it is, and the number of lane entries the run loop
-    pops before it checks the lane again.
-
-    The n >= 2 entries walk alike when no two carry one message and each
-    starts a walk of the same s >= 1 steps. The next n*s events of a run
-    with no sink are then exactly those steps, taken round-robin: a step
-    pops an entry, follows a link or applies a step rule, pushes nothing
-    and appends its successor with the next seq behind the n - 1
-    entries still held. So, when those events end before `room` more,
-    the lane becomes the n walk ends, in the same order, entry i
-    numbered c + n*(s - 1) + i, where c is the counter's next value, and
-    the set gets a counter that goes on from c + n*s, where those
-    appends leave it; the next check comes once the ends are popped.
-
-    The entries are scanned from the head, and the scan stops at the
-    first that fails. A message in two entries would interleave its
-    pushes and pops hop by hop, and walks of unequal length end in
-    different rounds, so neither lane is walked, and the next check
-    normally comes once this lane is popped. But when the first k + 1
-    entries carry distinct messages and walks of at least m steps, not
-    all of one length, each of them still takes one step, one pop, in
-    each of the next m - 1 rounds, ahead of the rest of the lane, so the
-    next check waits for those pops too: checked every round, a lane of
-    two walks one step apart computes two fresh walks per round and
-    walks nothing."""
+    """Walk the whole lane, due at `t_ns`, in one step when its entries
+    walk alike and their events end before `room` more (the module note,
+    *Lane walks*). Returns the number of events walked, 0 when the lane
+    is left as it is, and the number of lane entries the run loop pops
+    before it checks the lane again. A walk rewrites `fes.lane`, each
+    walked message's name and route, and `fes.seq_counter`."""
     lane = fes.lane
     n = len(lane)
     steps, walked, held = 0, [], set()
@@ -513,16 +499,14 @@ def _walk_lane(fes: FutureEventSet, walks: _Walks, t_ns: int,
 
 
 class Simulator:
-    """One sequential event loop over a built module tree.
-
-    A simulator owns its clock, its future event set and its message-id
-    counter; independent instances share nothing. All operations on a
-    running instance happen from inside the loop (module handlers).
+    """One sequential event loop over a built module tree. A simulator
+    owns its clock, its future event set and its message-id counter;
+    independent instances share nothing.
 
     Binding the tree under `root` fixes its shape and wiring. `root` must
-    be a network's root: a module with a parent could still be moved, and
-    the paths of its tree with it, so it is refused, as are a root outside
-    a network and a tree bound already, before anything is bound.
+    be a network's root; a module with a parent (whose paths could still
+    move), a root outside a network and a tree bound already are refused
+    before anything is bound.
     """
 
     def __init__(self, root, seed: int = 0):
@@ -559,7 +543,10 @@ class Simulator:
 
     def run(self, until: SimTime, event_limit: Optional[int] = None,
             sinks: Sequence = ()) -> RunSummary:
-        """Dispatch events with fire time strictly below `until`.
+        """Dispatch events with fire time strictly below `until`, once per
+        simulator, and return the RunSummary. Stops when the FES drains,
+        the next event would fire at or past `until`, or `event_limit`
+        events have run.
 
         Shows every dispatched event, numbered from 1, to every sink, as
         the message arrived. A sink with `on_events(first_no, rows)` gets
@@ -573,49 +560,12 @@ class Simulator:
         their handlers ran, so it must read nothing but the rows: not the
         clock, the FES or a message. Any other sink's `record(rec)` is
         called at each event, before the target handler runs, with the
-        event's EventRecord (see `_event_entry`). Stops when the FES
-        drains, the next event would fire at or past `until`, or
-        `event_limit` events have run.
+        event's EventRecord (see `_event_entry`).
 
-        The loop runs one time bucket at a time: it refills the FES lane
-        with every entry due at the earliest time, sets the clock to that
-        time, and pops the lane in FIFO order with no compare, since the
-        heap holds only later entries.
-
-        A handler may return the zero-delay hop it would otherwise push,
-        as `(target, arrival_label, msg)`: every stack layer does, and so
-        does a generator's timer, with its emission to the top layer. An
-        arrival on an In gate with a relay link (`Gate.relay_to`, set by
-        `_set_links` from the step rule of the gate's module once every
-        `on_start` has run) makes the same hop with no handler call: the
-        loop renames the message for the linked gate's module, by the
-        kind of the message, and moves on to that gate. A gate whose source
-        is the target, as its Out gate is, gets no link and no walk.
-        Either way, when the lane is empty, nothing else is due now, so
-        the hop is the entry the FES would pop next and is dispatched at
-        once as the next event. When the lane still holds entries, the
-        hop is appended behind them with the next insertion seq, as
-        `push` would do; at the event limit it is pushed. The order of
-        events is the same either way.
-
-        A run with no sink (`sinks` empty; a sink with only `record`
-        counts as one) goes further when a hop finds the lane empty: it
-        jumps the whole walk from the hop's gate in one step (see
-        `_Walks`). A jump counts each step as an event, appends the walk's
-        net pushes to the message's route, renames the message once, as
-        the last step named it, and dispatches the gate the walk ends at
-        as the next event. Nothing else is due now and no step pushes an
-        entry, so each of those events would have run at once, unseen,
-        and every count, seq, message id, route, clock reading and
-        pending entry stays as it is hop by hop. A walk is jumped only when the event at its end is
-        within `event_limit`.
-
-        Such a run also checks the lane once per round: at the start of
-        each bucket, and whenever the entries present at the last check
-        have all been popped, unless that check found the lane's head
-        stepping on for more rounds. When every entry in it walks alike,
-        the loop makes all their steps in one go (see `_walk_lane`), if
-        those events end before `event_limit`.
+        A handler may return its zero-delay hop, `(target, arrival_label,
+        msg)`, in place of pushing it. Relay links, and walks when no sink
+        is given (a sink with only `record` counts as one), make steps with
+        no handler call, exactly as the hop-by-hop run (the module note).
         """
         if self._ran:
             raise SimulationError("this simulator instance has already run")
@@ -651,12 +601,10 @@ class Simulator:
                 t_ns = refill(until_ns)
                 while t_ns is not None:
                     self.now_ns = t_ns
-                    # every entry in the lane is due at t_ns, and nothing
-                    # earlier or equal waits in the heap: pop with no compare
+                    # the lane heads the order: pop it with no compare
                     while lane and executed != limit:
                         if not due:
-                            # the entries present at the last check are
-                            # popped: check the lane again
+                            # the last check's entries are popped: check again
                             due = len(lane)
                             if due > 1 and not traced:
                                 walked, due = _walk_lane(fes, walks, t_ns, limit - executed)
@@ -697,9 +645,7 @@ class Simulator:
                                 break
                             gate = target._gates.get(gate_label) if link is None else link
                             if not traced:
-                                # nothing else is due now and no sink sees
-                                # the steps ahead: jump them all if the
-                                # event after them is within the limit
+                                # jump the walk if its end is within the limit
                                 walk = walks[None if gate is None or gate.source is target
                                              else gate]
                                 steps = walk[1]

@@ -4,27 +4,18 @@ Four node types (UE, eNB, S-GW/MME, PDN-GW) built from layer modules that
 forward messages up or down and rename them with the tag of the module
 they are headed to: a control message entering lte_rrc is named
 "RRCMsg", a packet handed to lte_mac is "MACPck". Layers add no delay of
-their own. Each class routes by one step rule, `route_step`, and one
-handler applies every class's rule (see `Forwarder`). Most rules are a
-table of where arrivals go; only the PHY's air hop and the S1 fan-in
-carry a route, pushing or popping a waypoint. The kernel sets every relay
-link from the rules, and a run with no sink follows the links and applies
-the rules to the waypoints its walk pushed. The walk stops wherever the
-handler would raise, drop or transmit, so a round trip with no delay,
-from a UE's top layer to its generator, is one loop step.
+their own. Each class routes by one step rule, `route_step`: a table of
+where arrivals go, or for the PHY's air hop and the S1 fan-in a push or
+pop of a waypoint on the message's route. One handler applies every
+class's rule (see `Forwarder`); how the run loop makes these steps with
+no handler call is told in `lteadv_sim.kernel`.
 
 `build_node` builds every kind from one per-kind table: a stack of
-pass-through layers with one special layer. The bottom of the UE and eNB
-stacks is a PHY that crosses the air gap with a direct delivery to the
-peer node's radio interface, the bottom of the S-GW/MME fans in from
-every eNB, and the top of the PDN-GW turns messages around and sends
-them back the way they came. A node keeps its `kind`, its `stack` and
-its `generator`; the cross-node links read the ends of the stack.
-
-A handler returns its zero-delay hop as `(target, arrival_label, msg)`
-instead of pushing it, and the run loop dispatches or queues it (see
-`Simulator.run`); a hop over a delayed channel is transmitted and the
-handler returns None.
+pass-through layers with one special layer, the PHY at the bottom of a
+UE or eNB, which crosses the air to the peer's radio, the S1 fan-in at
+the bottom of the S-GW/MME, or the reflector at the top of the PDN-GW.
+A node keeps its `kind`, `stack` and `generator`; the cross-node links
+read the ends of the stack.
 """
 
 from __future__ import annotations
@@ -39,10 +30,6 @@ from .kernel import MessageKind, SimMessage, SimulationError
 from .model import (IN_FROM_LOWER, IN_FROM_UPPER, OUT_TO_LOWER, OUT_TO_UPPER,
                     RADIO_IN, ChannelSpec, CompoundModule, Direction, Gate,
                     ModuleNode, SimpleModule, _channel, transmit)
-
-
-# a handler's zero-delay hop, (target, arrival_label, msg), or None
-Hop = Optional[tuple]
 
 
 class NoRadioPeer(SimulationError):
@@ -116,30 +103,20 @@ class Forwarder(SimpleModule):
     """A module that forwards each arrival by its class's step rule,
     `route_step(msg, arrival_gate)`, which returns `(gate, namer)`: the
     gate the message goes on to, a channel or a radio's air input, and
-    the module it is renamed for. The rule of this class is a table,
+    the module it is renamed for. This class's rule is a table,
     `forward_to`: arrival label -> the attribute holding the channel the
-    arrival leaves by. A class whose arrivals carry a route, the PHY's
-    air hop and the S1 fan-in, overrides the rule to push or pop the
-    message's waypoint.
+    arrival leaves by; the PHY's air hop and the S1 fan-in override it.
+    `handle_message` applies the rule: a None from it (a UE's top layer
+    with no generator) drops the message, counted in `drop_count`; a label
+    the rule lacks raises; otherwise it renames the message for the namer
+    and returns the hop, or transmits it over a delayed channel.
 
-    The one handler, `handle_message`, applies the rule. A rule that
-    returns None (a UE's top layer without a generator) drops the
-    message, counted in `drop_count`; a label the rule lacks is an
-    error. Otherwise the message is renamed for the namer, and the hop
-    to the gate's owner is returned, or transmitted when the gate is a
-    delayed channel.
-
-    Once every `on_start` of a run has run, the kernel links each In gate
-    to the gate its arrivals go on to, wherever the rule alone fixes
-    that step (see `kernel._set_links` and `Gate.relay_to`), and the run
-    loop makes a linked hop with no handler call. Links are set, and the
-    walks of a run with no sink (see `kernel._Walks`) step through a
-    module, only while its handler is `Forwarder.handle_message`: not
-    overridden in a subclass, replaced on a class or set on the instance,
-    before the run or in any `on_start`. A handler replaced during the run
-    is not called for the arrivals those links or walks cover. A handler
-    of its own calls the stock one at most once, so one event is one
-    `handle_message` call.
+    A run makes a module's steps with no handler call (`lteadv_sim.kernel`)
+    only while its handler is `Forwarder.handle_message`: one overridden
+    in a subclass, or replaced on a class or instance before the run or in
+    any `on_start`, is called at every arrival; one replaced later is not
+    called for the steps the run makes without it. A handler of its own
+    calls the stock one at most once, so one event is one call.
     """
 
     def __init__(self, name: str):
@@ -156,7 +133,7 @@ class Forwarder(SimpleModule):
         gate = getattr(self, attr)
         return None if gate is None else (gate, gate.owner)
 
-    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Hop:
+    def handle_message(self, msg: SimMessage, arrival_gate: str) -> Optional[tuple]:
         step = self.route_step(msg, arrival_gate)
         if step is None:
             self.drop_count += 1
@@ -274,16 +251,11 @@ class ReflectorLayer(PassThroughLayer):
 
 def wire_vertical(upper: ModuleNode, lower: ModuleNode,
                   channel: ChannelSpec = ChannelSpec()) -> None:
-    """Join two stack neighbors with an opposed pair of one-way channels;
-    a FanInLayer above gets its next pair and reply gate.
-
-    A module joined to itself would relay each arrival back to itself
-    forever with no time passing, so that raises SelfJoin. Both modules
-    are then checked before either gains a gate, in the order `add_gate`
-    would meet them: the lower one first. A refused join raises
-    SelfJoin, WiringLocked or DuplicateName and leaves both modules as
-    they were. Only then are the two channels made, down and up, each
-    with the channel's delay (see `model._channel`)."""
+    """Join two stack neighbors with an opposed pair of one-way channels
+    of the channel's delay; a FanInLayer above gets its next pair and
+    reply gate. A module joined to itself raises SelfJoin. Both modules
+    are checked, the lower one first, before either gains a gate, so a
+    refused join (SelfJoin, WiringLocked, DuplicateName) changes neither."""
     if upper is lower:
         raise SelfJoin(f"cannot join {upper.name!r} to itself")
     index = len(upper.reply_gates) if isinstance(upper, FanInLayer) else None

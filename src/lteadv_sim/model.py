@@ -90,8 +90,7 @@ class Gate:
     (with `[index]` for a vector gate); `source` and `source_label` its Out
     end. So a module's entry under L is its In gate exactly when `owner`
     and `label` are that module and L. `relay_to` is the In end's relay
-    link, set by `kernel._set_links` from its owner's step rule: the run
-    loop follows it with no handler call (see `Simulator.run`).
+    link, which a run sets and follows (see `lteadv_sim.kernel`).
     """
 
     owner: Optional[ModuleNode]
@@ -172,12 +171,9 @@ class ModuleNode:
             return self.name
 
     def assign_ids(self) -> dict[str, int]:
-        """Number this subtree depth-first pre-order starting at 1.
-
-        Pure function of tree shape and names: the same tree always gets
-        the same ids. Returns the path -> id map. Simulator.run numbers
-        the tree the same way; build() leaves it unnumbered.
-        """
+        """Number this subtree depth-first pre-order starting at 1, by tree
+        shape and names alone, and return the path -> id map. Simulator.run
+        numbers the tree the same way; build() leaves it unnumbered."""
         ids: dict[str, int] = {}
         for module_id, node in enumerate(self.iter_tree(), 1):
             node.module_id = module_id
@@ -284,14 +280,10 @@ def _channel(src: ModuleNode, out_label: str, dst: ModuleNode, in_label: str,
 
 
 def transmit(gate: Gate, msg: SimMessage, at_ns: Optional[int] = None) -> int:
-    """Send through a connected gate at `at_ns`, or now when it is None.
-
-    `send` and the built-in modules send through it; the built-in ones
-    only when a hop has a delay or starts a new message (their zero-delay
-    hops go back to the run loop). The route was resolved when the gate
-    was connected, so nothing is looked up by name. Returns the event's
-    insertion sequence.
-    """
+    """Send through a connected gate at `at_ns`, or now when it is None,
+    with no lookup by name; return the event's insertion sequence. `send`
+    and the built-in modules send through it, the latter only a hop with
+    a delay or a new message."""
     sim = gate.source._sim
     now = sim.now_ns
     return sim.fes.push((now if at_ns is None else at_ns) + gate.delay_ns, now,

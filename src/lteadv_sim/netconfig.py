@@ -499,12 +499,9 @@ class _Parser:
 
 
 def parse(source: str) -> ParseResult:
-    """Parse topology source text; never raises on bad input.
-
-    Returns the spec plus any diagnostics. When errors are present the
-    spec is withheld (None) but all recoverable problems are reported in
-    one pass.
-    """
+    """Parse topology source text; never raises on bad input. Returns the
+    spec plus any diagnostics; with errors the spec is withheld (None),
+    but all recoverable problems are reported in one pass."""
     diags: list[ParseDiagnostic] = []
     tokens = _lex(source, diags)
     spec = _Parser(tokens, diags).parse_network()
@@ -535,11 +532,9 @@ def _resolve(sel: Selector, decl: NodeDecl) -> Optional[list[str]]:
 
 @dataclass
 class InstanceTable:
-    """A spec's selectors resolved to instances, once.
-
-    On an invalid spec a dangling selector names nothing and the first
-    statement naming a UE sets its eNB and its generator.
-    """
+    """A spec's selectors resolved to instances, once. On an invalid spec
+    a dangling selector names nothing and the first statement naming a UE
+    sets its eNB and its generator."""
 
     diagnostics: list[ParseDiagnostic]
     ues: list[str]                             # declaration order
@@ -551,11 +546,9 @@ class InstanceTable:
 
 
 def instance_table(spec: NetworkSpec) -> InstanceTable:
-    """Check the topology rules and resolve every selector, in one pass.
-
-    The diagnostics are validate()'s; the rest is what build() wires and
-    what the chain-walk oracle walks.
-    """
+    """Check the topology rules and resolve every selector, in one pass:
+    the diagnostics are validate()'s; the rest is what build() wires and
+    what the chain-walk oracle walks."""
     diags: list[ParseDiagnostic] = []
 
     def err(line: int, col: int, msg: str) -> None:

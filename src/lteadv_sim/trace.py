@@ -40,27 +40,16 @@ class MalformedTrace(SimulationError):
 # --------------------------------------------------------------------------
 # line formats
 #
-# A trace sink gets a run's events as rows, `(t_ns, module, msg_name,
-# msg_kind, msg_id)`, numbered on from the first row's event number (see
-# `Simulator.run`). One formatter, `_render`, turns a chunk of rows into
-# lines of either format or both, so each format's line template is
-# written once. A sink's `record` and the record-based functions below
-# pass an EventRecord through it as a one-row chunk, whose module is a
-# `_RecordModule` holding the record's path, type and id.
-#
-# A site is the part of a line filled by a module's path, type and id and
-# by the message's name and kind: everything between the time and the
-# message id. Both formats' sites are built, escaped, once and kept as a
-# pair in a `_Sites` dict keyed on (module, message name, message kind),
-# so a line adds only the event number, the time and the message id, and
-# one dict lookup serves both lines of a row. A module's path, type and
-# id are fixed once its simulator starts, and records with equal fields
-# make equal keys. A module sees a message under the name tagged for its
-# layer, so it has about one site. Each trace sink keeps its own dict, and
-# the record-based functions share one: one process may trace several
-# networks whose modules share a path or an id. Each dict is emptied when
-# it reaches _MAX_SITES, which holds every site of a 1000-UE network
-# (about 10,000) and caps what a process tracing many networks keeps.
+# One formatter, `_render`, turns a chunk of rows (see `Simulator.run`)
+# into lines of either format or both; an EventRecord passes through it
+# as a one-row chunk whose module is a `_RecordModule`. A site is the part
+# of a line between the time and the message id. Both formats' sites are
+# built, escaped, once per (module, message name, message kind) and kept
+# in a `_Sites` dict, so a line adds only the event number, time and
+# message id. Each trace sink keeps its own dict, and the record-based
+# functions share one, since one process may trace several networks
+# whose modules share a path or an id. A dict is emptied at _MAX_SITES,
+# above every site of a 1000-UE network, to cap what a process keeps.
 
 _MAX_SITES = 16384
 
@@ -130,23 +119,18 @@ def _structured_line(rec: EventRecord) -> str:
 
 
 def format_event_line(rec: EventRecord) -> str:
-    """Render one event in the console log format, without a newline.
-
-    The time prints as decimal seconds with no trailing zeros and no
-    exponent; the message name sits between a backtick and an apostrophe.
-    """
+    """Render one event in the console log format, without a newline: the
+    time as decimal seconds with no trailing zeros and no exponent, the
+    message name between a backtick and an apostrophe."""
     lines: list[str] = []
     _render(rec.event_no, (_record_row(rec),), _SITES, lines, None)
     return lines[0][:-1]
 
 
 def structured_line(rec: EventRecord) -> str:
-    """One JSON record with fixed field order, without a newline; output
-    is byte-deterministic.
-
-    Byte-identical to json.dumps of the fields in that order with
-    separators (", ", ": "): strings go through the same ASCII escaper.
-    """
+    """One JSON record with fixed field order, without a newline,
+    byte-identical to json.dumps of the fields in that order with
+    separators (", ", ": "): strings go through the same ASCII escaper."""
     return _structured_line(rec)[:-1]
 
 
@@ -211,12 +195,9 @@ class TraceSink:
     """Writes the console log format to `paper` and the structured trace
     to `structured`, one LF-terminated line per event each; either stream
     may be None. Given one stream for both, it writes each event's console
-    line and then its structured record.
-
-    `on_events(first_no, rows)`, which `Simulator.run` calls, renders a
-    chunk of rows with one site lookup per row and one write per stream;
-    `record(rec)` writes an EventRecord's lines through the same
-    formatter."""
+    line and then its structured record. `on_events(first_no, rows)`
+    writes a chunk with one write per stream; `record(rec)` writes one
+    EventRecord's lines through the same formatter."""
 
     def __init__(self, paper: Optional[TextIO] = None,
                  structured: Optional[TextIO] = None):
@@ -304,13 +285,11 @@ def generator_on(spec: NetworkSpec, ue_instance: str) -> Optional[GeneratorConfi
 
 
 def data_walk(spec: NetworkSpec, ue_instance: str) -> list[tuple[str, str]]:
-    """Expected (module path, message name) sequence of one round trip.
-
-    Derived from the NetworkSpec alone: up the UE stack top to bottom,
-    across the air into the eNB, up through the S-GW/MME into the PDN-GW,
-    around the reflector, and back down the exact reverse, ending at the
-    generator when the UE has one.
-    """
+    """Expected (module path, message name) sequence of one round trip,
+    from the NetworkSpec alone: down the UE stack, across the air into the
+    eNB, up through the S-GW/MME into the PDN-GW, around the reflector, and
+    back along the exact reverse, ending at the generator when the UE has
+    one."""
     return _walk(spec, instance_table(spec), ue_instance)
 
 
@@ -380,13 +359,11 @@ def zero_delay_emissions(until: SimTime, period: SimTime,
 
 
 def expected_event_total(spec: NetworkSpec) -> int:
-    """Total events of a full zero-delay run of the spec.
-
-    Per generator: one walk per round trip plus one timer event between
-    consecutive trips (the first trip is primed at start, not timed in).
-    Exact only when every channel delay is zero, which is how the default
-    fixtures are wired.
-    """
+    """Total events of a full zero-delay run of the spec. Per generator:
+    one walk per round trip plus one timer event between consecutive trips
+    (the first trip is primed at start, not timed in). Exact only when
+    every channel delay is zero, which is how the default fixtures are
+    wired."""
     if spec.until is None:
         raise ValueError("spec has no run-until time")
     table = instance_table(spec)

@@ -6,10 +6,8 @@ next emission one period later. Round trips therefore never overlap: the
 k+1-th emission is gated on the return of the k-th.
 
 The first emission is sent by `on_start`, through `emit`. Each later one
-starts at the timer: when the channel down to the stack has no delay,
-the handler returns the emission to the run loop as a zero-delay hop,
-`(top layer, inFromUpperLayer, msg)`, as every stack layer returns its
-own (see `Simulator.run`); over a delayed channel it is sent by `emit`.
+starts at the timer, whose handler returns the emission as a zero-delay
+hop to the top layer, or sends it by `emit` over a delayed channel.
 """
 
 from __future__ import annotations
@@ -58,12 +56,8 @@ class Generator(SimpleModule):
     """Emits into the stack below; discards returns and re-arms a timer.
 
     A generator built without a config is inert: it never emits, but still
-    counts and discards anything delivered to it.
-
-    `emit` sends a message down and needs a bound simulator; the timer's
-    handler builds its message as `emit` does, but returns it as a hop
-    when the down channel has no delay, so it calls `emit` only over a
-    delayed channel.
+    counts and discards anything delivered to it, timers included.
+    `emit` sends a message down and needs a bound simulator.
     """
 
     def __init__(self, name: str = "generator",
@@ -102,6 +96,9 @@ class Generator(SimpleModule):
 
     def handle_message(self, msg, arrival_gate: str) -> Optional[tuple]:
         if arrival_gate == SELF_GATE:
+            if self.config is None:  # inert: a timer is counted and discarded
+                self.stats.discarded += 1
+                return None
             down = self.down_gate
             if down is None or down.delay_ns:
                 self.emit()

@@ -2,10 +2,11 @@
 
 import pytest
 
-from lteadv_sim import build, parse
+from lteadv_sim import CollectingSink, build, parse
 from lteadv_sim.kernel import MessageKind, SimTime, Simulator
-from lteadv_sim.model import CompoundModule, UnconnectedGate
-from lteadv_sim.traffic import Generator, GeneratorConfig, GeneratorStats
+from lteadv_sim.lte_nodes import NodeType, build_node
+from lteadv_sim.model import CompoundModule, UnconnectedGate, UnknownArrivalGate
+from lteadv_sim.traffic import TIMER_NAME, Generator, GeneratorConfig, GeneratorStats
 
 from conftest import MINIMAL_SOURCE, run_spec
 
@@ -134,3 +135,26 @@ def test_an_enabled_generator_with_nothing_below_is_an_unconnected_gate():
                            match=r"^Network\.generator\.outToLowerLayer is not connected$"):
             start(sim, gen)
         assert (gen.stats.emitted, sim._next_msg_id, len(sim.fes)) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_an_inert_generator_discards_a_timer(traced):
+    """A timer delivered to a generator built with no config is counted and
+    discarded: nothing is emitted, with or without a sink watching. An
+    unknown label is still refused."""
+    root = CompoundModule("Network")
+    ue = root.add_child(build_node(NodeType.UE, "ue", generator=Generator()))
+    sim = Simulator(root)
+    sim.fes.push(0, 0, ue.generator, "self",
+                 sim.new_message(TIMER_NAME, MessageKind.CONTROL_MESSAGE))
+    sinks = [CollectingSink()] if traced else []
+    summary = sim.run(until=SimTime(10), sinks=sinks)
+    assert ue.generator.stats == GeneratorStats(0, 0, 1)
+    assert summary.events_executed == 1
+    assert (sim._next_msg_id, len(sim.fes)) == (2, 0)
+    if traced:
+        assert [(r.path, r.msg_name) for r in sinks[0].records] == [
+            ("Network.ue.generator", TIMER_NAME)]
+    with pytest.raises(UnknownArrivalGate):
+        ue.generator.handle_message(sim.new_message("m", MessageKind.CONTROL_MESSAGE), "bogus")
+
