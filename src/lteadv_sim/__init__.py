@@ -6,8 +6,8 @@ topology description language, and exact event tracing."""
 from .kernel import (EventRecord, FutureEventSet, HandlerError, MessageKind,
                      RunSummary, SchedulingInPast, SimMessage, SimTime,
                      SimTimeRangeError, SimulationError, Simulator, StopReason)
-from .model import (ChannelSpec, CompoundModule, Direction, Gate, ModuleNode,
-                    SimpleModule, UnknownArrivalGate, connect, send, send_direct)
+from .model import (ChannelSpec, CompoundModule, Gate, ModuleNode, SimpleModule,
+                    UnknownArrivalGate, connect, send, send_direct)
 from .lte_nodes import (LayerSpec, NodeType, NoRadioPeer, attach_ue, build_node,
                         link_enb_to_sgw, link_sgw_to_pdn)
 from .traffic import Generator, GeneratorConfig, GeneratorStats

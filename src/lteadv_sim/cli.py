@@ -5,13 +5,14 @@ Exit codes: 0 success, 1 runtime failure, 2 config problems (printed with
 file:line:col locations), 64 usage errors. A runtime failure is a simulation
 error or an output that fails while it is written, flushed or closed (a
 full disk, a closed stdout pipe); the latter prints one "cannot write
-output" line and no traceback. An output file that cannot be
-opened is a usage error: every requested output is opened, and so created
-or truncated, after the config parses and before the network is built,
-so a bad path fails before the run, not after it. With no output flags
-the console log goes to stdout; LTEADV_SIM_TRACE=paper|structured|both
-picks its format. --quiet silences the console trace but never file
-outputs.
+output" line and no traceback. Usage errors include an output path that
+names the config or another output (by `os.path.realpath`), found before
+any file is read, and an output file that cannot be opened: every output
+is opened, and so created or truncated, after the config parses and
+before the network is built, so a bad path fails before the run. With no
+output flags the console log goes to stdout;
+LTEADV_SIM_TRACE=paper|structured|both picks its format. --quiet
+silences the console trace but never file outputs.
 """
 
 from __future__ import annotations
@@ -142,6 +143,16 @@ def main(argv: Optional[list] = None) -> int:
         parser.print_usage(sys.stderr)
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+    named: dict = {}  # real path -> the flag that named it first
+    for flag in ("--config", "--trace-out", "--structured-out", "--metrics-out"):
+        path = getattr(opts, flag[2:].replace("-", "_"))
+        if path:
+            first = named.setdefault(os.path.realpath(path), flag)
+            if first != flag:
+                print(f"{parser.prog}: error: {flag} names the same file as {first}",
+                      file=sys.stderr)
+                return EXIT_USAGE
 
     console_format = os.environ.get(_TRACE_ENV, "paper")
     if console_format not in ("paper", "structured", "both"):

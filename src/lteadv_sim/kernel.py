@@ -562,10 +562,11 @@ class Simulator:
         called at each event, before the target handler runs, with the
         event's EventRecord (see `_event_entry`).
 
-        A handler may return its zero-delay hop, `(target, arrival_label,
-        msg)`, in place of pushing it. Relay links, and walks when no sink
-        is given (a sink with only `record` counts as one), make steps with
-        no handler call, exactly as the hop-by-hop run (the module note).
+        A handler returns None or its zero-delay hop, `(target,
+        arrival_label, msg)`, in place of pushing it; a return that does
+        not unpack to three fails as a HandlerError. Relay links and, with
+        no sink (a sink with only `record` counts as one), walks make steps
+        with no handler call, exactly as the hop-by-hop run (module note).
         """
         if self._ran:
             raise SimulationError("this simulator instance has already run")
@@ -626,13 +627,13 @@ class Simulator:
                             # none where the target is the gate's source (an Out gate)
                             link = None if gate is None or gate.source is target else gate.relay_to
                             if link is None:
-                                try:
+                                try:  # a returned hop that fails to unpack fails here too
                                     hop = target.handle_message(msg, gate_label)
+                                    if hop is None:
+                                        break
+                                    target, gate_label, msg = hop
                                 except Exception as exc:
                                     raise HandlerError(target.full_path, executed, exc) from exc
-                                if hop is None:
-                                    break
-                                target, gate_label, msg = hop
                             else:
                                 target, gate_label = link.owner, link.label
                                 msg.name = (target.packet_name if msg._kind is _PACKET

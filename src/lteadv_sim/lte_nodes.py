@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .kernel import MessageKind, SimMessage, SimulationError
 from .model import (IN_FROM_LOWER, IN_FROM_UPPER, OUT_TO_LOWER, OUT_TO_UPPER,
-                    RADIO_IN, ChannelSpec, CompoundModule, Direction, Gate,
+                    RADIO_IN, ChannelSpec, CompoundModule, Gate,
                     ModuleNode, SimpleModule, _channel, transmit)
 
 
@@ -140,7 +140,7 @@ class Forwarder(SimpleModule):
             return None
         gate, namer = step
         msg.name = namer.packet_name if msg._kind is _PACKET else namer.control_name
-        if gate.delay_ns:  # None for a direct delivery's one-ended In gate
+        if gate.delay_ns:  # None for a radio's unwired air input
             transmit(gate, msg)
             return None
         return gate.owner, gate.label, msg
@@ -307,7 +307,7 @@ def build_node(kind: NodeType, name: str,
         radio = phy.home_radio = RadioInterface()
         # both modules are new, so nothing is checked
         radio.up_gate = _channel(radio, OUT_TO_UPPER, phy, IN_FROM_LOWER)
-        radio.add_gate(RADIO_IN, Direction.IN)
+        radio.add_gate(RADIO_IN)
         column = [*column, radio]
     node = CompoundModule(name, type_name=kind.value)
     for child in column if kind is NodeType.UE else reversed(column):

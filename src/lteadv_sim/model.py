@@ -1,27 +1,18 @@
 """Composition model.
 
-Named modules with directional gates, compound modules, wired channels
-with delay, and direct delivery for the over-the-air hop. `Simulator(root)`
-binds a tree and fixes its shape and wiring (see `WiringLocked`). A wired
-one-way channel is one `Gate`, held in both its modules' gate tables, and
-is connected at most once, so its route and delay are final.
+Named modules, compound modules, wired channels with delay, and direct
+delivery for the over-the-air hop. `Simulator(root)` binds a tree and
+fixes its shape and wiring (see `WiringLocked`). `connect` makes each
+wired one-way channel, one `Gate` held in both its modules' gate tables;
+`ModuleNode.add_gate` makes an unwired In gate, for `send_direct`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .kernel import SimMessage, SimTime, SimulationError
-
-
-class GateAlreadyConnected(SimulationError):
-    pass
-
-
-class DirectionMismatch(SimulationError):
-    pass
 
 
 class UnknownGate(SimulationError):
@@ -60,11 +51,6 @@ class UnknownArrivalGate(SimulationError):
     pass
 
 
-class Direction(enum.Enum):
-    IN = "in"
-    OUT = "out"
-
-
 # The four layer gate names are a fixed compatibility surface, plus the
 # unwired air-interface input on radio modules.
 IN_FROM_UPPER = "inFromUpperLayer"
@@ -84,17 +70,17 @@ class ChannelSpec:
 
 @dataclass(slots=True, eq=False)
 class Gate:
-    """A one-way channel, held in both its modules' gate tables, or, from
-    `add_gate` until `connect`, one end of one. `owner` and `label` name
-    its In end, the module a message arrives at and its arrival label
-    (with `[index]` for a vector gate); `source` and `source_label` its Out
-    end. So a module's entry under L is its In gate exactly when `owner`
-    and `label` are that module and L. `relay_to` is the In end's relay
-    link, which a run sets and follows (see `lteadv_sim.kernel`).
+    """A one-way channel, held in both its modules' gate tables, or an
+    unwired In gate (`source` None). `owner` and `label` name its In end,
+    the module a message arrives at and its arrival label; `source` and
+    `source_label` its Out end. So a module's entry under L is its In gate
+    exactly when `owner` and `label` are that module and L. Only `relay_to`
+    changes once a gate is made: the In end's relay link, which a run sets
+    and follows (see `lteadv_sim.kernel`).
     """
 
-    owner: Optional[ModuleNode]
-    label: Optional[str]
+    owner: ModuleNode
+    label: str
     source: Optional[ModuleNode] = None
     source_label: Optional[str] = None
     delay_ns: Optional[int] = None
@@ -102,8 +88,7 @@ class Gate:
 
     def __repr__(self) -> str:
         src = "" if self.source is None else f"{self.source.name}.{self.source_label} "
-        dst = "" if self.owner is None else f" {self.owner.name}.{self.label}"
-        return f"Gate({src}->{dst})"
+        return f"Gate({src}-> {self.owner.name}.{self.label})"
 
 
 class ModuleNode:
@@ -122,18 +107,15 @@ class ModuleNode:
 
     # -- gates ---------------------------------------------------------
 
-    def add_gate(self, name: str, direction: Direction,
-                 index: Optional[int] = None) -> Gate:
-        label = name if index is None else f"{name}[{index}]"
+    def add_gate(self, label: str) -> Gate:
+        """A new unwired In gate, such as `radioIn`, for `send_direct`."""
         self._check_new_gates((label,))
-        g = self._gates[label] = (Gate(self, label) if direction is Direction.IN
-                                  else Gate(None, None, self, label))
-        return g
+        gate = self._gates[label] = Gate(self, label)
+        return gate
 
     def _check_new_gates(self, labels: tuple) -> None:
-        """Raise WiringLocked once this module is bound to a simulator,
-        else DuplicateName for the first of `labels` it already has a gate
-        under."""
+        """Raise WiringLocked if this module is bound, else DuplicateName
+        for the first of `labels` it already has a gate under."""
         if self._sim is not None:
             raise WiringLocked(f"{self.name}: cannot add gates to a bound module")
         for label in labels:
@@ -250,30 +232,22 @@ class CompoundModule(ModuleNode):
                 f"{self.full_path_or_name()} has no child named {name!r}") from None
 
 
-def connect(out_gate: Gate, in_gate: Gate,
-            channel: ChannelSpec = ChannelSpec()) -> None:
-    """Wire an Out gate to an In gate through a delay-bearing channel. The
-    Out gate becomes the channel; the In gate is retired, a copy in no table."""
-    if any(module is not None and module._sim is not None
-           for module in (out_gate.source, out_gate.owner, in_gate.source, in_gate.owner)):
-        raise WiringLocked("cannot connect a gate of a bound module")
-    if out_gate.source is None or in_gate.owner is None:
-        raise DirectionMismatch(
-            f"connect needs Out -> In, got {out_gate!r} -> {in_gate!r}")
-    if out_gate.owner is not None:
-        raise GateAlreadyConnected(f"{out_gate!r} is already connected")
-    if in_gate.source is not None:
-        raise GateAlreadyConnected(f"{in_gate!r} is already connected")
-    out_gate.owner, out_gate.label = in_gate.owner, in_gate.label
-    in_gate.source, in_gate.source_label = out_gate.source, out_gate.source_label
-    out_gate.delay_ns = in_gate.delay_ns = channel.delay.ns
-    in_gate.owner._gates[in_gate.label] = out_gate
+def connect(src: ModuleNode, out_label: str, dst: ModuleNode, in_label: str,
+            channel: ChannelSpec = ChannelSpec()) -> Gate:
+    """Wire a new Out gate `out_label` of `src` to a new In gate `in_label`
+    of `dst` with the channel's delay; return that one `Gate`. `src` is
+    checked first, then `dst`; a refused connect changes neither."""
+    src._check_new_gates((out_label,))
+    if src is dst and out_label == in_label:
+        raise DuplicateName(f"{src.name} cannot connect gate {out_label!r} to itself")
+    dst._check_new_gates((in_label,))
+    return _channel(src, out_label, dst, in_label, channel.delay.ns)
 
 
 def _channel(src: ModuleNode, out_label: str, dst: ModuleNode, in_label: str,
              delay_ns: int = 0) -> Gate:
     """A new one-way channel from `src` to `dst`, entered unchecked in both
-    tables, as `connect` leaves it."""
+    tables: `connect` with no checks, for callers that made them."""
     gate = src._gates[out_label] = dst._gates[in_label] = Gate(
         dst, in_label, src, out_label, delay_ns)
     return gate
@@ -300,9 +274,6 @@ def send(from_module: ModuleNode, msg: SimMessage, out_gate_name: str,
     if g is None or g.source is not from_module or g.source_label != label:
         raise UnknownGate(
             f"{from_module.full_path_or_name()} has no Out gate {label!r}")
-    if g.owner is None:
-        raise UnconnectedGate(
-            f"{from_module.full_path_or_name()}.{label} is not connected")
     return transmit(g, msg, None if now is None else now.ns)
 
 

@@ -243,6 +243,35 @@ def test_unopenable_output_is_usage_error_before_the_run(bad_flag, tmp_path, cap
         assert (tmp_path / flag.strip("-")).read_text() == ""
 
 
+def test_an_output_naming_the_config_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "v.net"
+    config.write_text(Path(MINIMAL).read_text())
+    (tmp_path / "link.net").symlink_to(config)
+    for same in (str(config), f"{tmp_path}/./v.net", str(tmp_path / "link.net")):
+        assert main(["--config", str(config), "--metrics-out", same, "--quiet"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "lteadv-sim: error: --metrics-out names the same file as --config\n")
+    assert config.read_text() == Path(MINIMAL).read_text()
+
+
+def test_one_path_for_several_outputs_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["--config", MINIMAL]
+    for flag in OUTPUT_FLAGS:
+        argv += [flag, str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "lteadv-sim: error: --structured-out names the same file as --trace-out\n")
+    assert not out.exists()
+    # a file that exists already is not truncated either
+    out.write_text("kept\n")
+    assert main(["--config", MINIMAL, "--trace-out", str(out),
+                 "--metrics-out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "lteadv-sim: error: --metrics-out names the same file as --trace-out\n")
+    assert out.read_text() == "kept\n"
+
+
 NO_SPACE = "lteadv-sim: error: cannot write output: No space left on device\n"
 
 

@@ -464,6 +464,36 @@ def test_handler_failure_on_a_returned_hop_carries_its_event_number(others_due_n
     assert len(rec.seen) == others_due_now
 
 
+class Returner(SimpleModule):
+    """Test module that returns `hop` from every arrival."""
+
+    def __init__(self, name, hop):
+        super().__init__(name)
+        self.hop = hop
+
+    def handle_message(self, msg, arrival_gate):
+        return self.hop
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("hop,cause", [(True, TypeError), ("x", ValueError),
+                                       ((1, 2), ValueError)], ids=["bool", "str", "pair"])
+def test_a_returned_hop_that_does_not_unpack_is_a_handler_error(hop, cause, traced):
+    # the event after one that queued nothing, so its number and the
+    # module are the returner's
+    rec = Recorder("rec")
+    bad = Returner("bad", hop)
+    sim = Simulator(make_net(rec, bad))
+    sim.fes.push(0, 0, rec, "g", sim.new_message("m", MessageKind.CONTROL_MESSAGE))
+    sim.fes.push(1, 0, bad, "g", sim.new_message("m", MessageKind.CONTROL_MESSAGE))
+    sink = CollectingSink()
+    with pytest.raises(HandlerError) as exc_info:
+        sim.run(until=SimTime(10), sinks=[sink] if traced else [])
+    assert (exc_info.value.module_path, exc_info.value.event_no) == ("Net.bad", 2)
+    assert type(exc_info.value.__cause__) is cause
+    assert [r.path for r in sink.records] == (["Net.rec", "Net.bad"] if traced else [])
+
+
 def test_a_hop_to_a_label_with_no_gate_reaches_its_handler_in_a_run_with_no_sink():
     # nothing else is due, so the run looks for relay links to jump from
     # the hop's gate; with no gate there is none, and the handler fails

@@ -5,11 +5,11 @@ import pytest
 from lteadv_sim.kernel import (MAX_TIME_NS, HandlerError, MessageKind,
                                SchedulingInPast, SimMessage, SimTime,
                                SimTimeRangeError, SimulationError, Simulator)
-from lteadv_sim.model import (AlreadyAttached, ChannelSpec, CompoundModule, DetachedModule,
-                              Direction, DirectionMismatch, DuplicateName,
-                              GateAlreadyConnected, SimpleModule, TreeCycle,
-                              UnconnectedGate, UnknownGate, UnknownTargetGate, WiringLocked,
-                              connect, send, send_direct)
+from lteadv_sim.lte_nodes import wire_vertical
+from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, OUT_TO_LOWER, OUT_TO_UPPER,
+                              AlreadyAttached, ChannelSpec, CompoundModule, DetachedModule,
+                              DuplicateName, SimpleModule, TreeCycle, UnknownGate,
+                              UnknownTargetGate, WiringLocked, connect, send, send_direct)
 
 from conftest import gate_state, pop_entry
 
@@ -36,9 +36,7 @@ def two_module_net():
 
 def test_connect_and_zero_delay_arrival():
     root, a, b = two_module_net()
-    out = a.add_gate("outToLowerLayer", Direction.OUT)
-    inn = b.add_gate("inFromUpperLayer", Direction.IN)
-    connect(out, inn, ChannelSpec(SimTime(0)))
+    connect(a, "outToLowerLayer", b, "inFromUpperLayer", ChannelSpec(SimTime(0)))
     sim = Simulator(root)
     msg = sim.new_message("m", MessageKind.CONTROL_MESSAGE)
     seq = send(a, msg, "outToLowerLayer")
@@ -50,21 +48,43 @@ def test_connect_and_zero_delay_arrival():
 
 
 def test_connect_enters_one_channel_in_both_tables():
-    """The Out gate becomes the channel, under its Out label at its source
-    and its In label at its target. The In gate is retired: it reads as
-    a copy of the channel but sits in no table."""
+    """The channel it returns is one gate, under its Out label at its
+    source and its In label at its target; `add_gate` makes an In gate
+    with no wire."""
     root, a, b = two_module_net()
-    out = a.add_gate("o", Direction.OUT)
-    inn = b.add_gate("i", Direction.IN, index=2)
-    assert (out.owner, out.label, out.source, out.source_label) == (None, None, a, "o")
-    assert (inn.owner, inn.label, inn.source, inn.source_label) == (b, "i[2]", None, None)
-    connect(out, inn, ChannelSpec(SimTime(3)))
-    assert a._gates == {"o": out} and b._gates == {"i[2]": out}
-    assert (out.owner, out.label, out.source, out.source_label, out.delay_ns) == (
+    gate = connect(a, "o", b, "i[2]", ChannelSpec(SimTime(3)))
+    assert a._gates == {"o": gate} and b._gates == {"i[2]": gate}
+    assert (gate.owner, gate.label, gate.source, gate.source_label, gate.delay_ns) == (
         b, "i[2]", a, "o", 3)
-    assert (inn.owner, inn.label, inn.source, inn.source_label, inn.delay_ns) == (
-        b, "i[2]", a, "o", 3)
-    assert repr(out) == "Gate(a.o -> b.i[2])"
+    assert repr(gate) == "Gate(a.o -> b.i[2])"
+    radio = b.add_gate("radioIn")
+    assert b._gates == {"i[2]": gate, "radioIn": radio}
+    assert (radio.owner, radio.label, radio.source, radio.source_label, radio.delay_ns) == (
+        b, "radioIn", None, None, None)
+    assert repr(radio) == "Gate(-> b.radioIn)"
+
+
+def _table(module, names):
+    """`module`'s gate table, each gate as `(owner, label, source,
+    source_label, delay_ns)` with its modules replaced by `names[module]`."""
+    return {label: (names[g.owner], g.label, names[g.source], g.source_label, g.delay_ns)
+            for label, g in module._gates.items()}
+
+
+def test_wire_vertical_leaves_the_tables_of_its_two_connects():
+    channel = ChannelSpec(SimTime(5))
+    u1, l1, u2, l2 = Sink("u"), Sink("l"), Sink("u"), Sink("l")
+    wire_vertical(u1, l1, channel)
+    connect(u2, OUT_TO_LOWER, l2, IN_FROM_UPPER, channel)
+    connect(l2, OUT_TO_UPPER, u2, IN_FROM_LOWER, channel)
+    names = {u1: "u", l1: "l", u2: "u", l2: "l"}
+    assert _table(u1, names) == _table(u2, names)
+    assert _table(l1, names) == _table(l2, names)
+    assert _table(u1, names) == {OUT_TO_LOWER: ("l", IN_FROM_UPPER, "u", OUT_TO_LOWER, 5),
+                                 IN_FROM_LOWER: ("u", IN_FROM_LOWER, "l", OUT_TO_UPPER, 5)}
+    for upper, lower in ((u1, l1), (u2, l2)):
+        assert upper._gates[OUT_TO_LOWER] is lower._gates[IN_FROM_UPPER]
+        assert lower._gates[OUT_TO_UPPER] is upper._gates[IN_FROM_LOWER]
 
 
 def test_a_module_connected_to_itself_sends_only_out_of_its_out_gate():
@@ -72,7 +92,7 @@ def test_a_module_connected_to_itself_sends_only_out_of_its_out_gate():
     "i" its In gate, and neither serves as the other."""
     root = CompoundModule("Network")
     a, b = root.add_child(Sink("a")), root.add_child(Sink("b"))
-    connect(a.add_gate("o", Direction.OUT), a.add_gate("i", Direction.IN))
+    connect(a, "o", a, "i")
     assert list(a._gates) == ["o", "i"]
     sim = Simulator(root)
     msg = sim.new_message("m", MessageKind.CONTROL_MESSAGE)
@@ -85,52 +105,54 @@ def test_a_module_connected_to_itself_sends_only_out_of_its_out_gate():
     assert len(sim.fes) == 0
 
 
-def test_direction_mismatch():
+@pytest.mark.parametrize("case", ["taken_out_label", "taken_in_label", "bound",
+                                  "one_label_on_one_module"])
+def test_a_refused_connect_changes_neither_module(case):
+    """A connect naming either end of a wired channel again, a bound
+    module, or one label on one module is refused and changes no module."""
     root, a, b = two_module_net()
-    in1 = a.add_gate("in1", Direction.IN)
-    in2 = b.add_gate("in2", Direction.IN)
-    with pytest.raises(DirectionMismatch):
-        connect(in1, in2)
-
-
-def test_gate_already_connected():
-    root, a, b = two_module_net()
-    out = a.add_gate("o", Direction.OUT)
-    inn = b.add_gate("i", Direction.IN)
-    connect(out, inn)
-    c = Sink("c")
-    root.add_child(c)
-    with pytest.raises(GateAlreadyConnected):
-        connect(out, c.add_gate("i", Direction.IN))
-    with pytest.raises(GateAlreadyConnected):
-        connect(c.add_gate("o", Direction.OUT), inn)
+    connect(a, "o", b, "i")
+    c = root.add_child(Sink("c"))
+    if case == "bound":
+        Simulator(root)
+    src, out_label, dst, in_label, error, message = {
+        "taken_out_label": (a, "o", c, "i", DuplicateName, "a already has a gate 'o'"),
+        "taken_in_label": (c, "o", b, "i", DuplicateName, "b already has a gate 'i'"),
+        "bound": (c, "o", a, "j", WiringLocked, "c: cannot add gates to a bound module"),
+        "one_label_on_one_module": (c, "x", c, "x", DuplicateName,
+                                    "c cannot connect gate 'x' to itself"),
+    }[case]
+    before = gate_state(a, b, c)
+    with pytest.raises(error) as err:
+        connect(src, out_label, dst, in_label)
+    assert str(err.value) == message
+    assert gate_state(a, b, c) == before
 
 
 def test_send_adds_channel_delay():
     root, a, b = two_module_net()
-    connect(a.add_gate("o", Direction.OUT), b.add_gate("i", Direction.IN),
-            ChannelSpec(SimTime.from_millis(5)))
+    connect(a, "o", b, "i", ChannelSpec(SimTime.from_millis(5)))
     sim = Simulator(root)
     seq = send(a, sim.new_message("m", MessageKind.CONTROL_MESSAGE),
                "o", now=SimTime.from_millis(10))
     assert pop_entry(sim.fes)[:2] == (SimTime.from_millis(15).ns, seq)
 
 
-def test_send_on_unknown_and_unconnected_gates():
+def test_send_on_an_unknown_gate_or_an_in_gate():
     root, a, b = two_module_net()
-    a.add_gate("wired_not", Direction.OUT)
+    a.add_gate("radioIn")
     sim = Simulator(root)
     msg = sim.new_message("m", MessageKind.CONTROL_MESSAGE)
-    with pytest.raises(UnknownGate):
-        send(a, msg, "nope")
-    with pytest.raises(UnconnectedGate):
-        send(a, msg, "wired_not")
+    for label in ("nope", "radioIn"):
+        with pytest.raises(UnknownGate, match=f"^Network.a has no Out gate '{label}'$"):
+            send(a, msg, label)
+    assert len(sim.fes) == 0
 
 
 def test_scheduling_calls_need_a_bound_module():
     root, a, b = two_module_net()
-    connect(a.add_gate("o", Direction.OUT), b.add_gate("i", Direction.IN))
-    b.add_gate("radioIn", Direction.IN)
+    connect(a, "o", b, "i")
+    b.add_gate("radioIn")
     msg = SimMessage(1, "m", MessageKind.CONTROL_MESSAGE, 0, SimTime(0))
     for call in (lambda: send(a, msg, "o"),
                  lambda: send_direct(a, msg, b, "radioIn"),
@@ -142,8 +164,7 @@ def test_scheduling_calls_need_a_bound_module():
 
 def one_ns_channel_net():
     root, a, b = two_module_net()
-    connect(a.add_gate("o", Direction.OUT), b.add_gate("i", Direction.IN),
-            ChannelSpec(SimTime(1)))
+    connect(a, "o", b, "i", ChannelSpec(SimTime(1)))
     return root, a, b
 
 
@@ -167,9 +188,8 @@ def test_overflow_inside_run_is_a_handler_error():
     root = CompoundModule("Network")
     a = root.add_child(LastMinuteSender("a"))
     b = root.add_child(Sink("b"))
-    a.add_gate("in", Direction.IN)
-    connect(a.add_gate("o", Direction.OUT), b.add_gate("i", Direction.IN),
-            ChannelSpec(SimTime(2)))
+    a.add_gate("in")
+    connect(a, "o", b, "i", ChannelSpec(SimTime(2)))
     sim = Simulator(root)
     sim.fes.push(MAX_TIME_NS - 1, sim.now_ns, a, "in",
                  sim.new_message("m", MessageKind.CONTROL_MESSAGE))
@@ -212,9 +232,8 @@ def test_a_leaf_with_no_handler_fails_as_a_handler_error():
 
 def test_returned_events_equal_the_popped_ones():
     root, a, b = two_module_net()
-    connect(a.add_gate("o", Direction.OUT), b.add_gate("i", Direction.IN),
-            ChannelSpec(SimTime(4)))
-    b.add_gate("radioIn", Direction.IN)
+    connect(a, "o", b, "i", ChannelSpec(SimTime(4)))
+    b.add_gate("radioIn")
     sim = Simulator(root)
     msgs = [sim.new_message("m", MessageKind.CONTROL_MESSAGE),
             sim.new_message("d", MessageKind.PACKET, 10)]
@@ -233,7 +252,7 @@ def test_returned_events_equal_the_popped_ones():
 
 def test_send_direct_delay_and_target():
     root, a, b = two_module_net()
-    b.add_gate("radioIn", Direction.IN)
+    b.add_gate("radioIn")
     sim = Simulator(root)
     seq = send_direct(a, sim.new_message("m", MessageKind.CONTROL_MESSAGE),
                       b, "radioIn", delay=SimTime.from_millis(3))
@@ -253,7 +272,7 @@ def test_send_direct_unknown_target_gate():
 
 def test_send_direct_needs_an_in_gate():
     root, a, b = two_module_net()
-    b.add_gate("o", Direction.OUT)
+    connect(b, "o", a, "i")
     sim = Simulator(root)
     with pytest.raises(UnknownTargetGate):
         send_direct(a, sim.new_message("m", MessageKind.CONTROL_MESSAGE), b, "o")
@@ -261,8 +280,7 @@ def test_send_direct_needs_an_in_gate():
 
 def test_delivery_correctness_one_event_per_send():
     root, a, b = two_module_net()
-    connect(a.add_gate("o", Direction.OUT), b.add_gate("i", Direction.IN),
-            ChannelSpec(SimTime(7)))
+    connect(a, "o", b, "i", ChannelSpec(SimTime(7)))
     sim = Simulator(root)
     ids, seqs = [], []
     for _ in range(5):
@@ -384,12 +402,10 @@ def test_a_child_that_is_the_parent_or_an_ancestor_is_refused(case):
 
 def test_no_connect_after_run_starts():
     root, a, b = two_module_net()
-    out = a.add_gate("o", Direction.OUT)
-    inn = b.add_gate("i", Direction.IN)
     sim = Simulator(root)
     sim.run(until=SimTime(1))
     with pytest.raises(WiringLocked):
-        connect(out, inn)
+        connect(a, "o", b, "i")
 
 
 def test_no_new_gates_after_run_starts():
@@ -397,7 +413,7 @@ def test_no_new_gates_after_run_starts():
     sim = Simulator(root)
     sim.run(until=SimTime(1))
     with pytest.raises(WiringLocked):
-        a.add_gate("late", Direction.OUT)
+        a.add_gate("late")
 
 
 def test_a_bound_parent_takes_no_late_child():
@@ -429,17 +445,15 @@ def test_a_bound_module_joins_no_other_tree(which):
 @pytest.mark.parametrize("change", ["add_gate", "connect_from_bound", "connect_to_bound"])
 def test_a_bound_module_gains_no_gate_and_no_wire(change):
     root, a, b = two_module_net()
-    out, inn = a.add_gate("o", Direction.OUT), b.add_gate("i", Direction.IN)
     free = Sink("free")
-    free_out, free_in = free.add_gate("o", Direction.OUT), free.add_gate("i", Direction.IN)
     Simulator(root)
     call, message = {
-        "add_gate": (lambda: a.add_gate("late", Direction.OUT),
+        "add_gate": (lambda: a.add_gate("late"),
                      "a: cannot add gates to a bound module"),
-        "connect_from_bound": (lambda: connect(out, free_in),
-                               "cannot connect a gate of a bound module"),
-        "connect_to_bound": (lambda: connect(free_out, inn),
-                             "cannot connect a gate of a bound module"),
+        "connect_from_bound": (lambda: connect(a, "o", free, "i"),
+                               "a: cannot add gates to a bound module"),
+        "connect_to_bound": (lambda: connect(free, "o", b, "i"),
+                             "b: cannot add gates to a bound module"),
     }[change]
     before = gate_state(a, b, free)
     with pytest.raises(WiringLocked) as err:
@@ -477,10 +491,8 @@ def test_a_simulator_refuses_a_root_with_a_parent():
 def test_two_connects_wire_both_directions():
     root, a, b = two_module_net()
     channel = ChannelSpec(SimTime.from_millis(2))
-    connect(a.add_gate("outToLowerLayer", Direction.OUT),
-            b.add_gate("inFromUpperLayer", Direction.IN), channel)
-    connect(b.add_gate("outToUpperLayer", Direction.OUT),
-            a.add_gate("inFromLowerLayer", Direction.IN), channel)
+    connect(a, "outToLowerLayer", b, "inFromUpperLayer", channel)
+    connect(b, "outToUpperLayer", a, "inFromLowerLayer", channel)
     sim = Simulator(root)
     down_seq = send(a, sim.new_message("d", MessageKind.CONTROL_MESSAGE), "outToLowerLayer")
     up_seq = send(b, sim.new_message("u", MessageKind.CONTROL_MESSAGE), "outToUpperLayer")

@@ -52,7 +52,7 @@ from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSp
 from lteadv_sim.lte_nodes import (FanInLayer, Forwarder, LayerSpec, NodeType, PassThroughLayer,
                                   PhyLayer, RadioInterface, ReflectorLayer, wire_vertical)
 from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, RADIO_IN, SELF_GATE, ChannelSpec,
-                              CompoundModule, Direction, Gate, ModuleNode, SimpleModule,
+                              CompoundModule, Gate, ModuleNode, SimpleModule,
                               connect, send_direct, transmit)
 from lteadv_sim.traffic import TIMER_NAME, Generator, GeneratorConfig
 from lteadv_sim.trace import (format_event_line, read_structured, summarize,
@@ -362,7 +362,7 @@ def _step_link(gate):
     next gate of its step on an empty route, for an In gate of a
     stock-handled module, where the step leaves the route empty and
     renames the message for the next gate's owner; else None."""
-    if gate.owner is None or not kernel._stock(gate.owner):
+    if not kernel._stock(gate.owner):
         return None
     step = kernel._step(SimMessage(0, "", MessageKind.CONTROL_MESSAGE, 0, 0), gate, ())
     if step is None or step[2] or step[1] is not step[0].owner:
@@ -1148,7 +1148,7 @@ def test_an_arrival_on_an_out_gate_label_reaches_the_handler(sink):
     root = CompoundModule("Network")
     x, b, c = (root.add_child(module) for module in
                (_Echo("x"), PassThroughLayer("b", "B"), PassThroughLayer("c", "C")))
-    connect(x.add_gate("o", Direction.OUT), b.add_gate(IN_FROM_UPPER, Direction.IN))
+    connect(x, "o", b, IN_FROM_UPPER)
     wire_vertical(b, c)
     sim = Simulator(root)
     for t_ns, label in ((0, "o"), (0, "o"), (5, SELF_GATE)):

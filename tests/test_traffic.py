@@ -125,8 +125,7 @@ def test_generator_stats_dataclass():
 
 def test_an_enabled_generator_with_nothing_below_is_an_unconnected_gate():
     """Its first emission fails at the run's start, and a direct `emit`
-    fails too, as `send` does on an unconnected Out gate; neither makes a
-    message."""
+    fails too; neither makes a message."""
     for start in (lambda sim, gen: sim.run(until=SimTime(1)), lambda sim, gen: gen.emit()):
         root = CompoundModule("Network")
         gen = root.add_child(Generator(config=GeneratorConfig()))
