@@ -5,12 +5,12 @@ Exit codes: 0 success, 1 runtime failure, 2 config problems (printed with
 file:line:col locations), 64 usage errors. A runtime failure is a simulation
 error or an output that fails while it is written, flushed or closed (a
 full disk, a closed stdout pipe); the latter prints one "cannot write
-output" line and no traceback. Usage errors include an output path that
-names the config or another output (by `os.path.realpath`), found before
-any file is read, and an output file that cannot be opened: every output
-is opened, and so created or truncated, after the config parses and
-before the network is built, so a bad path fails before the run. With no
-output flags the console log goes to stdout;
+output" line and no traceback. Usage errors include an empty output path
+and one that names the config or another output (by `os.path.realpath`),
+both found before any file is read, and an output file that cannot be
+opened: every output is opened, and so created or truncated, after the
+config parses and before the network is built, so a bad path fails
+before the run. With no output flags the console log goes to stdout;
 LTEADV_SIM_TRACE=paper|structured|both picks its format. --quiet
 silences the console trace but never file outputs.
 """
@@ -71,6 +71,12 @@ def _int_at_least(text: str, least: int, message: str) -> int:
     return value
 
 
+def _file_name(text: str) -> str:
+    if not text:  # an empty name would leave its output unwritten
+        raise argparse.ArgumentTypeError("must name a file")
+    return text
+
+
 def _positive_int(text: str) -> int:
     return _int_at_least(text, 1, "must be a positive integer")
 
@@ -90,11 +96,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="override the config's run-until time (e.g. 1s, 10ms)")
     p.add_argument("--seed", type=_non_negative_int, metavar="N",
                    help="override the config's seed")
-    p.add_argument("--trace-out", metavar="FILE",
+    p.add_argument("--trace-out", type=_file_name, metavar="FILE",
                    help="write the console-format event log here")
-    p.add_argument("--structured-out", metavar="FILE",
+    p.add_argument("--structured-out", type=_file_name, metavar="FILE",
                    help="write the structured (JSON lines) trace here")
-    p.add_argument("--metrics-out", metavar="FILE",
+    p.add_argument("--metrics-out", type=_file_name, metavar="FILE",
                    help="write post-run metrics as JSON here")
     p.add_argument("--event-limit", type=_positive_int, metavar="N",
                    help="stop after N events")

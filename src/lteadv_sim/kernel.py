@@ -28,21 +28,20 @@ limit.
 
 *Relay links.* After every `on_start`, `_set_links` sets `Gate.relay_to`
 on each In gate of a stock-handled module (`_stock`) to the next gate of
-its `_step` (the module's `route_step`, applied to a stand-in message),
-where that step keeps an empty route empty and renames the message for the
-next gate's owner. An arrival on a linked gate makes that hop with no
-handler call: the loop renames the message for that owner, by its kind,
-and goes on as with a returned hop. An arrival on the target's own Out
-gate takes no link and no walk.
+its `_step` (the module's `route_step`, applied to an empty route), where
+that step leaves the route empty. An arrival on a linked gate makes that
+hop with no handler call: the loop renames the message for that gate's
+owner, by its kind, and goes on as with a returned hop. An arrival on the
+target's own Out gate takes no link and no walk.
 
 *No-sink walks.* With no sink, a hop that finds the lane empty jumps the
 whole walk from its gate, if the event at its end is within the limit.
 `_Walks` computes a gate's walk once per run: it follows links and, where
-a gate has none, takes the `_step` of a stock-handled module on a stand-in
-route of the waypoints it pushed, and stops where no step is found or at a
-gate it visited. The jump counts the steps as events, appends the walk's
-net pushes to the route, renames the message as the last step did and
-dispatches the end gate next; no step pushes an entry and nothing else is
+a gate has none, takes the `_step` of a stock-handled module on the route
+of the waypoints it pushed, and stops where no step is found or at a gate
+it visited. The jump counts the steps as events, appends the walk's net
+pushes to the route, renames the message for the end gate's owner and
+dispatches that gate next; no step pushes an entry and nothing else is
 due now, so nothing comes between the steps. A gate whose link leads to a
 gate with a cached walk reuses that walk one step longer, unless that walk
 ends at its own start after a step or more: such a ring passes through the
@@ -380,44 +379,42 @@ def _stock(module) -> bool:
     return module.handle_message == getattr(module, "_table_handler", None)
 
 
-def _step(stand_in: SimMessage, gate, route) -> Optional[tuple]:
+def _step(gate, route) -> Optional[tuple]:
     """The stock handler's step from `gate`, made unseen: the step rule of
-    its module, `route_step`, applied to `stand_in` holding a copy of
-    `route`. Returns `(next gate, namer, route after)`, or None where the
-    handler would raise, drop or transmit: the rule raises or returns
-    None, the next gate is a delayed channel, or the namer lacks
-    `control_name` or `packet_name`. The caller checks `_stock` first."""
-    stand_in._route = list(route)
-    try:  # a None from the rule, which the handler drops, fails to unpack
-        nxt, namer = gate.owner.route_step(stand_in, gate.label)
+    its module, `route_step`, applied to a copy of `route`. Returns
+    `(next gate, route after)`, or None where the handler would raise,
+    drop or transmit: the rule raises or returns None, the next gate is a
+    delayed channel, or its owner lacks `control_name` or `packet_name`.
+    The caller checks `_stock` first."""
+    route = list(route)
+    try:
+        nxt = gate.owner.route_step(route, gate.label)
     except Exception:  # the handler raises it at this event, as a HandlerError
         return None
-    if (nxt.delay_ns or not hasattr(namer, "control_name")
-            or not hasattr(namer, "packet_name")):
+    if (nxt is None or nxt.delay_ns or not hasattr(nxt.owner, "control_name")
+            or not hasattr(nxt.owner, "packet_name")):
         return None
-    return nxt, namer, stand_in._route
+    return nxt, route
 
 
 def _set_links(modules) -> None:
     """Set the relay link of every In gate of each `_stock` module in
     `modules` that gets one (the module note, *Relay links*)."""
-    stand_in = SimMessage(0, "", MessageKind.CONTROL_MESSAGE, 0, 0)
     for mod in modules:
         if _stock(mod):
             for gate in mod._gates.values():
                 if gate.owner is mod:
-                    step = _step(stand_in, gate, ())
-                    if step is not None and not step[2] and step[1] is step[0].owner:
+                    step = _step(gate, ())
+                    if step is not None and not step[1]:
                         gate.relay_to = step[0]
 
 
 class _Walks(dict):
-    """An arrival's gate -> `(end, steps, pushes, namer)`, computed on
-    first lookup and fixed for the run: the no-sink walk from that gate
-    (the module note). `end` is the gate it stops at, `steps` the events
-    it covers, `pushes` the waypoints it leaves pushed, as a tuple, and
-    `namer` the module the last step renamed the message for. None, for a
-    label the target has no In gate under, maps to `(None, 0, (), None)`.
+    """An arrival's gate -> `(end, steps, pushes)`, computed on first
+    lookup and fixed for the run: the no-sink walk from that gate (the
+    module note). `end` is the gate it stops at, `steps` the events it
+    covers and `pushes` the waypoints it leaves pushed, as a tuple. None,
+    for a label the target has no In gate under, maps to `(None, 0, ())`.
     """
 
     def __missing__(self, gate):
@@ -426,40 +423,37 @@ class _Walks(dict):
         if walk is None or (walk[1] and walk[0] is link):
             walk = self.fresh(gate)
         else:
-            end, steps, pushes, namer = walk
-            walk = end, steps + 1, pushes, namer if steps else link.owner
+            end, steps, pushes = walk
+            walk = end, steps + 1, pushes
         self[gate] = walk
         return walk
 
     @staticmethod
     def fresh(gate) -> tuple:
         """The walk from `gate`, computed step by step with no cache."""
-        end, steps, route, namer, seen = gate, 0, [], None, {gate}
-        stand_in = SimMessage(0, "", MessageKind.CONTROL_MESSAGE, 0, 0)
+        end, steps, route, seen = gate, 0, [], {gate}
         while end is not None:
             nxt = end.relay_to
-            if nxt is not None:
-                named = nxt.owner
-            else:
-                step = _step(stand_in, end, route) if _stock(end.owner) else None
+            if nxt is None:
+                step = _step(end, route) if _stock(end.owner) else None
                 if step is None:
                     break
-                nxt, named, route = step
-            end, steps, namer = nxt, steps + 1, named
+                nxt, route = step
+            end, steps = nxt, steps + 1
             if end in seen:
                 break
             seen.add(end)
-        return end, steps, tuple(route), namer
+        return end, steps, tuple(route)
 
 
 def _walk_on(msg: SimMessage, walk: tuple):
-    """Leave `msg` as the steps of `walk` (a `_Walks` value) leave it:
-    the walk's net pushes appended to its route, and the name the last
-    step gave it. Returns the gate the walk ends at."""
-    end, _, pushes, namer = walk
+    """Leave `msg` as the steps of `walk`, a `_Walks` value of a step or
+    more, leave it: the walk's net pushes appended to its route, and named
+    for the owner of the gate the walk ends at. Returns that gate."""
+    end, _, pushes = walk
     if pushes:
         msg._route += pushes
-    msg.name = namer.packet_name if msg._kind is _PACKET else namer.control_name
+    msg.name = end.owner.packet_name if msg._kind is _PACKET else end.owner.control_name
     return end
 
 
@@ -563,10 +557,11 @@ class Simulator:
         event's EventRecord (see `_event_entry`).
 
         A handler returns None or its zero-delay hop, `(target,
-        arrival_label, msg)`, in place of pushing it; a return that does
-        not unpack to three fails as a HandlerError. Relay links and, with
-        no sink (a sink with only `record` counts as one), walks make steps
-        with no handler call, exactly as the hop-by-hop run (module note).
+        arrival_label, msg)`, in place of pushing it; a return that is
+        not three items with a module first fails as a HandlerError.
+        Relay links and, with no sink (a sink with only `record` counts as
+        one), walks make steps with no handler call, exactly as the
+        hop-by-hop run (module note).
         """
         if self._ran:
             raise SimulationError("this simulator instance has already run")
@@ -627,15 +622,17 @@ class Simulator:
                             # none where the target is the gate's source (an Out gate)
                             link = None if gate is None or gate.source is target else gate.relay_to
                             if link is None:
-                                try:  # a returned hop that fails to unpack fails here too
+                                try:  # a return that is not a hop to a module fails here too
                                     hop = target.handle_message(msg, gate_label)
                                     if hop is None:
                                         break
-                                    target, gate_label, msg = hop
+                                    nxt, gate_label, msg = hop
+                                    gate = nxt._gates.get(gate_label)
                                 except Exception as exc:
                                     raise HandlerError(target.full_path, executed, exc) from exc
+                                target = nxt
                             else:
-                                target, gate_label = link.owner, link.label
+                                target, gate_label, gate = link.owner, link.label, link
                                 msg.name = (target.packet_name if msg._kind is _PACKET
                                             else target.control_name)
                             if lane:
@@ -644,7 +641,6 @@ class Simulator:
                             if executed == limit:
                                 push(t_ns, t_ns, target, gate_label, msg)
                                 break
-                            gate = target._gates.get(gate_label) if link is None else link
                             if not traced:
                                 # jump the walk if its end is within the limit
                                 walk = walks[None if gate is None or gate.source is target

@@ -101,15 +101,15 @@ def _tag_names(tag: str) -> tuple[str, str]:
 
 class Forwarder(SimpleModule):
     """A module that forwards each arrival by its class's step rule,
-    `route_step(msg, arrival_gate)`, which returns `(gate, namer)`: the
-    gate the message goes on to, a channel or a radio's air input, and
-    the module it is renamed for. This class's rule is a table,
+    `route_step(route, arrival_gate)`: from the message's route list, which
+    it may push or pop, and the arrival label, the gate the message goes
+    on to, a channel or a radio's air input. This class's rule is a table,
     `forward_to`: arrival label -> the attribute holding the channel the
     arrival leaves by; the PHY's air hop and the S1 fan-in override it.
     `handle_message` applies the rule: a None from it (a UE's top layer
     with no generator) drops the message, counted in `drop_count`; a label
-    the rule lacks raises; otherwise it renames the message for the namer
-    and returns the hop, or transmits it over a delayed channel.
+    the rule lacks raises; otherwise it renames the message for the gate's
+    owner and returns the hop, or transmits it over a delayed channel.
 
     A run makes a module's steps with no handler call (`lteadv_sim.kernel`)
     only while its handler is `Forwarder.handle_message`: one overridden
@@ -124,26 +124,25 @@ class Forwarder(SimpleModule):
         self.up_gate: Optional[Gate] = None  # the channel upward, set when wired
         self.drop_count = 0
 
-    def route_step(self, msg: SimMessage, arrival_gate: str) -> Optional[tuple]:
-        """The table rule: `(gate, gate.owner)` for the channel
-        `forward_to` names; None when none is wired."""
+    def route_step(self, route: list, arrival_gate: str) -> Optional[Gate]:
+        """The table rule: the channel `forward_to` names, None when none
+        is wired."""
         attr = self.forward_to.get(arrival_gate)
         if attr is None:
             raise self.unknown_arrival(arrival_gate)
-        gate = getattr(self, attr)
-        return None if gate is None else (gate, gate.owner)
+        return getattr(self, attr)
 
     def handle_message(self, msg: SimMessage, arrival_gate: str) -> Optional[tuple]:
-        step = self.route_step(msg, arrival_gate)
-        if step is None:
+        gate = self.route_step(msg._route, arrival_gate)
+        if gate is None:
             self.drop_count += 1
             return None
-        gate, namer = step
-        msg.name = namer.packet_name if msg._kind is _PACKET else namer.control_name
+        owner = gate.owner
+        msg.name = owner.packet_name if msg._kind is _PACKET else owner.control_name
         if gate.delay_ns:  # None for a radio's unwired air input
             transmit(gate, msg)
             return None
-        return gate.owner, gate.label, msg
+        return owner, gate.label, msg
 
     _table_handler = handle_message  # the handler that links and walks stand for
 
@@ -176,25 +175,20 @@ class FanInLayer(PassThroughLayer):
         super().__init__(name, tag)
         self.reply_gates: dict[str, Gate] = {}
 
-    def route_step(self, msg: SimMessage, arrival_gate: str) -> Optional[tuple]:
-        """The step rule: `(gate, gate.owner)` for the channel the
-        arrival leaves by, whose target it is renamed for; None when it
+    def route_step(self, route: list, arrival_gate: str) -> Optional[Gate]:
+        """The step rule: the channel the arrival leaves by; None when it
         goes up with nothing wired above. Going up it pushes its pair's
         reply gate, going down it pops one."""
-        route = msg._route
         if arrival_gate == IN_FROM_UPPER:
             gate = route.pop() if route else None
             if not isinstance(gate, Gate):
-                raise NoRadioPeer(f"{self.full_path_or_name()}: no return route on {msg!r}")
-        else:
-            reply_gate = self.reply_gates.get(arrival_gate)
-            if reply_gate is None:
-                raise self.unknown_arrival(arrival_gate)
-            route.append(reply_gate)
-            gate = self.up_gate
-            if gate is None:
-                return None
-        return gate, gate.owner
+                raise NoRadioPeer(f"{self.full_path_or_name()}: no return route")
+            return gate
+        reply_gate = self.reply_gates.get(arrival_gate)
+        if reply_gate is None:
+            raise self.unknown_arrival(arrival_gate)
+        route.append(reply_gate)
+        return self.up_gate
 
 
 class PhyLayer(PassThroughLayer):
@@ -203,7 +197,8 @@ class PhyLayer(PassThroughLayer):
     A UE's PHY has a statically attached peer (its eNB): it stamps its own
     radio onto the message as the return address and delivers direct to
     the peer's radio input. An eNB's PHY has no static peer; it pops the
-    return address the originating UE stamped on the way up. Upward
+    return address the originating UE stamped on the way up. Either way
+    it names the message for the far radio (`RadioInterface`). Upward
     traffic is forwarded by the table.
     """
 
@@ -214,13 +209,11 @@ class PhyLayer(PassThroughLayer):
         self.peer_radio: Optional[ModuleNode] = None
         self.home_radio: Optional[ModuleNode] = None
 
-    def route_step(self, msg: SimMessage, arrival_gate: str) -> Optional[tuple]:
-        """The step rule: for an arrival from above, `(gate, phy)`, the air
-        input of the radio it crosses to and the PHY above that radio,
-        whose names it takes; any other arrival goes by the table."""
+    def route_step(self, route: list, arrival_gate: str) -> Optional[Gate]:
+        """The step rule: for an arrival from above, the air input of the
+        radio it crosses to; any other arrival goes by the table."""
         if arrival_gate != IN_FROM_UPPER:
-            return super().route_step(msg, arrival_gate)
-        route = msg._route
+            return super().route_step(route, arrival_gate)
         if self.peer_radio is not None:
             radio = self.peer_radio
             route.append(self.home_radio)
@@ -229,13 +222,14 @@ class PhyLayer(PassThroughLayer):
             if not isinstance(radio, RadioInterface):
                 raise NoRadioPeer(
                     f"{self.full_path_or_name()}: no radio peer for downward send")
-        return radio._gates[RADIO_IN], radio.up_gate.owner
+        return radio._gates[RADIO_IN]
 
 
 class RadioInterface(Forwarder):
     """Receives direct air deliveries and hands them to its PHY, renamed
-    with the PHY's names: the air hop has already given the message
-    those names, so the rename changes nothing for a built-in sender."""
+    with the PHY's names, which `build_node` gives the radio too: the air
+    hop, naming the message for the radio, already gave it those names.
+    A radio made alone has none."""
 
     forward_to = {RADIO_IN: "up_gate"}
 
@@ -305,6 +299,7 @@ def build_node(kind: NodeType, name: str,
     if special_cls is PhyLayer:  # a radio: its hand-off to the PHY, and its air input
         phy = layers[-1]
         radio = phy.home_radio = RadioInterface()
+        radio.control_name, radio.packet_name = phy.control_name, phy.packet_name
         # both modules are new, so nothing is checked
         radio.up_gate = _channel(radio, OUT_TO_UPPER, phy, IN_FROM_LOWER)
         radio.add_gate(RADIO_IN)

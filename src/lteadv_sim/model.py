@@ -265,15 +265,14 @@ def transmit(gate: Gate, msg: SimMessage, at_ns: Optional[int] = None) -> int:
 
 
 def send(from_module: ModuleNode, msg: SimMessage, out_gate_name: str,
-         index: Optional[int] = None, now: Optional[SimTime] = None) -> int:
+         now: Optional[SimTime] = None) -> int:
     """Send out a named gate; the target sees the message after the
     channel delay. Returns the event's insertion sequence."""
     from_module.sim  # raises when the module is not bound to a simulator
-    label = out_gate_name if index is None else f"{out_gate_name}[{index}]"
-    g = from_module._gates.get(label)
-    if g is None or g.source is not from_module or g.source_label != label:
+    g = from_module._gates.get(out_gate_name)
+    if g is None or g.source is not from_module or g.source_label != out_gate_name:
         raise UnknownGate(
-            f"{from_module.full_path_or_name()} has no Out gate {label!r}")
+            f"{from_module.full_path_or_name()} has no Out gate {out_gate_name!r}")
     return transmit(g, msg, None if now is None else now.ns)
 
 

@@ -243,6 +243,16 @@ def test_unopenable_output_is_usage_error_before_the_run(bad_flag, tmp_path, cap
         assert (tmp_path / flag.strip("-")).read_text() == ""
 
 
+@pytest.mark.parametrize("flag", OUTPUT_FLAGS)
+def test_an_empty_output_path_is_a_usage_error_before_any_file_is_read(flag, tmp_path, capsys):
+    # the config does not exist: reading it would exit 2, not 64
+    missing = tmp_path / "missing.net"
+    assert main(["--config", str(missing), flag, "", "--quiet"]) == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(
+        f"lteadv-sim: error: argument {flag}: must name a file\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_an_output_naming_the_config_is_a_usage_error(tmp_path, capsys):
     config = tmp_path / "v.net"
     config.write_text(Path(MINIMAL).read_text())

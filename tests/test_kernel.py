@@ -494,6 +494,28 @@ def test_a_returned_hop_that_does_not_unpack_is_a_handler_error(hop, cause, trac
     assert [r.path for r in sink.records] == (["Net.rec", "Net.bad"] if traced else [])
 
 
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("busy", [False, True], ids=["lane_empty", "lane_busy"])
+def test_a_returned_hop_to_no_module_is_a_handler_error(busy, traced):
+    # a 3-tuple whose target is a string fails at the return, as the
+    # returner's event, whether the hop would be dispatched or queued
+    rec = Recorder("rec")
+    bad = Returner("bad", None)
+    sim = Simulator(make_net(rec, bad))
+    msg = sim.new_message("m", MessageKind.CONTROL_MESSAGE)
+    bad.hop = ("x", "g", msg)
+    sim.fes.push(0, 0, bad, "g", msg)
+    if busy:
+        sim.fes.push(0, 0, rec, "g", sim.new_message("o", MessageKind.CONTROL_MESSAGE))
+    sink = CollectingSink()
+    with pytest.raises(HandlerError) as exc_info:
+        sim.run(until=SimTime(10), sinks=[sink] if traced else [])
+    assert (exc_info.value.module_path, exc_info.value.event_no) == ("Net.bad", 1)
+    assert type(exc_info.value.__cause__) is AttributeError
+    assert rec.seen == []
+    assert [r.path for r in sink.records] == (["Net.bad"] if traced else [])
+
+
 def test_a_hop_to_a_label_with_no_gate_reaches_its_handler_in_a_run_with_no_sink():
     # nothing else is due, so the run looks for relay links to jump from
     # the hop's gate; with no gate there is none, and the handler fails

@@ -198,8 +198,13 @@ def test_s1_going_down_without_a_route_has_no_return_route():
     msg = sim.new_message("m", MessageKind.CONTROL_MESSAGE)
     with pytest.raises(NoRadioPeer) as err:
         s1.handle_message(msg, "inFromUpperLayer")
-    assert str(err.value) == ("Network.sgw_mme.lte_s1: no return route on "
-                              "SimMessage(id=1, name='m', kind=cMessage)")
+    assert str(err.value) == "Network.sgw_mme.lte_s1: no return route"
+    # in a run, its HandlerError names the event and the module
+    sim.fes.push(0, 0, s1, "inFromUpperLayer", msg)
+    with pytest.raises(HandlerError) as err:
+        sim.run(until=SimTime(1))
+    assert (err.value.event_no, err.value.module_path) == (1, "Network.sgw_mme.lte_s1")
+    assert isinstance(err.value.__cause__, NoRadioPeer)
 
 
 @pytest.mark.parametrize("label", ["inFromLowerLayer", "inFromLowerLayer[1]",

@@ -45,7 +45,7 @@ from hypothesis import given, settings, strategies as st
 from lteadv_sim import (CollectingSink, MetricsSink, PaperTraceSink, StructuredTraceSink,
                         TraceSink, build, kernel, parse)
 from lteadv_sim.kernel import (CHUNK_ROWS, MAX_TIME_NS, EventRecord, HandlerError, MessageKind,
-                               SimMessage, SimTime, SimulationError, Simulator, StopReason)
+                               SimTime, SimulationError, Simulator, StopReason)
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
                                   instance_table, validate)
@@ -360,12 +360,12 @@ def _reference_run(spec, event_limit):
 def _step_link(gate):
     """The relay link the kernel's one step function fixes for `gate`: the
     next gate of its step on an empty route, for an In gate of a
-    stock-handled module, where the step leaves the route empty and
-    renames the message for the next gate's owner; else None."""
+    stock-handled module, where the step leaves the route empty; else
+    None."""
     if not kernel._stock(gate.owner):
         return None
-    step = kernel._step(SimMessage(0, "", MessageKind.CONTROL_MESSAGE, 0, 0), gate, ())
-    if step is None or step[2] or step[1] is not step[0].owner:
+    step = kernel._step(gate, ())
+    if step is None or step[1]:
         return None
     return step[0]
 
@@ -1031,8 +1031,8 @@ def test_a_trip_started_from_the_top_layer_and_the_one_below_is_walked_once():
     nas, rrc = (layer._gates[IN_FROM_UPPER] for layer in built.nodes["ue[0]"].stack[:2])
     assert nas.relay_to is rrc
     assert walks.fresh_gates.count(rrc) == 1 and nas not in walks.fresh_gates
-    end, steps, pushes, namer = walks[rrc]
-    assert walks[nas] == (end, steps + 1, pushes, namer)
+    end, steps, pushes = walks[rrc]
+    assert walks[nas] == (end, steps + 1, pushes)
     assert end.owner is built.nodes["ue[0]"].generator
     _assert_walks_exact(caches)
 
@@ -1060,44 +1060,37 @@ def test_a_ring_of_relay_links_reuses_no_walk():
 
 class _TurnBack(PassThroughLayer):
     """A layer with the stock handler whose step rule sends arrivals from
-    above back up, and keeps the id of each message it is applied to."""
+    above back up, and keeps each route it is applied to."""
 
     waypoint = False  # whether an arrival from above pushes this layer
-    named_below = False  # whether it is renamed for the layer below, not above
 
     def __init__(self, name, tag):
         super().__init__(name, tag)
         self.ruled = []
 
-    def route_step(self, msg, arrival_gate):
+    def route_step(self, route, arrival_gate):
         if arrival_gate != IN_FROM_UPPER:
-            return super().route_step(msg, arrival_gate)
-        self.ruled.append(msg.msg_id)
+            return super().route_step(route, arrival_gate)
+        self.ruled.append(route)
         if self.waypoint:
-            msg._route.append(self)
-        gate = self.up_gate
-        return gate, self.down_gate.owner if self.named_below else gate.owner
+            route.append(self)
+        return self.up_gate
 
 
 class _TurnBackOverAWaypoint(_TurnBack):
     waypoint = True
 
 
-class _TurnBackNamedBelow(_TurnBack):
-    named_below = True
-
-
 @pytest.mark.parametrize("sink", [None, CollectingSink, _NopBatchSink],
                          ids=["untraced", "traced", "nop_batch"])
-@pytest.mark.parametrize("cls", [_TurnBack, _TurnBackOverAWaypoint, _TurnBackNamedBelow],
+@pytest.mark.parametrize("cls", [_TurnBack, _TurnBackOverAWaypoint],
                          ids=lambda cls: cls.__name__)
 def test_a_relay_link_follows_the_step_rule_of_its_module(cls, sink):
     """a -> b -> c, where b keeps the stock handler and its step rule
     sends arrivals from above back up: each message goes a, b, a and is
     dropped at a, which has nothing above it. b's gate from above is
-    linked to a, unless the rule pushes a waypoint or names the message
-    for c: then it has no link, and a run hop by hop applies the rule at
-    every arrival."""
+    linked to a, unless the rule pushes a waypoint: then it has no link,
+    and a run hop by hop applies the rule to each message's own route."""
     root = CompoundModule("Network")
     a, b, c = (root.add_child(layer(name, name.upper())) for layer, name in
                ((PassThroughLayer, "a"), (cls, "b"), (PassThroughLayer, "c")))
@@ -1110,19 +1103,65 @@ def test_a_relay_link_follows_the_step_rule_of_its_module(cls, sink):
         sim.fes.push(t_ns, 0, a, IN_FROM_UPPER, msg)
     sinks = [] if sink is None else [sink()]
     assert sim.run(until=SimTime.from_seconds(1), sinks=sinks).events_executed == 6
-    turned = "C" if cls.named_below else "A"
-    assert [msg.name for msg in msgs] == [turned + "Msg", turned + "Pck"]
+    assert [msg.name for msg in msgs] == ["AMsg", "APck"]
     assert [msg._route for msg in msgs] == [[b] if cls.waypoint else []] * 2
     assert [layer.drop_count for layer in (a, b, c)] == [2, 0, 0]
-    linked = not (cls.waypoint or cls.named_below)
+    linked = not cls.waypoint
     assert b._gates[IN_FROM_UPPER].relay_to is (a._gates[IN_FROM_LOWER] if linked else None)
     if sink is CollectingSink:
         assert [(rec.path, rec.msg_name) for rec in sinks[0].records] == [
-            ("Network.a", "m"), ("Network.b", "BMsg"), ("Network.a", turned + "Msg"),
-            ("Network.a", "p"), ("Network.b", "BPck"), ("Network.a", turned + "Pck")]
-    if sink is not None:  # the stand-in message of a link or walk has id 0
-        assert [msg_id for msg_id in b.ruled if msg_id] == (
-            [] if linked else [msg.msg_id for msg in msgs])
+            ("Network.a", "m"), ("Network.b", "BMsg"), ("Network.a", "AMsg"),
+            ("Network.a", "p"), ("Network.b", "BPck"), ("Network.a", "APck")]
+    # a link or walk probes the rule on a copy, never on a message's route
+    own = [route for route in b.ruled if any(route is msg._route for msg in msgs)]
+    assert all(type(route) is list for route in b.ruled)
+    if sink is not None:
+        assert own == ([] if linked else [msg._route for msg in msgs])
+
+
+def _recording_rule(rule, calls):
+    """`rule`, a module's bound step rule, keeping each call's route and
+    label, and the message whose arrival it was applied at: the `msg` of
+    the stock handler that called it, None for a link or walk probe."""
+    handler = Forwarder.handle_message.__code__
+
+    def route_step(route, arrival_gate):
+        caller = sys._getframe(1)
+        calls.append((route, arrival_gate,
+                      caller.f_locals["msg"] if caller.f_code is handler else None))
+        return rule(route, arrival_gate)
+
+    return route_step
+
+
+@given(st.one_of(network_specs(), specs_with_stacks()), st.booleans())
+@settings(deadline=None)
+def test_step_rules_see_a_route_and_a_label(spec, traced):
+    """Every call of a stock-handled module's step rule gets a list and
+    a label, never a message: at an arrival, the arriving message's own
+    route, and at a link or walk probe, a copy that is no message's
+    route."""
+    built = build(spec)
+    sim = built.simulator()
+    msgs, calls = [], []
+    new_message = sim.new_message
+
+    def recording_new_message(*args, **kwargs):
+        msgs.append(new_message(*args, **kwargs))
+        return msgs[-1]
+
+    sim.new_message = recording_new_message
+    for module in built.root.iter_tree():
+        if isinstance(module, Forwarder):
+            module.route_step = _recording_rule(module.route_step, calls)
+    sim.run(until=spec.until, sinks=[CollectingSink()] if traced else [])
+    assert calls
+    for route, label, msg in calls:
+        assert type(route) is list and type(label) is str
+        if msg is None:
+            assert all(route is not other._route for other in msgs)
+        else:
+            assert route is msg._route
 
 
 class _Echo(SimpleModule):
