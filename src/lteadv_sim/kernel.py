@@ -100,7 +100,8 @@ class HandlerError(SimulationError):
     """A module handler failed while dispatching an event."""
 
     def __init__(self, module_path: str, event_no: int, cause: BaseException):
-        super().__init__(f"event #{event_no} at {module_path}: {cause}")
+        super().__init__(f"event #{event_no} at {module_path}: "  # the path once
+                         + str(cause).removeprefix(f"{module_path}: "))
         self.module_path = module_path
         self.event_no = event_no
 
@@ -184,10 +185,11 @@ class MessageKind(enum.Enum):
 
     @property
     def name_suffix(self) -> str:
-        return "Msg" if self is MessageKind.CONTROL_MESSAGE else "Pck"
+        return "Msg" if self is _CONTROL else "Pck"
 
 
-_PACKET = MessageKind.PACKET
+_CONTROL, _PACKET = MessageKind.CONTROL_MESSAGE, MessageKind.PACKET
+_new_object = object.__new__  # a SimMessage with no __init__: `Simulator._message`
 
 
 class SimMessage:
@@ -207,7 +209,7 @@ class SimMessage:
         integer-nanosecond clock."""
         if byte_length < 0:
             raise ValueError("byte length must be non-negative")
-        if kind is MessageKind.CONTROL_MESSAGE and byte_length != 0:
+        if kind is _CONTROL and byte_length != 0:
             raise ValueError("control messages carry no payload bytes")
         self._msg_id = msg_id
         self.name = name
@@ -533,6 +535,17 @@ class Simulator:
         created = self.now_ns if at is None else at
         msg = SimMessage(self._next_msg_id, name, kind, byte_length, created)
         self._next_msg_id += 1
+        return msg
+
+    def _message(self, name: str, kind: MessageKind, kind_label: str,
+                 byte_length: int) -> SimMessage:
+        """`new_message(name, kind, byte_length)` with no checks, for fields
+        checked already, such as a generator's; `kind_label` is `kind.value`."""
+        msg = _new_object(SimMessage)
+        msg._msg_id = self._next_msg_id
+        self._next_msg_id += 1
+        msg.name, msg._kind, msg.kind_label = name, kind, kind_label
+        msg._byte_length, msg._created_ns, msg._route = byte_length, self.now_ns, []
         return msg
 
     def run(self, until: SimTime, event_limit: Optional[int] = None,

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .kernel import MessageKind, SimMessage, SimulationError
+from .kernel import _CONTROL, _PACKET, SimMessage, SimulationError
 from .model import (IN_FROM_LOWER, IN_FROM_UPPER, OUT_TO_LOWER, OUT_TO_UPPER,
                     RADIO_IN, ChannelSpec, CompoundModule, Gate,
                     ModuleNode, SimpleModule, _channel, transmit)
@@ -56,47 +56,24 @@ class LayerSpec:
     module_name: str
 
 
-# Default stacks, top to bottom. The UE's six layers follow the standard
-# protocol stack; the core-side chains are minimal linear stands-ins whose
-# endpoints carry the cross-node wiring.
-UE_STACK = (
-    LayerSpec("NAS", "lte_nas"),
-    LayerSpec("RRC", "lte_rrc"),
-    LayerSpec("PDCP", "lte_pdcp"),
-    LayerSpec("RLC", "lte_rlc"),
-    LayerSpec("MAC", "lte_mac"),
-    LayerSpec("PHY", "lte_phy"),
-)
-ENB_STACK = (
-    LayerSpec("GTP", "lte_gtp"),
-    LayerSpec("RRC", "lte_rrc"),
-    LayerSpec("PDCP", "lte_pdcp"),
-    LayerSpec("RLC", "lte_rlc"),
-    LayerSpec("MAC", "lte_mac"),
-    LayerSpec("PHY", "lte_phy"),
-)
-SGW_MME_STACK = (
-    LayerSpec("S5", "lte_s5"),
-    LayerSpec("GTP", "lte_gtp"),
-    LayerSpec("S1", "lte_s1"),
-)
-PDN_GW_STACK = (
-    LayerSpec("IP", "lte_ip"),
-    LayerSpec("GTP", "lte_gtp"),
-    LayerSpec("S5", "lte_s5"),
-)
+# Default stacks, top to bottom, each layer's module named lte_<tag>. The
+# UE's six layers follow the standard protocol stack; the core-side chains
+# are minimal linear stand-ins whose endpoints carry the cross-node wiring.
+def _stack(*tags: str) -> tuple[LayerSpec, ...]:
+    return tuple(LayerSpec(tag, f"lte_{tag.lower()}") for tag in tags)
 
-_PACKET = MessageKind.PACKET
-# a layer's message names are its tag plus these, read once for all layers
-_CONTROL_SUFFIX = MessageKind.CONTROL_MESSAGE.name_suffix
-_PACKET_SUFFIX = _PACKET.name_suffix
+
+UE_STACK = _stack("NAS", "RRC", "PDCP", "RLC", "MAC", "PHY")
+ENB_STACK = _stack("GTP", "RRC", "PDCP", "RLC", "MAC", "PHY")
+SGW_MME_STACK = _stack("S5", "GTP", "S1")
+PDN_GW_STACK = _stack("IP", "GTP", "S5")
 
 
 @functools.cache
 def _tag_names(tag: str) -> tuple[str, str]:
     """A tag's (control, packet) message names, made and interned once,
     so every layer with one tag shares them."""
-    return sys.intern(tag + _CONTROL_SUFFIX), sys.intern(tag + _PACKET_SUFFIX)
+    return sys.intern(tag + _CONTROL.name_suffix), sys.intern(tag + _PACKET.name_suffix)
 
 
 class Forwarder(SimpleModule):

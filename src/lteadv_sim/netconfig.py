@@ -43,19 +43,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .kernel import (MessageKind, NS_PER_MS, NS_PER_S, NS_PER_US, SimTime,
-                     SimulationError)
+                     SimulationError, Simulator)
 from .model import ChannelSpec, CompoundModule
 from .lte_nodes import NodeType, attach_ue, build_node, link_enb_to_sgw, link_sgw_to_pdn
 from .traffic import Generator, GeneratorConfig
 
 DURATION_UNITS = {"ns": 1, "us": NS_PER_US, "ms": NS_PER_MS, "s": NS_PER_S}
 
-NODE_KEYWORDS = {
-    "ue": NodeType.UE,
-    "enb": NodeType.ENB,
-    "sgw_mme": NodeType.SGW_MME,
-    "pdn_gw": NodeType.PDN_GW,
-}
+NODE_KEYWORDS = {kind.value: kind for kind in NodeType}  # ue, enb, sgw_mme, pdn_gw
 
 
 @dataclass(frozen=True, slots=True)
@@ -708,8 +703,7 @@ class BuiltNetwork:
     nodes: dict[str, CompoundModule]
     spec: NetworkSpec
 
-    def simulator(self, seed: Optional[int] = None):
-        from .kernel import Simulator
+    def simulator(self, seed: Optional[int] = None) -> Simulator:
         return Simulator(self.root, seed=self.spec.effective_seed if seed is None else seed)
 
 

@@ -8,6 +8,10 @@ k+1-th emission is gated on the return of the k-th.
 The first emission is sent by `on_start`, through `emit`. Each later one
 starts at the timer, whose handler returns the emission as a zero-delay
 hop to the top layer, or sends it by `emit` over a delayed channel.
+
+The emission is fixed when the generator starts: the channel down to the
+top layer, the payload's name, kind and size, and the period. Changing
+`config` or the wiring afterwards does not change a running generator.
 """
 
 from __future__ import annotations
@@ -15,18 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .kernel import MessageKind, SimTime
+from .kernel import _CONTROL, _PACKET, MessageKind, SimTime
+from .lte_nodes import _tag_names
 from .model import (IN_FROM_LOWER, OUT_TO_LOWER, SELF_GATE, Gate, SimpleModule,
                     UnconnectedGate, transmit)
 
 DEFAULT_PERIOD = SimTime.from_millis(10)
 
-# Returning messages arrive named GenMsg / GenPck.
-GENERATOR_TAG = "Gen"
-_CONTROL_NAME = GENERATOR_TAG + MessageKind.CONTROL_MESSAGE.name_suffix
-_PACKET_NAME = GENERATOR_TAG + MessageKind.PACKET.name_suffix
+GENERATOR_TAG = "Gen"  # returning messages arrive named GenMsg / GenPck
 # Self-event payload name; shows up in traces as an event at the generator.
 TIMER_NAME = "GenTimer"
+_CONTROL_LABEL = _CONTROL.value
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,6 +61,11 @@ class Generator(SimpleModule):
     A generator built without a config is inert: it never emits, but still
     counts and discards anything delivered to it, timers included.
     `emit` sends a message down and needs a bound simulator.
+
+    `on_start` fixes the emission from `config` and the wiring, so a later
+    change to either does not reach a running generator. A subclass whose
+    `on_start` does not call this one's has it fixed at its first `emit`
+    or arrival instead.
     """
 
     def __init__(self, name: str = "generator",
@@ -65,57 +73,64 @@ class Generator(SimpleModule):
         super().__init__(name, type_name="generator")
         self.config = config
         self.stats = GeneratorStats()
-        self.control_name = _CONTROL_NAME
-        self.packet_name = _PACKET_NAME
+        self.control_name, self.packet_name = _tag_names(GENERATOR_TAG)
         self.down_gate: Optional[Gate] = None  # toward the stack, set when wired
+        self._period_ns: Optional[int] = None  # None until `_freeze`; 0: inert
 
     @property
     def enabled(self) -> bool:
         return self.config is not None
 
     def on_start(self, sim) -> None:
-        if self.enabled:
+        self._freeze()
+        if self._period_ns:
             self.emit(at=self.config.start_time)
+
+    def _freeze(self) -> None:
+        """Fix the emission: the channel down, the payload's name (the top
+        layer's), kind and size, and the period, 0 when inert."""
+        cfg, down = self.config, self.down_gate
+        self._down, self._period_ns = down, 0 if cfg is None else cfg.period.ns
+        if cfg is not None and down is not None:
+            kind, top = cfg.payload_kind, down.owner
+            self._name = top.packet_name if kind is _PACKET else top.control_name
+            self._kind, self._kind_label, self._bytes = kind, kind.value, cfg.payload_bytes
 
     def emit(self, at: Optional[SimTime] = None) -> None:
         """Send a fresh message, named for the layer below, down into the
         stack at `at`, or now when it is None; unwired, UnconnectedGate."""
-        if self.down_gate is None:
+        if self._period_ns is None:
+            self._freeze()
+        if self._down is None:
             raise UnconnectedGate(f"{self.full_path_or_name()}.{OUT_TO_LOWER} is not connected")
-        msg = self._payload(self.sim, at)
-        transmit(self.down_gate, msg, None if at is None else at.ns)
+        msg = self.sim._message(self._name, self._kind, self._kind_label, self._bytes)
+        if at is not None:
+            msg._created_ns = at = at.ns
+        transmit(self._down, msg, at)
         self.stats.emitted += 1
 
-    def _payload(self, sim, at: Optional[SimTime] = None):
-        """A fresh message of the configured kind and size from `sim`,
-        named for the layer below, created at `at` or now when None."""
-        cfg = self.config
-        top = self.down_gate.owner
-        name = top.packet_name if cfg.payload_kind is MessageKind.PACKET else top.control_name
-        return sim.new_message(name, cfg.payload_kind, cfg.payload_bytes, at=at)
-
     def handle_message(self, msg, arrival_gate: str) -> Optional[tuple]:
+        if self._period_ns is None:
+            self._freeze()
         if arrival_gate == SELF_GATE:
-            if self.config is None:  # inert: a timer is counted and discarded
+            if not self._period_ns:  # inert: a timer is counted and discarded
                 self.stats.discarded += 1
                 return None
-            down = self.down_gate
+            down = self._down
             if down is None or down.delay_ns:
                 self.emit()
                 return None
             # the emission is a zero-delay hop: hand it to the run loop
-            hop = down.owner, down.label, self._payload(self._sim)
             self.stats.emitted += 1
-            return hop
+            return down.owner, down.label, self._sim._message(
+                self._name, self._kind, self._kind_label, self._bytes)
         if arrival_gate == IN_FROM_LOWER:
             # The round trip ends here: drop the message, arm the next one.
             self.stats.returned += 1
             self.stats.discarded += 1
-            cfg = self.config
-            if cfg is not None:  # enabled; a run has bound the simulator
+            if self._period_ns:  # enabled; a run has bound the simulator
                 sim = self._sim
-                timer = sim.new_message(TIMER_NAME, MessageKind.CONTROL_MESSAGE)
-                sim.fes.push(sim.now_ns + cfg.period.ns, sim.now_ns,
-                             self, SELF_GATE, timer)
+                sim.fes.push(sim.now_ns + self._period_ns, sim.now_ns, self, SELF_GATE,
+                             sim._message(TIMER_NAME, _CONTROL, _CONTROL_LABEL, 0))
             return None
         raise self.unknown_arrival(arrival_gate)

@@ -442,6 +442,16 @@ def test_handler_failure_carries_path_and_event_number():
     assert exc_info.value.event_no == 1
 
 
+@pytest.mark.parametrize("cause,text", [
+    ("Net.bad: no route", "no route"),          # names the module: the path once
+    ("Net.bad.x: no route", "Net.bad.x: no route"),
+    ("no route at Net.bad: here", "no route at Net.bad: here"),
+    ("", ""),
+])
+def test_handler_error_names_its_module_once(cause, text):
+    assert str(HandlerError("Net.bad", 7, ValueError(cause))) == f"event #7 at Net.bad: {text}"
+
+
 @pytest.mark.parametrize("others_due_now", [0, 2])
 def test_handler_failure_on_a_returned_hop_carries_its_event_number(others_due_now):
     # alone at t=0 the hop is dispatched at once; behind two other entries

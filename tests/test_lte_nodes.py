@@ -205,6 +205,8 @@ def test_s1_going_down_without_a_route_has_no_return_route():
         sim.run(until=SimTime(1))
     assert (err.value.event_no, err.value.module_path) == (1, "Network.sgw_mme.lte_s1")
     assert isinstance(err.value.__cause__, NoRadioPeer)
+    # and gives the path once: the cause's own text names it already
+    assert str(err.value) == "event #1 at Network.sgw_mme.lte_s1: no return route"
 
 
 @pytest.mark.parametrize("label", ["inFromLowerLayer", "inFromLowerLayer[1]",
@@ -805,8 +807,7 @@ def test_an_unknown_label_at_a_linked_layer_fails_at_its_event(monkeypatch, mult
 
     linked = failure()
     assert linked == (465, "Network.ue[1].lte_rrc",
-                      "event #465 at Network.ue[1].lte_rrc: Network.ue[1].lte_rrc: "
-                      "unexpected arrival on 'bogus'")
+                      "event #465 at Network.ue[1].lte_rrc: unexpected arrival on 'bogus'")
     stock = PassThroughLayer.handle_message
     monkeypatch.setattr(PassThroughLayer, "handle_message",
                         lambda module, msg, arrival_gate: stock(module, msg, arrival_gate))

@@ -16,8 +16,11 @@ set on the instance, nor does walking a whole lane of equal walks in one
 step, with shared starts, at every event limit and after a handler
 error (a lane that holds one message twice, or walks of unequal length,
 runs hop by hop), nor does a generator's timer returning its emission
-as a hop against pushing it, a walk reused past a relay link is the
-walk computed afresh (a ring of links reuses none), a handler set on
+as a hop against pushing it, nor a generator's `on_start` that skips the
+stock one, every message a generator makes is the one
+`Simulator.new_message` would make at that moment, a walk reused past a
+relay link is the walk computed afresh (a ring of links reuses none), a
+handler set on
 the instance before the run sees every arrival at its module, each
 event is one handle_message call
 whenever handlers are wrapped (a wrapped handler turns the relay links
@@ -45,7 +48,8 @@ from hypothesis import given, settings, strategies as st
 from lteadv_sim import (CollectingSink, MetricsSink, PaperTraceSink, StructuredTraceSink,
                         TraceSink, build, kernel, parse)
 from lteadv_sim.kernel import (CHUNK_ROWS, MAX_TIME_NS, EventRecord, HandlerError, MessageKind,
-                               SimTime, SimulationError, Simulator, StopReason)
+                               SimTime, SimTimeRangeError, SimulationError, Simulator,
+                               StopReason)
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
                                   instance_table, validate)
@@ -430,15 +434,16 @@ def _waypoint(waypoint):
 def _end_state(spec, event_limit, sinks, replace=None):
     """What a run leaves behind: its event count, stop reason, clock and
     next message id, every pending entry, drained in order, with its
-    message's route, every generator's stats and every forwarder's drops.
-    `replace(built)`, when given, changes the network before it runs."""
+    message's kind, byte length, creation time and route, every
+    generator's stats and every forwarder's drops. `replace(built)`, when
+    given, changes the network before it runs."""
     built = build(spec)
     if replace is not None:
         replace(built)
     sim = built.simulator()
     summary = sim.run(until=spec.until, event_limit=event_limit, sinks=sinks)
-    pending = [(t_ns, seq, target.full_path, label, msg.msg_id, msg.name,
-                tuple(map(_waypoint, msg._route)))
+    pending = [(t_ns, seq, target.full_path, label, msg.msg_id, msg.name, msg.kind,
+                msg.byte_length, msg._created_ns, tuple(map(_waypoint, msg._route)))
                for t_ns, seq, target, label, msg in sim.fes.pop_before(MAX_TIME_NS + 1)]
     stats = [(name, node.generator.stats) for name, node in built.nodes.items()
              if node.generator is not None]
@@ -962,6 +967,138 @@ def test_a_generator_over_a_delayed_channel_transmits_its_emission():
     assert timers == [1_200_000, 2_400_000, 3_600_000]
     assert arrivals == [100_000] + [t + 100_000 for t in timers]
     assert generator.stats.emitted == 4
+
+
+class _OwnStartGenerator(Generator):
+    """A generator whose `on_start` emits by `emit` and does not call the
+    stock `on_start`, so its emission is fixed at that first `emit`."""
+
+    def on_start(self, sim):
+        if self.config is not None:
+            self.emit(at=self.config.start_time)
+
+
+def _own_start_generators(built):
+    for node in built.nodes.values():
+        if node.generator is not None:
+            node.generator.__class__ = _OwnStartGenerator
+
+
+def test_a_generator_whose_on_start_skips_the_stock_one_runs_the_same_trips():
+    """Every event limit over the first three trips of two UEs, one with a
+    packet payload and a start offset: the same end state, with no sink
+    and hop by hop, and the same structured trace as stock generators."""
+    spec = dataclasses.replace(parse(TWO_UES_ONE_DELAYED).spec, until=SimTime.from_millis(25))
+    events = _end_state(spec, None, [])[0]
+    for limit in (None, *range(events + 1)):
+        for sinks in ([], [_NopBatchSink()]):
+            assert (_end_state(spec, limit, sinks, _own_start_generators)
+                    == _end_state(spec, limit, sinks))
+    assert (_structured_trace(spec, None, _own_start_generators)
+            == _structured_trace(spec, None))
+
+
+# The next timer of u's generator falls 1 ns past the last valid time.
+TIMER_PAST_THE_LAST_TIME = """\
+network N {
+    ue u; enb e; sgw_mme s; pdn_gw p;
+    attach u -> e;
+    generator on u { period 9223372036854775807ns; start 1ns; }
+    run until 9223372036854775807ns;
+}
+"""
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_a_timer_past_the_last_time_fails_its_return_event(traced):
+    """The return event that arms the timer fails as its HandlerError,
+    caused by SimTimeRangeError, with no sink and hop by hop; the timer
+    drew its message id, and nothing was pushed."""
+    spec = parse(TIMER_PAST_THE_LAST_TIME).spec
+    sim = build(spec).simulator()
+    with pytest.raises(HandlerError) as err:
+        sim.run(until=spec.until, sinks=[_NopBatchSink()] if traced else [])
+    assert (err.value.event_no, err.value.module_path) == (38, "N.u.generator")
+    assert isinstance(err.value.__cause__, SimTimeRangeError)
+    assert str(err.value) == ("event #38 at N.u.generator: "
+                              "simulation time overflows 64 bits: 9223372036854775808 ns")
+    assert (sim._next_msg_id, len(sim.fes)) == (3, 0)
+
+
+@st.composite
+def generator_configs(draw):
+    """A GeneratorConfig of either payload kind, with a drawn period,
+    start offset and, for a packet, size."""
+    kind = draw(st.sampled_from(list(MessageKind)))
+    return GeneratorConfig(
+        period=SimTime(draw(st.integers(min_value=4, max_value=40)) * 250_000),
+        start_time=SimTime(draw(st.integers(min_value=0, max_value=5_000_000))),
+        payload_kind=kind,
+        payload_bytes=(draw(st.integers(min_value=0, max_value=1500))
+                       if kind is MessageKind.PACKET else 0))
+
+
+def _message_fields(msg):
+    return (msg.msg_id, msg.name, msg.kind, msg.kind_label, msg.byte_length, list(msg._route))
+
+
+@contextlib.contextmanager
+def _recording_made_messages():
+    """Record each message that `Simulator._message` makes, as `(message,
+    its fields then, the message Simulator.new_message would have made in
+    its place)`: at the same moment, with the same id, and created at the
+    `at` of the `Generator.emit` it is made in, if any."""
+    made, ats = [], [None]
+    make, emit = Simulator._message, Generator.emit
+
+    def recording_emit(self, at=None):
+        ats.append(at)
+        try:
+            emit(self, at)
+        finally:
+            ats.pop()
+
+    def recording_make(sim, name, kind, kind_label, byte_length):
+        next_id = sim._next_msg_id
+        public = sim.new_message(name, kind, byte_length, at=ats[-1])
+        sim._next_msg_id = next_id
+        msg = make(sim, name, kind, kind_label, byte_length)
+        made.append((msg, _message_fields(msg), public))
+        return msg
+
+    Simulator._message, Generator.emit = recording_make, recording_emit
+    try:
+        yield made
+    finally:
+        Simulator._message, Generator.emit = make, emit
+
+
+@given(network_specs(), generator_configs(),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=1500)), st.booleans())
+@settings(deadline=None)
+def test_generator_messages_equal_public_ones(spec, config, event_limit, traced):
+    """Every payload and timer a run makes comes from the kernel's private
+    maker, and has the id, name, kind, kind label, byte length, creation
+    time and empty route that `Simulator.new_message` gives at that
+    moment; the payloads have the configured kind and size."""
+    spec = dataclasses.replace(spec, generators=[
+        dataclasses.replace(decl, config=config) for decl in spec.generators])
+    built = build(spec)
+    sim = built.simulator()
+    with _recording_made_messages() as made:
+        sim.run(until=spec.until, event_limit=event_limit,
+                sinks=[_NopBatchSink()] if traced else [])
+    assert [msg.msg_id for msg, _, _ in made] == list(range(1, sim._next_msg_id))
+    for msg, fields, public in made:
+        assert fields == _message_fields(public)
+        assert msg.creation_time == public.creation_time
+    payloads = [fields for _, fields, _ in made if fields[1] != TIMER_NAME]
+    generators = [node.generator for node in built.nodes.values()
+                  if node.generator is not None]
+    assert len(payloads) == sum(gen.stats.emitted for gen in generators)
+    assert len(made) - len(payloads) == sum(gen.stats.returned for gen in generators)
+    assert {fields[2:5] for fields in payloads} <= {
+        (config.payload_kind, config.payload_kind.value, config.payload_bytes)}
 
 
 def test_emit_on_an_unbound_generator_raises(minimal_spec):
