@@ -188,7 +188,8 @@ class MessageKind(enum.Enum):
         return "Msg" if self is _CONTROL else "Pck"
 
 
-_CONTROL, _PACKET = MessageKind.CONTROL_MESSAGE, MessageKind.PACKET
+_CONTROL = MessageKind.CONTROL_MESSAGE
+_PACKET = MessageKind.PACKET
 _new_object = object.__new__  # a SimMessage with no __init__: `Simulator._message`
 
 
@@ -537,15 +538,18 @@ class Simulator:
         self._next_msg_id += 1
         return msg
 
-    def _message(self, name: str, kind: MessageKind, kind_label: str,
-                 byte_length: int) -> SimMessage:
+    def _message(self, name: str, kind: MessageKind, byte_length: int) -> SimMessage:
         """`new_message(name, kind, byte_length)` with no checks, for fields
-        checked already, such as a generator's; `kind_label` is `kind.value`."""
+        checked already, such as a generator's."""
         msg = _new_object(SimMessage)
         msg._msg_id = self._next_msg_id
         self._next_msg_id += 1
-        msg.name, msg._kind, msg.kind_label = name, kind, kind_label
-        msg._byte_length, msg._created_ns, msg._route = byte_length, self.now_ns, []
+        msg.name = name
+        msg._kind = kind
+        msg.kind_label = kind._value_
+        msg._byte_length = byte_length
+        msg._created_ns = self.now_ns
+        msg._route = []
         return msg
 
     def run(self, until: SimTime, event_limit: Optional[int] = None,

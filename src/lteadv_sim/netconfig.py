@@ -50,7 +50,7 @@ from .traffic import Generator, GeneratorConfig
 
 DURATION_UNITS = {"ns": 1, "us": NS_PER_US, "ms": NS_PER_MS, "s": NS_PER_S}
 
-NODE_KEYWORDS = {kind.value: kind for kind in NodeType}  # ue, enb, sgw_mme, pdn_gw
+NODE_KEYWORDS = {kind.value: kind for kind in NodeType}
 
 
 @dataclass(frozen=True, slots=True)
@@ -381,20 +381,12 @@ class _Parser:
         kind, text, _, _ = self.tok
         if kind != "name":
             self.fail(f"expected a statement, found {text!r}")
+        # each statement is parsed by the method named for its keyword
         if text in NODE_KEYWORDS:
-            self.parse_node_decl(spec)
-        elif text == "attach":
-            self.parse_attach(spec)
-        elif text == "link":
-            self.parse_link(spec)
-        elif text == "generator":
-            self.parse_generator(spec)
-        elif text == "run":
-            self.parse_run(spec)
-        elif text == "seed":
-            self.parse_seed(spec)
-        else:
+            text = "node_decl"
+        elif text not in ("attach", "link", "generator", "run", "seed"):
             self.fail(f"unknown statement keyword {text!r}")
+        getattr(self, f"parse_{text}")(spec)
 
     def parse_node_decl(self, spec: NetworkSpec) -> None:
         kw = self.advance()

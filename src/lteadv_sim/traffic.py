@@ -20,16 +20,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .kernel import _CONTROL, _PACKET, MessageKind, SimTime
-from .lte_nodes import _tag_names
 from .model import (IN_FROM_LOWER, OUT_TO_LOWER, SELF_GATE, Gate, SimpleModule,
                     UnconnectedGate, transmit)
 
 DEFAULT_PERIOD = SimTime.from_millis(10)
 
-GENERATOR_TAG = "Gen"  # returning messages arrive named GenMsg / GenPck
+# Returning messages arrive named GenMsg / GenPck.
+GENERATOR_TAG = "Gen"
+_CONTROL_NAME = GENERATOR_TAG + _CONTROL.name_suffix
+_PACKET_NAME = GENERATOR_TAG + _PACKET.name_suffix
 # Self-event payload name; shows up in traces as an event at the generator.
 TIMER_NAME = "GenTimer"
-_CONTROL_LABEL = _CONTROL.value
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,7 +74,8 @@ class Generator(SimpleModule):
         super().__init__(name, type_name="generator")
         self.config = config
         self.stats = GeneratorStats()
-        self.control_name, self.packet_name = _tag_names(GENERATOR_TAG)
+        self.control_name = _CONTROL_NAME
+        self.packet_name = _PACKET_NAME
         self.down_gate: Optional[Gate] = None  # toward the stack, set when wired
         self._period_ns: Optional[int] = None  # None until `_freeze`; 0: inert
 
@@ -89,12 +91,14 @@ class Generator(SimpleModule):
     def _freeze(self) -> None:
         """Fix the emission: the channel down, the payload's name (the top
         layer's), kind and size, and the period, 0 when inert."""
-        cfg, down = self.config, self.down_gate
-        self._down, self._period_ns = down, 0 if cfg is None else cfg.period.ns
-        if cfg is not None and down is not None:
-            kind, top = cfg.payload_kind, down.owner
-            self._name = top.packet_name if kind is _PACKET else top.control_name
-            self._kind, self._kind_label, self._bytes = kind, kind.value, cfg.payload_bytes
+        cfg = self.config
+        self._down = self.down_gate
+        self._period_ns = 0 if cfg is None else cfg.period.ns
+        if cfg is not None and self._down is not None:
+            top = self._down.owner
+            self._kind = cfg.payload_kind
+            self._name = top.packet_name if self._kind is _PACKET else top.control_name
+            self._bytes = cfg.payload_bytes
 
     def emit(self, at: Optional[SimTime] = None) -> None:
         """Send a fresh message, named for the layer below, down into the
@@ -103,10 +107,10 @@ class Generator(SimpleModule):
             self._freeze()
         if self._down is None:
             raise UnconnectedGate(f"{self.full_path_or_name()}.{OUT_TO_LOWER} is not connected")
-        msg = self.sim._message(self._name, self._kind, self._kind_label, self._bytes)
+        msg = self.sim._message(self._name, self._kind, self._bytes)
         if at is not None:
-            msg._created_ns = at = at.ns
-        transmit(self._down, msg, at)
+            msg._created_ns = at.ns
+        transmit(self._down, msg, None if at is None else at.ns)
         self.stats.emitted += 1
 
     def handle_message(self, msg, arrival_gate: str) -> Optional[tuple]:
@@ -122,8 +126,7 @@ class Generator(SimpleModule):
                 return None
             # the emission is a zero-delay hop: hand it to the run loop
             self.stats.emitted += 1
-            return down.owner, down.label, self._sim._message(
-                self._name, self._kind, self._kind_label, self._bytes)
+            return down.owner, down.label, self._sim._message(self._name, self._kind, self._bytes)
         if arrival_gate == IN_FROM_LOWER:
             # The round trip ends here: drop the message, arm the next one.
             self.stats.returned += 1
@@ -131,6 +134,6 @@ class Generator(SimpleModule):
             if self._period_ns:  # enabled; a run has bound the simulator
                 sim = self._sim
                 sim.fes.push(sim.now_ns + self._period_ns, sim.now_ns, self, SELF_GATE,
-                             sim._message(TIMER_NAME, _CONTROL, _CONTROL_LABEL, 0))
+                             sim._message(TIMER_NAME, _CONTROL, 0))
             return None
         raise self.unknown_arrival(arrival_gate)

@@ -1058,11 +1058,11 @@ def _recording_made_messages():
         finally:
             ats.pop()
 
-    def recording_make(sim, name, kind, kind_label, byte_length):
+    def recording_make(sim, name, kind, byte_length):
         next_id = sim._next_msg_id
         public = sim.new_message(name, kind, byte_length, at=ats[-1])
         sim._next_msg_id = next_id
-        msg = make(sim, name, kind, kind_label, byte_length)
+        msg = make(sim, name, kind, byte_length)
         made.append((msg, _message_fields(msg), public))
         return msg
 
@@ -1291,7 +1291,13 @@ def test_step_rules_see_a_route_and_a_label(spec, traced):
     for module in built.root.iter_tree():
         if isinstance(module, Forwarder):
             module.route_step = _recording_rule(module.route_step, calls)
-    sim.run(until=spec.until, sinks=[CollectingSink()] if traced else [])
+    with _recording_made_messages() as made:
+        sim.run(until=spec.until, sinks=[CollectingSink()] if traced else [])
+    msgs += [msg for msg, _, _ in made]
+    # the generators' payloads and timers: one per emission and per return
+    stats = [node.generator.stats for node in built.nodes.values()
+             if node.generator is not None]
+    assert len(made) == sum(stat.emitted + stat.returned for stat in stats)
     assert calls
     for route, label, msg in calls:
         assert type(route) is list and type(label) is str
