@@ -62,6 +62,23 @@ messages and walks of at least m steps, each of them steps once in each of
 the next m - 1 rounds, ahead of the rest, so the check skips those rounds;
 checked every round, such a lane would compute fresh walks and walk
 nothing.
+
+*Trip walks.* With no sink, a generator whose `_trip` gives its trip is
+unseen too: its handler is the stock one, and it is frozen, enabled and
+sends down with no delay (`_Trips`, fixed at the run's first lookup). At
+each arrival there the loop calls the step the handler would take,
+`_trip_step`: at the timer it counts the emission and goes on with it as
+with a returned hop to the top layer; at the return, often a walk's end,
+it counts the return and pushes the next timer through
+`FutureEventSet.push`. So a walk may start at a popped timer and end in
+that push. A lane of n >= 2 timers whose generators each trip back to
+themselves by walks of the same s steps is made at once by `_walk_trips`,
+when its n*(s+2) events (n timers, n*s steps, n returns) end within the
+limit and no timer would pass `MAX_TIME_NS`: the payloads take their ids
+in lane order, the counter is advanced past the n*(s+1) appends of the
+hop-by-hop run, and then the n timers are pushed in lane order, taking
+the next ids and seqs; the lane is left empty. A lane that would overflow
+runs hop by hop, so the failing return is its own HandlerError.
 """
 
 from __future__ import annotations
@@ -190,6 +207,8 @@ class MessageKind(enum.Enum):
 
 _CONTROL = MessageKind.CONTROL_MESSAGE
 _PACKET = MessageKind.PACKET
+# The arrival label of a self-event, a pseudo-gate that no gate table holds.
+SELF_GATE = "self"
 _new_object = object.__new__  # a SimMessage with no __init__: `Simulator._message`
 
 
@@ -412,6 +431,18 @@ def _set_links(modules) -> None:
                         gate.relay_to = step[0]
 
 
+class _Trips(dict):
+    """A module -> its `_trip()`: for a generator whose timer and return
+    a run with no sink makes unseen, `(channel down, In gate from below,
+    period in ns)`; None for any other module. Computed on first lookup
+    and fixed for the run (the module note, *Trip walks*)."""
+
+    def __missing__(self, module):
+        trip = getattr(module, "_trip", None)
+        trip = self[module] = None if trip is None else trip()
+        return trip
+
+
 class _Walks(dict):
     """An arrival's gate -> `(end, steps, pushes)`, computed on first
     lookup and fixed for the run: the no-sink walk from that gate (the
@@ -460,16 +491,19 @@ def _walk_on(msg: SimMessage, walk: tuple):
     return end
 
 
-def _walk_lane(fes: FutureEventSet, walks: _Walks, t_ns: int,
+def _walk_lane(fes: FutureEventSet, walks: _Walks, trips: _Trips, t_ns: int,
                room: int) -> tuple[int, int]:
     """Walk the whole lane, due at `t_ns`, in one step when its entries
     walk alike and their events end before `room` more (the module note,
-    *Lane walks*). Returns the number of events walked, 0 when the lane
-    is left as it is, and the number of lane entries the run loop pops
-    before it checks the lane again. A walk rewrites `fes.lane`, each
-    walked message's name and route, and `fes.seq_counter`."""
+    *Lane walks*); a lane of self-events goes to `_walk_trips`. Returns
+    the number of events walked, 0 when the lane is left as it is, and
+    the number of lane entries the run loop pops before it checks the
+    lane again. A walk rewrites `fes.lane`, each walked message's name and
+    route, and `fes.seq_counter`."""
     lane = fes.lane
     n = len(lane)
+    if lane[0][3] == SELF_GATE:
+        return _walk_trips(fes, walks, trips, t_ns, room)
     steps, walked, held = 0, [], set()
     for _, _, target, gate_label, msg in lane:
         if msg in held:
@@ -493,6 +527,36 @@ def _walk_lane(fes: FutureEventSet, walks: _Walks, t_ns: int,
         seq += 1
     fes.seq_counter = itertools.count(seq)
     return n * steps, n
+
+
+def _walk_trips(fes: FutureEventSet, walks: _Walks, trips: _Trips, t_ns: int,
+                room: int) -> tuple[int, int]:
+    """Make the whole trip of every timer in the lane, due at `t_ns`, in
+    one step when each is the timer of a generator in `trips` whose
+    trip walks back to it, every walk is as long as the first, the
+    trips' events end within `room` more and no timer they push passes
+    `MAX_TIME_NS` (the module note, *Trip walks*). Returns as
+    `_walk_lane` does; a walk leaves the lane empty and pushes the
+    timers through `FutureEventSet.push`."""
+    lane = fes.lane
+    n = len(lane)
+    steps, walked = 0, []
+    for _, _, gen, label, _ in lane:
+        trip = trips[gen] if label == SELF_GATE else None
+        walk = None if trip is None else walks[trip[0]]
+        if (walk is None or walk[0] is not trip[1] or (walked and walk[1] != steps)
+                or n * (walk[1] + 2) > room or t_ns + trip[2] > MAX_TIME_NS):
+            return 0, n
+        steps = walk[1]
+        walked.append((gen, walk))
+    seq = next(fes.seq_counter) + n * (steps + 1)  # past the appends the trips make
+    lane.clear()
+    for gen, walk in walked:
+        _walk_on(gen._trip_step(SELF_GATE)[2], walk)
+    fes.seq_counter = itertools.count(seq)
+    for gen, walk in walked:
+        gen._trip_step(walk[0].label)
+    return n * (steps + 2), 0
 
 
 class Simulator:
@@ -578,7 +642,11 @@ class Simulator:
         not three items with a module first fails as a HandlerError.
         Relay links and, with no sink (a sink with only `record` counts as
         one), walks make steps with no handler call, exactly as the
-        hop-by-hop run (module note).
+        hop-by-hop run (module note). With no sink, a generator whose
+        handler is the stock one, frozen, enabled and sending down with
+        no delay, has its timer and return events made with no handler
+        call too, and each of its timers is still pushed through
+        `FutureEventSet.push` (module note, *Trip walks*).
         """
         if self._ran:
             raise SimulationError("this simulator instance has already run")
@@ -604,7 +672,7 @@ class Simulator:
         until_ns = until.ns
         # no run executes sys.maxsize events: no limit
         limit = sys.maxsize if event_limit is None else max(event_limit, 0)
-        walks = _Walks()
+        walks, trips = _Walks(), _Trips()
         due = 0  # the lane entries to pop before the lane is checked again
         executed = 0
         reason = StopReason.EVENT_LIMIT
@@ -620,7 +688,8 @@ class Simulator:
                             # the last check's entries are popped: check again
                             due = len(lane)
                             if due > 1 and not traced:
-                                walked, due = _walk_lane(fes, walks, t_ns, limit - executed)
+                                walked, due = _walk_lane(fes, walks, trips, t_ns,
+                                                         limit - executed)
                                 if walked:
                                     executed += walked
                                     seq_counter = fes.seq_counter
@@ -640,7 +709,10 @@ class Simulator:
                             link = None if gate is None or gate.source is target else gate.relay_to
                             if link is None:
                                 try:  # a return that is not a hop to a module fails here too
-                                    hop = target.handle_message(msg, gate_label)
+                                    if traced or trips[target] is None:
+                                        hop = target.handle_message(msg, gate_label)
+                                    else:  # a generator's timer or return, made unseen
+                                        hop = target._trip_step(gate_label)
                                     if hop is None:
                                         break
                                     nxt, gate_label, msg = hop

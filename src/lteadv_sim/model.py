@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .kernel import SimMessage, SimTime, SimulationError
+from .kernel import SELF_GATE, SimMessage, SimTime, SimulationError
 
 
 class UnknownGate(SimulationError):
@@ -190,9 +190,6 @@ class SimpleModule(ModuleNode):
         Returns the event's insertion sequence."""
         sim = self.sim
         return sim.fes.push(fire_at.ns, sim.now_ns, self, SELF_GATE, msg)
-
-
-SELF_GATE = "self"
 
 
 class CompoundModule(ModuleNode):

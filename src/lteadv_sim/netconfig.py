@@ -468,21 +468,22 @@ class _Parser:
     def parse_run(self, spec: NetworkSpec) -> None:
         kw = self.advance()
         self.expect_keyword("until")
-        until = self.parse_duration()
-        self.expect_sym(";")
-        if spec.until is not None:
-            self.error("duplicate 'run until' statement", kw)
-        else:
-            spec.until = until
+        self.set_once(spec, "until", self.parse_duration(), kw, "'run until' statement")
 
     def parse_seed(self, spec: NetworkSpec) -> None:
         kw = self.advance()
-        value = self.expect_int("a seed value")
+        self.set_once(spec, "seed", self.expect_int("a seed value"), kw, "'seed' statement")
+
+    def set_once(self, spec: NetworkSpec, field_name: str, value, kw: tuple,
+                 statement: str) -> None:
+        """End a statement that sets a spec field only once: set it to
+        `value`, or, when a statement set it already, report a duplicate
+        `statement` at its keyword `kw`."""
         self.expect_sym(";")
-        if spec.seed is not None:
-            self.error("duplicate 'seed' statement", kw)
+        if getattr(spec, field_name) is not None:
+            self.error(f"duplicate {statement}", kw)
         else:
-            spec.seed = value
+            setattr(spec, field_name, value)
 
 
 def parse(source: str) -> ParseResult:
@@ -572,10 +573,9 @@ def instance_table(spec: NetworkSpec) -> InstanceTable:
             line, col = (where[0].line, where[0].col) if where else (1, 1)
             err(line, col,
                 f"network needs exactly one {kind.value}, found {per_kind[kind]}")
-    if per_kind[NodeType.UE] < 1:
-        err(1, 1, "network needs at least one ue")
-    if per_kind[NodeType.ENB] < 1:
-        err(1, 1, "network needs at least one enb")
+    for kind in (NodeType.UE, NodeType.ENB):
+        if per_kind[kind] < 1:
+            err(1, 1, f"network needs at least one {kind.value}")
 
     attached: dict[str, int] = {}
     enb_of: dict[str, str] = {}
@@ -746,13 +746,10 @@ def format_spec(spec: NetworkSpec) -> str:
         lines.append(f"    link {link.src} -> {link.dst}{delay};")
     for gen in spec.generators:
         cfg = gen.config
-        opts = [f"period {format_duration(cfg.period)};",
-                f"start {format_duration(cfg.start_time)};"]
-        if cfg.payload_kind is MessageKind.PACKET:
-            opts.append(f"payload packet {cfg.payload_bytes};")
-        else:
-            opts.append("payload message;")
-        lines.append(f"    generator on {gen.target} {{ {' '.join(opts)} }}")
+        payload = (f"packet {cfg.payload_bytes}" if cfg.payload_kind is MessageKind.PACKET
+                   else "message")
+        lines.append(f"    generator on {gen.target} {{ period {format_duration(cfg.period)}; "
+                     f"start {format_duration(cfg.start_time)}; payload {payload}; }}")
     if spec.until is not None:
         lines.append(f"    run until {format_duration(spec.until)};")
     if spec.seed is not None:

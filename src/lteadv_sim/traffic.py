@@ -9,6 +9,11 @@ The first emission is sent by `on_start`, through `emit`. Each later one
 starts at the timer, whose handler returns the emission as a zero-delay
 hop to the top layer, or sends it by `emit` over a delayed channel.
 
+A stock generator, one whose handler is `Generator.handle_message`, runs
+unseen in a run with no sink, as a stock layer does: the run makes its
+timer and return events with no handler call, through the same private
+steps the handler takes (`lteadv_sim.kernel`, *Trip walks*).
+
 The emission is fixed when the generator starts: the channel down to the
 top layer, the payload's name, kind and size, and the period. Changing
 `config` or the wiring afterwards does not change a running generator.
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .kernel import _CONTROL, _PACKET, MessageKind, SimTime
+from .kernel import _CONTROL, _PACKET, MessageKind, SimTime, SimulationError
 from .model import (IN_FROM_LOWER, OUT_TO_LOWER, SELF_GATE, Gate, SimpleModule,
                     UnconnectedGate, transmit)
 
@@ -27,8 +32,6 @@ DEFAULT_PERIOD = SimTime.from_millis(10)
 
 # Returning messages arrive named GenMsg / GenPck.
 GENERATOR_TAG = "Gen"
-_CONTROL_NAME = GENERATOR_TAG + _CONTROL.name_suffix
-_PACKET_NAME = GENERATOR_TAG + _PACKET.name_suffix
 # Self-event payload name; shows up in traces as an event at the generator.
 TIMER_NAME = "GenTimer"
 
@@ -56,6 +59,10 @@ class GeneratorStats:
     discarded: int = 0
 
 
+class GeneratorNotConfigured(SimulationError):
+    """`Generator.emit` on a generator built with no config."""
+
+
 class Generator(SimpleModule):
     """Emits into the stack below; discards returns and re-arms a timer.
 
@@ -69,13 +76,15 @@ class Generator(SimpleModule):
     or arrival instead.
     """
 
+    # the names a message takes on arriving here, per kind
+    control_name = GENERATOR_TAG + _CONTROL.name_suffix
+    packet_name = GENERATOR_TAG + _PACKET.name_suffix
+
     def __init__(self, name: str = "generator",
                  config: Optional[GeneratorConfig] = None):
         super().__init__(name, type_name="generator")
         self.config = config
         self.stats = GeneratorStats()
-        self.control_name = _CONTROL_NAME
-        self.packet_name = _PACKET_NAME
         self.down_gate: Optional[Gate] = None  # toward the stack, set when wired
         self._period_ns: Optional[int] = None  # None until `_freeze`; 0: inert
 
@@ -102,9 +111,13 @@ class Generator(SimpleModule):
 
     def emit(self, at: Optional[SimTime] = None) -> None:
         """Send a fresh message, named for the layer below, down into the
-        stack at `at`, or now when it is None; unwired, UnconnectedGate."""
+        stack at `at`, or now when it is None. Raises GeneratorNotConfigured
+        for an inert generator, and UnconnectedGate when nothing is below."""
         if self._period_ns is None:
             self._freeze()
+        if not self._period_ns:
+            raise GeneratorNotConfigured(
+                f"{self.full_path_or_name()}: generator has no config, so it never emits")
         if self._down is None:
             raise UnconnectedGate(f"{self.full_path_or_name()}.{OUT_TO_LOWER} is not connected")
         msg = self.sim._message(self._name, self._kind, self._bytes)
@@ -124,8 +137,20 @@ class Generator(SimpleModule):
             if down is None or down.delay_ns:
                 self.emit()
                 return None
-            # the emission is a zero-delay hop: hand it to the run loop
+        return self._trip_step(arrival_gate)
+
+    _trip_handler = handle_message  # the handler that a run's unseen trips stand for
+
+    def _trip_step(self, arrival_gate: str) -> Optional[tuple]:
+        """The handler's step at an arrival on `arrival_gate`, with no
+        check: at the timer, of a generator that is enabled and sends down
+        with no delay, the emission, counted and handed to the run loop as
+        a zero-delay hop; at the return, the count and, when enabled, the
+        push of the next timer. Called by the handler, and by a run that
+        makes the generator unseen (`_trip`)."""
+        if arrival_gate == SELF_GATE:
             self.stats.emitted += 1
+            down = self._down
             return down.owner, down.label, self._sim._message(self._name, self._kind, self._bytes)
         if arrival_gate == IN_FROM_LOWER:
             # The round trip ends here: drop the message, arm the next one.
@@ -137,3 +162,14 @@ class Generator(SimpleModule):
                              sim._message(TIMER_NAME, _CONTROL, 0))
             return None
         raise self.unknown_arrival(arrival_gate)
+
+    def _trip(self) -> Optional[tuple]:
+        """`(channel down, In gate from below, period in ns)` when a run with
+        no sink may make this generator's timer and return events with no
+        handler call (`lteadv_sim.kernel`, *Trip walks*): its handler is the
+        stock one, and it is frozen, enabled and sends down with no delay.
+        None otherwise."""
+        down = self._down if self._period_ns else None
+        if down is None or down.delay_ns or self.handle_message != self._trip_handler:
+            return None
+        return down, self._gates.get(IN_FROM_LOWER), self._period_ns

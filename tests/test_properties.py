@@ -17,7 +17,11 @@ step, with shared starts, at every event limit and after a handler
 error (a lane that holds one message twice, or walks of unequal length,
 runs hop by hop), nor does a generator's timer returning its emission
 as a hop against pushing it, nor a generator's `on_start` that skips the
-stock one, every message a generator makes is the one
+stock one, nor making a stock generator's timers and returns with no
+handler call and a lane of its timers into whole trips at once, also at
+limits inside such a lane (a lane whose timers would pass the last time
+runs hop by hop, and a generator that is not stock keeps every handler
+call), every message a generator makes is the one
 `Simulator.new_message` would make at that moment, a walk reused past a
 relay link is the walk computed afresh (a ring of links reuses none), a
 handler set on
@@ -54,7 +58,8 @@ from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSp
                                   NodeDecl, Selector, SelectorKind, format_spec,
                                   instance_table, validate)
 from lteadv_sim.lte_nodes import (FanInLayer, Forwarder, LayerSpec, NodeType, PassThroughLayer,
-                                  PhyLayer, RadioInterface, ReflectorLayer, wire_vertical)
+                                  PhyLayer, RadioInterface, ReflectorLayer, build_node,
+                                  wire_vertical)
 from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, RADIO_IN, SELF_GATE, ChannelSpec,
                               CompoundModule, Gate, ModuleNode, SimpleModule,
                               connect, send_direct, transmit)
@@ -592,10 +597,13 @@ def lane_checks(monkeypatch):
 
 
 def test_a_lockstep_lane_is_walked_at_every_event_limit(lane_checks):
-    """Three equal walks from one lane are walked in one step, which
-    leaves what the hop-by-hop round-robin leaves at every event limit."""
+    """Three equal walks from one lane are walked in one step, and so is
+    the next bucket's lane of three timers, each trip whole: timer, 37
+    steps and return. Both leave what the hop-by-hop round-robin leaves
+    at every event limit."""
     _assert_no_sink_matches_hop_by_hop_at_every_limit(parse(LOCKSTEP).spec)
     assert (3 * 37, 3) in lane_checks
+    assert (3 * (37 + 2), 0) in lane_checks
 
 
 # ue[0] and ue[1] on two eNBs, with one shared start and no delay.
@@ -689,23 +697,23 @@ class _CountingLane(deque):
 
 def test_a_lockstep_run_pops_only_timers_and_returns():
     """With no sink, a lockstep lane's round trips are walked without a
-    pop: a run pops each trip's timer and its return, at most 2 entries
-    per trip. Hop by hop, every event of the three interleaved trips is a
-    pop."""
+    pop, and each later bucket's lane of timers is made whole, from timer
+    to re-arm: of 30 trips, a run pops only the first bucket's 3 returns.
+    Hop by hop, every event of the three interleaved trips is a pop."""
     spec = dataclasses.replace(parse(LOCKSTEP).spec, until=SimTime.from_millis(100))
 
-    def pops_per_trip(sinks):
+    def pops_and_trips(sinks):
         built = build(spec)
         sim = built.simulator()
         sim.fes.lane = lane = _CountingLane()
         sim.run(until=spec.until, sinks=sinks)
         trips = sum(node.generator.stats.returned for node in built.nodes.values()
                     if node.generator is not None)
-        assert trips == 30
-        return lane.pops / trips
+        return lane.pops, trips
 
-    assert pops_per_trip([]) <= 2
-    assert pops_per_trip([_NopBatchSink()]) >= 38
+    assert pops_and_trips([]) == (3, 30)
+    pops, trips = pops_and_trips([_NopBatchSink()])
+    assert trips == 30 and pops / trips >= 38
 
 
 @given(st.one_of(network_specs(), specs_with_stacks()),
@@ -996,6 +1004,133 @@ def test_a_generator_whose_on_start_skips_the_stock_one_runs_the_same_trips():
                     == _end_state(spec, limit, sinks))
     assert (_structured_trace(spec, None, _own_start_generators)
             == _structured_trace(spec, None))
+    # its handler is the stock one and its first `emit` froze it, so with
+    # no sink its trips run unseen, as a stock generator's do
+    for replace in (_own_start_generators, lambda built: None):
+        assert _generator_handler_calls(spec, [], replace) == 0
+        assert (_generator_handler_calls(spec, [_NopBatchSink()], replace)
+                == _generator_handler_calls(spec, [CollectingSink()], replace) > 0)
+
+
+_STOCK_GENERATOR = Generator.handle_message.__code__
+
+
+def _calls_of(codes, run):
+    """`run()`'s result and the number of calls it made of functions whose
+    code is in `codes`, counted with a profile hook, so that handlers stay
+    as they are."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in codes:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return calls, result
+
+
+def _generator_handler_calls(spec, sinks, replace):
+    built = build(spec)
+    replace(built)
+    calls, _ = _calls_of({_STOCK_GENERATOR},
+                         lambda: built.simulator().run(until=spec.until, sinks=sinks))
+    return calls
+
+
+class _LazyGenerator(Generator):
+    """A generator whose `on_start` pushes its first timer and does not
+    fix its emission, so a run first meets it unfrozen; its handler fixes
+    the emission at that timer."""
+
+    def on_start(self, sim):
+        if self.config is not None:
+            self.schedule_self(sim.new_message(TIMER_NAME, MessageKind.CONTROL_MESSAGE),
+                               self.config.start_time)
+
+
+def _two_ues():
+    spec = dataclasses.replace(parse(TWO_UES_ONE_DELAYED).spec, until=SimTime.from_millis(25))
+    return build(spec), spec.until
+
+
+def _generators(built):
+    return [node.generator for node in built.nodes.values() if node.generator is not None]
+
+
+def _class_override():
+    built, until = _two_ues()
+    _pushing_generators(built)
+    return built.simulator(), until, {_PushingGenerator.handle_message.__code__}
+
+
+def _instance_override():
+    built, until = _two_ues()
+    for generator in _generators(built):
+        def handle_message(msg, arrival_gate, stock=generator.handle_message):
+            return stock(msg, arrival_gate)
+
+        generator.handle_message = handle_message
+    return built.simulator(), until, {handle_message.__code__}
+
+
+def _lazily_frozen():
+    built, until = _two_ues()
+    for generator in _generators(built):
+        generator.__class__ = _LazyGenerator
+    return built.simulator(), until, {_STOCK_GENERATOR}
+
+
+def _inert():
+    """Timers pushed to a generator with no config, two in one lane."""
+    root = CompoundModule("Network")
+    ue = root.add_child(build_node(NodeType.UE, "ue", generator=Generator()))
+    sim = Simulator(root)
+    for t_ns in (0, 5, 5, 9):
+        sim.fes.push(t_ns, 0, ue.generator, SELF_GATE,
+                     sim.new_message(TIMER_NAME, MessageKind.CONTROL_MESSAGE))
+    return sim, SimTime(10), {_STOCK_GENERATOR}
+
+
+def _delayed_down():
+    """Two generators, started together, each over a 100 us channel to a
+    layer that sends every arrival from above back up."""
+    root = CompoundModule("Network")
+    for i in range(2):
+        generator = root.add_child(Generator(f"g{i}", GeneratorConfig(
+            period=SimTime.from_millis(1))))
+        wire_vertical(generator, root.add_child(_TurnUp(f"a{i}", "A")),
+                      ChannelSpec(SimTime(100_000)))
+    return Simulator(root), SimTime.from_millis(4), {_STOCK_GENERATOR}
+
+
+@pytest.mark.parametrize("make", [_class_override, _instance_override, _lazily_frozen, _inert,
+                                  _delayed_down], ids=lambda make: make.__name__.strip("_"))
+def test_a_generator_that_is_not_stock_keeps_every_handler_call(make):
+    """A generator whose handler is overridden on its class or on the
+    instance, one that a run first meets unfrozen, an inert one, and one
+    that sends down over a delay: with no sink as hop by hop, its handler
+    is called at every event at it, and the two runs end alike."""
+    sink = CollectingSink()
+    sim, until, _ = make()
+    sim.run(until=until, sinks=[sink])
+    events = sum(rec.type_name == "generator" for rec in sink.records)
+    assert events > 0
+    states = []
+    for sinks in ([], [_NopBatchSink()]):
+        sim, until, codes = make()
+        calls, summary = _calls_of(codes, lambda: sim.run(until=until, sinks=sinks))
+        assert calls == events
+        pending = [(t_ns, seq, target.full_path, label, msg.msg_id, msg.name)
+                   for t_ns, seq, target, label, msg in sim.fes.pop_before(MAX_TIME_NS + 1)]
+        states.append((summary.events_executed, sim.now_ns, sim._next_msg_id, pending,
+                       [(module.full_path, module.stats) for module in sim.root.iter_tree()
+                        if isinstance(module, Generator)]))
+    assert states[0] == states[1]
 
 
 # The next timer of u's generator falls 1 ns past the last valid time.
@@ -1023,6 +1158,50 @@ def test_a_timer_past_the_last_time_fails_its_return_event(traced):
     assert str(err.value) == ("event #38 at N.u.generator: "
                               "simulation time overflows 64 bits: 9223372036854775808 ns")
     assert (sim._next_msg_id, len(sim.fes)) == (3, 0)
+
+
+# Two UEs with one shared start, each generator's next timer past the last
+# valid time: with period 2**63 - 1 at their first returns, with period
+# 2**62 at the returns of the trips their first timers start, from one
+# lane of two timers.
+TWO_TIMERS_PAST_THE_LAST_TIME = """\
+network N {
+    ue u[2]; enb e; sgw_mme s; pdn_gw p;
+    attach u[0..1] -> e;
+    generator on u[*] { period PERIODns; start 1ns; }
+    run until 9223372036854775807ns;
+}
+"""
+
+
+@pytest.mark.parametrize("period,event_no,next_id", [(2**63 - 1, 75, 4), (2**62, 153, 8)])
+def test_a_lane_of_timers_past_the_last_time_runs_hop_by_hop(lane_checks, period, event_no,
+                                                              next_id):
+    """A lane whose trips would push a timer past the last valid time is
+    not made at once: with no sink as hop by hop, u[0]'s return is the
+    event that fails, as its HandlerError caused by SimTimeRangeError,
+    after its timer drew its message id, and u[1]'s return is left
+    pending, with no timer pushed."""
+    spec = parse(TWO_TIMERS_PAST_THE_LAST_TIME.replace("PERIOD", str(period))).spec
+
+    def failure(sinks):
+        sim = build(spec).simulator()
+        with pytest.raises(HandlerError) as err:
+            sim.run(until=spec.until, sinks=sinks)
+        assert isinstance(err.value.__cause__, SimTimeRangeError)
+        pending = [(t_ns, target.full_path, label)
+                   for t_ns, _, target, label, _ in sim.fes.pop_before(MAX_TIME_NS + 1)]
+        return err.value.event_no, err.value.module_path, str(err.value), sim._next_msg_id, pending
+
+    event, path, text, next_msg_id, pending = failure([])
+    assert failure([_NopBatchSink()]) == (event, path, text, next_msg_id, pending)
+    fire_ns = 1 if period > 2**62 else 1 + period
+    assert (event, path, next_msg_id) == (event_no, "N.u[0].generator", next_id)
+    assert text == (f"event #{event_no} at N.u[0].generator: "
+                    f"simulation time overflows 64 bits: {fire_ns + period} ns")
+    assert pending == [(fire_ns, "N.u[1].generator", IN_FROM_LOWER)]
+    if period == 2**62:
+        assert (0, 2) in lane_checks  # the lane of two timers, left to run hop by hop
 
 
 @st.composite
@@ -1099,6 +1278,51 @@ def test_generator_messages_equal_public_ones(spec, config, event_limit, traced)
     assert len(made) - len(payloads) == sum(gen.stats.returned for gen in generators)
     assert {fields[2:5] for fields in payloads} <= {
         (config.payload_kind, config.payload_kind.value, config.payload_bytes)}
+
+
+@given(st.one_of(network_specs(), specs_with_stacks()), generator_configs(), st.booleans(),
+       st.booleans(), st.data())
+@settings(deadline=None)
+def test_trip_walks_change_nothing(spec, config, lockstep, equal_periods, data):
+    """A generator on every UE, from one drawn config, each with the
+    config's start or a drawn one of its own (lockstep or offset starts)
+    and the config's period or a drawn one: timers that share a bucket
+    make lanes of trips, made in one step where their walks are equal.
+    No sink against hop by hop, with no event limit, at a drawn one up to
+    the run's event count, and at two drawn inside a lane of trips that
+    the run with no limit made in one step, one of them among the lane's
+    returns."""
+    count = spec.node_decls[0].count
+    starts = st.integers(min_value=0, max_value=5_000_000).map(SimTime)
+    periods = st.integers(min_value=4, max_value=40).map(lambda k: SimTime(k * 250_000))
+    spec.generators = [
+        GeneratorDecl(_selector_for("u", count, i, want_all=False), dataclasses.replace(
+            config,
+            start_time=config.start_time if lockstep else data.draw(starts),
+            period=config.period if equal_periods else data.draw(periods)))
+        for i in range(count or 1)]
+    lanes, walk_trips = [], kernel._walk_trips
+
+    def recording(fes, walks, trips, t_ns, room):
+        n = len(fes.lane)
+        walked, due = walk_trips(fes, walks, trips, t_ns, room)
+        if walked:  # with no limit, the events before it are sys.maxsize - room
+            lanes.append((sys.maxsize - room, walked, n))
+        return walked, due
+
+    kernel._walk_trips = recording
+    try:
+        events = _end_state(spec, None, [])[0]
+    finally:
+        kernel._walk_trips = walk_trips
+    limits = [None, data.draw(st.integers(min_value=0, max_value=events))]
+    if lanes:  # anywhere in a lane of trips, and among its last events, the returns
+        before, walked, n = data.draw(st.sampled_from(lanes))
+        limits += [before + data.draw(st.integers(min_value=0, max_value=walked)),
+                   before + walked - data.draw(st.integers(min_value=1, max_value=n))]
+    for event_limit in limits:
+        assert (_end_state(spec, event_limit, [])
+                == _end_state(spec, event_limit, [_NopBatchSink()]))
 
 
 def test_emit_on_an_unbound_generator_raises(minimal_spec):
@@ -1385,9 +1609,10 @@ def _counting_handler_calls(calls):
 @settings(deadline=None)
 def test_each_event_is_one_handler_call(spec, event_limit):
     """While every class's handler is wrapped, as the bench's traced run
-    wraps them, no relay link is set, so every event reaches a handler;
-    and no handler calls another class's handle_message for the same
-    event, so per-type handler counts are per-type event counts."""
+    wraps them, no relay link is set, so every event reaches a handler,
+    with a sink and with none; and no handler calls another class's
+    handle_message for the same event, so per-type handler counts are
+    per-type event counts."""
     calls = Counter()
     out = io.StringIO()
     with _counting_handler_calls(calls):
@@ -1398,6 +1623,12 @@ def test_each_event_is_one_handler_call(spec, event_limit):
     traced = Counter(rec.type_name for rec in read_structured(out.getvalue().splitlines()))
     assert calls == traced
     assert sum(calls.values()) == summary.events_executed
+    # with no sink too: a wrapped handler also keeps a generator's trips seen
+    untraced = Counter()
+    with _counting_handler_calls(untraced):
+        assert build(spec).simulator().run(
+            until=spec.until, event_limit=event_limit).events_executed == summary.events_executed
+    assert untraced == calls
 
 
 def _collect(spec, event_limit):

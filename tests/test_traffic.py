@@ -3,10 +3,11 @@
 import pytest
 
 from lteadv_sim import CollectingSink, build, parse
-from lteadv_sim.kernel import MessageKind, SimTime, Simulator
+from lteadv_sim.kernel import MessageKind, SimTime, SimulationError, Simulator
 from lteadv_sim.lte_nodes import NodeType, build_node
 from lteadv_sim.model import CompoundModule, UnconnectedGate, UnknownArrivalGate
-from lteadv_sim.traffic import TIMER_NAME, Generator, GeneratorConfig, GeneratorStats
+from lteadv_sim.traffic import (TIMER_NAME, Generator, GeneratorConfig, GeneratorNotConfigured,
+                                GeneratorStats)
 
 from conftest import MINIMAL_SOURCE, run_spec
 
@@ -157,3 +158,17 @@ def test_an_inert_generator_discards_a_timer(traced):
     with pytest.raises(UnknownArrivalGate):
         ue.generator.handle_message(sim.new_message("m", MessageKind.CONTROL_MESSAGE), "bogus")
 
+
+
+def test_emit_on_an_inert_generator_says_it_has_no_config():
+    """A generator built with no config never emits: a direct `emit` on a
+    bound one fails with an error that names it and says so, and makes no
+    message."""
+    root = CompoundModule("Network")
+    ue = root.add_child(build_node(NodeType.UE, "ue", generator=Generator()))
+    sim = Simulator(root)
+    assert issubclass(GeneratorNotConfigured, SimulationError)
+    with pytest.raises(GeneratorNotConfigured,
+                       match=r"^Network\.ue\.generator: generator has no config"):
+        ue.generator.emit()
+    assert (ue.generator.stats, sim._next_msg_id, len(sim.fes)) == (GeneratorStats(), 1, 0)
