@@ -28,8 +28,8 @@ from typing import Optional, Sequence
 
 from .kernel import _CONTROL, _PACKET, SimMessage, SimulationError
 from .model import (IN_FROM_LOWER, IN_FROM_UPPER, OUT_TO_LOWER, OUT_TO_UPPER,
-                    RADIO_IN, ChannelSpec, CompoundModule, Gate,
-                    ModuleNode, SimpleModule, _channel, transmit)
+                    RADIO_IN, AlreadyAttached, ChannelSpec, CompoundModule,
+                    DuplicateName, Gate, ModuleNode, SimpleModule, _channel, transmit)
 
 
 class NoRadioPeer(SimulationError):
@@ -259,7 +259,10 @@ def build_node(kind: NodeType, name: str,
     """One node: `stack` (top to bottom, the kind's default when None)
     wired in a column, a radio under a PHY, and for a UE `generator` on
     top. A UE's children are added top-down, every other node's
-    bottom-up."""
+    bottom-up. The node, its layers and its radio are new, so the column
+    is wired and the children added with no checks; `generator`, the one
+    module from outside, is checked first, and one refused (WiringLocked,
+    DuplicateName, AlreadyAttached) is left as it was."""
     default, special, special_cls = _NODE_LAYOUT[kind]
     chain = default if stack is None else tuple(stack)
     if generator is not None and kind is not NodeType.UE:
@@ -267,23 +270,34 @@ def build_node(kind: NodeType, name: str,
     least = 2 if special_cls is PhyLayer else 1  # the air hop needs a top and a PHY
     if len(chain) < least:
         raise ValueError(f"a {kind.value} stack needs at least {least} layers")
+    if generator is not None:
+        generator._check_new_gates((OUT_TO_LOWER, IN_FROM_LOWER))
+        if generator.parent is not None:
+            raise AlreadyAttached(f"{generator.name!r} is already a child of "
+                                  f"{generator.parent.full_path_or_name()}")
     special %= len(chain)
     layers = [(special_cls if i == special else PassThroughLayer)(s.module_name, s.tag)
               for i, s in enumerate(chain)]
     column = layers if generator is None else [generator, *layers]
-    for upper, lower in zip(column, column[1:]):
-        wire_vertical(upper, lower)
-    if special_cls is PhyLayer:  # a radio: its hand-off to the PHY, and its air input
+    modules = column
+    if special_cls is PhyLayer:
         phy = layers[-1]
         radio = phy.home_radio = RadioInterface()
         radio.control_name, radio.packet_name = phy.control_name, phy.packet_name
-        # both modules are new, so nothing is checked
+        modules = [*column, radio]
+    children = modules if kind is NodeType.UE else modules[::-1]
+    names = [child.name for child in children]
+    if len(set(names)) < len(names):
+        twice = next(n for i, n in enumerate(names) if n in names[:i])
+        raise DuplicateName(f"{name} already has a child named {twice!r}")
+    for upper, lower in zip(column, column[1:]):  # as wire_vertical joins them
+        upper.down_gate = _channel(upper, OUT_TO_LOWER, lower, IN_FROM_UPPER)
+        lower.up_gate = _channel(lower, OUT_TO_UPPER, upper, IN_FROM_LOWER)
+    if special_cls is PhyLayer:  # the radio's hand-off to the PHY, and its air input
         radio.up_gate = _channel(radio, OUT_TO_UPPER, phy, IN_FROM_LOWER)
         radio.add_gate(RADIO_IN)
-        column = [*column, radio]
     node = CompoundModule(name, type_name=kind.value)
-    for child in column if kind is NodeType.UE else reversed(column):
-        node.add_child(child)
+    node._adopt(children)
     node.kind = kind
     node.stack = layers
     node.generator = generator

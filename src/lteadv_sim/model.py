@@ -221,6 +221,15 @@ class CompoundModule(ModuleNode):
         self._by_name[child.name] = child
         return child
 
+    def _adopt(self, children: list) -> None:
+        """Make `children` this module's, unchecked: `add_child` with no
+        checks, for a caller that made this module and them, and checked
+        their names."""
+        for child in children:
+            child.parent = self
+        self.children = list(children)
+        self._by_name = {child.name: child for child in children}
+
     def child(self, name: str) -> ModuleNode:
         try:
             return self._by_name[name]

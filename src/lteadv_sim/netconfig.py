@@ -27,8 +27,12 @@ a line. Any other character is reported as unexpected, so "²", "½" and
 "Ⅷ" start neither a name nor an integer (they may continue a name).
 Columns count characters from 1.
 
-parse() reports syntax problems as located diagnostics and keeps going
-where it safely can; validate() checks the topology rules (exactly one
+parse() reads well-formed text one statement at a time, one regex match
+each; text with any part that does not match declines that path as a
+whole and goes through the lexer and the token parser, which report
+syntax problems as located diagnostics and keep going where they
+safely can. So the diagnostics, and the spec of any text, are those of
+the token parser. validate() checks the topology rules (exactly one
 PDN-GW and one S-GW/MME, every UE attached, selectors resolve, and so
 on); build() turns a validated spec into a runnable module tree. Both,
 and the chain-walk oracle in trace, read the instance_table() that
@@ -486,16 +490,143 @@ class _Parser:
             setattr(spec, field_name, value)
 
 
-def parse(source: str) -> ParseResult:
-    """Parse topology source text; never raises on bad input. Returns the
-    spec plus any diagnostics; with errors the spec is withheld (None),
-    but all recoverable problems are reported in one pass."""
+# --------------------------------------------------------------------------
+# statement path
+#
+# Well-formed text is read one regex match per statement, each value
+# built straight from the match groups. The patterns accept only text
+# the lexer and _Parser read with no diagnostic, to an equal spec: words
+# are ASCII names, each followed by a non-word character so that no
+# match splits one ("period10ms" is one name), integers are ASCII
+# digits, and a generator's options come in format_spec's order.
+# Comments are blanked to spaces first, which moves no column. Anything
+# else declines the whole text, and parse() reads it with the token
+# parser.
+
+_COMMENT = re.compile(r"#[^\n]*")  # the lexer's: "#" to the end of the line
+_S = r"[ \t\r\n]*"
+_NAME = r"([A-Za-z_]\w*)(?!\w)"
+_INT = r"([0-9]+)"
+_DURATION = rf"{_INT}{_S}({'|'.join(DURATION_UNITS)})(?!\w)"
+# a selector's name, "*", lo and hi
+_SELECTOR_PARTS = re.compile(
+    rf"{_NAME}(?:{_S}\[{_S}(?:(\*)|{_INT}(?:{_S}\.\.{_S}{_INT})?){_S}\])?")
+_SELECTOR = "(" + re.sub(r"\((?!\?)", "(?:", _SELECTOR_PARTS.pattern) + ")"  # as one group
+_HEADER = re.compile(rf"{_S}network(?!\w){_S}{_NAME}{_S}\{{{_S}")
+# one group per statement, its parts' groups after it
+_STATEMENT = re.compile("(?:" + "|".join((
+    rf"(?P<attach>attach(?!\w){_S}{_SELECTOR}{_S}->{_S}{_SELECTOR}{_S};)",
+    rf"(?P<generator>generator(?!\w){_S}on(?!\w){_S}{_SELECTOR}{_S}\{{{_S}"
+    rf"(?:period(?!\w){_S}{_DURATION}{_S};{_S})?"
+    rf"(?:start(?!\w){_S}{_DURATION}{_S};{_S})?"
+    rf"(?:payload(?!\w){_S}(?:message(?!\w)|packet(?!\w){_S}{_INT}){_S};{_S})?\}})",
+    rf"(?P<node>({'|'.join(NODE_KEYWORDS)})(?!\w){_S}{_NAME}(?:{_S}\[{_S}{_INT}{_S}\])?{_S};)",
+    rf"(?P<link>link(?!\w){_S}{_SELECTOR}{_S}->{_S}{_SELECTOR}{_S}"
+    rf"(?:delay(?!\w){_S}{_DURATION}{_S})?;)",
+    rf"(?P<run>run(?!\w){_S}until(?!\w){_S}{_DURATION}{_S};)",
+    rf"(?P<seed>seed(?!\w){_S}{_INT}{_S};)",
+)) + ")" + _S)
+_CLOSE = re.compile(rf"\}}{_S}\Z")
+
+
+class _Selectors(dict):
+    """Selectors by their text, each made at its first lookup."""
+
+    def __missing__(self, text: str) -> Selector:
+        name, star, lo, hi = _SELECTOR_PARTS.fullmatch(text).groups()
+        if star is not None:
+            sel = Selector(name, SelectorKind.STAR)
+        elif lo is None:
+            sel = Selector(name)
+        elif hi is None:
+            sel = Selector(name, SelectorKind.INDEX, int(lo))
+        else:
+            sel = Selector(name, SelectorKind.RANGE, int(lo), int(hi))
+        self[text] = sel
+        return sel
+
+
+def _parse_statements(source: str) -> Optional[NetworkSpec]:
+    """The spec of `source` read one statement at a time, or None, to
+    read it with the token parser: when any part of the text does not
+    match, on a second `run until` or `seed`, and when a value does not
+    build (an integer over the digit limit, a duration out of range, a
+    generator config that raises)."""
+    if "#" in source:
+        source = _COMMENT.sub(lambda c: " " * len(c[0]), source)
+    m = _HEADER.match(source)
+    if m is None:
+        return None
+    spec = NetworkSpec(m[1])
+    pos = last = m.end()
+    line = source.count("\n", 0, pos) + 1
+    selectors = _Selectors()
+    units = DURATION_UNITS
+    match = _STATEMENT.match
+    try:
+        while (m := match(source, pos)) is not None:
+            line += source.count("\n", last, pos)
+            col = pos - source.rfind("\n", 0, pos)
+            g = m.groups()
+            i = m.lastindex  # the statement's group, so g[i] is its first part
+            kind = m.lastgroup
+            if kind == "attach":
+                spec.attachments.append(AttachDecl(selectors[g[i]], selectors[g[i + 1]],
+                                                   line, col))
+            elif kind == "generator":
+                kwargs: dict = {}  # GeneratorConfig's, as _Parser gives them
+                if g[i + 1] is not None:
+                    kwargs["period"] = SimTime(int(g[i + 1]) * units[g[i + 2]])
+                if g[i + 3] is not None:
+                    kwargs["start_time"] = SimTime(int(g[i + 3]) * units[g[i + 4]])
+                if g[i + 5] is not None:
+                    kwargs["payload_kind"] = MessageKind.PACKET
+                    kwargs["payload_bytes"] = int(g[i + 5])
+                spec.generators.append(GeneratorDecl(selectors[g[i]], GeneratorConfig(**kwargs),
+                                                     line, col))
+            elif kind == "node":
+                count = g[i + 2]
+                spec.node_decls.append(NodeDecl(NODE_KEYWORDS[g[i]], g[i + 1],
+                                                None if count is None else int(count),
+                                                line, col))
+            elif kind == "link":
+                delay = None if g[i + 2] is None else SimTime(int(g[i + 2]) * units[g[i + 3]])
+                spec.links.append(LinkDecl(selectors[g[i]], selectors[g[i + 1]], delay,
+                                           line, col))
+            elif kind == "run":
+                if spec.until is not None:
+                    return None
+                spec.until = SimTime(int(g[i]) * units[g[i + 1]])
+            else:  # seed
+                if spec.seed is not None:
+                    return None
+                spec.seed = int(g[i])
+            last, pos = pos, m.end()
+    except (ValueError, SimulationError):
+        return None
+    return spec if _CLOSE.match(source, pos) else None
+
+
+def _parse_tokens(source: str) -> ParseResult:
+    """Lex all of `source` and parse the tokens: every diagnostic, and
+    recovery after one, comes from here."""
     diags: list[ParseDiagnostic] = []
     tokens = _lex(source, diags)
     spec = _Parser(tokens, diags).parse_network()
     if diags:
         spec = None
     return ParseResult(spec, diags)
+
+
+def parse(source: str) -> ParseResult:
+    """Parse topology source text; never raises on bad input. Returns the
+    spec plus any diagnostics; with errors the spec is withheld (None),
+    but all recoverable problems are reported in one pass. Text the
+    statement path reads needs no token parse."""
+    spec = _parse_statements(source)
+    if spec is not None:
+        return ParseResult(spec, [])
+    return _parse_tokens(source)
 
 
 # --------------------------------------------------------------------------

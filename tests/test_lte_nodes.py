@@ -19,9 +19,9 @@ from lteadv_sim.lte_nodes import (FanInLayer, Forwarder, LayerSpec, NoRadioPeer,
                                   PassThroughLayer, PhyLayer, RadioInterface,
                                   ReflectorLayer, SelfJoin, attach_ue, build_node,
                                   link_enb_to_sgw, link_sgw_to_pdn, wire_vertical)
-from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, RADIO_IN, ChannelSpec,
-                              CompoundModule, DuplicateName, SELF_GATE, UnknownArrivalGate,
-                              WiringLocked)
+from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, RADIO_IN, AlreadyAttached,
+                              ChannelSpec, CompoundModule, DuplicateName, SELF_GATE,
+                              UnknownArrivalGate, WiringLocked)
 from lteadv_sim.traffic import Generator, GeneratorConfig
 from lteadv_sim.trace import CollectingSink, data_walk, summarize, ue_instances
 
@@ -309,6 +309,45 @@ def test_a_refused_join_leaves_both_modules_as_they_were(refused):
         join()
     assert str(err.value) == str(error)
     assert [_wiring_state(module) for module in modules] == before
+
+
+# Each generator build_node refuses: (the generator, the error).
+def _generator_with_a_parent():
+    generator = Generator("generator")
+    CompoundModule("holder").add_child(generator)
+    return generator, AlreadyAttached("'generator' is already a child of holder")
+
+
+def _generator_bound():
+    generator = Generator("generator")
+    _locked(generator)
+    return generator, WiringLocked("generator: cannot add gates to a bound module")
+
+
+def _generator_wired_below():
+    generator = Generator("generator")
+    wire_vertical(generator, PassThroughLayer("below", "BELOW"))
+    return generator, DuplicateName("generator already has a gate 'outToLowerLayer'")
+
+
+def _generator_named_for_a_layer():
+    return Generator("lte_rrc"), DuplicateName("ue already has a child named 'lte_rrc'")
+
+
+@pytest.mark.parametrize("refused", [_generator_with_a_parent, _generator_bound,
+                                     _generator_wired_below, _generator_named_for_a_layer],
+                         ids=lambda case: case.__name__.strip("_"))
+def test_a_refused_generator_is_left_as_it_was(refused):
+    """build_node checks the one module it did not make before it wires
+    any, so a refused generator keeps no gate of the discarded stack and
+    a second try fails the same way."""
+    generator, error = refused()
+    before = (_wiring_state(generator), generator.parent)
+    for _ in range(2):
+        with pytest.raises(type(error)) as err:
+            build_node(NodeType.UE, "ue", generator=generator)
+        assert str(err.value) == str(error)
+        assert (_wiring_state(generator), generator.parent) == before
 
 
 @pytest.mark.parametrize("fixture, gates", [("desk_50ms.net", 1550), ("delayed.net", 122),

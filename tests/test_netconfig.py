@@ -1,5 +1,6 @@
 """Topology language tests: parsing, diagnostics, validation, building."""
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -10,8 +11,8 @@ from lteadv_sim.kernel import SimTime
 from lteadv_sim.lte_nodes import LayerSpec, NodeType
 from lteadv_sim.model import SimpleModule
 from lteadv_sim.netconfig import (InvalidNetworkSpec, Selector, SelectorKind, _lex,
-                                  build, format_spec, instance_table, parse,
-                                  parse_duration, validate)
+                                  _parse_statements, _parse_tokens, build, format_spec,
+                                  instance_table, parse, parse_duration, validate)
 
 from conftest import MULTI_UE_SOURCE, MINIMAL_SOURCE
 from reference_lexer import reference_lex
@@ -553,6 +554,121 @@ def test_parse_reports_unreadable_integers(source):
     result = parse(source)
     assert not result.ok
     assert [(d.line, d.col) for d in result.diagnostics][0] == (1, 18)
+
+
+# -- the statement path against the token parser ----------------------------------------
+
+def _positions(spec):
+    """Every statement's (line, col), which spec equality leaves out."""
+    return [(decl.line, decl.col) for decls in (spec.node_decls, spec.attachments,
+                                                spec.links, spec.generators)
+            for decl in decls]
+
+
+def _check_statement_path(source):
+    """The statement path declines `source` (None) or reads it exactly as
+    the token parser does; returns what it read."""
+    spec = _parse_statements(source)
+    if spec is not None:
+        reference = _parse_tokens(source)
+        assert reference.ok, reference.diagnostics
+        assert spec == reference.spec
+        assert _positions(spec) == _positions(reference.spec)
+    return spec
+
+
+_SEPARATORS = (" ", "\t", "\r", "\n", "# note\n", " #\t{ ;\r\n\t")
+
+
+@st.composite
+def _respaced_fixture(draw, joined=True):
+    """A fixture's tokens joined again by drawn whitespace and comments,
+    and with `joined` at up to two places by nothing, which can run two
+    words into one."""
+    toks, _ = _lex_with_diagnostics(draw(st.sampled_from(FIXTURE_SOURCES)))
+    gaps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(toks),
+                         max_size=len(toks)))
+    if joined:
+        for i in draw(st.lists(st.integers(0, len(toks) - 1), max_size=2)):
+            gaps[i] = ""
+    end = draw(st.sampled_from(("", "\n", "# last line")))
+    return "".join(gap + tok[1] for gap, tok in zip(gaps, toks)) + end
+
+
+# a generator's options, any of them in any order, repeated or not
+_OPTIONS = ("period 7ms;", "start 250us;", "payload packet 64;", "payload message;",
+            "period 0ms;", "start 1s;")
+_options_in_any_order = st.lists(st.sampled_from(_OPTIONS), max_size=4).map(
+    lambda options: MINIMAL_SOURCE.replace("{ period 10ms; }",
+                                           "{ " + " ".join(options) + " }"))
+
+# texts the statement path must decline: the token parser reports each
+# but the last, which it reads
+_DECLINED = {
+    "header commented out": "#" + MINIMAL_SOURCE,
+    "one name": MINIMAL_SOURCE.replace("period 10ms", "period10ms"),
+    "non-ASCII digit": MINIMAL_SOURCE.replace("ue ue;", "ue ue[\u0663];"),
+    "second run": MINIMAL_SOURCE.replace("1s;", "1s; run until 2s;"),
+    "second seed": MINIMAL_SOURCE.replace("1s;", "1s; seed 1; seed 2;"),
+    "past the digit limit": MINIMAL_SOURCE.replace("1s;", "1s; seed " + "1" * 5000 + ";"),
+    "out of range": MINIMAL_SOURCE.replace("1s;", "99999999999s;"),
+    "config that raises": MINIMAL_SOURCE.replace("period 10ms", "period 0ms"),
+    "options out of order": MINIMAL_SOURCE.replace("{ period 10ms; }",
+                                                   "{ start 1ms; period 10ms; }"),
+}
+
+
+@pytest.mark.parametrize("name", list(_DECLINED))
+def test_statement_path_declines(name):
+    assert _parse_statements(_DECLINED[name]) is None
+    assert parse(_DECLINED[name]).ok is (name == "options out of order")
+
+
+@given(st.one_of(_random_source, _mutated_fixture(), _respaced_fixture(),
+                 _options_in_any_order))
+@example(_DECLINED["header commented out"])
+@example(_DECLINED["one name"])
+@example(_DECLINED["non-ASCII digit"])
+@example((FIXTURES / "delayed.net").read_text().replace("sgw_mme delay", "sgw_mmedelay"))
+@example(MINIMAL_SOURCE.replace("10ms", "10 \r\n ms"))
+@example("# first\nnetwork N {}# last")
+def test_statement_path_declines_or_matches_the_token_parser(source):
+    _check_statement_path(source)
+
+
+@given(_respaced_fixture(joined=False))
+def test_statement_path_reads_respaced_clean_text(source):
+    if _parse_tokens(source).ok:
+        assert _check_statement_path(source) is not None
+
+
+def _bench_workloads():
+    """The benchmark's workload generators, loaded from their file."""
+    path = FIXTURES.parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GENERATORS
+
+
+_CLEAN_FIXTURES = {path.name: text for path, text in zip(sorted(FIXTURES.glob("*.net")),
+                                                         FIXTURE_SOURCES)
+                   if _parse_tokens(text).ok}
+_CLEAN_TEXTS = {
+    **_CLEAN_FIXTURES,
+    **{f"format_spec({name})": format_spec(_parse_tokens(text).spec)
+       for name, text in _CLEAN_FIXTURES.items()},
+    **{f"{name}({seed})": make(seed) for name, make in _bench_workloads().items()
+       for seed in (0, 1, 7)},
+}
+
+
+@pytest.mark.parametrize("source", list(_CLEAN_TEXTS.values()), ids=list(_CLEAN_TEXTS))
+def test_statement_path_reads_clean_text(source):
+    """A silent decline would only slow parse() down, so the fixtures,
+    their printed forms and the benchmark's texts must not take one."""
+    assert len(_CLEAN_FIXTURES) >= 5
+    assert _check_statement_path(source) is not None
 
 
 # -- defaults and building -----------------------------------------------------------
