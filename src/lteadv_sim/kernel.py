@@ -47,22 +47,6 @@ gate with a cached walk reuses that walk one step longer, unless that walk
 ends at its own start after a step or more: such a ring passes through the
 gate, where the gate's own walk stops, so it is computed afresh.
 
-*Lane walks.* With no sink, the loop checks the lane once per round: at
-the start of each bucket and when the entries present at the last check
-have all been popped. If its n >= 2 entries carry distinct messages and
-each starts a walk of the same s >= 1 steps, the next n*s events are those
-steps round-robin, each popping an entry and appending its successor with
-the next seq. When they end before the event limit, `_walk_lane` makes
-them at once: with c the counter's next value, the lane becomes the n walk
-ends in the same order, entry i numbered `c + n*(s-1) + i`, and the
-counter is left at `c + n*s`. Otherwise the lane runs hop by hop: one
-message in two entries pushes and pops its route in turn, and unequal
-walks end in different rounds. If the first k + 1 entries carry distinct
-messages and walks of at least m steps, each of them steps once in each of
-the next m - 1 rounds, ahead of the rest, so the check skips those rounds;
-checked every round, such a lane would compute fresh walks and walk
-nothing.
-
 *Trip walks.* With no sink, a generator whose `_trip` gives its trip is
 unseen too: its handler is the stock one, and it is frozen, enabled and
 sends down with no delay (`_Trips`, fixed at the run's first lookup). At
@@ -71,14 +55,21 @@ each arrival there the loop calls the step the handler would take,
 with a returned hop to the top layer; at the return, often a walk's end,
 it counts the return and pushes the next timer through
 `FutureEventSet.push`. So a walk may start at a popped timer and end in
-that push. A lane of n >= 2 timers whose generators each trip back to
-themselves by walks of the same s steps is made at once by `_walk_trips`,
-when its n*(s+2) events (n timers, n*s steps, n returns) end within the
-limit and no timer would pass `MAX_TIME_NS`: the payloads take their ids
-in lane order, the counter is advanced past the n*(s+1) appends of the
-hop-by-hop run, and then the n timers are pushed in lane order, taking
-the next ids and seqs; the lane is left empty. A lane that would overflow
-runs hop by hop, so the failing return is its own HandlerError.
+that push. The loop checks each bucket's lane once, right after
+`refill`: `_walk_trips` makes a lane of n >= 2 entries at once when each
+walks by the same s steps to the In gate from below of a generator in
+`_Trips`, their events end within the limit and no timer would pass
+`MAX_TIME_NS`. The first entry sets the lane's kind. A lane of timers,
+each of whose trips walks back to its own generator, makes n*(s+2)
+events (n timers, n*s steps, n returns): the payloads take their ids in
+lane order and the counter is advanced past the n*(s+1) appends of the
+hop-by-hop run. A lane of hops that carry distinct messages, such as the
+first emissions `on_start` pushed, makes n*(s+1) events, and the counter
+is advanced past the n*s appends. Either way the n timers are then pushed
+in lane order, taking the next ids and seqs, and the lane is left empty.
+Any other lane runs hop by hop: one message in two entries pushes and
+pops its route in turn, and a lane that would overflow fails at its own
+return, as its HandlerError.
 """
 
 from __future__ import annotations
@@ -491,72 +482,56 @@ def _walk_on(msg: SimMessage, walk: tuple):
     return end
 
 
-def _walk_lane(fes: FutureEventSet, walks: _Walks, trips: _Trips, t_ns: int,
-               room: int) -> tuple[int, int]:
-    """Walk the whole lane, due at `t_ns`, in one step when its entries
-    walk alike and their events end before `room` more (the module note,
-    *Lane walks*); a lane of self-events goes to `_walk_trips`. Returns
-    the number of events walked, 0 when the lane is left as it is, and
-    the number of lane entries the run loop pops before it checks the
-    lane again. A walk rewrites `fes.lane`, each walked message's name and
-    route, and `fes.seq_counter`."""
-    lane = fes.lane
-    n = len(lane)
-    if lane[0][3] == SELF_GATE:
-        return _walk_trips(fes, walks, trips, t_ns, room)
-    steps, walked, held = 0, [], set()
-    for _, _, target, gate_label, msg in lane:
-        if msg in held:
-            return 0, n
-        gate = target._gates.get(gate_label)
-        walk = walks[None if gate is None or gate.source is target else gate]
-        if not walk[1]:
-            return 0, n
-        if walked and walk[1] != steps:
-            return 0, n + (min(steps, walk[1]) - 1) * (len(walked) + 1)
-        steps = walk[1]
-        held.add(msg)
-        walked.append((walk, msg))
-    if n * steps >= room:
-        return 0, n
-    seq = next(fes.seq_counter) + n * (steps - 1)
-    lane.clear()
-    for walk, msg in walked:
-        end = _walk_on(msg, walk)
-        lane.append((t_ns, seq, end.owner, end.label, msg))
-        seq += 1
-    fes.seq_counter = itertools.count(seq)
-    return n * steps, n
-
-
 def _walk_trips(fes: FutureEventSet, walks: _Walks, trips: _Trips, t_ns: int,
-                room: int) -> tuple[int, int]:
-    """Make the whole trip of every timer in the lane, due at `t_ns`, in
-    one step when each is the timer of a generator in `trips` whose
-    trip walks back to it, every walk is as long as the first, the
-    trips' events end within `room` more and no timer they push passes
-    `MAX_TIME_NS` (the module note, *Trip walks*). Returns as
-    `_walk_lane` does; a walk leaves the lane empty and pushes the
-    timers through `FutureEventSet.push`."""
+                room: int) -> int:
+    """Make the whole lane, due at `t_ns`, in one step when each entry,
+    as the timer of a generator in `trips` or as a hop with a message of
+    its own, walks by as many steps as the first to the In gate from below
+    of such a generator, the events end within `room` more and no timer
+    they push passes `MAX_TIME_NS` (the module note, *Trip walks*).
+    Returns the number of events made, 0 when the lane is left to run hop
+    by hop; a walk leaves the lane empty and pushes the timers through
+    `FutureEventSet.push`."""
     lane = fes.lane
     n = len(lane)
     steps, walked = 0, []
-    for _, _, gen, label, _ in lane:
-        trip = trips[gen] if label == SELF_GATE else None
-        walk = None if trip is None else walks[trip[0]]
-        if (walk is None or walk[0] is not trip[1] or (walked and walk[1] != steps)
-                or n * (walk[1] + 2) > room or t_ns + trip[2] > MAX_TIME_NS):
-            return 0, n
-        steps = walk[1]
-        walked.append((gen, walk))
-    seq = next(fes.seq_counter) + n * (steps + 1)  # past the appends the trips make
-    lane.clear()
-    for gen, walk in walked:
-        _walk_on(gen._trip_step(SELF_GATE)[2], walk)
+    if lane[0][3] == SELF_GATE:
+        for _, _, gen, label, _ in lane:
+            trip = trips[gen] if label == SELF_GATE else None
+            walk = None if trip is None else walks[trip[0]]
+            if (walk is None or walk[0] is not trip[1] or (walked and walk[1] != steps)
+                    or n * (walk[1] + 2) > room or t_ns + trip[2] > MAX_TIME_NS):
+                return 0
+            steps = walk[1]
+            walked.append((gen, walk))
+        seq = next(fes.seq_counter) + n * (steps + 1)  # past the appends the trips make
+        lane.clear()
+        for gen, walk in walked:
+            _walk_on(gen._trip_step(SELF_GATE)[2], walk)
+        events = n * (steps + 2)
+    else:
+        held = set()
+        for _, _, target, label, msg in lane:
+            gate = target._gates.get(label)
+            walk = walks[None if gate is None or gate.source is target else gate]
+            end = walk[0]
+            trip = None if end is None else trips[end.owner]
+            if (trip is None or trip[1] is not end or not walk[1] or msg in held
+                    or (walked and walk[1] != steps)
+                    or n * (walk[1] + 1) > room or t_ns + trip[2] > MAX_TIME_NS):
+                return 0
+            steps = walk[1]
+            held.add(msg)
+            walked.append((end.owner, walk))
+        seq = next(fes.seq_counter) + n * steps  # past the appends the hops make
+        for entry, (_, walk) in zip(lane, walked):
+            _walk_on(entry[4], walk)
+        lane.clear()
+        events = n * (steps + 1)
     fes.seq_counter = itertools.count(seq)
     for gen, walk in walked:
         gen._trip_step(walk[0].label)
-    return n * (steps + 2), 0
+    return events
 
 
 class Simulator:
@@ -646,7 +621,9 @@ class Simulator:
         handler is the stock one, frozen, enabled and sending down with
         no delay, has its timer and return events made with no handler
         call too, and each of its timers is still pushed through
-        `FutureEventSet.push` (module note, *Trip walks*).
+        `FutureEventSet.push`. Once per bucket, a lane of two or more
+        timers or hops whose trips all end at such generators' returns is
+        made whole, with no pop (module note, *Trip walks*).
         """
         if self._ran:
             raise SimulationError("this simulator instance has already run")
@@ -673,7 +650,6 @@ class Simulator:
         # no run executes sys.maxsize events: no limit
         limit = sys.maxsize if event_limit is None else max(event_limit, 0)
         walks, trips = _Walks(), _Trips()
-        due = 0  # the lane entries to pop before the lane is checked again
         executed = 0
         reason = StopReason.EVENT_LIMIT
         t_start = _wallclock.perf_counter()
@@ -682,19 +658,11 @@ class Simulator:
                 t_ns = refill(until_ns)
                 while t_ns is not None:
                     self.now_ns = t_ns
+                    if not traced and len(lane) > 1:
+                        executed += _walk_trips(fes, walks, trips, t_ns, limit - executed)
+                        seq_counter = fes.seq_counter
                     # the lane heads the order: pop it with no compare
                     while lane and executed != limit:
-                        if not due:
-                            # the last check's entries are popped: check again
-                            due = len(lane)
-                            if due > 1 and not traced:
-                                walked, due = _walk_lane(fes, walks, trips, t_ns,
-                                                         limit - executed)
-                                if walked:
-                                    executed += walked
-                                    seq_counter = fes.seq_counter
-                                    continue
-                        due -= 1
                         _, _, target, gate_label, msg = popleft()
                         gate = target._gates.get(gate_label)
                         while True:

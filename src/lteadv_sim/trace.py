@@ -155,22 +155,29 @@ def parse_structured_line(line: str, line_no: int = 1) -> EventRecord:
     """Read one structured record back; raise MalformedTrace, with
     `line_no`, for anything a run cannot have written."""
     try:
-        obj = json.loads(line)
+        pairs = json.loads(line, object_pairs_hook=tuple)  # a JSON object as its pairs
     except ValueError as exc:
         raise MalformedTrace(line_no, f"not a JSON record ({exc})") from None
-    if not isinstance(obj, dict):
+    if not isinstance(pairs, tuple):
         raise MalformedTrace(line_no, "record is not an object")
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        twice = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise MalformedTrace(line_no, f"field {twice!r} given twice")
     values = []
     for key, kind, rule in _RECORD_FIELDS:
         if key not in obj:
             raise MalformedTrace(line_no, f"missing field {key!r}")
-        value = obj[key]
+        value = obj.pop(key)
         if type(value) is not kind:  # a bool is an int to isinstance
             raise MalformedTrace(line_no, f"field {key!r} is not a JSON "
                                           f"{'integer' if kind is int else 'string'}")
         if rule is not None and not rule[0](value):
             raise MalformedTrace(line_no, f"field {key!r} is {value!r}, not {rule[1]}")
         values.append(value)
+    if obj:  # what is left is no field of a record
+        raise MalformedTrace(line_no, f"unknown field {next(iter(obj))!r}")
     return EventRecord(*values)
 
 

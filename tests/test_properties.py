@@ -12,16 +12,16 @@ every one of them, the run loop matches a plain-heap reference loop,
 hopping over relay links changes nothing against calling every
 handler, nor does jumping whole walks of links and route steps in a run
 with no sink against making every hop, also with a PHY or S1 handler
-set on the instance, nor does walking a whole lane of equal walks in one
-step, with shared starts, at every event limit and after a handler
-error (a lane that holds one message twice, or walks of unequal length,
-runs hop by hop), nor does a generator's timer returning its emission
-as a hop against pushing it, nor a generator's `on_start` that skips the
-stock one, nor making a stock generator's timers and returns with no
-handler call and a lane of its timers into whole trips at once, also at
-limits inside such a lane (a lane whose timers would pass the last time
-runs hop by hop, and a generator that is not stock keeps every handler
-call), every message a generator makes is the one
+set on the instance, nor does a generator's timer returning its
+emission as a hop against pushing it, nor a generator's `on_start` that
+skips the stock one, nor making a stock generator's timers and returns
+with no handler call and a bucket's lane of its timers, or of the first
+emissions, into whole trips at once, with shared starts, at every event
+limit, at limits inside such a lane and after a handler error (a lane
+that holds one message twice, walks of unequal length, a generator that
+is not stock or timers that would pass the last time run hop by hop,
+and a generator that is not stock keeps every handler call), every
+message a generator makes is the one
 `Simulator.new_message` would make at that moment, a walk reused past a
 relay link is the walk computed afresh (a ring of links reuses none), a
 handler set on
@@ -62,7 +62,7 @@ from lteadv_sim.lte_nodes import (FanInLayer, Forwarder, LayerSpec, NodeType, Pa
                                   wire_vertical)
 from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, RADIO_IN, SELF_GATE, ChannelSpec,
                               CompoundModule, Gate, ModuleNode, SimpleModule,
-                              connect, send_direct, transmit)
+                              connect, send_direct)
 from lteadv_sim.traffic import TIMER_NAME, Generator, GeneratorConfig
 from lteadv_sim.trace import (format_event_line, read_structured, summarize,
                               write_structured, zero_delay_emissions)
@@ -565,7 +565,8 @@ def test_a_walk_stops_at_a_pop_of_a_waypoint_pushed_before_it():
 
 # Three UEs with one shared start, ue[0..1] on enb[0] and ue[2] on
 # enb[1], and no delay anywhere: each bucket's round trips start in one
-# lane whose entries all walk alike, over the first two buckets.
+# lane whose entries all walk alike, the first emissions and then the
+# timers, over the first two buckets.
 LOCKSTEP = """\
 network Network {
     ue ue[3];
@@ -580,30 +581,43 @@ network Network {
 """
 
 
+@contextlib.contextmanager
+def _recording_lane_checks():
+    """Record each lane check of the runs inside, one a bucket, as
+    `(t_ns, room, lane length, events made)`: 0 events for a lane left
+    to run hop by hop."""
+    checks, walk_trips = [], kernel._walk_trips
+
+    def recording(fes, walks, trips, t_ns, room):
+        n = len(fes.lane)
+        made = walk_trips(fes, walks, trips, t_ns, room)
+        checks.append((t_ns, room, n, made))
+        return made
+
+    kernel._walk_trips = recording
+    try:
+        yield checks
+    finally:
+        kernel._walk_trips = walk_trips
+
+
 @pytest.fixture
-def lane_checks(monkeypatch):
-    """What each lane check of the runs in the test returned: the events
-    it walked, 0 for a lane left to run hop by hop, and the lane entries
-    popped before the next check."""
-    checks = []
-    walk_lane = kernel._walk_lane
-
-    def recording(*args):
-        checks.append(walk_lane(*args))
-        return checks[-1]
-
-    monkeypatch.setattr(kernel, "_walk_lane", recording)
-    return checks
+def lane_checks():
+    """A function that lists the events each lane check of the runs in
+    the test has made so far, 0 for a lane left to run hop by hop."""
+    with _recording_lane_checks() as checks:
+        yield lambda: [made for *_, made in checks]
 
 
 def test_a_lockstep_lane_is_walked_at_every_event_limit(lane_checks):
-    """Three equal walks from one lane are walked in one step, and so is
-    the next bucket's lane of three timers, each trip whole: timer, 37
-    steps and return. Both leave what the hop-by-hop round-robin leaves
-    at every event limit."""
+    """The first bucket's lane of three emissions is made in one step,
+    each trip whole: 37 steps and return, ending in its timer's push. So
+    is the next bucket's lane of three timers: timer, 37 steps and return.
+    Both leave what the hop-by-hop round-robin leaves at every event
+    limit."""
     _assert_no_sink_matches_hop_by_hop_at_every_limit(parse(LOCKSTEP).spec)
-    assert (3 * 37, 3) in lane_checks
-    assert (3 * (37 + 2), 0) in lane_checks
+    assert 3 * (37 + 1) in lane_checks()
+    assert 3 * (37 + 2) in lane_checks()
 
 
 # ue[0] and ue[1] on two eNBs, with one shared start and no delay.
@@ -622,50 +636,55 @@ network Network {
 
 
 def _send_twice(built):
-    """On its timer, ue[0]'s generator sends one new message down its own
-    stack and, by send_direct, into ue[1]'s top layer, instead of
-    emitting: one message in two lane entries that walk alike."""
+    """At start, after its first emission, ue[0]'s stock generator sends
+    one new message, by send_direct, into the top layers of ue[0] and
+    ue[1], due with the emissions: one message in two entries of the
+    first lane, each walking alike to a stock generator."""
     generator = built.nodes["ue[0]"].generator
-    top = built.nodes["ue[1]"].stack[0]
+    tops = [built.nodes[ue].stack[0] for ue in ("ue[0]", "ue[1]")]
 
-    def handle_message(msg, arrival_gate, stock=generator.handle_message):
-        if arrival_gate != SELF_GATE:
-            return stock(msg, arrival_gate)
-        shared = generator.sim.new_message("NASMsg", MessageKind.CONTROL_MESSAGE)
-        transmit(generator.down_gate, shared)
-        send_direct(generator, shared, top, IN_FROM_UPPER)
-        return None
+    def on_start(sim, stock=generator.on_start):
+        stock(sim)
+        shared = sim.new_message("NASMsg", MessageKind.CONTROL_MESSAGE)
+        for top in tops:
+            send_direct(generator, shared, top, IN_FROM_UPPER, generator.config.start_time)
 
-    generator.handle_message = handle_message
+    generator.on_start = on_start
 
 
 def test_a_lane_holding_one_message_twice_runs_hop_by_hop(lane_checks):
     """Hop by hop, the two entries of one message push and pop its route
-    in turn, so they swap return routes at the S1: the lane that holds
-    them is left to run hop by hop, at every event limit."""
+    in turn, so they swap return routes at the S1 and each generator's
+    returns come in another order than their walks end in: the first lane,
+    which holds them, is left to run hop by hop, at every event limit,
+    and the next bucket's four timers trip whole."""
     _assert_no_sink_matches_hop_by_hop_at_every_limit(parse(TWO_UES_IN_STEP).spec,
                                                       replace=_send_twice)
-    assert (0, 3) in lane_checks
+    assert lane_checks()[:2] == [0, 4 * (37 + 2)]
 
 
 def test_a_lane_of_unequal_walks_runs_hop_by_hop(lane_checks):
     """One shared start, but enb[1]'s backhaul is delayed, so ue[2]'s walk
     of 12 steps stops at its eNB's top layer: the first lane, of all
-    three trips, runs hop by hop until that walk stops, with no check in
-    between (3 + 11 * 3 pops), and the two equal walks left are walked,
-    at every event limit."""
+    three emissions, runs hop by hop, and the next bucket's lane, the
+    timers of ue[0] and ue[1], trips whole, at every event limit."""
     spec = parse(LOCKSTEP.replace("    generator", "    link enb[1] -> sgw_mme delay 1ms;\n"
                                                      "    generator")).spec
     _assert_no_sink_matches_hop_by_hop_at_every_limit(spec)
-    assert lane_checks[:3] == [(0, 3 + 11 * 3), (0, 3), (2 * 16, 2)]
+    assert lane_checks()[:2] == [0, 2 * (37 + 2)]
 
 
-def test_a_handler_error_after_a_lane_walk_keeps_its_event_number():
-    """ue[1]'s generator fails on its second return, the second event
-    after the second bucket's lane walk: event #230 either way, after
-    114 events in the first bucket and 3 timers, 111 walked steps and
-    ue[0]'s return in the second."""
-    spec = parse(LOCKSTEP).spec
+def test_a_handler_error_after_a_lane_walk_keeps_its_event_number(lane_checks):
+    """ue[1]'s generator, started a millisecond after the others, fails on
+    its second return: event #231 either way, after the lanes of ue[0]'s
+    and ue[2]'s first emissions and of their timers are made whole (76
+    and 78 events), around ue[1]'s first trip (38) and before its timer
+    and 37 steps."""
+    spec = parse(LOCKSTEP.replace(
+        "    generator on ue[*] { period 10ms; start 1ms; }",
+        "    generator on ue[0] { period 10ms; start 1ms; }\n"
+        "    generator on ue[1] { period 10ms; start 2ms; }\n"
+        "    generator on ue[2] { period 10ms; start 1ms; }").replace("12ms", "13ms")).spec
 
     def failure(sinks):
         built = build(spec)
@@ -682,7 +701,8 @@ def test_a_handler_error_after_a_lane_walk_keeps_its_event_number():
         return info.value.event_no, info.value.module_path, str(info.value)
 
     assert failure([]) == failure([_NopBatchSink()])
-    assert failure([])[:2] == (230, "Network.ue[1].generator")
+    assert failure([])[:2] == (231, "Network.ue[1].generator")
+    assert lane_checks() == [2 * (37 + 1), 2 * (37 + 2)] * 2
 
 
 class _CountingLane(deque):
@@ -696,10 +716,10 @@ class _CountingLane(deque):
 
 
 def test_a_lockstep_run_pops_only_timers_and_returns():
-    """With no sink, a lockstep lane's round trips are walked without a
-    pop, and each later bucket's lane of timers is made whole, from timer
-    to re-arm: of 30 trips, a run pops only the first bucket's 3 returns.
-    Hop by hop, every event of the three interleaved trips is a pop."""
+    """With no sink, the first bucket's lane of emissions is made whole,
+    from first hop to re-arm, and so is each later bucket's lane of
+    timers, from timer to re-arm: of 30 trips, a run pops no entry. Hop
+    by hop, every event of the three interleaved trips is a pop."""
     spec = dataclasses.replace(parse(LOCKSTEP).spec, until=SimTime.from_millis(100))
 
     def pops_and_trips(sinks):
@@ -711,7 +731,7 @@ def test_a_lockstep_run_pops_only_timers_and_returns():
                     if node.generator is not None)
         return lane.pops, trips
 
-    assert pops_and_trips([]) == (3, 30)
+    assert pops_and_trips([]) == (0, 30)
     pops, trips = pops_and_trips([_NopBatchSink()])
     assert trips == 30 and pops / trips >= 38
 
@@ -722,13 +742,49 @@ def test_a_lockstep_run_pops_only_timers_and_returns():
 @settings(deadline=None)
 def test_lockstep_lanes_change_nothing(spec, start, event_limit):
     """Every generator started at one drawn time, so the round trips of
-    a period share their first bucket and lanes of equal walks are
-    walked in one step: no sink against hop by hop, over drawn stacks,
-    delays and event limits."""
+    a period share their first bucket and lanes of first emissions and of
+    timers with equal walks are made whole in one step: no sink against
+    hop by hop, over drawn stacks, delays and event limits."""
     spec.generators = [dataclasses.replace(decl, config=dataclasses.replace(
         decl.config, start_time=start)) for decl in spec.generators]
     assert (_end_state(spec, event_limit, [])
             == _end_state(spec, event_limit, [_NopBatchSink()]))
+
+
+@given(network_specs(), st.sampled_from((0, 1, 3)).map(SimTime.from_millis), st.data())
+@settings(deadline=None)
+def test_a_lane_with_a_wrapped_generator_runs_hop_by_hop(spec, start, data):
+    """Every generator started at one drawn time, and one drawn generator's
+    handler replaced by a wrapper that calls the stock one. With no sink,
+    the first bucket, which holds that generator's first emission, runs
+    hop by hop, and the wrapper sees every return at that generator; the
+    run ends as hop by hop, with no event limit and at a drawn one."""
+    spec.generators = [dataclasses.replace(decl, config=dataclasses.replace(
+        decl.config, start_time=start)) for decl in spec.generators]
+    wrapped = data.draw(st.sampled_from(sorted(
+        name for name, node in build(spec).nodes.items() if node.generator is not None)))
+    seen = []
+
+    def wrap(built):
+        generator = built.nodes[wrapped].generator
+        seen.append([generator, 0])
+
+        def handle_message(msg, arrival_gate, stock=generator.handle_message):
+            seen[-1][1] += arrival_gate == IN_FROM_LOWER
+            return stock(msg, arrival_gate)
+
+        generator.handle_message = handle_message
+
+    with _recording_lane_checks() as checks:
+        events = _end_state(spec, None, [], wrap)[0]
+    assert all(made == 0 for t_ns, _, _, made in checks if t_ns == start.ns)
+    generator, returns = seen[-1]
+    assert returns == generator.stats.returned
+    for event_limit in (None, data.draw(st.integers(min_value=0, max_value=events))):
+        assert (_end_state(spec, event_limit, [], wrap)
+                == _end_state(spec, event_limit, [_NopBatchSink()], wrap))
+        generator, returns = seen[-2]  # the run with no sink
+        assert returns == generator.stats.returned
 
 
 _STOCK_HANDLER = Forwarder.handle_message.__code__
@@ -1200,8 +1256,9 @@ def test_a_lane_of_timers_past_the_last_time_runs_hop_by_hop(lane_checks, period
     assert text == (f"event #{event_no} at N.u[0].generator: "
                     f"simulation time overflows 64 bits: {fire_ns + period} ns")
     assert pending == [(fire_ns, "N.u[1].generator", IN_FROM_LOWER)]
-    if period == 2**62:
-        assert (0, 2) in lane_checks  # the lane of two timers, left to run hop by hop
+    # the lane whose pushes would overflow, of the two first emissions or
+    # of the two timers after them, is left to run hop by hop
+    assert lane_checks() == ([0] if period > 2**62 else [2 * (37 + 1), 0])
 
 
 @st.composite
@@ -1286,8 +1343,9 @@ def test_generator_messages_equal_public_ones(spec, config, event_limit, traced)
 def test_trip_walks_change_nothing(spec, config, lockstep, equal_periods, data):
     """A generator on every UE, from one drawn config, each with the
     config's start or a drawn one of its own (lockstep or offset starts)
-    and the config's period or a drawn one: timers that share a bucket
-    make lanes of trips, made in one step where their walks are equal.
+    and the config's period or a drawn one: first emissions or timers
+    that share a bucket make lanes of trips, made in one step where their
+    walks are equal.
     No sink against hop by hop, with no event limit, at a drawn one up to
     the run's event count, and at two drawn inside a lane of trips that
     the run with no limit made in one step, one of them among the lane's
@@ -1301,20 +1359,10 @@ def test_trip_walks_change_nothing(spec, config, lockstep, equal_periods, data):
             start_time=config.start_time if lockstep else data.draw(starts),
             period=config.period if equal_periods else data.draw(periods)))
         for i in range(count or 1)]
-    lanes, walk_trips = [], kernel._walk_trips
-
-    def recording(fes, walks, trips, t_ns, room):
-        n = len(fes.lane)
-        walked, due = walk_trips(fes, walks, trips, t_ns, room)
-        if walked:  # with no limit, the events before it are sys.maxsize - room
-            lanes.append((sys.maxsize - room, walked, n))
-        return walked, due
-
-    kernel._walk_trips = recording
-    try:
+    with _recording_lane_checks() as checks:
         events = _end_state(spec, None, [])[0]
-    finally:
-        kernel._walk_trips = walk_trips
+    # with no limit, the events before a lane check are sys.maxsize - room
+    lanes = [(sys.maxsize - room, made, n) for _, room, n, made in checks if made]
     limits = [None, data.draw(st.integers(min_value=0, max_value=events))]
     if lanes:  # anywhere in a lane of trips, and among its last events, the returns
         before, walked, n = data.draw(st.sampled_from(lanes))

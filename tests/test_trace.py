@@ -248,6 +248,18 @@ def test_a_record_wrong_in_every_ranged_field_is_malformed_not_a_render_error():
     assert str(err.value) == "line 1: field 'event_no' is 0, not at least 1"
 
 
+def test_a_record_with_a_field_no_run_writes_is_malformed():
+    good = json.dumps(_GOOD_RECORD)
+    assert _rejected_at_line_3("extra", 5) == "line 3: unknown field 'extra'"
+    assert _rejected_at_line_3("", "x") == "line 3: unknown field ''"
+    with pytest.raises(MalformedTrace) as err:
+        read_structured([good, "", good[:-1] + ', "msg_id": 5}'])
+    assert str(err.value) == "line 3: field 'msg_id' given twice"
+    with pytest.raises(MalformedTrace) as err:
+        parse_structured_line('{"event_no": 1, ' + good[1:], 7)
+    assert str(err.value) == "line 7: field 'event_no' given twice"
+
+
 @given(st.integers(min_value=1, max_value=10**6),
        st.integers(min_value=0, max_value=10**15),
        st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=20))
