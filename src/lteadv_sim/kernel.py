@@ -26,13 +26,14 @@ holds entries, the loop appends the hop with `next(seq_counter)`, as
 loop dispatches it at once, drawing no seq, or pushes it at the event
 limit.
 
-*Relay links.* After every `on_start`, `_set_links` sets `Gate.relay_to`
-on each In gate of a stock-handled module (`_stock`) to the next gate of
-its `_step` (the module's `route_step`, applied to an empty route), where
-that step leaves the route empty. An arrival on a linked gate makes that
-hop with no handler call: the loop renames the message for that gate's
-owner, by its kind, and goes on as with a returned hop. An arrival on the
-target's own Out gate takes no link and no walk.
+*Relay links.* After every `on_start`, `_set_links_and_trips` sets
+`Gate.relay_to` on each In gate of a stock-handled module (`_stock`) to
+the next gate of its `_step` (the module's `route_step`, applied to an
+empty route), where that step leaves the route empty. An arrival on a
+linked gate makes that hop with no handler call: the loop renames the
+message for that gate's owner, by its kind, and goes on as with a
+returned hop. An arrival on the target's own Out gate takes no link and
+no walk.
 
 *No-sink walks.* With no sink, a hop that finds the lane empty jumps the
 whole walk from its gate, if the event at its end is within the limit.
@@ -47,29 +48,28 @@ gate with a cached walk reuses that walk one step longer, unless that walk
 ends at its own start after a step or more: such a ring passes through the
 gate, where the gate's own walk stops, so it is computed afresh.
 
-*Trip walks.* With no sink, a generator whose `_trip` gives its trip is
-unseen too: its handler is the stock one, and it is frozen, enabled and
-sends down with no delay (`_Trips`, fixed at the run's first lookup). At
-each arrival there the loop calls the step the handler would take,
-`_trip_step`: at the timer it counts the emission and goes on with it as
-with a returned hop to the top layer; at the return, often a walk's end,
-it counts the return and pushes the next timer through
-`FutureEventSet.push`. So a walk may start at a popped timer and end in
-that push. The loop checks each bucket's lane once, right after
-`refill`: `_walk_trips` makes a lane of n >= 2 entries at once when each
-walks by the same s steps to the In gate from below of a generator in
-`_Trips`, their events end within the limit and no timer would pass
-`MAX_TIME_NS`. The first entry sets the lane's kind. A lane of timers,
-each of whose trips walks back to its own generator, makes n*(s+2)
-events (n timers, n*s steps, n returns): the payloads take their ids in
-lane order and the counter is advanced past the n*(s+1) appends of the
-hop-by-hop run. A lane of hops that carry distinct messages, such as the
-first emissions `on_start` pushed, makes n*(s+1) events, and the counter
-is advanced past the n*s appends. Either way the n timers are then pushed
-in lane order, taking the next ids and seqs, and the lane is left empty.
-Any other lane runs hop by hop: one message in two entries pushes and
-pops its route in turn, and a lane that would overflow fails at its own
-return, as its HandlerError.
+*Trip walks.* After every `on_start`, `_set_links_and_trips` fixes each
+generator with the links: its `_trip` fixes an emission that `on_start`
+left unfixed and gives the trip of a generator whose handler is the
+stock one and which is enabled and sends down with no delay. The loop
+calls every handler that no link or walk stands in for, a generator's at
+each of its events; only `_walk_trips` makes generator events without
+the loop, by calling that stock handler itself. With no sink the loop
+checks each bucket's lane once, right after `refill`: `_walk_trips`
+makes a lane of n >= 2 entries at once when each walks by the same s
+steps to the In gate from below of a generator with a trip, their events
+end within the limit and no timer would pass `MAX_TIME_NS`. The first
+entry sets the lane's kind. A lane of timers, each of whose trips walks
+back to its own generator, makes n*(s+2) events (n timers, n*s steps, n
+returns): the payloads take their ids in lane order and the counter is
+advanced past the n*(s+1) appends of the hop-by-hop run. A lane of hops
+that carry distinct messages, such as the first emissions `on_start`
+pushed, makes n*(s+1) events, and the counter is advanced past the n*s
+appends. Either way the n returns then push their timers in lane order,
+through `FutureEventSet.push`, taking the next ids and seqs, and the
+lane is left empty. Any other lane runs hop by hop: one message in two
+entries pushes and pops its route in turn, and a lane that would
+overflow fails at its own return, as its HandlerError.
 """
 
 from __future__ import annotations
@@ -410,9 +410,12 @@ def _step(gate, route) -> Optional[tuple]:
     return nxt, route
 
 
-def _set_links(modules) -> None:
+def _set_links_and_trips(modules) -> dict:
     """Set the relay link of every In gate of each `_stock` module in
-    `modules` that gets one (the module note, *Relay links*)."""
+    `modules` that gets one (the module note, *Relay links*), and fix each
+    generator by its `_trip()`. Returns generator -> trip for each
+    generator that gives one (the module note, *Trip walks*)."""
+    trips = {}
     for mod in modules:
         if _stock(mod):
             for gate in mod._gates.values():
@@ -420,18 +423,11 @@ def _set_links(modules) -> None:
                     step = _step(gate, ())
                     if step is not None and not step[1]:
                         gate.relay_to = step[0]
-
-
-class _Trips(dict):
-    """A module -> its `_trip()`: for a generator whose timer and return
-    a run with no sink makes unseen, `(channel down, In gate from below,
-    period in ns)`; None for any other module. Computed on first lookup
-    and fixed for the run (the module note, *Trip walks*)."""
-
-    def __missing__(self, module):
-        trip = getattr(module, "_trip", None)
-        trip = self[module] = None if trip is None else trip()
-        return trip
+        elif hasattr(mod, "_trip"):
+            trip = mod._trip()
+            if trip is not None:
+                trips[mod] = trip
+    return trips
 
 
 class _Walks(dict):
@@ -482,7 +478,7 @@ def _walk_on(msg: SimMessage, walk: tuple):
     return end
 
 
-def _walk_trips(fes: FutureEventSet, walks: _Walks, trips: _Trips, t_ns: int,
+def _walk_trips(fes: FutureEventSet, walks: _Walks, trips: dict, t_ns: int,
                 room: int) -> int:
     """Make the whole lane, due at `t_ns`, in one step when each entry,
     as the timer of a generator in `trips` or as a hop with a message of
@@ -490,14 +486,16 @@ def _walk_trips(fes: FutureEventSet, walks: _Walks, trips: _Trips, t_ns: int,
     of such a generator, the events end within `room` more and no timer
     they push passes `MAX_TIME_NS` (the module note, *Trip walks*).
     Returns the number of events made, 0 when the lane is left to run hop
-    by hop; a walk leaves the lane empty and pushes the timers through
+    by hop. A walk calls each generator's stock handler, `_trip_handler`,
+    at its timer and its return, with no message; it leaves the lane
+    empty, and the returns push the timers through
     `FutureEventSet.push`."""
     lane = fes.lane
     n = len(lane)
     steps, walked = 0, []
     if lane[0][3] == SELF_GATE:
         for _, _, gen, label, _ in lane:
-            trip = trips[gen] if label == SELF_GATE else None
+            trip = trips.get(gen) if label == SELF_GATE else None
             walk = None if trip is None else walks[trip[0]]
             if (walk is None or walk[0] is not trip[1] or (walked and walk[1] != steps)
                     or n * (walk[1] + 2) > room or t_ns + trip[2] > MAX_TIME_NS):
@@ -507,7 +505,7 @@ def _walk_trips(fes: FutureEventSet, walks: _Walks, trips: _Trips, t_ns: int,
         seq = next(fes.seq_counter) + n * (steps + 1)  # past the appends the trips make
         lane.clear()
         for gen, walk in walked:
-            _walk_on(gen._trip_step(SELF_GATE)[2], walk)
+            _walk_on(gen._trip_handler(None, SELF_GATE)[2], walk)
         events = n * (steps + 2)
     else:
         held = set()
@@ -515,7 +513,7 @@ def _walk_trips(fes: FutureEventSet, walks: _Walks, trips: _Trips, t_ns: int,
             gate = target._gates.get(label)
             walk = walks[None if gate is None or gate.source is target else gate]
             end = walk[0]
-            trip = None if end is None else trips[end.owner]
+            trip = None if end is None else trips.get(end.owner)
             if (trip is None or trip[1] is not end or not walk[1] or msg in held
                     or (walked and walk[1] != steps)
                     or n * (walk[1] + 1) > room or t_ns + trip[2] > MAX_TIME_NS):
@@ -530,7 +528,7 @@ def _walk_trips(fes: FutureEventSet, walks: _Walks, trips: _Trips, t_ns: int,
         events = n * (steps + 1)
     fes.seq_counter = itertools.count(seq)
     for gen, walk in walked:
-        gen._trip_step(walk[0].label)
+        gen._trip_handler(None, walk[0].label)
     return events
 
 
@@ -617,13 +615,14 @@ class Simulator:
         not three items with a module first fails as a HandlerError.
         Relay links and, with no sink (a sink with only `record` counts as
         one), walks make steps with no handler call, exactly as the
-        hop-by-hop run (module note). With no sink, a generator whose
-        handler is the stock one, frozen, enabled and sending down with
-        no delay, has its timer and return events made with no handler
-        call too, and each of its timers is still pushed through
-        `FutureEventSet.push`. Once per bucket, a lane of two or more
-        timers or hops whose trips all end at such generators' returns is
-        made whole, with no pop (module note, *Trip walks*).
+        hop-by-hop run (module note). The loop calls every other handler,
+        a generator's at each of its events. After every `on_start` the
+        run fixes each generator with the links; with no sink, once per
+        bucket, a lane of two or more timers or hops whose trips all end
+        at the returns of stock generators that send down with no delay
+        is made whole by `_walk_trips`, with no pop, calling their stock
+        handler itself, whose returns push the next timers through
+        `FutureEventSet.push` (module note, *Trip walks*).
         """
         if self._ran:
             raise SimulationError("this simulator instance has already run")
@@ -636,7 +635,7 @@ class Simulator:
             mod._path = root.full_path if mod is root else f"{mod.parent._path}.{mod.name}"
         for mod in self._modules:
             mod.on_start(self)
-        _set_links(self._modules)
+        trips = _set_links_and_trips(self._modules)
 
         fes = self.fes
         push, refill, lane, seq_counter = fes.push, fes.refill, fes.lane, fes.seq_counter
@@ -649,7 +648,7 @@ class Simulator:
         until_ns = until.ns
         # no run executes sys.maxsize events: no limit
         limit = sys.maxsize if event_limit is None else max(event_limit, 0)
-        walks, trips = _Walks(), _Trips()
+        walks = _Walks()
         executed = 0
         reason = StopReason.EVENT_LIMIT
         t_start = _wallclock.perf_counter()
@@ -677,10 +676,7 @@ class Simulator:
                             link = None if gate is None or gate.source is target else gate.relay_to
                             if link is None:
                                 try:  # a return that is not a hop to a module fails here too
-                                    if traced or trips[target] is None:
-                                        hop = target.handle_message(msg, gate_label)
-                                    else:  # a generator's timer or return, made unseen
-                                        hop = target._trip_step(gate_label)
+                                    hop = target.handle_message(msg, gate_label)
                                     if hop is None:
                                         break
                                     nxt, gate_label, msg = hop

@@ -472,7 +472,10 @@ class _Parser:
     def parse_run(self, spec: NetworkSpec) -> None:
         kw = self.advance()
         self.expect_keyword("until")
-        self.set_once(spec, "until", self.parse_duration(), kw, "'run until' statement")
+        until = self.parse_duration()
+        self.set_once(spec, "until", until, kw, "'run until' statement")
+        if not until.ns:
+            self.error("'run until' must be positive", kw)
 
     def parse_seed(self, spec: NetworkSpec) -> None:
         kw = self.advance()
@@ -549,9 +552,9 @@ class _Selectors(dict):
 def _parse_statements(source: str) -> Optional[NetworkSpec]:
     """The spec of `source` read one statement at a time, or None, to
     read it with the token parser: when any part of the text does not
-    match, on a second `run until` or `seed`, and when a value does not
-    build (an integer over the digit limit, a duration out of range, a
-    generator config that raises)."""
+    match, on a second `run until` or `seed`, on a zero `run until`, and
+    when a value does not build (an integer over the digit limit, a
+    duration out of range, a generator config that raises)."""
     if "#" in source:
         source = _COMMENT.sub(lambda c: " " * len(c[0]), source)
     m = _HEADER.match(source)
@@ -594,9 +597,10 @@ def _parse_statements(source: str) -> Optional[NetworkSpec]:
                 spec.links.append(LinkDecl(selectors[g[i]], selectors[g[i + 1]], delay,
                                            line, col))
             elif kind == "run":
-                if spec.until is not None:
+                until = int(g[i]) * units[g[i + 1]]
+                if spec.until is not None or not until:
                     return None
-                spec.until = SimTime(int(g[i]) * units[g[i + 1]])
+                spec.until = SimTime(until)
             else:  # seed
                 if spec.seed is not None:
                     return None

@@ -9,14 +9,16 @@ The first emission is sent by `on_start`, through `emit`. Each later one
 starts at the timer, whose handler returns the emission as a zero-delay
 hop to the top layer, or sends it by `emit` over a delayed channel.
 
-A stock generator, one whose handler is `Generator.handle_message`, runs
-unseen in a run with no sink, as a stock layer does: the run makes its
-timer and return events with no handler call, through the same private
-steps the handler takes (`lteadv_sim.kernel`, *Trip walks*).
+A run calls the handler at every timer and return, as it calls any
+other; with no sink, it makes a time bucket of the timers of generators
+whose handler is the stock one, `Generator.handle_message`, or of their
+first emissions, into whole trips at once, calling that handler itself
+(`lteadv_sim.kernel`, *Trip walks*).
 
-The emission is fixed when the generator starts: the channel down to the
-top layer, the payload's name, kind and size, and the period. Changing
-`config` or the wiring afterwards does not change a running generator.
+The emission is fixed at the first `emit`, or when the run starts: the
+channel down to the top layer, the payload's name, kind and size, and
+the period. Changing `config` or the wiring afterwards does not change a
+running generator.
 """
 
 from __future__ import annotations
@@ -70,10 +72,10 @@ class Generator(SimpleModule):
     counts and discards anything delivered to it, timers included.
     `emit` sends a message down and needs a bound simulator.
 
-    `on_start` fixes the emission from `config` and the wiring, so a later
-    change to either does not reach a running generator. A subclass whose
-    `on_start` does not call this one's has it fixed at its first `emit`
-    or arrival instead.
+    The emission is fixed from `config` and the wiring at the first
+    `emit`, which `on_start` makes, or when the run starts, after every
+    `on_start`; a later change to either does not reach a running
+    generator.
     """
 
     # the names a message takes on arriving here, per kind
@@ -87,23 +89,24 @@ class Generator(SimpleModule):
         self.stats = GeneratorStats()
         self.down_gate: Optional[Gate] = None  # toward the stack, set when wired
         self._period_ns: Optional[int] = None  # None until `_freeze`; 0: inert
+        self._down: Optional[Gate] = None  # the channel down, set by `_freeze`
 
     @property
     def enabled(self) -> bool:
         return self.config is not None
 
     def on_start(self, sim) -> None:
-        self._freeze()
-        if self._period_ns:
+        if self.config is not None:
             self.emit(at=self.config.start_time)
 
     def _freeze(self) -> None:
-        """Fix the emission: the channel down, the payload's name (the top
-        layer's), kind and size, and the period, 0 when inert."""
+        """Fix the emission: the channel down, None when inert, the
+        payload's name (the top layer's), kind and size, and the period,
+        0 when inert."""
         cfg = self.config
-        self._down = self.down_gate
         self._period_ns = 0 if cfg is None else cfg.period.ns
-        if cfg is not None and self._down is not None:
+        self._down = None if cfg is None else self.down_gate
+        if self._down is not None:
             top = self._down.owner
             self._kind = cfg.payload_kind
             self._name = top.packet_name if self._kind is _PACKET else top.control_name
@@ -127,30 +130,19 @@ class Generator(SimpleModule):
         self.stats.emitted += 1
 
     def handle_message(self, msg, arrival_gate: str) -> Optional[tuple]:
-        if self._period_ns is None:
-            self._freeze()
+        """At the timer, the emission, counted and returned as a zero-delay
+        hop to the top layer or sent by `emit` over a delayed channel; at
+        the return, the count and, when enabled, the next timer's push.
+        Reads the emission as fixed, never `msg`."""
         if arrival_gate == SELF_GATE:
-            if not self._period_ns:  # inert: a timer is counted and discarded
-                self.stats.discarded += 1
-                return None
             down = self._down
             if down is None or down.delay_ns:
-                self.emit()
+                if self._period_ns:
+                    self.emit()
+                else:  # inert: a timer is counted and discarded
+                    self.stats.discarded += 1
                 return None
-        return self._trip_step(arrival_gate)
-
-    _trip_handler = handle_message  # the handler that a run's unseen trips stand for
-
-    def _trip_step(self, arrival_gate: str) -> Optional[tuple]:
-        """The handler's step at an arrival on `arrival_gate`, with no
-        check: at the timer, of a generator that is enabled and sends down
-        with no delay, the emission, counted and handed to the run loop as
-        a zero-delay hop; at the return, the count and, when enabled, the
-        push of the next timer. Called by the handler, and by a run that
-        makes the generator unseen (`_trip`)."""
-        if arrival_gate == SELF_GATE:
             self.stats.emitted += 1
-            down = self._down
             return down.owner, down.label, self._sim._message(self._name, self._kind, self._bytes)
         if arrival_gate == IN_FROM_LOWER:
             # The round trip ends here: drop the message, arm the next one.
@@ -163,13 +155,18 @@ class Generator(SimpleModule):
             return None
         raise self.unknown_arrival(arrival_gate)
 
+    _trip_handler = handle_message  # the stock handler, which whole trips call
+
     def _trip(self) -> Optional[tuple]:
-        """`(channel down, In gate from below, period in ns)` when a run with
-        no sink may make this generator's timer and return events with no
-        handler call (`lteadv_sim.kernel`, *Trip walks*): its handler is the
-        stock one, and it is frozen, enabled and sends down with no delay.
-        None otherwise."""
-        down = self._down if self._period_ns else None
+        """Fix the emission, unless `emit` has, and return `(channel down,
+        In gate from below, period in ns)` when a run with no sink may make
+        this generator's trips whole (`lteadv_sim.kernel`, *Trip walks*):
+        its handler is the stock one, and it is enabled and sends down with
+        no delay. None otherwise. A run calls it once, after every
+        `on_start`."""
+        if self._period_ns is None:
+            self._freeze()
+        down = self._down
         if down is None or down.delay_ns or self.handle_message != self._trip_handler:
             return None
         return down, self._gates.get(IN_FROM_LOWER), self._period_ns

@@ -11,8 +11,9 @@ from lteadv_sim.kernel import SimTime
 from lteadv_sim.lte_nodes import LayerSpec, NodeType
 from lteadv_sim.model import SimpleModule
 from lteadv_sim.netconfig import (InvalidNetworkSpec, Selector, SelectorKind, _lex,
-                                  _parse_statements, _parse_tokens, build, format_spec,
-                                  instance_table, parse, parse_duration, validate)
+                                  _parse_statements, _parse_tokens, build, format_duration,
+                                  format_spec, instance_table, parse, parse_duration,
+                                  validate)
 
 from conftest import MULTI_UE_SOURCE, MINIMAL_SOURCE
 from reference_lexer import reference_lex
@@ -103,6 +104,14 @@ def test_duration_units():
     assert spec.links[1].delay == SimTime(1_000_000)
 
 
+def test_a_duration_in_no_larger_unit_prints_in_nanoseconds():
+    assert format_duration(SimTime(1500)) == "1500ns"
+    spec = parse_ok(valid_base("link e -> s delay 1500ns;"))
+    printed = format_spec(spec)
+    assert "link e -> s delay 1500ns;" in printed
+    assert parse_ok(printed) == spec
+
+
 def test_parse_duration_helper():
     assert parse_duration("10ms") == SimTime.from_millis(10)
     assert parse_duration("1s") == SimTime.from_seconds(1)
@@ -171,6 +180,20 @@ def test_each_generator_option_at_most_once(options, where, word):
         f"1:{where}: error: duplicate generator option {word!r}"]
 
 
+def test_a_generator_block_cut_off_by_the_end_of_input():
+    result = parse("network N {\n    ue u;\n    generator on u {\n        period 1ms;\n")
+    assert [str(d) for d in result.diagnostics] == [
+        "5:1: error: expected '}' to close the generator block",
+        "5:1: error: expected '}' to close the network block"]
+
+
+def test_a_payload_of_neither_kind_is_reported_at_its_word():
+    result = parse(valid_base().replace("    run until", "    generator on u { payload bytes; }\n"
+                                                        "    run until"))
+    assert [str(d) for d in result.diagnostics] == [
+        "4:30: error: expected 'message' or 'packet' after 'payload'"]
+
+
 def test_generator_option_mistake_resumes_after_the_block():
     # the block's '}' closes the block, not the network
     result = parse("network N { ue u; generator on u { period 1ms; bogus 2; }"
@@ -197,6 +220,30 @@ def test_generator_option_mistake_resumes_after_the_block():
 ])
 def test_complete_statement_error_keeps_the_next_statement(source, expected):
     assert [str(d) for d in parse(source).diagnostics] == expected
+
+
+def test_zero_run_until_is_reported_at_its_keyword():
+    """The parser reports it where the statement is; `validate` keeps its
+    check, with no location, for a spec built in code."""
+    result = parse("""network N {
+    ue u; enb e; sgw_mme s; pdn_gw p;
+    attach u -> e;
+    generator on u { period 10ms; }
+    run until 0ms;
+}""")
+    assert [str(d) for d in result.diagnostics] == [
+        "5:5: error: 'run until' must be positive"]
+    result = parse("network N { run until 0s; run until 0us; }")
+    assert [str(d) for d in result.diagnostics] == [
+        "1:13: error: 'run until' must be positive",
+        "1:27: error: duplicate 'run until' statement",
+        "1:27: error: 'run until' must be positive"]
+
+
+def test_validate_reports_a_zero_run_until(minimal_spec):
+    minimal_spec.until = SimTime(0)
+    assert [str(d) for d in validate(minimal_spec)] == [
+        "1:1: error: 'run until' must be positive"]
 
 
 def test_zero_period_is_a_located_diagnostic():
@@ -241,6 +288,15 @@ def test_dangling_attach_selector():
 }""")
     errs = validate(spec)
     assert any("dangling ue selector u[3]" in e.message for e in errs)
+
+
+def test_an_indexed_selector_on_a_singleton_ue_dangles():
+    spec = parse_ok("""network N {
+    ue u; enb e; sgw_mme s; pdn_gw p;
+    attach u[0] -> e;
+    run until 1s;
+}""")
+    assert "3:5: error: attach: dangling ue selector u[0]" in map(str, validate(spec))
 
 
 def test_unattached_ue():
@@ -613,6 +669,7 @@ _DECLINED = {
     "past the digit limit": MINIMAL_SOURCE.replace("1s;", "1s; seed " + "1" * 5000 + ";"),
     "out of range": MINIMAL_SOURCE.replace("1s;", "99999999999s;"),
     "config that raises": MINIMAL_SOURCE.replace("period 10ms", "period 0ms"),
+    "zero run until": MINIMAL_SOURCE.replace("1s;", "0ms;"),
     "options out of order": MINIMAL_SOURCE.replace("{ period 10ms; }",
                                                    "{ start 1ms; period 10ms; }"),
 }
@@ -781,6 +838,11 @@ def test_chain_override_validation_rules(minimal_spec):
         LayerSpec("NAS", "lte_nas"), LayerSpec("PHY", "generator"))
     errs = validate(minimal_spec)
     assert any("reserved module names" in e.message for e in errs)
+
+    minimal_spec.chain_overrides[NodeType.UE] = (
+        LayerSpec("NAS", "lte_nas"), LayerSpec("PHY", "lte_nas"))
+    assert [str(d) for d in validate(minimal_spec)] == [
+        "1:1: error: chain override for ue repeats a module name"]
 
 
 def test_chain_override_round_trip_run(minimal_spec):

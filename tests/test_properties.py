@@ -14,13 +14,14 @@ handler, nor does jumping whole walks of links and route steps in a run
 with no sink against making every hop, also with a PHY or S1 handler
 set on the instance, nor does a generator's timer returning its
 emission as a hop against pushing it, nor a generator's `on_start` that
-skips the stock one, nor making a stock generator's timers and returns
-with no handler call and a bucket's lane of its timers, or of the first
-emissions, into whole trips at once, with shared starts, at every event
-limit, at limits inside such a lane and after a handler error (a lane
-that holds one message twice, walks of unequal length, a generator that
-is not stock or timers that would pass the last time run hop by hop,
-and a generator that is not stock keeps every handler call), every
+skips the stock one, nor making a bucket's lane of stock generators'
+timers, or of the first emissions, into whole trips at once, with shared
+starts, at every event limit, at limits inside such a lane and after a
+handler error (a lane that holds one message twice, walks of unequal
+length, a generator that is not stock or timers that would pass the last
+time run hop by hop, and a generator that is not stock keeps every
+handler call), the run loop calls the stock generator handler at every
+generator event outside such lanes, every
 message a generator makes is the one
 `Simulator.new_message` would make at that moment, a walk reused past a
 relay link is the walk computed afresh (a ring of links reuses none), a
@@ -584,14 +585,14 @@ network Network {
 @contextlib.contextmanager
 def _recording_lane_checks():
     """Record each lane check of the runs inside, one a bucket, as
-    `(t_ns, room, lane length, events made)`: 0 events for a lane left
-    to run hop by hop."""
+    `(t_ns, room, lane length, first entry's arrival label, events
+    made)`: 0 events for a lane left to run hop by hop."""
     checks, walk_trips = [], kernel._walk_trips
 
     def recording(fes, walks, trips, t_ns, room):
-        n = len(fes.lane)
+        n, label = len(fes.lane), fes.lane[0][3]
         made = walk_trips(fes, walks, trips, t_ns, room)
-        checks.append((t_ns, room, n, made))
+        checks.append((t_ns, room, n, label, made))
         return made
 
     kernel._walk_trips = recording
@@ -777,7 +778,7 @@ def test_a_lane_with_a_wrapped_generator_runs_hop_by_hop(spec, start, data):
 
     with _recording_lane_checks() as checks:
         events = _end_state(spec, None, [], wrap)[0]
-    assert all(made == 0 for t_ns, _, _, made in checks if t_ns == start.ns)
+    assert all(made == 0 for t_ns, *_, made in checks if t_ns == start.ns)
     generator, returns = seen[-1]
     assert returns == generator.stats.returned
     for event_limit in (None, data.draw(st.integers(min_value=0, max_value=events))):
@@ -1060,26 +1061,31 @@ def test_a_generator_whose_on_start_skips_the_stock_one_runs_the_same_trips():
                     == _end_state(spec, limit, sinks))
     assert (_structured_trace(spec, None, _own_start_generators)
             == _structured_trace(spec, None))
-    # its handler is the stock one and its first `emit` froze it, so with
-    # no sink its trips run unseen, as a stock generator's do
+    # its handler is the stock one, so with no sink the run loop calls it
+    # once for each generator event that no whole lane makes
     for replace in (_own_start_generators, lambda built: None):
-        assert _generator_handler_calls(spec, [], replace) == 0
-        assert (_generator_handler_calls(spec, [_NopBatchSink()], replace)
-                == _generator_handler_calls(spec, [CollectingSink()], replace) > 0)
+        with _recording_lane_checks() as checks:
+            calls = _generator_handler_calls(spec, [], replace)
+        assert (calls + _lane_generator_events(checks)
+                == _generator_handler_calls(spec, [_NopBatchSink()], replace)
+                == _generator_handler_calls(spec, [CollectingSink()], replace) == 9)
 
 
 _STOCK_GENERATOR = Generator.handle_message.__code__
+_WALK_TRIPS = kernel._walk_trips.__code__
 
 
-def _calls_of(codes, run):
+def _calls_of(codes, run, unless_from=None):
     """`run()`'s result and the number of calls it made of functions whose
-    code is in `codes`, counted with a profile hook, so that handlers stay
-    as they are."""
+    code is in `codes`, other than calls from the function whose code is
+    `unless_from`, counted with a profile hook, so that handlers stay as
+    they are."""
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code in codes:
+        if (event == "call" and frame.f_code in codes
+                and frame.f_back.f_code is not unless_from):
             calls += 1
 
     sys.setprofile(profile)
@@ -1091,17 +1097,53 @@ def _calls_of(codes, run):
 
 
 def _generator_handler_calls(spec, sinks, replace):
+    """The stock generator handler's calls in a run of `spec`, other than
+    those a whole lane makes (`kernel._walk_trips`)."""
     built = build(spec)
     replace(built)
     calls, _ = _calls_of({_STOCK_GENERATOR},
-                         lambda: built.simulator().run(until=spec.until, sinks=sinks))
+                         lambda: built.simulator().run(until=spec.until, sinks=sinks),
+                         unless_from=_WALK_TRIPS)
     return calls
+
+
+def _lane_generator_events(checks):
+    """The generator events that the whole lanes in `checks`, as
+    `_recording_lane_checks` records them, made: a timer and a return for
+    each entry of a lane of timers, a return for each entry of a lane of
+    hops."""
+    return sum(n * (2 if label == SELF_GATE else 1) for _, _, n, label, made in checks if made)
+
+
+@given(network_specs(), st.data())
+@settings(deadline=None)
+def test_the_loop_calls_the_generator_handler_for_each_event_outside_whole_lanes(spec, data):
+    """A generator on every UE from the drawn config, each started at a
+    drawn time, one of two, so that trips share their first bucket and
+    make whole lanes, and a drawn event limit. With no sink, the run loop
+    calls the stock generator handler once for each generator event that
+    no whole lane makes: those calls and the generator events made in
+    whole lanes are the generator events of the run hop by hop, and both
+    runs end alike."""
+    count = spec.node_decls[0].count
+    starts = st.sampled_from((0, 1)).map(SimTime.from_millis)
+    spec.generators = [
+        GeneratorDecl(_selector_for("u", count, i, want_all=False), dataclasses.replace(
+            spec.generators[0].config, start_time=data.draw(starts)))
+        for i in range(count or 1)]
+    event_limit = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
+    with _recording_lane_checks() as checks:
+        calls, state = _calls_of({_STOCK_GENERATOR}, lambda: _end_state(spec, event_limit, []),
+                                 unless_from=_WALK_TRIPS)
+    events, hop_by_hop = _calls_of({_STOCK_GENERATOR},
+                                   lambda: _end_state(spec, event_limit, [_NopBatchSink()]))
+    assert calls + _lane_generator_events(checks) == events
+    assert state == hop_by_hop
 
 
 class _LazyGenerator(Generator):
     """A generator whose `on_start` pushes its first timer and does not
-    fix its emission, so a run first meets it unfrozen; its handler fixes
-    the emission at that timer."""
+    fix its emission: the run fixes it when it starts."""
 
     def on_start(self, sim):
         if self.config is not None:
@@ -1168,9 +1210,10 @@ def _delayed_down():
                                   _delayed_down], ids=lambda make: make.__name__.strip("_"))
 def test_a_generator_that_is_not_stock_keeps_every_handler_call(make):
     """A generator whose handler is overridden on its class or on the
-    instance, one that a run first meets unfrozen, an inert one, and one
-    that sends down over a delay: with no sink as hop by hop, its handler
-    is called at every event at it, and the two runs end alike."""
+    instance, one whose `on_start` leaves it unfixed, an inert one, and
+    one that sends down over a delay: with no sink as hop by hop, its
+    handler is called at every event at it, and the two runs end
+    alike."""
     sink = CollectingSink()
     sim, until, _ = make()
     sim.run(until=until, sinks=[sink])
@@ -1362,7 +1405,7 @@ def test_trip_walks_change_nothing(spec, config, lockstep, equal_periods, data):
     with _recording_lane_checks() as checks:
         events = _end_state(spec, None, [])[0]
     # with no limit, the events before a lane check are sys.maxsize - room
-    lanes = [(sys.maxsize - room, made, n) for _, room, n, made in checks if made]
+    lanes = [(sys.maxsize - room, made, n) for _, room, n, _, made in checks if made]
     limits = [None, data.draw(st.integers(min_value=0, max_value=events))]
     if lanes:  # anywhere in a lane of trips, and among its last events, the returns
         before, walked, n = data.draw(st.sampled_from(lanes))

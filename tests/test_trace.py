@@ -164,6 +164,9 @@ def test_malformed_trace_reports_line_number():
     with pytest.raises(MalformedTrace) as exc_info:
         parse_structured_line('{"event_no": 1}', 5)
     assert str(exc_info.value) == "line 5: missing field 't_ns'"
+    with pytest.raises(MalformedTrace) as exc_info:
+        parse_structured_line("[1, 2]", 3)
+    assert str(exc_info.value) == "line 3: record is not an object"
 
 
 _GOOD_RECORD = {"event_no": 1, "t_ns": 2, "path": "Network.x", "type": "x",
@@ -472,6 +475,17 @@ def test_zero_delay_emissions_oracle():
 def test_expected_event_total_minimal(minimal_spec):
     # 100 trips of 38 hops plus 99 re-arm timers
     assert expected_event_total(minimal_spec) == 100 * 38 + 99
+
+
+def test_expected_event_total_skips_a_ue_with_no_generator():
+    spec = parse("""network N {
+    ue u[2]; enb e; sgw_mme s; pdn_gw p;
+    attach u[*] -> e;
+    generator on u[0] { period 10ms; }
+    run until 50ms;
+}""").spec
+    summary = build(spec).simulator().run(until=spec.until)
+    assert expected_event_total(spec) == summary.events_executed == 5 * 38 + 4
 
 
 def test_data_walk_length_is_38(minimal_spec):

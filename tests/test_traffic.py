@@ -140,8 +140,8 @@ def test_an_enabled_generator_with_nothing_below_is_an_unconnected_gate():
 @pytest.mark.parametrize("traced", [False, True])
 def test_an_inert_generator_discards_a_timer(traced):
     """A timer delivered to a generator built with no config is counted and
-    discarded: nothing is emitted, with or without a sink watching. An
-    unknown label is still refused."""
+    discarded: nothing is emitted, with or without a sink watching, nor
+    by a direct call before any run. An unknown label is still refused."""
     root = CompoundModule("Network")
     ue = root.add_child(build_node(NodeType.UE, "ue", generator=Generator()))
     sim = Simulator(root)
@@ -157,6 +157,9 @@ def test_an_inert_generator_discards_a_timer(traced):
             ("Network.ue.generator", TIMER_NAME)]
     with pytest.raises(UnknownArrivalGate):
         ue.generator.handle_message(sim.new_message("m", MessageKind.CONTROL_MESSAGE), "bogus")
+    unbound = Generator()
+    assert unbound.handle_message(None, "self") is None
+    assert unbound.stats == GeneratorStats(0, 0, 1)
 
 
 
