@@ -70,6 +70,15 @@ through `FutureEventSet.push`, taking the next ids and seqs, and the
 lane is left empty. Any other lane runs hop by hop: one message in two
 entries pushes and pops its route in turn, and a lane that would
 overflow fails at its own return, as its HandlerError.
+
+*Spent messages.* A message is re-issued only where no module but its
+stock generator can still hold it (`lteadv_sim.traffic`). The handler
+re-issues its own timer at the return, and a lane of timers hands it
+each entry's timer. Each payload of such a lane is made and returned
+within the lane, stepped only by stock modules, so the walk leaves it
+on its generator as a spare, which that generator's next emission
+re-issues. A lone trip's payload passes handlers that may keep it, and
+so do the first emissions of a lane of hops: they stay new objects.
 """
 
 from __future__ import annotations
@@ -205,10 +214,13 @@ _new_object = object.__new__  # a SimMessage with no __init__: `Simulator._messa
 
 class SimMessage:
     """The unit flowing through layers. Layers may rename it; its msgId,
-    kind, byte length and creation time are fixed at creation. Its private
-    route stack, `_route`, holds the waypoints that the PHY's air hop and
-    the S1 fan-in push and pop (their `route_step`), so a reply goes back
-    the way it came with no handler keeping cross-event state.
+    kind, byte length and creation time are fixed at creation. Only a
+    stock generator re-issues a message, a spent one of its own that no
+    module can still hold, and then as a new message: a new msgId and
+    creation time (`lteadv_sim.traffic`). Its private route stack,
+    `_route`, holds the waypoints that the PHY's air hop and the S1
+    fan-in push and pop (their `route_step`), so a reply goes back the
+    way it came with no handler keeping cross-event state.
     """
 
     __slots__ = ("_msg_id", "name", "_kind", "kind_label", "_byte_length",
@@ -217,7 +229,15 @@ class SimMessage:
     def __init__(self, msg_id: int, name: str, kind: MessageKind,
                  byte_length: int, creation_time: SimTime | int):
         """`creation_time` is a SimTime or, from the simulator, its
-        integer-nanosecond clock."""
+        integer-nanosecond clock, checked as SimTime checks it."""
+        if not isinstance(msg_id, int) or isinstance(msg_id, bool):
+            raise TypeError(f"message id must be an int, got {msg_id!r}")
+        if not isinstance(name, str):
+            raise TypeError(f"message name must be a str, got {name!r}")
+        if not isinstance(kind, MessageKind):
+            raise TypeError(f"message kind must be a MessageKind, got {kind!r}")
+        if not isinstance(byte_length, int) or isinstance(byte_length, bool):
+            raise TypeError(f"byte length must be an int, got {byte_length!r}")
         if byte_length < 0:
             raise ValueError("byte length must be non-negative")
         if kind is _CONTROL and byte_length != 0:
@@ -229,8 +249,12 @@ class SimMessage:
         # property, and a dict keyed by kind a Python-level __hash__
         self.kind_label = kind._value_
         self._byte_length = byte_length
-        self._created_ns = (creation_time if isinstance(creation_time, int)
-                            else creation_time.ns)
+        if isinstance(creation_time, SimTime):
+            creation_time = creation_time.ns
+        elif type(creation_time) is not int or not 0 <= creation_time <= MAX_TIME_NS:
+            # SimTime raises for each of these but an in-range int subclass
+            creation_time = SimTime(creation_time).ns
+        self._created_ns = creation_time
         self._route: list = []
 
     @property
@@ -487,25 +511,30 @@ def _walk_trips(fes: FutureEventSet, walks: _Walks, trips: dict, t_ns: int,
     they push passes `MAX_TIME_NS` (the module note, *Trip walks*).
     Returns the number of events made, 0 when the lane is left to run hop
     by hop. A walk calls each generator's stock handler, `_trip_handler`,
-    at its timer and its return, with no message; it leaves the lane
-    empty, and the returns push the timers through
-    `FutureEventSet.push`."""
+    at its timer, with the entry's timer, and at its return, with no
+    message; it leaves the lane empty, and the returns push the timers
+    through `FutureEventSet.push`. Each payload of a lane of timers is
+    left on its generator as its spare, unless the walk left a waypoint
+    on its route."""
     lane = fes.lane
     n = len(lane)
     steps, walked = 0, []
     if lane[0][3] == SELF_GATE:
-        for _, _, gen, label, _ in lane:
+        for _, _, gen, label, timer in lane:
             trip = trips.get(gen) if label == SELF_GATE else None
             walk = None if trip is None else walks[trip[0]]
             if (walk is None or walk[0] is not trip[1] or (walked and walk[1] != steps)
                     or n * (walk[1] + 2) > room or t_ns + trip[2] > MAX_TIME_NS):
                 return 0
             steps = walk[1]
-            walked.append((gen, walk))
+            walked.append((gen, walk, timer))
         seq = next(fes.seq_counter) + n * (steps + 1)  # past the appends the trips make
         lane.clear()
-        for gen, walk in walked:
-            _walk_on(gen._trip_handler(None, SELF_GATE)[2], walk)
+        for i, (gen, walk, timer) in enumerate(walked):
+            payload = gen._trip_handler(timer, SELF_GATE)[2]
+            _walk_on(payload, walk)
+            # back at its generator, held by no module: a spare, unless routed
+            walked[i] = gen, walk, None if walk[2] else payload
         events = n * (steps + 2)
     else:
         held = set()
@@ -520,15 +549,17 @@ def _walk_trips(fes: FutureEventSet, walks: _Walks, trips: dict, t_ns: int,
                 return 0
             steps = walk[1]
             held.add(msg)
-            walked.append((end.owner, walk))
+            walked.append((end.owner, walk, None))
         seq = next(fes.seq_counter) + n * steps  # past the appends the hops make
-        for entry, (_, walk) in zip(lane, walked):
+        for entry, (_, walk, _) in zip(lane, walked):
             _walk_on(entry[4], walk)
         lane.clear()
         events = n * (steps + 1)
     fes.seq_counter = itertools.count(seq)
-    for gen, walk in walked:
+    for gen, walk, payload in walked:
         gen._trip_handler(None, walk[0].label)
+        if payload is not None:
+            gen._payload = payload
     return events
 
 

@@ -15,6 +15,14 @@ whose handler is the stock one, `Generator.handle_message`, or of their
 first emissions, into whole trips at once, calling that handler itself
 (`lteadv_sim.kernel`, *Trip walks*).
 
+A generator whose trip a run fixes (`_trip`) re-issues spent messages
+of its own, which no module can still hold, as new ones: at a return it
+pushes the timer it was last handed back, if that is the timer it
+pushed, and an emission sends the payload that a whole lane of trips
+returned to it last, if any. Either takes the next id and the clock as
+its creation time, when a new message would; the payload also takes the
+top layer's name back. Any other message stays a new object.
+
 The emission is fixed at the first `emit`, or when the run starts: the
 channel down to the top layer, the payload's name, kind and size, and
 the period. Changing `config` or the wiring afterwards does not change a
@@ -46,6 +54,15 @@ class GeneratorConfig:
     payload_bytes: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.period, SimTime):
+            raise TypeError(f"generator period must be a SimTime, got {self.period!r}")
+        if not isinstance(self.start_time, SimTime):
+            raise TypeError(f"generator start_time must be a SimTime, got {self.start_time!r}")
+        if not isinstance(self.payload_kind, MessageKind):
+            raise TypeError(
+                f"generator payload_kind must be a MessageKind, got {self.payload_kind!r}")
+        if not isinstance(self.payload_bytes, int) or isinstance(self.payload_bytes, bool):
+            raise TypeError(f"generator payload_bytes must be an int, got {self.payload_bytes!r}")
         if self.period.ns <= 0:
             raise ValueError("generator period must be positive")
         if self.payload_kind is MessageKind.CONTROL_MESSAGE and self.payload_bytes:
@@ -90,6 +107,10 @@ class Generator(SimpleModule):
         self.down_gate: Optional[Gate] = None  # toward the stack, set when wired
         self._period_ns: Optional[int] = None  # None until `_freeze`; 0: inert
         self._down: Optional[Gate] = None  # the channel down, set by `_freeze`
+        self._reuses = False  # whether it re-issues spent messages; set by `_trip`
+        self._timer = None  # the timer it pushed last, when it re-issues
+        self._spent = None  # that timer, from its arrival to the next return
+        self._payload = None  # a spent payload, left by a whole lane of trips
 
     @property
     def enabled(self) -> bool:
@@ -133,7 +154,8 @@ class Generator(SimpleModule):
         """At the timer, the emission, counted and returned as a zero-delay
         hop to the top layer or sent by `emit` over a delayed channel; at
         the return, the count and, when enabled, the next timer's push.
-        Reads the emission as fixed, never `msg`."""
+        Reads the emission as fixed; of `msg`, only whether it is the
+        timer it pushed last, which it then re-issues (the module note)."""
         if arrival_gate == SELF_GATE:
             down = self._down
             if down is None or down.delay_ns:
@@ -142,16 +164,34 @@ class Generator(SimpleModule):
                 else:  # inert: a timer is counted and discarded
                     self.stats.discarded += 1
                 return None
+            if msg is self._timer:
+                self._spent = msg
             self.stats.emitted += 1
-            return down.owner, down.label, self._sim._message(self._name, self._kind, self._bytes)
+            sim = self._sim
+            payload, self._payload = self._payload, None
+            if payload is None:
+                return down.owner, down.label, sim._message(self._name, self._kind, self._bytes)
+            payload._msg_id = sim._next_msg_id
+            sim._next_msg_id += 1
+            payload._created_ns = sim.now_ns
+            payload.name = self._name
+            return down.owner, down.label, payload
         if arrival_gate == IN_FROM_LOWER:
             # The round trip ends here: drop the message, arm the next one.
             self.stats.returned += 1
             self.stats.discarded += 1
             if self._period_ns:  # enabled; a run has bound the simulator
                 sim = self._sim
-                sim.fes.push(sim.now_ns + self._period_ns, sim.now_ns, self, SELF_GATE,
-                             sim._message(TIMER_NAME, _CONTROL, 0))
+                timer, self._spent = self._spent, None
+                if timer is None:
+                    timer = sim._message(TIMER_NAME, _CONTROL, 0)
+                    if self._reuses:
+                        self._timer = timer
+                else:
+                    timer._msg_id = sim._next_msg_id
+                    sim._next_msg_id += 1
+                    timer._created_ns = sim.now_ns
+                sim.fes.push(sim.now_ns + self._period_ns, sim.now_ns, self, SELF_GATE, timer)
             return None
         raise self.unknown_arrival(arrival_gate)
 
@@ -162,11 +202,13 @@ class Generator(SimpleModule):
         In gate from below, period in ns)` when a run with no sink may make
         this generator's trips whole (`lteadv_sim.kernel`, *Trip walks*):
         its handler is the stock one, and it is enabled and sends down with
-        no delay. None otherwise. A run calls it once, after every
+        no delay; such a generator then re-issues its spent messages (the
+        module note). None otherwise. A run calls it once, after every
         `on_start`."""
         if self._period_ns is None:
             self._freeze()
         down = self._down
         if down is None or down.delay_ns or self.handle_message != self._trip_handler:
             return None
+        self._reuses = True
         return down, self._gates.get(IN_FROM_LOWER), self._period_ns

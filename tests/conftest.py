@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 from hypothesis.internal.conjecture import engine
@@ -79,3 +82,13 @@ def gate_state(*modules):
     gate itself and every field of the gate."""
     return [(label, gate, *(getattr(gate, field) for field in Gate.__slots__))
             for module in modules for label, gate in module._gates.items()]
+
+
+def bench_workloads():
+    """The benchmark's workload generators, name -> text for a seed,
+    loaded from their file."""
+    path = Path(__file__).parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GENERATORS

@@ -273,6 +273,31 @@ def test_control_message_must_have_zero_bytes():
         sim.new_message("x", MessageKind.CONTROL_MESSAGE, 10)
 
 
+@pytest.mark.parametrize("msg_id, name, kind, byte_length, creation_time, error", [
+    (1.5, "x", MessageKind.PACKET, 1, 0, TypeError),
+    (True, "x", MessageKind.PACKET, 1, 0, TypeError),
+    (1, None, MessageKind.PACKET, 1, 0, TypeError),
+    (1, "x", "cPacket", 1, 0, TypeError),
+    (1, "x", MessageKind.PACKET, 1.5, 0, TypeError),
+    (1, "x", MessageKind.PACKET, True, 0, TypeError),
+    (1, "x", MessageKind.PACKET, 1, -1, SimTimeRangeError),
+    (1, "x", MessageKind.PACKET, 1, MAX_TIME_NS + 1, SimTimeRangeError),
+    (1, "x", MessageKind.PACKET, 1, True, TypeError),
+    (1, "x", MessageKind.PACKET, 1, 1.0, TypeError),
+])
+def test_message_arguments_are_checked_at_construction(msg_id, name, kind, byte_length,
+                                                       creation_time, error):
+    with pytest.raises(error):
+        SimMessage(msg_id, name, kind, byte_length, creation_time)
+
+
+def test_new_message_checks_its_creation_time():
+    sim = Simulator(make_net())
+    with pytest.raises(SimTimeRangeError):
+        sim.new_message("x", MessageKind.CONTROL_MESSAGE, at=-5)
+    assert sim.new_message("x", MessageKind.CONTROL_MESSAGE, at=SimTime(5)).msg_id == 1
+
+
 def test_msg_id_survives_rename():
     sim = Simulator(make_net())
     m = sim.new_message("NASMsg", MessageKind.CONTROL_MESSAGE)

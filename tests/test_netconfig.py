@@ -1,6 +1,5 @@
 """Topology language tests: parsing, diagnostics, validation, building."""
 
-import importlib.util
 import re
 from pathlib import Path
 
@@ -15,7 +14,7 @@ from lteadv_sim.netconfig import (InvalidNetworkSpec, Selector, SelectorKind, _l
                                   format_spec, instance_table, parse, parse_duration,
                                   validate)
 
-from conftest import MULTI_UE_SOURCE, MINIMAL_SOURCE
+from conftest import MULTI_UE_SOURCE, MINIMAL_SOURCE, bench_workloads
 from reference_lexer import reference_lex
 
 
@@ -699,15 +698,6 @@ def test_statement_path_reads_respaced_clean_text(source):
         assert _check_statement_path(source) is not None
 
 
-def _bench_workloads():
-    """The benchmark's workload generators, loaded from their file."""
-    path = FIXTURES.parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.GENERATORS
-
-
 _CLEAN_FIXTURES = {path.name: text for path, text in zip(sorted(FIXTURES.glob("*.net")),
                                                          FIXTURE_SOURCES)
                    if _parse_tokens(text).ok}
@@ -715,7 +705,7 @@ _CLEAN_TEXTS = {
     **_CLEAN_FIXTURES,
     **{f"format_spec({name})": format_spec(_parse_tokens(text).spec)
        for name, text in _CLEAN_FIXTURES.items()},
-    **{f"{name}({seed})": make(seed) for name, make in _bench_workloads().items()
+    **{f"{name}({seed})": make(seed) for name, make in bench_workloads().items()
        for seed in (0, 1, 7)},
 }
 

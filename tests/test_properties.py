@@ -16,14 +16,16 @@ set on the instance, nor does a generator's timer returning its
 emission as a hop against pushing it, nor a generator's `on_start` that
 skips the stock one, nor making a bucket's lane of stock generators'
 timers, or of the first emissions, into whole trips at once, with shared
-starts, at every event limit, at limits inside such a lane and after a
-handler error (a lane that holds one message twice, walks of unequal
+starts, also on the benchmark's own texts, at every event limit, at
+limits inside such a lane and after a handler error (a lane that holds
+one message twice, walks of unequal
 length, a generator that is not stock or timers that would pass the last
 time run hop by hop, and a generator that is not stock keeps every
 handler call), the run loop calls the stock generator handler at every
-generator event outside such lanes, every
-message a generator makes is the one
-`Simulator.new_message` would make at that moment, a walk reused past a
+generator event outside such lanes,
+every message a generator makes or re-issues is, when it takes its id,
+the one `Simulator.new_message` would make at that moment, a message
+that a module or user code holds is never re-issued, a walk reused past a
 relay link is the walk computed afresh (a ring of links reuses none), a
 handler set on
 the instance before the run sees every arrival at its module, each
@@ -52,9 +54,9 @@ from hypothesis import given, settings, strategies as st
 
 from lteadv_sim import (CollectingSink, MetricsSink, PaperTraceSink, StructuredTraceSink,
                         TraceSink, build, kernel, parse)
-from lteadv_sim.kernel import (CHUNK_ROWS, MAX_TIME_NS, EventRecord, HandlerError, MessageKind,
-                               SimTime, SimTimeRangeError, SimulationError, Simulator,
-                               StopReason)
+from lteadv_sim.kernel import (CHUNK_ROWS, MAX_TIME_NS, EventRecord, FutureEventSet,
+                               HandlerError, MessageKind, SimTime, SimTimeRangeError,
+                               SimulationError, Simulator, StopReason)
 from lteadv_sim.netconfig import (AttachDecl, GeneratorDecl, LinkDecl, NetworkSpec,
                                   NodeDecl, Selector, SelectorKind, format_spec,
                                   instance_table, validate)
@@ -68,6 +70,7 @@ from lteadv_sim.traffic import TIMER_NAME, Generator, GeneratorConfig
 from lteadv_sim.trace import (format_event_line, read_structured, summarize,
                               write_structured, zero_delay_emissions)
 
+from conftest import bench_workloads
 from reference_summarize import summarize as reference_summarize
 
 PERIODS_MS = (5, 10, 20)
@@ -1318,66 +1321,151 @@ def generator_configs(draw):
 
 
 def _message_fields(msg):
-    return (msg.msg_id, msg.name, msg.kind, msg.kind_label, msg.byte_length, list(msg._route))
+    return (msg.msg_id, msg.name, msg.kind, msg.kind_label, msg.byte_length, list(msg._route),
+            msg._created_ns)
 
 
 @contextlib.contextmanager
-def _recording_made_messages():
-    """Record each message that `Simulator._message` makes, as `(message,
-    its fields then, the message Simulator.new_message would have made in
-    its place)`: at the same moment, with the same id, and created at the
-    `at` of the `Generator.emit` it is made in, if any."""
-    made, ats = [], [None]
-    make, emit = Simulator._message, Generator.emit
+def _recording_stamps():
+    """Record each id a generator stamps on a message, whether
+    `Simulator._message` makes it or the generator re-issues a spent one,
+    as `(message, its fields then, the fields of the message
+    Simulator.new_message would have made in its place)`: with that id,
+    at that moment, and created at the `at` of the `Generator.emit` it is
+    stamped in, if any. A generator stamps only inside its stock handler
+    and `emit`, on a message that the call pushes or returns as its hop,
+    so the ids an outermost such call draws are read when it ends, each
+    from the one message it pushed or returned carrying that id."""
+    stamps, pushed, depth = [], [], [0]
+    handle, emit, push = Generator.handle_message, Generator.emit, FutureEventSet.push
+
+    def stamping(gen, call, at=None):
+        sim, start = gen._sim, len(pushed)
+        first_id = sim._next_msg_id
+        depth[0] += 1
+        try:
+            hop = call()
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            carried = {msg.msg_id: msg for msg in pushed[start:] + ([hop[2]] if hop else [])}
+            del pushed[start:]
+            next_id = sim._next_msg_id
+            for msg_id in range(first_id, next_id):
+                msg = carried[msg_id]
+                sim._next_msg_id = msg_id
+                public = Simulator.new_message(sim, msg.name, msg.kind, msg.byte_length, at=at)
+                stamps.append((msg, _message_fields(msg), _message_fields(public)))
+            sim._next_msg_id = next_id
+        return hop
+
+    def recording_handle(self, msg, arrival_gate):
+        return stamping(self, lambda: handle(self, msg, arrival_gate))
 
     def recording_emit(self, at=None):
-        ats.append(at)
-        try:
-            emit(self, at)
-        finally:
-            ats.pop()
+        return stamping(self, lambda: emit(self, at), at)
 
-    def recording_make(sim, name, kind, byte_length):
-        next_id = sim._next_msg_id
-        public = sim.new_message(name, kind, byte_length, at=ats[-1])
-        sim._next_msg_id = next_id
-        msg = make(sim, name, kind, byte_length)
-        made.append((msg, _message_fields(msg), public))
-        return msg
+    def recording_push(fes, t_ns, now_ns, target, gate_label, msg):
+        if depth[0]:
+            pushed.append(msg)
+        return push(fes, t_ns, now_ns, target, gate_label, msg)
 
-    Simulator._message, Generator.emit = recording_make, recording_emit
+    # the stock handler is replaced as a whole, so trips are still made whole
+    Generator.handle_message = Generator._trip_handler = recording_handle
+    Generator.emit, FutureEventSet.push = recording_emit, recording_push
     try:
-        yield made
+        yield stamps
     finally:
-        Simulator._message, Generator.emit = make, emit
+        Generator.handle_message = Generator._trip_handler = handle
+        Generator.emit, FutureEventSet.push = emit, push
 
 
 @given(network_specs(), generator_configs(),
        st.one_of(st.none(), st.integers(min_value=0, max_value=1500)), st.booleans())
 @settings(deadline=None)
 def test_generator_messages_equal_public_ones(spec, config, event_limit, traced):
-    """Every payload and timer a run makes comes from the kernel's private
-    maker, and has the id, name, kind, kind label, byte length, creation
-    time and empty route that `Simulator.new_message` gives at that
-    moment; the payloads have the configured kind and size."""
+    """Every id a run draws is stamped by a generator on a payload or
+    timer, made by the kernel's private maker or re-issued, and when it
+    is stamped, the message has the id, name, kind, kind label, byte
+    length, empty route and creation time that `Simulator.new_message`
+    gives at that moment; one is stamped per emission and one per
+    return, and the payloads have the configured kind and size and the
+    names of their generators' top layers."""
     spec = dataclasses.replace(spec, generators=[
         dataclasses.replace(decl, config=config) for decl in spec.generators])
     built = build(spec)
     sim = built.simulator()
-    with _recording_made_messages() as made:
+    with _recording_stamps() as stamps:
         sim.run(until=spec.until, event_limit=event_limit,
                 sinks=[_NopBatchSink()] if traced else [])
-    assert [msg.msg_id for msg, _, _ in made] == list(range(1, sim._next_msg_id))
-    for msg, fields, public in made:
-        assert fields == _message_fields(public)
-        assert msg.creation_time == public.creation_time
-    payloads = [fields for _, fields, _ in made if fields[1] != TIMER_NAME]
+    assert [fields[0] for _, fields, _ in stamps] == list(range(1, sim._next_msg_id))
+    for _, fields, public in stamps:
+        assert fields == public
+    payloads = [fields for _, fields, _ in stamps if fields[1] != TIMER_NAME]
     generators = [node.generator for node in built.nodes.values()
                   if node.generator is not None]
     assert len(payloads) == sum(gen.stats.emitted for gen in generators)
-    assert len(made) - len(payloads) == sum(gen.stats.returned for gen in generators)
+    assert len(stamps) - len(payloads) == sum(gen.stats.returned for gen in generators)
     assert {fields[2:5] for fields in payloads} <= {
         (config.payload_kind, config.payload_kind.value, config.payload_bytes)}
+    # each named for its generator's top layer
+    packets = config.payload_kind is MessageKind.PACKET
+    top_names = {gen.down_gate.owner.packet_name if packets else gen.down_gate.owner.control_name
+                 for gen in generators}
+    assert {fields[1] for fields in payloads} <= top_names
+
+
+class _TimerKeeper(Generator):
+    """A generator whose own handler keeps each timer it is handed, in
+    `kept`, with its id, name and creation time then."""
+
+    def handle_message(self, msg, arrival_gate):
+        if arrival_gate == SELF_GATE:
+            self.kept.append((msg, (msg.msg_id, msg.name, msg._created_ns)))
+        return super().handle_message(msg, arrival_gate)
+
+
+@given(network_specs(), st.sampled_from(("layer", "generator", "user timer")), st.data())
+@settings(deadline=None)
+def test_a_held_message_is_never_reissued(spec, holder, data):
+    """A run with no sink re-issues spent messages that no module holds,
+    and no other: u[0], started at a drawn offset, has a top layer whose
+    own handler keeps each payload that its lone trips bring back, or a
+    generator whose own handler keeps each timer it is handed, or timers
+    that user code pushes to its generator's self gate; while the other
+    generators' trips may be made whole, each kept message keeps its id,
+    name and creation time to the end of the run."""
+    spec = dataclasses.replace(spec, until=SimTime.from_millis(60))
+    built = build(spec)
+    generator = built.nodes["u[0]" if "u[0]" in built.nodes else "u"].generator
+    generator.config = dataclasses.replace(
+        generator.config, start_time=SimTime(data.draw(st.integers(0, 5_000_000))))
+    kept = []
+    if holder == "layer":
+        top = generator.down_gate.owner
+
+        def keeping(msg, arrival_gate, handle=top.handle_message):
+            hop = handle(msg, arrival_gate)
+            if arrival_gate == IN_FROM_LOWER:  # renamed for the generator
+                kept.append((msg, (msg.msg_id, msg.name, msg._created_ns)))
+            return hop
+
+        top.handle_message = keeping
+    elif holder == "generator":
+        generator.__class__, generator.kept = _TimerKeeper, kept
+    sim = built.simulator()
+    if holder == "user timer":
+        period = generator.config.period.ns
+        for t_ns in data.draw(st.lists(st.one_of(
+                st.integers(0, 5).map(lambda k: k * period), st.integers(0, 59_999_999)),
+                min_size=1, max_size=4)):
+            msg = sim.new_message(TIMER_NAME, MessageKind.CONTROL_MESSAGE)
+            sim.fes.push(t_ns, 0, generator, SELF_GATE, msg)
+            kept.append((msg, (msg.msg_id, msg.name, msg._created_ns)))
+    sim.run(until=spec.until)
+    assert kept
+    for msg, (msg_id, name, created_ns) in kept:
+        assert (msg.msg_id, msg.name, msg._created_ns) == (msg_id, name, created_ns)
 
 
 @given(st.one_of(network_specs(), specs_with_stacks()), generator_configs(), st.booleans(),
@@ -1412,6 +1500,25 @@ def test_trip_walks_change_nothing(spec, config, lockstep, equal_periods, data):
         limits += [before + data.draw(st.integers(min_value=0, max_value=walked)),
                    before + walked - data.draw(st.integers(min_value=1, max_value=n))]
     for event_limit in limits:
+        assert (_end_state(spec, event_limit, [])
+                == _end_state(spec, event_limit, [_NopBatchSink()]))
+
+
+@pytest.mark.parametrize("workload", ["desk", "metro"])
+def test_bench_scale_runs_end_as_hop_by_hop_runs(workload):
+    """The benchmark's text at seed 7, where whole lanes hold up to 1,000
+    trips: a run with no sink ends in the state of a run that makes every
+    hop, with no limit, and at two limits inside a whole lane of timers,
+    one among its steps and one among its returns."""
+    spec = parse(bench_workloads()[workload](7)).spec
+    with _recording_lane_checks() as checks:
+        state = _end_state(spec, None, [])
+    assert state == _end_state(spec, None, [_NopBatchSink()])
+    # with no limit, the events before a lane check are sys.maxsize - room
+    lanes = [(sys.maxsize - room, made, n) for _, room, n, label, made in checks
+             if made and label == SELF_GATE]
+    before, made, n = lanes[len(lanes) // 2]
+    for event_limit in (before + made // 2, before + made - n // 2):
         assert (_end_state(spec, event_limit, [])
                 == _end_state(spec, event_limit, [_NopBatchSink()]))
 
@@ -1606,13 +1713,13 @@ def test_step_rules_see_a_route_and_a_label(spec, traced):
     for module in built.root.iter_tree():
         if isinstance(module, Forwarder):
             module.route_step = _recording_rule(module.route_step, calls)
-    with _recording_made_messages() as made:
+    with _recording_stamps() as stamps:
         sim.run(until=spec.until, sinks=[CollectingSink()] if traced else [])
-    msgs += [msg for msg, _, _ in made]
-    # the generators' payloads and timers: one per emission and per return
+    msgs += [msg for msg, _, _ in stamps]
+    # the generators' payloads and timers: one stamp per emission and per return
     stats = [node.generator.stats for node in built.nodes.values()
              if node.generator is not None]
-    assert len(made) == sum(stat.emitted + stat.returned for stat in stats)
+    assert len(stamps) == sum(stat.emitted + stat.returned for stat in stats)
     assert calls
     for route, label, msg in calls:
         assert type(route) is list and type(label) is str

@@ -31,6 +31,16 @@ def test_config_rejects_bad_values():
         GeneratorConfig(payload_bytes=100)  # control messages carry no bytes
 
 
+@pytest.mark.parametrize("field, value", [("period", 5), ("start_time", 3),
+                                          ("payload_kind", "cPacket"),
+                                          ("payload_bytes", 1.5), ("payload_bytes", True)])
+def test_config_rejects_a_field_of_the_wrong_type(field, value):
+    """A run trusts the config's types, so each is checked when it is made."""
+    kwargs = {"payload_kind": MessageKind.PACKET, field: value}
+    with pytest.raises(TypeError, match=f"generator {field} must be"):
+        GeneratorConfig(**kwargs)
+
+
 def test_first_emission_is_event_one_at_nas(minimal_spec):
     records, summary, built = run_spec(minimal_spec, until=SimTime(1))
     first = records[0]
