@@ -114,12 +114,12 @@ def _print_diagnostics(path: str, diagnostics) -> None:
         print(f"{path}:{diag}", file=sys.stderr)
 
 
-def _print_summary(summary) -> None:
+def _print_summary(summary, seed: int) -> None:
     out = sys.stderr
     print(f"events executed: {summary.events_executed}", file=out)
     print(f"final time:      {summary.final_time.seconds_str()} s", file=out)
     print(f"stop reason:     {summary.stop_reason.value}", file=out)
-    print(f"seed:            {summary.seed}", file=out)
+    print(f"seed:            {seed}", file=out)
     # wall-clock figures vary run to run; everything above is deterministic
     print(f"wall clock:      {summary.wall_clock_seconds:.6f} s", file=out)
     if summary.wall_clock_seconds > 0:
@@ -233,7 +233,7 @@ def main(argv: Optional[list] = None) -> int:
     except OSError as exc:  # writing, flushing or closing an output
         return _output_failed(parser.prog, exc)
 
-    _print_summary(summary)
+    _print_summary(summary, spec.effective_seed)
     return EXIT_OK
 
 

@@ -51,7 +51,7 @@ gate, where the gate's own walk stops, so it is computed afresh.
 *Trip walks.* After every `on_start`, `_set_links_and_trips` fixes each
 generator with the links: its `_trip` fixes an emission that `on_start`
 left unfixed and gives the trip of a generator whose handler is the
-stock one and which is enabled and sends down with no delay. The loop
+stock one and which has a config and sends down with no delay. The loop
 calls every handler that no link or walk stands in for, a generator's at
 each of its events; only `_walk_trips` makes generator events without
 the loop, by calling that stock handler itself. With no sink the loop
@@ -76,9 +76,10 @@ stock generator can still hold it (`lteadv_sim.traffic`). The handler
 re-issues its own timer at the return, and a lane of timers hands it
 each entry's timer. Each payload of such a lane is made and returned
 within the lane, stepped only by stock modules, so the walk leaves it
-on its generator as a spare, which that generator's next emission
-re-issues. A lone trip's payload passes handlers that may keep it, and
-so do the first emissions of a lane of hops: they stay new objects.
+on its generator as a spare, unless its route still holds a waypoint,
+and that generator's next emission re-issues the spare. A lone trip's
+payload passes handlers that may keep it, and so do the first
+emissions of a lane of hops: they stay new objects.
 """
 
 from __future__ import annotations
@@ -304,7 +305,6 @@ class RunSummary:
     final_time: SimTime
     stop_reason: StopReason
     wall_clock_seconds: float
-    seed: int = 0
 
 
 class FutureEventSet:
@@ -504,18 +504,13 @@ def _walk_on(msg: SimMessage, walk: tuple):
 
 def _walk_trips(fes: FutureEventSet, walks: _Walks, trips: dict, t_ns: int,
                 room: int) -> int:
-    """Make the whole lane, due at `t_ns`, in one step when each entry,
-    as the timer of a generator in `trips` or as a hop with a message of
-    its own, walks by as many steps as the first to the In gate from below
-    of such a generator, the events end within `room` more and no timer
-    they push passes `MAX_TIME_NS` (the module note, *Trip walks*).
-    Returns the number of events made, 0 when the lane is left to run hop
-    by hop. A walk calls each generator's stock handler, `_trip_handler`,
-    at its timer, with the entry's timer, and at its return, with no
-    message; it leaves the lane empty, and the returns push the timers
-    through `FutureEventSet.push`. Each payload of a lane of timers is
-    left on its generator as its spare, unless the walk left a waypoint
-    on its route."""
+    """Make the lane of `fes`, due at `t_ns`, whole in one step, by the
+    walks of `walks` to the generators of `trips` (generator -> trip, from
+    `_set_links_and_trips`), if its events end within `room` more (the
+    module note, *Trip walks*). Returns the number of events made, with the
+    lane left empty and the next timers pushed through
+    `FutureEventSet.push`, or 0, with the lane untouched, to run it hop by
+    hop."""
     lane = fes.lane
     n = len(lane)
     steps, walked = 0, []
@@ -574,13 +569,12 @@ class Simulator:
     before anything is bound.
     """
 
-    def __init__(self, root, seed: int = 0):
+    def __init__(self, root):
         if root.parent is not None:
             raise SimulationError(f"{root.full_path_or_name()}: a simulator binds a network's "
                                   "root, not a module below it")
         root.full_path  # raises DetachedModule when no network holds root
         self.root = root
-        self.seed = seed
         self.fes = FutureEventSet()
         self.now_ns = 0  # the clock; read it, never set it
         self._next_msg_id = 1
@@ -645,15 +639,10 @@ class Simulator:
         arrival_label, msg)`, in place of pushing it; a return that is
         not three items with a module first fails as a HandlerError.
         Relay links and, with no sink (a sink with only `record` counts as
-        one), walks make steps with no handler call, exactly as the
-        hop-by-hop run (module note). The loop calls every other handler,
-        a generator's at each of its events. After every `on_start` the
-        run fixes each generator with the links; with no sink, once per
-        bucket, a lane of two or more timers or hops whose trips all end
-        at the returns of stock generators that send down with no delay
-        is made whole by `_walk_trips`, with no pop, calling their stock
-        handler itself, whose returns push the next timers through
-        `FutureEventSet.push` (module note, *Trip walks*).
+        one), walks and whole lanes of trips make steps with no handler
+        call. They leave every event, seq, message and pending entry as a
+        run that calls every handler and schedules every hop through
+        `FutureEventSet.push` leaves them (the module note).
         """
         if self._ran:
             raise SimulationError("this simulator instance has already run")
@@ -746,5 +735,4 @@ class Simulator:
                 _hand_over(batch, executed, rows)
         wall = _wallclock.perf_counter() - t_start
         return RunSummary(events_executed=executed, final_time=self.now,
-                          stop_reason=reason, wall_clock_seconds=wall,
-                          seed=self.seed)
+                          stop_reason=reason, wall_clock_seconds=wall)

@@ -283,8 +283,7 @@ def send(from_module: ModuleNode, msg: SimMessage, out_gate_name: str,
 
 
 def send_direct(from_module: ModuleNode, msg: SimMessage, target: ModuleNode,
-                in_gate_name: str, delay: SimTime = SimTime(0),
-                now: Optional[SimTime] = None) -> int:
+                in_gate_name: str, delay: SimTime = SimTime(0)) -> int:
     """Deliver straight to a target module's In gate, no wiring required.
     Returns the event's insertion sequence."""
     sim = from_module.sim
@@ -292,6 +291,4 @@ def send_direct(from_module: ModuleNode, msg: SimMessage, target: ModuleNode,
     if g is None or g.owner is not target or g.label != in_gate_name:
         raise UnknownTargetGate(
             f"{target.full_path_or_name()} has no In gate {in_gate_name!r}")
-    now_ns = sim.now_ns
-    return sim.fes.push((now_ns if now is None else now.ns) + delay.ns, now_ns,
-                        target, g.label, msg)
+    return sim.fes.push(sim.now_ns + delay.ns, sim.now_ns, target, g.label, msg)

@@ -830,8 +830,8 @@ class BuiltNetwork:
     nodes: dict[str, CompoundModule]
     spec: NetworkSpec
 
-    def simulator(self, seed: Optional[int] = None) -> Simulator:
-        return Simulator(self.root, seed=self.spec.effective_seed if seed is None else seed)
+    def simulator(self) -> Simulator:
+        return Simulator(self.root)
 
 
 def build(spec: NetworkSpec) -> BuiltNetwork:
@@ -869,7 +869,9 @@ def build(spec: NetworkSpec) -> BuiltNetwork:
 # printing
 
 def format_spec(spec: NetworkSpec) -> str:
-    """Canonical source text; parsing it back yields an equal spec."""
+    """Canonical source text. Parsing it back yields a spec equal to
+    `spec` except for `chain_overrides`, which the language cannot
+    express: the text leaves them out."""
     lines = [f"network {spec.network_name} {{"]
     for decl in spec.node_decls:
         suffix = f"[{decl.count}]" if decl.count is not None else ""

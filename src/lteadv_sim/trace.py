@@ -412,8 +412,8 @@ class Metrics:
 
 class MetricsSink:
     """Folds events into Metrics as they arrive, holding no EventRecord:
-    `on_events` folds a chunk of rows in one pass, and `record` folds one
-    record as a one-row chunk.
+    `on_events` folds a chunk of rows in one pass (`summarize` folds
+    records).
 
     Each message keeps one entry, `[walk, hops, mismatch, t_first,
     t_last]`: the oracle walk its first hop starts (None when none does),
@@ -462,9 +462,6 @@ class MetricsSink:
                 path, name = entry[0][hops]
                 if name != msg_name or path != (module._path or module.full_path):
                     entry[2] = (hops, (module._path or module.full_path, msg_name))
-
-    def record(self, rec: EventRecord) -> None:
-        self.on_events(rec.event_no, (_record_row(rec),))
 
     def finish(self, run_summary: Optional[RunSummary] = None) -> Metrics:
         metrics = Metrics()

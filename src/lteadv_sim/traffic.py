@@ -9,19 +9,13 @@ The first emission is sent by `on_start`, through `emit`. Each later one
 starts at the timer, whose handler returns the emission as a zero-delay
 hop to the top layer, or sends it by `emit` over a delayed channel.
 
-A run calls the handler at every timer and return, as it calls any
-other; with no sink, it makes a time bucket of the timers of generators
-whose handler is the stock one, `Generator.handle_message`, or of their
-first emissions, into whole trips at once, calling that handler itself
-(`lteadv_sim.kernel`, *Trip walks*).
-
-A generator whose trip a run fixes (`_trip`) re-issues spent messages
-of its own, which no module can still hold, as new ones: at a return it
-pushes the timer it was last handed back, if that is the timer it
-pushed, and an emission sends the payload that a whole lane of trips
-returned to it last, if any. Either takes the next id and the clock as
-its creation time, when a new message would; the payload also takes the
-top layer's name back. Any other message stays a new object.
+A run calls the handler at every timer and return. With no sink, it
+makes a time bucket of trips of generators whose handler is the stock
+one, `Generator.handle_message`, whole at once, calling that handler
+itself. Such a generator re-issues spent timers and payloads of its own,
+which no module can still hold, as new messages, with the next id and
+the clock as creation time. `lteadv_sim.kernel` tells how (*Trip walks*,
+*Spent messages*).
 
 The emission is fixed at the first `emit`, or when the run starts: the
 channel down to the top layer, the payload's name, kind and size, and
@@ -112,10 +106,6 @@ class Generator(SimpleModule):
         self._spent = None  # that timer, from its arrival to the next return
         self._payload = None  # a spent payload, left by a whole lane of trips
 
-    @property
-    def enabled(self) -> bool:
-        return self.config is not None
-
     def on_start(self, sim) -> None:
         if self.config is not None:
             self.emit(at=self.config.start_time)
@@ -153,7 +143,7 @@ class Generator(SimpleModule):
     def handle_message(self, msg, arrival_gate: str) -> Optional[tuple]:
         """At the timer, the emission, counted and returned as a zero-delay
         hop to the top layer or sent by `emit` over a delayed channel; at
-        the return, the count and, when enabled, the next timer's push.
+        the return, the count and, with a config, the next timer's push.
         Reads the emission as fixed; of `msg`, only whether it is the
         timer it pushed last, which it then re-issues (the module note)."""
         if arrival_gate == SELF_GATE:
@@ -180,7 +170,7 @@ class Generator(SimpleModule):
             # The round trip ends here: drop the message, arm the next one.
             self.stats.returned += 1
             self.stats.discarded += 1
-            if self._period_ns:  # enabled; a run has bound the simulator
+            if self._period_ns:  # a config; a run has bound the simulator
                 sim = self._sim
                 timer, self._spent = self._spent, None
                 if timer is None:
@@ -201,7 +191,7 @@ class Generator(SimpleModule):
         """Fix the emission, unless `emit` has, and return `(channel down,
         In gate from below, period in ns)` when a run with no sink may make
         this generator's trips whole (`lteadv_sim.kernel`, *Trip walks*):
-        its handler is the stock one, and it is enabled and sends down with
+        its handler is the stock one, and it has a config and sends down with
         no delay; such a generator then re-issues its spent messages (the
         module note). None otherwise. A run calls it once, after every
         `on_start`."""

@@ -61,10 +61,10 @@ def multi_ue_spec():
     return result.spec
 
 
-def run_spec(spec, until=None, event_limit=None, seed=None):
+def run_spec(spec, until=None, event_limit=None):
     """Build and run a spec, returning (records, summary, built network)."""
     built = build(spec)
-    sim = built.simulator(seed=seed)
+    sim = built.simulator()
     sink = CollectingSink()
     summary = sim.run(until=until if until is not None else spec.until,
                       event_limit=event_limit, sinks=[sink])

@@ -368,10 +368,17 @@ def test_closed_stdout_pipe_exits_without_a_traceback(tmp_path):
     assert err_path.read_text() == "lteadv-sim: error: cannot write output: Broken pipe\n"
 
 
-def test_seed_override_lands_in_summary(capsys):
+def test_seed_override_lands_in_summary(tmp_path, capsys):
     code = main(["--config", MINIMAL, "--until", "1ns", "--seed", "99", "--quiet"])
     assert code == EXIT_OK
     assert "seed:            99" in capsys.readouterr().err
+    # the config's seed, or 0 with none, when no --seed overrides it
+    seeded = tmp_path / "seeded.net"
+    seeded.write_text(Path(MINIMAL).read_text().replace("run until", "seed 7; run until"))
+    for config, extra, seed in ((seeded, [], 7), (seeded, ["--seed", "99"], 99),
+                                (MINIMAL, [], 0)):
+        assert main(["--config", str(config), "--until", "1ns", "--quiet", *extra]) == EXIT_OK
+        assert f"\nseed:            {seed}\n" in capsys.readouterr().err
 
 
 def test_negative_seed_is_usage_error(capsys):
@@ -384,6 +391,7 @@ def test_negative_seed_is_usage_error(capsys):
 @pytest.mark.parametrize("flag, value, reason", [
     ("--event-limit", "abc", "must be a positive integer"),
     ("--event-limit", "1.5", "must be a positive integer"),
+    ("--event-limit", "0", "must be a positive integer"),
     ("--seed", "x1", "must be a non-negative integer"),
     # an integer is ASCII digits only, as in the config grammar
     ("--event-limit", "\u0663", "must be a positive integer"),  # ARABIC-INDIC DIGIT THREE

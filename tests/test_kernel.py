@@ -81,6 +81,16 @@ def test_seconds_str_rendering():
     assert SimTime(1_500_000_000).seconds_str() == "1.5"
     assert SimTime.from_seconds(2).seconds_str() == "2"
     assert SimTime(1).seconds_str() == "0.000000001"
+    assert str(SimTime(1_500_000_000)) == "1.5s"
+    assert repr(SimTime(1_500_000_000)) == "SimTime(1500000000)"
+
+
+def test_arithmetic_takes_simtimes_and_int_factors_only():
+    for op in (lambda: SimTime(1) + 1, lambda: SimTime(1) - 1,
+               lambda: SimTime(1) * 1.5, lambda: SimTime(1) * True):
+        with pytest.raises(TypeError):
+            op()
+    assert 3 * SimTime(2) == SimTime(2) * 3 == SimTime(6)
 
 
 @given(st.integers(min_value=0, max_value=MAX_TIME_NS))
@@ -265,6 +275,7 @@ def test_new_message_fields_and_ids():
     assert a.creation_time == SimTime(0)
     assert b.msg_id == a.msg_id + 1
     assert b.kind is MessageKind.PACKET and b.byte_length == 1500
+    assert repr(b) == "SimMessage(id=2, name='DataPck', kind=cPacket)"
 
 
 def test_control_message_must_have_zero_bytes():
@@ -280,6 +291,7 @@ def test_control_message_must_have_zero_bytes():
     (1, "x", "cPacket", 1, 0, TypeError),
     (1, "x", MessageKind.PACKET, 1.5, 0, TypeError),
     (1, "x", MessageKind.PACKET, True, 0, TypeError),
+    (1, "x", MessageKind.PACKET, -1, 0, ValueError),
     (1, "x", MessageKind.PACKET, 1, -1, SimTimeRangeError),
     (1, "x", MessageKind.PACKET, 1, MAX_TIME_NS + 1, SimTimeRangeError),
     (1, "x", MessageKind.PACKET, 1, True, TypeError),
@@ -565,15 +577,9 @@ def test_a_hop_to_a_label_with_no_gate_reaches_its_handler_in_a_run_with_no_sink
 
 def test_simulator_runs_once():
     sim = Simulator(make_net())
-    sim.run(until=SimTime(1))
+    assert isinstance(sim.run(until=SimTime(1)), RunSummary)
     with pytest.raises(SimulationError):
         sim.run(until=SimTime(2))
-
-
-def test_seed_recorded_in_summary():
-    summary = Simulator(make_net(), seed=42).run(until=SimTime(1))
-    assert isinstance(summary, RunSummary)
-    assert summary.seed == 42
 
 
 def test_one_simulator_per_module_tree():

@@ -686,7 +686,7 @@ def test_relay_chains_follow_the_oracle_walk(source, pdn_stack):
     for inst in ue_instances(spec):
         walk = data_walk(spec, inst)
         ue = built.nodes[inst]
-        kind = ue.generator.config.payload_kind if ue.generator.enabled else None
+        kind = None if ue.generator.config is None else ue.generator.config.payload_kind
         down = _follow_links(ue.stack[0]._gates[IN_FROM_UPPER], kind)
         assert down == walk[:len(ue.stack)]
         enb = ue.stack[-1].peer_radio.parent

@@ -322,6 +322,15 @@ def test_full_path_with_bracket_index():
 def test_detached_module_has_no_path():
     with pytest.raises(DetachedModule):
         Sink("floating").full_path
+    # errors name such a module by its name alone
+    assert Sink("floating").full_path_or_name() == "floating"
+
+
+def test_child_by_name():
+    root, a, b = two_module_net()
+    assert (root.child("a"), root.child("b")) == (a, b)
+    with pytest.raises(UnknownGate, match="^Network has no child named 'c'$"):
+        root.child("c")
 
 
 def test_assign_ids_single_module_network():

@@ -1,5 +1,6 @@
 """Topology language tests: parsing, diagnostics, validation, building."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -487,6 +488,17 @@ def test_print_then_parse_round_trips(source):
     assert format_spec(reparsed.spec) == printed
 
 
+def test_printing_leaves_out_chain_overrides(multi_ue_spec):
+    """The language has no statement for a chain override, so the round
+    trip gives the spec back without its overrides, equal in all else."""
+    printed = format_spec(multi_ue_spec)
+    multi_ue_spec.chain_overrides[NodeType.SGW_MME] = (LayerSpec("S1", "lte_s1"),)
+    assert format_spec(multi_ue_spec) == printed
+    reparsed = parse_ok(printed)
+    assert reparsed != multi_ue_spec
+    assert reparsed == dataclasses.replace(multi_ue_spec, chain_overrides={})
+
+
 # -- parser fuzz ----------------------------------------------------------------------
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -569,6 +581,7 @@ def _lex_with_diagnostics(source):
 
 @given(st.one_of(_random_source, _mutated_fixture(), _edge_text))
 @example("network N { seed \u00b2; }")
+@example("network N { ue \u00b212x; }")
 @example("\u00bd")
 @example("\u2167x")
 def test_lexer_matches_reference(source):
@@ -586,6 +599,12 @@ def test_lexer_matches_reference(source):
      [(1, 1, "unexpected character '\u2167'")]),
     ("x\u00b2 \u00e9\u0663 # note", [("name", "x\u00b2", 1, 1), ("name", "\u00e9\u0663", 1, 4),
                                   ("eof", "", 1, 7)], []),
+    # a stray character, then ASCII digits: an int, then a name
+    ("network N { ue \u00b212x; }",
+     [("name", "network", 1, 1), ("name", "N", 1, 9), ("sym", "{", 1, 11),
+      ("name", "ue", 1, 13), ("int", "12", 1, 17), ("name", "x", 1, 19),
+      ("sym", ";", 1, 20), ("sym", "}", 1, 22), ("eof", "", 1, 23)],
+     [(1, 16, "unexpected character '\u00b2'")]),
 ])
 def test_numeric_characters_continue_but_never_start_names(source, tokens, diagnostics):
     toks, diags = _lex_with_diagnostics(source)

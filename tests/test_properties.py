@@ -179,7 +179,7 @@ def test_generated_specs_run_conserved_and_oracle_clean(spec):
     in_flight = 0
     for name, node in built.nodes.items():
         gen = getattr(node, "generator", None)
-        if gen is None or not gen.enabled:
+        if gen is None or gen.config is None:
             continue
         stats = gen.stats
         assert stats.discarded == stats.returned

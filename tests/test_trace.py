@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from lteadv_sim import build, parse
+from lteadv_sim import build, parse, trace
 from lteadv_sim.kernel import (MAX_TIME_NS, NS_PER_S, EventRecord, SimTime,
                                SimTimeRangeError)
 from lteadv_sim.model import SimpleModule
@@ -386,7 +386,7 @@ def test_sinks_match_reference_renderers_over_a_few_sites(chunked):
     however the rows are cut into chunks, so sites and the last time
     string carry across chunk edges; a TraceSink writing both formats to
     one stream puts each event's two lines together; and MetricsSink folds
-    the same metrics through either entry."""
+    the same metrics from any chunking as `summarize` from the records."""
     records, cuts = chunked
     paper_buf, struct_buf, written = io.StringIO(), io.StringIO(), io.StringIO()
     paper, structured = PaperTraceSink(paper_buf), StructuredTraceSink(struct_buf)
@@ -395,11 +395,10 @@ def test_sinks_match_reference_renderers_over_a_few_sites(chunked):
     batch_structured = StructuredTraceSink(batch_struct_buf)
     # both formats from one sink, to two streams and to one
     two_paper_buf, two_struct_buf, one_buf = io.StringIO(), io.StringIO(), io.StringIO()
-    metrics, batch_metrics = MetricsSink(_MINIMAL), MetricsSink(_MINIMAL)
+    batch_metrics = MetricsSink(_MINIMAL)
     for rec in records:
         paper.record(rec)
         structured.record(rec)
-        metrics.record(rec)
     for sink in (batch_paper, batch_structured, batch_metrics,
                  TraceSink(two_paper_buf, two_struct_buf), TraceSink(one_buf, one_buf)):
         show_in_chunks(sink, records, cuts)
@@ -415,8 +414,23 @@ def test_sinks_match_reference_renderers_over_a_few_sites(chunked):
             == two_struct_buf.getvalue() == want)
     assert one_buf.getvalue() == "".join(p + s for p, s in zip(want_paper, want_structured))
     assert (json.dumps(batch_metrics.finish().to_json_dict())
-            == json.dumps(metrics.finish().to_json_dict()))
+            == json.dumps(summarize(records, _MINIMAL).to_json_dict()))
     assert_reads_back(records)
+
+
+def test_a_sink_past_the_site_cap_empties_its_sites_and_writes_on(monkeypatch, minimal_spec):
+    monkeypatch.setattr(trace, "_MAX_SITES", 3)
+    collector = CollectingSink()
+    paper_buf, struct_buf = io.StringIO(), io.StringIO()
+    sink = TraceSink(paper_buf, struct_buf)
+    build(minimal_spec).simulator().run(until=SimTime.from_millis(15),
+                                        sinks=[sink, collector])
+    records = collector.records
+    assert len({(r.path, r.msg_name) for r in records}) > 3
+    assert 0 < len(sink._sites) <= 3
+    assert paper_buf.getvalue().splitlines() == [reference_event_line(r) for r in records]
+    assert struct_buf.getvalue().splitlines() == [reference_structured_line(r)
+                                                  for r in records]
 
 
 def test_sinks_shared_by_runs_of_two_topologies(minimal_spec, multi_ue_spec):
@@ -490,6 +504,27 @@ def test_expected_event_total_skips_a_ue_with_no_generator():
 
 def test_data_walk_length_is_38(minimal_spec):
     assert len(data_walk(minimal_spec, "ue")) == 38
+
+
+def test_the_oracle_refuses_a_spec_it_cannot_walk():
+    no_pdn = parse(MINIMAL_SOURCE.replace("    pdn_gw pdn_gw;\n", "")).spec
+    with pytest.raises(ValueError, match="^spec has no sgw_mme or no pdn_gw instance$"):
+        data_walk(no_pdn, "ue")
+    no_until = parse(MINIMAL_SOURCE.replace("    run until 1s;\n", "")).spec
+    with pytest.raises(ValueError, match="^spec has no run-until time$"):
+        expected_event_total(no_until)
+
+
+def test_metrics_leave_out_an_unattached_ue(minimal_spec):
+    """An unattached UE has no walk, so the metrics of a run are those
+    of the spec without it."""
+    spec = parse(MINIMAL_SOURCE.replace("    ue ue;\n", "    ue ue;\n    ue lone;\n")).spec
+    with pytest.raises(ValueError, match="^'lone' is not attached to an enb$"):
+        data_walk(spec, "lone")
+    records, summary, _ = run_spec(minimal_spec, until=SimTime.from_millis(35))
+    metrics = summarize(records, spec, summary)
+    assert metrics == summarize(records, minimal_spec, summary)
+    assert (metrics.round_trips, metrics.path_mismatches) == (4, [])
 
 
 def test_timer_hop_path(minimal_spec):

@@ -29,6 +29,8 @@ def test_config_rejects_bad_values():
         GeneratorConfig(period=SimTime(0))
     with pytest.raises(ValueError):
         GeneratorConfig(payload_bytes=100)  # control messages carry no bytes
+    with pytest.raises(ValueError, match="^payload bytes must be non-negative$"):
+        GeneratorConfig(payload_kind=MessageKind.PACKET, payload_bytes=-1)
 
 
 @pytest.mark.parametrize("field, value", [("period", 5), ("start_time", 3),
