@@ -10,14 +10,22 @@ shortcut leaves the events, their order and numbers, the clock, every seq,
 message id, name and route, and every pending entry as a loop that pushes
 every hop and calls every handler would leave them.
 
-*Lane and heap.* The future event set is a FIFO lane of the entries due at
-`lane_ns`, in seq order, and a binary heap of the later ones. `push`
-appends to the lane when `t_ns == lane_ns`, else pushes onto the heap;
-`refill` moves the heap's earliest bucket into an empty lane. Heap entries
-due at t were pushed while now < t, and seq only grows, so they precede
-anything pushed at t: the lane alone heads the `(t_ns, seq)` order, and
-the loop pops it with no compare. A push from outside a run due before
-`lane_ns` first moves the lane back onto the heap.
+*Lane, stage and heap.* The future event set is a FIFO lane of the
+entries due at `lane_ns`, a staged bucket of the entries due at
+`stage_ns`, each in seq order, and a binary heap of the rest. `push`
+appends to the lane when `t_ns == lane_ns`; else to the stage when
+`t_ns == stage_ns` or the stage is empty, which then takes `t_ns` as its
+time; else it pushes onto the heap. `refill` fills an empty lane with the
+earliest bucket: the heap's entries due at the earlier of its head and
+`stage_ns`, then the stage if it is due then too. Heap entries due at t
+were pushed while now < t, and seq only grows, so they precede anything
+pushed at t: the lane alone heads the `(t_ns, seq)` order, and the loop
+pops it with no compare. A heap entry due at `stage_ns` was pushed before
+the stage took that time, so it precedes every staged entry. Timers that
+share a fire time, such as the n timer pushes of a whole lane, so pass
+from the stage to the lane with no heap work. A push from outside a run
+due before `lane_ns` first moves the lane back onto the heap; the stage,
+due later than the lane, keeps its entries.
 
 *Returned hops.* A handler may return its zero-delay hop,
 `(target, arrival_label, msg)`, in place of pushing it. While the lane
@@ -312,19 +320,23 @@ class FutureEventSet:
     strictly FIFO among equal fire times, so simultaneous events never
     reorder between runs. Entries are plain `(t_ns, seq, target,
     gate_label, msg)` tuples, kept in a FIFO `lane` of the entries due at
-    `lane_ns` and a `heap` of the later ones (the module note). `lane` and
+    `lane_ns`, a `stage` of the entries due at `stage_ns` and a `heap` of
+    the rest (the module note, *Lane, stage and heap*). `lane` and
     `seq_counter` are public for the run loop; apart from it, only `push`,
-    `refill` and the pops change them.
+    `refill` and the pops change them, and only `push` and `refill` the
+    stage.
     """
 
     def __init__(self) -> None:
         self.heap: list = []
         self.lane: deque = deque()
         self.lane_ns = -1  # the fire time of every lane entry; -1: none
+        self.stage: list = []
+        self.stage_ns = -1  # the fire time of every staged entry
         self.seq_counter = itertools.count()  # the one source of insertion seqs
 
     def __len__(self) -> int:
-        return len(self.heap) + len(self.lane)
+        return len(self.heap) + len(self.lane) + len(self.stage)
 
     def push(self, t_ns: int, now_ns: int, target, gate_label: str,
              msg: SimMessage) -> int:
@@ -348,22 +360,34 @@ class FutureEventSet:
                 heappush(heap, entry)
             self.lane.clear()
             self.lane_ns = -1
-        heappush(heap, (t_ns, seq, target, gate_label, msg))
+        stage = self.stage
+        if t_ns == self.stage_ns or not stage:
+            self.stage_ns = t_ns
+            stage.append((t_ns, seq, target, gate_label, msg))
+        else:
+            heappush(heap, (t_ns, seq, target, gate_label, msg))
         return seq
 
     def refill(self, until_ns: int) -> Optional[int]:
         """Return `lane_ns` if the lane holds entries due before
-        `until_ns`, first moving the heap's earliest bucket into an empty
-        lane; return None when nothing is due before `until_ns`."""
+        `until_ns`, first moving the earliest bucket into an empty lane:
+        the heap's entries due then, and then the stage when it is due
+        then too. Return None when nothing is due before `until_ns`."""
         lane = self.lane
         if lane:
             return self.lane_ns if self.lane_ns < until_ns else None
-        heap = self.heap
-        if not heap or heap[0][0] >= until_ns:
+        heap, stage = self.heap, self.stage
+        t_ns = self.stage_ns if stage else until_ns  # until_ns: nothing due
+        if heap and heap[0][0] < t_ns:
+            t_ns = heap[0][0]
+        if t_ns >= until_ns:
             return None
-        t_ns = self.lane_ns = heap[0][0]
+        self.lane_ns = t_ns
         while heap and heap[0][0] == t_ns:
             lane.append(heappop(heap))
+        if t_ns == self.stage_ns:  # an empty stage extends the lane by nothing
+            lane.extend(stage)
+            stage.clear()
         return t_ns
 
     def pop_before(self, until_ns: int) -> Iterator[tuple]:

@@ -51,6 +51,10 @@ class UnknownArrivalGate(SimulationError):
     pass
 
 
+class UnknownChild(SimulationError):
+    """A compound module has no child under the name asked for."""
+
+
 # The four layer gate names are a fixed compatibility surface, plus the
 # unwired air-interface input on radio modules.
 IN_FROM_UPPER = "inFromUpperLayer"
@@ -234,7 +238,7 @@ class CompoundModule(ModuleNode):
         try:
             return self._by_name[name]
         except KeyError:
-            raise UnknownGate(
+            raise UnknownChild(
                 f"{self.full_path_or_name()} has no child named {name!r}") from None
 
 

@@ -225,6 +225,21 @@ _FES_OPS = st.lists(st.one_of(
           ("push_free", 10, 0), ("pop_entry",), ("pop_entry",)])
 @example([("push_free", 9, 1), ("pop_entry",), ("push_free", 10, 0),
           ("push_free", 2, 1), ("pop_entry",), ("pop_entry",)])
+# the stage holds 1, so a push at 3 goes to the heap; once the stage is
+# empty it takes 3, and the heap's earlier push at 3 pops first
+@example([("push_free", 0, 1), ("push_free", 0, 3), ("pop_entry",),
+          ("push_at_clock", 2), ("pop_entry",), ("pop_entry",)])
+# the stage holds a far time while nearer pushes go to the heap
+@example([("push_free", 0, 9), ("push_free", 0, 3), ("push_free", 0, 5),
+          ("push_free", 0, 9), ("pop_entry",), ("pop_entry",), ("pop_entry",),
+          ("pop_entry",)])
+# a push before the lane's time moves the lane onto the heap, and leaves
+# the stage as it is
+@example([("push_free", 0, 5), ("push_free", 0, 2), ("push_free", 0, 2),
+          ("pop_entry",), ("push_free", 0, 1), ("push_free", 0, 5), ("pop_entry",),
+          ("pop_entry",), ("pop_entry",), ("pop_entry",)])
+# only staged entries: len and bool count them
+@example([("push_free", 0, 4), ("push_free", 0, 4)])
 def test_interleaved_push_and_pop_follow_time_then_seq(ops):
     fes = FutureEventSet()
     ref = []  # (t_ns, seq) of every pending entry

@@ -8,8 +8,9 @@ from lteadv_sim.kernel import (MAX_TIME_NS, HandlerError, MessageKind,
 from lteadv_sim.lte_nodes import wire_vertical
 from lteadv_sim.model import (IN_FROM_LOWER, IN_FROM_UPPER, OUT_TO_LOWER, OUT_TO_UPPER,
                               AlreadyAttached, ChannelSpec, CompoundModule, DetachedModule,
-                              DuplicateName, SimpleModule, TreeCycle, UnknownGate,
-                              UnknownTargetGate, WiringLocked, connect, send, send_direct)
+                              DuplicateName, SimpleModule, TreeCycle, UnknownChild,
+                              UnknownGate, UnknownTargetGate, WiringLocked, connect, send,
+                              send_direct)
 
 from conftest import gate_state, pop_entry
 
@@ -329,7 +330,7 @@ def test_detached_module_has_no_path():
 def test_child_by_name():
     root, a, b = two_module_net()
     assert (root.child("a"), root.child("b")) == (a, b)
-    with pytest.raises(UnknownGate, match="^Network has no child named 'c'$"):
+    with pytest.raises(UnknownChild, match="^Network has no child named 'c'$"):
         root.child("c")
 
 

@@ -1,12 +1,20 @@
-"""The code-line counter in tools/: what it counts as a code line."""
+"""The scripts in tools/: the code-line counter and the in-process A/B run."""
 
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-_spec = importlib.util.spec_from_file_location("code_lines", TOOL)
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _tool("code_lines")
+ab_run = _tool("ab_run")
 
 
 def test_docstrings_comments_and_blank_lines_are_not_code():
@@ -38,3 +46,22 @@ def test_it_counts_the_package(capsys):
     total = rows.pop("total")
     assert total == tuple(map(sum, zip(*rows.values())))
     assert all(0 < code <= wc for code, wc in rows.values())
+
+
+def test_ab_run_of_a_checkout_against_itself(capsys):
+    assert ab_run.main(["ab_run.py", str(ROOT), str(ROOT), "--workload", "desk",
+                        "--rounds", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "workload desk, seed 7, 2 rounds, 389900 events, end states equal"
+    assert out[1].split() == ["side", "loop_ms", "wall_ms"]
+    assert [line.split()[0] for line in out[2:4]] == ["base", "change"]
+    assert all(0 < float(ms) for line in out[2:4] for ms in line.split()[1:])
+    assert out[4].startswith("change faster: loop ")
+
+
+def test_ab_run_stops_at_the_first_round_whose_end_states_differ(monkeypatch, capsys):
+    states = iter([(1, 0, 2, 0), (1, 0, 3, 0)])
+    monkeypatch.setattr(ab_run, "run_once", lambda pkg, text: (1.0, 2.0, next(states)))
+    assert ab_run.main(["ab_run.py", str(ROOT), str(ROOT), "--rounds", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("round 1: end states differ")
