@@ -64,20 +64,22 @@ calls every handler that no link or walk stands in for, a generator's at
 each of its events; only `_walk_trips` makes generator events without
 the loop, by calling that stock handler itself. With no sink the loop
 checks each bucket's lane once, right after `refill`: `_walk_trips`
-makes a lane of n >= 2 entries at once when each walks by the same s
-steps to the In gate from below of a generator with a trip, their events
-end within the limit and no timer would pass `MAX_TIME_NS`. The first
-entry sets the lane's kind. A lane of timers, each of whose trips walks
-back to its own generator, makes n*(s+2) events (n timers, n*s steps, n
-returns): the payloads take their ids in lane order and the counter is
-advanced past the n*(s+1) appends of the hop-by-hop run. A lane of hops
-that carry distinct messages, such as the first emissions `on_start`
-pushed, makes n*(s+1) events, and the counter is advanced past the n*s
-appends. Either way the n returns then push their timers in lane order,
-through `FutureEventSet.push`, taking the next ids and seqs, and the
-lane is left empty. Any other lane runs hop by hop: one message in two
-entries pushes and pops its route in turn, and a lane that would
-overflow fails at its own return, as its HandlerError.
+makes a lane of n >= 2 entries at once when each walks alike to the In
+gate from below of a generator with a trip and no timer would pass
+`MAX_TIME_NS`. The first entry sets the lane's kind: timers, each of
+whose walks starts at its own generator's channel down, or hops that
+carry distinct messages, such as the first emissions `on_start` pushed,
+each of whose walks starts at its own In gate and takes a step or more.
+One count rule covers both. Let S be a walk's steps, plus one in a lane
+of timers, as a timer's own event is a step: the lane makes n*(S+1)
+events, n*S steps and n returns, if they end within the limit, and the
+counter is advanced past the n*S appends of the hop-by-hop run. The
+timers' payloads take their ids in lane order, then the n returns push
+their timers in lane order, through `FutureEventSet.push`, taking the
+next ids and seqs, and the lane is left empty. Any other lane runs hop
+by hop: one message in two entries pushes and pops its route in turn,
+and a lane that would overflow fails at its own return, as its
+HandlerError.
 
 *Spent messages.* A message is re-issued only where no module but its
 stock generator can still hold it (`lteadv_sim.traffic`). The handler
@@ -530,56 +532,42 @@ def _walk_trips(fes: FutureEventSet, walks: _Walks, trips: dict, t_ns: int,
                 room: int) -> int:
     """Make the lane of `fes`, due at `t_ns`, whole in one step, by the
     walks of `walks` to the generators of `trips` (generator -> trip, from
-    `_set_links_and_trips`), if its events end within `room` more (the
-    module note, *Trip walks*). Returns the number of events made, with the
-    lane left empty and the next timers pushed through
-    `FutureEventSet.push`, or 0, with the lane untouched, to run it hop by
-    hop."""
+    `_set_links_and_trips`), if its events are at most `room`. Returns the
+    number of events made, with the lane left empty and the next timers
+    pushed through `FutureEventSet.push`, or 0, with the lane untouched."""
     lane = fes.lane
-    n = len(lane)
-    steps, walked = 0, []
-    if lane[0][3] == SELF_GATE:
-        for _, _, gen, label, timer in lane:
-            trip = trips.get(gen) if label == SELF_GATE else None
+    timers = lane[0][3] == SELF_GATE
+    steps, walked, held = 0, [], set()
+    for _, _, target, label, msg in lane:
+        if timers:  # a timer walks from its generator's channel down
+            gen, trip = target, trips.get(target) if label == SELF_GATE else None
             walk = None if trip is None else walks[trip[0]]
-            if (walk is None or walk[0] is not trip[1] or (walked and walk[1] != steps)
-                    or n * (walk[1] + 2) > room or t_ns + trip[2] > MAX_TIME_NS):
-                return 0
-            steps = walk[1]
-            walked.append((gen, walk, timer))
-        seq = next(fes.seq_counter) + n * (steps + 1)  # past the appends the trips make
-        lane.clear()
-        for i, (gen, walk, timer) in enumerate(walked):
-            payload = gen._trip_handler(timer, SELF_GATE)[2]
-            _walk_on(payload, walk)
-            # back at its generator, held by no module: a spare, unless routed
-            walked[i] = gen, walk, None if walk[2] else payload
-        events = n * (steps + 2)
-    else:
-        held = set()
-        for _, _, target, label, msg in lane:
+        else:  # a hop from its own In gate, a step or more, with a message no other entry has
             gate = target._gates.get(label)
             walk = walks[None if gate is None or gate.source is target else gate]
-            end = walk[0]
-            trip = None if end is None else trips.get(end.owner)
-            if (trip is None or trip[1] is not end or not walk[1] or msg in held
-                    or (walked and walk[1] != steps)
-                    or n * (walk[1] + 1) > room or t_ns + trip[2] > MAX_TIME_NS):
-                return 0
-            steps = walk[1]
+            gen = walk[0].owner if walk[1] and msg not in held else None
+            trip = trips.get(gen)
             held.add(msg)
-            walked.append((end.owner, walk, None))
-        seq = next(fes.seq_counter) + n * steps  # past the appends the hops make
-        for entry, (_, walk, _) in zip(lane, walked):
-            _walk_on(entry[4], walk)
-        lane.clear()
-        events = n * (steps + 1)
+        if (trip is None or walk[0] is not trip[1] or (walked and walk[1] != steps)
+                or t_ns + trip[2] > MAX_TIME_NS):
+            return 0
+        steps = walk[1]
+        walked.append([gen, walk, msg])
+    n, steps = len(lane), steps + timers  # a timer's own event counts as a step
+    if n * (steps + 1) > room:
+        return 0
+    seq = next(fes.seq_counter) + n * steps  # past the appends of the hop-by-hop run
+    lane.clear()
+    for entry in walked:
+        if timers:  # the payload the timer's event sends
+            entry[2] = entry[0]._trip_handler(entry[2], SELF_GATE)[2]
+        _walk_on(entry[2], entry[1])
     fes.seq_counter = itertools.count(seq)
-    for gen, walk, payload in walked:
+    for gen, walk, msg in walked:
         gen._trip_handler(None, walk[0].label)
-        if payload is not None:
-            gen._payload = payload
-    return events
+        if timers and not walk[2]:  # a payload back at its generator, held by no module: a spare
+            gen._payload = msg
+    return n * (steps + 1)
 
 
 class Simulator:
@@ -667,7 +655,23 @@ class Simulator:
         call. They leave every event, seq, message and pending entry as a
         run that calls every handler and schedules every hop through
         `FutureEventSet.push` leaves them (the module note).
+
+        Raises TypeError for an `until` that is not a SimTime or an
+        `event_limit` that is neither None nor an int (a bool is not one),
+        and ValueError for a negative `event_limit`, before anything runs,
+        so the simulator can still run; so does the error of `sinks` that
+        cannot be iterated or of a sink with neither `on_events` nor
+        `record`.
         """
+        if not isinstance(until, SimTime):
+            raise TypeError(f"until must be a SimTime, got {until!r}")
+        if event_limit is not None:
+            if not isinstance(event_limit, int) or isinstance(event_limit, bool):
+                raise TypeError(f"event_limit must be None or an int, got {event_limit!r}")
+            if event_limit < 0:
+                raise ValueError(f"event_limit must be non-negative, got {event_limit}")
+        batch = [sink.on_events for sink in sinks if hasattr(sink, "on_events")]
+        entries = [_event_entry(sink) for sink in sinks if not hasattr(sink, "on_events")]
         if self._ran:
             raise SimulationError("this simulator instance has already run")
         self._ran = True
@@ -684,14 +688,12 @@ class Simulator:
         fes = self.fes
         push, refill, lane, seq_counter = fes.push, fes.refill, fes.lane, fes.seq_counter
         popleft, append = lane.popleft, lane.append
-        batch = [sink.on_events for sink in sinks if hasattr(sink, "on_events")]
-        entries = [_event_entry(sink) for sink in sinks if not hasattr(sink, "on_events")]
         traced = bool(sinks)
         rows: list = []
         add_row = rows.append
         until_ns = until.ns
         # no run executes sys.maxsize events: no limit
-        limit = sys.maxsize if event_limit is None else max(event_limit, 0)
+        limit = sys.maxsize if event_limit is None else event_limit
         walks = _Walks()
         executed = 0
         reason = StopReason.EVENT_LIMIT

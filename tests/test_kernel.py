@@ -597,6 +597,29 @@ def test_simulator_runs_once():
         sim.run(until=SimTime(2))
 
 
+@pytest.mark.parametrize("bad, error", [
+    ({"event_limit": 2.5}, TypeError),
+    ({"event_limit": True}, TypeError),
+    ({"event_limit": "5"}, TypeError),
+    ({"event_limit": -1}, ValueError),
+    ({"until": 1_000_000}, TypeError),
+    ({"sinks": None}, TypeError),
+    ({"sinks": [object()]}, AttributeError),
+])
+def test_run_refuses_bad_arguments_before_it_starts(bad, error):
+    """A refused call runs nothing, pushes nothing and leaves the
+    simulator able to run as a fresh one does."""
+    spec = parse((Path(__file__).parent / "fixtures" / "minimal.net").read_text()).spec
+    sim = build(spec).simulator()
+    with pytest.raises(error):
+        sim.run(**{"until": spec.until, **bad})
+    assert len(sim.fes) == 0 and sim._next_msg_id == 1
+    summary = sim.run(until=spec.until, event_limit=5)
+    fresh = build(spec).simulator().run(until=spec.until, event_limit=5)
+    assert summary.events_executed == fresh.events_executed == 5
+    assert (summary.stop_reason, summary.final_time) == (fresh.stop_reason, fresh.final_time)
+
+
 def test_one_simulator_per_module_tree():
     root = make_net(Recorder())
     Simulator(root)

@@ -678,6 +678,64 @@ def test_a_lane_of_unequal_walks_runs_hop_by_hop(lane_checks):
     assert lane_checks()[:2] == [0, 2 * (37 + 2)]
 
 
+def test_a_lane_of_a_hop_then_a_timer_runs_hop_by_hop(lane_checks):
+    """ue[1] starts at 11 ms, when ue[0]'s first timer is due: the 11 ms
+    lane holds ue[1]'s first emission and then that timer, so its first
+    entry makes it a lane of hops, which a timer cannot join. It runs hop
+    by hop, and the 21 ms lane of both timers trips whole, at every event
+    limit."""
+    spec = parse(TWO_UES_IN_STEP.replace(
+        "    generator on ue[*] { period 10ms; start 1ms; }",
+        "    generator on ue[0] { period 10ms; start 1ms; }\n"
+        "    generator on ue[1] { period 10ms; start 11ms; }").replace("12ms", "22ms")).spec
+    _assert_no_sink_matches_hop_by_hop_at_every_limit(spec)
+    assert lane_checks()[:2] == [0, 2 * (37 + 2)]
+
+
+def _timer_first(built):
+    """ue[0]'s stock generator schedules a timer at its start in place of
+    sending its first emission, so the first lane holds that timer and
+    then ue[1]'s first emission."""
+    generator = built.nodes["ue[0]"].generator
+
+    def on_start(sim):
+        generator.schedule_self(sim.new_message(TIMER_NAME, MessageKind.CONTROL_MESSAGE),
+                                generator.config.start_time)
+
+    generator.on_start = on_start
+
+
+def test_a_lane_of_a_timer_then_a_hop_runs_hop_by_hop(lane_checks):
+    """A timer due with ue[1]'s first emission, ahead of it: its first
+    entry makes the lane one of timers, which a hop cannot join. It runs
+    hop by hop, and the next bucket's two timers trip whole, at every
+    event limit."""
+    _assert_no_sink_matches_hop_by_hop_at_every_limit(parse(TWO_UES_IN_STEP).spec,
+                                                      replace=_timer_first)
+    assert lane_checks()[:2] == [0, 2 * (37 + 2)]
+
+
+def test_a_lane_of_hops_leaves_no_spare(lane_checks):
+    """User code sends a message of its own down each UE's stack, due at
+    the shared start, in place of the first emissions, and holds it. The
+    lane of those hops is made whole, then the lane of the timers they
+    arm, and no generator re-issues a held message."""
+    spec = parse(LOCKSTEP).spec
+    built = build(spec)
+    sim = built.simulator()
+    held = []
+    for name in ("ue[0]", "ue[1]", "ue[2]"):
+        generator = built.nodes[name].generator
+        generator.on_start = lambda sim: None
+        msg = sim.new_message("NASMsg", MessageKind.CONTROL_MESSAGE)
+        send_direct(generator, msg, built.nodes[name].stack[0], IN_FROM_UPPER,
+                    generator.config.start_time)
+        held.append((msg, msg.msg_id, msg._created_ns))
+    sim.run(until=spec.until)
+    assert lane_checks() == [3 * (37 + 1), 3 * (37 + 2)]
+    assert [(msg, msg.msg_id, msg._created_ns) for msg, *_ in held] == held
+
+
 def test_a_handler_error_after_a_lane_walk_keeps_its_event_number(lane_checks):
     """ue[1]'s generator, started a millisecond after the others, fails on
     its second return: event #231 either way, after the lanes of ue[0]'s

@@ -65,3 +65,22 @@ def test_ab_run_stops_at_the_first_round_whose_end_states_differ(monkeypatch, ca
     assert ab_run.main(["ab_run.py", str(ROOT), str(ROOT), "--rounds", "3"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("round 1: end states differ")
+
+
+def test_ab_run_tells_end_states_apart_by_one_pending_seq(monkeypatch, capsys):
+    """The change side's last pending entry takes the next seq, and
+    nothing else differs: the run stops at round 1 and names that entry."""
+    end_state = ab_run.end_state
+
+    def shifted(pkg, built, sim, summary):
+        if pkg.__name__ == "ab_run_change":
+            entries = list(sim.fes.pop_before(pkg.kernel.MAX_TIME_NS + 1))
+            t_ns, seq, *rest = entries[-1]
+            entries[-1] = (t_ns, seq + 1, *rest)
+            sim.fes.heap.extend(entries)  # in order, so a heap
+        return end_state(pkg, built, sim, summary)
+
+    monkeypatch.setattr(ab_run, "end_state", shifted)
+    assert ab_run.main(["ab_run.py", str(ROOT), str(ROOT), "--rounds", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("round 1: end states differ in pending[99]: base [(1000")
