@@ -43,18 +43,16 @@ message for that gate's owner, by its kind, and goes on as with a
 returned hop. An arrival on the target's own Out gate takes no link and
 no walk.
 
-*No-sink walks.* With no sink, a hop that finds the lane empty jumps the
-whole walk from its gate, if the event at its end is within the limit.
-`_Walks` computes a gate's walk once per run: it follows links and, where
-a gate has none, takes the `_step` of a stock-handled module on the route
-of the waypoints it pushed, and stops where no step is found or at a gate
-it visited. The jump counts the steps as events, appends the walk's net
-pushes to the route, renames the message for the end gate's owner and
-dispatches that gate next; no step pushes an entry and nothing else is
-due now, so nothing comes between the steps. A gate whose link leads to a
-gate with a cached walk reuses that walk one step longer, unless that walk
-ends at its own start after a step or more: such a ring passes through the
-gate, where the gate's own walk stops, so it is computed afresh.
+*No-sink walks.* With no sink, a message due with the lane empty, popped
+or returned, jumps the whole walk from its gate before its event, if the
+event at the walk's end is within the limit. `_Walks` computes a gate's
+walk once per run: it follows links and, where a gate has none, takes
+the `_step` of a stock-handled module on the route of the waypoints it
+pushed, and stops where no step is found or at a gate it visited. The
+jump counts the steps as events, appends the walk's net pushes to the
+route, renames the message for the end gate's owner and dispatches that
+gate next; no step pushes an entry and nothing else is due now, so
+nothing comes between the steps.
 
 *Trip walks.* After every `on_start`, `_set_links_and_trips` fixes each
 generator with the links: its `_trip` fixes an emission that `on_start`
@@ -101,7 +99,7 @@ import time as _wallclock
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
@@ -481,22 +479,16 @@ def _set_links_and_trips(modules) -> dict:
 
 
 class _Walks(dict):
-    """An arrival's gate -> `(end, steps, pushes)`, computed on first
-    lookup and fixed for the run: the no-sink walk from that gate (the
-    module note). `end` is the gate it stops at, `steps` the events it
-    covers and `pushes` the waypoints it leaves pushed, as a tuple. None,
-    for a label the target has no In gate under, maps to `(None, 0, ())`.
+    """An arrival's gate -> `(end, steps, pushes)`, computed afresh by
+    `fresh` on first lookup and fixed for the run: the no-sink walk from
+    that gate (the module note). `end` is the gate it stops at, `steps`
+    the events it covers and `pushes` the waypoints it leaves pushed, as
+    a tuple. None, for a label the target has no In gate under, maps to
+    `(None, 0, ())`.
     """
 
     def __missing__(self, gate):
-        link = None if gate is None else gate.relay_to
-        walk = None if link is None else self.get(link)
-        if walk is None or (walk[1] and walk[0] is link):
-            walk = self.fresh(gate)
-        else:
-            end, steps, pushes = walk
-            walk = end, steps + 1, pushes
-        self[gate] = walk
+        walk = self[gate] = self.fresh(gate)
         return walk
 
     @staticmethod
@@ -627,21 +619,22 @@ class Simulator:
         return msg
 
     def run(self, until: SimTime, event_limit: Optional[int] = None,
-            sinks: Sequence = ()) -> RunSummary:
+            sinks: Iterable = ()) -> RunSummary:
         """Dispatch events with fire time strictly below `until`, once per
         simulator, and return the RunSummary. Stops when the FES drains,
         the next event would fire at or past `until`, or `event_limit`
         events have run.
 
-        Shows every dispatched event, numbered from 1, to every sink, as
-        the message arrived. A sink with `on_events(first_no, rows)` gets
-        the events in chunks: one row per event, `(t_ns, module, msg_name,
-        msg_kind, msg_id)`, numbered from `first_no`, with the name taken
-        when the event is dispatched. The run holds the rows in one list
-        and hands it over at a bucket boundary once `CHUNK_ROWS` rows are
-        held, at every stop and before any exception leaves the run, such
-        as the HandlerError of event k after rows 1..k; the list is
-        emptied and reused afterwards. A batch sink sees its rows after
+        Shows every dispatched event, numbered from 1, to every sink of
+        `sinks`, any iterable, read once, as the message arrived. A sink
+        with `on_events(first_no, rows)` gets the events in chunks: one
+        row per event, `(t_ns, module, msg_name, msg_kind, msg_id)`,
+        numbered from `first_no`, with the name taken when the event is
+        dispatched. The run holds the rows in one list and hands it over
+        at a bucket boundary once `CHUNK_ROWS` rows are held, at every stop
+        and before any exception leaves the run, such as the HandlerError
+        of event k after rows 1..k; the list is emptied and reused
+        afterwards. A batch sink sees its rows after
         their handlers ran, so it must read nothing but the rows: not the
         clock, the FES or a message. Any other sink's `record(rec)` is
         called at each event, before the target handler runs, with the
@@ -670,6 +663,7 @@ class Simulator:
                 raise TypeError(f"event_limit must be None or an int, got {event_limit!r}")
             if event_limit < 0:
                 raise ValueError(f"event_limit must be non-negative, got {event_limit}")
+        sinks = list(sinks)
         batch = [sink.on_events for sink in sinks if hasattr(sink, "on_events")]
         entries = [_event_entry(sink) for sink in sinks if not hasattr(sink, "on_events")]
         if self._ran:
@@ -711,6 +705,15 @@ class Simulator:
                         _, _, target, gate_label, msg = popleft()
                         gate = target._gates.get(gate_label)
                         while True:
+                            if not (traced or lane):
+                                # jump the walk from the gate if its end is within the limit
+                                walk = walks[None if gate is None or gate.source is target
+                                             else gate]
+                                steps = walk[1]
+                                if steps and executed + steps < limit:
+                                    executed += steps
+                                    gate = _walk_on(msg, walk)
+                                    target, gate_label = gate.owner, gate.label
                             executed += 1
                             if traced:
                                 if batch:
@@ -740,15 +743,6 @@ class Simulator:
                             if executed == limit:
                                 push(t_ns, t_ns, target, gate_label, msg)
                                 break
-                            if not traced:
-                                # jump the walk if its end is within the limit
-                                walk = walks[None if gate is None or gate.source is target
-                                             else gate]
-                                steps = walk[1]
-                                if steps and executed + steps < limit:
-                                    executed += steps
-                                    gate = _walk_on(msg, walk)
-                                    target, gate_label = gate.owner, gate.label
                     if executed == limit:
                         break
                     if traced and len(rows) >= CHUNK_ROWS:

@@ -620,6 +620,29 @@ def test_run_refuses_bad_arguments_before_it_starts(bad, error):
     assert (summary.stop_reason, summary.final_time) == (fresh.stop_reason, fresh.final_time)
 
 
+class _RowSink:
+    """A batch sink that keeps the event number of every row it gets."""
+
+    def __init__(self):
+        self.event_nos = []
+
+    def on_events(self, first_no, rows):
+        self.event_nos += range(first_no, first_no + len(rows))
+
+
+@pytest.mark.parametrize("wrap", [list, iter, lambda sinks: (sink for sink in sinks)])
+def test_run_reads_its_sinks_once(wrap):
+    """One-shot iterables of sinks are read as a list of them: a batch
+    sink and a sink with only `record`, passed together, each see all 50
+    events."""
+    spec = parse((Path(__file__).parent / "fixtures" / "minimal.net").read_text()).spec
+    batch, collector = _RowSink(), CollectingSink()
+    summary = build(spec).simulator().run(until=spec.until, event_limit=50,
+                                          sinks=wrap([batch, collector]))
+    assert summary.events_executed == 50
+    assert batch.event_nos == [rec.event_no for rec in collector.records] == list(range(1, 51))
+
+
 def test_one_simulator_per_module_tree():
     root = make_net(Recorder())
     Simulator(root)

@@ -25,8 +25,9 @@ handler call), the run loop calls the stock generator handler at every
 generator event outside such lanes,
 every message a generator makes or re-issues is, when it takes its id,
 the one `Simulator.new_message` would make at that moment, a message
-that a module or user code holds is never re-issued, a walk reused past a
-relay link is the walk computed afresh (a ring of links reuses none), a
+that a module or user code holds is never re-issued, every walk a run
+caches is the walk computed afresh (a ring of links walks each gate
+once), a walk starts at a popped arrival as at a returned hop, a
 handler set on
 the instance before the run sees every arrival at its module, each
 event is one handle_message call
@@ -530,26 +531,29 @@ def _pending_routes(spec):
     return {entry[-1] for entry in _end_state(spec, None, [])[4]}
 
 
-def _assert_walks_stop_where_handlers_pop(spec):
-    """Every S1 arrival reaches its handler, and only some PHY arrivals."""
+def _assert_walks_stop_where_handlers_pop(spec, walked_s1):
+    """A run that makes every hop calls the S1 handler 12 times and the
+    PHY's 9 times; a run with no sink calls the S1's `walked_s1` times
+    and the PHY's 3 times."""
     walked, _ = _route_handler_calls(lambda: _end_state(spec, None, []))
     stepped, _ = _route_handler_calls(lambda: _end_state(spec, None, [_NopBatchSink()]))
-    assert walked["S1"] == stepped["S1"] > 0
-    assert 0 < walked["PHY"] < stepped["PHY"]
+    assert stepped == {"S1": 12, "PHY": 9}
+    assert walked == {"S1": walked_s1, "PHY": 3}
 
 
 def test_a_walk_stops_at_a_delayed_s1_hop():
     """enb[0]'s backhaul undelayed and a one-layer S-GW/MME, whose S1
     sends up over the delayed core link: a walk up from ue[0..2] stops
     at the S1, which then pushes its reply gate onto the route the walk
-    extended, and transmits. Every event limit over the first trips."""
+    extended, and transmits: each of the 12 S1 arrivals reaches its
+    handler. Every event limit over the first trips."""
     spec = parse(_delayed_net_apart().replace("sgw_mme delay 300us;", "sgw_mme;")).spec
     spec.chain_overrides[NodeType.SGW_MME] = (LayerSpec("S1", "lte_s1"),)
     spec.until = SimTime(700_000)  # ue[0..2]'s first messages are on the core link
     assert {("Network.ue[2].lte_radio", ("Network.sgw_mme.lte_s1", "outToLowerLayer[0]")),
             ("Network.ue[4].lte_radio",)} <= _pending_routes(spec)
     spec.until = SimTime.from_millis(3)
-    _assert_walks_stop_where_handlers_pop(spec)
+    _assert_walks_stop_where_handlers_pop(spec, walked_s1=12)
     _assert_no_sink_matches_hop_by_hop_at_every_limit(spec)
 
 
@@ -557,13 +561,15 @@ def test_a_walk_stops_at_a_pop_of_a_waypoint_pushed_before_it():
     """Every backhaul delayed: a walk down from the core link meets the
     S1's pop of the reply gate its trip pushed on the way up, and a walk
     down an eNB meets its PHY's pop of the UE's radio; each walk stops
-    there and the handler pops the real route. Every event limit over
-    the first trips."""
+    there and the handler pops the real route. An arrival popped at the
+    S1 from a backhaul walks up from its gate, so only the 6 S1 arrivals
+    from above reach the handler, of the 12 a hop-by-hop run makes.
+    Every event limit over the first trips."""
     spec = parse(_delayed_net_apart()).spec
     spec.until = SimTime(1_000_000)  # ue[3..5]'s first messages are on the backhaul
     assert {("Network.ue[4].lte_radio",)} <= _pending_routes(spec)
     spec.until = SimTime.from_millis(3)
-    _assert_walks_stop_where_handlers_pop(spec)
+    _assert_walks_stop_where_handlers_pop(spec, walked_s1=6)
     _assert_no_sink_matches_hop_by_hop_at_every_limit(spec)
 
 
@@ -1613,9 +1619,8 @@ def _recording_walks():
 
 
 def _assert_walks_exact(caches):
-    """Every cached walk, reused or not, is what an empty `_Walks`
-    computes for its gate on the same tree, which the run left as it
-    was."""
+    """Every cached walk is what an empty `_Walks` computes for its gate
+    on the same tree, which the run left as it was."""
     stock = kernel._Walks
     assert caches
     for walks in caches:
@@ -1626,20 +1631,21 @@ def _assert_walks_exact(caches):
 @given(st.one_of(network_specs(), specs_with_stacks()),
        st.one_of(st.none(), st.integers(min_value=0, max_value=1500)))
 @settings(deadline=None)
-def test_reused_walks_are_exact(spec, event_limit):
-    """A gate whose relay link leads to a gate with a cached walk takes
-    that walk one step longer; over drawn stacks, delays and event
-    limits, every walk a run with no sink caches equals the walk from
-    its gate computed afresh."""
+def test_cached_walks_are_exact(spec, event_limit):
+    """A run with no sink computes each gate's walk once and looks it up
+    again at every later arrival there; over drawn stacks, delays and
+    event limits, every walk it caches equals the walk from its gate
+    computed afresh on the tree the run left."""
     with _recording_walks() as caches:
         _end_state(spec, event_limit, [])
     _assert_walks_exact(caches)
 
 
 def test_a_trip_started_from_the_top_layer_and_the_one_below_is_walked_once():
-    """ue[0]'s first emission is pushed, popped and relayed from its NAS
-    to its RRC, where the run looks up the walk; each later one returns
-    from the timer as a hop to the NAS, whose walk reuses the RRC's."""
+    """ue[0]'s first emission is pushed and popped at its NAS, and each
+    later one returns from the timer as a hop to the NAS: the NAS gate is
+    walked afresh once, 37 steps to the generator with no waypoint left,
+    and the RRC gate below it, which the NAS links to, never."""
     spec = dataclasses.replace(parse(TWO_UES_ONE_DELAYED).spec, until=SimTime.from_millis(25))
     with _recording_walks() as caches:
         built = build(spec)
@@ -1647,18 +1653,16 @@ def test_a_trip_started_from_the_top_layer_and_the_one_below_is_walked_once():
     walks, = caches
     nas, rrc = (layer._gates[IN_FROM_UPPER] for layer in built.nodes["ue[0]"].stack[:2])
     assert nas.relay_to is rrc
-    assert walks.fresh_gates.count(rrc) == 1 and nas not in walks.fresh_gates
-    end, steps, pushes = walks[rrc]
-    assert walks[nas] == (end, steps + 1, pushes)
-    assert end.owner is built.nodes["ue[0]"].generator
+    assert walks.fresh_gates.count(nas) == 1 and rrc not in walks
+    end, steps, pushes = walks[nas]
+    assert (end.owner, steps, pushes) == (built.nodes["ue[0]"].generator, 37, ())
     _assert_walks_exact(caches)
 
 
 def test_a_ring_of_relay_links_reuses_no_walk():
     """In a ring of links, the walk from each gate stops when it comes
-    back to that gate, so the cached walk past a link runs through the
-    gate before it and ends where it started: such a walk is not reused,
-    and each gate of the ring is walked afresh."""
+    back to that gate, three steps on: each gate of the ring is walked
+    afresh, once."""
     root = CompoundModule("Network")
     a, b, c = (root.add_child(PassThroughLayer(name, name.upper())) for name in "abc")
     wire_vertical(a, b)
